@@ -23,7 +23,7 @@ from .numerics import gauss_hermite, antiderivative_at, binned_gaussian_smooth, 
     radial_cutoff_deriv
 from .density_deriv import DensityCurve, validate_curve, \
     exponential_family_curve, scalar_exponential_curve, mixture_curve, \
-    constant_curve, DerivativeProfile, density_derivative_profile, \
+    DerivativeProfile, density_derivative_profile, \
     recenter_to_base, recenter_to_density, chain_rule_rhs, chain_rule_lhs_fd, \
     second_order_check_1d, second_order_check_multidim, \
     multidim_derivative_repr, nested_derivative_check
@@ -36,9 +36,8 @@ from .clark_ocone import SmoothFunctional, scalar_functional, \
     reconstruction_error
 from .approx_pipeline import PipelineConfig, StageReport, PipelineReport, \
     ConditionedDensity, stage1_dyadic_condition, TruncatedDensity, \
-    stage3_truncate, MollifiedDensity, stage4_mollify, stage5_normalize, \
-    stage5_derivative, stage6_clark_ocone, stage7_stepify, pipeline_run, \
-    pipeline_ladders, final_errors_at, DEFAULT_THRESHOLDS
+    MollifiedDensity, stage5_normalize, stage5_derivative, stage7_stepify, \
+    pipeline_run, pipeline_ladders, final_errors_at, DEFAULT_THRESHOLDS
 from .density_functional import GridDensity, density_grid, kde_density, \
     DensityFunctionalPhi, dPhi_representer, representer_x_derivative, \
     bensoussan_check

@@ -21,6 +21,13 @@ approximate the curve and its parameter derivative in L2(Q):
 7. freeze that integrand to a left-endpoint step process on a coarser grid
    and exponentiate.
 
+Stages 6 and 7 need a curve with scalar_triple: the integrand is tabulated
+once per parameter value on a grid of the running terminal coordinate,
+read along every path and exponentiated, first at every block knot (stage
+6) and then at every (2**dyadic_level / step_count)-th knot (stage 7), so
+the two coincide when step_count equals 2**dyadic_level. final_errors_at
+runs the same step with the table built at the step_count knots only.
+
 Every stage reports L2(Q) distances to the target curve, both at a primary
 parameter value and integrated along a parameter segment.
 """
@@ -42,7 +49,7 @@ from .numerics import (bump_quad_1d, capped_identity, capped_identity_deriv,
                        gauss_hermite, gauss_legendre, radial_cutoff,
                        radial_cutoff_deriv)
 from .rng import substream
-from .wiener_grid import PathPool, TimeGrid, _block_edges, bridge_resample, dyadic_coarsen
+from .wiener_grid import PathPool, TimeGrid, _block_edges, dyadic_coarsen
 
 _MOLL_NODES = 17
 _TABLE_POINTS = 1025
@@ -149,9 +156,11 @@ def _l2_with_se(w: np.ndarray, diff: np.ndarray) -> Tuple[float, float]:
 class ConditionedDensity:
     """Conditional expectation of a density curve given dyadic block sums.
 
-    Curves carrying a scalar form read only the terminal value, which is
-    measurable for every block level; conditioning is then exact and the
-    coordinate system collapses to that one terminal coordinate. All other
+    Curves carrying scalar_triple read only the terminal value, which is
+    measurable for every block level; conditioning is then exact, the
+    coordinate system collapses to that one terminal coordinate, and every
+    evaluation is a single scalar_triple call (the curve checked it against
+    its full form when it was built). All other
     curves are averaged over frozen Brownian-bridge templates consistent
     with the block sums. Templates are drawn once per instance and shared
     across evaluation points, so the average is a fixed smooth function of
@@ -172,7 +181,7 @@ class ConditionedDensity:
         self.level = int(level)
         self.grid = pool.grid
         self.edges = edges
-        self.scalar = curve.scalar_value is not None
+        self.scalar = curve.scalar_triple is not None
         self._w = _normalized(pool.weights)
         self._inc = pool.increments
         self._renorm_cache: Dict[float, Tuple[float, float]] = {}
@@ -182,9 +191,6 @@ class ConditionedDensity:
                                 if self.scalar else widths)
         if self.scalar:
             self._u = pool.increments.sum(axis=1)
-            self._check_scalar_form(pool, m_inner, seed)
-            if curve.scalar_triple is not None:
-                self._check_triple()
         else:
             self._templates = self._draw_templates(m_inner, seed)
             self._loading = self._coordinate_loading()
@@ -199,36 +205,6 @@ class ConditionedDensity:
             # pool with few templates lands here rather than passing silently
             raise ValueError("conditioned density mean drifted away from one; "
                              "increase m_inner (inner_mc) for this pool size")
-
-    def _check_scalar_form(self, pool: PathPool, m_inner: int, seed: int) -> None:
-        # Bridge resamples preserve each block sum exactly, hence the total;
-        # a terminal-reading curve must agree with its scalar form to
-        # roundoff on bridge-averaged values.
-        lam = 0.5 * (self.curve.lam_lo + self.curve.lam_hi)
-        m = min(_CHECK_PATHS, pool.n_samples)
-        sub = pool.subset(np.arange(m))
-        fine = bridge_resample(sub, self.level, min(m_inner, 8), seed)
-        flat = fine.reshape(-1, fine.shape[-1])
-        raw = np.asarray(self.curve.value_fn(lam, flat), dtype=float)
-        averaged = raw.reshape(m, -1).mean(axis=1)
-        direct = np.asarray(
-            self.curve.scalar_value(lam, sub.increments.sum(axis=1)), dtype=float)
-        scale = float(np.abs(direct).max()) + 1e-12
-        if float(np.abs(averaged - direct).max()) > 1e-9 * scale:
-            raise ValueError("scalar form disagrees with bridge-conditioned values")
-
-    def _check_triple(self) -> None:
-        # the fused form must reproduce the individual scalar callables
-        lam = 0.5 * (self.curve.lam_lo + self.curve.lam_hi)
-        u = np.linspace(-2.0, 2.0, 9)
-        v, d, du = self.curve.scalar_triple(lam, u)
-        ok = (np.allclose(v, self.curve.scalar_value(lam, u), rtol=1e-12, atol=1e-12)
-              and np.allclose(d, self.curve.scalar_deriv(lam, u), rtol=1e-12, atol=1e-12)
-              and np.allclose(du, self.curve.scalar_value_du(lam, u),
-                              rtol=1e-12, atol=1e-12))
-        if not ok:
-            raise ValueError("fused scalar evaluation disagrees with the "
-                             "individual callables")
 
     def _draw_templates(self, m_inner: int, seed: int) -> np.ndarray:
         rng = substream(seed, 5)
@@ -262,8 +238,7 @@ class ConditionedDensity:
         if hit is not None:
             return hit
         if self.scalar:
-            raw = np.asarray(self.curve.scalar_value(lam, self._u), dtype=float)
-            draw = np.asarray(self.curve.scalar_deriv(lam, self._u), dtype=float)
+            raw, draw, _ = self.curve.scalar_triple(lam, self._u)
         else:
             raw = np.asarray(self.curve.value_fn(lam, self._inc), dtype=float)
             draw = np.asarray(self.curve.deriv_fn(lam, self._inc), dtype=float)
@@ -274,21 +249,9 @@ class ConditionedDensity:
     def _raw_parts(self, lam: float, coords: np.ndarray, want_du: bool):
         coords = np.asarray(coords, dtype=float)
         if self.scalar:
-            if self.curve.scalar_triple is not None:
-                v, d, du = self.curve.scalar_triple(lam, coords)
-                v = np.asarray(v, dtype=float)
-                d = np.asarray(d, dtype=float)
-                du = np.asarray(du, dtype=float) if want_du else None
-                return v, d, du
-            v = np.asarray(self.curve.scalar_value(lam, coords), dtype=float)
-            d = np.asarray(self.curve.scalar_deriv(lam, coords), dtype=float)
-            du = None
-            if want_du:
-                if self.curve.scalar_value_du is None:
-                    raise ValueError("coordinate derivative needs the curve's "
-                                     "terminal derivative")
-                du = np.asarray(self.curve.scalar_value_du(lam, coords), dtype=float)
-            return v, d, du
+            v, d, du = self.curve.scalar_triple(lam, coords)
+            du = np.asarray(du, dtype=float) if want_du else None
+            return np.asarray(v, dtype=float), np.asarray(d, dtype=float), du
         if want_du:
             raise ValueError("coordinate derivative needs a scalar-form curve")
         base = coords @ self._loading
@@ -389,10 +352,6 @@ class TruncatedDensity:
         return self.parts(lam, coords, True)[2]
 
 
-def stage3_truncate(cond: ConditionedDensity, level: float) -> TruncatedDensity:
-    return TruncatedDensity(cond, level)
-
-
 class MollifiedDensity:
     """Joint parameter/coordinate mollification against a compact bump.
 
@@ -464,11 +423,6 @@ class MollifiedDensity:
         return self._acc(lam, coords, True)
 
 
-def stage4_mollify(trunc: TruncatedDensity, eps: float,
-                   n_nodes: int = _MOLL_NODES) -> MollifiedDensity:
-    return MollifiedDensity(trunc, eps, n_nodes)
-
-
 def stage5_normalize(values: np.ndarray, eps_pos: float,
                      weights: Optional[np.ndarray] = None) -> np.ndarray:
     """Floor and renormalize: (eps + F) / (eps + weighted mean of F).
@@ -497,13 +451,6 @@ def stage5_derivative(values: np.ndarray, dvalues: np.ndarray, eps_pos: float,
     denom = eps_pos + float(np.dot(w, vals))
     dmean = float(np.dot(w, dvals))
     return dvals / denom - (eps_pos + vals) * (dmean / denom ** 2)
-
-
-def stage6_clark_ocone(L_eps: SmoothFunctional, pool: PathPool,
-                       quad_order: int) -> np.ndarray:
-    """Logarithmic integrand along the pool paths: the ratio of the
-    conditionally smoothed gradient to the conditional mean."""
-    return clark_ocone_decompose(L_eps, pool, quad_order=quad_order)[2]
 
 
 def stage7_stepify(grid: TimeGrid, gamma_table: np.ndarray, k: int) -> StepProcess:
@@ -549,15 +496,16 @@ def stage6_functional(moll: MollifiedDensity, lam: float, eps_pos: float,
 
 
 def integrand_tables(moll: MollifiedDensity, lam: float, eps_pos: float,
-                     u_fine: np.ndarray, weights: np.ndarray,
+                     denom: float, ddenom: float,
                      knot_times: np.ndarray, horizon: float,
                      quad_order: int, y_grid: np.ndarray):
     """Tabulate the logarithmic integrand and its parameter slope.
 
-    Returns (gamma, dgamma, denom, ddenom): arrays of shape
-    (len(knot_times), len(y_grid)) giving, per left knot, the integrand as a
-    function of the running terminal coordinate, plus the normalization
-    constants frozen from the reference pool.
+    Returns (gamma, dgamma): arrays of shape (len(knot_times), len(y_grid))
+    giving, per left knot, the integrand as a function of the running
+    terminal coordinate. denom and ddenom are the stage-5 normalization
+    constant eps_pos + E[F] and its parameter derivative, frozen from the
+    reference pool by the caller.
 
     The integrand at time t is g1/g2 with g2 the Gaussian smoothing of the
     normalized density in the remaining variance and g1 the smoothing of
@@ -565,10 +513,6 @@ def integrand_tables(moll: MollifiedDensity, lam: float, eps_pos: float,
     integration-by-parts identity E[f'(y + s V)] = E[f(y + s V) V]/s to
     reach the mixed derivative without differentiating the tables twice.
     """
-    w = _normalized(weights)
-    F_fine, Fl_fine = moll.pair(lam, u_fine)
-    denom = eps_pos + float(np.dot(w, F_fine))
-    ddenom = float(np.dot(w, Fl_fine))
     x, wq = gauss_hermite(quad_order)
     ny = y_grid.size
     gam = np.empty((len(knot_times), ny))
@@ -592,7 +536,7 @@ def integrand_tables(moll: MollifiedDensity, lam: float, eps_pos: float,
         dg1 = ((htl * x[None, :]) @ wq) / rv
         gam[j] = g1 / g2
         dgam[j] = (dg1 * g2 - g1 * dg2) / (g2 * g2)
-    return gam, dgam, denom, ddenom
+    return gam, dgam
 
 
 def _read_table(table: np.ndarray, y_grid: np.ndarray,
@@ -611,6 +555,54 @@ def _exponential_slope(pool: PathPool, gamma: np.ndarray,
     dts = pool.grid.steps
     return (np.sum(dgamma * pool.increments, axis=1)
             - np.sum(gamma * dgamma * dts, axis=1))
+
+
+def _table_y_grid(pool: PathPool) -> np.ndarray:
+    """Terminal-coordinate grid covering every path's left-knot position."""
+    left = pool.cumulative[:, :-1]
+    return np.linspace(float(left.min()) - 1.0, float(left.max()) + 1.0,
+                       _TABLE_POINTS)
+
+
+def _exponentials(moll: MollifiedDensity, lam: float, config: PipelineConfig,
+                  denom: float, ddenom: float, y_grid: np.ndarray, pools):
+    """Doleans exponentials of the table-read integrand and their
+    parameter derivatives.
+
+    The integrand and its slope are tabulated at the knots of pools[0] and
+    read at every path's left-knot position. Each pool in `pools` keeps
+    every (n/k)-th of those columns, k being its step count, and gets
+    (E, dE/dlam) on its own increments. Returns that list and the
+    integrand table.
+    """
+    grid = pools[0].grid
+    gam_tab, dgam_tab = integrand_tables(
+        moll, lam, config.positivity_floor, denom, ddenom, grid.knots[:-1],
+        grid.horizon, config.quad_order, y_grid)
+    left = pools[0].cumulative[:, :-1]
+    g = _read_table(gam_tab, y_grid, left)
+    dg = _read_table(dgam_tab, y_grid, left)
+    out = []
+    for pool in pools:
+        stride = grid.n_steps // pool.grid.n_steps
+        E = doleans_exponential(pool, stage7_stepify(grid, g, pool.grid.n_steps),
+                                grid.horizon)
+        out.append((E, E * _exponential_slope(pool, g[:, ::stride],
+                                              dg[:, ::stride])))
+    return out, gam_tab
+
+
+def _mollified(curve: DensityCurve, config: PipelineConfig,
+               pool: PathPool) -> MollifiedDensity:
+    """Stages 1, 3 and 4 for a curve with scalar_triple."""
+    cond = ConditionedDensity(curve, config.dyadic_level, pool,
+                              config.inner_mc, config.seed)
+    if not cond.scalar:
+        raise ValueError("step-process extraction requires a curve with "
+                         "scalar_triple; block-conditioned curves stop at "
+                         "stage 5")
+    trunc = TruncatedDensity(cond, config.truncation_level)
+    return MollifiedDensity(trunc, config.mollify_eps)
 
 
 @dataclass(frozen=True)
@@ -687,75 +679,53 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
     for la in (lam, lam_prime):
         if not curve.contains(la):
             raise ValueError("segment endpoints must lie in the parameter range")
-    cond = ConditionedDensity(curve, config.dyadic_level, pool,
-                              config.inner_mc, config.seed)
-    if not cond.scalar:
-        raise ValueError("step-process extraction requires a curve with a "
-                         "scalar form; block-conditioned curves stop at stage 5")
-    trunc = stage3_truncate(cond, config.truncation_level)
-    moll = stage4_mollify(trunc, config.mollify_eps)
+    moll = _mollified(curve, config, pool)
+    trunc = moll.trunc
+    cond = trunc.cond
 
     w = _normalized(pool.weights)
     u_fine = cond.coords_of(pool.increments)
-    horizon = pool.grid.horizon
-    blocks = 1 << config.dyadic_level
     block_pool = dyadic_coarsen(pool, config.dyadic_level)
-    k_level = config.step_count.bit_length() - 1
-    k_pool = dyadic_coarsen(pool, k_level)
-    stride = blocks // config.step_count
-    block_left = block_pool.cumulative[:, :-1]
-    block_times = block_pool.grid.knots[:-1]
-    y_lo = float(block_left.min()) - 1.0
-    y_hi = float(block_left.max()) + 1.0
-    y_grid = np.linspace(y_lo, y_hi, _TABLE_POINTS)
+    k_pool = dyadic_coarsen(pool, config.step_count.bit_length() - 1)
+    stride = block_pool.grid.n_steps // config.step_count
+    y_grid = _table_y_grid(block_pool)
 
     seg_lams, seg_w = _segment_scheme(lam, lam_prime)
     stage_ids = (1, 3, 4, 5, 6, 7)
     primary: Dict[int, Tuple[float, float]] = {}
     seg_sq = {sid: 0.0 for sid in stage_ids}
-    lam_extras = {}
 
     for la, sw in [(lam, None)] + list(zip(seg_lams, seg_w)):
         target_v = curve.eval(la, pool)
         target_d = curve.deriv(la, pool)
         errs: Dict[int, Tuple[float, float]] = {}
 
-        c_v, c_d = cond.pair(la, u_fine)
-        errs[1] = (_weighted_l2(w, c_v - target_v), _weighted_l2(w, c_d - target_d))
-        t_v, t_d, _ = trunc.parts(la, u_fine, False)
-        errs[3] = (_weighted_l2(w, t_v - target_v), _weighted_l2(w, t_d - target_d))
+        def record(sid, v, d):
+            errs[sid] = (_weighted_l2(w, v - target_v),
+                         _weighted_l2(w, d - target_d))
+
+        record(1, *cond.pair(la, u_fine))
+        record(3, *trunc.parts(la, u_fine, False)[:2])
         F, Fl = moll.pair(la, u_fine)
-        errs[4] = (_weighted_l2(w, F - target_v), _weighted_l2(w, Fl - target_d))
-        L5 = stage5_normalize(F, config.positivity_floor, pool.weights)
-        dL5 = stage5_derivative(F, Fl, config.positivity_floor, pool.weights)
-        errs[5] = (_weighted_l2(w, L5 - target_v), _weighted_l2(w, dL5 - target_d))
-
-        gam_tab, dgam_tab, denom, _ = integrand_tables(
-            moll, la, config.positivity_floor, u_fine, pool.weights,
-            block_times, horizon, config.quad_order, y_grid)
-        g_paths = _read_table(gam_tab, y_grid, block_left)
-        dg_paths = _read_table(dgam_tab, y_grid, block_left)
-        block_step = table_process(block_pool.grid, g_paths,
-                                   bound=float(np.abs(gam_tab).max()))
-        E6 = doleans_exponential(block_pool, block_step, horizon)
-        dE6 = E6 * _exponential_slope(block_pool, g_paths, dg_paths)
-        errs[6] = (_weighted_l2(w, E6 - target_v), _weighted_l2(w, dE6 - target_d))
-
-        k_step = stage7_stepify(block_pool.grid, g_paths, config.step_count)
-        E7 = doleans_exponential(k_pool, k_step, horizon)
-        dE7 = E7 * _exponential_slope(k_pool, g_paths[:, ::stride],
-                                      dg_paths[:, ::stride])
-        errs[7] = (_weighted_l2(w, E7 - target_v), _weighted_l2(w, dE7 - target_d))
+        record(4, F, Fl)
+        record(5, stage5_normalize(F, config.positivity_floor, pool.weights),
+               stage5_derivative(F, Fl, config.positivity_floor, pool.weights))
+        denom = config.positivity_floor + float(np.dot(w, F))
+        ((E6, dE6), (E7, dE7)), gam_tab = _exponentials(
+            moll, la, config, denom, float(np.dot(w, Fl)), y_grid,
+            (block_pool, k_pool))
+        record(6, E6, dE6)
+        record(7, E7, dE7)
 
         if sw is None:
             primary = errs
-            lam_extras = {"gam_tab": gam_tab[::stride], "denom": denom}
+            primary_tab, primary_denom = gam_tab, denom
         else:
             for sid in stage_ids:
                 seg_sq[sid] += sw * (errs[sid][0] ** 2 + errs[sid][1] ** 2)
 
-    gap = _consistency_gap(moll, lam, config, lam_extras["denom"],
-                           block_pool, y_grid)
+    gap = _consistency_gap(moll, lam, config, primary_denom, block_pool,
+                           y_grid, primary_tab)
 
     stages = tuple(
         StageReport(sid, primary[sid][0], primary[sid][1],
@@ -768,27 +738,25 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
         final_deriv_error=st7.l2_error_deriv,
         final_segment_error=st7.along_segment_error,
         gamma_consistency_gap=gap,
-        knot_times=block_times[::stride].copy(),
+        knot_times=k_pool.grid.knots[:-1].copy(),
         gamma_y=y_grid,
-        gamma_table=lam_extras["gam_tab"].copy(),
+        gamma_table=primary_tab[::stride].copy(),
     )
 
 
 def _consistency_gap(moll: MollifiedDensity, lam: float,
                      config: PipelineConfig, denom: float,
-                     block_pool: PathPool, y_grid: np.ndarray) -> float:
-    """Largest subsample discrepancy between the table-read integrand and
-    the direct decomposition of the stage-5 functional."""
+                     block_pool: PathPool, y_grid: np.ndarray,
+                     gam_tab: np.ndarray) -> float:
+    """Largest subsample discrepancy between the block-knot integrand table
+    that stages 6 and 7 read and the direct decomposition of the stage-5
+    functional."""
     m = min(_CHECK_PATHS, block_pool.n_samples)
     sub = block_pool.subset(np.arange(m))
     functional = stage6_functional(moll, lam, config.positivity_floor,
                                    denom, block_pool.grid.n_steps)
-    gam_direct = stage6_clark_ocone(functional, sub, config.quad_order)
-    gam_tab, _, _, _ = integrand_tables(
-        moll, lam, config.positivity_floor,
-        block_pool.increments.sum(axis=1), block_pool.weights,
-        block_pool.grid.knots[:-1], block_pool.grid.horizon,
-        config.quad_order, y_grid)
+    gam_direct = clark_ocone_decompose(functional, sub,
+                                       quad_order=config.quad_order)[2]
     gam_read = _read_table(gam_tab, y_grid, sub.cumulative[:, :-1])
     gap = float(np.abs(gam_direct - gam_read).max())
     if gap > _GROSS_GAP:
@@ -800,29 +768,16 @@ def _consistency_gap(moll: MollifiedDensity, lam: float,
 def final_errors_at(curve: DensityCurve, lam: float, config: PipelineConfig,
                     pool: PathPool):
     """Stage-7 exponential errors at one parameter value, with standard
-    errors; the light-weight core used for refinement ladders."""
-    cond = ConditionedDensity(curve, config.dyadic_level, pool,
-                              config.inner_mc, config.seed)
-    if not cond.scalar:
-        raise ValueError("ladders need a scalar-form curve")
-    trunc = stage3_truncate(cond, config.truncation_level)
-    moll = stage4_mollify(trunc, config.mollify_eps)
+    errors; the light-weight core used for refinement ladders. The table
+    is built at the step_count knots only, so when step_count equals
+    2**dyadic_level the errors are pipeline_run's final errors."""
+    moll = _mollified(curve, config, pool)
     w = _normalized(pool.weights)
-    u_fine = cond.coords_of(pool.increments)
-    horizon = pool.grid.horizon
-    k_level = config.step_count.bit_length() - 1
-    k_pool = dyadic_coarsen(pool, k_level)
-    k_left = k_pool.cumulative[:, :-1]
-    y_grid = np.linspace(float(k_left.min()) - 1.0,
-                         float(k_left.max()) + 1.0, _TABLE_POINTS)
-    gam_tab, dgam_tab, _, _ = integrand_tables(
-        moll, lam, config.positivity_floor, u_fine, pool.weights,
-        k_pool.grid.knots[:-1], horizon, config.quad_order, y_grid)
-    g = _read_table(gam_tab, y_grid, k_left)
-    dg = _read_table(dgam_tab, y_grid, k_left)
-    step = table_process(k_pool.grid, g, bound=float(np.abs(gam_tab).max()))
-    E = doleans_exponential(k_pool, step, horizon)
-    dE = E * _exponential_slope(k_pool, g, dg)
+    F, Fl = moll.pair(lam, moll.trunc.cond.coords_of(pool.increments))
+    k_pool = dyadic_coarsen(pool, config.step_count.bit_length() - 1)
+    [(E, dE)], _ = _exponentials(
+        moll, lam, config, config.positivity_floor + float(np.dot(w, F)),
+        float(np.dot(w, Fl)), _table_y_grid(k_pool), (k_pool,))
     ev, se_v = _l2_with_se(w, E - curve.eval(lam, pool))
     ed, se_d = _l2_with_se(w, dE - curve.deriv(lam, pool))
     return ev, ed, se_v, se_d

@@ -247,24 +247,35 @@ def cmd_pipeline(args) -> int:
     _require_command(cfg, "pipeline", None)
     r = _resolve(cfg, args.seed, args.out, _PIPELINE_DEFAULTS)
     pl = dict(cfg.get("pipeline", {}))
-    pconf = PipelineConfig(
-        dyadic_level=pl.get("dyadic_level", r["dyadic_level"]),
-        truncation_level=pl.get("truncation_level", r["truncation_level"]),
-        mollify_eps=pl.get("mollify_eps", r["mollify_eps"]),
-        positivity_floor=pl.get("positivity_floor", r["positivity_floor"]),
-        step_count=pl.get("step_count", r["step_count"]),
-        inner_mc=pl.get("inner_mc", r["inner_mc"]),
-        quad_order=pl.get("quad_order", r["quad_order"]),
-        seed=r["seed"])
-
     curve_cfg = cfg.get("curve", {"kind": "scalar-exponential"})
     scale = curve_cfg.get("sigma_scale", 1.0)
-    lam_lo = curve_cfg.get("lam_lo", 0.0)
-    lam_hi = curve_cfg.get("lam_hi", 1.0)
     grid = make_grid(r["n_steps"], r["horizon"])
-    curve = scalar_exponential_curve(lambda l: scale * l,
-                                     lambda l: scale, grid,
-                                     lam_lo=lam_lo, lam_hi=lam_hi)
+    # settings pipeline_run would reject fail here, before any sampling
+    try:
+        pconf = PipelineConfig(
+            dyadic_level=pl.get("dyadic_level", r["dyadic_level"]),
+            truncation_level=pl.get("truncation_level", r["truncation_level"]),
+            mollify_eps=pl.get("mollify_eps", r["mollify_eps"]),
+            positivity_floor=pl.get("positivity_floor", r["positivity_floor"]),
+            step_count=pl.get("step_count", r["step_count"]),
+            inner_mc=pl.get("inner_mc", r["inner_mc"]),
+            quad_order=pl.get("quad_order", r["quad_order"]),
+            seed=r["seed"])
+        curve = scalar_exponential_curve(lambda l: scale * l,
+                                         lambda l: scale, grid,
+                                         lam_lo=curve_cfg.get("lam_lo", 0.0),
+                                         lam_hi=curve_cfg.get("lam_hi", 1.0))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for key in ("lam", "lam_prime"):
+        if not curve.contains(r[key]):
+            raise ConfigError(f"{key}={r[key]} outside the curve range "
+                              f"[{curve.lam_lo}, {curve.lam_hi}]")
+    if r["lam"] == r["lam_prime"]:
+        raise ConfigError("lam and lam_prime must differ")
+    if r["n_steps"] % (1 << pconf.dyadic_level) != 0:
+        raise ConfigError(f"grid.n_steps={r['n_steps']} is not divisible by "
+                          f"2**dyadic_level={1 << pconf.dyadic_level}")
     pool = sample_paths(grid, r["n_paths"], r["seed"])
 
     t0 = time.perf_counter()

@@ -20,9 +20,12 @@ from .functionals import CylindricalFn, NestedFn, eval_cyl, eval_nested, \
 from .girsanov import CurveFamily, _log_exponential_table
 from .measure_ops import EmpiricalLaw, pushforward_law, weighted_expectation
 from .numerics import antiderivative_at
+from .rng import substream
 from .wiener_grid import PathPool, TimeGrid
 
 _CURVE_PROBE_STEPS = (1e-2, 1e-3)
+_PROBE_PATHS = 32
+_PROBE_SEED = 2718
 
 
 def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
@@ -37,8 +40,13 @@ class DensityCurve:
     curve and its lambda-derivative on any increment matrix over the grid.
     eval/deriv renormalize by the weighted mean so every probe has mean
     exactly one; the derivative is transformed consistently, which also
-    forces its mean to zero. scalar_value/scalar_deriv, when present, state
-    that the curve only reads the path endpoint: L = scalar_value(lam, B_T).
+    forces its mean to zero.
+
+    scalar_triple, when present, states that the curve reads only the path
+    endpoint u = B_T: scalar_triple(lam, u) returns the raw value, its
+    lambda-derivative and its u-derivative at u. Construction checks
+    value_fn and deriv_fn against the first two entries on seeded probe
+    paths, so the two forms cannot drift apart.
     """
 
     lam_lo: float
@@ -47,20 +55,28 @@ class DensityCurve:
     value_fn: Callable
     deriv_fn: Callable
     kind: str
-    scalar_value: Optional[Callable] = None
-    scalar_deriv: Optional[Callable] = None
-    scalar_value_du: Optional[Callable] = None
     scalar_triple: Optional[Callable] = None
 
     def __post_init__(self):
         if not self.lam_lo < self.lam_hi:
             raise ValueError("empty parameter interval")
-        if (self.scalar_value is None) != (self.scalar_deriv is None):
-            raise ValueError("scalar form needs both the value and the derivative")
-        if self.scalar_value_du is not None and self.scalar_value is None:
-            raise ValueError("coordinate derivative makes sense only with a scalar form")
-        if self.scalar_triple is not None and self.scalar_value_du is None:
-            raise ValueError("fused scalar evaluation needs all three scalar callables")
+        if self.scalar_triple is not None:
+            self._check_scalar_triple()
+
+    def _check_scalar_triple(self) -> None:
+        lam = 0.5 * (self.lam_lo + self.lam_hi)
+        rng = substream(_PROBE_SEED)
+        inc = rng.standard_normal((_PROBE_PATHS, self.grid.n_steps)) \
+            * np.sqrt(self.grid.steps)
+        v, d, _ = self.scalar_triple(lam, inc.sum(axis=1))
+        for name, full, scalar in (("value_fn", self.value_fn, v),
+                                   ("deriv_fn", self.deriv_fn, d)):
+            got = np.asarray(full(lam, inc), dtype=float)
+            want = np.asarray(scalar, dtype=float)
+            scale = float(np.abs(want).max()) + 1e-12
+            if got.shape != want.shape or \
+                    float(np.abs(got - want).max()) > 1e-9 * scale:
+                raise ValueError(f"{name} disagrees with scalar_triple")
 
     def contains(self, lam: float, margin: float = 0.0) -> bool:
         return self.lam_lo + margin <= lam <= self.lam_hi - margin
@@ -139,18 +155,6 @@ def scalar_exponential_curve(sigma: Callable, dsigma: Callable, grid: TimeGrid,
     density reads only the endpoint, which downstream stages exploit."""
     horizon = grid.horizon
 
-    def sval(lam, u):
-        s = float(sigma(lam))
-        return np.exp(s * np.asarray(u, dtype=float) - 0.5 * s * s * horizon)
-
-    def sder(lam, u):
-        u = np.asarray(u, dtype=float)
-        s, ds = float(sigma(lam)), float(dsigma(lam))
-        return sval(lam, u) * ds * (u - s * horizon)
-
-    def sval_du(lam, u):
-        return float(sigma(lam)) * sval(lam, u)
-
     def striple(lam, u):
         # one exponential, the derivatives fall out algebraically
         u = np.asarray(u, dtype=float)
@@ -159,23 +163,17 @@ def scalar_exponential_curve(sigma: Callable, dsigma: Callable, grid: TimeGrid,
         return v, v * ds * (u - s * horizon), s * v
 
     def value(lam, inc):
-        return sval(lam, np.asarray(inc, dtype=float).sum(axis=1))
+        return striple(lam, np.asarray(inc, dtype=float).sum(axis=1))[0]
 
     def deriv(lam, inc):
-        return sder(lam, np.asarray(inc, dtype=float).sum(axis=1))
+        return striple(lam, np.asarray(inc, dtype=float).sum(axis=1))[1]
 
     return DensityCurve(lam_lo, lam_hi, grid, value, deriv,
-                        kind="exponential-family",
-                        scalar_value=sval, scalar_deriv=sder,
-                        scalar_value_du=sval_du, scalar_triple=striple)
+                        kind="exponential-family", scalar_triple=striple)
 
 
 def mixture_curve(base_fn: Callable, other_fn: Callable, grid: TimeGrid,
-                  lam_lo: float = 0.0, lam_hi: float = 1.0,
-                  scalar_base: Optional[Callable] = None,
-                  scalar_other: Optional[Callable] = None,
-                  scalar_base_du: Optional[Callable] = None,
-                  scalar_other_du: Optional[Callable] = None) -> DensityCurve:
+                  lam_lo: float = 0.0, lam_hi: float = 1.0) -> DensityCurve:
     """Linear interpolation L^lam = (1-lam) base + lam other between two
     densities given as functions of the increment matrix."""
 
@@ -186,41 +184,7 @@ def mixture_curve(base_fn: Callable, other_fn: Callable, grid: TimeGrid,
     def deriv(lam, inc):
         return np.asarray(other_fn(inc), dtype=float) - np.asarray(base_fn(inc), dtype=float)
 
-    sval = sder = sdu = None
-    if scalar_base is not None and scalar_other is not None:
-        def sval(lam, u):
-            u = np.asarray(u, dtype=float)
-            return (1.0 - lam) * scalar_base(u) + lam * scalar_other(u)
-
-        def sder(lam, u):
-            u = np.asarray(u, dtype=float)
-            return scalar_other(u) - scalar_base(u)
-
-        if scalar_base_du is not None and scalar_other_du is not None:
-            def sdu(lam, u):
-                u = np.asarray(u, dtype=float)
-                return (1.0 - lam) * scalar_base_du(u) + lam * scalar_other_du(u)
-
-    return DensityCurve(lam_lo, lam_hi, grid, value, deriv, kind="mixture",
-                        scalar_value=sval, scalar_deriv=sder,
-                        scalar_value_du=sdu)
-
-
-def constant_curve(grid: TimeGrid, lam_lo: float = 0.0, lam_hi: float = 1.0) -> DensityCurve:
-    ones = lambda inc: np.ones(np.asarray(inc).shape[0])
-    zeros = lambda inc: np.zeros(np.asarray(inc).shape[0])
-
-    def striple(lam, u):
-        base = np.ones_like(np.asarray(u, dtype=float))
-        return base, np.zeros_like(base), np.zeros_like(base)
-
-    return DensityCurve(lam_lo, lam_hi, grid,
-                        lambda lam, inc: ones(inc), lambda lam, inc: zeros(inc),
-                        kind="user",
-                        scalar_value=lambda lam, u: np.ones_like(np.asarray(u, dtype=float)),
-                        scalar_deriv=lambda lam, u: np.zeros_like(np.asarray(u, dtype=float)),
-                        scalar_value_du=lambda lam, u: np.zeros_like(np.asarray(u, dtype=float)),
-                        scalar_triple=striple)
+    return DensityCurve(lam_lo, lam_hi, grid, value, deriv, kind="mixture")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .artifacts import atomic_write_csv
 from .density_deriv import density_derivative_profile
-from .functionals import CylindricalFn, _check_scalar_derivative, lions_derivative
+from .functionals import CylindricalFn, _check_fd_derivative, lions_derivative
 from .measure_ops import EmpiricalLaw, pushforward_law
 from .numerics import binned_gaussian_smooth, silverman_bandwidth
 from .wiener_grid import PathPool
@@ -123,10 +123,10 @@ class DensityFunctionalPhi:
 
     def __post_init__(self):
         grid = np.linspace(-2.0, 2.0, 9)
-        _check_scalar_derivative(self.psi, self.dpsi, grid,
-                                 f"psi[{self.descriptor}]")
-        _check_scalar_derivative(self.rho, self.drho, grid,
-                                 f"rho[{self.descriptor}]")
+        _check_fd_derivative(self.psi, self.dpsi, grid,
+                             f"psi[{self.descriptor}]")
+        _check_fd_derivative(self.rho, self.drho, grid,
+                             f"rho[{self.descriptor}]")
 
     def integral(self, h: GridDensity) -> float:
         return float(np.trapezoid(self.rho(h.x_grid) * h.values, h.x_grid))

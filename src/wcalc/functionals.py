@@ -24,8 +24,8 @@ _PROBE_SEED = 0x5EEDED
 _FD_MIN_STEP = 1e-10
 
 
-def _check_scalar_derivative(fn, dfn, probes, label: str,
-                             rel_tol: float = 1e-6) -> None:
+def _check_fd_derivative(fn, dfn, probes, label: str,
+                         rel_tol: float = 1e-6) -> None:
     u = np.asarray(probes, dtype=float)
     step = 1e-5 * (1.0 + np.abs(u))
     fd = (fn(u + step) - fn(u - step)) / (2.0 * step)
@@ -90,8 +90,8 @@ class CylindricalFn:
     descriptor: str = ""
 
     def __post_init__(self):
-        _check_scalar_derivative(self.h, self.h_prime,
-                                 np.linspace(-2.0, 2.0, 9), f"h[{self.descriptor}]")
+        _check_fd_derivative(self.h, self.h_prime,
+                             np.linspace(-2.0, 2.0, 9), f"h[{self.descriptor}]")
         pts = _probe_points(self.dim)
         _check_gradient(self.phi, self.grad_phi, pts, f"phi[{self.descriptor}]")
 
@@ -109,8 +109,8 @@ class NestedFn:
 
     def __post_init__(self):
         grid = np.linspace(-2.0, 2.0, 9)
-        _check_scalar_derivative(self.g, self.g_prime, grid, f"g[{self.descriptor}]")
-        _check_scalar_derivative(self.h, self.h_prime, grid, f"h[{self.descriptor}]")
+        _check_fd_derivative(self.g, self.g_prime, grid, f"g[{self.descriptor}]")
+        _check_fd_derivative(self.h, self.h_prime, grid, f"h[{self.descriptor}]")
 
 
 def eval_cyl(f: CylindricalFn, law: EmpiricalLaw) -> float:

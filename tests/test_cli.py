@@ -158,6 +158,26 @@ def test_pipeline_command_end_to_end(tmp_path, capsys):
     assert main(["pipeline", "--config", tight]) == 1
 
 
+@pytest.mark.parametrize("change", [
+    {"pipeline": {"step_count": 3}},
+    {"lam": 0.4, "lam_prime": 0.4},
+    {"lam_prime": 1.5},
+    {"curve": {"kind": "scalar-exponential", "lam_lo": 0.5, "lam_hi": 0.2}},
+    {"grid": {"n_steps": 12}, "pipeline": {"dyadic_level": 3}},
+])
+def test_pipeline_rejects_bad_config_before_running(tmp_path, capsys, change):
+    out = tmp_path / "run"
+    base = dict(command="pipeline", seed=3, n_paths=2000,
+                grid={"n_steps": 8}, lam=0.3, lam_prime=0.5,
+                pipeline={"dyadic_level": 2, "step_count": 4},
+                out_dir=str(out))
+    base.update(change)
+    cfg = write_config(tmp_path / "p.json", **base)
+    assert main(["pipeline", "--config", cfg]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_aggregates_a_tree(tmp_path, capsys):
     cfg = verify_config(tmp_path, out_dir=str(tmp_path / "tree" / "a"))
     assert main(["verify", "girsanov", "--config", cfg]) == 0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcalc import (make_grid, sample_paths, scalar_exponential_curve,
-                   mixture_curve, constant_curve, exponential_family_curve,
+                   mixture_curve, exponential_family_curve, DensityCurve,
                    validate_curve, density_derivative_profile,
                    recenter_to_base, recenter_to_density, antiderivative_at,
                    pushforward_law, make_functional, CurveFamily,
@@ -50,10 +50,18 @@ def test_mixture_curve_interpolates(pool16):
     assert np.allclose(curve.deriv(0.3, pool16), fd, atol=1e-7)
 
 
-def test_constant_curve_trivial(pool16):
-    curve = constant_curve(pool16.grid)
-    assert np.allclose(curve.eval(0.5, pool16), 1.0)
-    assert np.allclose(curve.deriv(0.5, pool16), 0.0)
+@pytest.mark.parametrize("broken", ["value_fn", "deriv_fn"])
+def test_scalar_triple_must_match_full_form(broken):
+    grid = make_grid(8)
+    good = scalar_exponential_curve(lambda l: l, lambda l: 1.0, grid, 0.0, 1.0)
+    fields = dict(lam_lo=0.0, lam_hi=1.0, grid=grid, value_fn=good.value_fn,
+                  deriv_fn=good.deriv_fn, kind="user",
+                  scalar_triple=good.scalar_triple)
+    DensityCurve(**fields)
+    full = fields[broken]
+    fields[broken] = lambda lam, inc: 1.001 * full(lam, inc)
+    with pytest.raises(ValueError, match=broken):
+        DensityCurve(**fields)
 
 
 def test_exponential_family_curve_from_integrand(pool16):

@@ -1,17 +1,19 @@
+import csv
+import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcalc import (make_grid, sample_paths, dyadic_coarsen, DensityCurve,
-                   scalar_exponential_curve, scalar_functional,
-                   PipelineConfig, PipelineReport, pipeline_run,
-                   stage1_dyadic_condition, stage3_truncate, stage4_mollify,
-                   stage5_normalize, stage5_derivative, stage6_clark_ocone,
+                   scalar_exponential_curve, PipelineConfig, PipelineReport,
+                   pipeline_run, stage1_dyadic_condition, TruncatedDensity,
+                   MollifiedDensity, stage5_normalize, stage5_derivative,
                    stage7_stepify, final_errors_at, doleans_exponential,
-                   clark_ocone_decompose)
+                   DEFAULT_THRESHOLDS)
 from oracles import conditioned_scalar_functional
 
 
@@ -125,7 +127,7 @@ def test_stage3_identity_on_the_flat_region():
     pool = sample_paths(grid, 2000, seed=44)
     curve = exp_curve(grid)
     cond, _ = stage1_dyadic_condition(curve, 2, pool, 4, seed=3)
-    trunc = stage3_truncate(cond, 8.0)
+    trunc = TruncatedDensity(cond, 8.0)
     lam = 0.3
     u = np.linspace(-4.0, 4.0, 41)
     cv, cd, cu = cond.parts(lam, u, True)
@@ -144,7 +146,7 @@ def test_stage3_rejects_small_levels():
     pool = sample_paths(grid, 500, seed=2)
     cond, _ = stage1_dyadic_condition(exp_curve(grid), 1, pool, 4, seed=3)
     with pytest.raises(ValueError):
-        stage3_truncate(cond, 2.0)
+        TruncatedDensity(cond, 2.0)
 
 
 # ---------------------------------------------------------------- stage 4
@@ -153,10 +155,10 @@ def test_stage4_width_validation():
     grid = make_grid(8)
     pool = sample_paths(grid, 500, seed=2)
     cond, _ = stage1_dyadic_condition(exp_curve(grid), 1, pool, 4, seed=3)
-    trunc = stage3_truncate(cond, 6.0)
+    trunc = TruncatedDensity(cond, 6.0)
     for eps in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
-            stage4_mollify(trunc, eps)
+            MollifiedDensity(trunc, eps)
 
 
 def test_stage4_coordinate_budget():
@@ -164,16 +166,16 @@ def test_stage4_coordinate_budget():
     pool = sample_paths(grid, 500, seed=2)
     cond, _ = stage1_dyadic_condition(midpoint_curve(grid), 3, pool, 16, seed=3)
     assert cond.n_coords == 8
-    trunc = stage3_truncate(cond, 6.0)
+    trunc = TruncatedDensity(cond, 6.0)
     with pytest.raises(ValueError, match="budget"):
-        stage4_mollify(trunc, 0.2)
+        MollifiedDensity(trunc, 0.2)
 
 
 def test_stage4_derivatives_match_finite_differences():
     grid = make_grid(8)
     pool = sample_paths(grid, 1000, seed=6)
     cond, _ = stage1_dyadic_condition(exp_curve(grid), 2, pool, 4, seed=3)
-    moll = stage4_mollify(stage3_truncate(cond, 6.0), 0.15)
+    moll = MollifiedDensity(TruncatedDensity(cond, 6.0), 0.15)
     lam = 0.45
     u = np.array([-1.2, 0.0, 0.7, 2.1])
     h = 1e-5
@@ -227,17 +229,7 @@ def test_stage5_derivative_is_the_directional_slope():
     assert np.allclose(stage5_derivative(v, dv, 0.1, w), fd, atol=1e-6)
 
 
-# ------------------------------------------------------------ stages 6, 7
-
-def test_stage6_is_the_decomposition_ratio():
-    grid = make_grid(4)
-    pool = sample_paths(grid, 400, seed=12)
-    F = scalar_functional(grid, lambda s: 1.0 + 0.4 * np.tanh(s),
-                          lambda s: 0.4 / np.cosh(s) ** 2, bounds=(1.4, 0.4))
-    got = stage6_clark_ocone(F, pool, quad_order=16)
-    want = clark_ocone_decompose(F, pool, quad_order=16)[2]
-    assert np.array_equal(got, want)
-
+# --------------------------------------------------------------- stage 7
 
 def test_stage7_requires_a_divisor():
     grid = make_grid(8)
@@ -340,3 +332,35 @@ def test_final_errors_smoke():
     for x in (ev, ed, se_v, se_d):
         assert np.isfinite(x) and x >= 0.0
     assert ev < 0.1
+
+
+@pytest.mark.parametrize("level,k", [(2, 4), (1, 2)])
+def test_final_errors_match_the_pipeline_when_stage7_is_stage6(level, k):
+    """With step_count == 2**dyadic_level both routes build the same table on
+    the same y-grid, so the ladder core reproduces the final errors."""
+    grid = make_grid(8)
+    pool = sample_paths(grid, 3000, seed=101)
+    curve = exp_curve(grid, 0.0, 1.0)
+    cfg = PipelineConfig(dyadic_level=level, truncation_level=6.0,
+                         mollify_eps=0.1, positivity_floor=0.1, step_count=k,
+                         inner_mc=4, quad_order=8, seed=7)
+    rep = pipeline_run(curve, 0.3, 0.5, cfg, pool)
+    assert rep.stage(6) == dataclasses.replace(rep.stage(7), stage=6)
+    assert final_errors_at(curve, 0.3, cfg, pool)[:2] == \
+        (rep.final_value_error, rep.final_deriv_error)
+
+
+def test_committed_calibration_run_matches_the_code():
+    run = Path(__file__).resolve().parents[1] / "calib" / "run"
+    with open(run / "pipeline.csv") as fh:
+        rows = {r["name"]: r for r in csv.DictReader(fh)}
+    with open(run / "pipeline_report.json") as fh:
+        report = json.load(fh)
+    for name, key, field in (
+            ("pipeline/value-error", "value", "final_value_error"),
+            ("pipeline/deriv-error", "deriv", "final_deriv_error"),
+            ("pipeline/segment-error", "segment", "final_segment_error"),
+            ("pipeline/gamma-consistency", "gamma_gap",
+             "gamma_consistency_gap")):
+        assert float(rows[name]["tolerance"]) == DEFAULT_THRESHOLDS[key], name
+        assert float(rows[name]["lhs"]) == report[field], name
