@@ -783,37 +783,42 @@ def final_errors_at(curve: DensityCurve, lam: float, config: PipelineConfig,
     return ev, ed, se_v, se_d
 
 
+# Refinement ladder rungs, one knob moved at a time. The dyadic ladder pins
+# step_count at 2 so step_count divides the block count at every level.
+_LADDER_RUNGS = (("dyadic_level", (1, 2, 3)),
+                 ("truncation_level", (4.0, 6.0, 8.0)),
+                 ("mollify_eps", (0.4, 0.2, 0.1)),
+                 ("step_count", (2, 4, 8)))
+
+
+def _ladder_configs(config: PipelineConfig):
+    """(knob, value, config) for every ladder rung, in ladder order; a rung
+    that PipelineConfig rejects raises ValueError naming the rung."""
+    rungs = []
+    for knob, values in _LADDER_RUNGS:
+        for value in values:
+            change = {knob: value}
+            if knob == "dyadic_level":
+                change["step_count"] = 2
+            try:
+                rungs.append((knob, value, dataclasses.replace(config, **change)))
+            except ValueError as exc:
+                raise ValueError(f"ladder rung {knob}={value}: {exc}") from exc
+    return rungs
+
+
 def pipeline_ladders(curve: DensityCurve, lam: float, config: PipelineConfig,
-                     pool: PathPool,
-                     dyadic_levels=(1, 2, 3),
-                     truncation_levels=(4.0, 6.0, 8.0),
-                     mollify_widths=(0.4, 0.2, 0.1),
-                     step_counts=(2, 4, 8)) -> Dict[str, list]:
+                     pool: PathPool) -> Dict[str, list]:
     """Refinement ladders: final stage-7 errors while one knob moves.
 
-    The dyadic ladder pins step_count at 2 so every rung stays valid
-    (step_count must divide the block count); for scalar-form curves
-    conditioning is exact at every level, so that ladder is expected flat
-    and the step-count ladder carries the time-resolution convergence.
+    For scalar-form curves conditioning is exact at every dyadic level, so
+    that ladder is expected flat and the step-count ladder carries the
+    time-resolution convergence.
     """
     ladders: Dict[str, list] = {}
-
-    def row(knob, value, cfg):
+    for knob, value, cfg in _ladder_configs(config):
         ev, ed, se_v, se_d = final_errors_at(curve, lam, cfg, pool)
-        return {"knob": knob, "value": value, "value_error": ev,
-                "deriv_error": ed, "value_se": se_v, "deriv_se": se_d}
-
-    ladders["dyadic_level"] = [
-        row("dyadic_level", n,
-            dataclasses.replace(config, dyadic_level=n, step_count=2))
-        for n in dyadic_levels]
-    ladders["truncation_level"] = [
-        row("truncation_level", l, dataclasses.replace(config, truncation_level=l))
-        for l in truncation_levels]
-    ladders["mollify_eps"] = [
-        row("mollify_eps", e, dataclasses.replace(config, mollify_eps=e))
-        for e in mollify_widths]
-    ladders["step_count"] = [
-        row("step_count", k, dataclasses.replace(config, step_count=k))
-        for k in step_counts]
+        ladders.setdefault(knob, []).append(
+            {"knob": knob, "value": value, "value_error": ev,
+             "deriv_error": ed, "value_se": se_v, "deriv_se": se_d})
     return ladders

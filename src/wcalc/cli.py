@@ -25,7 +25,7 @@ from .checks import CheckRecord, CHECKS, run_check
 from .wiener_grid import make_grid, sample_paths
 from .density_deriv import scalar_exponential_curve
 from .approx_pipeline import PipelineConfig, pipeline_run, pipeline_ladders, \
-    DEFAULT_THRESHOLDS
+    _ladder_configs, DEFAULT_THRESHOLDS
 
 _RECORD_COLUMNS = ["name", "lhs", "rhs", "std_err", "tolerance", "gap", "passed"]
 
@@ -265,6 +265,11 @@ def cmd_pipeline(args) -> int:
                                          lambda l: scale, grid,
                                          lam_lo=curve_cfg.get("lam_lo", 0.0),
                                          lam_hi=curve_cfg.get("lam_hi", 1.0))
+        # every ladder rung is checked here too, not after pipeline_run
+        configs = [("", pconf)]
+        if cfg.get("ladders", False):
+            configs += [(f" (ladder rung {knob}={value})", c)
+                        for knob, value, c in _ladder_configs(pconf)]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     for key in ("lam", "lam_prime"):
@@ -273,9 +278,10 @@ def cmd_pipeline(args) -> int:
                               f"[{curve.lam_lo}, {curve.lam_hi}]")
     if r["lam"] == r["lam_prime"]:
         raise ConfigError("lam and lam_prime must differ")
-    if r["n_steps"] % (1 << pconf.dyadic_level) != 0:
-        raise ConfigError(f"grid.n_steps={r['n_steps']} is not divisible by "
-                          f"2**dyadic_level={1 << pconf.dyadic_level}")
+    for rung, c in configs:
+        if r["n_steps"] % (1 << c.dyadic_level) != 0:
+            raise ConfigError(f"grid.n_steps={r['n_steps']} is not divisible by "
+                              f"2**dyadic_level={1 << c.dyadic_level}{rung}")
     pool = sample_paths(grid, r["n_paths"], r["seed"])
 
     t0 = time.perf_counter()

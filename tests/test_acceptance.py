@@ -24,6 +24,7 @@ _GRID_STEPS = 16
 
 _CHAIN_PATHS = 100_000
 _CHAIN_BATTERY_SECONDS = 30.0      # whole battery; a fortiori per instance
+_SECOND_ORDER_SECONDS = 20.0       # whole battery (criteria 2 and 3)
 _SLOPE_RANGE = (1.8, 2.2)
 _ROUNDOFF = 1e-12
 _MEAN_ONE_FLOOR = 1e-9             # knots where the integrand vanishes
@@ -74,12 +75,16 @@ def test_criterion_1_chain_rule():
 # ------------------------------------------------------- criteria 2 and 3
 
 @pytest.fixture(scope="module")
-def second_order_records():
-    return run_check("second-order", n_paths=20_000,
-                     n_steps=_GRID_STEPS, seed=_SEED)
+def second_order_run():
+    """(records, wall seconds) of one second-order battery run."""
+    t0 = time.perf_counter()
+    records = run_check("second-order", n_paths=20_000,
+                        n_steps=_GRID_STEPS, seed=_SEED)
+    return records, time.perf_counter() - t0
 
 
-def test_criterion_2_second_order_1d(second_order_records):
+def test_criterion_2_second_order_1d(second_order_run):
+    second_order_records, _ = second_order_run
     one_d = [r for r in second_order_records if r.name.startswith("second/1d|")]
     slopes = [r for r in second_order_records
               if r.name.startswith("second/slope|")]
@@ -93,7 +98,8 @@ def test_criterion_2_second_order_1d(second_order_records):
     assert slope_ok
 
 
-def test_criterion_3_second_order_2d(second_order_records):
+def test_criterion_3_second_order_2d(second_order_run):
+    second_order_records, wall = second_order_run
     plane = [r for r in second_order_records if r.name.startswith("second/2d|")]
     drift = [r for r in second_order_records
              if r.name.startswith("second/repr-drift|")]
@@ -101,13 +107,14 @@ def test_criterion_3_second_order_2d(second_order_records):
                if r.name.startswith("second/repr-fd|")]
     failed = _gate(plane + drift + pairing)
     ok = (len(plane) == 3 and len(drift) == 2 and len(pairing) == 2
-          and not failed)
+          and not failed and wall < _SECOND_ORDER_SECONDS)
     _verdict(3, ok, f"{len(plane)} plane-gradient records, "
                     f"{len(drift) + len(pairing)} integral-representation "
-                    f"records, {len(failed)} failures")
+                    f"records, {len(failed)} failures, battery wall {wall:.1f}s")
     assert len(plane) == 3
     assert len(drift) == 2 and len(pairing) == 2
     assert not failed, failed
+    assert wall < _SECOND_ORDER_SECONDS
 
 
 # ------------------------------------------------------------ criterion 4

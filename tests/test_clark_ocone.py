@@ -7,6 +7,8 @@ from wcalc import (make_grid, sample_paths, SmoothFunctional,
                    scalar_functional, malliavin_derivative, gaussian_smooth,
                    clark_ocone_decompose, reconstruction_error,
                    weighted_expectation)
+from wcalc import clark_ocone
+from wcalc.clark_ocone import _tensor_nodes
 from oracles import gaussian_expectation
 
 
@@ -151,3 +153,85 @@ def test_defect_halves_per_grid_doubling():
         vals = np.asarray(F.value_fn(p.increments), dtype=float)
         errs.append(reconstruction_error(vals, Z, p))
     assert 1.2 < errs[0] / errs[1] < 1.8
+
+
+def coupled_functional(n):
+    """Non-scalar functional with a cross term, so no endpoint shortcut
+    applies and gaussian_smooth takes the tensor (or Monte Carlo) route."""
+    a = np.linspace(0.3, -0.4, n)
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(x @ a) * (1.0 + 0.2 * np.sin(x[:, 1] * x[:, -1]))
+
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        e = np.exp(x @ a)
+        g = a[None, :] * (e * (1.0 + 0.2 * np.sin(x[:, 1] * x[:, -1])))[:, None]
+        c = 0.2 * e * np.cos(x[:, 1] * x[:, -1])
+        g[:, 1] += c * x[:, -1]
+        g[:, -1] += c * x[:, 1]
+        return g
+
+    return SmoothFunctional(n, value, grad, bounds=(1e3, 1e3))
+
+
+def per_row_tensor_mean(F, grid, j, prefix, order):
+    """Oracle: the tensor mesh over the remaining intervals, summed row by
+    row with no chunking and no shared knot-0 mean."""
+    mesh, w = _tensor_nodes(grid.steps[j:], order)
+    out = np.empty(prefix.shape[0])
+    for r, row in enumerate(prefix):
+        args = np.hstack([np.tile(row, (mesh.shape[0], 1)), mesh])
+        out[r] = np.asarray(F.value_fn(args), dtype=float) @ w
+    return out
+
+
+def test_tensor_route_integrates_knot_zero_once():
+    grid = make_grid(4)
+    F = coupled_functional(4)
+    m, order = 7, 8
+    got = gaussian_smooth(F, grid, 0.0, np.empty((m, 0)), quad_order=order)
+    want = per_row_tensor_mean(F, grid, 0, np.empty((m, 0)), order)
+    assert got.shape == (m,)
+    assert np.ptp(got) == 0.0
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_tensor_route_chunking_does_not_move_the_result(monkeypatch):
+    """A budget of three rows per chunk splits ten rows 3 + 3 + 3 + 1."""
+    grid = make_grid(4)
+    F = coupled_functional(4)
+    inc = sample_paths(grid, 10, seed=41).increments
+    order = 6
+    for j in (1, 2, 3):
+        t = grid.knots[j]
+        default = gaussian_smooth(F, grid, t, inc[:, :j], quad_order=order)
+        monkeypatch.setattr(clark_ocone, "_ROW_BUDGET", 3 * order ** (4 - j))
+        chunked = gaussian_smooth(F, grid, t, inc[:, :j], quad_order=order)
+        monkeypatch.undo()
+        assert np.allclose(chunked, default, rtol=1e-14, atol=0.0)
+        assert np.allclose(default, per_row_tensor_mean(F, grid, j, inc[:, :j], order),
+                           rtol=1e-14, atol=0.0)
+
+
+def test_mc_route_keeps_per_row_draws_at_knot_zero():
+    """The knot-0 shortcut belongs to quadrature; Monte Carlo rows stay
+    independent estimates of the same mean."""
+    grid = make_grid(6)
+    F = coupled_functional(6)
+    got = gaussian_smooth(F, grid, 0.0, np.empty((5, 0)), mc_fallback=(50, 3))
+    assert np.ptp(got) > 0.0
+
+
+@pytest.mark.parametrize("n_draws", [0, -2])
+def test_gaussian_smooth_rejects_nonpositive_draw_count(n_draws):
+    grid = make_grid(6)
+    with pytest.raises(ValueError, match="n_draws"):
+        gaussian_smooth(coupled_functional(6), grid, 0.0, np.empty((5, 0)),
+                        mc_fallback=(n_draws, 3))
+
+
+def test_decompose_rejects_zero_quadrature_order(pool):
+    with pytest.raises(ValueError, match="quad_order"):
+        clark_ocone_decompose(tanh_density(pool.grid), pool, quad_order=0)

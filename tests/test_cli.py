@@ -178,6 +178,20 @@ def test_pipeline_rejects_bad_config_before_running(tmp_path, capsys, change):
     assert not out.exists()
 
 
+def test_pipeline_names_the_invalid_ladder_rung(tmp_path, capsys):
+    """dyadic_level 2 is a valid base config, but the step-count ladder's
+    rung 8 does not divide 2**2 blocks; the run stops before sampling."""
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "p.json", command="pipeline", seed=3,
+                       n_paths=2000, grid={"n_steps": 8}, lam=0.3,
+                       lam_prime=0.5, ladders=True,
+                       pipeline={"dyadic_level": 2, "step_count": 4},
+                       out_dir=str(out))
+    assert main(["pipeline", "--config", cfg]) == 2
+    assert "ladder rung step_count=8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_aggregates_a_tree(tmp_path, capsys):
     cfg = verify_config(tmp_path, out_dir=str(tmp_path / "tree" / "a"))
     assert main(["verify", "girsanov", "--config", cfg]) == 0
