@@ -12,7 +12,7 @@ extraction, step freezing). The cli module exposes the same batteries as the
 __version__ = "0.1.0"
 
 from .wiener_grid import TimeGrid, PathPool, make_grid, sample_paths, \
-    brownian_at, dyadic_coarsen, bridge_resample, save_csv, load_csv
+    brownian_at, dyadic_coarsen
 from .rng import substream
 from .measure_ops import EmpiricalLaw, pushforward_law, wasserstein1, \
     weighted_expectation, kernel_regression, conditional_expectation
@@ -22,20 +22,18 @@ from .numerics import gauss_hermite, antiderivative_at, binned_gaussian_smooth, 
     bump_quad_1d, capped_identity, capped_identity_deriv, radial_cutoff, \
     radial_cutoff_deriv
 from .density_deriv import DensityCurve, validate_curve, \
-    exponential_family_curve, scalar_exponential_curve, mixture_curve, \
+    scalar_exponential_curve, mixture_curve, \
     DerivativeProfile, density_derivative_profile, \
     recenter_to_base, recenter_to_density, chain_rule_rhs, chain_rule_lhs_fd, \
     second_order_check_1d, second_order_check_multidim, \
     multidim_derivative_repr, nested_derivative_check
-from .girsanov import StepProcess, CurveFamily, constant_process, \
+from .girsanov import StepProcess, constant_process, \
     deterministic_process, table_process, history_process, \
-    doleans_exponential, shift_forward, shift_backward, girsanov_check, \
-    relative_exponential, relative_exponential_shifted
+    doleans_exponential, shift_forward, shift_backward, girsanov_check
 from .clark_ocone import SmoothFunctional, scalar_functional, \
-    malliavin_derivative, gaussian_smooth, clark_ocone_decompose, \
-    reconstruction_error
+    gaussian_smooth, clark_ocone_decompose, reconstruction_error
 from .approx_pipeline import PipelineConfig, StageReport, PipelineReport, \
-    ConditionedDensity, stage1_dyadic_condition, TruncatedDensity, \
+    ConditionedDensity, TruncatedDensity, \
     MollifiedDensity, stage5_normalize, stage5_derivative, stage7_stepify, \
     pipeline_run, pipeline_ladders, final_errors_at, DEFAULT_THRESHOLDS
 from .density_functional import GridDensity, density_grid, kde_density, \

@@ -1,19 +1,19 @@
 """Constructive approximation of density curves by smooth step-process
 exponentials.
 
-A differentiable curve of Wiener densities is pushed through seven stages
-that end in bounded smooth step processes whose stochastic exponentials
+A differentiable curve of Wiener densities that reads only the path
+endpoint (a curve with scalar_triple) is pushed through seven stages that
+end in bounded smooth step processes whose stochastic exponentials
 approximate the curve and its parameter derivative in L2(Q):
 
-1. condition on the dyadic block filtration (exact in the terminal
-   coordinate for curves that read only the path endpoint, frozen
-   bridge-template averaging otherwise); the representation of the result
-   as a function of block coordinates is a data-layout fact and needs no
-   computation of its own;
+1. condition on the dyadic block filtration, which is exact because the
+   terminal coordinate is measurable at every block level; the
+   representation of the result as a function of block coordinates is a
+   data-layout fact and needs no computation of its own;
 3. truncate through a slope-capped identity on values and radial support
-   cutoffs on coordinates and parameter;
-4. mollify jointly in (parameter, coordinates) against a compact bump
-   kernel by fixed-node quadrature;
+   cutoffs on the terminal coordinate and parameter;
+4. mollify jointly in (parameter, terminal coordinate) against a compact
+   bump kernel by fixed-node quadrature;
 5. floor and renormalize to a strictly positive density with weighted mean
    exactly one;
 6. extract the logarithmic integrand as the ratio of the conditionally
@@ -21,12 +21,13 @@ approximate the curve and its parameter derivative in L2(Q):
 7. freeze that integrand to a left-endpoint step process on a coarser grid
    and exponentiate.
 
-Stages 6 and 7 need a curve with scalar_triple: the integrand is tabulated
-once per parameter value on a grid of the running terminal coordinate,
-read along every path and exponentiated, first at every block knot (stage
-6) and then at every (2**dyadic_level / step_count)-th knot (stage 7), so
-the two coincide when step_count equals 2**dyadic_level. final_errors_at
-runs the same step with the table built at the step_count knots only.
+Stages 1-4 therefore act on one coordinate. In stages 6 and 7 the
+integrand is tabulated once per parameter value on a grid of the running
+terminal coordinate, read along every path and exponentiated, first at
+every block knot (stage 6) and then at every (2**dyadic_level /
+step_count)-th knot (stage 7), so the two coincide when step_count equals
+2**dyadic_level. final_errors_at runs the same step with the table built
+at the step_count knots only.
 
 Every stage reports L2(Q) distances to the target curve, both at a primary
 parameter value and integrated along a parameter segment.
@@ -48,14 +49,12 @@ from .girsanov import StepProcess, doleans_exponential, table_process
 from .numerics import (bump_quad_1d, capped_identity, capped_identity_deriv,
                        gauss_hermite, gauss_legendre, radial_cutoff,
                        radial_cutoff_deriv)
-from .rng import substream
 from .wiener_grid import PathPool, TimeGrid, _block_edges, dyadic_coarsen
 
 _MOLL_NODES = 17
 _TABLE_POINTS = 1025
 _SEGMENT_NODES = 4
 _CHECK_PATHS = 128
-_MESH_CAP = 4
 _GROSS_GAP = 5e-3
 
 # Frozen end-to-end error budget for the reference configuration (dyadic
@@ -77,9 +76,10 @@ class PipelineConfig:
     mollify_eps: kernel half-width for stage 4, in (0, 1).
     positivity_floor: stage-5 floor, in (0, 1].
     step_count: step intervals kept by stage 7; must divide the block count.
-    inner_mc: bridge template count used when conditioning is not exact.
     quad_order: Gauss-Hermite order for conditional smoothing.
-    seed: root seed for every random draw the pipeline makes.
+
+    No stage draws random numbers: every output is a deterministic function
+    of the curve, the configuration and the path pool.
     """
 
     dyadic_level: int
@@ -87,9 +87,7 @@ class PipelineConfig:
     mollify_eps: float
     positivity_floor: float
     step_count: int
-    inner_mc: int
     quad_order: int
-    seed: int
 
     def __post_init__(self):
         if self.dyadic_level < 0:
@@ -103,8 +101,6 @@ class PipelineConfig:
         blocks = 1 << self.dyadic_level
         if self.step_count < 1 or blocks % self.step_count != 0:
             raise ValueError("step_count must divide the block count 2**dyadic_level")
-        if self.inner_mc < 1:
-            raise ValueError("inner_mc must be >= 1")
         if self.quad_order < 2:
             raise ValueError("quad_order must be >= 2")
 
@@ -156,15 +152,11 @@ def _l2_with_se(w: np.ndarray, diff: np.ndarray) -> Tuple[float, float]:
 class ConditionedDensity:
     """Conditional expectation of a density curve given dyadic block sums.
 
-    Curves carrying scalar_triple read only the terminal value, which is
-    measurable for every block level; conditioning is then exact, the
-    coordinate system collapses to that one terminal coordinate, and every
-    evaluation is a single scalar_triple call (the curve checked it against
-    its full form when it was built). All other
-    curves are averaged over frozen Brownian-bridge templates consistent
-    with the block sums. Templates are drawn once per instance and shared
-    across evaluation points, so the average is a fixed smooth function of
-    the block coordinates rather than a noisy re-estimate per call.
+    The curve must carry scalar_triple, so it reads only the terminal
+    value, which is measurable for every block level. Conditioning is then
+    exact, the coordinate system collapses to that one terminal coordinate,
+    and every evaluation is a single scalar_triple call (the curve checked
+    it against its full form when it was built).
 
     Values and parameter derivatives are renormalized per parameter so the
     represented density has weighted mean one on the reference pool; the
@@ -172,98 +164,38 @@ class ConditionedDensity:
     spurious normalization offset.
     """
 
-    def __init__(self, curve: DensityCurve, level: int, pool: PathPool,
-                 m_inner: int, seed: int):
-        edges = _block_edges(pool.grid, level)
-        if m_inner < 1:
-            raise ValueError("m_inner must be >= 1")
+    def __init__(self, curve: DensityCurve, level: int, pool: PathPool):
+        if curve.scalar_triple is None:
+            raise ValueError("conditioning needs a curve with scalar_triple "
+                             "(a density that reads only the terminal value)")
+        _block_edges(pool.grid, level)  # the level must still fit the grid
         self.curve = curve
         self.level = int(level)
-        self.grid = pool.grid
-        self.edges = edges
-        self.scalar = curve.scalar_triple is not None
+        self.n_coords = 1
         self._w = _normalized(pool.weights)
-        self._inc = pool.increments
         self._renorm_cache: Dict[float, Tuple[float, float]] = {}
-        widths = np.diff(pool.grid.knots[edges])
-        self.n_coords = 1 if self.scalar else len(widths)
-        self.coord_variances = (np.array([pool.grid.horizon])
-                                if self.scalar else widths)
-        if self.scalar:
-            self._u = pool.increments.sum(axis=1)
-        else:
-            self._templates = self._draw_templates(m_inner, seed)
-            self._loading = self._coordinate_loading()
+        self._u = self.coords_of(pool.increments)
         lam_mid = 0.5 * (curve.lam_lo + curve.lam_hi)
-        vals = self.value(lam_mid, self.coords_of(self._inc))
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(self.value(lam_mid, self._u))):
             raise FloatingPointError("conditioning produced non-finite values")
-        mean = float(np.dot(self._w, vals))
-        se = float(np.sqrt(np.dot(self._w ** 2, (vals - mean) ** 2)))
-        if abs(mean - 1.0) > 5.0 * se + 1e-9:
-            # the template offset does not shrink with the pool, so a large
-            # pool with few templates lands here rather than passing silently
-            raise ValueError("conditioned density mean drifted away from one; "
-                             "increase m_inner (inner_mc) for this pool size")
-
-    def _draw_templates(self, m_inner: int, seed: int) -> np.ndarray:
-        rng = substream(seed, 5)
-        dts = self.grid.steps
-        z = rng.standard_normal((m_inner, self.grid.n_steps)) * np.sqrt(dts)
-        for b in range(len(self.edges) - 1):
-            lo, hi = self.edges[b], self.edges[b + 1]
-            delta = dts[lo:hi]
-            z[:, lo:hi] -= z[:, lo:hi].sum(axis=1, keepdims=True) * (delta / delta.sum())
-        return z
-
-    def _coordinate_loading(self) -> np.ndarray:
-        load = np.zeros((self.n_coords, self.grid.n_steps))
-        dts = self.grid.steps
-        for b in range(self.n_coords):
-            lo, hi = self.edges[b], self.edges[b + 1]
-            load[b, lo:hi] = dts[lo:hi] / dts[lo:hi].sum()
-        return load
 
     def coords_of(self, increments: np.ndarray) -> np.ndarray:
-        inc = np.asarray(increments, dtype=float)
-        if self.scalar:
-            return inc.sum(axis=1)
-        cum = np.concatenate(
-            [np.zeros((inc.shape[0], 1)), np.cumsum(inc, axis=1)], axis=1)
-        return np.diff(cum[:, self.edges], axis=1)
+        return np.asarray(increments, dtype=float).sum(axis=1)
 
     def _renorm(self, lam: float) -> Tuple[float, float]:
         key = float(lam)
         hit = self._renorm_cache.get(key)
         if hit is not None:
             return hit
-        if self.scalar:
-            raw, draw, _ = self.curve.scalar_triple(lam, self._u)
-        else:
-            raw = np.asarray(self.curve.value_fn(lam, self._inc), dtype=float)
-            draw = np.asarray(self.curve.deriv_fn(lam, self._inc), dtype=float)
+        raw, draw, _ = self.curve.scalar_triple(lam, self._u)
         pair = (float(np.dot(self._w, raw)), float(np.dot(self._w, draw)))
         self._renorm_cache[key] = pair
         return pair
 
     def _raw_parts(self, lam: float, coords: np.ndarray, want_du: bool):
-        coords = np.asarray(coords, dtype=float)
-        if self.scalar:
-            v, d, du = self.curve.scalar_triple(lam, coords)
-            du = np.asarray(du, dtype=float) if want_du else None
-            return np.asarray(v, dtype=float), np.asarray(d, dtype=float), du
-        if want_du:
-            raise ValueError("coordinate derivative needs a scalar-form curve")
-        base = coords @ self._loading
-        v = np.zeros(coords.shape[0])
-        d = np.zeros(coords.shape[0])
-        for z in self._templates:
-            inc = base + z[None, :]
-            v += np.asarray(self.curve.value_fn(lam, inc), dtype=float)
-            d += np.asarray(self.curve.deriv_fn(lam, inc), dtype=float)
-        v /= len(self._templates)
-        d /= len(self._templates)
-        return v, d, None
+        v, d, du = self.curve.scalar_triple(lam, np.asarray(coords, dtype=float))
+        du = np.asarray(du, dtype=float) if want_du else None
+        return np.asarray(v, dtype=float), np.asarray(d, dtype=float), du
 
     def parts(self, lam: float, coords: np.ndarray, want_du: bool = False):
         """Renormalized (value, parameter derivative, coordinate derivative)."""
@@ -279,31 +211,6 @@ class ConditionedDensity:
     def value(self, lam: float, coords: np.ndarray) -> np.ndarray:
         r, _ = self._renorm(lam)
         return self._raw_parts(lam, coords, False)[0] / r
-
-    def dlam(self, lam: float, coords: np.ndarray) -> np.ndarray:
-        return self.parts(lam, coords, False)[1]
-
-    def du(self, lam: float, coords: np.ndarray) -> np.ndarray:
-        return self.parts(lam, coords, True)[2]
-
-
-def stage1_dyadic_condition(curve: DensityCurve, level: int, pool: PathPool,
-                            m_inner: int, seed: int,
-                            lam: Optional[float] = None
-                            ) -> Tuple[ConditionedDensity, StageReport]:
-    """Condition the curve on the block filtration and report its distance
-    to the unconditioned target at one parameter value (midpoint default).
-    """
-    cond = ConditionedDensity(curve, level, pool, m_inner, seed)
-    if lam is None:
-        lam = 0.5 * (curve.lam_lo + curve.lam_hi)
-    w = _normalized(pool.weights)
-    vals, dvals = cond.pair(lam, cond.coords_of(pool.increments))
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dvals))):
-        raise FloatingPointError("inner averaging produced non-finite values")
-    ev = _weighted_l2(w, vals - curve.eval(lam, pool))
-    ed = _weighted_l2(w, dvals - curve.deriv(lam, pool))
-    return cond, StageReport(1, ev, ed, float(np.hypot(ev, ed)))
 
 
 class TruncatedDensity:
@@ -342,75 +249,47 @@ class TruncatedDensity:
                 + ph * radial_cutoff_deriv(coords, lev) * cut_l
         return val, dlam, du
 
-    def value(self, lam: float, coords: np.ndarray) -> np.ndarray:
-        return self.parts(lam, coords, False)[0]
-
-    def dlam(self, lam: float, coords: np.ndarray) -> np.ndarray:
-        return self.parts(lam, coords, False)[1]
-
-    def du(self, lam: float, coords: np.ndarray) -> np.ndarray:
-        return self.parts(lam, coords, True)[2]
 
 
 class MollifiedDensity:
     """Joint parameter/coordinate mollification against a compact bump.
 
-    Evaluation is a fixed tensor quadrature over the kernel support, making
-    the object a finite smooth combination of shifted copies of the
-    truncated functional. Its derivatives are the exact derivatives of that
-    finite combination (the shift structure lets every derivative land on
-    the truncated functional itself), not separate quadratures, so value
-    and derivative routes agree to roundoff. Coordinate dimension is capped
-    at 4: the node budget grows geometrically beyond that.
+    Evaluation is a fixed tensor quadrature over the kernel support in the
+    parameter and the terminal coordinate, making the object a finite
+    smooth combination of shifted copies of the truncated functional. Its
+    derivatives are the exact derivatives of that finite combination (the
+    shift structure lets every derivative land on the truncated functional
+    itself), not separate quadratures, so value and derivative routes agree
+    to roundoff.
     """
 
     def __init__(self, trunc: TruncatedDensity, eps: float,
                  n_nodes: int = _MOLL_NODES):
         if not 0.0 < eps < 1.0:
             raise ValueError("mollification width must lie in (0, 1)")
-        if trunc.n_coords > _MESH_CAP:
-            raise ValueError("quadrature budget exceeded: functional reads "
-                             f"more than {_MESH_CAP} coordinates")
         self.trunc = trunc
         self.eps = float(eps)
         self.n_coords = trunc.n_coords
-        nodes, weights = bump_quad_1d(n_nodes)
-        self._alpha = nodes
-        self._wa = weights
-        if self.n_coords == 1:
-            self._mesh = nodes
-            self._wm = weights
-        else:
-            axes = np.meshgrid(*([nodes] * self.n_coords), indexing="ij")
-            self._mesh = np.stack([g.ravel() for g in axes], axis=1)
-            waxes = np.meshgrid(*([weights] * self.n_coords), indexing="ij")
-            self._wm = np.prod(np.stack([g.ravel() for g in waxes], axis=1), axis=1)
+        self._alpha, self._wa = bump_quad_1d(n_nodes)
 
     def _acc(self, lam: float, coords: np.ndarray, want_du: bool):
         X = np.asarray(coords, dtype=float)
         m = X.shape[0]
-        n_cells = self._wm.size
-        if self.n_coords == 1:
-            flat = (X[:, None] - self.eps * self._mesh[None, :]).reshape(-1)
-        else:
-            flat = (X[:, None, :] - self.eps * self._mesh[None, :, :]
-                    ).reshape(-1, self.n_coords)
+        n_cells = self._wa.size
+        flat = (X[:, None] - self.eps * self._alpha[None, :]).reshape(-1)
         outv = np.zeros(m)
         outl = np.zeros(m)
         outu = np.zeros(m) if want_du else None
         for a, wa in zip(self._alpha, self._wa):
             v, dl, du = self.trunc.parts(lam - self.eps * a, flat, want_du)
-            outv += wa * (v.reshape(m, n_cells) @ self._wm)
-            outl += wa * (dl.reshape(m, n_cells) @ self._wm)
+            outv += wa * (v.reshape(m, n_cells) @ self._wa)
+            outl += wa * (dl.reshape(m, n_cells) @ self._wa)
             if want_du:
-                outu += wa * (du.reshape(m, n_cells) @ self._wm)
+                outu += wa * (du.reshape(m, n_cells) @ self._wa)
         return outv, outl, outu
 
     def value(self, lam: float, coords: np.ndarray) -> np.ndarray:
         return self._acc(lam, coords, False)[0]
-
-    def dlam(self, lam: float, coords: np.ndarray) -> np.ndarray:
-        return self._acc(lam, coords, False)[1]
 
     def du(self, lam: float, coords: np.ndarray) -> np.ndarray:
         return self._acc(lam, coords, True)[2]
@@ -478,8 +357,6 @@ def stage6_functional(moll: MollifiedDensity, lam: float, eps_pos: float,
     """Package the normalized mollified density as a smooth functional of
     the block increments; everything reads the terminal coordinate, so the
     scalar fast path applies at any block count."""
-    if moll.n_coords != 1:
-        raise ValueError("step-process extraction needs the one-coordinate route")
 
     def fn(u):
         u = np.asarray(u, dtype=float)
@@ -595,12 +472,7 @@ def _exponentials(moll: MollifiedDensity, lam: float, config: PipelineConfig,
 def _mollified(curve: DensityCurve, config: PipelineConfig,
                pool: PathPool) -> MollifiedDensity:
     """Stages 1, 3 and 4 for a curve with scalar_triple."""
-    cond = ConditionedDensity(curve, config.dyadic_level, pool,
-                              config.inner_mc, config.seed)
-    if not cond.scalar:
-        raise ValueError("step-process extraction requires a curve with "
-                         "scalar_triple; block-conditioned curves stop at "
-                         "stage 5")
+    cond = ConditionedDensity(curve, config.dyadic_level, pool)
     trunc = TruncatedDensity(cond, config.truncation_level)
     return MollifiedDensity(trunc, config.mollify_eps)
 

@@ -521,6 +521,20 @@ CHECKS: Dict[str, Callable[..., List[CheckRecord]]] = {
 }
 
 
+def _check_inputs(name: str, n_paths: int, n_steps: int,
+                  functionals: Optional[Sequence[str]]) -> None:
+    """Reject sizes and options a battery cannot run, before it samples."""
+    if name in ("second-order", "lemma34") and n_steps % 2:
+        raise ValueError(f"{name} reads B at T/2, so grid.n_steps must be "
+                         f"even, got {n_steps}")
+    if name == "chain-rule" and n_paths < _N_SHARDS:
+        raise ValueError(f"chain-rule splits the pool into {_N_SHARDS} "
+                         f"shards, so n_paths must be >= {_N_SHARDS}, "
+                         f"got {n_paths}")
+    if functionals and name != "chain-rule":
+        raise ValueError("functional ids only apply to the chain-rule battery")
+
+
 def run_check(name: str, n_paths: int, n_steps: int, seed: int,
               tolerances: Optional[Dict[str, float]] = None,
               horizon: float = 1.0,
@@ -528,10 +542,9 @@ def run_check(name: str, n_paths: int, n_steps: int, seed: int,
     if name not in CHECKS:
         raise KeyError(f"unknown check id: {name}; "
                        f"choose from {sorted(CHECKS)}")
+    _check_inputs(name, n_paths, n_steps, functionals)
     kwargs = dict(n_paths=n_paths, n_steps=n_steps, seed=seed,
                   tolerances=tolerances, horizon=horizon)
     if name == "chain-rule":
         kwargs["functionals"] = functionals
-    elif functionals:
-        raise ValueError("functional ids only apply to the chain-rule battery")
     return CHECKS[name](**kwargs)

@@ -93,14 +93,6 @@ def scalar_functional(grid_or_n, fn: Callable, fn_prime: Callable,
                             scalar_fn=fn, scalar_fn_prime=fn_prime)
 
 
-def malliavin_derivative(F: SmoothFunctional, pool: PathPool) -> np.ndarray:
-    """(n_paths, n_steps) table: D_s F is the gradient component of the
-    interval containing s, constant on each interval."""
-    if F.n_args != pool.grid.n_steps:
-        raise ValueError("functional arity does not match the grid")
-    return np.asarray(F.grad_fn(pool.increments), dtype=float)
-
-
 def _tensor_nodes(variances: np.ndarray, order: int):
     """Mesh of independent Gaussian nodes, one axis per variance entry."""
     base_x, base_w = gauss_hermite(order)

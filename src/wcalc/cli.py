@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import atomic_write_csv, atomic_write_json, atomic_write_text
-from .checks import CheckRecord, CHECKS, run_check
+from .checks import CheckRecord, CHECKS, run_check, _check_inputs
 from .wiener_grid import make_grid, sample_paths
 from .density_deriv import scalar_exponential_curve
 from .approx_pipeline import PipelineConfig, pipeline_run, pipeline_ladders, \
@@ -36,7 +36,7 @@ _PIPELINE_DEFAULTS = {"seed": 20260815, "n_paths": 100000,
                       "lam": 0.3, "lam_prime": 0.5,
                       "dyadic_level": 3, "truncation_level": 6.0,
                       "mollify_eps": 0.1, "positivity_floor": 0.1,
-                      "step_count": 8, "inner_mc": 16, "quad_order": 32}
+                      "step_count": 8, "quad_order": 32}
 
 
 class ConfigError(ValueError):
@@ -189,18 +189,34 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     _require_command(cfg, "verify", args.check)
     r = _resolve(cfg, args.seed, args.out, _VERIFY_DEFAULTS)
+    # inputs the battery cannot run fail here, before any sampling
+    try:
+        _check_inputs(args.check, r["n_paths"], r["n_steps"],
+                      cfg.get("functionals"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     t0 = time.perf_counter()
     records = run_check(args.check, n_paths=r["n_paths"], n_steps=r["n_steps"],
                         seed=r["seed"], tolerances=cfg.get("tolerances"),
                         horizon=r["horizon"],
                         functionals=cfg.get("functionals"))
     wall = time.perf_counter() - t0
+    _check_tolerance_names(cfg.get("tolerances"), records)
     report = _report_dict("verify", args.check, cfg, r, records, wall)
     _emit(report, r["out_dir"], records, f"{args.check}.csv")
     _print_records(records)
     print(f"{'all records pass' if report['passed'] else 'FAILURES present'} "
           f"({len(records)} records, {wall:.1f}s) -> {r['out_dir']}")
     return 0 if report["passed"] else 1
+
+
+def _check_tolerance_names(overrides: Optional[Dict[str, float]],
+                           records: List[CheckRecord]) -> None:
+    """A tolerance override must name an emitted record; a typo would
+    otherwise leave the default tolerance silently in force."""
+    unknown = sorted(set(overrides or {}) - {rec.name for rec in records})
+    if unknown:
+        raise ConfigError(f"tolerances name no emitted record: {unknown}")
 
 
 def _pipeline_records(rep, thresholds: Dict[str, float],
@@ -246,6 +262,7 @@ def cmd_pipeline(args) -> int:
     cfg = load_config(args.config)
     _require_command(cfg, "pipeline", None)
     r = _resolve(cfg, args.seed, args.out, _PIPELINE_DEFAULTS)
+    # pipeline.inner_mc is accepted for older configs and ignored
     pl = dict(cfg.get("pipeline", {}))
     curve_cfg = cfg.get("curve", {"kind": "scalar-exponential"})
     scale = curve_cfg.get("sigma_scale", 1.0)
@@ -258,9 +275,7 @@ def cmd_pipeline(args) -> int:
             mollify_eps=pl.get("mollify_eps", r["mollify_eps"]),
             positivity_floor=pl.get("positivity_floor", r["positivity_floor"]),
             step_count=pl.get("step_count", r["step_count"]),
-            inner_mc=pl.get("inner_mc", r["inner_mc"]),
-            quad_order=pl.get("quad_order", r["quad_order"]),
-            seed=r["seed"])
+            quad_order=pl.get("quad_order", r["quad_order"]))
         curve = scalar_exponential_curve(lambda l: scale * l,
                                          lambda l: scale, grid,
                                          lam_lo=curve_cfg.get("lam_lo", 0.0),
@@ -292,6 +307,7 @@ def cmd_pipeline(args) -> int:
         ladders = pipeline_ladders(curve, r["lam"], pconf, pool)
         records.extend(_ladder_records(ladders, cfg.get("tolerances")))
     wall = time.perf_counter() - t0
+    _check_tolerance_names(cfg.get("tolerances"), records)
 
     out_dir = r["out_dir"]
     os.makedirs(out_dir, exist_ok=True)

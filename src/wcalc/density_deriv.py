@@ -17,7 +17,6 @@ import numpy as np
 from .clark_ocone import SmoothFunctional, clark_ocone_decompose, gaussian_smooth
 from .functionals import CylindricalFn, NestedFn, eval_cyl, eval_nested, \
     lions_derivative, partial_mu_G_nested
-from .girsanov import CurveFamily, _log_exponential_table
 from .measure_ops import EmpiricalLaw, pushforward_law, weighted_expectation
 from .numerics import antiderivative_at
 from .rng import substream
@@ -130,23 +129,6 @@ def validate_curve(curve: DensityCurve, pool: PathPool) -> None:
     scale = float(np.sqrt(np.dot(w, curve.deriv(lam, pool) ** 2))) + 1e-12
     if defects[1] > 0.05 * defects[0] + 1e-10 * scale:
         raise ValueError("curve derivative fails the vanishing-defect probe")
-
-
-def exponential_family_curve(family: CurveFamily, grid: TimeGrid) -> DensityCurve:
-    """Curve of exponential martingale densities driven by a process family."""
-
-    def value(lam, inc):
-        return np.exp(_log_exponential_table(grid, inc, family.gamma(lam))[:, -1])
-
-    def deriv(lam, inc):
-        inc = np.asarray(inc, dtype=float)
-        g = family.gamma(lam).values(inc)
-        dg = family.dgamma(lam).values(inc)
-        dlog = np.sum(dg * inc, axis=1) - np.sum(g * dg * grid.steps, axis=1)
-        return value(lam, inc) * dlog
-
-    return DensityCurve(family.lam_lo, family.lam_hi, grid, value, deriv,
-                        kind="exponential-family")
 
 
 def scalar_exponential_curve(sigma: Callable, dsigma: Callable, grid: TimeGrid,

@@ -19,7 +19,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .artifacts import atomic_write_csv
 from .density_deriv import density_derivative_profile
 from .functionals import CylindricalFn, _check_fd_derivative, lions_derivative
 from .measure_ops import EmpiricalLaw, pushforward_law
@@ -64,11 +63,6 @@ class GridDensity:
         if self.mass <= 0.0:
             raise ValueError("cannot normalize a zero-mass density")
         return GridDensity(self.x_grid, self.values / self.mass, 1.0)
-
-    def to_csv(self, path: str) -> None:
-        atomic_write_csv(path, ["x", "value"],
-                         np.column_stack([self.x_grid, self.values]))
-
 
 def density_grid(law: EmpiricalLaw, bandwidth: float,
                  n_points: int = _DEFAULT_GRID_POINTS) -> np.ndarray:

@@ -13,10 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import substream
 from .wiener_grid import PathPool, TimeGrid, _pool_from_increments
-
-_CURVE_PROBE_SEED = 0xCAFE
 
 
 @dataclass(frozen=True)
@@ -96,35 +93,6 @@ def history_process(grid: TimeGrid, fn: Callable, bound: float) -> StepProcess:
     return StepProcess(grid, fns, bound=bound)
 
 
-@dataclass(frozen=True)
-class CurveFamily:
-    """Parametrized family lambda -> gamma^lambda with its lambda-derivative.
-
-    Consistency of gamma and dgamma is probed with central differences on a
-    small synthetic path batch at construction.
-    """
-
-    lam_lo: float
-    lam_hi: float
-    gamma: Callable
-    dgamma: Callable
-
-    def __post_init__(self):
-        if not self.lam_lo < self.lam_hi:
-            raise ValueError("empty parameter interval")
-        lam = 0.5 * (self.lam_lo + self.lam_hi)
-        h = 1e-4 * max(1.0, self.lam_hi - self.lam_lo)
-        if lam - h < self.lam_lo or lam + h > self.lam_hi:
-            h = 0.25 * (self.lam_hi - self.lam_lo)
-        grid = self.gamma(lam).grid
-        rng = substream(_CURVE_PROBE_SEED, grid.n_steps)
-        probe = rng.standard_normal((16, grid.n_steps)) * np.sqrt(grid.steps)
-        fd = (self.gamma(lam + h).values(probe) - self.gamma(lam - h).values(probe)) / (2.0 * h)
-        got = self.dgamma(lam).values(probe)
-        if not np.all(np.abs(got - fd) <= 1e-5 * (1.0 + np.abs(fd))):
-            raise ValueError("curve family derivative disagrees with finite differences")
-
-
 def _log_exponential_table(grid: TimeGrid, increments: np.ndarray,
                            gamma: StepProcess) -> np.ndarray:
     """log E_t at every knot: cumulative gamma_i B(D_i) - 0.5 gamma_i^2 dt_i."""
@@ -195,28 +163,3 @@ def girsanov_check(pool: PathPool, gamma: StepProcess, phi: Callable):
     var = float(np.dot(w, (diff - np.dot(w, diff)) ** 2))
     std_err = float(np.sqrt(var / max(pool.n_samples - 1, 1)))
     return lhs, rhs, std_err
-
-
-def relative_exponential(pool: PathPool, gamma: StepProcess,
-                         gamma_prime: StepProcess, t: float) -> np.ndarray:
-    """Pointwise ratio E_t(gamma') / E_t(gamma), in log space."""
-    j = pool.grid.knot_index(t)
-    la = _log_exponential_table(pool.grid, pool.increments, gamma)
-    lb = _log_exponential_table(pool.grid, pool.increments, gamma_prime)
-    return np.exp(lb[:, j] - la[:, j])
-
-
-def relative_exponential_shifted(pool: PathPool, gamma: StepProcess,
-                                 gamma_prime: StepProcess, t: float) -> np.ndarray:
-    """Same ratio written as an exponential of (gamma' - gamma) against the
-    drift-corrected driver dB - gamma dt; exposed for diagnostics."""
-    j = pool.grid.knot_index(t)
-    dts = pool.grid.steps
-    inc = pool.increments
-    acc = np.zeros(pool.n_samples)
-    for i in range(j):
-        g = gamma.column(i, inc[:, :i])
-        gp = gamma_prime.column(i, inc[:, :i])
-        d = gp - g
-        acc += d * (inc[:, i] - g * dts[i]) - 0.5 * d * d * dts[i]
-    return np.exp(acc)

@@ -26,14 +26,6 @@ def gauss_legendre(order: int):
     return x, w
 
 
-def gaussian_quad_nodes(order: int, mean, var):
-    """Nodes/weights for E[f(X)], X ~ N(mean, var); mean may be an array."""
-    x, w = gauss_hermite(order)
-    mean = np.asarray(mean, dtype=float)
-    nodes = mean[..., None] + np.sqrt(var) * x
-    return nodes, w
-
-
 def _segment_integrals(fn, a, b, order: int):
     x, w = gauss_legendre(order)
     mid = 0.5 * (a + b)

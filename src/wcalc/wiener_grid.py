@@ -1,5 +1,5 @@
-"""Discretized Wiener space: time grids, Gaussian increment pools, dyadic
-coarsening, and Brownian-bridge conditional resampling.
+"""Discretized Wiener space: time grids, Gaussian increment pools and dyadic
+coarsening.
 
 A PathPool is the computational stand-in for the Wiener space: a batch of
 paths represented by their increment matrix, plus per-path importance
@@ -176,58 +176,3 @@ def dyadic_coarsen(pool: PathPool, level: int) -> PathPool:
     inc = np.diff(cum, axis=1)
     grid = TimeGrid(pool.grid.knots[edges])
     return PathPool(grid, inc, pool.weights, pool.seed, cum)
-
-
-def bridge_resample(pool: PathPool, level: int, m_inner: int, seed: int) -> np.ndarray:
-    """Fine-increment resamples consistent with each path's block sums.
-
-    For every outer path, draws m_inner fine-increment vectors from the exact
-    Gaussian conditional law given the 2^level block sums (Brownian bridge
-    within each block). Returns an array of shape
-    (n_outer, m_inner, n_fine_steps); axis 0 is keyed to the outer paths, so a
-    flattened pool is deliberately not built.
-    """
-    if m_inner < 1:
-        raise ValueError("m_inner must be >= 1")
-    edges = _block_edges(pool.grid, level)
-    n, n_fine = pool.increments.shape
-    k = n_fine // (len(edges) - 1)
-    dts = pool.grid.steps
-    out = np.empty((n, m_inner, n_fine))
-    rng = substream(seed, 1)
-    z = rng.standard_normal((n, m_inner, n_fine)) * np.sqrt(dts)
-    for b in range(len(edges) - 1):
-        lo, hi = edges[b], edges[b + 1]
-        block_sum = pool.cumulative[:, hi] - pool.cumulative[:, lo]
-        if k == 1:
-            out[:, :, lo] = block_sum[:, None]
-            continue
-        zb = z[:, :, lo:hi]
-        delta = dts[lo:hi]
-        width = delta.sum()
-        resid = (block_sum[:, None] - zb.sum(axis=2)) / width
-        out[:, :, lo:hi] = zb + resid[:, :, None] * delta
-    return out
-
-
-def save_csv(pool: PathPool, path: str) -> None:
-    """Flat CSV layout: a header with n_steps, horizon, seed, then one row
-    per path (weight followed by the increments)."""
-    with open(path, "w") as fh:
-        fh.write("n_steps,horizon,seed\n")
-        fh.write(f"{pool.grid.n_steps},{pool.grid.horizon!r},{pool.seed}\n")
-        for w, row in zip(pool.weights, pool.increments):
-            vals = ",".join(repr(float(v)) for v in row)
-            fh.write(f"{float(w)!r},{vals}\n")
-
-
-def load_csv(path: str) -> PathPool:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["n_steps", "horizon", "seed"]:
-            raise ValueError("unrecognized pool CSV header")
-        n_steps_s, horizon_s, seed_s = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    grid = make_grid(int(n_steps_s), float(horizon_s))
-    data = np.array(rows, dtype=float)
-    return _pool_from_increments(grid, data[:, 1:], data[:, 0], int(seed_s))

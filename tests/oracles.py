@@ -48,28 +48,6 @@ def gaussian_expectation(fn, mean: float, var: float, tol: float = 1e-11) -> flo
     return float(val)
 
 
-def bridge_point_conditional(t: float, t0: float, t1: float, b_t0, block_sum):
-    """Mean and variance of B_t given B_{t0} and the increment over (t0, t1].
-
-    Standard Brownian bridge inside one block: with theta = (t-t0)/(t1-t0),
-    B_t | (B_{t0}=a, B_{t1}-B_{t0}=S) ~ N(a + theta*S, (t-t0)*(1-theta)).
-    """
-    theta = (t - t0) / (t1 - t0)
-    mean = np.asarray(b_t0, dtype=float) + theta * np.asarray(block_sum, dtype=float)
-    var = (t - t0) * (1.0 - theta)
-    return mean, var
-
-
-def conditioned_scalar_functional(fn, t, t0, t1, b_t0, block_sum):
-    """Oracle for E[fn(B_t) | block sums] when t lies inside block (t0, t1].
-
-    Vectorized over paths via per-path adaptive quadrature.
-    """
-    mean, var = bridge_point_conditional(t, t0, t1, b_t0, block_sum)
-    mean = np.atleast_1d(mean)
-    return np.array([gaussian_expectation(fn, m, var) for m in mean])
-
-
 def nw_naive(x_values, y_values, weights, bandwidth, eval_points):
     """Plain O(n*m) Nadaraya-Watson with a Gaussian kernel (loop form)."""
     x = np.asarray(x_values, dtype=float)

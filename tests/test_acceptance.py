@@ -174,7 +174,7 @@ def test_criterion_6_pipeline():
                                      lam_lo=0.0, lam_hi=1.0)
     cfg = PipelineConfig(dyadic_level=3, truncation_level=6.0,
                          mollify_eps=0.1, positivity_floor=0.1, step_count=8,
-                         inner_mc=16, quad_order=32, seed=_SEED)
+                         quad_order=32)
     t0 = time.perf_counter()
     rep = pipeline_run(curve, 0.3, 0.5, cfg, pool)
     ladders = pipeline_ladders(curve, 0.3, cfg, pool)

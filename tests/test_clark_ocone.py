@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wcalc import (make_grid, sample_paths, SmoothFunctional,
-                   scalar_functional, malliavin_derivative, gaussian_smooth,
+                   scalar_functional, gaussian_smooth,
                    clark_ocone_decompose, reconstruction_error,
                    weighted_expectation)
 from wcalc import clark_ocone
@@ -39,14 +39,6 @@ def test_scalar_form_must_match_full_form():
                          bounds=(10.0, 1.0),
                          scalar_fn=lambda s: 2.0 * s,
                          scalar_fn_prime=lambda s: np.full_like(s, 2.0))
-
-
-def test_malliavin_table_shape_and_values(pool):
-    F = tanh_density(pool.grid)
-    D = malliavin_derivative(F, pool)
-    assert D.shape == pool.increments.shape
-    s = pool.increments.sum(axis=1)
-    assert np.allclose(D, (0.5 / np.cosh(s) ** 2)[:, None])
 
 
 def test_gaussian_smooth_against_quadrature_oracle(pool):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from wcalc import __version__
+from wcalc import __version__, cli
 from wcalc.cli import main
 
 
@@ -244,3 +244,68 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("check,change", [
+    ("second-order", {"grid": {"n_steps": 7}}),
+    ("lemma34", {"grid": {"n_steps": 7}}),
+    ("chain-rule", {"n_paths": 7}),
+    ("girsanov", {"functionals": ["mean"]}),
+])
+def test_verify_rejects_inputs_the_battery_cannot_run(tmp_path, capsys,
+                                                      monkeypatch, check,
+                                                      change):
+    """second-order and lemma34 read B at T/2, chain-rule splits the pool
+    into 8 shards, and only chain-rule takes functionals; each is refused
+    before the battery samples anything."""
+    def never(*args, **kwargs):
+        raise AssertionError("the battery ran")
+
+    monkeypatch.setattr(cli, "run_check", never)
+    cfg = verify_config(tmp_path, check=check, **change)
+    assert main(["verify", check, "--config", cfg]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,typo", [
+    ("verify", "girsanov/nonexistent"),
+    ("pipeline", "pipeline/value-eror"),
+])
+def test_tolerance_override_must_name_an_emitted_record(tmp_path, capsys,
+                                                        command, typo):
+    out = tmp_path / "out"
+    if command == "verify":
+        cfg = verify_config(tmp_path, tolerances={typo: 1.0})
+        argv = ["verify", "girsanov", "--config", cfg]
+    else:
+        cfg = write_config(tmp_path / "p.json", command="pipeline", seed=3,
+                           n_paths=2000, grid={"n_steps": 8}, lam=0.3,
+                           lam_prime=0.5,
+                           pipeline={"dyadic_level": 2, "step_count": 4,
+                                     "quad_order": 4},
+                           tolerances={"pipeline/value-error": 1.0,
+                                       typo: 1.0},
+                           out_dir=str(out))
+        argv = ["pipeline", "--config", cfg]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and typo in err
+    assert not out.exists()
+
+
+def test_pipeline_inner_mc_is_accepted_and_ignored(tmp_path):
+    """wcalc-run-v1 configs may still carry pipeline.inner_mc; the pipeline
+    has no use for it, so the records match the same config without it."""
+    records = []
+    for name, extra in (("with", {"inner_mc": 16}), ("without", {})):
+        out = tmp_path / name
+        cfg = write_config(tmp_path / f"{name}.json", command="pipeline",
+                           seed=3, n_paths=2000, grid={"n_steps": 8},
+                           lam=0.3, lam_prime=0.5,
+                           pipeline={"dyadic_level": 2, "step_count": 4,
+                                     "quad_order": 4, **extra},
+                           out_dir=str(out))
+        assert main(["pipeline", "--config", cfg]) == 0
+        records.append(read_report(out)["records"])
+    assert records[0] == records[1]

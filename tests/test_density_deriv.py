@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcalc import (make_grid, sample_paths, scalar_exponential_curve,
-                   mixture_curve, exponential_family_curve, DensityCurve,
+                   mixture_curve, DensityCurve,
                    validate_curve, density_derivative_profile,
                    recenter_to_base, recenter_to_density, antiderivative_at,
-                   pushforward_law, make_functional, CurveFamily,
-                   constant_process, weighted_expectation)
+                   pushforward_law, make_functional, weighted_expectation)
 from oracles import gaussian_expectation
 
 
@@ -62,19 +61,6 @@ def test_scalar_triple_must_match_full_form(broken):
     fields[broken] = lambda lam, inc: 1.001 * full(lam, inc)
     with pytest.raises(ValueError, match=broken):
         DensityCurve(**fields)
-
-
-def test_exponential_family_curve_from_integrand(pool16):
-    fam = CurveFamily(lam_lo=0.0, lam_hi=1.0,
-                      gamma=lambda l: constant_process(pool16.grid, l),
-                      dgamma=lambda l: constant_process(pool16.grid, 1.0))
-    curve = exponential_family_curve(fam, pool16.grid)
-    direct = scalar_exponential_curve(lambda l: l, lambda l: 1.0,
-                                      pool16.grid, 0.0, 1.0)
-    for lam in (0.2, 0.6):
-        assert np.allclose(curve.eval(lam, pool16), direct.eval(lam, pool16))
-        assert np.allclose(curve.deriv(lam, pool16),
-                           direct.deriv(lam, pool16), atol=1e-9)
 
 
 def test_profile_is_centered_antiderivative(pool16):

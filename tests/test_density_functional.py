@@ -34,18 +34,13 @@ def test_grid_density_validation():
         GridDensity(x, -np.ones(11), 0.0)
 
 
-def test_grid_density_mass_and_normalization(tmp_path):
+def test_grid_density_mass_and_normalization():
     x = np.linspace(-1.0, 1.0, 201)
     h = GridDensity(x, 1.0 - x * x, 0.0)
     assert h.mass == pytest.approx(4.0 / 3.0, rel=1e-4)
     assert h.spacing == pytest.approx(0.01)
     hn = h.normalized()
     assert hn.mass == pytest.approx(1.0, abs=1e-12)
-    out = tmp_path / "h.csv"
-    hn.to_csv(str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "x,value"
-    assert len(lines) == 202
 
     flat = GridDensity(x, np.zeros(201), 0.0)
     with pytest.raises(ValueError):

@@ -4,9 +4,7 @@ import pytest
 from wcalc import (make_grid, sample_paths, brownian_at, constant_process,
                    deterministic_process, table_process, history_process,
                    doleans_exponential, shift_forward, shift_backward,
-                   girsanov_check, relative_exponential,
-                   relative_exponential_shifted, CurveFamily,
-                   weighted_expectation)
+                   girsanov_check, weighted_expectation)
 from oracles import doleans_naive, FROZEN
 
 
@@ -68,17 +66,6 @@ def test_flow_inversion_exact(pool):
     assert np.max(np.abs(fwd.increments - pool.increments)) > 1e-3
 
 
-def test_relative_exponential_identities(pool):
-    g1 = constant_process(pool.grid, 0.3)
-    g2 = constant_process(pool.grid, -0.5)
-    t = pool.grid.horizon
-    ratio = relative_exponential(pool, g1, g2, t)
-    direct = doleans_exponential(pool, g2, t) / doleans_exponential(pool, g1, t)
-    assert np.allclose(ratio, direct, rtol=1e-12)
-    shifted = relative_exponential_shifted(pool, g1, g2, t)
-    assert np.allclose(shifted, ratio, rtol=1e-10)
-
-
 def test_table_process_round_trip(pool):
     tab = np.random.default_rng(4).uniform(-0.5, 0.5,
                                            size=pool.increments.shape)
@@ -96,13 +83,3 @@ def test_step_process_bound_enforced(pool):
     with pytest.raises(ValueError):
         proc.values(pool.increments)
 
-
-def test_curve_family_probes_derivative():
-    grid = make_grid(6)
-    with pytest.raises(ValueError):
-        CurveFamily(lam_lo=0.0, lam_hi=1.0,
-                    gamma=lambda l: constant_process(grid, l ** 2),
-                    dgamma=lambda l: constant_process(grid, 0.5 * l))
-    CurveFamily(lam_lo=0.0, lam_hi=1.0,
-                gamma=lambda l: constant_process(grid, l ** 2),
-                dgamma=lambda l: constant_process(grid, 2.0 * l))

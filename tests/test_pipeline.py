@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from wcalc import (make_grid, sample_paths, dyadic_coarsen, DensityCurve,
                    scalar_exponential_curve, PipelineConfig, PipelineReport,
-                   pipeline_run, stage1_dyadic_condition, TruncatedDensity,
+                   pipeline_run, ConditionedDensity, TruncatedDensity,
                    MollifiedDensity, stage5_normalize, stage5_derivative,
                    stage7_stepify, final_errors_at, doleans_exponential,
                    DEFAULT_THRESHOLDS)
-from oracles import conditioned_scalar_functional
 
 
 def exp_curve(grid, lo=0.1, hi=0.9):
@@ -24,8 +23,7 @@ def exp_curve(grid, lo=0.1, hi=0.9):
 def midpoint_curve(grid, lam_lo=0.2, lam_hi=0.6, t=None):
     """Curve reading B at one interior time: exp(lam B_t - lam^2 t / 2).
 
-    No scalar form is declared, so conditioning must go through the bridge
-    templates.
+    No scalar form is declared, so the one-coordinate pipeline rejects it.
     """
     if t is None:
         t = grid.knots[grid.n_steps // 3]
@@ -46,14 +44,13 @@ def midpoint_curve(grid, lam_lo=0.2, lam_hi=0.6, t=None):
 
 def test_config_validation():
     good = dict(dyadic_level=2, truncation_level=6.0, mollify_eps=0.1,
-                positivity_floor=0.1, step_count=2, inner_mc=4,
-                quad_order=16, seed=1)
+                positivity_floor=0.1, step_count=2, quad_order=16)
     PipelineConfig(**good)
     for key, bad in [("dyadic_level", -1), ("truncation_level", 2.5),
                      ("mollify_eps", 0.0), ("mollify_eps", 1.0),
                      ("positivity_floor", 0.0), ("positivity_floor", 1.5),
                      ("step_count", 3), ("step_count", 0),
-                     ("inner_mc", 0), ("quad_order", 1)]:
+                     ("quad_order", 1)]:
         with pytest.raises(ValueError):
             PipelineConfig(**{**good, key: bad})
 
@@ -64,60 +61,23 @@ def test_stage1_exact_for_endpoint_curves():
     grid = make_grid(8)
     pool = sample_paths(grid, 3000, seed=21)
     curve = exp_curve(grid)
+    w = pool.weights / pool.weights.sum()
+    lam = 0.5
     for level in (1, 2, 3):
-        cond, rep = stage1_dyadic_condition(curve, level, pool, 4, seed=3)
-        assert cond.scalar
-        assert rep.l2_error_value <= 1e-13
-        assert rep.l2_error_deriv <= 1e-13
+        cond = ConditionedDensity(curve, level, pool)
+        assert cond.n_coords == 1
+        vals, dvals = cond.pair(lam, cond.coords_of(pool.increments))
+        err_v = np.sqrt(np.dot(w, (vals - curve.eval(lam, pool)) ** 2))
+        err_d = np.sqrt(np.dot(w, (dvals - curve.deriv(lam, pool)) ** 2))
+        assert err_v <= 1e-13
+        assert err_d <= 1e-13
 
 
-def test_stage1_bridge_average_matches_quadrature_oracle():
-    grid = make_grid(12)
-    pool = sample_paths(grid, 512, seed=88)
-    t = grid.knots[4]
-    assert t == pytest.approx(1.0 / 3.0)
-    curve = midpoint_curve(grid, t=t)
-    cond, _ = stage1_dyadic_condition(curve, 2, pool, 512, seed=17, lam=0.4)
-
-    lam = 0.4
-    m = 40
-    coords = cond.coords_of(pool.increments[:m])
-    # undo the pool renormalization so the comparison is against the plain
-    # conditional expectation
-    w = pool.weights / pool.weights.sum()
-    r = float(np.dot(w, curve.value_fn(lam, pool.increments)))
-    got = cond.value(lam, coords) * r
-
-    b_q = pool.cumulative[:m, 3]          # B at the left block edge t=1/4
-    block2 = coords[:, 1]                 # increment over (1/4, 1/2]
-    fn = lambda b: np.exp(lam * b - 0.5 * lam * lam * t)
-    want = conditioned_scalar_functional(fn, t, 0.25, 0.5, b_q, block2)
-    assert np.max(np.abs(got - want) / np.abs(want)) < 0.02
-
-
-def test_stage1_exact_when_curve_is_block_measurable():
-    grid = make_grid(12)
-    pool = sample_paths(grid, 2000, seed=5)
-    curve = midpoint_curve(grid, t=grid.knots[6])  # B_{1/2} = two block sums
-    _, rep = stage1_dyadic_condition(curve, 2, pool, 32, seed=9)
-    assert rep.l2_error_value <= 1e-10
-    assert rep.l2_error_deriv <= 1e-10
-
-
-def test_stage1_contracts_the_weighted_norm():
-    """Conditioning shrinks the L2 norm; the slack covers the sampling noise
-    of comparing two norms on one finite pool."""
-    grid = make_grid(12)
-    pool = sample_paths(grid, 1000, seed=31)
-    curve = midpoint_curve(grid)
-    cond, _ = stage1_dyadic_condition(curve, 2, pool, 256, seed=13, lam=0.4)
-    w = pool.weights / pool.weights.sum()
-    lam = 0.4
-    raw = curve.eval(lam, pool)
-    smoothed = cond.value(lam, cond.coords_of(pool.increments))
-    n_raw = float(np.sqrt(np.dot(w, raw ** 2)))
-    n_cond = float(np.sqrt(np.dot(w, smoothed ** 2)))
-    assert n_cond <= n_raw + 0.01
+def test_stage1_rejects_curves_without_scalar_triple():
+    grid = make_grid(16)
+    pool = sample_paths(grid, 500, seed=2)
+    with pytest.raises(ValueError, match="scalar_triple"):
+        ConditionedDensity(midpoint_curve(grid), 3, pool)
 
 
 # ---------------------------------------------------------------- stage 3
@@ -126,7 +86,7 @@ def test_stage3_identity_on_the_flat_region():
     grid = make_grid(8)
     pool = sample_paths(grid, 2000, seed=44)
     curve = exp_curve(grid)
-    cond, _ = stage1_dyadic_condition(curve, 2, pool, 4, seed=3)
+    cond = ConditionedDensity(curve, 2, pool)
     trunc = TruncatedDensity(cond, 8.0)
     lam = 0.3
     u = np.linspace(-4.0, 4.0, 41)
@@ -137,14 +97,15 @@ def test_stage3_identity_on_the_flat_region():
     assert np.array_equal(td, cd)
     assert np.array_equal(tu, cu)
     far = np.array([-9.0, 8.0, 12.0])
-    assert np.all(trunc.value(lam, far) == 0.0)
-    assert np.all(trunc.dlam(lam, far) == 0.0)
+    fv, fd, _ = trunc.parts(lam, far, False)
+    assert np.all(fv == 0.0)
+    assert np.all(fd == 0.0)
 
 
 def test_stage3_rejects_small_levels():
     grid = make_grid(8)
     pool = sample_paths(grid, 500, seed=2)
-    cond, _ = stage1_dyadic_condition(exp_curve(grid), 1, pool, 4, seed=3)
+    cond = ConditionedDensity(exp_curve(grid), 1, pool)
     with pytest.raises(ValueError):
         TruncatedDensity(cond, 2.0)
 
@@ -154,33 +115,23 @@ def test_stage3_rejects_small_levels():
 def test_stage4_width_validation():
     grid = make_grid(8)
     pool = sample_paths(grid, 500, seed=2)
-    cond, _ = stage1_dyadic_condition(exp_curve(grid), 1, pool, 4, seed=3)
+    cond = ConditionedDensity(exp_curve(grid), 1, pool)
     trunc = TruncatedDensity(cond, 6.0)
     for eps in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             MollifiedDensity(trunc, eps)
 
 
-def test_stage4_coordinate_budget():
-    grid = make_grid(16)
-    pool = sample_paths(grid, 500, seed=2)
-    cond, _ = stage1_dyadic_condition(midpoint_curve(grid), 3, pool, 16, seed=3)
-    assert cond.n_coords == 8
-    trunc = TruncatedDensity(cond, 6.0)
-    with pytest.raises(ValueError, match="budget"):
-        MollifiedDensity(trunc, 0.2)
-
-
 def test_stage4_derivatives_match_finite_differences():
     grid = make_grid(8)
     pool = sample_paths(grid, 1000, seed=6)
-    cond, _ = stage1_dyadic_condition(exp_curve(grid), 2, pool, 4, seed=3)
+    cond = ConditionedDensity(exp_curve(grid), 2, pool)
     moll = MollifiedDensity(TruncatedDensity(cond, 6.0), 0.15)
     lam = 0.45
     u = np.array([-1.2, 0.0, 0.7, 2.1])
     h = 1e-5
     fd_lam = (moll.value(lam + h, u) - moll.value(lam - h, u)) / (2 * h)
-    assert np.max(np.abs(fd_lam - moll.dlam(lam, u))) < 1e-6
+    assert np.max(np.abs(fd_lam - moll.pair(lam, u)[1])) < 1e-6
     fd_u = (moll.value(lam, u + h) - moll.value(lam, u - h)) / (2 * h)
     assert np.max(np.abs(fd_u - moll.du(lam, u))) < 1e-6
 
@@ -278,7 +229,7 @@ def test_pipeline_run_validation():
     curve = exp_curve(grid)
     cfg = PipelineConfig(dyadic_level=2, truncation_level=6.0,
                          mollify_eps=0.1, positivity_floor=0.1, step_count=2,
-                         inner_mc=4, quad_order=8, seed=1)
+                         quad_order=8)
     with pytest.raises(ValueError):
         pipeline_run(curve, 0.3, 0.3, cfg, pool)
     with pytest.raises(ValueError):
@@ -293,7 +244,7 @@ def test_pipeline_run_end_to_end(tmp_path):
     curve = exp_curve(grid)
     cfg = PipelineConfig(dyadic_level=2, truncation_level=6.0,
                          mollify_eps=0.1, positivity_floor=0.1, step_count=4,
-                         inner_mc=4, quad_order=16, seed=7)
+                         quad_order=16)
     rep = pipeline_run(curve, 0.3, 0.5, cfg, pool)
     assert isinstance(rep, PipelineReport)
     assert tuple(s.stage for s in rep.stages) == (1, 3, 4, 5, 6, 7)
@@ -327,7 +278,7 @@ def test_final_errors_smoke():
     pool = sample_paths(grid, 3000, seed=55)
     cfg = PipelineConfig(dyadic_level=2, truncation_level=6.0,
                          mollify_eps=0.15, positivity_floor=0.1, step_count=4,
-                         inner_mc=4, quad_order=12, seed=3)
+                         quad_order=12)
     ev, ed, se_v, se_d = final_errors_at(exp_curve(grid), 0.4, cfg, pool)
     for x in (ev, ed, se_v, se_d):
         assert np.isfinite(x) and x >= 0.0
@@ -343,7 +294,7 @@ def test_final_errors_match_the_pipeline_when_stage7_is_stage6(level, k):
     curve = exp_curve(grid, 0.0, 1.0)
     cfg = PipelineConfig(dyadic_level=level, truncation_level=6.0,
                          mollify_eps=0.1, positivity_floor=0.1, step_count=k,
-                         inner_mc=4, quad_order=8, seed=7)
+                         quad_order=8)
     rep = pipeline_run(curve, 0.3, 0.5, cfg, pool)
     assert rep.stage(6) == dataclasses.replace(rep.stage(7), stage=6)
     assert final_errors_at(curve, 0.3, cfg, pool)[:2] == \

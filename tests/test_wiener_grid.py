@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from wcalc import (TimeGrid, make_grid, sample_paths, brownian_at,
-                   dyadic_coarsen, bridge_resample, save_csv, load_csv)
-from oracles import bridge_point_conditional
+from wcalc import TimeGrid, make_grid, sample_paths, brownian_at, dyadic_coarsen
 
 
 def test_make_grid_basics():
@@ -85,46 +83,3 @@ def test_dyadic_coarsen_needs_divisible_grid():
     pool = sample_paths(g, 4, seed=5)
     with pytest.raises(ValueError):
         dyadic_coarsen(pool, level=2)
-
-
-def test_bridge_resample_matches_block_sums_exactly():
-    g = make_grid(12)
-    pool = sample_paths(g, 40, seed=9)
-    inner = bridge_resample(pool, level=2, m_inner=8, seed=11)
-    assert inner.shape == (40, 8, 12)
-    block = inner.reshape(40, 8, 4, 3).sum(axis=3)
-    want = pool.increments.reshape(40, 4, 3).sum(axis=2)
-    assert np.allclose(block, want[:, None, :], atol=1e-12)
-
-
-def test_bridge_resample_conditional_mean_and_var():
-    """Within a block the fine path follows the Brownian bridge law.
-
-    Checked against the closed-form conditional mean and variance of B_t
-    given the block endpoints, on a mid-block knot.
-    """
-    g = make_grid(12)
-    pool = sample_paths(g, 200, seed=13)
-    m_inner = 4000
-    inner = bridge_resample(pool, level=2, m_inner=m_inner, seed=17)
-    # knot 4 = first fine knot inside the second block (indices 3, 4, 5)
-    b_t = inner[:, :, :4].sum(axis=2)
-    t0, t1 = g.knots[3], g.knots[6]
-    b_t0 = pool.cumulative[:, 3]
-    block_sum = pool.cumulative[:, 6] - pool.cumulative[:, 3]
-    mean, var = bridge_point_conditional(g.knots[4], t0, t1, b_t0, block_sum)
-    se = np.sqrt(var / m_inner)
-    assert np.all(np.abs(b_t.mean(axis=1) - mean) < 5 * se)
-    assert np.allclose(b_t.var(axis=1).mean(), var, rtol=0.05)
-
-
-def test_pool_csv_roundtrip(tmp_path):
-    g = make_grid(5, horizon=1.5)
-    pool = sample_paths(g, 17, seed=23)
-    path = str(tmp_path / "pool.csv")
-    save_csv(pool, path)
-    back = load_csv(path)
-    assert back.grid.n_steps == 5
-    assert back.grid.horizon == 1.5
-    assert np.array_equal(back.increments, pool.increments)
-    assert np.array_equal(back.weights, pool.weights)
