@@ -23,7 +23,7 @@ from .numerics import gauss_hermite, antiderivative_at, binned_gaussian_smooth, 
     radial_cutoff_deriv
 from .density_deriv import DensityCurve, validate_curve, \
     scalar_exponential_curve, mixture_curve, \
-    DerivativeProfile, density_derivative_profile, \
+    density_derivative_profile, \
     recenter_to_base, recenter_to_density, chain_rule_rhs, chain_rule_lhs_fd, \
     second_order_check_1d, second_order_check_multidim, \
     multidim_derivative_repr, nested_derivative_check

@@ -366,10 +366,7 @@ def stage6_functional(moll: MollifiedDensity, lam: float, eps_pos: float,
         u = np.asarray(u, dtype=float)
         return (moll.du(lam, u.ravel()) / denom).reshape(u.shape)
 
-    probe = np.linspace(-moll.trunc.level, moll.trunc.level, 2049)
-    b0 = float(np.abs(fn(probe)).max()) * 1.05 + eps_pos
-    b1 = float(np.abs(fn_prime(probe)).max()) * 1.05 + 1e-9
-    return scalar_functional(n_args, fn, fn_prime, (b0, b1))
+    return scalar_functional(n_args, fn, fn_prime)
 
 
 def integrand_tables(moll: MollifiedDensity, lam: float, eps_pos: float,
@@ -685,11 +682,15 @@ def pipeline_ladders(curve: DensityCurve, lam: float, config: PipelineConfig,
 
     For scalar-form curves conditioning is exact at every dyadic level, so
     that ladder is expected flat and the step-count ladder carries the
-    time-resolution convergence.
+    time-resolution convergence. Rungs with equal configs (the base config
+    sits on three ladders) share one final_errors_at call.
     """
     ladders: Dict[str, list] = {}
+    errors: Dict[PipelineConfig, tuple] = {}
     for knob, value, cfg in _ladder_configs(config):
-        ev, ed, se_v, se_d = final_errors_at(curve, lam, cfg, pool)
+        if cfg not in errors:
+            errors[cfg] = final_errors_at(curve, lam, cfg, pool)
+        ev, ed, se_v, se_d = errors[cfg]
         ladders.setdefault(knob, []).append(
             {"knob": knob, "value": value, "value_error": ev,
              "deriv_error": ed, "value_se": se_v, "deriv_se": se_d})

@@ -3,13 +3,12 @@
 Every battery compares two routes to the same quantity and emits uniform
 records; a record passes when |lhs - rhs| <= tolerance. Default tolerances
 are three combined standard errors plus documented deterministic terms
-(finite-difference bias, discrete-bracket corrections), and every one can
-be overridden by name.
+(finite-difference bias, discrete-bracket corrections); a run config can
+override any of them by record name (see the cli module).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -19,10 +18,10 @@ from .wiener_grid import TimeGrid, PathPool, make_grid, sample_paths, brownian_a
 from .functionals import CylindricalFn, NestedFn, make_functional, eval_cyl, \
     lifted_derivative_fd
 from .measure_ops import pushforward_law, weighted_expectation
-from .density_deriv import DensityCurve, scalar_exponential_curve, mixture_curve, \
+from .density_deriv import scalar_exponential_curve, mixture_curve, \
     chain_rule_lhs_fd, chain_rule_rhs, second_order_check_1d, \
     second_order_check_multidim, multidim_derivative_repr, nested_derivative_check
-from .girsanov import StepProcess, constant_process, deterministic_process, \
+from .girsanov import constant_process, deterministic_process, \
     history_process, doleans_exponential, shift_forward, shift_backward, \
     girsanov_check
 from .clark_ocone import SmoothFunctional, scalar_functional, \
@@ -73,10 +72,8 @@ class CheckRecord:
                 "gap": self.gap, "passed": self.passed}
 
 
-def _rec(overrides: Optional[Dict[str, float]], name: str, lhs: float,
-         rhs: float, std_err: float, tolerance: float) -> CheckRecord:
-    if overrides and name in overrides:
-        tolerance = float(overrides[name])
+def _rec(name: str, lhs: float, rhs: float, std_err: float,
+         tolerance: float) -> CheckRecord:
     return CheckRecord(name, float(lhs), float(rhs), float(std_err),
                        float(tolerance))
 
@@ -111,7 +108,7 @@ def _curve_battery(grid: TimeGrid):
 
 
 def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
-                     seed: int = 7101, tolerances=None, horizon: float = 1.0,
+                     seed: int = 7101, horizon: float = 1.0,
                      functionals: Optional[Sequence[str]] = None) -> List[CheckRecord]:
     """Parameter derivative of f(law of B_T under L^lam) two ways.
 
@@ -137,8 +134,7 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
                          - chain_rule_rhs(f, curve, lam, x, p)
                          for p, x in zip(shards, shard_xi)]
                 se = _shard_se(diffs)
-                records.append(_rec(tolerances,
-                                    f"chain/{fid}|{cid}|lam={lam:.2f}",
+                records.append(_rec(f"chain/{fid}|{cid}|lam={lam:.2f}",
                                     lhs, rhs, se, 3.0 * se + fd_bias))
 
     # Closed form: under exp(lam B_T - lam^2 T / 2) the mean of B_T is lam T,
@@ -152,9 +148,9 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
                       for p, x in zip(shards, shard_xi)])
     se_r = _shard_se([chain_rule_rhs(f, curve, lam, x, p)
                       for p, x in zip(shards, shard_xi)])
-    records.append(_rec(tolerances, "chain/closed-form-fd", lhs, grid.horizon,
+    records.append(_rec("chain/closed-form-fd", lhs, grid.horizon,
                         se_l, 3.0 * se_l + fd_bias))
-    records.append(_rec(tolerances, "chain/closed-form-repr", rhs,
+    records.append(_rec("chain/closed-form-repr", rhs,
                         grid.horizon, se_r, 3.0 * se_r))
     return records
 
@@ -190,7 +186,7 @@ def _plane_functionals() -> List[CylindricalFn]:
 
 
 def check_second_order(n_paths: int = 20000, n_steps: int = 16,
-                       seed: int = 7202, tolerances=None,
+                       seed: int = 7202,
                        horizon: float = 1.0) -> List[CheckRecord]:
     """Space derivative of the derivative profile against the Lions derivative.
 
@@ -215,7 +211,7 @@ def check_second_order(n_paths: int = 20000, n_steps: int = 16,
             lo, hi = np.quantile(law.atoms_1d(), [0.05, 0.95])
             xs = np.linspace(lo, hi, 41)
             err = second_order_check_1d(f, law, xs, _FD_STEP)
-            records.append(_rec(tolerances, f"second/1d|{fid}|{lid}",
+            records.append(_rec(f"second/1d|{fid}|{lid}",
                                 err, 0.0, 0.0, fd_bias + 1e-9))
 
     # Step-halving ladder: the worst-case error of the centered difference
@@ -228,7 +224,7 @@ def check_second_order(n_paths: int = 20000, n_steps: int = 16,
                    ("gauss_mean", _gauss_mean())):
         errs = [second_order_check_1d(f, law, xs, h) for h in steps]
         slope = float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
-        records.append(_rec(tolerances, f"second/slope|{fid}", slope, 2.0,
+        records.append(_rec(f"second/slope|{fid}", slope, 2.0,
                             0.0, 0.2))
 
     # Planar gradient consistency on the joint law of (B_{T/2}, B_T).
@@ -238,15 +234,14 @@ def check_second_order(n_paths: int = 20000, n_steps: int = 16,
                               np.linspace(-1.2, 1.2, 9)])
     for f in _plane_functionals():
         err = second_order_check_multidim(f, law2, probe2, _FD_STEP)
-        records.append(_rec(tolerances, f"second/2d|{f.descriptor}",
+        records.append(_rec(f"second/2d|{f.descriptor}",
                             err, 0.0, 0.0, fd_bias + 1e-9))
 
-    records.extend(_repr_records(tolerances, seed, horizon))
+    records.extend(_repr_records(seed, horizon))
     return records
 
 
-def _repr_records(tolerances, seed: int,
-                  horizon: float = 1.0) -> List[CheckRecord]:
+def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
     """Stochastic-integral representation on a coarse grid.
 
     The conditional projections need tensor quadrature over the remaining
@@ -260,22 +255,18 @@ def _repr_records(tolerances, seed: int,
     n = grid.n_steps
 
     sig = 0.4
-    bound = math.exp(sig * 8.0 * math.sqrt(horizon))
     L = scalar_functional(grid,
                           lambda s: np.exp(sig * s - 0.5 * sig ** 2 * horizon),
-                          lambda s: sig * np.exp(sig * s - 0.5 * sig ** 2 * horizon),
-                          bounds=(bound, sig * bound))
+                          lambda s: sig * np.exp(sig * s - 0.5 * sig ** 2 * horizon))
     half = n // 2
     xi1 = SmoothFunctional(
         n_args=n,
         value_fn=lambda x: np.asarray(x, dtype=float)[:, :half].sum(axis=1),
         grad_fn=lambda x: np.concatenate(
             [np.ones((np.asarray(x).shape[0], half)),
-             np.zeros((np.asarray(x).shape[0], n - half))], axis=1),
-        bounds=(8.0 * math.sqrt(horizon), 1.0))
+             np.zeros((np.asarray(x).shape[0], n - half))], axis=1))
     xi2 = scalar_functional(grid, lambda s: s,
-                            lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                            bounds=(8.0 * math.sqrt(horizon), 1.0))
+                            lambda s: np.ones_like(np.asarray(s, dtype=float)))
 
     inc = pool.increments
     l_vals = np.asarray(L.value_fn(inc), dtype=float)
@@ -297,7 +288,7 @@ def _repr_records(tolerances, seed: int,
         zero = float(np.dot(w, l_norm * out))
         se0 = float(np.sqrt(np.dot(w, (l_norm * out - zero) ** 2)
                             / max(pool.n_samples - 1, 1)))
-        records.append(_rec(tolerances, f"second/repr-drift|{f.descriptor}",
+        records.append(_rec(f"second/repr-drift|{f.descriptor}",
                             zero, 0.0, se0, 3.0 * se0))
 
         pair_vals = l_norm * out * ito_eta
@@ -309,7 +300,7 @@ def _repr_records(tolerances, seed: int,
                                   step=1e-3)
         scale = max(abs(fd), 1.0)
         tol = 3.0 * se_p + _BRACKET_BIAS * float(dts[0]) * scale
-        records.append(_rec(tolerances, f"second/repr-fd|{f.descriptor}",
+        records.append(_rec(f"second/repr-fd|{f.descriptor}",
                             pair, fd, se_p, tol))
     return records
 
@@ -343,7 +334,7 @@ def _girsanov_observables():
 
 
 def check_girsanov(n_paths: int = 20000, n_steps: int = 16,
-                   seed: int = 7303, tolerances=None,
+                   seed: int = 7303,
                    horizon: float = 1.0) -> List[CheckRecord]:
     """Reweighting by the exponential martingale against shifted paths.
 
@@ -361,7 +352,7 @@ def check_girsanov(n_paths: int = 20000, n_steps: int = 16,
         gname, gamma = gammas[gi]
         pname, phi = phis[pi]
         lhs, rhs, se = girsanov_check(pool, gamma, phi)
-        records.append(_rec(tolerances, f"girsanov/{gname}*{pname}",
+        records.append(_rec(f"girsanov/{gname}*{pname}",
                             lhs, rhs, se, 3.0 * se + 1e-12))
 
     for gname in ("sin-t", "tanh-B"):
@@ -369,7 +360,7 @@ def check_girsanov(n_paths: int = 20000, n_steps: int = 16,
         back = shift_backward(shift_forward(pool, gamma, grid.horizon),
                               gamma, grid.horizon)
         err = float(np.max(np.abs(back.increments - pool.increments)))
-        records.append(_rec(tolerances, f"girsanov/inverse|{gname}",
+        records.append(_rec(f"girsanov/inverse|{gname}",
                             err, 0.0, 0.0, 1e-10))
 
     w = pool.weights / pool.weights.sum()
@@ -386,13 +377,13 @@ def check_girsanov(n_paths: int = 20000, n_steps: int = 16,
                 worst_gap = abs(m - 1.0) - 3.0 * se
         # The roundoff floor covers knots where the integrand vanishes and
         # the exponential is exactly one on every path.
-        records.append(_rec(tolerances, f"girsanov/mean-one|{gname}",
+        records.append(_rec(f"girsanov/mean-one|{gname}",
                             worst, 1.0, worst_se, 3.0 * worst_se + 1e-9))
     return records
 
 
 def check_clark_ocone(n_paths: int = 20000, n_steps: int = 16,
-                      seed: int = 7404, tolerances=None,
+                      seed: int = 7404,
                       horizon: float = 1.0) -> List[CheckRecord]:
     """Integrand extraction on the exponential family and defect scaling.
 
@@ -406,13 +397,11 @@ def check_clark_ocone(n_paths: int = 20000, n_steps: int = 16,
     records = []
 
     sig = 0.4
-    bound = math.exp(sig * 10.0)
     F = scalar_functional(grid,
                           lambda s: np.exp(sig * s - 0.5 * sig ** 2 * grid.horizon),
-                          lambda s: sig * np.exp(sig * s - 0.5 * sig ** 2 * grid.horizon),
-                          bounds=(bound, sig * bound))
+                          lambda s: sig * np.exp(sig * s - 0.5 * sig ** 2 * grid.horizon))
     _, _, gam = clark_ocone_decompose(F, pool, quad_order=32)
-    records.append(_rec(tolerances, "clark/constant-integrand",
+    records.append(_rec("clark/constant-integrand",
                         float(np.max(np.abs(gam - sig))), 0.0, 0.0, 1e-8))
 
     # A tanh-shaped density: positive, mean exactly one by symmetry, and the
@@ -422,13 +411,13 @@ def check_clark_ocone(n_paths: int = 20000, n_steps: int = 16,
         g = make_grid(n, horizon)
         p = sample_paths(g, n_paths, seed + n)
         Fh = scalar_functional(g, lambda s: 1.0 + 0.5 * np.tanh(s),
-                               lambda s: 0.5 / np.cosh(s) ** 2, bounds=(1.5, 0.5))
+                               lambda s: 0.5 / np.cosh(s) ** 2)
         Z, _, _ = clark_ocone_decompose(Fh, p, quad_order=32)
         vals = np.asarray(Fh.value_fn(p.increments), dtype=float)
         defects.append(reconstruction_error(vals, Z, p))
     for k, n in enumerate((4, 8, 16)):
         ratio = defects[k] / defects[k + 1]
-        records.append(_rec(tolerances, f"clark/defect-ratio|{n}to{2 * n}",
+        records.append(_rec(f"clark/defect-ratio|{n}to{2 * n}",
                             ratio, 1.5, 0.0, 0.3))
     return records
 
@@ -445,7 +434,7 @@ def _nested_battery():
 
 
 def check_lemma34(n_paths: int = 20000, n_steps: int = 16,
-                  seed: int = 7505, tolerances=None,
+                  seed: int = 7505,
                   horizon: float = 1.0) -> List[CheckRecord]:
     """Nested conditional functional: partial-derivative formula vs bumping.
 
@@ -467,7 +456,7 @@ def check_lemma34(n_paths: int = 20000, n_steps: int = 16,
         for bw in ladder:
             err = nested_derivative_check(fn, pool, dens, x1, x2, probes,
                                           bandwidth=bw)
-            records.append(_rec(tolerances, f"lemma34/{fid}|bw={bw:.2f}",
+            records.append(_rec(f"lemma34/{fid}|bw={bw:.2f}",
                                 err, 0.0, 0.0, tols[bw]))
     return records
 
@@ -488,7 +477,7 @@ def _phi_battery():
 
 
 def check_bensoussan(n_paths: int = 20000, n_steps: int = 16,
-                     seed: int = 7606, tolerances=None,
+                     seed: int = 7606,
                      horizon: float = 1.0) -> List[CheckRecord]:
     """Measure derivative against the classical derivative of the density
     functional built from the smoothed law, on a bandwidth ladder."""
@@ -506,7 +495,7 @@ def check_bensoussan(n_paths: int = 20000, n_steps: int = 16,
     for fid, phi in _phi_battery():
         for bw in ladder:
             err = bensoussan_check(phi, pool, dens, xi, probes, bandwidth=bw)
-            records.append(_rec(tolerances, f"bensoussan/{fid}|bw={bw:.2f}",
+            records.append(_rec(f"bensoussan/{fid}|bw={bw:.2f}",
                                 err, 0.0, 0.0, tols[bw]))
     return records
 
@@ -536,15 +525,15 @@ def _check_inputs(name: str, n_paths: int, n_steps: int,
 
 
 def run_check(name: str, n_paths: int, n_steps: int, seed: int,
-              tolerances: Optional[Dict[str, float]] = None,
               horizon: float = 1.0,
               functionals: Optional[Sequence[str]] = None) -> List[CheckRecord]:
+    """Run one battery by name with its default tolerances."""
     if name not in CHECKS:
         raise KeyError(f"unknown check id: {name}; "
                        f"choose from {sorted(CHECKS)}")
     _check_inputs(name, n_paths, n_steps, functionals)
     kwargs = dict(n_paths=n_paths, n_steps=n_steps, seed=seed,
-                  tolerances=tolerances, horizon=horizon)
+                  horizon=horizon)
     if name == "chain-rule":
         kwargs["functionals"] = functionals
     return CHECKS[name](**kwargs)

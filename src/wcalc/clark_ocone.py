@@ -31,19 +31,18 @@ _ROW_BUDGET = 1 << 18
 
 @dataclass(frozen=True)
 class SmoothFunctional:
-    """C^1 functional of the n_args grid increments with certified bounds.
+    """C^1 functional of the n_args grid increments.
 
     value_fn maps (m, n_args) -> (m,), grad_fn maps (m, n_args) ->
-    (m, n_args). bounds = (sup |F|, sup |grad F|). If the functional only
-    reads the total sum of its arguments, scalar_fn/scalar_fn_prime give that
-    one-variable form; conditional smoothing then stays one-dimensional no
-    matter how fine the grid is.
+    (m, n_args). If the functional only reads the total sum of its
+    arguments, scalar_fn/scalar_fn_prime give that one-variable form;
+    conditional smoothing then stays one-dimensional no matter how fine the
+    grid is.
     """
 
     n_args: int
     value_fn: Callable
     grad_fn: Callable
-    bounds: Tuple[float, float]
     scalar_fn: Optional[Callable] = None
     scalar_fn_prime: Optional[Callable] = None
 
@@ -76,8 +75,8 @@ class SmoothFunctional:
                 raise ValueError("scalar derivative disagrees with the gradient")
 
 
-def scalar_functional(grid_or_n, fn: Callable, fn_prime: Callable,
-                      bounds: Tuple[float, float]) -> SmoothFunctional:
+def scalar_functional(grid_or_n, fn: Callable,
+                      fn_prime: Callable) -> SmoothFunctional:
     """Functional reading only the path endpoint: F = fn(sum of increments)."""
     n = grid_or_n.n_steps if isinstance(grid_or_n, TimeGrid) else int(grid_or_n)
 
@@ -89,7 +88,7 @@ def scalar_functional(grid_or_n, fn: Callable, fn_prime: Callable,
         d = np.asarray(fn_prime(x.sum(axis=1)), dtype=float)
         return np.repeat(d[:, None], x.shape[1], axis=1)
 
-    return SmoothFunctional(n, value, grad, bounds,
+    return SmoothFunctional(n, value, grad,
                             scalar_fn=fn, scalar_fn_prime=fn_prime)
 
 
@@ -189,42 +188,40 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
 
 
 def clark_ocone_decompose(F: SmoothFunctional, pool: PathPool,
-                          quad_order: int = 32,
-                          mc_fallback: Optional[Tuple[int, int]] = None):
+                          quad_order: int = 32):
     """Extract (Z, M, gamma) along the pool paths.
 
     Z[:, i] = E[dF/dx_i | F_{t_{i-1}}], M[:, i] = E[F | F_{t_{i-1}}], and
     gamma = Z / M is the logarithmic integrand; M must stay away from zero,
     which holds for the positive normalized densities this is applied to.
+
+    F must read only the path endpoint (carry scalar_fn): every density
+    decomposed here does, and then every Z column is the one-dimensional
+    Gaussian smoothing of scalar_fn_prime instead of a smoothing over the
+    remaining intervals per gradient component.
     """
     grid = pool.grid
     if F.n_args != grid.n_steps:
         raise ValueError("functional arity does not match the grid")
+    if F.scalar_fn is None:
+        raise ValueError("the decomposition needs a functional with scalar_fn "
+                         "(one that reads only the path endpoint)")
     n = pool.n_samples
     Z = np.empty((n, grid.n_steps))
     M = np.empty((n, grid.n_steps))
-    scalar = F.scalar_fn is not None
     for i in range(grid.n_steps):
         t = grid.knots[i]
         pre = pool.increments[:, :i]
-        M[:, i] = gaussian_smooth(F, grid, t, pre, quad_order=quad_order,
-                                  mc_fallback=mc_fallback)
-        if scalar:
-            # d/dx_i of fn(sum) is fn' at the sum for every i; smooth the
-            # one-variable derivative the same way as the value.
-            var = float(grid.horizon - t)
-            nodes, w = gauss_hermite(quad_order)
-            y = pre.sum(axis=1)
-            if var == 0.0:
-                Z[:, i] = np.asarray(F.scalar_fn_prime(y), dtype=float)
-            else:
-                vals = np.asarray(F.scalar_fn_prime(
-                    y[:, None] + np.sqrt(var) * nodes[None, :]))
-                Z[:, i] = vals @ w
-        else:
-            comp = (lambda x, i=i: np.asarray(F.grad_fn(x), dtype=float)[:, i])
-            Z[:, i] = gaussian_smooth(F, grid, t, pre, component=comp,
-                                      quad_order=quad_order, mc_fallback=mc_fallback)
+        M[:, i] = gaussian_smooth(F, grid, t, pre, quad_order=quad_order)
+        # d/dx_i of fn(sum) is fn' at the sum for every i; smooth the
+        # one-variable derivative the same way as the value. Knot i lies
+        # before the horizon, so the remaining variance is positive.
+        var = float(grid.horizon - t)
+        nodes, w = gauss_hermite(quad_order)
+        y = pre.sum(axis=1)
+        vals = np.asarray(F.scalar_fn_prime(
+            y[:, None] + np.sqrt(var) * nodes[None, :]))
+        Z[:, i] = vals @ w
     if np.any(np.abs(M) < 1e-12):
         raise ValueError("conditional mean hits zero; logarithmic integrand undefined")
     return Z, M, Z / M

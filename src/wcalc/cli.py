@@ -10,14 +10,13 @@ else lives in the config file so a run is reproducible from that one file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 from importlib import resources
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from . import __version__
 from .artifacts import atomic_write_csv, atomic_write_json, atomic_write_text
@@ -197,11 +196,10 @@ def cmd_verify(args) -> int:
         raise ConfigError(str(exc)) from exc
     t0 = time.perf_counter()
     records = run_check(args.check, n_paths=r["n_paths"], n_steps=r["n_steps"],
-                        seed=r["seed"], tolerances=cfg.get("tolerances"),
-                        horizon=r["horizon"],
+                        seed=r["seed"], horizon=r["horizon"],
                         functionals=cfg.get("functionals"))
     wall = time.perf_counter() - t0
-    _check_tolerance_names(cfg.get("tolerances"), records)
+    records = _apply_tolerances(records, cfg.get("tolerances"))
     report = _report_dict("verify", args.check, cfg, r, records, wall)
     _emit(report, r["out_dir"], records, f"{args.check}.csv")
     _print_records(records)
@@ -210,37 +208,33 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _check_tolerance_names(overrides: Optional[Dict[str, float]],
-                           records: List[CheckRecord]) -> None:
-    """A tolerance override must name an emitted record; a typo would
-    otherwise leave the default tolerance silently in force."""
-    unknown = sorted(set(overrides or {}) - {rec.name for rec in records})
+def _apply_tolerances(records: List[CheckRecord],
+                      overrides: Optional[Dict[str, float]]) -> List[CheckRecord]:
+    """Replace the tolerance of every record the config names. An override
+    must name an emitted record; a typo would otherwise leave the default
+    tolerance silently in force."""
+    overrides = overrides or {}
+    unknown = sorted(set(overrides) - {rec.name for rec in records})
     if unknown:
         raise ConfigError(f"tolerances name no emitted record: {unknown}")
+    return [dataclasses.replace(rec, tolerance=float(overrides[rec.name]))
+            if rec.name in overrides else rec for rec in records]
 
 
-def _pipeline_records(rep, thresholds: Dict[str, float],
-                      overrides: Optional[Dict[str, float]]) -> List[CheckRecord]:
-    def tol(name, default):
-        if overrides and name in overrides:
-            return float(overrides[name])
-        return default
-
+def _pipeline_records(rep) -> List[CheckRecord]:
     return [
         CheckRecord("pipeline/value-error", rep.final_value_error, 0.0, 0.0,
-                    tol("pipeline/value-error", thresholds["value"])),
+                    DEFAULT_THRESHOLDS["value"]),
         CheckRecord("pipeline/deriv-error", rep.final_deriv_error, 0.0, 0.0,
-                    tol("pipeline/deriv-error", thresholds["deriv"])),
+                    DEFAULT_THRESHOLDS["deriv"]),
         CheckRecord("pipeline/segment-error", rep.final_segment_error, 0.0, 0.0,
-                    tol("pipeline/segment-error", thresholds["segment"])),
+                    DEFAULT_THRESHOLDS["segment"]),
         CheckRecord("pipeline/gamma-consistency", rep.gamma_consistency_gap,
-                    0.0, 0.0,
-                    tol("pipeline/gamma-consistency", thresholds["gamma_gap"])),
+                    0.0, 0.0, DEFAULT_THRESHOLDS["gamma_gap"]),
     ]
 
 
-def _ladder_records(ladders: dict,
-                    overrides: Optional[Dict[str, float]]) -> List[CheckRecord]:
+def _ladder_records(ladders: dict) -> List[CheckRecord]:
     """Monotonicity of each refinement ladder with one-standard-error slack."""
     records = []
     for knob, rows in ladders.items():
@@ -251,10 +245,7 @@ def _ladder_records(ladders: dict,
                 slack = a[se_field] + b[se_field]
                 worst = max(worst, b[field] - a[field] - slack)
             name = f"pipeline/ladder|{knob}|{field.split('_')[0]}"
-            default = 0.0
-            if overrides and name in overrides:
-                default = float(overrides[name])
-            records.append(CheckRecord(name, worst, 0.0, 0.0, default))
+            records.append(CheckRecord(name, worst, 0.0, 0.0, 0.0))
     return records
 
 
@@ -301,13 +292,13 @@ def cmd_pipeline(args) -> int:
 
     t0 = time.perf_counter()
     rep = pipeline_run(curve, r["lam"], r["lam_prime"], pconf, pool)
-    records = _pipeline_records(rep, DEFAULT_THRESHOLDS, cfg.get("tolerances"))
+    records = _pipeline_records(rep)
     ladders = None
     if cfg.get("ladders", False):
         ladders = pipeline_ladders(curve, r["lam"], pconf, pool)
-        records.extend(_ladder_records(ladders, cfg.get("tolerances")))
+        records.extend(_ladder_records(ladders))
     wall = time.perf_counter() - t0
-    _check_tolerance_names(cfg.get("tolerances"), records)
+    records = _apply_tolerances(records, cfg.get("tolerances"))
 
     out_dir = r["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -318,8 +309,7 @@ def cmd_pipeline(args) -> int:
             atomic_write_csv(os.path.join(out_dir, f"ladder_{knob}.csv"),
                              cols, [[row[c] for c in cols] for row in rows])
     report = _report_dict("pipeline", None, cfg, r, records, wall)
-    atomic_write_json(os.path.join(out_dir, "report.json"), report)
-    _write_records_csv(os.path.join(out_dir, "pipeline.csv"), records)
+    _emit(report, out_dir, records, "pipeline.csv")
     _print_records(records)
     for s in rep.stages:
         print(f"stage {s.stage}: value={s.l2_error_value:.3e} "

@@ -53,7 +53,6 @@ class DensityCurve:
     grid: TimeGrid
     value_fn: Callable
     deriv_fn: Callable
-    kind: str
     scalar_triple: Optional[Callable] = None
 
     def __post_init__(self):
@@ -151,7 +150,7 @@ def scalar_exponential_curve(sigma: Callable, dsigma: Callable, grid: TimeGrid,
         return striple(lam, np.asarray(inc, dtype=float).sum(axis=1))[1]
 
     return DensityCurve(lam_lo, lam_hi, grid, value, deriv,
-                        kind="exponential-family", scalar_triple=striple)
+                        scalar_triple=striple)
 
 
 def mixture_curve(base_fn: Callable, other_fn: Callable, grid: TimeGrid,
@@ -166,36 +165,18 @@ def mixture_curve(base_fn: Callable, other_fn: Callable, grid: TimeGrid,
     def deriv(lam, inc):
         return np.asarray(other_fn(inc), dtype=float) - np.asarray(base_fn(inc), dtype=float)
 
-    return DensityCurve(lam_lo, lam_hi, grid, value, deriv, kind="mixture")
-
-
-@dataclass(frozen=True)
-class DerivativeProfile:
-    """Density derivative of a measure functional, tabulated on a point grid.
-
-    values[j] is the antiderivative of the Lions derivative at x_grid[j]
-    minus centering_constant; the centering makes the profile average to zero
-    under the law itself (at its atoms), pinning the additive freedom.
-    """
-
-    law: EmpiricalLaw
-    x_grid: np.ndarray
-    values: np.ndarray
-    centering_constant: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_grid", np.asarray(self.x_grid, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.x_grid.shape != self.values.shape:
-            raise ValueError("grid and values must align")
+    return DensityCurve(lam_lo, lam_hi, grid, value, deriv)
 
 
 def density_derivative_profile(f: CylindricalFn, law: EmpiricalLaw,
-                               x_grid, tol: float = 1e-9) -> DerivativeProfile:
-    """Profile x -> int_0^x (Lions derivative)(law, y) dy - centering.
+                               x_grid, tol: float = 1e-9) -> np.ndarray:
+    """Profile x -> int_0^x (Lions derivative)(law, y) dy - centering, at
+    every point of x_grid (same shape).
 
-    Base point 0 is a convention; any other base changes the profile by a
-    constant that the centering immediately absorbs.
+    The centering makes the profile average to zero under the law itself
+    (at its atoms), pinning the additive freedom. Base point 0 is a
+    convention; any other base changes the profile by a constant that the
+    centering immediately absorbs.
     """
     if law.dim != 1:
         raise ValueError("profile construction is one-dimensional")
@@ -209,7 +190,7 @@ def density_derivative_profile(f: CylindricalFn, law: EmpiricalLaw,
     a_grid = joint[:xs.size].reshape(xs.shape)
     a_atoms = joint[xs.size:]
     centering = float(np.dot(law.weights, a_atoms))
-    return DerivativeProfile(law, xs, a_grid - centering, centering)
+    return a_grid - centering
 
 
 def recenter_to_base(values: np.ndarray, pool: PathPool) -> np.ndarray:
@@ -261,7 +242,7 @@ def second_order_check_1d(f: CylindricalFn, law: EmpiricalLaw, x_grid,
     xs = np.asarray(x_grid, dtype=float).reshape(-1)
     prof = density_derivative_profile(f, law, np.concatenate([xs + h_step, xs - h_step]))
     m = xs.size
-    cd = (prof.values[:m] - prof.values[m:]) / (2.0 * h_step)
+    cd = (prof[:m] - prof[m:]) / (2.0 * h_step)
     target = lions_derivative(f, law, xs)
     return float(np.max(np.abs(cd - target)))
 
@@ -295,7 +276,7 @@ def second_order_check_multidim(f: CylindricalFn, law: EmpiricalLaw, x_grid,
 
 def multidim_derivative_repr(f: CylindricalFn, L: SmoothFunctional,
                              xi_fns: Sequence[SmoothFunctional], pool: PathPool,
-                             quad_order: int = 32, mc_fallback=None) -> np.ndarray:
+                             quad_order: int = 32) -> np.ndarray:
     """Per-path derivative values via the drift-corrected stochastic integral.
 
     Each interval contributes H_i * (B(D_i) - gamma_i dt_i): H_i is the
@@ -315,8 +296,7 @@ def multidim_derivative_repr(f: CylindricalFn, L: SmoothFunctional,
     law = pushforward_law(pool, l_vals, xi_pts)
     c = float(f.h_prime(law.integrate(np.asarray(f.phi(law.atoms), dtype=float))))
 
-    Z, M, gamma = clark_ocone_decompose(L, pool, quad_order=quad_order,
-                                        mc_fallback=mc_fallback)
+    Z, M, gamma = clark_ocone_decompose(L, pool, quad_order=quad_order)
 
     def component(i):
         def comp(args):
@@ -334,7 +314,7 @@ def multidim_derivative_repr(f: CylindricalFn, L: SmoothFunctional,
     for i in range(grid.n_steps):
         t = grid.knots[i]
         proj = gaussian_smooth(L, grid, t, inc[:, :i], component=component(i),
-                               quad_order=quad_order, mc_fallback=mc_fallback)
+                               quad_order=quad_order)
         h_i = proj / M[:, i]
         out += h_i * (inc[:, i] - gamma[:, i] * grid.steps[i])
     return out

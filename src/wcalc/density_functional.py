@@ -64,12 +64,24 @@ class GridDensity:
             raise ValueError("cannot normalize a zero-mass density")
         return GridDensity(self.x_grid, self.values / self.mass, 1.0)
 
-def density_grid(law: EmpiricalLaw, bandwidth: float,
+def density_grid(points, bandwidth: float,
                  n_points: int = _DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Uniform window covering the law's atoms plus kernel tails."""
-    atoms = law.atoms_1d()
+    """Uniform window covering the given points plus kernel tails."""
+    pts = np.asarray(points, dtype=float)
     pad = _WINDOW_SIGMAS * bandwidth
-    return np.linspace(atoms.min() - pad, atoms.max() + pad, n_points)
+    return np.linspace(pts.min() - pad, pts.max() + pad, n_points)
+
+
+def _kde_bandwidth(law: EmpiricalLaw, bandwidth: Union[str, float]) -> float:
+    if bandwidth == "auto":
+        bw = silverman_bandwidth(law.atoms_1d(), law.weights)
+        if not np.isfinite(bw) or bw <= 0.0:
+            raise ValueError("degenerate law: pick a bandwidth explicitly")
+        return bw
+    bw = float(bandwidth)
+    if bw <= 0.0:
+        raise ValueError("bandwidth must be positive")
+    return bw
 
 
 def kde_density(law: EmpiricalLaw, x_grid: Optional[np.ndarray] = None,
@@ -78,23 +90,15 @@ def kde_density(law: EmpiricalLaw, x_grid: Optional[np.ndarray] = None,
     to unit trapezoid mass.
 
     With bandwidth="auto" the Silverman rule is used; a degenerate law
-    (effectively a single atom) has no usable automatic bandwidth.
+    (effectively a single atom) has no usable automatic bandwidth. Without
+    x_grid the window covers the atoms plus kernel tails.
     """
     if law.dim != 1:
         raise ValueError("density estimation is one-dimensional")
-    if not law.normalized:
-        raise ValueError("kde_density needs a probability law")
     atoms = law.atoms_1d()
-    if bandwidth == "auto":
-        bw = silverman_bandwidth(atoms, law.weights)
-        if not np.isfinite(bw) or bw <= 0.0:
-            raise ValueError("degenerate law: pick a bandwidth explicitly")
-    else:
-        bw = float(bandwidth)
-        if bw <= 0.0:
-            raise ValueError("bandwidth must be positive")
+    bw = _kde_bandwidth(law, bandwidth)
     if x_grid is None:
-        x_grid = density_grid(law, bw)
+        x_grid = density_grid(atoms, bw)
     x_grid = np.asarray(x_grid, dtype=float)
     raw, = binned_gaussian_smooth(atoms, [law.weights], bw, x_grid)
     return GridDensity(x_grid, np.maximum(raw, 0.0), 0.0).normalized()
@@ -202,14 +206,17 @@ def bensoussan_check(phi: DensityFunctionalPhi, pool: PathPool,
     """
     probes = np.asarray(x_probes, dtype=float)
     law = pushforward_law(pool, density_values, xi_values)
-    h = kde_density(law, bandwidth=bandwidth)
+    # the window covers the probes too: a small pool's atoms may not reach them
+    bw = _kde_bandwidth(law, bandwidth)
+    window = density_grid(np.concatenate([law.atoms_1d(), probes.ravel()]), bw)
+    h = kde_density(law, x_grid=window, bandwidth=bw)
     f_cyl = phi.as_cylindrical()
 
     # the smoothed law as an atomic law on the grid, trapezoid-weighted
     wgrid = np.full(h.x_grid.size, h.spacing)
     wgrid[0] *= 0.5
     wgrid[-1] *= 0.5
-    kde_law = EmpiricalLaw(h.x_grid[:, None], wgrid * h.values, normalized=True)
+    kde_law = EmpiricalLaw(h.x_grid[:, None], wgrid * h.values)
 
     lhs = np.atleast_1d(lions_derivative(f_cyl, kde_law, probes))
     rhs = representer_x_derivative(phi, h, probes)
@@ -220,5 +227,5 @@ def bensoussan_check(phi: DensityFunctionalPhi, pool: PathPool,
     rep_mean = float(np.dot(law.weights / law.weights.sum(), rep_at_atoms))
     centered_rep = rep_at_probes - rep_mean
     profile = density_derivative_profile(f_cyl, law, probes)
-    err_profile = float(np.abs(centered_rep - profile.values).max())
+    err_profile = float(np.abs(centered_rep - profile).max())
     return max(err_slope, err_profile)

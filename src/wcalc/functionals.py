@@ -9,7 +9,7 @@ oracle on the lift provides the independent cross-check for both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -114,8 +114,6 @@ class NestedFn:
 
 
 def eval_cyl(f: CylindricalFn, law: EmpiricalLaw) -> float:
-    if not law.normalized:
-        raise ValueError("eval_cyl needs a probability law")
     if law.dim != f.dim:
         raise ValueError("law dimension does not match the functional")
     return float(f.h(law.integrate(f.phi)))
@@ -128,8 +126,6 @@ def lions_derivative(f: CylindricalFn, law: EmpiricalLaw, x):
     the result matches: scalar, (dim,), or (m, dim). For dim 1 a batch (m,)
     returns (m,).
     """
-    if not law.normalized:
-        raise ValueError("lions_derivative needs a probability law")
     if law.dim != f.dim:
         raise ValueError("law dimension does not match the functional")
     c = float(f.h_prime(law.integrate(f.phi)))

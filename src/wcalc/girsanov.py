@@ -131,7 +131,7 @@ def shift_forward(pool: PathPool, gamma: StepProcess, t: float) -> PathPool:
     for i in range(j):
         g = gamma.column(i, inc[:, :i])
         inc[:, i] = pool.increments[:, i] + g * dts[i]
-    return _pool_from_increments(pool.grid, inc, pool.weights.copy(), pool.seed)
+    return _pool_from_increments(pool.grid, inc, pool.weights.copy())
 
 
 def shift_backward(pool: PathPool, gamma: StepProcess, t: float) -> PathPool:
@@ -142,7 +142,7 @@ def shift_backward(pool: PathPool, gamma: StepProcess, t: float) -> PathPool:
     for i in range(j):
         g = gamma.column(i, pool.increments[:, :i])
         inc[:, i] = pool.increments[:, i] - g * dts[i]
-    return _pool_from_increments(pool.grid, inc, pool.weights.copy(), pool.seed)
+    return _pool_from_increments(pool.grid, inc, pool.weights.copy())
 
 
 def girsanov_check(pool: PathPool, gamma: StepProcess, phi: Callable):

@@ -20,16 +20,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmpiricalLaw:
-    """Weighted atoms in R^dim.
-
-    Probability laws carry normalized=True (weights >= 0 summing to 1).
-    Signed measures, which arise when pairing against signed densities, carry
-    normalized=False and are only meant for linear pairings via integrate().
-    """
+    """Probability law on R^dim: atoms with weights >= 0 summing to 1."""
 
     atoms: np.ndarray
     weights: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
@@ -43,11 +37,10 @@ class EmpiricalLaw:
             raise ValueError("one weight per atom required")
         if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(w))):
             raise ValueError("atoms and weights must be finite")
-        if self.normalized:
-            if np.any(w < 0):
-                raise ValueError("normalized law cannot have negative weights")
-            if abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError("normalized law weights must sum to 1")
+        if np.any(w < 0):
+            raise ValueError("law weights cannot be negative")
+        if abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError("law weights must sum to 1")
 
     @property
     def dim(self) -> int:
@@ -70,15 +63,13 @@ class EmpiricalLaw:
         return float(np.dot(self.weights, v))
 
 
-def pushforward_law(pool: PathPool, density_values, observable_values,
-                    normalized: bool = True) -> EmpiricalLaw:
+def pushforward_law(pool: PathPool, density_values,
+                    observable_values) -> EmpiricalLaw:
     """Law of the observable under the density-reweighted pool measure.
 
-    Atoms are the observable values; weights are proportional to pool weight
-    times density value. With normalized=True the weights are scaled to sum
-    to 1 (a probability law); with normalized=False the signed masses
-    w_i L_i / sum w are kept, so integrate() returns the plain weighted
-    average of L * value.
+    Atoms are the observable values; weights are pool weight times density
+    value, scaled to sum to 1. The density must be nonnegative with a pool
+    mean compatible with one.
     """
     L = np.asarray(density_values, dtype=float)
     obs = np.asarray(observable_values, dtype=float)
@@ -87,8 +78,6 @@ def pushforward_law(pool: PathPool, density_values, observable_values,
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(obs))):
         raise ValueError("density and observable values must be finite")
     raw = pool.weights * L
-    if not normalized:
-        return EmpiricalLaw(obs, raw / pool.weights.sum(), normalized=False)
     if np.any(L < 0):
         raise ValueError("probability law requested but density has negative values")
     mean = raw.sum() / pool.weights.sum()
@@ -97,7 +86,7 @@ def pushforward_law(pool: PathPool, density_values, observable_values,
     if abs(mean - 1.0) > slack:
         raise ValueError(
             f"density mean {mean:.6g} is incompatible with a probability law")
-    return EmpiricalLaw(obs, raw / raw.sum(), normalized=True)
+    return EmpiricalLaw(obs, raw / raw.sum())
 
 
 def wasserstein1(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
@@ -108,8 +97,6 @@ def wasserstein1(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
     """
     if a.dim != 1 or b.dim != 1:
         raise ValueError("wasserstein1 is implemented for 1-D laws only")
-    if not (a.normalized and b.normalized):
-        raise ValueError("wasserstein1 needs probability laws")
     xa, xb = a.atoms_1d(), b.atoms_1d()
     wa, wb = a.weights, b.weights
     ia, ib = np.argsort(xa, kind="stable"), np.argsort(xb, kind="stable")

@@ -88,7 +88,6 @@ class PathPool:
     grid: TimeGrid
     increments: np.ndarray
     weights: np.ndarray
-    seed: int
     cumulative: np.ndarray
 
     def __post_init__(self):
@@ -120,15 +119,15 @@ class PathPool:
         w = self.weights[rows].copy()
         cum = self.cumulative[rows]
         w *= len(w) / w.sum()
-        return PathPool(self.grid, inc, w, self.seed, cum)
+        return PathPool(self.grid, inc, w, cum)
 
 
 def _pool_from_increments(grid: TimeGrid, increments: np.ndarray,
-                          weights: np.ndarray, seed: int) -> PathPool:
+                          weights: np.ndarray) -> PathPool:
     n = increments.shape[0]
     cum = np.zeros((n, grid.n_steps + 1))
     np.cumsum(increments, axis=1, out=cum[:, 1:])
-    return PathPool(grid, increments, weights, seed, cum)
+    return PathPool(grid, increments, weights, cum)
 
 
 def sample_paths(grid: TimeGrid, n_samples: int, seed: int) -> PathPool:
@@ -141,7 +140,7 @@ def sample_paths(grid: TimeGrid, n_samples: int, seed: int) -> PathPool:
     rng = substream(seed, 0)
     z = rng.standard_normal((n_samples, grid.n_steps))
     inc = z * np.sqrt(grid.steps)
-    return _pool_from_increments(grid, inc, np.ones(n_samples), seed)
+    return _pool_from_increments(grid, inc, np.ones(n_samples))
 
 
 def brownian_at(pool: PathPool, t: float) -> np.ndarray:
@@ -175,4 +174,4 @@ def dyadic_coarsen(pool: PathPool, level: int) -> PathPool:
     cum = pool.cumulative[:, edges]
     inc = np.diff(cum, axis=1)
     grid = TimeGrid(pool.grid.knots[edges])
-    return PathPool(grid, inc, pool.weights, pool.seed, cum)
+    return PathPool(grid, inc, pool.weights, cum)

@@ -19,16 +19,14 @@ def pool():
 
 def tanh_density(grid):
     return scalar_functional(grid, lambda s: 1.0 + 0.5 * np.tanh(s),
-                             lambda s: 0.5 / np.cosh(s) ** 2,
-                             bounds=(1.5, 0.5))
+                             lambda s: 0.5 / np.cosh(s) ** 2)
 
 
 def test_smooth_functional_rejects_wrong_gradient():
     with pytest.raises(ValueError):
         SmoothFunctional(n_args=3,
                          value_fn=lambda x: np.asarray(x).sum(axis=1),
-                         grad_fn=lambda x: 2.0 * np.ones_like(np.asarray(x)),
-                         bounds=(10.0, 1.0))
+                         grad_fn=lambda x: 2.0 * np.ones_like(np.asarray(x)))
 
 
 def test_scalar_form_must_match_full_form():
@@ -36,7 +34,6 @@ def test_scalar_form_must_match_full_form():
         SmoothFunctional(n_args=3,
                          value_fn=lambda x: np.asarray(x).sum(axis=1),
                          grad_fn=lambda x: np.ones_like(np.asarray(x)),
-                         bounds=(10.0, 1.0),
                          scalar_fn=lambda s: 2.0 * s,
                          scalar_fn_prime=lambda s: np.full_like(s, 2.0))
 
@@ -62,15 +59,12 @@ def test_gaussian_smooth_scalar_vs_tensor_route(pool):
     grid = make_grid(5)
     p = sample_paths(grid, 512, seed=7)
     fn = lambda s: np.exp(0.4 * s - 0.08)
-    F_scalar = scalar_functional(grid, fn,
-                                 lambda s: 0.4 * fn(s),
-                                 bounds=(math.exp(4.0), 0.4 * math.exp(4.0)))
+    F_scalar = scalar_functional(grid, fn, lambda s: 0.4 * fn(s))
     F_tensor = SmoothFunctional(
         n_args=5,
         value_fn=lambda x: fn(np.asarray(x, dtype=float).sum(axis=1)),
         grad_fn=lambda x: np.repeat(
-            (0.4 * fn(np.asarray(x, dtype=float).sum(axis=1)))[:, None], 5, axis=1),
-        bounds=(math.exp(4.0), 0.4 * math.exp(4.0)))
+            (0.4 * fn(np.asarray(x, dtype=float).sum(axis=1)))[:, None], 5, axis=1))
     t = grid.knots[2]
     a = gaussian_smooth(F_scalar, grid, t, p.increments[:, :2], quad_order=32)
     b = gaussian_smooth(F_tensor, grid, t, p.increments[:, :2], quad_order=32)
@@ -97,8 +91,7 @@ def test_decompose_exponential_integrand_frozen(pool):
     T = pool.grid.horizon
     F = scalar_functional(pool.grid,
                           lambda u: np.exp(s * u - 0.5 * s * s * T),
-                          lambda u: s * np.exp(s * u - 0.5 * s * s * T),
-                          bounds=(math.exp(6.0), math.exp(6.0)))
+                          lambda u: s * np.exp(s * u - 0.5 * s * s * T))
     Z, M, gamma = clark_ocone_decompose(F, pool, quad_order=32)
     assert np.max(np.abs(gamma - s)) < 1e-8
     # M at the first knot is the unconditional mean, exactly one
@@ -117,7 +110,7 @@ def test_decompose_left_endpoint_measurability(pool):
     shuffled = pool.increments.copy()
     shuffled[:, i:] = shuffled[perm, i:]
     from wcalc.wiener_grid import _pool_from_increments
-    p2 = _pool_from_increments(pool.grid, shuffled, pool.weights.copy(), 0)
+    p2 = _pool_from_increments(pool.grid, shuffled, pool.weights.copy())
     Z2, M2, _ = clark_ocone_decompose(F, p2, quad_order=24)
     assert np.allclose(M2[:, i], M[:, i], atol=1e-12)
     assert np.allclose(Z2[:, i], Z[:, i], atol=1e-12)
@@ -128,8 +121,7 @@ def test_linear_functional_reconstructs_exactly(pool):
     zero on the nose, at every grid size."""
     c = 0.25
     F = scalar_functional(pool.grid, lambda s: 1.0 + c * s,
-                          lambda s: np.full_like(np.asarray(s, dtype=float), c),
-                          bounds=(100.0, c))
+                          lambda s: np.full_like(np.asarray(s, dtype=float), c))
     Z, _, _ = clark_ocone_decompose(F, pool, quad_order=16)
     vals = np.asarray(F.value_fn(pool.increments), dtype=float)
     assert reconstruction_error(vals, Z, pool) < 1e-10
@@ -165,7 +157,7 @@ def coupled_functional(n):
         g[:, -1] += c * x[:, 1]
         return g
 
-    return SmoothFunctional(n, value, grad, bounds=(1e3, 1e3))
+    return SmoothFunctional(n, value, grad)
 
 
 def per_row_tensor_mean(F, grid, j, prefix, order):
@@ -227,3 +219,11 @@ def test_gaussian_smooth_rejects_nonpositive_draw_count(n_draws):
 def test_decompose_rejects_zero_quadrature_order(pool):
     with pytest.raises(ValueError, match="quad_order"):
         clark_ocone_decompose(tanh_density(pool.grid), pool, quad_order=0)
+
+
+def test_decompose_needs_an_endpoint_functional():
+    """Only functionals with scalar_fn are decomposed; the coupled one reads
+    every increment, so it is refused before any smoothing."""
+    pool = sample_paths(make_grid(4), 16, seed=5)
+    with pytest.raises(ValueError, match="scalar_fn"):
+        clark_ocone_decompose(coupled_functional(4), pool)

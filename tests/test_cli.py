@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from wcalc import __version__, cli
+from wcalc import DEFAULT_THRESHOLDS, __version__, cli
 from wcalc.cli import main
 
 
@@ -292,6 +292,58 @@ def test_tolerance_override_must_name_an_emitted_record(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "error:" in err and typo in err
     assert not out.exists()
+
+
+def test_tolerance_override_is_applied_by_name(tmp_path):
+    """The overridden verify record carries exactly the override; every
+    other record keeps the battery's default tolerance."""
+    cfg = verify_config(tmp_path, out_dir=str(tmp_path / "base"))
+    assert main(["verify", "girsanov", "--config", cfg]) == 0
+    base = read_report(tmp_path / "base")["records"]
+    target = base[0]["name"]
+    cfg = verify_config(tmp_path, tolerances={target: 1e-30})
+    assert main(["verify", "girsanov", "--config", cfg]) == 1
+    forced = read_report(tmp_path / "out")["records"]
+    assert [r["name"] for r in forced] == [r["name"] for r in base]
+    for b, f in zip(base, forced):
+        want = 1e-30 if b["name"] == target else b["tolerance"]
+        assert f["tolerance"] == want, b["name"]
+        assert f["lhs"] == b["lhs"] and f["rhs"] == b["rhs"]
+    assert [r["name"] for r in forced if not r["passed"]] == [target]
+
+
+def test_ladder_tolerance_override_is_applied_by_name(tmp_path):
+    """A ladder record takes its override; the other ladder records keep
+    tolerance 0 and the pipeline records keep DEFAULT_THRESHOLDS."""
+    target = "pipeline/ladder|mollify_eps|value"
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "p.json", command="pipeline", seed=3,
+                       n_paths=1000, grid={"n_steps": 8}, lam=0.3,
+                       lam_prime=0.5, ladders=True,
+                       pipeline={"dyadic_level": 3, "step_count": 8,
+                                 "quad_order": 3},
+                       tolerances={target: 0.25}, out_dir=str(out))
+    assert main(["pipeline", "--config", cfg]) in (0, 1)
+    tols = {r["name"]: r["tolerance"] for r in read_report(out)["records"]}
+    defaults = {"pipeline/value-error": DEFAULT_THRESHOLDS["value"],
+                "pipeline/deriv-error": DEFAULT_THRESHOLDS["deriv"],
+                "pipeline/segment-error": DEFAULT_THRESHOLDS["segment"],
+                "pipeline/gamma-consistency": DEFAULT_THRESHOLDS["gamma_gap"]}
+    ladder = [n for n in tols if n.startswith("pipeline/ladder|")]
+    assert len(ladder) == 8 and target in ladder
+    defaults.update({n: 0.0 for n in ladder})
+    defaults[target] = 0.25
+    assert tols == defaults
+
+
+@pytest.mark.parametrize("n_paths", [2, 6])
+def test_bensoussan_runs_on_small_pools(tmp_path, n_paths):
+    """With a handful of atoms the density window still reaches the
+    battery's probes, so the run completes and writes its report."""
+    cfg = verify_config(tmp_path, check="bensoussan", seed=5,
+                        n_paths=n_paths, grid={"n_steps": 4})
+    assert main(["verify", "bensoussan", "--config", cfg]) in (0, 1)
+    assert len(read_report(tmp_path / "out")["records"]) == 6
 
 
 def test_pipeline_inner_mc_is_accepted_and_ignored(tmp_path):

@@ -54,7 +54,7 @@ def test_scalar_triple_must_match_full_form(broken):
     grid = make_grid(8)
     good = scalar_exponential_curve(lambda l: l, lambda l: 1.0, grid, 0.0, 1.0)
     fields = dict(lam_lo=0.0, lam_hi=1.0, grid=grid, value_fn=good.value_fn,
-                  deriv_fn=good.deriv_fn, kind="user",
+                  deriv_fn=good.deriv_fn,
                   scalar_triple=good.scalar_triple)
     DensityCurve(**fields)
     full = fields[broken]
@@ -71,13 +71,13 @@ def test_profile_is_centered_antiderivative(pool16):
     dens = np.exp(0.3 * xi - 0.045)
     law = pushforward_law(pool16, dens, xi)
     prof = density_derivative_profile(f, law, xi)
-    mean = weighted_expectation(pool16, dens, prof.values)
+    mean = weighted_expectation(pool16, dens, prof)
     assert abs(mean) < 1e-10
     # slope recovers the derivative: finite difference on the profile grid
     probes = np.array([-0.5, 0.0, 0.7])
     h = 1e-4
-    up = density_derivative_profile(f, law, probes + h).values
-    dn = density_derivative_profile(f, law, probes - h).values
+    up = density_derivative_profile(f, law, probes + h)
+    dn = density_derivative_profile(f, law, probes - h)
     from wcalc import lions_derivative
     assert np.allclose((up - dn) / (2 * h), lions_derivative(f, law, probes),
                        atol=1e-6)

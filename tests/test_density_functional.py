@@ -13,7 +13,7 @@ from oracles import kde_naive
 def normal_law(n=4000, seed=2, scale=1.0):
     rng = np.random.default_rng(seed)
     atoms = scale * rng.standard_normal(n)
-    return EmpiricalLaw(atoms[:, None], np.full(n, 1.0 / n), normalized=True)
+    return EmpiricalLaw(atoms[:, None], np.full(n, 1.0 / n))
 
 
 def sin_phi():
@@ -69,7 +69,7 @@ def test_kde_recovers_the_normal_density():
 def test_kde_translation_equivariance():
     law = normal_law(n=800, seed=6)
     shift = 2.5
-    shifted = EmpiricalLaw(law.atoms + shift, law.weights, normalized=True)
+    shifted = EmpiricalLaw(law.atoms + shift, law.weights)
     x = np.linspace(-4.0, 4.0, 300)
     a = kde_density(law, x_grid=x, bandwidth=0.25)
     b = kde_density(shifted, x_grid=x + shift, bandwidth=0.25)
@@ -81,17 +81,17 @@ def test_kde_input_validation():
     with pytest.raises(ValueError):
         kde_density(law, bandwidth=0.0)
     atoms = np.zeros((50, 1))
-    point_mass = EmpiricalLaw(atoms, np.full(50, 0.02), normalized=True)
+    point_mass = EmpiricalLaw(atoms, np.full(50, 0.02))
     with pytest.raises(ValueError, match="degenerate"):
         kde_density(point_mass, bandwidth="auto")
-    pair = EmpiricalLaw(np.zeros((10, 2)), np.full(10, 0.1), normalized=True)
+    pair = EmpiricalLaw(np.zeros((10, 2)), np.full(10, 0.1))
     with pytest.raises(ValueError):
         kde_density(pair, bandwidth=0.2)
 
 
 def test_density_grid_covers_kernel_tails():
     law = normal_law(n=200, seed=9)
-    x = density_grid(law, bandwidth=0.4)
+    x = density_grid(law.atoms_1d(), bandwidth=0.4)
     atoms = law.atoms_1d()
     assert x[0] <= atoms.min() - 1.9
     assert x[-1] >= atoms.max() + 1.9

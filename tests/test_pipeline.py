@@ -13,7 +13,8 @@ from wcalc import (make_grid, sample_paths, dyadic_coarsen, DensityCurve,
                    pipeline_run, ConditionedDensity, TruncatedDensity,
                    MollifiedDensity, stage5_normalize, stage5_derivative,
                    stage7_stepify, final_errors_at, doleans_exponential,
-                   DEFAULT_THRESHOLDS)
+                   pipeline_ladders, DEFAULT_THRESHOLDS)
+from wcalc import approx_pipeline
 
 
 def exp_curve(grid, lo=0.1, hi=0.9):
@@ -37,7 +38,7 @@ def midpoint_curve(grid, lam_lo=0.2, lam_hi=0.6, t=None):
         b = np.asarray(inc, dtype=float)[:, :j].sum(axis=1)
         return value(lam, inc) * (b - lam * t)
 
-    return DensityCurve(lam_lo, lam_hi, grid, value, deriv, kind="user")
+    return DensityCurve(lam_lo, lam_hi, grid, value, deriv)
 
 
 # ---------------------------------------------------------------- config
@@ -299,6 +300,36 @@ def test_final_errors_match_the_pipeline_when_stage7_is_stage6(level, k):
     assert rep.stage(6) == dataclasses.replace(rep.stage(7), stage=6)
     assert final_errors_at(curve, 0.3, cfg, pool)[:2] == \
         (rep.final_value_error, rep.final_deriv_error)
+
+
+def test_ladders_compute_each_distinct_rung_once(monkeypatch):
+    """Twelve rungs, nine distinct configs: the base config sits on three
+    ladders and step_count 2 equals the dyadic rung 3. Reused rows equal a
+    fresh final_errors_at call at their config."""
+    grid = make_grid(8)
+    pool = sample_paths(grid, 500, seed=23)
+    curve = exp_curve(grid, 0.0, 1.0)
+    base = PipelineConfig(dyadic_level=3, truncation_level=6.0,
+                          mollify_eps=0.1, positivity_floor=0.1, step_count=8,
+                          quad_order=3)
+    seen = []
+
+    def counted(curve, lam, config, pool):
+        seen.append(config)
+        return final_errors_at(curve, lam, config, pool)
+
+    monkeypatch.setattr(approx_pipeline, "final_errors_at", counted)
+    ladders = pipeline_ladders(curve, 0.3, base, pool)
+    monkeypatch.undo()
+    assert len(seen) == 9 and len(set(seen)) == 9
+    assert sum(len(rows) for rows in ladders.values()) == 12
+    fields = ("value_error", "deriv_error", "value_se", "deriv_se")
+    for knob, value in (("truncation_level", 6.0), ("mollify_eps", 0.1),
+                        ("step_count", 8), ("step_count", 2)):
+        row = next(r for r in ladders[knob] if r["value"] == value)
+        want = final_errors_at(curve, 0.3,
+                               dataclasses.replace(base, **{knob: value}), pool)
+        assert tuple(row[f] for f in fields) == want, (knob, value)
 
 
 def test_committed_calibration_run_matches_the_code():

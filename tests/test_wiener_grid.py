@@ -9,8 +9,9 @@ def test_make_grid_basics():
     assert g.n_steps == 8
     assert g.horizon == 2.0
     assert np.allclose(g.steps, 0.25)
-    assert g.is_uniform
+    assert g.is_uniform() is True
     assert g.knot_index(0.5) == 2
+    assert TimeGrid(np.array([0.0, 0.1, 0.5, 2.0])).is_uniform() is False
 
 
 def test_grid_rejects_bad_input():
