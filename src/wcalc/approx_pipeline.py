@@ -229,25 +229,38 @@ class TruncatedDensity:
         self.level = float(level)
         self.n_coords = cond.n_coords
 
-    def parts(self, lam: float, coords: np.ndarray, want_du: bool):
-        """(value, parameter derivative, coordinate derivative or None)."""
+    def parts(self, lam: float, coords: np.ndarray, want_du: bool,
+              _cutoffs=None):
+        """(value, parameter derivative, coordinate derivative or None).
+
+        _cutoffs, when given, is (radial_cutoff(coords), radial_cutoff_deriv
+        (coords) or None) at this level, precomputed by a caller that
+        evaluates many parameters on the same coordinates.
+        """
         lev = self.level
         lam_arr = np.array([lam], dtype=float)
         lam_c = float(capped_identity(lam_arr, lev)[0])
         dlam_c = float(capped_identity_deriv(lam_arr, lev)[0])
         cut_l = float(radial_cutoff(lam_arr, lev)[0])
         dcut_l = float(radial_cutoff_deriv(lam_arr, lev)[0])
+        if _cutoffs is None:
+            _cutoffs = self.cutoffs(coords, want_du)
+        cut, dcut = _cutoffs
         h, dh, hu = self.cond.parts(lam_c, coords, want_du)
         ph = capped_identity(h, lev)
         dph = capped_identity_deriv(h, lev)
-        cut = radial_cutoff(coords, lev)
+        del h  # dead from here on; freeing it lowers the peak on large pools
         val = ph * cut * cut_l
         dlam = dph * dh * dlam_c * cut * cut_l + ph * cut * dcut_l
         du = None
         if want_du:
-            du = dph * hu * cut * cut_l \
-                + ph * radial_cutoff_deriv(coords, lev) * cut_l
+            du = dph * hu * cut * cut_l + ph * dcut * cut_l
         return val, dlam, du
+
+    def cutoffs(self, coords: np.ndarray, want_du: bool):
+        """Coordinate cutoff and, if want_du, its derivative at coords."""
+        dcut = radial_cutoff_deriv(coords, self.level) if want_du else None
+        return radial_cutoff(coords, self.level), dcut
 
 
 
@@ -260,7 +273,9 @@ class MollifiedDensity:
     derivatives are the exact derivatives of that finite combination (the
     shift structure lets every derivative land on the truncated functional
     itself), not separate quadratures, so value and derivative routes agree
-    to roundoff.
+    to roundoff. The coordinate cutoffs depend only on the shifted
+    coordinates, so each call computes them once and hands them to all
+    parameter nodes.
     """
 
     def __init__(self, trunc: TruncatedDensity, eps: float,
@@ -277,11 +292,13 @@ class MollifiedDensity:
         m = X.shape[0]
         n_cells = self._wa.size
         flat = (X[:, None] - self.eps * self._alpha[None, :]).reshape(-1)
+        cutoffs = self.trunc.cutoffs(flat, want_du)
         outv = np.zeros(m)
         outl = np.zeros(m)
         outu = np.zeros(m) if want_du else None
         for a, wa in zip(self._alpha, self._wa):
-            v, dl, du = self.trunc.parts(lam - self.eps * a, flat, want_du)
+            v, dl, du = self.trunc.parts(lam - self.eps * a, flat, want_du,
+                                         _cutoffs=cutoffs)
             outv += wa * (v.reshape(m, n_cells) @ self._wa)
             outl += wa * (dl.reshape(m, n_cells) @ self._wa)
             if want_du:
@@ -480,9 +497,10 @@ class PipelineReport:
 
     stages holds one report per computed stage id (1, 3, 4, 5, 6, 7); the
     final_* fields repeat the stage-7 numbers, which are the quantities the
-    construction is meant to drive to zero. gamma_table tabulates the
-    extracted integrand at the primary parameter on gamma_y, one row per
-    step-process knot.
+    construction is meant to drive to zero, and final_value_se /
+    final_deriv_se are the standard errors of the two primary ones.
+    gamma_table tabulates the extracted integrand at the primary parameter
+    on gamma_y, one row per step-process knot.
     """
 
     lam: float
@@ -492,6 +510,8 @@ class PipelineReport:
     final_value_error: float
     final_deriv_error: float
     final_segment_error: float
+    final_value_se: float
+    final_deriv_se: float
     gamma_consistency_gap: float
     knot_times: np.ndarray
     gamma_y: np.ndarray
@@ -589,6 +609,8 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
         if sw is None:
             primary = errs
             primary_tab, primary_denom = gam_tab, denom
+            final_se = (_l2_with_se(w, E7 - target_v)[1],
+                        _l2_with_se(w, dE7 - target_d)[1])
         else:
             for sid in stage_ids:
                 seg_sq[sid] += sw * (errs[sid][0] ** 2 + errs[sid][1] ** 2)
@@ -606,6 +628,8 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
         final_value_error=st7.l2_error_value,
         final_deriv_error=st7.l2_error_deriv,
         final_segment_error=st7.along_segment_error,
+        final_value_se=final_se[0],
+        final_deriv_se=final_se[1],
         gamma_consistency_gap=gap,
         knot_times=k_pool.grid.knots[:-1].copy(),
         gamma_y=y_grid,
@@ -677,20 +701,41 @@ def _ladder_configs(config: PipelineConfig):
 
 
 def pipeline_ladders(curve: DensityCurve, lam: float, config: PipelineConfig,
-                     pool: PathPool) -> Dict[str, list]:
+                     pool: PathPool,
+                     report: Optional[PipelineReport] = None) -> Dict[str, list]:
     """Refinement ladders: final stage-7 errors while one knob moves.
 
     For scalar-form curves conditioning is exact at every dyadic level, so
-    that ladder is expected flat and the step-count ladder carries the
-    time-resolution convergence. Rungs with equal configs (the base config
-    sits on three ladders) share one final_errors_at call.
+    that ladder is flat by construction and the step-count ladder carries
+    the time-resolution convergence.
+
+    Rungs share one final_errors_at call per distinct (truncation_level,
+    mollify_eps, positivity_floor, step_count, quad_order), the fields it
+    reads; dyadic_level is only validated, so the three dyadic rungs and
+    the step_count-2 rung are one computation. report, when given, is
+    pipeline_run's report for the same curve, lam, config and pool; if
+    step_count == 2**dyadic_level its stage-7 errors are the base rung's
+    final_errors_at result bitwise, so the base rung is taken from it.
     """
+    def key(cfg):
+        return (cfg.truncation_level, cfg.mollify_eps, cfg.positivity_floor,
+                cfg.step_count, cfg.quad_order)
+
+    errors: Dict[tuple, tuple] = {}
+    if report is not None:
+        if report.lam != lam or report.config != config:
+            raise ValueError("report was computed at another lam or config")
+        if config.step_count == 1 << config.dyadic_level:
+            errors[key(config)] = (report.final_value_error,
+                                   report.final_deriv_error,
+                                   report.final_value_se,
+                                   report.final_deriv_se)
     ladders: Dict[str, list] = {}
-    errors: Dict[PipelineConfig, tuple] = {}
     for knob, value, cfg in _ladder_configs(config):
-        if cfg not in errors:
-            errors[cfg] = final_errors_at(curve, lam, cfg, pool)
-        ev, ed, se_v, se_d = errors[cfg]
+        _block_edges(pool.grid, cfg.dyadic_level)
+        if key(cfg) not in errors:
+            errors[key(cfg)] = final_errors_at(curve, lam, cfg, pool)
+        ev, ed, se_v, se_d = errors[key(cfg)]
         ladders.setdefault(knob, []).append(
             {"knob": knob, "value": value, "value_error": ev,
              "deriv_error": ed, "value_se": se_v, "deriv_se": se_d})

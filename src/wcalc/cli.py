@@ -295,7 +295,7 @@ def cmd_pipeline(args) -> int:
     records = _pipeline_records(rep)
     ladders = None
     if cfg.get("ladders", False):
-        ladders = pipeline_ladders(curve, r["lam"], pconf, pool)
+        ladders = pipeline_ladders(curve, r["lam"], pconf, pool, rep)
         records.extend(_ladder_records(ladders))
     wall = time.perf_counter() - t0
     records = _apply_tolerances(records, cfg.get("tolerances"))

@@ -144,21 +144,40 @@ def smoothstep(t):
 
 def capped_identity(r, level: float):
     """Slope-capped truncation: identity on |r| <= level-2, flat at
-    +/- (level-1) for |r| >= level, derivative in [0, 1] throughout."""
+    +/- (level-1) for |r| >= level, derivative in [0, 1] throughout.
+
+    The transition polynomial is evaluated only on its band
+    level-2 < |r| < level (and on NaN, which it propagates); elsewhere the
+    closed form is exactly |r| or level-1, so the result is bitwise the
+    same as evaluating it everywhere.
+    """
     r = np.asarray(r, dtype=float)
-    sign = np.sign(r)
-    u = np.abs(r)
-    t = np.clip((u - (level - 2.0)) / 2.0, 0.0, 1.0)
+    val = np.abs(r).reshape(-1)
+    band = _transition_band(val, level)
+    t = np.clip((val[band] - (level - 2.0)) / 2.0, 0.0, 1.0)
     # integral of (1 - smoothstep) over the transition, closed form
     s_int = t ** 4 * (t * (t - 3.0) + 2.5)
-    val = np.where(u <= level - 2.0, u, (level - 2.0) + 2.0 * (t - s_int))
-    return sign * np.minimum(val, level - 1.0)
+    val[band] = (level - 2.0) + 2.0 * (t - s_int)
+    return np.sign(r) * np.minimum(val.reshape(r.shape), level - 1.0)
 
 
 def capped_identity_deriv(r, level: float):
+    """Derivative of capped_identity: 1 on |r| <= level-2, 0 on
+    |r| >= level, with the smoothstep transition evaluated only on the band
+    between (and on NaN)."""
     r = np.asarray(r, dtype=float)
-    t = np.clip((np.abs(r) - (level - 2.0)) / 2.0, 0.0, 1.0)
-    return 1.0 - smoothstep(t)
+    u = np.abs(r).reshape(-1)
+    out = np.where(u <= level - 2.0, 1.0, 0.0)
+    band = _transition_band(u, level)
+    out[band] = 1.0 - smoothstep(np.clip((u[band] - (level - 2.0)) / 2.0,
+                                         0.0, 1.0))
+    return out.reshape(r.shape)[()]  # [()] unwraps 0-d input to a scalar
+
+
+def _transition_band(u, level: float):
+    """Mask of |r| values where the cutoff transition is not a constant:
+    level-2 < u < level, plus NaN so it propagates through the formula."""
+    return ~((u <= level - 2.0) | (u >= level))
 
 
 def radial_cutoff(x, level: float):

@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate, optimize, stats
 
+from wcalc.numerics import radial_cutoff, smoothstep
+
 
 def w1_lp(atoms_a, weights_a, atoms_b, weights_b) -> float:
     """Brute-force 1-D optimal transport with cost |x-y| as a linear program.
@@ -86,6 +88,88 @@ def doleans_naive(increments, dts, gamma_cols):
             acc += g * inc[p, i] - 0.5 * g * g * dts[i]
         out[p] = np.exp(acc)
     return out
+
+
+def assert_bitwise(got, want):
+    """Same shape and the same 64 bits per element, NaN payloads and
+    signbits included; None only matches None."""
+    if want is None or got is None:
+        assert got is want
+        return
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def capped_identity_full(r, level: float):
+    """Slope-capped identity with the transition formula evaluated at every
+    element (the form before the band-only kernel)."""
+    r = np.asarray(r, dtype=float)
+    sign = np.sign(r)
+    u = np.abs(r)
+    t = np.clip((u - (level - 2.0)) / 2.0, 0.0, 1.0)
+    # integral of (1 - smoothstep) over the transition, closed form
+    s_int = t ** 4 * (t * (t - 3.0) + 2.5)
+    val = np.where(u <= level - 2.0, u, (level - 2.0) + 2.0 * (t - s_int))
+    return sign * np.minimum(val, level - 1.0)
+
+
+def capped_identity_deriv_full(r, level: float):
+    r = np.asarray(r, dtype=float)
+    t = np.clip((np.abs(r) - (level - 2.0)) / 2.0, 0.0, 1.0)
+    return 1.0 - smoothstep(t)
+
+
+def radial_cutoff_deriv_full(x, level: float):
+    """d/dr of the scalar cutoff profile at radius |x| (1-D input)."""
+    x = np.asarray(x, dtype=float)
+    r = np.abs(x)
+    t = (r - (level - 2.0)) / 2.0
+    inside = (t > 0.0) & (t < 1.0)
+    ds = np.where(inside, 30.0 * np.clip(t, 0, 1) ** 2 * (np.clip(t, 0, 1) - 1.0) ** 2, 0.0)
+    return -0.5 * ds * np.sign(x)
+
+
+def truncated_parts(trunc, lam, coords, want_du):
+    """TruncatedDensity.parts with every factor recomputed on each call,
+    through the full-formula kernels above."""
+    lev = trunc.level
+    lam_arr = np.array([lam], dtype=float)
+    lam_c = float(capped_identity_full(lam_arr, lev)[0])
+    dlam_c = float(capped_identity_deriv_full(lam_arr, lev)[0])
+    cut_l = float(radial_cutoff(lam_arr, lev)[0])
+    dcut_l = float(radial_cutoff_deriv_full(lam_arr, lev)[0])
+    h, dh, hu = trunc.cond.parts(lam_c, coords, want_du)
+    ph = capped_identity_full(h, lev)
+    dph = capped_identity_deriv_full(h, lev)
+    cut = radial_cutoff(coords, lev)
+    val = ph * cut * cut_l
+    dlam = dph * dh * dlam_c * cut * cut_l + ph * cut * dcut_l
+    du = None
+    if want_du:
+        du = dph * hu * cut * cut_l \
+            + ph * radial_cutoff_deriv_full(coords, lev) * cut_l
+    return val, dlam, du
+
+
+def mollified_acc(moll, lam, coords, want_du):
+    """MollifiedDensity's quadrature with the coordinate cutoffs recomputed
+    at every parameter node, through truncated_parts."""
+    X = np.asarray(coords, dtype=float)
+    m = X.shape[0]
+    n_cells = moll._wa.size
+    flat = (X[:, None] - moll.eps * moll._alpha[None, :]).reshape(-1)
+    outv = np.zeros(m)
+    outl = np.zeros(m)
+    outu = np.zeros(m) if want_du else None
+    for a, wa in zip(moll._alpha, moll._wa):
+        v, dl, du = truncated_parts(moll.trunc, lam - moll.eps * a, flat,
+                                    want_du)
+        outv += wa * (v.reshape(m, n_cells) @ moll._wa)
+        outl += wa * (dl.reshape(m, n_cells) @ moll._wa)
+        if want_du:
+            outu += wa * (du.reshape(m, n_cells) @ moll._wa)
+    return outv, outl, outu
 
 
 def loglog_slope(h_values, errors) -> float:

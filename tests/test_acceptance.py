@@ -177,7 +177,7 @@ def test_criterion_6_pipeline():
                          quad_order=32)
     t0 = time.perf_counter()
     rep = pipeline_run(curve, 0.3, 0.5, cfg, pool)
-    ladders = pipeline_ladders(curve, 0.3, cfg, pool)
+    ladders = pipeline_ladders(curve, 0.3, cfg, pool, rep)
     wall = time.perf_counter() - t0
 
     errors = {"value": rep.final_value_error,

@@ -16,6 +16,8 @@ from wcalc import (make_grid, sample_paths, dyadic_coarsen, DensityCurve,
                    pipeline_ladders, DEFAULT_THRESHOLDS)
 from wcalc import approx_pipeline
 
+from oracles import assert_bitwise, mollified_acc, truncated_parts
+
 
 def exp_curve(grid, lo=0.1, hi=0.9):
     return scalar_exponential_curve(lambda l: l, lambda l: 1.0, grid, lo, hi)
@@ -101,6 +103,43 @@ def test_stage3_identity_on_the_flat_region():
     fv, fd, _ = trunc.parts(lam, far, False)
     assert np.all(fv == 0.0)
     assert np.all(fd == 0.0)
+
+
+@pytest.mark.parametrize("level", [3.0, 4.0, 6.0, 8.0])
+def test_stage3_matches_the_recomputing_oracle(level):
+    """parts, with its coordinate cutoffs computed inside or handed in,
+    equals the full-formula oracle bitwise, band and cap included."""
+    grid = make_grid(8)
+    pool = sample_paths(grid, 500, seed=12)
+    trunc = TruncatedDensity(ConditionedDensity(exp_curve(grid, -9.0, 9.0),
+                                                2, pool), level)
+    u = np.concatenate([np.linspace(-level - 1.0, level + 1.0, 301),
+                        [level - 2.0, level, -level, 0.0, -0.0]])
+    for lam in (0.3, 0.9, -1.7, level - 1.5, level - 2.0, -level, 8.5):
+        for want_du in (False, True):
+            want = truncated_parts(trunc, lam, u, want_du)
+            for got in (trunc.parts(lam, u, want_du),
+                        trunc.parts(lam, u, want_du,
+                                    _cutoffs=trunc.cutoffs(u, want_du))):
+                for g, w in zip(got, want):
+                    assert_bitwise(g, w)
+
+
+@pytest.mark.parametrize("level,eps", [(3.0, 0.3), (6.0, 0.1), (8.0, 0.5)])
+def test_stage4_matches_the_recomputing_oracle(level, eps):
+    """triple and pair, which compute the cutoffs once per call, equal a
+    quadrature that recomputes them at every parameter node, bitwise."""
+    grid = make_grid(8)
+    pool = sample_paths(grid, 500, seed=13)
+    cond = ConditionedDensity(exp_curve(grid, -9.0, 9.0), 3, pool)
+    moll = MollifiedDensity(TruncatedDensity(cond, level), eps)
+    u = np.linspace(-level - 1.0, level + 1.0, 97)
+    for lam in (0.3, 1.1, level - 1.0, -level + 0.2):
+        want = mollified_acc(moll, lam, u, True)
+        for g, w in zip(moll.triple(lam, u), want):
+            assert_bitwise(g, w)
+        for g, w in zip(moll.pair(lam, u), mollified_acc(moll, lam, u, False)):
+            assert_bitwise(g, w)
 
 
 def test_stage3_rejects_small_levels():
@@ -302,34 +341,66 @@ def test_final_errors_match_the_pipeline_when_stage7_is_stage6(level, k):
         (rep.final_value_error, rep.final_deriv_error)
 
 
-def test_ladders_compute_each_distinct_rung_once(monkeypatch):
-    """Twelve rungs, nine distinct configs: the base config sits on three
-    ladders and step_count 2 equals the dyadic rung 3. Reused rows equal a
-    fresh final_errors_at call at their config."""
-    grid = make_grid(8)
-    pool = sample_paths(grid, 500, seed=23)
-    curve = exp_curve(grid, 0.0, 1.0)
-    base = PipelineConfig(dyadic_level=3, truncation_level=6.0,
-                          mollify_eps=0.1, positivity_floor=0.1, step_count=8,
-                          quad_order=3)
+def counting_ladders(monkeypatch, *args):
+    """pipeline_ladders(*args) and the configs it ran final_errors_at on."""
     seen = []
 
     def counted(curve, lam, config, pool):
         seen.append(config)
         return final_errors_at(curve, lam, config, pool)
 
-    monkeypatch.setattr(approx_pipeline, "final_errors_at", counted)
-    ladders = pipeline_ladders(curve, 0.3, base, pool)
-    monkeypatch.undo()
-    assert len(seen) == 9 and len(set(seen)) == 9
+    with monkeypatch.context() as patch:
+        patch.setattr(approx_pipeline, "final_errors_at", counted)
+        return pipeline_ladders(*args), seen
+
+
+def test_ladders_compute_each_distinct_rung_once(monkeypatch):
+    """Twelve rungs, seven distinct computations: final_errors_at reads no
+    dyadic_level, so the three dyadic rungs equal step_count 2, and the base
+    config sits on three ladders. pipeline_run's report supplies the base
+    rung, leaving six calls. Shared and seeded rows equal a fresh
+    final_errors_at call at their own config, bitwise."""
+    grid = make_grid(8)
+    pool = sample_paths(grid, 500, seed=23)
+    curve = exp_curve(grid, 0.0, 1.0)
+    base = PipelineConfig(dyadic_level=3, truncation_level=6.0,
+                          mollify_eps=0.1, positivity_floor=0.1, step_count=8,
+                          quad_order=3)
+    rep = pipeline_run(curve, 0.3, 0.5, base, pool)
+    ladders, seen = counting_ladders(monkeypatch, curve, 0.3, base, pool, rep)
+    assert len(seen) == 6 and len(set(seen)) == 6
+    assert base not in seen
     assert sum(len(rows) for rows in ladders.values()) == 12
     fields = ("value_error", "deriv_error", "value_se", "deriv_se")
-    for knob, value in (("truncation_level", 6.0), ("mollify_eps", 0.1),
-                        ("step_count", 8), ("step_count", 2)):
+    configs = {(knob, value): cfg
+               for knob, value, cfg in approx_pipeline._ladder_configs(base)}
+    for knob, value in (("dyadic_level", 1), ("dyadic_level", 2),
+                        ("truncation_level", 6.0), ("step_count", 2)):
         row = next(r for r in ladders[knob] if r["value"] == value)
-        want = final_errors_at(curve, 0.3,
-                               dataclasses.replace(base, **{knob: value}), pool)
+        want = final_errors_at(curve, 0.3, configs[knob, value], pool)
         assert tuple(row[f] for f in fields) == want, (knob, value)
+    for knob in ("mollify_eps", "step_count"):
+        assert ladders[knob][-1] | {"knob": "truncation_level", "value": 6.0} \
+            == ladders["truncation_level"][1]
+
+
+def test_ladders_seed_only_a_matching_report(monkeypatch):
+    """A report at another lam or config is refused; one whose stage 7 is
+    not the ladder core (step_count below 2**dyadic_level) is not used."""
+    grid = make_grid(8)
+    pool = sample_paths(grid, 300, seed=24)
+    curve = exp_curve(grid, 0.0, 1.0)
+    base = PipelineConfig(dyadic_level=3, truncation_level=6.0,
+                          mollify_eps=0.1, positivity_floor=0.1, step_count=4,
+                          quad_order=3)
+    rep = pipeline_run(curve, 0.3, 0.5, base, pool)
+    with pytest.raises(ValueError, match="another lam or config"):
+        pipeline_ladders(curve, 0.4, base, pool, rep)
+    with pytest.raises(ValueError, match="another lam or config"):
+        pipeline_ladders(curve, 0.3, dataclasses.replace(base, step_count=8),
+                         pool, rep)
+    ladders, seen = counting_ladders(monkeypatch, curve, 0.3, base, pool, rep)
+    assert len(seen) == 7 and base in seen
 
 
 def test_committed_calibration_run_matches_the_code():
