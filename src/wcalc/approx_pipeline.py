@@ -21,13 +21,21 @@ approximate the curve and its parameter derivative in L2(Q):
 7. freeze that integrand to a left-endpoint step process on a coarser grid
    and exponentiate.
 
-Stages 1-4 therefore act on one coordinate. In stages 6 and 7 the
-integrand is tabulated once per parameter value on a grid of the running
-terminal coordinate, read along every path and exponentiated, first at
-every block knot (stage 6) and then at every (2**dyadic_level /
-step_count)-th knot (stage 7), so the two coincide when step_count equals
-2**dyadic_level. final_errors_at runs the same step with the table built
-at the step_count knots only.
+Stages 1-4 therefore act on one coordinate. The stage-4 density is a
+function of (parameter, terminal coordinate u) alone and vanishes for
+|u| >= truncation level + mollification width, so it is tabulated once per
+parameter value on a uniform u-grid over that support (one quadrature
+call), and stages 4-7 read it from there by cubic Hermite interpolation:
+the per-path values behind stages 4 and 5 and the normalization constant,
+and every Gauss-Hermite node of the integrand tables. Stage 3 and the
+consistency check evaluate their densities directly, so the check stays an
+independent measure of the tabulation. In stages 6 and 7 the integrand is
+tabulated once per parameter value on a grid of the running terminal
+coordinate, read along every path and exponentiated, first at every block
+knot (stage 6) and then at every (2**dyadic_level / step_count)-th knot
+(stage 7), so the two coincide when step_count equals 2**dyadic_level.
+final_errors_at runs the same step with the table built at the step_count
+knots only.
 
 Every stage reports L2(Q) distances to the target curve, both at a primary
 parameter value and integrated along a parameter segment.
@@ -52,6 +60,7 @@ from .numerics import (bump_quad_1d, capped_identity, capped_identity_deriv,
 from .wiener_grid import PathPool, TimeGrid, _block_edges, dyadic_coarsen
 
 _MOLL_NODES = 17
+_U_POINTS = 4097
 _TABLE_POINTS = 1025
 _SEGMENT_NODES = 4
 _CHECK_PATHS = 128
@@ -250,11 +259,28 @@ class TruncatedDensity:
         ph = capped_identity(h, lev)
         dph = capped_identity_deriv(h, lev)
         del h  # dead from here on; freeing it lowers the peak on large pools
-        val = ph * cut * cut_l
-        dlam = dph * dh * dlam_c * cut * cut_l + ph * cut * dcut_l
+        # The products below associate left, as in ph * cut * cut_l, and a
+        # product with 1.0 is exact, so sharing ph * cut and skipping the
+        # factors dlam_c and cut_l where they are 1.0 (every parameter
+        # inside level - 2) keeps every bit of the full formula.
+        pc = ph * cut
+        val = pc if cut_l == 1.0 else pc * cut_l
+        dlam = dph * dh
+        if dlam_c != 1.0:
+            dlam *= dlam_c
+        dlam *= cut
+        if cut_l != 1.0:
+            dlam *= cut_l
+        dlam += pc * dcut_l  # kept at dcut_l == 0.0 for signed zeros and NaN
         du = None
         if want_du:
-            du = dph * hu * cut * cut_l + ph * dcut * cut_l
+            du = dph * hu
+            du *= cut
+            pd = ph * dcut
+            if cut_l != 1.0:
+                du *= cut_l
+                pd *= cut_l
+            du += pd
         return val, dlam, du
 
     def cutoffs(self, coords: np.ndarray, want_du: bool):
@@ -311,12 +337,66 @@ class MollifiedDensity:
     def du(self, lam: float, coords: np.ndarray) -> np.ndarray:
         return self._acc(lam, coords, True)[2]
 
-    def pair(self, lam: float, coords: np.ndarray):
-        v, dl, _ = self._acc(lam, coords, False)
-        return v, dl
-
     def triple(self, lam: float, coords: np.ndarray):
         return self._acc(lam, coords, True)
+
+
+def _hermite_coefs(y: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Per-interval coefficients of 1, t, t**2, t**3, t = (x - x_i) / h, of
+    the cubic through values y with slopes m (already scaled by h)."""
+    y0, y1, m0, m1 = y[:-1], y[1:], m[:-1], m[1:]
+    dy = y1 - y0
+    return np.stack([y0, m0, 3.0 * dy - 2.0 * m0 - m1, m0 + m1 - 2.0 * dy],
+                    axis=1)
+
+
+def _central_slopes(f: np.ndarray) -> np.ndarray:
+    """h times the fourth-order central-difference derivative of f, with f
+    zero beyond both ends."""
+    p = np.pad(f, 2)
+    return (p[:-4] - p[4:] + 8.0 * (p[3:-1] - p[1:-3])) / 12.0
+
+
+class _UTable:
+    """The stage-4 density at one parameter value, tabulated in the terminal
+    coordinate u.
+
+    The density vanishes for |u| >= S = truncation level + mollification
+    width, so one moll.triple call on _U_POINTS uniform points over [-S, S]
+    holds all of it. Reads are piecewise cubic Hermite: the value through
+    the exact u-derivative column, the parameter and u-derivatives through
+    fourth-order central differences of their own columns, which zero
+    padding makes exact at the ends. A read at a grid node returns the
+    table entry bitwise, and every read at or beyond +-S is exactly 0.
+    """
+
+    def __init__(self, moll: MollifiedDensity, lam: float):
+        S = moll.trunc.level + moll.eps
+        self.half_width = S
+        self.grid = np.linspace(-S, S, _U_POINTS)
+        self.h = 2.0 * S / (_U_POINTS - 1)
+        v, dl, du = moll.triple(lam, self.grid)
+        # (interval, power of t, column): one gather per read serves all three
+        self._coef = np.stack([_hermite_coefs(v, du * self.h),
+                               _hermite_coefs(dl, _central_slopes(dl)),
+                               _hermite_coefs(du, _central_slopes(du))], axis=2)
+
+    def read(self, x: np.ndarray):
+        """(value, parameter derivative, u-derivative) at the points x."""
+        x = np.asarray(x, dtype=float)
+        S, g = self.half_width, self.grid
+        xc = np.clip(x, -S, S)
+        i = np.clip(np.floor((xc + S) / self.h).astype(np.intp),
+                    0, g.size - 2)
+        # floor can land one cell off by rounding; nodes must start a cell
+        i -= xc < g[i]
+        i = np.minimum(i + (xc >= g[i + 1]), g.size - 2)
+        t = ((xc - g[i]) / self.h)[:, None]
+        c = self._coef[i]
+        p = c[:, 0] + t * (c[:, 1] + t * (c[:, 2] + t * c[:, 3]))
+        p[np.abs(x) >= S] = 0.0
+        value, dlam, du = np.ascontiguousarray(p.T)
+        return value, dlam, du
 
 
 def stage5_normalize(values: np.ndarray, eps_pos: float,
@@ -386,7 +466,7 @@ def stage6_functional(moll: MollifiedDensity, lam: float, eps_pos: float,
     return scalar_functional(n_args, fn, fn_prime)
 
 
-def integrand_tables(moll: MollifiedDensity, lam: float, eps_pos: float,
+def integrand_tables(table: _UTable, eps_pos: float,
                      denom: float, ddenom: float,
                      knot_times: np.ndarray, horizon: float,
                      quad_order: int, y_grid: np.ndarray):
@@ -394,9 +474,10 @@ def integrand_tables(moll: MollifiedDensity, lam: float, eps_pos: float,
 
     Returns (gamma, dgamma): arrays of shape (len(knot_times), len(y_grid))
     giving, per left knot, the integrand as a function of the running
-    terminal coordinate. denom and ddenom are the stage-5 normalization
-    constant eps_pos + E[F] and its parameter derivative, frozen from the
-    reference pool by the caller.
+    terminal coordinate, read from the stage-4 u-table at one parameter
+    value. denom and ddenom are the stage-5 normalization constant
+    eps_pos + E[F] and its parameter derivative, frozen from the reference
+    pool by the caller.
 
     The integrand at time t is g1/g2 with g2 the Gaussian smoothing of the
     normalized density in the remaining variance and g1 the smoothing of
@@ -414,7 +495,7 @@ def integrand_tables(moll: MollifiedDensity, lam: float, eps_pos: float,
             raise ValueError("knots must lie strictly before the horizon")
         rv = np.sqrt(var)
         U = (y_grid[:, None] + rv * x[None, :]).ravel()
-        F, Fl, Fu = moll.triple(lam, U)
+        F, Fl, Fu = table.read(U)
         F = F.reshape(ny, -1)
         Fl = Fl.reshape(ny, -1)
         Fu = Fu.reshape(ny, -1)
@@ -455,7 +536,7 @@ def _table_y_grid(pool: PathPool) -> np.ndarray:
                        _TABLE_POINTS)
 
 
-def _exponentials(moll: MollifiedDensity, lam: float, config: PipelineConfig,
+def _exponentials(table: _UTable, config: PipelineConfig,
                   denom: float, ddenom: float, y_grid: np.ndarray, pools):
     """Doleans exponentials of the table-read integrand and their
     parameter derivatives.
@@ -468,7 +549,7 @@ def _exponentials(moll: MollifiedDensity, lam: float, config: PipelineConfig,
     """
     grid = pools[0].grid
     gam_tab, dgam_tab = integrand_tables(
-        moll, lam, config.positivity_floor, denom, ddenom, grid.knots[:-1],
+        table, config.positivity_floor, denom, ddenom, grid.knots[:-1],
         grid.horizon, config.quad_order, y_grid)
     left = pools[0].cumulative[:, :-1]
     g = _read_table(gam_tab, y_grid, left)
@@ -595,13 +676,14 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
 
         record(1, *cond.pair(la, u_fine))
         record(3, *trunc.parts(la, u_fine, False)[:2])
-        F, Fl = moll.pair(la, u_fine)
+        table = _UTable(moll, la)
+        F, Fl, _ = table.read(u_fine)
         record(4, F, Fl)
         record(5, stage5_normalize(F, config.positivity_floor, pool.weights),
                stage5_derivative(F, Fl, config.positivity_floor, pool.weights))
         denom = config.positivity_floor + float(np.dot(w, F))
         ((E6, dE6), (E7, dE7)), gam_tab = _exponentials(
-            moll, la, config, denom, float(np.dot(w, Fl)), y_grid,
+            table, config, denom, float(np.dot(w, Fl)), y_grid,
             (block_pool, k_pool))
         record(6, E6, dE6)
         record(7, E7, dE7)
@@ -665,11 +747,12 @@ def final_errors_at(curve: DensityCurve, lam: float, config: PipelineConfig,
     is built at the step_count knots only, so when step_count equals
     2**dyadic_level the errors are pipeline_run's final errors."""
     moll = _mollified(curve, config, pool)
+    table = _UTable(moll, lam)
     w = _normalized(pool.weights)
-    F, Fl = moll.pair(lam, moll.trunc.cond.coords_of(pool.increments))
+    F, Fl, _ = table.read(moll.trunc.cond.coords_of(pool.increments))
     k_pool = dyadic_coarsen(pool, config.step_count.bit_length() - 1)
     [(E, dE)], _ = _exponentials(
-        moll, lam, config, config.positivity_floor + float(np.dot(w, F)),
+        table, config, config.positivity_floor + float(np.dot(w, F)),
         float(np.dot(w, Fl)), _table_y_grid(k_pool), (k_pool,))
     ev, se_v = _l2_with_se(w, E - curve.eval(lam, pool))
     ed, se_d = _l2_with_se(w, dE - curve.deriv(lam, pool))

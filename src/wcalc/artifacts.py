@@ -11,6 +11,8 @@ import os
 import tempfile
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 def atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -38,6 +40,8 @@ def atomic_write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence])
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    # repr of a numpy float is np.float64(...) under numpy 2, which no CSV
+    # reader parses; the Python float's repr is the shortest exact literal
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)

@@ -1,5 +1,9 @@
+import csv
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -361,3 +365,39 @@ def test_pipeline_inner_mc_is_accepted_and_ignored(tmp_path):
         assert main(["pipeline", "--config", cfg]) == 0
         records.append(read_report(out)["records"])
     assert records[0] == records[1]
+
+
+def test_pipeline_csv_cells_parse_as_floats(tmp_path):
+    """Every cell of the pipeline's CSV artifacts, label columns aside,
+    parses with float(): numpy 2 writes repr(np.float64) as np.float64(...)."""
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "p.json", command="pipeline", seed=3,
+                       n_paths=500, grid={"n_steps": 8}, lam=0.3,
+                       lam_prime=0.5, ladders=True,
+                       pipeline={"dyadic_level": 3, "step_count": 8,
+                                 "quad_order": 3},
+                       out_dir=str(out))
+    assert main(["pipeline", "--config", cfg]) in (0, 1)
+    names = ["gamma_table.csv", "pipeline.csv"] + [
+        f"ladder_{knob}.csv" for knob in ("dyadic_level", "truncation_level",
+                                          "mollify_eps", "step_count")]
+    for name in names:
+        with open(out / name) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows, name
+        for row in rows:
+            for column, cell in row.items():
+                if column not in ("name", "knob", "passed"):
+                    float(cell)
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy is a test-only dependency: the runtime never imports it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import wcalc.cli; "
+         "print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

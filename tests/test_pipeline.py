@@ -127,8 +127,9 @@ def test_stage3_matches_the_recomputing_oracle(level):
 
 @pytest.mark.parametrize("level,eps", [(3.0, 0.3), (6.0, 0.1), (8.0, 0.5)])
 def test_stage4_matches_the_recomputing_oracle(level, eps):
-    """triple and pair, which compute the cutoffs once per call, equal a
-    quadrature that recomputes them at every parameter node, bitwise."""
+    """triple, which computes the cutoffs once per call, equals a quadrature
+    that recomputes them at every parameter node, bitwise, with and without
+    the coordinate derivative."""
     grid = make_grid(8)
     pool = sample_paths(grid, 500, seed=13)
     cond = ConditionedDensity(exp_curve(grid, -9.0, 9.0), 3, pool)
@@ -138,7 +139,8 @@ def test_stage4_matches_the_recomputing_oracle(level, eps):
         want = mollified_acc(moll, lam, u, True)
         for g, w in zip(moll.triple(lam, u), want):
             assert_bitwise(g, w)
-        for g, w in zip(moll.pair(lam, u), mollified_acc(moll, lam, u, False)):
+        for g, w in zip(moll.triple(lam, u)[:2],
+                        mollified_acc(moll, lam, u, False)[:2]):
             assert_bitwise(g, w)
 
 
@@ -171,9 +173,87 @@ def test_stage4_derivatives_match_finite_differences():
     u = np.array([-1.2, 0.0, 0.7, 2.1])
     h = 1e-5
     fd_lam = (moll.value(lam + h, u) - moll.value(lam - h, u)) / (2 * h)
-    assert np.max(np.abs(fd_lam - moll.pair(lam, u)[1])) < 1e-6
+    assert np.max(np.abs(fd_lam - moll.triple(lam, u)[1])) < 1e-6
     fd_u = (moll.value(lam, u + h) - moll.value(lam, u - h)) / (2 * h)
     assert np.max(np.abs(fd_u - moll.du(lam, u))) < 1e-6
+
+
+# ------------------------------------------------------- stage-4 u-table
+
+def reference_moll(pool):
+    """The stage-4 density of the reference config: truncation 6, width 0.1."""
+    cond = ConditionedDensity(exp_curve(pool.grid, 0.0, 1.0), 3, pool)
+    return MollifiedDensity(TruncatedDensity(cond, 6.0), 0.1)
+
+
+def test_u_table_reads_its_nodes_bitwise_and_zero_outside():
+    grid = make_grid(8)
+    moll = reference_moll(sample_paths(grid, 500, seed=30))
+    table = approx_pipeline._UTable(moll, 0.3)
+    S = table.half_width
+    assert S == 6.1 and table.grid.size == approx_pipeline._U_POINTS
+    assert table.grid[0] == -S and table.grid[-1] == S
+    for got, want in zip(table.read(table.grid), moll.triple(0.3, table.grid)):
+        assert_bitwise(got, want)
+    far = np.array([-np.inf, -S - 1.0, -S, S, np.nextafter(S, 7.0), 9.0])
+    for got in table.read(far):
+        assert_bitwise(got, np.zeros(far.size))
+
+
+# Largest |read - direct| measured over the points of the test below
+# (value, lam-derivative, u-derivative): 6.8e-10, 7.1e-8 and 1.5e-6. The
+# u-derivative error sits where the radial cutoff starts (|u| near 4), and
+# is the interpolant's own: exact node slopes still leave 6.5e-7 there.
+# The bounds are four times the measurement.
+_U_TABLE_BOUNDS = (3e-9, 3e-7, 6e-6)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.7])
+def test_u_table_reads_match_direct_evaluation(lam):
+    """Within the stated bounds of direct moll.triple at seeded random
+    points and at one block knot's Gauss-Hermite points y + sqrt(var) x."""
+    grid = make_grid(8)
+    pool = sample_paths(grid, 1000, seed=31)
+    moll = reference_moll(pool)
+    table = approx_pipeline._UTable(moll, lam)
+    S = table.half_width
+    random_pts = np.random.default_rng(32).uniform(-S, S, 4000)
+    x, _ = approx_pipeline.gauss_hermite(32)
+    t = grid.knots[4]
+    knot_pts = (approx_pipeline._table_y_grid(pool)[:, None]
+                + np.sqrt(grid.horizon - t) * x[None, :]).ravel()
+    for pts in (random_pts, knot_pts):
+        for got, want, bound in zip(table.read(pts), moll.triple(lam, pts),
+                                    _U_TABLE_BOUNDS):
+            assert np.max(np.abs(got - want)) <= bound
+
+
+def test_consistency_gap_detects_a_skewed_u_table(monkeypatch):
+    """_consistency_gap decomposes the stage-5 functional through moll, not
+    the table, so a table whose u-derivative is 0.1% off shows up: a gap
+    above 1e-5 (2.9e-4 measured, or a refusal) against 5.2e-8 on the
+    honest table."""
+    grid = make_grid(8)
+    pool = sample_paths(grid, 2000, seed=33)
+    curve = exp_curve(grid, 0.0, 1.0)
+    cfg = PipelineConfig(dyadic_level=2, truncation_level=6.0,
+                         mollify_eps=0.1, positivity_floor=0.1, step_count=4,
+                         quad_order=16)
+    assert pipeline_run(curve, 0.3, 0.5, cfg, pool).gamma_consistency_gap \
+        < 1e-6
+    read = approx_pipeline._UTable.read
+
+    def skewed(self, x):
+        v, dl, du = read(self, x)
+        return v, dl, du * (1.0 + 1e-3)
+
+    monkeypatch.setattr(approx_pipeline._UTable, "read", skewed)
+    try:
+        gap = pipeline_run(curve, 0.3, 0.5, cfg, pool).gamma_consistency_gap
+    except ValueError as exc:
+        assert "integrand table disagrees" in str(exc)
+    else:
+        assert gap > 1e-5
 
 
 # ---------------------------------------------------------------- stage 5
