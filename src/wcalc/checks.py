@@ -244,9 +244,10 @@ def check_second_order(n_paths: int = 20000, n_steps: int = 16,
 def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
     """Stochastic-integral representation on a coarse grid.
 
-    The conditional projections need tensor quadrature over the remaining
-    intervals, so the grid stays at four steps and the pairing tolerance
-    carries the documented discrete-bracket term proportional to dt.
+    L, xi1 = B(T/2) and xi2 = B_T declare their loadings, so the conditional
+    projections are Gauss-Hermite integrals over the two directions they
+    read. The grid stays at four steps and the pairing tolerance carries
+    the documented discrete-bracket term proportional to dt.
     """
     grid = make_grid(4, horizon)
     n_paths, quad = 4000, 12
@@ -264,7 +265,8 @@ def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
         value_fn=lambda x: np.asarray(x, dtype=float)[:, :half].sum(axis=1),
         grad_fn=lambda x: np.concatenate(
             [np.ones((np.asarray(x).shape[0], half)),
-             np.zeros((np.asarray(x).shape[0], n - half))], axis=1))
+             np.zeros((np.asarray(x).shape[0], n - half))], axis=1),
+        loading=(np.arange(n) < half)[None, :].astype(float))
     xi2 = scalar_functional(grid, lambda s: s,
                             lambda s: np.ones_like(np.asarray(s, dtype=float)))
 

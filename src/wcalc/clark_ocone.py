@@ -3,10 +3,20 @@
 A functional F(B(D_1), ..., B(D_N)) with bounded gradient satisfies
 F = E[F] + sum_i Z_i B(D_i) with Z_i = E[dF/dx_i | F_{t_{i-1}}]; the
 conditional expectations are Gaussian integrals over the not-yet-revealed
-increments and are computed by tensorized Gauss-Hermite quadrature.
+increments.
+
+An integrand that reads the increments x only through A x, for a k x n
+loading matrix A, depends on the unrevealed increments only through
+A_rem x_rem, a k-dimensional Gaussian with covariance
+C = A_rem diag(dt_rem) A_rem^T. Its conditional mean is a tensorized
+Gauss-Hermite integral over the r eigen-directions of C with a positive
+eigenvalue, mapped back to increments, so the mesh has q**r nodes
+whatever the number of remaining intervals. Without a loading A is the
+identity, r is the number of remaining intervals and the mesh is the
+axis-aligned one over them.
 
 At knot 0 nothing is revealed, so E[F | F_0] is the unconditional mean,
-the same for every path: the tensor route evaluates its mesh once and
+the same for every path: the quadrature evaluates its mesh once and
 broadcasts that number. Elsewhere the (rows x mesh nodes) argument is built
 in chunks of at most _ROW_BUDGET rows, 8 MB of float64 on a four-step grid.
 Chunks that size stay close to cache; 2**22-row chunks (134 MB) measured
@@ -15,7 +25,7 @@ slower on the second-order battery and raised its peak RSS about sevenfold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -27,6 +37,27 @@ from .wiener_grid import PathPool, TimeGrid
 _PROBE_SEED = 0xFACADE
 _TENSOR_BLOCK_CAP = 4
 _ROW_BUDGET = 1 << 18
+# Eigenvalues below this share of the largest are roundoff: their
+# directions carry no variance of the integrand's arguments.
+_RANK_RTOL = 1e-12
+
+
+def _as_loading(loading, n_args: int) -> np.ndarray:
+    """Read-only float copy of a k x n_args loading matrix, k >= 1."""
+    A = np.array(loading, dtype=float)
+    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] != n_args \
+            or not np.all(np.isfinite(A)):
+        raise ValueError(f"loading must be a finite k x {n_args} matrix")
+    A.setflags(write=False)
+    return A
+
+
+def _principal_axes(cov: np.ndarray):
+    """Eigenvalues of a symmetric PSD matrix above roundoff, with their
+    eigenvectors as columns."""
+    lam, vec = np.linalg.eigh(cov)
+    keep = lam > _RANK_RTOL * lam[-1]
+    return lam[keep], vec[:, keep]
 
 
 @dataclass(frozen=True)
@@ -38,6 +69,13 @@ class SmoothFunctional:
     arguments, scalar_fn/scalar_fn_prime give that one-variable form;
     conditional smoothing then stays one-dimensional no matter how fine the
     grid is.
+
+    loading, if given, is a k x n_args matrix A with the promise that
+    value_fn and grad_fn read x only through A x. Conditional smoothing of
+    anything built from such functionals then integrates over the rank of
+    the stacked loadings, not over every remaining interval (see
+    gaussian_smooth). Construction checks the promise: moving the probe
+    points along the null space of A must leave value_fn unchanged.
     """
 
     n_args: int
@@ -45,6 +83,8 @@ class SmoothFunctional:
     grad_fn: Callable
     scalar_fn: Optional[Callable] = None
     scalar_fn_prime: Optional[Callable] = None
+    # an array does not compare or hash as a field value
+    loading: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n_args < 1:
@@ -73,11 +113,24 @@ class SmoothFunctional:
             sp = np.asarray(self.scalar_fn_prime(s), dtype=float)
             if not np.allclose(g, sp[:, None], rtol=1e-9, atol=1e-10):
                 raise ValueError("scalar derivative disagrees with the gradient")
+        if self.loading is not None:
+            self._check_loading(rng, x, v)
+
+    def _check_loading(self, rng, x: np.ndarray, v: np.ndarray) -> None:
+        A = _as_loading(self.loading, self.n_args)
+        object.__setattr__(self, "loading", A)
+        _, rows = _principal_axes(A.T @ A)
+        z = rng.standard_normal(x.shape) / np.sqrt(self.n_args)
+        moved = np.asarray(self.value_fn(x + (z - (z @ rows) @ rows.T)), dtype=float)
+        if not np.allclose(moved, v, rtol=1e-9, atol=1e-12):
+            raise ValueError("value_fn reads the increments along a direction "
+                             "the loading omits")
 
 
 def scalar_functional(grid_or_n, fn: Callable,
                       fn_prime: Callable) -> SmoothFunctional:
-    """Functional reading only the path endpoint: F = fn(sum of increments)."""
+    """Functional reading only the path endpoint: F = fn(sum of increments),
+    with loading 1^T."""
     n = grid_or_n.n_steps if isinstance(grid_or_n, TimeGrid) else int(grid_or_n)
 
     def value(x):
@@ -88,19 +141,16 @@ def scalar_functional(grid_or_n, fn: Callable,
         d = np.asarray(fn_prime(x.sum(axis=1)), dtype=float)
         return np.repeat(d[:, None], x.shape[1], axis=1)
 
-    return SmoothFunctional(n, value, grad,
-                            scalar_fn=fn, scalar_fn_prime=fn_prime)
+    return SmoothFunctional(n, value, grad, scalar_fn=fn, scalar_fn_prime=fn_prime,
+                            loading=np.ones((1, n)))
 
 
-def _tensor_nodes(variances: np.ndarray, order: int):
-    """Mesh of independent Gaussian nodes, one axis per variance entry."""
-    base_x, base_w = gauss_hermite(order)
-    axes = [base_x * np.sqrt(v) for v in variances]
-    mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    w = np.ones(1)
-    for _ in variances:
-        w = np.multiply.outer(w, base_w).ravel()
-    return mesh, w
+def _gauss_hermite_mesh(dim: int, order: int):
+    """Tensor Gauss-Hermite rule for a standard normal in dim dimensions:
+    (order**dim, dim) nodes and their weights; dim 0 is the point mass."""
+    x, w = gauss_hermite(order)
+    idx = np.indices((order,) * dim).reshape(dim, order ** dim).T
+    return x[idx], np.prod(w[idx], axis=1)
 
 
 def _check_quadrature(quad_order: int,
@@ -114,17 +164,27 @@ def _check_quadrature(quad_order: int,
 def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
                     prefix: np.ndarray, component: Optional[Callable] = None,
                     quad_order: int = 32,
-                    mc_fallback: Optional[Tuple[int, int]] = None) -> np.ndarray:
+                    mc_fallback: Optional[Tuple[int, int]] = None,
+                    loading: Optional[np.ndarray] = None) -> np.ndarray:
     """E[F | F_s] evaluated at realized increments up to knot s.
 
     prefix is (m, j) where j is the knot index of s; the remaining increments
     are integrated out. component, if given, replaces the integrand by
     component(x) for x the full (rows, n_args) argument (used to smooth one
-    gradient entry). Tensor quadrature covers at most four remaining
-    intervals; beyond that pass mc_fallback=(n_draws, seed) to average over
-    sampled futures instead.
+    gradient entry).
 
-    On the tensor route at knot 0 the mesh is integrated once and the
+    loading is a k x n_args matrix A such that the integrand reads x only
+    through A x; None means the identity. With A_rem its columns on the
+    remaining intervals, the quadrature runs over the r eigen-directions of
+    C = A_rem diag(dt_rem) A_rem^T with a positive eigenvalue: a tensor
+    Gauss-Hermite mesh z of quad_order**r nodes, mapped to increments as
+    x_rem = diag(dt_rem) A_rem^T V_r Lambda_r^{-1/2} z, so the integrand
+    still receives full (rows, n_args) arguments. Rank 0 evaluates the
+    integrand at the prefix padded with zeros. Tensor quadrature covers
+    rank at most four; beyond that pass mc_fallback=(n_draws, seed) to
+    average over sampled futures instead.
+
+    On the quadrature route at knot 0 the mesh is integrated once and the
     result repeated for all m rows (there is no prefix to condition on);
     rows are otherwise processed _ROW_BUDGET mesh rows at a time. The Monte
     Carlo route keeps independent draws per row at every knot.
@@ -154,8 +214,14 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
         return vals @ w
 
     variances = grid.steps[j:]
-    if rem <= _TENSOR_BLOCK_CAP:
-        mesh, w = _tensor_nodes(variances, quad_order)
+    a_rem = np.eye(rem) if loading is None else _as_loading(loading, grid.n_steps)[:, j:]
+    lam, vec = _principal_axes((a_rem * variances) @ a_rem.T)
+    rank = lam.size
+    if rank <= _TENSOR_BLOCK_CAP:
+        z, w = _gauss_hermite_mesh(rank, quad_order)
+        # A_rem x_rem = V_r Lambda_r^{1/2} z then has covariance C on its
+        # range, which is all the integrand reads of the remaining intervals
+        mesh = z @ ((variances[:, None] * a_rem.T) @ (vec / np.sqrt(lam))).T
         q = mesh.shape[0]
         # knot 0: nothing revealed, one conditional mean serves every row
         rows = pre[:1] if j == 0 else pre
@@ -173,8 +239,9 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
 
     if mc_fallback is None:
         raise ValueError(
-            f"{rem} intervals remain after the conditioning time; tensor "
-            "quadrature stops at 4. Pass mc_fallback=(n_draws, seed) to use "
+            f"the loading has rank {rank} on the {rem} intervals after the "
+            f"conditioning time; tensor quadrature stops at rank "
+            f"{_TENSOR_BLOCK_CAP}. Pass mc_fallback=(n_draws, seed) to use "
             "Monte Carlo averaging over the remaining increments.")
     n_draws, seed = mc_fallback
     rng = substream(seed, 2, j)

@@ -283,11 +283,14 @@ def multidim_derivative_repr(f: CylindricalFn, L: SmoothFunctional,
     density-weighted predictable projection of (Lions derivative at xi) dot
     (interval gradient of xi), and gamma is the logarithmic integrand of L,
     so the corrected increments are driftless under the reweighted measure.
+
+    The projections integrate over the rank of the stacked loadings of L
+    and every xi; if any of them has no loading, over every remaining
+    interval.
     """
     grid = pool.grid
-    d = len(xi_fns)
-    if d > 3:
-        raise ValueError("observable dimension capped at 3 by the quadrature budget")
+    loads = [g.loading for g in (L, *xi_fns)]
+    loading = None if any(a is None for a in loads) else np.vstack(loads)
     inc = pool.increments
     l_vals = np.asarray(L.value_fn(inc), dtype=float)
     if np.any(l_vals <= 0.0):
@@ -314,7 +317,7 @@ def multidim_derivative_repr(f: CylindricalFn, L: SmoothFunctional,
     for i in range(grid.n_steps):
         t = grid.knots[i]
         proj = gaussian_smooth(L, grid, t, inc[:, :i], component=component(i),
-                               quad_order=quad_order)
+                               quad_order=quad_order, loading=loading)
         h_i = proj / M[:, i]
         out += h_i * (inc[:, i] - gamma[:, i] * grid.steps[i])
     return out

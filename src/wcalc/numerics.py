@@ -45,7 +45,7 @@ def antiderivative_at(fn, xs, tol: float = 1e-9, max_depth: int = 14):
     """
     xs = np.asarray(xs, dtype=float)
     flat = xs.ravel()
-    pts = np.unique(np.concatenate([flat, [0.0]]))
+    pts, where = np.unique(np.concatenate([flat, [0.0]]), return_inverse=True)
     a, b = pts[:-1], pts[1:]
     total = np.zeros(len(a))
     idx = np.arange(len(a))
@@ -69,9 +69,8 @@ def antiderivative_at(fn, xs, tol: float = 1e-9, max_depth: int = 14):
         idx = np.concatenate([idx[bad], idx[bad]])
         depth += 1
     cum = np.concatenate([[0.0], np.cumsum(total)])
-    cum -= cum[np.searchsorted(pts, 0.0)]
-    out = cum[np.searchsorted(pts, flat)]
-    return out.reshape(xs.shape)
+    cum -= cum[where[-1]]
+    return cum[where[:-1]].reshape(xs.shape)
 
 
 def silverman_bandwidth(values, weights=None) -> float:

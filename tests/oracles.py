@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate, optimize, stats
 
-from wcalc.numerics import radial_cutoff, smoothstep
+from wcalc.numerics import (_segment_integrals, gauss_hermite, radial_cutoff,
+                            smoothstep)
 
 
 def w1_lp(atoms_a, weights_a, atoms_b, weights_b) -> float:
@@ -170,6 +171,52 @@ def mollified_acc(moll, lam, coords, want_du):
         if want_du:
             outu += wa * (du.reshape(m, n_cells) @ moll._wa)
     return outv, outl, outu
+
+
+def tensor_nodes(variances: np.ndarray, order: int):
+    """Mesh of independent Gaussian nodes, one axis per variance entry (the
+    axis-aligned mesh over every remaining interval, before projections)."""
+    base_x, base_w = gauss_hermite(order)
+    axes = [base_x * np.sqrt(v) for v in variances]
+    mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    w = np.ones(1)
+    for _ in variances:
+        w = np.multiply.outer(w, base_w).ravel()
+    return mesh, w
+
+
+def antiderivative_at_searchsorted(fn, xs, tol: float = 1e-9, max_depth: int = 14):
+    """antiderivative_at as it was when the evaluation points were located
+    with np.searchsorted instead of np.unique's inverse indices."""
+    xs = np.asarray(xs, dtype=float)
+    flat = xs.ravel()
+    pts = np.unique(np.concatenate([flat, [0.0]]))
+    a, b = pts[:-1], pts[1:]
+    total = np.zeros(len(a))
+    idx = np.arange(len(a))
+    depth = 0
+    span = max(pts[-1] - pts[0], np.finfo(float).tiny)
+    while len(a) > 0:
+        coarse = _segment_integrals(fn, a, b, 7)
+        fine = _segment_integrals(fn, a, b, 15)
+        err = np.abs(fine - coarse)
+        share = tol * (b - a) / span
+        ok = (err <= share) | (depth >= max_depth)
+        np.add.at(total, idx[ok], fine[ok])
+        if np.all(ok):
+            if depth >= max_depth and np.any(err > np.maximum(share, tol)):
+                raise RuntimeError("antiderivative quadrature did not converge")
+            break
+        bad = ~ok
+        mid = 0.5 * (a[bad] + b[bad])
+        a = np.concatenate([a[bad], mid])
+        b = np.concatenate([mid, b[bad]])
+        idx = np.concatenate([idx[bad], idx[bad]])
+        depth += 1
+    cum = np.concatenate([[0.0], np.cumsum(total)])
+    cum -= cum[np.searchsorted(pts, 0.0)]
+    out = cum[np.searchsorted(pts, flat)]
+    return out.reshape(xs.shape)
 
 
 def loglog_slope(h_values, errors) -> float:

@@ -24,7 +24,7 @@ _GRID_STEPS = 16
 
 _CHAIN_PATHS = 100_000
 _CHAIN_BATTERY_SECONDS = 30.0      # whole battery; a fortiori per instance
-_SECOND_ORDER_SECONDS = 20.0       # whole battery (criteria 2 and 3)
+_SECOND_ORDER_SECONDS = 5.0        # whole battery (criteria 2 and 3)
 _SLOPE_RANGE = (1.8, 2.2)
 _ROUNDOFF = 1e-12
 _MEAN_ONE_FLOOR = 1e-9             # knots where the integrand vanishes

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,7 @@ from wcalc import (make_grid, sample_paths, SmoothFunctional,
                    clark_ocone_decompose, reconstruction_error,
                    weighted_expectation)
 from wcalc import clark_ocone
-from wcalc.clark_ocone import _tensor_nodes
-from oracles import gaussian_expectation
+from oracles import gaussian_expectation, tensor_nodes
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +27,36 @@ def test_smooth_functional_rejects_wrong_gradient():
         SmoothFunctional(n_args=3,
                          value_fn=lambda x: np.asarray(x).sum(axis=1),
                          grad_fn=lambda x: 2.0 * np.ones_like(np.asarray(x)))
+
+
+def test_smooth_functional_rejects_a_loading_that_omits_a_column_it_reads():
+    """Power of the loading probe: x_2 is read but the loading only covers
+    x_0 + x_1, so moving along the null space changes the value."""
+    value = lambda x: np.asarray(x)[:, :2].sum(axis=1) + 0.1 * np.asarray(x)[:, 2] ** 2
+    grad = lambda x: np.column_stack([np.ones(len(x)), np.ones(len(x)),
+                                      0.2 * np.asarray(x)[:, 2]])
+    with pytest.raises(ValueError, match="loading omits"):
+        SmoothFunctional(3, value, grad, loading=[[1.0, 1.0, 0.0]])
+    F = SmoothFunctional(3, value, grad, loading=[[1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    assert F.loading.shape == (2, 3) and not F.loading.flags.writeable
+
+
+@pytest.mark.parametrize("loading", [np.ones(3), np.ones((1, 4)),
+                                     [[1.0, np.nan, 0.0]], np.empty((0, 3))])
+def test_malformed_loadings_are_refused(loading):
+    value = lambda x: np.asarray(x).sum(axis=1)
+    with pytest.raises(ValueError, match="loading must be"):
+        SmoothFunctional(3, value, lambda x: np.ones_like(np.asarray(x)),
+                         loading=loading)
+    grid = make_grid(3)
+    with pytest.raises(ValueError, match="loading must be"):
+        gaussian_smooth(coupled_functional(3), grid, grid.knots[1],
+                        np.zeros((2, 1)), component=value, loading=loading)
+
+
+def test_scalar_functional_declares_the_endpoint_loading():
+    F = tanh_density(make_grid(5))
+    assert np.array_equal(F.loading, np.ones((1, 5)))
 
 
 def test_scalar_form_must_match_full_form():
@@ -163,7 +193,7 @@ def coupled_functional(n):
 def per_row_tensor_mean(F, grid, j, prefix, order):
     """Oracle: the tensor mesh over the remaining intervals, summed row by
     row with no chunking and no shared knot-0 mean."""
-    mesh, w = _tensor_nodes(grid.steps[j:], order)
+    mesh, w = tensor_nodes(grid.steps[j:], order)
     out = np.empty(prefix.shape[0])
     for r, row in enumerate(prefix):
         args = np.hstack([np.tile(row, (mesh.shape[0], 1)), mesh])
@@ -183,20 +213,94 @@ def test_tensor_route_integrates_knot_zero_once():
 
 
 def test_tensor_route_chunking_does_not_move_the_result(monkeypatch):
-    """A budget of three rows per chunk splits ten rows 3 + 3 + 3 + 1."""
+    """A budget of three rows per chunk splits ten rows 3 + 3 + 3 + 1. The
+    identity loading (given or implied) projects onto every remaining
+    interval, so it reproduces the axis-aligned oracle mesh to roundoff."""
     grid = make_grid(4)
     F = coupled_functional(4)
     inc = sample_paths(grid, 10, seed=41).increments
     order = 6
-    for j in (1, 2, 3):
+    for loading, j in itertools.product((None, np.eye(4)), range(4)):
         t = grid.knots[j]
-        default = gaussian_smooth(F, grid, t, inc[:, :j], quad_order=order)
+        default = gaussian_smooth(F, grid, t, inc[:, :j], quad_order=order,
+                                  loading=loading)
         monkeypatch.setattr(clark_ocone, "_ROW_BUDGET", 3 * order ** (4 - j))
-        chunked = gaussian_smooth(F, grid, t, inc[:, :j], quad_order=order)
+        chunked = gaussian_smooth(F, grid, t, inc[:, :j], quad_order=order,
+                                  loading=loading)
         monkeypatch.undo()
         assert np.allclose(chunked, default, rtol=1e-14, atol=0.0)
         assert np.allclose(default, per_row_tensor_mean(F, grid, j, inc[:, :j], order),
                            rtol=1e-14, atol=0.0)
+
+
+def two_projection_integrand(n, polynomial):
+    """Integrand reading only y1 = B(T/2) and y2 = B_T, the directions of
+    the second-order battery's representation check, with its loading."""
+    half = n // 2
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        y1, y2 = x[:, :half].sum(axis=1), x.sum(axis=1)
+        if polynomial:
+            return 1.0 + y1 + 0.5 * y1 * y2 + 0.25 * y2 ** 3
+        return np.exp(0.4 * y2) * np.cos(y1) * (1.0 + 0.3 * np.sin(y1 * y2))
+
+    loading = np.vstack([np.ones(n), (np.arange(n) < half).astype(float)])
+    return fn, loading
+
+
+def test_duplicate_loading_rows_do_not_change_the_projection():
+    """A stacked loading with a repeated row has the rank of the loading
+    without it, and the Gauss-Hermite rule integrates the polynomial
+    integrand exactly along either set of principal axes."""
+    grid = make_grid(4)
+    fn, loading = two_projection_integrand(4, polynomial=True)
+    stacked = np.vstack([loading, loading[0], 2.0 * loading[1]])
+    inc = sample_paths(grid, 6, seed=8).increments
+    F = coupled_functional(4)
+    for j in range(4):
+        t = grid.knots[j]
+        plain = gaussian_smooth(F, grid, t, inc[:, :j], component=fn,
+                                quad_order=4, loading=loading)
+        dup = gaussian_smooth(F, grid, t, inc[:, :j], component=fn,
+                              quad_order=4, loading=stacked)
+        assert np.allclose(dup, plain, rtol=1e-13, atol=1e-13)
+
+
+def test_rank_zero_loading_returns_the_integrand_at_the_prefix():
+    """Past B(T/2) the integrand reading only B(T/2) is already revealed."""
+    grid = make_grid(4)
+    F = coupled_functional(4)
+    fn = lambda x: np.exp(np.asarray(x, dtype=float)[:, :2].sum(axis=1))
+    inc = sample_paths(grid, 5, seed=9).increments
+    loading = np.array([[1.0, 1.0, 0.0, 0.0]])
+    for j in (2, 3):
+        got = gaussian_smooth(F, grid, grid.knots[j], inc[:, :j], component=fn,
+                              loading=loading)
+        assert np.array_equal(got, np.exp(inc[:, :2].sum(axis=1)))
+
+
+def test_low_rank_loading_takes_quadrature_on_a_fine_grid():
+    """Five intervals remain at knot 1 of a six-step grid: beyond the tensor
+    cap without a loading, rank 2 with one. The quadrature agrees with the
+    Monte Carlo route over all five increments to within 4 standard
+    errors, estimated from the same draws."""
+    grid = make_grid(6)
+    F = coupled_functional(6)
+    fn, loading = two_projection_integrand(6, polynomial=False)
+    pre = sample_paths(grid, 6, seed=12).increments[:, :1]
+    t = grid.knots[1]
+    with pytest.raises(ValueError, match="rank 5"):
+        gaussian_smooth(F, grid, t, pre, component=fn, quad_order=12)
+    quad = gaussian_smooth(F, grid, t, pre, component=fn, quad_order=12,
+                           loading=loading)
+    draws = 4000
+    mean = gaussian_smooth(F, grid, t, pre, component=fn,
+                           mc_fallback=(draws, 21))
+    second = gaussian_smooth(F, grid, t, pre, component=lambda x: fn(x) ** 2,
+                             mc_fallback=(draws, 21))
+    se = np.sqrt((second - mean ** 2) / (draws - 1))
+    assert np.all(np.abs(quad - mean) <= 4.0 * se)
 
 
 def test_mc_route_keeps_per_row_draws_at_knot_zero():

@@ -1,13 +1,15 @@
-"""The band-only cutoff kernels give bitwise the full formulas' results."""
+"""Kernels rewritten for speed give bitwise their reference forms' results."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcalc import capped_identity, capped_identity_deriv, radial_cutoff_deriv
+from wcalc.numerics import antiderivative_at
 
-from oracles import (assert_bitwise, capped_identity_full,
-                     capped_identity_deriv_full, radial_cutoff_deriv_full)
+from oracles import (antiderivative_at_searchsorted, assert_bitwise,
+                     capped_identity_full, capped_identity_deriv_full,
+                     radial_cutoff_deriv_full)
 
 _LEVELS = (3.0, 4.0, 6.0, 8.0)
 _KERNELS = ((capped_identity, capped_identity_full),
@@ -67,3 +69,20 @@ def test_kernels_match_the_full_formula_across_the_band(offsets, level):
     x = np.concatenate([x, -x])
     for fast, full in _KERNELS:
         assert_bitwise(fast(x, level), full(x, level))
+
+
+_ANTIDERIVATIVE_INPUTS = {
+    "repeated": np.array([0.3, -1.2, 0.3, 2.5, -1.2, 0.3, 1e-3]),
+    "zeros": np.array([0.0, -0.0, 1.5, 0.0, -0.7]),
+    "negative-only": np.array([-2.0, -0.5, -1.25, -0.5]),
+    "2-D": np.random.default_rng(5).standard_normal((40, 3)).round(1),
+    "normal": np.random.default_rng(6).standard_normal(5000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ANTIDERIVATIVE_INPUTS))
+def test_antiderivative_at_matches_the_searchsorted_form(case):
+    xs = _ANTIDERIVATIVE_INPUTS[case]
+    fn = lambda u: np.exp(-0.5 * u * u) * np.cos(3.0 * u)
+    assert_bitwise(antiderivative_at(fn, xs),
+                   antiderivative_at_searchsorted(fn, xs))
