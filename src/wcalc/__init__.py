@@ -1,6 +1,6 @@
 """Numerics for derivatives of measure functionals on discretized Wiener space.
 
-The package builds weighted path pools on a time grid, moves probability
+The package builds unweighted path pools on a time grid, moves probability
 mass around with density curves and Girsanov reweighting, differentiates
 cylindrical and nested functionals of the induced laws, extracts predictable
 integrands, and pushes a density through the staged approximation pipeline

@@ -14,7 +14,7 @@ approximate the curve and its parameter derivative in L2(Q):
    cutoffs on the terminal coordinate and parameter;
 4. mollify jointly in (parameter, terminal coordinate) against a compact
    bump kernel by fixed-node quadrature;
-5. floor and renormalize to a strictly positive density with weighted mean
+5. floor and renormalize to a strictly positive density with pool mean
    exactly one;
 6. extract the logarithmic integrand as the ratio of the conditionally
    smoothed gradient to the conditional mean;
@@ -137,22 +137,16 @@ class StageReport:
                 raise ValueError("stage errors must be finite and nonnegative")
 
 
-def _normalized(weights: np.ndarray) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    return w / w.sum()
+def _l2(diff: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(diff * diff)))
 
 
-def _weighted_l2(w: np.ndarray, diff: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(w, diff * diff)))
-
-
-def _l2_with_se(w: np.ndarray, diff: np.ndarray) -> Tuple[float, float]:
-    """Weighted L2 distance plus a delta-method standard error."""
+def _l2_with_se(diff: np.ndarray) -> Tuple[float, float]:
+    """L2(Q) distance on the pool plus a delta-method standard error."""
     sq = diff * diff
-    mean_sq = float(np.dot(w, sq))
+    mean_sq = float(sq.mean())
     err = float(np.sqrt(mean_sq))
-    n_eff = 1.0 / float(np.dot(w, w))
-    var = float(np.dot(w, (sq - mean_sq) ** 2)) / max(n_eff - 1.0, 1.0)
+    var = float(np.mean((sq - mean_sq) ** 2)) / max(sq.size - 1.0, 1.0)
     if err <= 0.0:
         return err, 0.0
     return err, float(np.sqrt(var) / (2.0 * err))
@@ -168,7 +162,7 @@ class ConditionedDensity:
     it against its full form when it was built).
 
     Values and parameter derivatives are renormalized per parameter so the
-    represented density has weighted mean one on the reference pool; the
+    represented density has mean one on the reference pool; the
     same constants renormalize the targets, keeping stage errors free of a
     spurious normalization offset.
     """
@@ -181,7 +175,6 @@ class ConditionedDensity:
         self.curve = curve
         self.level = int(level)
         self.n_coords = 1
-        self._w = _normalized(pool.weights)
         self._renorm_cache: Dict[float, Tuple[float, float]] = {}
         self._u = self.coords_of(pool.increments)
         lam_mid = 0.5 * (curve.lam_lo + curve.lam_hi)
@@ -197,7 +190,7 @@ class ConditionedDensity:
         if hit is not None:
             return hit
         raw, draw, _ = self.curve.scalar_triple(lam, self._u)
-        pair = (float(np.dot(self._w, raw)), float(np.dot(self._w, draw)))
+        pair = (float(raw.mean()), float(draw.mean()))
         self._renorm_cache[key] = pair
         return pair
 
@@ -399,11 +392,10 @@ class _UTable:
         return value, dlam, du
 
 
-def stage5_normalize(values: np.ndarray, eps_pos: float,
-                     weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Floor and renormalize: (eps + F) / (eps + weighted mean of F).
+def stage5_normalize(values: np.ndarray, eps_pos: float) -> np.ndarray:
+    """Floor and renormalize: (eps + F) / (eps + pool mean of F).
 
-    The output is strictly positive and its weighted mean is exactly one
+    The output is strictly positive and its pool mean is exactly one
     because the same empirical mean appears in the denominator.
     """
     vals = np.asarray(values, dtype=float)
@@ -411,21 +403,16 @@ def stage5_normalize(values: np.ndarray, eps_pos: float,
         raise ValueError("stage-5 input must be nonnegative")
     if not 0.0 < eps_pos <= 1.0:
         raise ValueError("positivity floor must lie in (0, 1]")
-    w = (np.full(vals.shape[0], 1.0 / vals.shape[0]) if weights is None
-         else _normalized(weights))
-    mean = float(np.dot(w, vals))
-    return (eps_pos + vals) / (eps_pos + mean)
+    return (eps_pos + vals) / (eps_pos + float(vals.mean()))
 
 
-def stage5_derivative(values: np.ndarray, dvalues: np.ndarray, eps_pos: float,
-                      weights: Optional[np.ndarray] = None) -> np.ndarray:
+def stage5_derivative(values: np.ndarray, dvalues: np.ndarray,
+                      eps_pos: float) -> np.ndarray:
     """Parameter derivative matching stage5_normalize by the quotient rule."""
     vals = np.asarray(values, dtype=float)
     dvals = np.asarray(dvalues, dtype=float)
-    w = (np.full(vals.shape[0], 1.0 / vals.shape[0]) if weights is None
-         else _normalized(weights))
-    denom = eps_pos + float(np.dot(w, vals))
-    dmean = float(np.dot(w, dvals))
+    denom = eps_pos + float(vals.mean())
+    dmean = float(dvals.mean())
     return dvals / denom - (eps_pos + vals) * (dmean / denom ** 2)
 
 
@@ -653,7 +640,6 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
     trunc = moll.trunc
     cond = trunc.cond
 
-    w = _normalized(pool.weights)
     u_fine = cond.coords_of(pool.increments)
     block_pool = dyadic_coarsen(pool, config.dyadic_level)
     k_pool = dyadic_coarsen(pool, config.step_count.bit_length() - 1)
@@ -671,19 +657,18 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
         errs: Dict[int, Tuple[float, float]] = {}
 
         def record(sid, v, d):
-            errs[sid] = (_weighted_l2(w, v - target_v),
-                         _weighted_l2(w, d - target_d))
+            errs[sid] = (_l2(v - target_v), _l2(d - target_d))
 
         record(1, *cond.pair(la, u_fine))
         record(3, *trunc.parts(la, u_fine, False)[:2])
         table = _UTable(moll, la)
         F, Fl, _ = table.read(u_fine)
         record(4, F, Fl)
-        record(5, stage5_normalize(F, config.positivity_floor, pool.weights),
-               stage5_derivative(F, Fl, config.positivity_floor, pool.weights))
-        denom = config.positivity_floor + float(np.dot(w, F))
+        record(5, stage5_normalize(F, config.positivity_floor),
+               stage5_derivative(F, Fl, config.positivity_floor))
+        denom = config.positivity_floor + float(F.mean())
         ((E6, dE6), (E7, dE7)), gam_tab = _exponentials(
-            table, config, denom, float(np.dot(w, Fl)), y_grid,
+            table, config, denom, float(Fl.mean()), y_grid,
             (block_pool, k_pool))
         record(6, E6, dE6)
         record(7, E7, dE7)
@@ -691,8 +676,8 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
         if sw is None:
             primary = errs
             primary_tab, primary_denom = gam_tab, denom
-            final_se = (_l2_with_se(w, E7 - target_v)[1],
-                        _l2_with_se(w, dE7 - target_d)[1])
+            final_se = (_l2_with_se(E7 - target_v)[1],
+                        _l2_with_se(dE7 - target_d)[1])
         else:
             for sid in stage_ids:
                 seg_sq[sid] += sw * (errs[sid][0] ** 2 + errs[sid][1] ** 2)
@@ -748,14 +733,13 @@ def final_errors_at(curve: DensityCurve, lam: float, config: PipelineConfig,
     2**dyadic_level the errors are pipeline_run's final errors."""
     moll = _mollified(curve, config, pool)
     table = _UTable(moll, lam)
-    w = _normalized(pool.weights)
     F, Fl, _ = table.read(moll.trunc.cond.coords_of(pool.increments))
     k_pool = dyadic_coarsen(pool, config.step_count.bit_length() - 1)
     [(E, dE)], _ = _exponentials(
-        table, config, config.positivity_floor + float(np.dot(w, F)),
-        float(np.dot(w, Fl)), _table_y_grid(k_pool), (k_pool,))
-    ev, se_v = _l2_with_se(w, E - curve.eval(lam, pool))
-    ed, se_d = _l2_with_se(w, dE - curve.deriv(lam, pool))
+        table, config, config.positivity_floor + float(F.mean()),
+        float(Fl.mean()), _table_y_grid(k_pool), (k_pool,))
+    ev, se_v = _l2_with_se(E - curve.eval(lam, pool))
+    ed, se_d = _l2_with_se(dE - curve.deriv(lam, pool))
     return ev, ed, se_v, se_d
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .wiener_grid import TimeGrid, PathPool, make_grid, sample_paths, brownian_at
 from .functionals import CylindricalFn, NestedFn, make_functional, eval_cyl, \
     lifted_derivative_fd
-from .measure_ops import pushforward_law, weighted_expectation
+from .measure_ops import pushforward_law
 from .density_deriv import scalar_exponential_curve, mixture_curve, \
     chain_rule_lhs_fd, chain_rule_rhs, second_order_check_1d, \
     second_order_check_multidim, multidim_derivative_repr, nested_derivative_check
@@ -272,7 +272,7 @@ def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
 
     inc = pool.increments
     l_vals = np.asarray(L.value_fn(inc), dtype=float)
-    l_norm = l_vals / weighted_expectation(pool, np.ones(pool.n_samples), l_vals)
+    l_norm = l_vals / float(l_vals.mean())
     xi_pts = np.column_stack([xi1.value_fn(inc), xi2.value_fn(inc)])
     _, _, gam = clark_ocone_decompose(L, pool, quad_order=32)
     dts = grid.steps
@@ -285,17 +285,15 @@ def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
     records = []
     for f in _plane_functionals()[:2]:
         out = multidim_derivative_repr(f, L, [xi1, xi2], pool, quad_order=quad)
-        w = pool.weights / pool.weights.sum()
-
-        zero = float(np.dot(w, l_norm * out))
-        se0 = float(np.sqrt(np.dot(w, (l_norm * out - zero) ** 2)
+        zero = float(np.mean(l_norm * out))
+        se0 = float(np.sqrt(np.mean((l_norm * out - zero) ** 2)
                             / max(pool.n_samples - 1, 1)))
         records.append(_rec(f"second/repr-drift|{f.descriptor}",
                             zero, 0.0, se0, 3.0 * se0))
 
         pair_vals = l_norm * out * ito_eta
-        pair = float(np.dot(w, pair_vals))
-        se_p = float(np.sqrt(np.dot(w, (pair_vals - pair) ** 2)
+        pair = float(pair_vals.mean())
+        se_p = float(np.sqrt(np.mean((pair_vals - pair) ** 2)
                              / max(pool.n_samples - 1, 1)))
         fd = lifted_derivative_fd(lambda law: eval_cyl(f, law), pool, l_vals,
                                   xi_pts, np.tile(eta_obs, (pool.n_samples, 1)),
@@ -365,14 +363,13 @@ def check_girsanov(n_paths: int = 20000, n_steps: int = 16,
         records.append(_rec(f"girsanov/inverse|{gname}",
                             err, 0.0, 0.0, 1e-10))
 
-    w = pool.weights / pool.weights.sum()
     for gname in ("const-", "tanh-B"):
         gamma = dict(gammas)[gname]
         worst, worst_se, worst_gap = 1.0, 0.0, -1.0
         for t in grid.knots[1:]:
             dens = doleans_exponential(pool, gamma, float(t))
-            m = float(np.dot(w, dens))
-            se = float(np.sqrt(np.dot(w, (dens - m) ** 2)
+            m = float(dens.mean())
+            se = float(np.sqrt(np.mean((dens - m) ** 2)
                                / max(pool.n_samples - 1, 1)))
             if abs(m - 1.0) - 3.0 * se > worst_gap:
                 worst, worst_se = m, se

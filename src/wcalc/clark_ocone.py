@@ -295,7 +295,7 @@ def clark_ocone_decompose(F: SmoothFunctional, pool: PathPool,
 
 
 def reconstruction_error(L_values: np.ndarray, Z: np.ndarray, pool: PathPool) -> float:
-    """Weighted L2 defect of L - 1 - sum_i Z_i B(D_i) along the pool.
+    """L2 defect of L - 1 - sum_i Z_i B(D_i) along the pool.
 
     The represented functional is a density with mean one, so the constant
     term is literally 1; what remains measures how far the left-endpoint
@@ -304,6 +304,5 @@ def reconstruction_error(L_values: np.ndarray, Z: np.ndarray, pool: PathPool) ->
     vals = np.asarray(L_values, dtype=float)
     if vals.shape != (pool.n_samples,) or Z.shape != pool.increments.shape:
         raise ValueError("shapes do not match the pool")
-    w = pool.weights / pool.weights.sum()
     resid = vals - 1.0 - np.sum(Z * pool.increments, axis=1)
-    return float(np.sqrt(np.dot(w, resid ** 2)))
+    return float(np.sqrt(np.mean(resid ** 2)))

@@ -320,6 +320,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if not os.path.isdir(args.dir):
+        raise ConfigError(f"report directory {args.dir} not found")
     rows = []
     versions = set()
     for root, _, files in sorted(os.walk(args.dir)):
@@ -327,16 +329,21 @@ def cmd_report(args) -> int:
             if fname != "report.json":
                 continue
             path = os.path.join(root, fname)
+            rel = os.path.relpath(path, args.dir)
             try:
                 with open(path) as fh:
                     rep = json.load(fh)
-            except (OSError, json.JSONDecodeError):
+            except (OSError, ValueError) as exc:
+                # a truncated report from a failed run counts as a failure
+                rows.append({"path": rel, "command": None, "check": None,
+                             "n_records": 0, "n_failed": 0, "passed": False,
+                             "version": "?", "error": f"unreadable: {exc}"})
                 continue
-            if rep.get("schema") != "wcalc-report-v1":
+            if not isinstance(rep, dict) or rep.get("schema") != "wcalc-report-v1":
                 continue
             versions.add(rep.get("version", "?"))
             rows.append({
-                "path": os.path.relpath(path, args.dir),
+                "path": rel,
                 "command": rep.get("command"),
                 "check": rep.get("check"),
                 "n_records": len(rep.get("records", [])),
@@ -361,15 +368,18 @@ def cmd_report(args) -> int:
         lines.append("| report | command | check | records | failed | passed |")
         lines.append("|---|---|---|---|---|---|")
         for r in rows:
-            lines.append(f"| {r['path']} | {r['command']} | {r['check'] or '-'} "
-                         f"| {r['n_records']} | {r['n_failed']} "
-                         f"| {'yes' if r['passed'] else 'NO'} |")
+            lines.append(f"| {r['path']} | {r['command'] or '-'} "
+                         f"| {r['check'] or '-'} | {r['n_records']} "
+                         f"| {r['n_failed']} | {'yes' if r['passed'] else 'NO'} |")
+        for r in rows:
+            if "error" in r:
+                lines.append("")
+                lines.append(f"ERROR: {r['path']} is {r['error']}")
         if summary["version_conflict"]:
             lines.append("")
             lines.append(f"WARNING: mixed versions {sorted(versions)}")
     lines.append("")
 
-    os.makedirs(args.dir, exist_ok=True)
     atomic_write_json(os.path.join(args.dir, "summary.json"), summary)
     atomic_write_text(os.path.join(args.dir, "summary.md"), "\n".join(lines))
     print("\n".join(lines))

@@ -27,17 +27,13 @@ _PROBE_PATHS = 32
 _PROBE_SEED = 2718
 
 
-def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.dot(weights, values) / weights.sum())
-
-
 @dataclass(frozen=True)
 class DensityCurve:
     """Differentiable curve lambda -> L^lambda of per-path densities.
 
     value_fn(lam, increments) and deriv_fn(lam, increments) evaluate the raw
     curve and its lambda-derivative on any increment matrix over the grid.
-    eval/deriv renormalize by the weighted mean so every probe has mean
+    eval/deriv renormalize by the pool mean so every probe has mean
     exactly one; the derivative is transformed consistently, which also
     forces its mean to zero.
 
@@ -92,27 +88,26 @@ class DensityCurve:
     def eval(self, lam: float, pool: PathPool) -> np.ndarray:
         self._require(lam)
         raw = np.asarray(self.value_fn(lam, pool.increments), dtype=float)
-        return raw / _weighted_mean(raw, pool.weights)
+        return raw / float(raw.mean())
 
     def deriv(self, lam: float, pool: PathPool) -> np.ndarray:
         vals, dvals = self.raw_pair(lam, pool.increments)
-        r = _weighted_mean(vals, pool.weights)
-        dr = _weighted_mean(dvals, pool.weights)
+        r = float(vals.mean())
+        dr = float(dvals.mean())
         return dvals / r - vals * (dr / (r * r))
 
 
 def validate_curve(curve: DensityCurve, pool: PathPool) -> None:
     """Probe the curve invariants on a pool: renormalized mean one, derivative
     mean zero, and second-order smallness of the FD defect in lambda."""
-    w = pool.weights / pool.weights.sum()
     for frac in (0.25, 0.5, 0.75):
         lam = curve.lam_lo + frac * (curve.lam_hi - curve.lam_lo)
         vals = curve.eval(lam, pool)
-        if abs(float(np.dot(w, vals)) - 1.0) > 1e-9:
+        if abs(float(vals.mean()) - 1.0) > 1e-9:
             raise ValueError("renormalized curve mean differs from 1")
         dvals = curve.deriv(lam, pool)
-        dmean = float(np.dot(w, dvals))
-        std_err = float(np.sqrt(np.dot(w, (dvals - dmean) ** 2) / max(pool.n_samples - 1, 1)))
+        dmean = float(dvals.mean())
+        std_err = float(np.sqrt(np.mean((dvals - dmean) ** 2) / max(pool.n_samples - 1, 1)))
         if abs(dmean) > 3.0 * std_err + 1e-9:
             raise ValueError("curve derivative mean is not zero")
     lam = 0.5 * (curve.lam_lo + curve.lam_hi)
@@ -124,8 +119,8 @@ def validate_curve(curve: DensityCurve, pool: PathPool) -> None:
         vm = curve.eval(lam - step, pool)
         d = curve.deriv(lam, pool)
         gap = (vp - vm) / (2.0 * step) - d
-        defects.append(float(np.sqrt(np.dot(w, gap ** 2))))
-    scale = float(np.sqrt(np.dot(w, curve.deriv(lam, pool) ** 2))) + 1e-12
+        defects.append(float(np.sqrt(np.mean(gap ** 2))))
+    scale = float(np.sqrt(np.mean(curve.deriv(lam, pool) ** 2))) + 1e-12
     if defects[1] > 0.05 * defects[0] + 1e-10 * scale:
         raise ValueError("curve derivative fails the vanishing-defect probe")
 
@@ -198,7 +193,7 @@ def recenter_to_base(values: np.ndarray, pool: PathPool) -> np.ndarray:
     vals = np.asarray(values, dtype=float)
     if vals.shape != (pool.n_samples,):
         raise ValueError("values must align with the pool")
-    return vals - np.average(vals, weights=pool.weights)
+    return vals - vals.mean()
 
 
 def recenter_to_density(values: np.ndarray, density_values: np.ndarray,
@@ -208,8 +203,7 @@ def recenter_to_density(values: np.ndarray, density_values: np.ndarray,
     dens = np.asarray(density_values, dtype=float)
     if vals.shape != (pool.n_samples,) or dens.shape != vals.shape:
         raise ValueError("values must align with the pool")
-    wl = pool.weights * dens
-    return vals - float(np.dot(wl, vals) / wl.sum())
+    return vals - float(np.dot(dens, vals) / dens.sum())
 
 
 def chain_rule_rhs(f: CylindricalFn, curve: DensityCurve, lam: float,
@@ -343,7 +337,6 @@ def nested_derivative_check(fn: NestedFn, pool: PathPool, density_values,
     dens = np.asarray(density_values, dtype=float)
     x1 = np.asarray(xi1_values, dtype=float)
     x2 = np.asarray(xi2_values, dtype=float)
-    wl = pool.weights * dens
 
     if bump_width is None:
         spread = max(np.std(x1), np.std(x2))
@@ -358,7 +351,7 @@ def nested_derivative_check(fn: NestedFn, pool: PathPool, density_values,
     for j in range(probes.shape[0]):
         a, b = probes[j]
         eta = np.exp(-((x1 - a) ** 2 + (x2 - b) ** 2) / (2.0 * bump_width ** 2))
-        ebar = float(np.dot(wl, eta) / wl.sum())
+        ebar = float(np.dot(dens, eta) / dens.sum())
         direction = eta - ebar
 
         def nested_at(s):
@@ -366,6 +359,6 @@ def nested_derivative_check(fn: NestedFn, pool: PathPool, density_values,
                                bandwidth=bandwidth)
 
         lhs = (nested_at(fd_step) - nested_at(-fd_step)) / (2.0 * fd_step)
-        rhs = float(np.dot(wl, prof * direction) / wl.sum())
+        rhs = float(np.dot(dens, prof * direction) / dens.sum())
         worst = max(worst, abs(lhs - rhs))
     return worst

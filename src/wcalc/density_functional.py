@@ -14,7 +14,7 @@ derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -33,13 +33,14 @@ _WINDOW_SIGMAS = 5.0
 class GridDensity:
     """Nonnegative function tabulated on a uniform grid.
 
-    mass is the trapezoid integral; normalized() rescales values so the
-    mass is one, which is how every estimator here returns its output.
+    mass is the trapezoid integral, derived at construction; normalized()
+    rescales values so the mass is one, which is how every estimator here
+    returns its output.
     """
 
     x_grid: np.ndarray
     values: np.ndarray
-    mass: float
+    mass: float = field(init=False)
 
     def __post_init__(self):
         x = np.asarray(self.x_grid, dtype=float)
@@ -62,7 +63,7 @@ class GridDensity:
     def normalized(self) -> "GridDensity":
         if self.mass <= 0.0:
             raise ValueError("cannot normalize a zero-mass density")
-        return GridDensity(self.x_grid, self.values / self.mass, 1.0)
+        return GridDensity(self.x_grid, self.values / self.mass)
 
 def density_grid(points, bandwidth: float,
                  n_points: int = _DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -101,7 +102,7 @@ def kde_density(law: EmpiricalLaw, x_grid: Optional[np.ndarray] = None,
         x_grid = density_grid(atoms, bw)
     x_grid = np.asarray(x_grid, dtype=float)
     raw, = binned_gaussian_smooth(atoms, [law.weights], bw, x_grid)
-    return GridDensity(x_grid, np.maximum(raw, 0.0), 0.0).normalized()
+    return GridDensity(x_grid, np.maximum(raw, 0.0)).normalized()
 
 
 @dataclass(frozen=True)

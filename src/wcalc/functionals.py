@@ -162,7 +162,7 @@ def eval_nested(fn: NestedFn, pool: PathPool, density_values, xi1_values,
     x2 = np.asarray(xi2_values, dtype=float)
     if not (len(L) == len(x1) == len(x2) == pool.n_samples):
         raise ValueError("arrays must match the pool size")
-    m = conditional_expectation(fn.psi(x1), x2, pool.weights * L, bandwidth)
+    m = conditional_expectation(fn.psi(x1), x2, L, bandwidth)
     inner = weighted_expectation(pool, L, fn.h(m))
     return float(fn.g(inner))
 
@@ -180,15 +180,10 @@ def partial_mu_G_nested(fn: NestedFn, pool: PathPool, density_values,
     x1 = np.asarray(xi1_values, dtype=float)
     x2 = np.asarray(xi2_values, dtype=float)
     pts, restore = _as_points(x, 2)
-    wts = pool.weights * L
     psi1 = fn.psi(x1)
-    m_samples = conditional_expectation(psi1, x2, wts, bandwidth)
+    m_samples = conditional_expectation(psi1, x2, L, bandwidth)
     outer = float(fn.g_prime(weighted_expectation(pool, L, fn.h(m_samples))))
-    bw = bandwidth
-    if bw == "auto" or bw is None:
-        from .numerics import silverman_bandwidth
-        bw = silverman_bandwidth(x2, wts)
-    m_at = kernel_regression(psi1, x2, wts, bw, pts[:, 1])
+    m_at = kernel_regression(psi1, x2, L, bandwidth, pts[:, 1])
     vals = outer * (fn.h(m_at) + fn.h_prime(m_at) * (fn.psi(pts[:, 0]) - m_at))
     return restore(np.asarray(vals, dtype=float))
 

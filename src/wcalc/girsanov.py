@@ -131,7 +131,7 @@ def shift_forward(pool: PathPool, gamma: StepProcess, t: float) -> PathPool:
     for i in range(j):
         g = gamma.column(i, inc[:, :i])
         inc[:, i] = pool.increments[:, i] + g * dts[i]
-    return _pool_from_increments(pool.grid, inc, pool.weights.copy())
+    return _pool_from_increments(pool.grid, inc)
 
 
 def shift_backward(pool: PathPool, gamma: StepProcess, t: float) -> PathPool:
@@ -142,13 +142,13 @@ def shift_backward(pool: PathPool, gamma: StepProcess, t: float) -> PathPool:
     for i in range(j):
         g = gamma.column(i, pool.increments[:, :i])
         inc[:, i] = pool.increments[:, i] - g * dts[i]
-    return _pool_from_increments(pool.grid, inc, pool.weights.copy())
+    return _pool_from_increments(pool.grid, inc)
 
 
 def girsanov_check(pool: PathPool, gamma: StepProcess, phi: Callable):
     """Two estimators of the same expectation under the reweighted measure.
 
-    lhs: weighted mean of E_T * phi(paths); rhs: mean of phi(shifted paths).
+    lhs: mean of E_T * phi(paths); rhs: mean of phi(shifted paths).
     Returns (lhs, rhs, std_err) where std_err is the common-random-number
     standard error of the per-path difference.
     """
@@ -156,10 +156,9 @@ def girsanov_check(pool: PathPool, gamma: StepProcess, phi: Callable):
     density = doleans_exponential(pool, gamma, horizon)
     lhs_vals = density * np.asarray(phi(pool), dtype=float)
     rhs_vals = np.asarray(phi(shift_forward(pool, gamma, horizon)), dtype=float)
-    w = pool.weights / pool.weights.sum()
-    lhs = float(np.dot(w, lhs_vals))
-    rhs = float(np.dot(w, rhs_vals))
+    lhs = float(lhs_vals.mean())
+    rhs = float(rhs_vals.mean())
     diff = lhs_vals - rhs_vals
-    var = float(np.dot(w, (diff - np.dot(w, diff)) ** 2))
+    var = float(np.mean((diff - diff.mean()) ** 2))
     std_err = float(np.sqrt(var / max(pool.n_samples - 1, 1)))
     return lhs, rhs, std_err

@@ -67,9 +67,9 @@ def pushforward_law(pool: PathPool, density_values,
                     observable_values) -> EmpiricalLaw:
     """Law of the observable under the density-reweighted pool measure.
 
-    Atoms are the observable values; weights are pool weight times density
-    value, scaled to sum to 1. The density must be nonnegative with a pool
-    mean compatible with one.
+    Atoms are the observable values; weights are the density values, scaled
+    to sum to 1. The density must be nonnegative with a pool mean
+    compatible with one.
     """
     L = np.asarray(density_values, dtype=float)
     obs = np.asarray(observable_values, dtype=float)
@@ -77,16 +77,15 @@ def pushforward_law(pool: PathPool, density_values,
         raise ValueError("arrays must match the pool size")
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(obs))):
         raise ValueError("density and observable values must be finite")
-    raw = pool.weights * L
     if np.any(L < 0):
         raise ValueError("probability law requested but density has negative values")
-    mean = raw.sum() / pool.weights.sum()
-    sd = float(np.std(L * pool.weights / pool.weights.mean(), ddof=1)) if len(L) > 1 else 0.0
+    mean = L.mean()
+    sd = float(np.std(L, ddof=1)) if len(L) > 1 else 0.0
     slack = 6.0 * sd / np.sqrt(len(L)) + 1e-9
     if abs(mean - 1.0) > slack:
         raise ValueError(
             f"density mean {mean:.6g} is incompatible with a probability law")
-    return EmpiricalLaw(obs, raw / raw.sum())
+    return EmpiricalLaw(obs, L / L.sum())
 
 
 def wasserstein1(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
@@ -112,14 +111,14 @@ def wasserstein1(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
 
 
 def weighted_expectation(pool: PathPool, density_values, g_values) -> float:
-    """Plain reweighted average: sum w_i L_i g_i / sum w_i."""
+    """Plain reweighted average: mean of L_i g_i over the pool."""
     L = np.asarray(density_values, dtype=float)
     g = np.asarray(g_values, dtype=float)
     if pool.n_samples == 0:
         raise ValueError("empty pool")
     if len(L) != pool.n_samples or len(g) != pool.n_samples:
         raise ValueError("arrays must match the pool size")
-    return float(np.dot(pool.weights * L, g) / pool.weights.sum())
+    return float(np.dot(L, g) / pool.n_samples)
 
 
 def kernel_regression(x_values, y_values, weights, bandwidth, eval_points):

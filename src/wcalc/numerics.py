@@ -73,14 +73,11 @@ def antiderivative_at(fn, xs, tol: float = 1e-9, max_depth: int = 14):
     return cum[where[:-1]].reshape(xs.shape)
 
 
-def silverman_bandwidth(values, weights=None) -> float:
-    """Silverman's rule on a (weighted) sample."""
+def silverman_bandwidth(values, weights) -> float:
+    """Silverman's rule on a weighted sample."""
     v = np.asarray(values, dtype=float)
-    if weights is None:
-        w = np.full(len(v), 1.0 / len(v))
-    else:
-        w = np.asarray(weights, dtype=float)
-        w = w / w.sum()
+    w = np.asarray(weights, dtype=float)
+    w = w / w.sum()
     mu = np.dot(w, v)
     var = np.dot(w, (v - mu) ** 2)
     sd = np.sqrt(var)

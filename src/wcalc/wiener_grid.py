@@ -1,9 +1,10 @@
 """Discretized Wiener space: time grids, Gaussian increment pools and dyadic
 coarsening.
 
-A PathPool is the computational stand-in for the Wiener space: a batch of
-paths represented by their increment matrix, plus per-path importance
-weights. Increments over (t_{i-1}, t_i] are i.i.d. N(0, dt_i) under weight 1.
+A PathPool is the computational stand-in for the Wiener space: an
+unweighted i.i.d. sample of paths represented by their increment matrix.
+Increments over (t_{i-1}, t_i] are i.i.d. N(0, dt_i); every change of
+measure is a per-path density, never a property of the pool.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def make_grid(n_steps: int, horizon: float = 1.0) -> TimeGrid:
 
 @dataclass(frozen=True)
 class PathPool:
-    """Immutable batch of discretized Brownian paths with importance weights.
+    """Immutable batch of discretized Brownian paths, each of weight 1/n.
 
     `cumulative` holds the path values at the knots (column 0 is zero). It is
     carried explicitly so that coarsening can subset it instead of re-summing,
@@ -87,25 +88,16 @@ class PathPool:
 
     grid: TimeGrid
     increments: np.ndarray
-    weights: np.ndarray
     cumulative: np.ndarray
 
     def __post_init__(self):
         inc = _readonly(self.increments)
-        w = _readonly(self.weights)
         cum = _readonly(self.cumulative)
         object.__setattr__(self, "increments", inc)
-        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "cumulative", cum)
         n, m = inc.shape
         if m != self.grid.n_steps:
             raise ValueError("increment columns must match grid steps")
-        if w.shape != (n,):
-            raise ValueError("one weight per path required")
-        if np.any(w < 0):
-            raise ValueError("pool weights must be nonnegative")
-        if abs(w.sum() - n) > 1e-9 * max(n, 1):
-            raise ValueError("pool weights must sum to the number of paths")
         if cum.shape != (n, m + 1):
             raise ValueError("cumulative matrix shape mismatch")
 
@@ -114,33 +106,28 @@ class PathPool:
         return self.increments.shape[0]
 
     def subset(self, rows) -> "PathPool":
-        """Row-sliced pool; weights are rescaled to keep their sum contract."""
-        inc = self.increments[rows]
-        w = self.weights[rows].copy()
-        cum = self.cumulative[rows]
-        w *= len(w) / w.sum()
-        return PathPool(self.grid, inc, w, cum)
+        """Row-sliced pool."""
+        return PathPool(self.grid, self.increments[rows], self.cumulative[rows])
 
 
-def _pool_from_increments(grid: TimeGrid, increments: np.ndarray,
-                          weights: np.ndarray) -> PathPool:
+def _pool_from_increments(grid: TimeGrid, increments: np.ndarray) -> PathPool:
     n = increments.shape[0]
     cum = np.zeros((n, grid.n_steps + 1))
     np.cumsum(increments, axis=1, out=cum[:, 1:])
-    return PathPool(grid, increments, weights, cum)
+    return PathPool(grid, increments, cum)
 
 
 def sample_paths(grid: TimeGrid, n_samples: int, seed: int) -> PathPool:
     """Draw n_samples independent increment vectors, N(0, dt_i) per column.
 
-    Deterministic given (grid, n_samples, seed); initial weights are all 1.
+    Deterministic given (grid, n_samples, seed).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = substream(seed, 0)
     z = rng.standard_normal((n_samples, grid.n_steps))
     inc = z * np.sqrt(grid.steps)
-    return _pool_from_increments(grid, inc, np.ones(n_samples))
+    return _pool_from_increments(grid, inc)
 
 
 def brownian_at(pool: PathPool, t: float) -> np.ndarray:
@@ -163,7 +150,7 @@ def _block_edges(grid: TimeGrid, level: int) -> np.ndarray:
 
 
 def dyadic_coarsen(pool: PathPool, level: int) -> PathPool:
-    """Pool of the 2^level block-sum increments B(block_j); weights preserved.
+    """Pool of the 2^level block-sum increments B(block_j).
 
     Path values at the surviving knots are subset, not re-summed, so
     brownian_at agrees bitwise between the fine and coarse pools.
@@ -174,4 +161,4 @@ def dyadic_coarsen(pool: PathPool, level: int) -> PathPool:
     cum = pool.cumulative[:, edges]
     inc = np.diff(cum, axis=1)
     grid = TimeGrid(pool.grid.knots[edges])
-    return PathPool(grid, inc, pool.weights, cum)
+    return PathPool(grid, inc, cum)

@@ -221,16 +221,14 @@ def test_criterion_7_recentering():
         scale = 1.0 + np.abs(vals).max()
 
         c = recenter_to_base(vals, pool)
-        w = pool.weights / pool.weights.sum()
-        worst_mean = max(worst_mean, abs(np.dot(w, c)) / scale)
+        worst_mean = max(worst_mean, abs(c.mean()) / scale)
         worst_trip = max(worst_trip,
                          np.abs(recenter_to_base(c, pool) - c).max(),
                          np.abs(recenter_to_base(vals + 3.7, pool) - c).max()
                          / scale)
 
         d = recenter_to_density(vals, dens, pool)
-        wd = pool.weights * dens
-        wd = wd / wd.sum()
+        wd = dens / dens.sum()
         worst_mean = max(worst_mean, abs(np.dot(wd, d)) / scale)
         worst_trip = max(worst_trip,
                          np.abs(recenter_to_density(d, dens, pool) - d).max())

@@ -140,7 +140,7 @@ def test_decompose_left_endpoint_measurability(pool):
     shuffled = pool.increments.copy()
     shuffled[:, i:] = shuffled[perm, i:]
     from wcalc.wiener_grid import _pool_from_increments
-    p2 = _pool_from_increments(pool.grid, shuffled, pool.weights.copy())
+    p2 = _pool_from_increments(pool.grid, shuffled)
     Z2, M2, _ = clark_ocone_decompose(F, p2, quad_order=24)
     assert np.allclose(M2[:, i], M[:, i], atol=1e-12)
     assert np.allclose(Z2[:, i], Z[:, i], atol=1e-12)

@@ -244,6 +244,35 @@ def test_report_on_an_empty_directory(tmp_path, capsys):
         assert json.load(fh)["n_reports"] == 0
 
 
+def test_report_on_a_missing_directory_exits_2_and_creates_nothing(tmp_path, capsys):
+    missing = tmp_path / "no" / "such"
+    assert main(["report", str(missing)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "no").exists()
+
+
+def test_report_counts_an_unreadable_report_as_failed(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "report.json").write_text(
+        '{"schema": "wcalc-report-v1", "passed": fal')
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "report.json").write_text(
+        json.dumps({"schema": "other-v1", "passed": False}))
+    (tmp_path / "c").mkdir()
+    (tmp_path / "c" / "report.json").write_text("[]")
+    assert main(["report", str(tmp_path)]) == 1
+    assert "No reports found." not in capsys.readouterr().out
+    with open(tmp_path / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["n_reports"] == 1
+    assert summary["all_passed"] is False
+    row, = summary["reports"]
+    assert row["path"] == "a/report.json" and row["passed"] is False
+    md = (tmp_path / "summary.md").read_text()
+    assert "| a/report.json |" in md and "NO" in md
+    assert "ERROR: a/report.json is unreadable" in md
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -27,22 +27,22 @@ def sin_phi():
 def test_grid_density_validation():
     x = np.linspace(0.0, 1.0, 11)
     with pytest.raises(ValueError):
-        GridDensity(x, np.ones(10), 0.0)           # shape mismatch
+        GridDensity(x, np.ones(10))  # shape mismatch
     with pytest.raises(ValueError):
-        GridDensity(np.cumsum(np.arange(11.0)), np.ones(11), 0.0)
+        GridDensity(np.cumsum(np.arange(11.0)), np.ones(11))
     with pytest.raises(ValueError):
-        GridDensity(x, -np.ones(11), 0.0)
+        GridDensity(x, -np.ones(11))
 
 
 def test_grid_density_mass_and_normalization():
     x = np.linspace(-1.0, 1.0, 201)
-    h = GridDensity(x, 1.0 - x * x, 0.0)
+    h = GridDensity(x, 1.0 - x * x)
     assert h.mass == pytest.approx(4.0 / 3.0, rel=1e-4)
     assert h.spacing == pytest.approx(0.01)
     hn = h.normalized()
     assert hn.mass == pytest.approx(1.0, abs=1e-12)
 
-    flat = GridDensity(x, np.zeros(201), 0.0)
+    flat = GridDensity(x, np.zeros(201))
     with pytest.raises(ValueError):
         flat.normalized()
 
@@ -117,8 +117,8 @@ def test_representer_is_the_functional_gradient():
     g = -x * np.exp(-0.5 * x * x)       # d/dx of a Gaussian bump, mean zero
     g -= np.trapezoid(g, x) / (x[-1] - x[0])
     eps = 1e-5
-    up = GridDensity(x, np.maximum(h.values + eps * g, 0.0), 0.0)
-    dn = GridDensity(x, np.maximum(h.values - eps * g, 0.0), 0.0)
+    up = GridDensity(x, np.maximum(h.values + eps * g, 0.0))
+    dn = GridDensity(x, np.maximum(h.values - eps * g, 0.0))
     fd = (phi.value(up) - phi.value(dn)) / (2 * eps)
     pairing = float(np.trapezoid(dPhi_representer(phi, h, x) * g, x))
     assert abs(fd - pairing) < 1e-6

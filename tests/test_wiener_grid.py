@@ -36,7 +36,6 @@ def test_sample_paths_moments():
     g = make_grid(6)
     pool = sample_paths(g, 50000, seed=101)
     assert pool.increments.shape == (50000, 6)
-    assert np.allclose(pool.weights, pool.weights[0])
     se = np.sqrt(g.steps / 50000)
     assert np.all(np.abs(pool.increments.mean(axis=0)) < 4 * se)
     assert np.allclose(pool.increments.var(axis=0), g.steps, rtol=0.05)
