@@ -17,14 +17,16 @@ from .rng import substream
 from .measure_ops import EmpiricalLaw, pushforward_law, wasserstein1, \
     weighted_expectation, kernel_regression, conditional_expectation
 from .functionals import CylindricalFn, NestedFn, make_functional, eval_cyl, \
-    lions_derivative, eval_nested, partial_mu_G_nested, lifted_derivative_fd
+    outer_slope, lions_derivative, eval_nested, partial_mu_G_nested, \
+    lifted_derivative_fd
 from .numerics import gauss_hermite, antiderivative_at, binned_gaussian_smooth, \
     bump_quad_1d, capped_identity, capped_identity_deriv, radial_cutoff, \
     radial_cutoff_deriv
 from .density_deriv import DensityCurve, validate_curve, \
     scalar_exponential_curve, mixture_curve, \
     density_derivative_profile, \
-    recenter_to_base, recenter_to_density, chain_rule_rhs, chain_rule_lhs_fd, \
+    recenter_to_base, recenter_to_density, grad_phi_antiderivative, \
+    chain_rule_rhs, chain_rule_lhs_fd, \
     second_order_check_1d, second_order_check_multidim, \
     multidim_derivative_repr, nested_derivative_check
 from .girsanov import StepProcess, constant_process, \

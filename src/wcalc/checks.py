@@ -14,12 +14,13 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .wiener_grid import TimeGrid, PathPool, make_grid, sample_paths, brownian_at
+from .wiener_grid import TimeGrid, make_grid, sample_paths, brownian_at
 from .functionals import CylindricalFn, NestedFn, make_functional, eval_cyl, \
     lifted_derivative_fd
 from .measure_ops import pushforward_law
 from .density_deriv import scalar_exponential_curve, mixture_curve, \
-    chain_rule_lhs_fd, chain_rule_rhs, second_order_check_1d, \
+    grad_phi_antiderivative, chain_rule_lhs_fd, chain_rule_rhs, \
+    second_order_check_1d, \
     second_order_check_multidim, multidim_derivative_repr, nested_derivative_check
 from .girsanov import constant_process, deterministic_process, \
     history_process, doleans_exponential, shift_forward, shift_backward, \
@@ -30,6 +31,9 @@ from .density_functional import DensityFunctionalPhi, bensoussan_check
 
 _N_SHARDS = 8
 _FD_STEP = 1e-3
+_CHAIN_LAMS = (0.2, 0.45, 0.7)
+# The chain-rule closed form is this battery instance: (functional, curve, lam).
+_CLOSED_FORM = ("mean", "exp", 0.45)
 # Central-difference bias constants, pinned from step-halving measurements;
 # multiplied by the square of the step actually used.
 _FD_BIAS_CHAIN = 2.0
@@ -78,9 +82,10 @@ def _rec(name: str, lhs: float, rhs: float, std_err: float,
                        float(tolerance))
 
 
-def _shards(pool: PathPool, k: int = _N_SHARDS) -> List[PathPool]:
-    idx = np.arange(pool.n_samples)
-    return [pool.subset(idx[j::k]) for j in range(k)]
+def _shard_rows(n: int, k: int = _N_SHARDS) -> List[np.ndarray]:
+    """Row indices of k disjoint, interleaved shards of an n-path pool."""
+    idx = np.arange(n)
+    return [idx[j::k] for j in range(k)]
 
 
 def _shard_se(values: Sequence[float]) -> float:
@@ -112,42 +117,60 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
                      functionals: Optional[Sequence[str]] = None) -> List[CheckRecord]:
     """Parameter derivative of f(law of B_T under L^lam) two ways.
 
-    lhs: central difference in lam of the reweighted functional. rhs: mean of
-    (antiderivative of the Lions derivative at B_T) times dL/dlam. Battery of
-    three functionals, two curve families, three parameter points, plus a
-    closed-form instance where both routes must sit at exactly one.
+    lhs: central difference in lam of the reweighted functional. rhs:
+    h'(<phi, law>) times the mean of Phi(B_T) dL/dlam, where Phi is the
+    antiderivative of grad phi. Battery of three functionals, two curve
+    families, three parameter points, plus a closed-form instance where both
+    routes must sit at exactly one.
+
+    Phi does not depend on the law, so it is integrated once per functional
+    on the full pool and every shard reads it by row. Each (curve, lam)
+    evaluates its densities once per pool, shared by every functional.
     """
     grid = make_grid(n_steps, horizon)
     pool = sample_paths(grid, n_paths, seed)
     xi = brownian_at(pool, grid.horizon)
-    shards = _shards(pool)
-    shard_xi = [brownian_at(p, grid.horizon) for p in shards]
+    shard_rows = _shard_rows(pool.n_samples)
+    pools = [pool] + [pool.subset(r) for r in shard_rows]
+    rows = [slice(None)] + shard_rows
+    fids = list(functionals or ("mean", "mean_sq", "sin_mean"))
+    fns = {fid: make_functional(fid) for fid in fids + [_CLOSED_FORM[0]]}
+    antis = {fid: grad_phi_antiderivative(f, xi) for fid, f in fns.items()}
+    curves = _curve_battery(grid)
+
+    # routes[fid, cid, lam]: (lhs, rhs) on the full pool, then on each shard
+    routes: Dict[tuple, List[tuple]] = {}
+    for cid, curve in curves:
+        for lam in _CHAIN_LAMS:
+            todo = [fid for fid in fns
+                    if fid in fids or (fid, cid, lam) == _CLOSED_FORM]
+            for p, r in zip(pools, rows):
+                x = xi[r]
+                below = curve.eval(lam - _FD_STEP, p)
+                above = curve.eval(lam + _FD_STEP, p)
+                density, deriv = curve.eval_pair(lam, p)
+                for fid in todo:
+                    f = fns[fid]
+                    routes.setdefault((fid, cid, lam), []).append(
+                        (chain_rule_lhs_fd(f, below, above, x, p, _FD_STEP),
+                         chain_rule_rhs(f, density, deriv, x, p,
+                                        antis[fid][r])))
+
     fd_bias = _FD_BIAS_CHAIN * _FD_STEP ** 2
     records = []
-    for fid in functionals or ("mean", "mean_sq", "sin_mean"):
-        f = make_functional(fid)
-        for cid, curve in _curve_battery(grid):
-            for lam in (0.2, 0.45, 0.7):
-                lhs = chain_rule_lhs_fd(f, curve, lam, xi, pool, _FD_STEP)
-                rhs = chain_rule_rhs(f, curve, lam, xi, pool)
-                diffs = [chain_rule_lhs_fd(f, curve, lam, x, p, _FD_STEP)
-                         - chain_rule_rhs(f, curve, lam, x, p)
-                         for p, x in zip(shards, shard_xi)]
-                se = _shard_se(diffs)
+    for fid in fids:
+        for cid, _ in curves:
+            for lam in _CHAIN_LAMS:
+                (lhs, rhs), *shards = routes[fid, cid, lam]
+                se = _shard_se([l - r for l, r in shards])
                 records.append(_rec(f"chain/{fid}|{cid}|lam={lam:.2f}",
                                     lhs, rhs, se, 3.0 * se + fd_bias))
 
     # Closed form: under exp(lam B_T - lam^2 T / 2) the mean of B_T is lam T,
     # so the lam-derivative is the horizon itself on both routes.
-    f = make_functional("mean")
-    curve = _curve_battery(grid)[0][1]
-    lam = 0.45
-    lhs = chain_rule_lhs_fd(f, curve, lam, xi, pool, _FD_STEP)
-    rhs = chain_rule_rhs(f, curve, lam, xi, pool)
-    se_l = _shard_se([chain_rule_lhs_fd(f, curve, lam, x, p, _FD_STEP)
-                      for p, x in zip(shards, shard_xi)])
-    se_r = _shard_se([chain_rule_rhs(f, curve, lam, x, p)
-                      for p, x in zip(shards, shard_xi)])
+    (lhs, rhs), *shards = routes[_CLOSED_FORM]
+    se_l = _shard_se([l for l, _ in shards])
+    se_r = _shard_se([r for _, r in shards])
     records.append(_rec("chain/closed-form-fd", lhs, grid.horizon,
                         se_l, 3.0 * se_l + fd_bias))
     records.append(_rec("chain/closed-form-repr", rhs,

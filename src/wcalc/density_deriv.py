@@ -16,7 +16,7 @@ import numpy as np
 
 from .clark_ocone import SmoothFunctional, clark_ocone_decompose, gaussian_smooth
 from .functionals import CylindricalFn, NestedFn, eval_cyl, eval_nested, \
-    lions_derivative, partial_mu_G_nested
+    lions_derivative, outer_slope, partial_mu_G_nested
 from .measure_ops import EmpiricalLaw, pushforward_law, weighted_expectation
 from .numerics import antiderivative_at
 from .rng import substream
@@ -33,9 +33,9 @@ class DensityCurve:
 
     value_fn(lam, increments) and deriv_fn(lam, increments) evaluate the raw
     curve and its lambda-derivative on any increment matrix over the grid.
-    eval/deriv renormalize by the pool mean so every probe has mean
-    exactly one; the derivative is transformed consistently, which also
-    forces its mean to zero.
+    eval/eval_pair/deriv renormalize by the pool mean so every probe has
+    mean exactly one; the derivative is transformed consistently, which
+    also forces its mean to zero.
 
     scalar_triple, when present, states that the curve reads only the path
     endpoint u = B_T: scalar_triple(lam, u) returns the raw value, its
@@ -90,11 +90,15 @@ class DensityCurve:
         raw = np.asarray(self.value_fn(lam, pool.increments), dtype=float)
         return raw / float(raw.mean())
 
-    def deriv(self, lam: float, pool: PathPool) -> np.ndarray:
+    def eval_pair(self, lam: float, pool: PathPool):
+        """(eval, deriv) at lam from one raw evaluation of the curve."""
         vals, dvals = self.raw_pair(lam, pool.increments)
         r = float(vals.mean())
         dr = float(dvals.mean())
-        return dvals / r - vals * (dr / (r * r))
+        return vals / r, dvals / r - vals * (dr / (r * r))
+
+    def deriv(self, lam: float, pool: PathPool) -> np.ndarray:
+        return self.eval_pair(lam, pool)[1]
 
 
 def validate_curve(curve: DensityCurve, pool: PathPool) -> None:
@@ -206,28 +210,53 @@ def recenter_to_density(values: np.ndarray, density_values: np.ndarray,
     return vals - float(np.dot(dens, vals) / dens.sum())
 
 
-def chain_rule_rhs(f: CylindricalFn, curve: DensityCurve, lam: float,
-                   xi_values: np.ndarray, pool: PathPool) -> float:
-    """Mean of (antiderivative of the Lions derivative at xi) times dL/dlam."""
-    density = curve.eval(lam, pool)
-    dd = curve.deriv(lam, pool)
-    law = pushforward_law(pool, density, xi_values)
+def _require_1d(f: CylindricalFn) -> None:
+    if f.dim != 1:
+        raise ValueError(f"the chain rule along a scalar observable needs a "
+                         f"one-dimensional functional, got dim {f.dim}")
+
+
+def grad_phi_antiderivative(f: CylindricalFn, xi_values) -> np.ndarray:
+    """Phi(x) = integral of grad phi from 0 to x, at every observable value.
+
+    The antiderivative of the Lions derivative h'(<phi, law>) grad phi is
+    h'(<phi, law>) Phi, and Phi does not depend on the law, so one Phi
+    serves every law of the same observable values (and any subset of
+    them, read by row). It is integrated numerically on purpose: taking
+    phi(x) - phi(0) would let the rhs share phi with the lhs.
+    """
+    _require_1d(f)
     xi = np.asarray(xi_values, dtype=float).reshape(-1)
-    anti = antiderivative_at(lambda ys: lions_derivative(f, law, ys), xi)
-    return weighted_expectation(pool, dd, anti)
+    return antiderivative_at(
+        lambda ys: np.asarray(f.grad_phi(ys[:, None]), dtype=float)[:, 0], xi)
 
 
-def chain_rule_lhs_fd(f: CylindricalFn, curve: DensityCurve, lam: float,
-                      xi_values: np.ndarray, pool: PathPool,
-                      h_step: float) -> float:
-    """Central difference of lam -> f(law^lam) on the same pool both sides."""
-    if not (curve.contains(lam - h_step) and curve.contains(lam + h_step)):
-        raise ValueError("lambda too close to the parameter boundary for this step")
+def chain_rule_rhs(f: CylindricalFn, density_values, deriv_values,
+                   xi_values, pool: PathPool, anti_values) -> float:
+    """h'(<phi, law>) times the mean of Phi(xi) dL/dlam.
 
-    def at(l):
-        return eval_cyl(f, pushforward_law(pool, curve.eval(l, pool), xi_values))
+    density_values and deriv_values are the curve and its lambda-derivative
+    at one lambda on the pool (DensityCurve.eval_pair); law is the law of xi
+    under the density; anti_values is grad_phi_antiderivative(f, xi_values).
+    """
+    _require_1d(f)
+    law = pushforward_law(pool, density_values, xi_values)
+    return outer_slope(f, law) * weighted_expectation(pool, deriv_values,
+                                                      anti_values)
 
-    return (at(lam + h_step) - at(lam - h_step)) / (2.0 * h_step)
+
+def chain_rule_lhs_fd(f: CylindricalFn, below, above, xi_values,
+                      pool: PathPool, h_step: float) -> float:
+    """Central difference of lam -> f(law^lam) on the same pool both sides:
+    below and above are the curve's densities at lam - h_step and
+    lam + h_step on the pool."""
+    if not (np.isfinite(h_step) and h_step > 0):
+        raise ValueError(f"h_step must be finite and positive, got {h_step}")
+
+    def at(density):
+        return eval_cyl(f, pushforward_law(pool, density, xi_values))
+
+    return (at(above) - at(below)) / (2.0 * h_step)
 
 
 def second_order_check_1d(f: CylindricalFn, law: EmpiricalLaw, x_grid,
@@ -254,7 +283,7 @@ def second_order_check_multidim(f: CylindricalFn, law: EmpiricalLaw, x_grid,
         pts = pts[:, None]
     if pts.shape[1] != f.dim or law.dim != f.dim:
         raise ValueError("point dimension does not match the functional")
-    c = f.h_prime(law.integrate(np.asarray(f.phi(law.atoms), dtype=float)))
+    c = outer_slope(f, law)
     target = lions_derivative(f, law, pts)
     worst = 0.0
     for j in range(pts.shape[1]):
@@ -291,7 +320,7 @@ def multidim_derivative_repr(f: CylindricalFn, L: SmoothFunctional,
         raise ValueError("density must be strictly positive pathwise")
     xi_pts = np.column_stack([np.asarray(x.value_fn(inc), dtype=float) for x in xi_fns])
     law = pushforward_law(pool, l_vals, xi_pts)
-    c = float(f.h_prime(law.integrate(np.asarray(f.phi(law.atoms), dtype=float))))
+    c = outer_slope(f, law)
 
     Z, M, gamma = clark_ocone_decompose(L, pool, quad_order=quad_order)
 

@@ -119,6 +119,14 @@ def eval_cyl(f: CylindricalFn, law: EmpiricalLaw) -> float:
     return float(f.h(law.integrate(f.phi)))
 
 
+def outer_slope(f: CylindricalFn, law: EmpiricalLaw) -> float:
+    """h'(integral phi d law): the one factor of the Lions derivative that
+    depends on the law."""
+    if law.dim != f.dim:
+        raise ValueError("law dimension does not match the functional")
+    return float(f.h_prime(law.integrate(f.phi)))
+
+
 def lions_derivative(f: CylindricalFn, law: EmpiricalLaw, x):
     """Analytic measure derivative h'(integral phi d law) * grad_phi(x).
 
@@ -126,9 +134,7 @@ def lions_derivative(f: CylindricalFn, law: EmpiricalLaw, x):
     the result matches: scalar, (dim,), or (m, dim). For dim 1 a batch (m,)
     returns (m,).
     """
-    if law.dim != f.dim:
-        raise ValueError("law dimension does not match the functional")
-    c = float(f.h_prime(law.integrate(f.phi)))
+    c = outer_slope(f, law)
     pts, restore = _as_points(x, f.dim)
     g = c * np.asarray(f.grad_phi(pts), dtype=float)
     if f.dim == 1:

@@ -39,9 +39,11 @@ def antiderivative_at(fn, xs, tol: float = 1e-9, max_depth: int = 14):
     """A(x) = integral of fn from 0 to x, evaluated at every x in xs.
 
     Adaptive composite Gauss-Legendre: each segment between consecutive
-    evaluation points gets an embedded 15/7-point error estimate and is
-    bisected until the estimated error is below its share of tol. Vectorized
-    across segments; fn must accept a flat array.
+    evaluation points is integrated by the 7- and the 15-point rule, whose
+    difference is the error estimate, and is bisected until that estimate is
+    below its share of tol. The two rules are not nested (they share only
+    the midpoint), so each pass costs 22 evaluations of fn per segment.
+    Vectorized across segments; fn must accept a flat array.
     """
     xs = np.asarray(xs, dtype=float)
     flat = xs.ravel()

@@ -11,6 +11,11 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate, optimize, stats
 
+from wcalc import (antiderivative_at, brownian_at, eval_cyl,
+                   lions_derivative, make_functional, make_grid,
+                   pushforward_law, sample_paths, weighted_expectation)
+from wcalc.checks import (_FD_BIAS_CHAIN, _FD_STEP, _N_SHARDS, _curve_battery,
+                          _rec, _shard_se)
 from wcalc.numerics import (_segment_integrals, gauss_hermite, radial_cutoff,
                             smoothstep)
 
@@ -240,3 +245,78 @@ FROZEN = {
     "shifted_second_moment_c0.5": 1.25,
     "w1_two_point_vs_middle": 1.0,
 }
+
+
+# --- the chain-rule battery as it was when every (functional, curve, lambda,
+# shard) re-evaluated its densities and re-integrated the whole Lions
+# derivative -----------------------------------------------------------------
+
+def chain_rule_rhs_per_call(f, curve, lam, xi_values, pool):
+    """Mean of (antiderivative of the Lions derivative at xi) times dL/dlam."""
+    density = curve.eval(lam, pool)
+    dd = curve.deriv(lam, pool)
+    law = pushforward_law(pool, density, xi_values)
+    xi = np.asarray(xi_values, dtype=float).reshape(-1)
+    anti = antiderivative_at(lambda ys: lions_derivative(f, law, ys), xi)
+    return weighted_expectation(pool, dd, anti)
+
+
+def chain_rule_lhs_fd_per_call(f, curve, lam, xi_values, pool, h_step):
+    """Central difference of lam -> f(law^lam) on the same pool both sides."""
+    if not (curve.contains(lam - h_step) and curve.contains(lam + h_step)):
+        raise ValueError("lambda too close to the parameter boundary for this step")
+
+    def at(l):
+        return eval_cyl(f, pushforward_law(pool, curve.eval(l, pool), xi_values))
+
+    return (at(lam + h_step) - at(lam - h_step)) / (2.0 * h_step)
+
+
+def _shards(pool, k):
+    idx = np.arange(pool.n_samples)
+    return [pool.subset(idx[j::k]) for j in range(k)]
+
+
+def check_chain_rule_per_call(n_paths=20000, n_steps=16, seed=7101,
+                              horizon=1.0, functionals=None):
+    """wcalc.checks.check_chain_rule as it was, one route call per
+    (functional, curve, lambda, pool), with the closed form recomputed."""
+    chain_rule_lhs_fd = chain_rule_lhs_fd_per_call
+    chain_rule_rhs = chain_rule_rhs_per_call
+
+    grid = make_grid(n_steps, horizon)
+    pool = sample_paths(grid, n_paths, seed)
+    xi = brownian_at(pool, grid.horizon)
+    shards = _shards(pool, _N_SHARDS)
+    shard_xi = [brownian_at(p, grid.horizon) for p in shards]
+    fd_bias = _FD_BIAS_CHAIN * _FD_STEP ** 2
+    records = []
+    for fid in functionals or ("mean", "mean_sq", "sin_mean"):
+        f = make_functional(fid)
+        for cid, curve in _curve_battery(grid):
+            for lam in (0.2, 0.45, 0.7):
+                lhs = chain_rule_lhs_fd(f, curve, lam, xi, pool, _FD_STEP)
+                rhs = chain_rule_rhs(f, curve, lam, xi, pool)
+                diffs = [chain_rule_lhs_fd(f, curve, lam, x, p, _FD_STEP)
+                         - chain_rule_rhs(f, curve, lam, x, p)
+                         for p, x in zip(shards, shard_xi)]
+                se = _shard_se(diffs)
+                records.append(_rec(f"chain/{fid}|{cid}|lam={lam:.2f}",
+                                    lhs, rhs, se, 3.0 * se + fd_bias))
+
+    # Closed form: under exp(lam B_T - lam^2 T / 2) the mean of B_T is lam T,
+    # so the lam-derivative is the horizon itself on both routes.
+    f = make_functional("mean")
+    curve = _curve_battery(grid)[0][1]
+    lam = 0.45
+    lhs = chain_rule_lhs_fd(f, curve, lam, xi, pool, _FD_STEP)
+    rhs = chain_rule_rhs(f, curve, lam, xi, pool)
+    se_l = _shard_se([chain_rule_lhs_fd(f, curve, lam, x, p, _FD_STEP)
+                      for p, x in zip(shards, shard_xi)])
+    se_r = _shard_se([chain_rule_rhs(f, curve, lam, x, p)
+                      for p, x in zip(shards, shard_xi)])
+    records.append(_rec("chain/closed-form-fd", lhs, grid.horizon,
+                        se_l, 3.0 * se_l + fd_bias))
+    records.append(_rec("chain/closed-form-repr", rhs,
+                        grid.horizon, se_r, 3.0 * se_r))
+    return records

@@ -23,7 +23,7 @@ _SEED = 20260815
 _GRID_STEPS = 16
 
 _CHAIN_PATHS = 100_000
-_CHAIN_BATTERY_SECONDS = 30.0      # whole battery; a fortiori per instance
+_CHAIN_BATTERY_SECONDS = 5.0       # whole battery; a fortiori per instance
 _SECOND_ORDER_SECONDS = 5.0        # whole battery (criteria 2 and 3)
 _SLOPE_RANGE = (1.8, 2.2)
 _ROUNDOFF = 1e-12

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wcalc import CheckRecord, CHECKS, run_check
+from oracles import assert_bitwise, check_chain_rule_per_call
 
 
 def test_record_validation_and_properties():
@@ -64,3 +65,29 @@ def test_batteries_are_seed_reproducible():
     assert [r.as_dict() for r in a] == [r.as_dict() for r in b]
     c = run_check("girsanov", 1500, 8, seed=78)
     assert any(x.lhs != y.lhs for x, y in zip(a, c))
+
+
+def test_chain_rule_matches_the_per_call_oracle():
+    """Integrating grad phi once per functional and evaluating each density
+    once per pool moves no lhs and no rhs or standard error beyond
+    roundoff."""
+    got = run_check("chain-rule", 4000, 8, seed=3)
+    want = check_chain_rule_per_call(4000, 8, seed=3)
+    assert [r.name for r in got] == [r.name for r in want]
+    for g, w in zip(got, want):
+        assert_bitwise(g.lhs, w.lhs)
+        assert abs(g.rhs - w.rhs) <= 1e-12, g.name
+        assert abs(g.std_err - w.std_err) <= 1e-12, g.name
+
+
+def test_chain_rule_closed_form_does_not_need_mean_in_the_subset():
+    full = run_check("chain-rule", 4000, 8, seed=3)
+    sub = run_check("chain-rule", 4000, 8, seed=3, functionals=["sin_mean"])
+    closed = [r for r in sub if "closed-form" in r.name]
+    assert [r.name for r in closed] == ["chain/closed-form-fd",
+                                        "chain/closed-form-repr"]
+    assert all(r.rhs == 1.0 for r in closed)          # the horizon
+    for got, want in zip(closed, [r for r in full if "closed-form" in r.name]):
+        assert got.name == want.name
+        assert_bitwise([got.lhs, got.rhs], [want.lhs, want.rhs])
+    assert not any(r.name.startswith("chain/mean|") for r in sub)

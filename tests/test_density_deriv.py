@@ -6,8 +6,10 @@ from wcalc import (make_grid, sample_paths, scalar_exponential_curve,
                    mixture_curve, DensityCurve,
                    validate_curve, density_derivative_profile,
                    recenter_to_base, recenter_to_density, antiderivative_at,
-                   pushforward_law, make_functional, weighted_expectation)
-from oracles import gaussian_expectation
+                   pushforward_law, make_functional, weighted_expectation,
+                   brownian_at, chain_rule_lhs_fd, chain_rule_rhs,
+                   grad_phi_antiderivative, CylindricalFn)
+from oracles import assert_bitwise, gaussian_expectation
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +23,9 @@ def test_scalar_exponential_curve_is_a_density(pool16):
     validate_curve(curve, pool16)
     vals = curve.eval(0.4, pool16)
     assert np.all(vals > 0)
+    pair = curve.eval_pair(0.4, pool16)
+    assert_bitwise(pair[0], vals)
+    assert_bitwise(pair[1], curve.deriv(0.4, pool16))
     assert abs(weighted_expectation(pool16, np.ones(len(vals)), vals) - 1.0) < 0.02
 
 
@@ -81,6 +86,32 @@ def test_profile_is_centered_antiderivative(pool16):
     from wcalc import lions_derivative
     assert np.allclose((up - dn) / (2 * h), lions_derivative(f, law, probes),
                        atol=1e-6)
+
+
+@pytest.mark.parametrize("h_step", [0.0, np.nan, -1e-3, np.inf])
+def test_chain_rule_lhs_rejects_a_bad_step(pool16, h_step):
+    curve = scalar_exponential_curve(lambda l: l, lambda l: 1.0,
+                                     pool16.grid, 0.0, 1.0)
+    dens = curve.eval(0.45, pool16)
+    xi = brownian_at(pool16, 1.0)
+    with pytest.raises(ValueError, match="h_step"):
+        chain_rule_lhs_fd(make_functional("mean"), dens, dens, xi, pool16,
+                          h_step)
+
+
+def test_chain_rule_rhs_rejects_a_planar_functional(pool16):
+    f = CylindricalFn(h=lambda u: u, h_prime=lambda u: np.ones_like(u),
+                      phi=lambda x: x[:, 0] * x[:, 1],
+                      grad_phi=lambda x: x[:, ::-1].copy(), dim=2)
+    curve = scalar_exponential_curve(lambda l: l, lambda l: 1.0,
+                                     pool16.grid, 0.0, 1.0)
+    dens, deriv = curve.eval_pair(0.45, pool16)
+    xi = brownian_at(pool16, 1.0)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        grad_phi_antiderivative(f, xi)
+    for x in (xi, np.column_stack([xi, xi])):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            chain_rule_rhs(f, dens, deriv, x, pool16, xi)
 
 
 def test_antiderivative_at_vs_quadrature():
