@@ -30,7 +30,7 @@ from .density_deriv import DensityCurve, validate_curve, \
     second_order_check_1d, second_order_check_multidim, \
     multidim_derivative_repr, nested_derivative_check
 from .girsanov import StepProcess, constant_process, \
-    deterministic_process, table_process, history_process, \
+    deterministic_process, table_process, \
     doleans_exponential, shift_forward, shift_backward, girsanov_check
 from .clark_ocone import SmoothFunctional, scalar_functional, \
     gaussian_smooth, clark_ocone_decompose, reconstruction_error

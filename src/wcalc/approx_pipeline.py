@@ -544,8 +544,9 @@ def _exponentials(table: _UTable, config: PipelineConfig,
     out = []
     for pool in pools:
         stride = grid.n_steps // pool.grid.n_steps
-        E = doleans_exponential(pool, stage7_stepify(grid, g, pool.grid.n_steps),
-                                grid.horizon)
+        # a copy of the horizon column, so the knot table is freed
+        E = doleans_exponential(
+            pool, stage7_stepify(grid, g, pool.grid.n_steps))[:, -1].copy()
         out.append((E, E * _exponential_slope(pool, g[:, ::stride],
                                               dg[:, ::stride])))
     return out, gam_tab
@@ -652,8 +653,7 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
     seg_sq = {sid: 0.0 for sid in stage_ids}
 
     for la, sw in [(lam, None)] + list(zip(seg_lams, seg_w)):
-        target_v = curve.eval(la, pool)
-        target_d = curve.deriv(la, pool)
+        target_v, target_d = curve.eval_pair(la, pool)
         errs: Dict[int, Tuple[float, float]] = {}
 
         def record(sid, v, d):
@@ -738,8 +738,9 @@ def final_errors_at(curve: DensityCurve, lam: float, config: PipelineConfig,
     [(E, dE)], _ = _exponentials(
         table, config, config.positivity_floor + float(F.mean()),
         float(Fl.mean()), _table_y_grid(k_pool), (k_pool,))
-    ev, se_v = _l2_with_se(E - curve.eval(lam, pool))
-    ed, se_d = _l2_with_se(dE - curve.deriv(lam, pool))
+    target_v, target_d = curve.eval_pair(lam, pool)
+    ev, se_v = _l2_with_se(E - target_v)
+    ed, se_d = _l2_with_se(dE - target_d)
     return ev, ed, se_v, se_d
 
 

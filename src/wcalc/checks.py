@@ -22,12 +22,12 @@ from .density_deriv import scalar_exponential_curve, mixture_curve, \
     grad_phi_antiderivative, chain_rule_lhs_fd, chain_rule_rhs, \
     second_order_check_1d, \
     second_order_check_multidim, multidim_derivative_repr, nested_derivative_check
-from .girsanov import constant_process, deterministic_process, \
-    history_process, doleans_exponential, shift_forward, shift_backward, \
-    girsanov_check
+from .girsanov import StepProcess, constant_process, deterministic_process, \
+    doleans_exponential, shift_forward, shift_backward, girsanov_check
 from .clark_ocone import SmoothFunctional, scalar_functional, \
     clark_ocone_decompose, reconstruction_error
 from .density_functional import DensityFunctionalPhi, bensoussan_check
+from .numerics import mean_and_se
 
 _N_SHARDS = 8
 _FD_STEP = 1e-3
@@ -125,7 +125,8 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
 
     Phi does not depend on the law, so it is integrated once per functional
     on the full pool and every shard reads it by row. Each (curve, lam)
-    evaluates its densities once per pool, shared by every functional.
+    builds its three laws (at lam - h, lam + h and lam) once per pool,
+    shared by every functional.
     """
     grid = make_grid(n_steps, horizon)
     pool = sample_paths(grid, n_paths, seed)
@@ -146,15 +147,15 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
                     if fid in fids or (fid, cid, lam) == _CLOSED_FORM]
             for p, r in zip(pools, rows):
                 x = xi[r]
-                below = curve.eval(lam - _FD_STEP, p)
-                above = curve.eval(lam + _FD_STEP, p)
+                below = pushforward_law(p, curve.eval(lam - _FD_STEP, p), x)
+                above = pushforward_law(p, curve.eval(lam + _FD_STEP, p), x)
                 density, deriv = curve.eval_pair(lam, p)
+                law = pushforward_law(p, density, x)
                 for fid in todo:
                     f = fns[fid]
                     routes.setdefault((fid, cid, lam), []).append(
-                        (chain_rule_lhs_fd(f, below, above, x, p, _FD_STEP),
-                         chain_rule_rhs(f, density, deriv, x, p,
-                                        antis[fid][r])))
+                        (chain_rule_lhs_fd(f, below, above, _FD_STEP),
+                         chain_rule_rhs(f, law, deriv, antis[fid][r], p)))
 
     fd_bias = _FD_BIAS_CHAIN * _FD_STEP ** 2
     records = []
@@ -308,16 +309,11 @@ def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
     records = []
     for f in _plane_functionals()[:2]:
         out = multidim_derivative_repr(f, L, [xi1, xi2], pool, quad_order=quad)
-        zero = float(np.mean(l_norm * out))
-        se0 = float(np.sqrt(np.mean((l_norm * out - zero) ** 2)
-                            / max(pool.n_samples - 1, 1)))
+        zero, se0 = mean_and_se(l_norm * out)
         records.append(_rec(f"second/repr-drift|{f.descriptor}",
                             zero, 0.0, se0, 3.0 * se0))
 
-        pair_vals = l_norm * out * ito_eta
-        pair = float(pair_vals.mean())
-        se_p = float(np.sqrt(np.mean((pair_vals - pair) ** 2)
-                             / max(pool.n_samples - 1, 1)))
+        pair, se_p = mean_and_se(l_norm * out * ito_eta)
         fd = lifted_derivative_fd(lambda law: eval_cyl(f, law), pool, l_vals,
                                   xi_pts, np.tile(eta_obs, (pool.n_samples, 1)),
                                   step=1e-3)
@@ -335,7 +331,7 @@ def _girsanov_processes(grid: TimeGrid):
         ("const-", constant_process(grid, -0.8)),
         ("sin-t", deterministic_process(grid, np.sin(2.0 * np.pi * knots))),
         ("ramp", deterministic_process(grid, 0.3 * knots)),
-        ("tanh-B", history_process(
+        ("tanh-B", StepProcess(
             grid, lambda i, hist: 0.6 * np.tanh(hist.sum(axis=1)), bound=0.6)),
     ]
 
@@ -387,13 +383,10 @@ def check_girsanov(n_paths: int = 20000, n_steps: int = 16,
                             err, 0.0, 0.0, 1e-10))
 
     for gname in ("const-", "tanh-B"):
-        gamma = dict(gammas)[gname]
+        table = doleans_exponential(pool, dict(gammas)[gname])
         worst, worst_se, worst_gap = 1.0, 0.0, -1.0
-        for t in grid.knots[1:]:
-            dens = doleans_exponential(pool, gamma, float(t))
-            m = float(dens.mean())
-            se = float(np.sqrt(np.mean((dens - m) ** 2)
-                               / max(pool.n_samples - 1, 1)))
+        for j in range(1, table.shape[1]):
+            m, se = mean_and_se(table[:, j])
             if abs(m - 1.0) - 3.0 * se > worst_gap:
                 worst, worst_se = m, se
                 worst_gap = abs(m - 1.0) - 3.0 * se

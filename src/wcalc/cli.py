@@ -30,8 +30,7 @@ _RECORD_COLUMNS = ["name", "lhs", "rhs", "std_err", "tolerance", "gap", "passed"
 
 _VERIFY_DEFAULTS = {"seed": 20260815, "n_paths": 20000,
                     "n_steps": 16, "horizon": 1.0}
-_PIPELINE_DEFAULTS = {"seed": 20260815, "n_paths": 100000,
-                      "n_steps": 16, "horizon": 1.0,
+_PIPELINE_DEFAULTS = {**_VERIFY_DEFAULTS, "n_paths": 100000,
                       "lam": 0.3, "lam_prime": 0.5,
                       "dyadic_level": 3, "truncation_level": 6.0,
                       "mollify_eps": 0.1, "positivity_floor": 0.1,
@@ -260,13 +259,8 @@ def cmd_pipeline(args) -> int:
     grid = make_grid(r["n_steps"], r["horizon"])
     # settings pipeline_run would reject fail here, before any sampling
     try:
-        pconf = PipelineConfig(
-            dyadic_level=pl.get("dyadic_level", r["dyadic_level"]),
-            truncation_level=pl.get("truncation_level", r["truncation_level"]),
-            mollify_eps=pl.get("mollify_eps", r["mollify_eps"]),
-            positivity_floor=pl.get("positivity_floor", r["positivity_floor"]),
-            step_count=pl.get("step_count", r["step_count"]),
-            quad_order=pl.get("quad_order", r["quad_order"]))
+        pconf = PipelineConfig(**{f.name: pl.get(f.name, r[f.name])
+                                  for f in dataclasses.fields(PipelineConfig)})
         curve = scalar_exponential_curve(lambda l: scale * l,
                                          lambda l: scale, grid,
                                          lam_lo=curve_cfg.get("lam_lo", 0.0),
@@ -288,6 +282,8 @@ def cmd_pipeline(args) -> int:
         if r["n_steps"] % (1 << c.dyadic_level) != 0:
             raise ConfigError(f"grid.n_steps={r['n_steps']} is not divisible by "
                               f"2**dyadic_level={1 << c.dyadic_level}{rung}")
+    # the report's resolved block holds the knobs this run uses
+    r.update(dataclasses.asdict(pconf))
     pool = sample_paths(grid, r["n_paths"], r["seed"])
 
     t0 = time.perf_counter()

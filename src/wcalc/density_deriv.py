@@ -18,7 +18,7 @@ from .clark_ocone import SmoothFunctional, clark_ocone_decompose, gaussian_smoot
 from .functionals import CylindricalFn, NestedFn, eval_cyl, eval_nested, \
     lions_derivative, outer_slope, partial_mu_G_nested
 from .measure_ops import EmpiricalLaw, pushforward_law, weighted_expectation
-from .numerics import antiderivative_at
+from .numerics import antiderivative_at, mean_and_se
 from .rng import substream
 from .wiener_grid import PathPool, TimeGrid
 
@@ -106,25 +106,23 @@ def validate_curve(curve: DensityCurve, pool: PathPool) -> None:
     mean zero, and second-order smallness of the FD defect in lambda."""
     for frac in (0.25, 0.5, 0.75):
         lam = curve.lam_lo + frac * (curve.lam_hi - curve.lam_lo)
-        vals = curve.eval(lam, pool)
+        vals, dvals = curve.eval_pair(lam, pool)
         if abs(float(vals.mean()) - 1.0) > 1e-9:
             raise ValueError("renormalized curve mean differs from 1")
-        dvals = curve.deriv(lam, pool)
-        dmean = float(dvals.mean())
-        std_err = float(np.sqrt(np.mean((dvals - dmean) ** 2) / max(pool.n_samples - 1, 1)))
+        dmean, std_err = mean_and_se(dvals)
         if abs(dmean) > 3.0 * std_err + 1e-9:
             raise ValueError("curve derivative mean is not zero")
     lam = 0.5 * (curve.lam_lo + curve.lam_hi)
     span = curve.lam_hi - curve.lam_lo
+    d = curve.deriv(lam, pool)
     defects = []
     for h in _CURVE_PROBE_STEPS:
         step = h * span
         vp = curve.eval(lam + step, pool)
         vm = curve.eval(lam - step, pool)
-        d = curve.deriv(lam, pool)
         gap = (vp - vm) / (2.0 * step) - d
         defects.append(float(np.sqrt(np.mean(gap ** 2))))
-    scale = float(np.sqrt(np.mean(curve.deriv(lam, pool) ** 2))) + 1e-12
+    scale = float(np.sqrt(np.mean(d ** 2))) + 1e-12
     if defects[1] > 0.05 * defects[0] + 1e-10 * scale:
         raise ValueError("curve derivative fails the vanishing-defect probe")
 
@@ -231,32 +229,28 @@ def grad_phi_antiderivative(f: CylindricalFn, xi_values) -> np.ndarray:
         lambda ys: np.asarray(f.grad_phi(ys[:, None]), dtype=float)[:, 0], xi)
 
 
-def chain_rule_rhs(f: CylindricalFn, density_values, deriv_values,
-                   xi_values, pool: PathPool, anti_values) -> float:
+def chain_rule_rhs(f: CylindricalFn, law: EmpiricalLaw, deriv_values,
+                   anti_values, pool: PathPool) -> float:
     """h'(<phi, law>) times the mean of Phi(xi) dL/dlam.
 
-    density_values and deriv_values are the curve and its lambda-derivative
-    at one lambda on the pool (DensityCurve.eval_pair); law is the law of xi
-    under the density; anti_values is grad_phi_antiderivative(f, xi_values).
+    law is the law of xi under the curve's density at one lambda,
+    deriv_values the density's lambda-derivative there on the pool
+    (DensityCurve.eval_pair), and anti_values is
+    grad_phi_antiderivative(f, xi_values).
     """
     _require_1d(f)
-    law = pushforward_law(pool, density_values, xi_values)
     return outer_slope(f, law) * weighted_expectation(pool, deriv_values,
                                                       anti_values)
 
 
-def chain_rule_lhs_fd(f: CylindricalFn, below, above, xi_values,
-                      pool: PathPool, h_step: float) -> float:
-    """Central difference of lam -> f(law^lam) on the same pool both sides:
-    below and above are the curve's densities at lam - h_step and
-    lam + h_step on the pool."""
+def chain_rule_lhs_fd(f: CylindricalFn, law_below: EmpiricalLaw,
+                      law_above: EmpiricalLaw, h_step: float) -> float:
+    """Central difference of lam -> f(law^lam): law_below and law_above are
+    the laws of xi under the curve's densities at lam - h_step and
+    lam + h_step on the same pool."""
     if not (np.isfinite(h_step) and h_step > 0):
         raise ValueError(f"h_step must be finite and positive, got {h_step}")
-
-    def at(density):
-        return eval_cyl(f, pushforward_law(pool, density, xi_values))
-
-    return (at(above) - at(below)) / (2.0 * h_step)
+    return (eval_cyl(f, law_above) - eval_cyl(f, law_below)) / (2.0 * h_step)
 
 
 def second_order_check_1d(f: CylindricalFn, law: EmpiricalLaw, x_grid,

@@ -9,10 +9,11 @@ the forward shift flow triangular and therefore exactly computable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
+from .numerics import mean_and_se
 from .wiener_grid import PathPool, TimeGrid, _pool_from_increments
 
 
@@ -20,23 +21,24 @@ from .wiener_grid import PathPool, TimeGrid, _pool_from_increments
 class StepProcess:
     """Adapted piecewise-constant integrand on a grid.
 
-    coeff_fns[i](history) -> per-path value on interval i, where history is
-    the (n_paths, i) matrix of earlier increments. bound is a promised sup
+    rule(i, history) -> per-path value on interval i, where history is the
+    (n_paths, i) matrix of earlier increments. bound is a promised sup
     bound on |values|; evaluation enforces it.
     """
 
     grid: TimeGrid
-    coeff_fns: Sequence[Callable]
+    rule: Callable
     bound: float
 
     def __post_init__(self):
-        if len(self.coeff_fns) != self.grid.n_steps:
-            raise ValueError("one coefficient function per interval required")
         if not (self.bound > 0 and np.isfinite(self.bound)):
             raise ValueError("bound must be positive and finite")
 
     def column(self, i: int, history: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self.coeff_fns[i](history), dtype=float)
+        if not (0 <= i < self.grid.n_steps and history.shape[1] == i):
+            raise ValueError(f"interval {i} of {self.grid.n_steps} needs its "
+                             f"{i} earlier increments, got {history.shape[1]}")
+        vals = np.asarray(self.rule(i, history), dtype=float)
         vals = np.broadcast_to(vals, (history.shape[0],)).astype(float)
         if np.any(np.abs(vals) > self.bound * (1.0 + 1e-12)):
             raise ValueError(f"integrand exceeded its bound {self.bound} on interval {i}")
@@ -52,9 +54,9 @@ class StepProcess:
 
 
 def constant_process(grid: TimeGrid, c: float) -> StepProcess:
-    fns = [(lambda hist, c=c: np.full(hist.shape[0], float(c)))
-           for _ in range(grid.n_steps)]
-    return StepProcess(grid, fns, bound=max(abs(c), np.finfo(float).tiny))
+    c = float(c)
+    return StepProcess(grid, lambda i, hist: np.full(hist.shape[0], c),
+                       bound=max(abs(c), np.finfo(float).tiny))
 
 
 def deterministic_process(grid: TimeGrid, values) -> StepProcess:
@@ -62,9 +64,9 @@ def deterministic_process(grid: TimeGrid, values) -> StepProcess:
     vals = np.asarray(values, dtype=float)
     if vals.shape != (grid.n_steps,):
         raise ValueError("need one value per interval")
-    fns = [(lambda hist, v=float(v): np.full(hist.shape[0], v)) for v in vals]
     bound = max(float(np.max(np.abs(vals))), np.finfo(float).tiny)
-    return StepProcess(grid, fns, bound=bound)
+    return StepProcess(grid, lambda i, hist: np.full(hist.shape[0], vals[i]),
+                       bound=bound)
 
 
 def table_process(grid: TimeGrid, table: np.ndarray, bound=None) -> StepProcess:
@@ -74,48 +76,37 @@ def table_process(grid: TimeGrid, table: np.ndarray, bound=None) -> StepProcess:
     built from; used to feed extracted integrands back into the exponential.
     """
     tab = np.asarray(table, dtype=float)
+    if tab.ndim != 2 or tab.shape[1] != grid.n_steps:
+        raise ValueError(f"integrand table must be 2-D with {grid.n_steps} "
+                         f"columns, got shape {tab.shape}")
 
-    def make(i):
-        def fn(hist, i=i):
-            if hist.shape[0] != tab.shape[0]:
-                raise ValueError("table integrand used with a mismatched pool")
-            return tab[:, i]
-        return fn
+    def rule(i, hist):
+        if hist.shape[0] != tab.shape[0]:
+            raise ValueError("table integrand used with a mismatched pool")
+        return tab[:, i]
 
-    fns = [make(i) for i in range(grid.n_steps)]
     b = float(np.max(np.abs(tab))) if bound is None else float(bound)
-    return StepProcess(grid, fns, bound=max(b, np.finfo(float).tiny))
+    return StepProcess(grid, rule, bound=max(b, np.finfo(float).tiny))
 
 
-def history_process(grid: TimeGrid, fn: Callable, bound: float) -> StepProcess:
-    """Integrand gamma_i = fn(i, history); one shared adapted rule."""
-    fns = [(lambda hist, i=i: fn(i, hist)) for i in range(grid.n_steps)]
-    return StepProcess(grid, fns, bound=bound)
+def doleans_exponential(pool: PathPool, gamma: StepProcess) -> np.ndarray:
+    """Per-path exponential martingale at every knot: an
+    (n_paths, n_steps + 1) array whose column 0 is ones.
 
-
-def _log_exponential_table(grid: TimeGrid, increments: np.ndarray,
-                           gamma: StepProcess) -> np.ndarray:
-    """log E_t at every knot: cumulative gamma_i B(D_i) - 0.5 gamma_i^2 dt_i."""
+    log E accumulates gamma_i B(D_i) - 0.5 gamma_i^2 dt_i per interval and
+    is exponentiated once, so the result is strictly positive and
+    overflow-safe for long grids.
+    """
+    grid = pool.grid
     if gamma.grid.n_steps != grid.n_steps:
         raise ValueError("integrand grid does not match the path grid")
-    inc = np.asarray(increments, dtype=float)
+    inc = pool.increments
     dts = grid.steps
-    out = np.zeros((inc.shape[0], grid.n_steps + 1))
+    logs = np.zeros((inc.shape[0], grid.n_steps + 1))
     for i in range(grid.n_steps):
         g = gamma.column(i, inc[:, :i])
-        out[:, i + 1] = out[:, i] + g * inc[:, i] - 0.5 * g * g * dts[i]
-    return out
-
-
-def doleans_exponential(pool: PathPool, gamma: StepProcess, t: float) -> np.ndarray:
-    """Per-path exponential martingale value at knot t.
-
-    Computed exactly per interval in log space and exponentiated once, so the
-    result is strictly positive and overflow-safe for long grids.
-    """
-    j = pool.grid.knot_index(t)
-    logs = _log_exponential_table(pool.grid, pool.increments, gamma)
-    return np.exp(logs[:, j])
+        logs[:, i + 1] = logs[:, i] + g * inc[:, i] - 0.5 * g * g * dts[i]
+    return np.exp(logs, out=logs)
 
 
 def shift_forward(pool: PathPool, gamma: StepProcess, t: float) -> PathPool:
@@ -152,13 +143,9 @@ def girsanov_check(pool: PathPool, gamma: StepProcess, phi: Callable):
     Returns (lhs, rhs, std_err) where std_err is the common-random-number
     standard error of the per-path difference.
     """
-    horizon = pool.grid.horizon
-    density = doleans_exponential(pool, gamma, horizon)
+    density = doleans_exponential(pool, gamma)[:, -1]
     lhs_vals = density * np.asarray(phi(pool), dtype=float)
-    rhs_vals = np.asarray(phi(shift_forward(pool, gamma, horizon)), dtype=float)
-    lhs = float(lhs_vals.mean())
-    rhs = float(rhs_vals.mean())
-    diff = lhs_vals - rhs_vals
-    var = float(np.mean((diff - diff.mean()) ** 2))
-    std_err = float(np.sqrt(var / max(pool.n_samples - 1, 1)))
-    return lhs, rhs, std_err
+    rhs_vals = np.asarray(phi(shift_forward(pool, gamma, pool.grid.horizon)),
+                          dtype=float)
+    _, std_err = mean_and_se(lhs_vals - rhs_vals)
+    return float(lhs_vals.mean()), float(rhs_vals.mean()), std_err

@@ -75,6 +75,14 @@ def antiderivative_at(fn, xs, tol: float = 1e-9, max_depth: int = 14):
     return cum[where[:-1]].reshape(xs.shape)
 
 
+def mean_and_se(values):
+    """(mean, standard error of the mean) of per-path values, the variance
+    taken with n - 1 in the denominator."""
+    v = np.asarray(values, dtype=float)
+    m = float(v.mean())
+    return m, float(np.sqrt(np.mean((v - m) ** 2) / max(v.size - 1, 1)))
+
+
 def silverman_bandwidth(values, weights) -> float:
     """Silverman's rule on a weighted sample."""
     v = np.asarray(values, dtype=float)

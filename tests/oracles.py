@@ -96,6 +96,28 @@ def doleans_naive(increments, dts, gamma_cols):
     return out
 
 
+def log_exponential_table(grid, increments, gamma):
+    """log E_t at every knot: cumulative gamma_i B(D_i) - 0.5 gamma_i^2 dt_i."""
+    if gamma.grid.n_steps != grid.n_steps:
+        raise ValueError("integrand grid does not match the path grid")
+    inc = np.asarray(increments, dtype=float)
+    dts = grid.steps
+    out = np.zeros((inc.shape[0], grid.n_steps + 1))
+    for i in range(grid.n_steps):
+        g = gamma.column(i, inc[:, :i])
+        out[:, i + 1] = out[:, i] + g * inc[:, i] - 0.5 * g * g * dts[i]
+    return out
+
+
+def doleans_exponential_at(pool, gamma, t):
+    """Per-path exponential martingale at knot t, one knot per call: the
+    whole log table is rebuilt and only column t is exponentiated (the form
+    before wcalc.doleans_exponential returned every knot at once)."""
+    j = pool.grid.knot_index(t)
+    logs = log_exponential_table(pool.grid, pool.increments, gamma)
+    return np.exp(logs[:, j])
+
+
 def assert_bitwise(got, want):
     """Same shape and the same 64 bits per element, NaN payloads and
     signbits included; None only matches None."""

@@ -396,6 +396,27 @@ def test_pipeline_inner_mc_is_accepted_and_ignored(tmp_path):
     assert records[0] == records[1]
 
 
+def test_pipeline_report_resolves_the_knobs_the_run_used(tmp_path):
+    """report.json's resolved block holds the pipeline knobs the run used:
+    the config's where it sets them, the defaults elsewhere, exactly as
+    pipeline_report.json records them; the ignored inner_mc is not one."""
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "p.json", command="pipeline", seed=3,
+                       n_paths=1000, grid={"n_steps": 8}, lam=0.3,
+                       lam_prime=0.5,
+                       pipeline={"dyadic_level": 2, "step_count": 4,
+                                 "quad_order": 3, "truncation_level": 4.0,
+                                 "inner_mc": 4},
+                       out_dir=str(out))
+    assert main(["pipeline", "--config", cfg]) in (0, 1)
+    resolved = read_report(out)["resolved"]
+    with open(out / "pipeline_report.json") as fh:
+        used = json.load(fh)["config"]
+    assert used["quad_order"] == 3 and used["truncation_level"] == 4.0
+    assert {k: resolved[k] for k in used} == used
+    assert "inner_mc" not in resolved
+
+
 def test_pipeline_csv_cells_parse_as_floats(tmp_path):
     """Every cell of the pipeline's CSV artifacts, label columns aside,
     parses with float(): numpy 2 writes repr(np.float64) as np.float64(...)."""

@@ -92,11 +92,10 @@ def test_profile_is_centered_antiderivative(pool16):
 def test_chain_rule_lhs_rejects_a_bad_step(pool16, h_step):
     curve = scalar_exponential_curve(lambda l: l, lambda l: 1.0,
                                      pool16.grid, 0.0, 1.0)
-    dens = curve.eval(0.45, pool16)
-    xi = brownian_at(pool16, 1.0)
+    law = pushforward_law(pool16, curve.eval(0.45, pool16),
+                          brownian_at(pool16, 1.0))
     with pytest.raises(ValueError, match="h_step"):
-        chain_rule_lhs_fd(make_functional("mean"), dens, dens, xi, pool16,
-                          h_step)
+        chain_rule_lhs_fd(make_functional("mean"), law, law, h_step)
 
 
 def test_chain_rule_rhs_rejects_a_planar_functional(pool16):
@@ -110,8 +109,9 @@ def test_chain_rule_rhs_rejects_a_planar_functional(pool16):
     with pytest.raises(ValueError, match="one-dimensional"):
         grad_phi_antiderivative(f, xi)
     for x in (xi, np.column_stack([xi, xi])):
+        law = pushforward_law(pool16, dens, x)
         with pytest.raises(ValueError, match="one-dimensional"):
-            chain_rule_rhs(f, dens, deriv, x, pool16, xi)
+            chain_rule_rhs(f, law, deriv, xi, pool16)
 
 
 def test_antiderivative_at_vs_quadrature():

@@ -1,7 +1,9 @@
-"""Every name a wcalc module imports is used in that module.
+"""Every name a wcalc module imports is used in that module, and every
+private module-level name a wcalc module defines is used somewhere in the
+package.
 
-The package's __init__.py is exempt: its imports are the public
-re-exports.
+The package's __init__.py is exempt from the import scan: its imports are
+the public re-exports.
 """
 
 import ast
@@ -59,3 +61,55 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_defs(tree):
+    """(line, name) of each module-level private function, class and
+    constant (dunder names such as __version__ are not private)."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.extend((node.lineno, name) for name in names
+                   if name.startswith("_") and not name.startswith("__"))
+    return out
+
+
+def _references(tree):
+    """Names a module reads or imports, string annotations included."""
+    refs = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    refs |= {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+             for alias in n.names}
+    return refs | _annotation_names(tree)
+
+
+def unreferenced_private_names(sources):
+    """(module, line, name) of every private module-level name that no
+    module of `sources` ({module: source text}) reads or imports."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    refs = set().union(*(_references(tree) for tree in trees.values()))
+    return sorted((mod, line, name) for mod, tree in trees.items()
+                  for line, name in _private_defs(tree) if name not in refs)
+
+
+def test_the_scan_sees_a_dead_private_name():
+    sources = {
+        "a.py": "def _dead():\n    pass\n\ndef _live():\n    pass\n"
+                "class _Shape:\n    pass\n__version__ = '1'\n",
+        "b.py": "from a import _live\n_LIMIT, _SPARE = 1, 2\n"
+                "def f(x: '_Shape'):\n    return _live() + _LIMIT\n",
+    }
+    assert unreferenced_private_names(sources) == [("a.py", 1, "_dead"),
+                                                   ("b.py", 2, "_SPARE")]
+
+
+def test_every_private_name_is_used_in_the_package():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
