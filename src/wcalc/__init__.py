@@ -33,7 +33,8 @@ from .girsanov import StepProcess, constant_process, \
     deterministic_process, table_process, \
     doleans_exponential, shift_forward, shift_backward, girsanov_check
 from .clark_ocone import SmoothFunctional, scalar_functional, \
-    gaussian_smooth, clark_ocone_decompose, reconstruction_error
+    gaussian_smooth, clark_ocone_decompose, clark_ocone_integrand, \
+    reconstruction_error
 from .approx_pipeline import PipelineConfig, StageReport, PipelineReport, \
     ConditionedDensity, TruncatedDensity, \
     MollifiedDensity, stage5_normalize, stage5_derivative, stage7_stepify, \

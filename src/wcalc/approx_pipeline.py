@@ -29,13 +29,14 @@ call), and stages 4-7 read it from there by cubic Hermite interpolation:
 the per-path values behind stages 4 and 5 and the normalization constant,
 and every Gauss-Hermite node of the integrand tables. Stage 3 and the
 consistency check evaluate their densities directly, so the check stays an
-independent measure of the tabulation. In stages 6 and 7 the integrand is
-tabulated once per parameter value on a grid of the running terminal
-coordinate, read along every path and exponentiated, first at every block
-knot (stage 6) and then at every (2**dyadic_level / step_count)-th knot
-(stage 7), so the two coincide when step_count equals 2**dyadic_level.
-final_errors_at runs the same step with the table built at the step_count
-knots only.
+independent measure of the tabulation. In stages 6 and 7 the integrand and
+its slope are tabulated once per parameter value on a uniform grid of the
+running terminal coordinate and read linearly along every path, one cell
+index per path and knot for both (numerics.uniform_interp), then
+exponentiated, first at every block knot (stage 6) and then at every
+(2**dyadic_level / step_count)-th knot (stage 7), so the two coincide when
+step_count equals 2**dyadic_level. final_errors_at runs the same step with
+the table built at the step_count knots only.
 
 Every stage reports L2(Q) distances to the target curve, both at a primary
 parameter value and integrated along a parameter segment.
@@ -56,7 +57,7 @@ from .density_deriv import DensityCurve
 from .girsanov import StepProcess, doleans_exponential, table_process
 from .numerics import (bump_quad_1d, capped_identity, capped_identity_deriv,
                        gauss_hermite, gauss_legendre, radial_cutoff,
-                       radial_cutoff_deriv)
+                       radial_cutoff_deriv, uniform_cell, uniform_interp)
 from .wiener_grid import PathPool, TimeGrid, _block_edges, dyadic_coarsen
 
 _MOLL_NODES = 17
@@ -377,19 +378,12 @@ class _UTable:
     def read(self, x: np.ndarray):
         """(value, parameter derivative, u-derivative) at the points x."""
         x = np.asarray(x, dtype=float)
-        S, g = self.half_width, self.grid
-        xc = np.clip(x, -S, S)
-        i = np.clip(np.floor((xc + S) / self.h).astype(np.intp),
-                    0, g.size - 2)
-        # floor can land one cell off by rounding; nodes must start a cell
-        i -= xc < g[i]
-        i = np.minimum(i + (xc >= g[i + 1]), g.size - 2)
-        t = ((xc - g[i]) / self.h)[:, None]
+        i, xc = uniform_cell(x, self.grid)
+        t = ((xc - self.grid[i]) / self.h)[:, None]
         c = self._coef[i]
         p = c[:, 0] + t * (c[:, 1] + t * (c[:, 2] + t * c[:, 3]))
-        p[np.abs(x) >= S] = 0.0
-        value, dlam, du = np.ascontiguousarray(p.T)
-        return value, dlam, du
+        p[np.abs(x) >= self.half_width] = 0.0
+        return tuple(np.ascontiguousarray(p.T))
 
 
 def stage5_normalize(values: np.ndarray, eps_pos: float) -> np.ndarray:
@@ -498,13 +492,12 @@ def integrand_tables(table: _UTable, eps_pos: float,
     return gam, dgam
 
 
-def _read_table(table: np.ndarray, y_grid: np.ndarray,
-                b_left: np.ndarray) -> np.ndarray:
-    """Evaluate per-knot y-tables at per-path terminal positions."""
-    out = np.empty((b_left.shape[0], table.shape[0]))
-    for j in range(table.shape[0]):
-        out[:, j] = np.interp(b_left[:, j], y_grid, table[j])
-    return out
+def _read_knot_tables(pool: PathPool, y_grid: np.ndarray, tables):
+    """Row k of each per-knot y-table read at the paths' positions at knot k."""
+    left = pool.cumulative[:, :-1]
+    cols = [uniform_interp(left[:, k], y_grid, [tab[k] for tab in tables])
+            for k in range(left.shape[1])]
+    return [np.column_stack(c) for c in zip(*cols)]
 
 
 def _exponential_slope(pool: PathPool, gamma: np.ndarray,
@@ -538,9 +531,7 @@ def _exponentials(table: _UTable, config: PipelineConfig,
     gam_tab, dgam_tab = integrand_tables(
         table, config.positivity_floor, denom, ddenom, grid.knots[:-1],
         grid.horizon, config.quad_order, y_grid)
-    left = pools[0].cumulative[:, :-1]
-    g = _read_table(gam_tab, y_grid, left)
-    dg = _read_table(dgam_tab, y_grid, left)
+    g, dg = _read_knot_tables(pools[0], y_grid, (gam_tab, dgam_tab))
     out = []
     for pool in pools:
         stride = grid.n_steps // pool.grid.n_steps
@@ -717,7 +708,7 @@ def _consistency_gap(moll: MollifiedDensity, lam: float,
                                    denom, block_pool.grid.n_steps)
     gam_direct = clark_ocone_decompose(functional, sub,
                                        quad_order=config.quad_order)[2]
-    gam_read = _read_table(gam_tab, y_grid, sub.cumulative[:, :-1])
+    gam_read, = _read_knot_tables(sub, y_grid, (gam_tab,))
     gap = float(np.abs(gam_direct - gam_read).max())
     if gap > _GROSS_GAP:
         raise ValueError(f"integrand table disagrees with the direct "

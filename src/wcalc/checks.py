@@ -25,7 +25,7 @@ from .density_deriv import scalar_exponential_curve, mixture_curve, \
 from .girsanov import StepProcess, constant_process, deterministic_process, \
     doleans_exponential, shift_forward, shift_backward, girsanov_check
 from .clark_ocone import SmoothFunctional, scalar_functional, \
-    clark_ocone_decompose, reconstruction_error
+    clark_ocone_decompose, clark_ocone_integrand, reconstruction_error
 from .density_functional import DensityFunctionalPhi, bensoussan_check
 from .numerics import mean_and_se
 
@@ -427,7 +427,7 @@ def check_clark_ocone(n_paths: int = 20000, n_steps: int = 16,
         p = sample_paths(g, n_paths, seed + n)
         Fh = scalar_functional(g, lambda s: 1.0 + 0.5 * np.tanh(s),
                                lambda s: 0.5 / np.cosh(s) ** 2)
-        Z, _, _ = clark_ocone_decompose(Fh, p, quad_order=32)
+        Z = clark_ocone_integrand(Fh, p, quad_order=32)
         vals = np.asarray(Fh.value_fn(p.increments), dtype=float)
         defects.append(reconstruction_error(vals, Z, p))
     for k, n in enumerate((4, 8, 16)):

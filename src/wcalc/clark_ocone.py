@@ -13,7 +13,10 @@ Gauss-Hermite integral over the r eigen-directions of C with a positive
 eigenvalue, mapped back to increments, so the mesh has q**r nodes
 whatever the number of remaining intervals. Without a loading A is the
 identity, r is the number of remaining intervals and the mesh is the
-axis-aligned one over them.
+axis-aligned one over them. A functional that reads only the path endpoint
+needs one dimension at any knot: clark_ocone_decompose builds each knot's
+argument y + sqrt(var) x once for Z and M together, and
+clark_ocone_integrand returns Z alone.
 
 At knot 0 nothing is revealed, so E[F | F_0] is the unconditional mean,
 the same for every path: the quadrature evaluates its mesh once and
@@ -207,11 +210,9 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
     if component is None and F.scalar_fn is not None:
         # One-dimensional shortcut: only the terminal sum matters and the
         # unrevealed part of it is Gaussian with variance horizon - s.
-        var = float(grid.horizon - grid.knots[j])
-        nodes, w = gauss_hermite(quad_order)
-        y = pre.sum(axis=1)
-        vals = np.asarray(F.scalar_fn(y[:, None] + np.sqrt(var) * nodes[None, :]))
-        return vals @ w
+        return _smooth_endpoint((F.scalar_fn,), pre.sum(axis=1),
+                                float(grid.horizon - grid.knots[j]),
+                                quad_order)[0]
 
     variances = grid.steps[j:]
     a_rem = np.eye(rem) if loading is None else _as_loading(loading, grid.n_steps)[:, j:]
@@ -254,6 +255,38 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
     return out / n_draws
 
 
+def _smooth_endpoint(fns, y: np.ndarray, var: float, quad_order: int):
+    """[E f(y + sqrt(var) X) for f in fns], X ~ N(0, 1), by Gauss-Hermite
+    quadrature on one argument that every f reads."""
+    nodes, w = gauss_hermite(quad_order)
+    arg = y[:, None] + np.sqrt(var) * nodes[None, :]
+    return [np.asarray(f(arg)) @ w for f in fns]
+
+
+def _knot_smoothings(F: SmoothFunctional, pool: PathPool, quad_order: int,
+                     fns):
+    """Per f in fns, the (paths, knots) table of E[f(B_T) | F_{t_i}] for an
+    endpoint functional F. The prefix is summed, not read from
+    pool.cumulative: the pairwise sum rounds differently from a running one."""
+    grid = pool.grid
+    if F.n_args != grid.n_steps:
+        raise ValueError("functional arity does not match the grid")
+    if F.scalar_fn is None:
+        raise ValueError("the decomposition needs a functional with scalar_fn "
+                         "(one that reads only the path endpoint)")
+    _check_quadrature(quad_order, None)
+    cols = [_smooth_endpoint(fns, pool.increments[:, :i].sum(axis=1),
+                             float(grid.horizon - grid.knots[i]), quad_order)
+            for i in range(grid.n_steps)]
+    return [np.column_stack(c) for c in zip(*cols)]
+
+
+def clark_ocone_integrand(F: SmoothFunctional, pool: PathPool,
+                          quad_order: int = 32) -> np.ndarray:
+    """Z of clark_ocone_decompose alone, for callers that need no M."""
+    return _knot_smoothings(F, pool, quad_order, (F.scalar_fn_prime,))[0]
+
+
 def clark_ocone_decompose(F: SmoothFunctional, pool: PathPool,
                           quad_order: int = 32):
     """Extract (Z, M, gamma) along the pool paths.
@@ -262,33 +295,11 @@ def clark_ocone_decompose(F: SmoothFunctional, pool: PathPool,
     gamma = Z / M is the logarithmic integrand; M must stay away from zero,
     which holds for the positive normalized densities this is applied to.
 
-    F must read only the path endpoint (carry scalar_fn): every density
-    decomposed here does, and then every Z column is the one-dimensional
-    Gaussian smoothing of scalar_fn_prime instead of a smoothing over the
-    remaining intervals per gradient component.
+    F must read only the path endpoint (carry scalar_fn), as every density
+    decomposed here does; d/dx_i of fn(sum) is fn' at the sum for every i.
     """
-    grid = pool.grid
-    if F.n_args != grid.n_steps:
-        raise ValueError("functional arity does not match the grid")
-    if F.scalar_fn is None:
-        raise ValueError("the decomposition needs a functional with scalar_fn "
-                         "(one that reads only the path endpoint)")
-    n = pool.n_samples
-    Z = np.empty((n, grid.n_steps))
-    M = np.empty((n, grid.n_steps))
-    for i in range(grid.n_steps):
-        t = grid.knots[i]
-        pre = pool.increments[:, :i]
-        M[:, i] = gaussian_smooth(F, grid, t, pre, quad_order=quad_order)
-        # d/dx_i of fn(sum) is fn' at the sum for every i; smooth the
-        # one-variable derivative the same way as the value. Knot i lies
-        # before the horizon, so the remaining variance is positive.
-        var = float(grid.horizon - t)
-        nodes, w = gauss_hermite(quad_order)
-        y = pre.sum(axis=1)
-        vals = np.asarray(F.scalar_fn_prime(
-            y[:, None] + np.sqrt(var) * nodes[None, :]))
-        Z[:, i] = vals @ w
+    Z, M = _knot_smoothings(F, pool, quad_order,
+                            (F.scalar_fn_prime, F.scalar_fn))
     if np.any(np.abs(M) < 1e-12):
         raise ValueError("conditional mean hits zero; logarithmic integrand undefined")
     return Z, M, Z / M

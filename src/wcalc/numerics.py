@@ -113,6 +113,44 @@ def _linear_bin(y, weights, lo, spacing, n_bins):
     return out
 
 
+def uniform_cell(x, grid: np.ndarray):
+    """(j, xc): x clipped to a uniform grid's span and each point's cell
+    grid[j] <= xc < grid[j + 1] (the last node in the last cell), by one
+    division moved by at most one cell. ValueError on NaN, and on a point
+    that no such move brackets, as on a grid that is not uniform."""
+    if np.isnan(x).any():
+        raise ValueError("cannot locate NaN on a grid")
+    last = grid.size - 2
+    xc = np.clip(x, grid[0], grid[-1])
+    # truncation floors the nonnegative quotient, and rounding can land it
+    # one cell off; nodes must start a cell
+    j = np.minimum(((xc - grid[0]) / ((grid[-1] - grid[0]) / (last + 1)))
+                   .astype(np.intp), last)
+    j -= xc < grid[j]
+    j = np.minimum(j + (xc >= grid[j + 1]), last)
+    if not np.all((grid[j] <= xc) & ((xc < grid[j + 1]) | (j == last))):
+        raise ValueError("a point falls outside its cell: grid not uniform")
+    return j, xc
+
+
+def uniform_interp(x, grid: np.ndarray, tables):
+    """[np.interp(x, grid, t) for t in tables], bitwise, for a uniform grid
+    and finite tables: one uniform_cell search, then np.interp's formula
+    slope[j] * (x - grid[j]) + t[j] per table, and the entry itself at a
+    node or beyond an end."""
+    x = np.asarray(x, dtype=float)
+    j, xc = uniform_cell(x.ravel(), grid)
+    dx = xc - grid[j]
+    exact = np.flatnonzero((dx == 0.0) | (xc == grid[-1]))
+    node = j[exact] + (xc[exact] == grid[-1])
+    out = []
+    for t in map(np.asarray, tables):
+        y = (np.diff(t) / np.diff(grid))[j] * dx + t[j]
+        y[exact] = t[node]
+        out.append(y.reshape(x.shape))
+    return out
+
+
 def binned_gaussian_smooth(y, weight_columns, bandwidth: float, eval_points,
                            min_bins: int = 2048):
     """Gaussian-kernel sums evaluated by linear binning plus convolution.
@@ -120,6 +158,7 @@ def binned_gaussian_smooth(y, weight_columns, bandwidth: float, eval_points,
     For each weight column w returns, at every eval point p,
     sum_j w_j * exp(-((p - y_j)/bandwidth)^2 / 2) / (bandwidth * sqrt(2 pi)).
     Accurate to O((bin spacing)^2); the grid is refined so spacing <= bw/4.
+    All columns share the uniform grid, so one uniform_interp call reads them.
     """
     y = np.asarray(y, dtype=float)
     eval_points = np.asarray(eval_points, dtype=float)
@@ -134,12 +173,10 @@ def binned_gaussian_smooth(y, weight_columns, bandwidth: float, eval_points,
     kx = np.arange(-half, half + 1) * spacing
     kernel = np.exp(-0.5 * (kx / bandwidth) ** 2) / (bandwidth * _SQRT2PI)
     grid = lo + spacing * np.arange(n_bins)
-    outs = []
-    for w in weight_columns:
-        binned = _linear_bin(y, np.asarray(w, dtype=float), lo, spacing, n_bins)
-        smooth = np.convolve(binned, kernel, mode="same")
-        outs.append(np.interp(eval_points, grid, smooth))
-    return outs
+    smooths = [np.convolve(_linear_bin(y, np.asarray(w, dtype=float), lo,
+                                       spacing, n_bins), kernel, mode="same")
+               for w in weight_columns]
+    return uniform_interp(eval_points, grid, smooths)
 
 
 def smoothstep(t):

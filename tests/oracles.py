@@ -118,6 +118,35 @@ def doleans_exponential_at(pool, gamma, t):
     return np.exp(logs[:, j])
 
 
+def read_table_interp(table, y_grid, b_left):
+    """Per-knot y-tables read along the paths by np.interp, one binary
+    search per table and knot (the reader before uniform_interp)."""
+    out = np.empty((b_left.shape[0], table.shape[0]))
+    for j in range(table.shape[0]):
+        out[:, j] = np.interp(b_left[:, j], y_grid, table[j])
+    return out
+
+
+def decompose_per_knot(F, pool, quad_order: int = 32):
+    """(Z, M, gamma) of an endpoint functional with the Gauss-Hermite
+    argument built separately for M and for Z at every knot (the loop
+    before the shared argument)."""
+    grid = pool.grid
+    Z = np.empty(pool.increments.shape)
+    M = np.empty(pool.increments.shape)
+    nodes, w = gauss_hermite(quad_order)
+    for i in range(grid.n_steps):
+        pre = pool.increments[:, :i]
+        var = float(grid.horizon - grid.knots[i])
+        y = pre.sum(axis=1)
+        M[:, i] = np.asarray(F.scalar_fn(
+            y[:, None] + np.sqrt(var) * nodes[None, :])) @ w
+        y = pre.sum(axis=1)
+        Z[:, i] = np.asarray(F.scalar_fn_prime(
+            y[:, None] + np.sqrt(var) * nodes[None, :])) @ w
+    return Z, M, Z / M
+
+
 def assert_bitwise(got, want):
     """Same shape and the same 64 bits per element, NaN payloads and
     signbits included; None only matches None."""

@@ -25,6 +25,7 @@ _GRID_STEPS = 16
 _CHAIN_PATHS = 100_000
 _CHAIN_BATTERY_SECONDS = 5.0       # whole battery; a fortiori per instance
 _SECOND_ORDER_SECONDS = 5.0        # whole battery (criteria 2 and 3)
+_CLARK_BATTERY_SECONDS = 3.0       # whole battery (criterion 5)
 _SLOPE_RANGE = (1.8, 2.2)
 _ROUNDOFF = 1e-12
 _MEAN_ONE_FLOOR = 1e-9             # knots where the integrand vanishes
@@ -146,22 +147,25 @@ def test_criterion_4_girsanov():
 # ------------------------------------------------------------ criterion 5
 
 def test_criterion_5_clark_ocone():
+    t0 = time.perf_counter()
     records = run_check("clark-ocone", n_paths=20_000,
                         n_steps=_GRID_STEPS, seed=_SEED)
+    wall = time.perf_counter() - t0
     const = next(r for r in records if r.name == "clark/constant-integrand")
     ratios = [r for r in records if r.name.startswith("clark/defect-ratio|")]
     failed = _gate(records)
     ratio_ok = all(_DEFECT_RATIO_RANGE[0] <= r.lhs <= _DEFECT_RATIO_RANGE[1]
                    for r in ratios)
     ok = (not failed and const.gap <= _SIGMA_RECOVERY_TOL
-          and len(ratios) == 3 and ratio_ok)
+          and len(ratios) == 3 and ratio_ok and wall < _CLARK_BATTERY_SECONDS)
     _verdict(5, ok, f"integrand recovered to {const.gap:.1e}, defect ratios "
                     f"{[round(r.lhs, 2) for r in ratios]} in "
-                    f"{_DEFECT_RATIO_RANGE}")
+                    f"{_DEFECT_RATIO_RANGE}, wall {wall:.1f}s")
     assert not failed, failed
     assert const.gap <= _SIGMA_RECOVERY_TOL
     assert len(ratios) == 3    # grid doublings 4->8->16->32
     assert ratio_ok
+    assert wall < _CLARK_BATTERY_SECONDS
 
 
 # ------------------------------------------------------------ criterion 6

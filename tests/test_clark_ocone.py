@@ -6,10 +6,11 @@ import pytest
 
 from wcalc import (make_grid, sample_paths, SmoothFunctional,
                    scalar_functional, gaussian_smooth,
-                   clark_ocone_decompose, reconstruction_error,
-                   weighted_expectation)
+                   clark_ocone_decompose, clark_ocone_integrand,
+                   reconstruction_error, run_check, weighted_expectation)
 from wcalc import clark_ocone
-from oracles import gaussian_expectation, tensor_nodes
+from oracles import (assert_bitwise, decompose_per_knot, gaussian_expectation,
+                     tensor_nodes)
 
 
 @pytest.fixture(scope="module")
@@ -331,3 +332,57 @@ def test_decompose_needs_an_endpoint_functional():
     pool = sample_paths(make_grid(4), 16, seed=5)
     with pytest.raises(ValueError, match="scalar_fn"):
         clark_ocone_decompose(coupled_functional(4), pool)
+
+
+def exp_density(grid, sig=0.4):
+    T = grid.horizon
+    return scalar_functional(grid, lambda u: np.exp(sig * u - 0.5 * sig * sig * T),
+                             lambda u: sig * np.exp(sig * u - 0.5 * sig * sig * T))
+
+
+@pytest.mark.parametrize("density", [exp_density, tanh_density])
+def test_decompose_matches_the_per_knot_loop_bitwise(density):
+    """One shared Gauss-Hermite argument per knot serves Z and M without
+    moving a bit; the integrand-only entry returns the same Z."""
+    p = sample_paths(make_grid(16), 3000, seed=41)
+    F = density(p.grid)
+    got = clark_ocone_decompose(F, p, quad_order=32)
+    for a, b in zip(got, decompose_per_knot(F, p, quad_order=32)):
+        assert_bitwise(a, b)
+    assert_bitwise(clark_ocone_integrand(F, p, quad_order=32), got[0])
+
+
+def test_integrand_rejects_what_decompose_rejects(pool):
+    F = tanh_density(pool.grid)
+    for entry in (clark_ocone_decompose, clark_ocone_integrand):
+        with pytest.raises(ValueError, match="quad_order"):
+            entry(F, pool, quad_order=0)
+        with pytest.raises(ValueError, match="arity"):
+            entry(tanh_density(make_grid(4)), pool)
+        with pytest.raises(ValueError, match="scalar_fn"):
+            entry(coupled_functional(4), sample_paths(make_grid(4), 16, seed=5))
+
+
+def _right_knot_smoothings(F, pool, quad_order, fns):
+    """Mutant of the knot loop: Z at interval i reads the prefix through
+    knot i + 1 and the variance left after it, M stays at knot i."""
+    grid = pool.grid
+    outs = [np.empty(pool.increments.shape) for _ in fns]
+    for i in range(grid.n_steps):
+        for out, f in zip(outs, fns):
+            k = i + 1 if f is F.scalar_fn_prime else i
+            out[:, i] = clark_ocone._smooth_endpoint(
+                (f,), pool.increments[:, :k].sum(axis=1),
+                float(grid.horizon - grid.knots[k]), quad_order)[0]
+    return outs
+
+
+@pytest.mark.parametrize("seed", [20260815, 3, 4])
+def test_clark_battery_catches_a_right_endpoint_integrand(monkeypatch, seed):
+    """Power: Z shifted off its left endpoint fails every record of the
+    clark-ocone battery at reference size."""
+    monkeypatch.setattr(clark_ocone, "_knot_smoothings", _right_knot_smoothings)
+    records = run_check("clark-ocone", n_paths=20_000, n_steps=16, seed=seed)
+    assert len(records) == 4
+    assert not any(r.passed for r in records), [r.name for r in records
+                                                if r.passed]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcalc import capped_identity, capped_identity_deriv, radial_cutoff_deriv
-from wcalc.numerics import antiderivative_at
+from wcalc.numerics import antiderivative_at, uniform_interp
 
 from oracles import (antiderivative_at_searchsorted, assert_bitwise,
                      capped_identity_full, capped_identity_deriv_full,
@@ -86,3 +86,45 @@ def test_antiderivative_at_matches_the_searchsorted_form(case):
     fn = lambda u: np.exp(-0.5 * u * u) * np.cos(3.0 * u)
     assert_bitwise(antiderivative_at(fn, xs),
                    antiderivative_at_searchsorted(fn, xs))
+
+
+def _uniform_grids():
+    """Uniform grids built both ways the package builds them."""
+    lo, hi, n = -3.7, 5.1, 1025
+    return {"linspace": np.linspace(lo, hi, n),
+            "arange": lo + ((hi - lo) / (n - 1)) * np.arange(n)}
+
+
+@pytest.mark.parametrize("kind", ["linspace", "arange"])
+def test_uniform_interp_is_np_interp_bitwise(kind):
+    """Random points, every node and its neighbours, both ends and points
+    beyond both ends read exactly what np.interp reads."""
+    grid = _uniform_grids()[kind]
+    rng = np.random.default_rng(11)
+    span = grid[-1] - grid[0]
+    x = np.concatenate([
+        rng.uniform(grid[0] - 0.05 * span, grid[-1] + 0.05 * span, 20000),
+        grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        [grid[0], grid[-1], grid[0] - 1.0, grid[-1] + 1.0, -1e300, 1e300]])
+    tables = [rng.standard_normal(grid.size),
+              np.cumsum(rng.standard_normal(grid.size)),
+              np.where(rng.random(grid.size) < 0.5, -0.0, 0.0)]
+    got = uniform_interp(x, grid, tables)
+    assert len(got) == len(tables)
+    for read, t in zip(got, tables):
+        assert_bitwise(read, np.interp(x, grid, t))
+    two_d = uniform_interp(x[:20000].reshape(400, 50), grid, tables[:1])[0]
+    assert_bitwise(two_d, np.interp(x[:20000], grid, tables[0]).reshape(400, 50))
+
+
+def test_uniform_interp_rejects_nan_points():
+    grid = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="NaN"):
+        uniform_interp(np.array([0.5, np.nan]), grid, [grid])
+
+
+def test_uniform_interp_rejects_a_grid_that_is_not_uniform():
+    """Squared nodes put the divided-out cell more than one cell off."""
+    grid = np.linspace(0.0, 1.0, 101) ** 2
+    with pytest.raises(ValueError, match="not uniform"):
+        uniform_interp(np.linspace(0.0, 1.0, 57), grid, [grid])

@@ -16,7 +16,8 @@ from wcalc import (make_grid, sample_paths, dyadic_coarsen, DensityCurve,
                    pipeline_ladders, DEFAULT_THRESHOLDS)
 from wcalc import approx_pipeline
 
-from oracles import assert_bitwise, mollified_acc, truncated_parts
+from oracles import (assert_bitwise, mollified_acc, read_table_interp,
+                     truncated_parts)
 
 
 def exp_curve(grid, lo=0.1, hi=0.9):
@@ -225,6 +226,20 @@ def test_u_table_reads_match_direct_evaluation(lam):
         for got, want, bound in zip(table.read(pts), moll.triple(lam, pts),
                                     _U_TABLE_BOUNDS):
             assert np.max(np.abs(got - want)) <= bound
+
+
+def test_knot_tables_read_as_np_interp_bitwise():
+    """The reader of stages 6 and 7 gives the per-knot np.interp loop's
+    result bit for bit, at every path's left-knot position."""
+    pool = sample_paths(make_grid(8), 5000, seed=33)
+    y_grid = approx_pipeline._table_y_grid(pool)
+    rng = np.random.default_rng(34)
+    tables = [rng.standard_normal((8, y_grid.size)) for _ in range(2)]
+    got = approx_pipeline._read_knot_tables(pool, y_grid, tables)
+    for read, tab in zip(got, tables):
+        assert read.flags.c_contiguous
+        assert_bitwise(read, read_table_interp(tab, y_grid,
+                                               pool.cumulative[:, :-1]))
 
 
 def test_consistency_gap_detects_a_skewed_u_table(monkeypatch):
