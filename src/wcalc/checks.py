@@ -14,12 +14,13 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .wiener_grid import TimeGrid, make_grid, sample_paths, brownian_at
+from .wiener_grid import TimeGrid, make_grid, sample_paths, brownian_at, \
+    _pool_from_increments
 from .functionals import CylindricalFn, NestedFn, make_functional, eval_cyl, \
     lifted_derivative_fd
 from .measure_ops import pushforward_law
 from .density_deriv import scalar_exponential_curve, mixture_curve, \
-    grad_phi_antiderivative, chain_rule_lhs_fd, chain_rule_rhs, \
+    renormalize, grad_phi_antiderivative, chain_rule_lhs_fd, chain_rule_rhs, \
     second_order_check_1d, \
     second_order_check_multidim, multidim_derivative_repr, nested_derivative_check
 from .girsanov import StepProcess, constant_process, deterministic_process, \
@@ -123,20 +124,23 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
     families, three parameter points, plus a closed-form instance where both
     routes must sit at exactly one.
 
-    Phi does not depend on the law, so it is integrated once per functional
-    on the full pool and every shard reads it by row. Each (curve, lam)
-    builds its three laws (at lam - h, lam + h and lam) once per pool,
-    shared by every functional.
+    phi and Phi are law-free, so each is evaluated once per functional.
+    Each (curve, lam) evaluates the raw curve once on the full pool at
+    lam -/+ h and lam; the pool and every shard read their rows of it and
+    renormalize by their own mean. A shard reads only its row count and
+    B_T, so it is cut from the one-step pool of B_T, not from the paths.
     """
     grid = make_grid(n_steps, horizon)
     pool = sample_paths(grid, n_paths, seed)
     xi = brownian_at(pool, grid.horizon)
-    shard_rows = _shard_rows(pool.n_samples)
-    pools = [pool] + [pool.subset(r) for r in shard_rows]
-    rows = [slice(None)] + shard_rows
     fids = list(functionals or ("mean", "mean_sq", "sin_mean"))
     fns = {fid: make_functional(fid) for fid in fids + [_CLOSED_FORM[0]]}
     antis = {fid: grad_phi_antiderivative(f, xi) for fid, f in fns.items()}
+    phis = {fid: f.phi(xi[:, None]) for fid, f in fns.items()}
+    ends = _pool_from_increments(make_grid(1, grid.horizon), xi[:, None])
+    shard_rows = _shard_rows(pool.n_samples)
+    pools = [ends] + [ends.subset(r) for r in shard_rows]
+    rows = [slice(None)] + shard_rows
     curves = _curve_battery(grid)
 
     # routes[fid, cid, lam]: (lhs, rhs) on the full pool, then on each shard
@@ -145,17 +149,20 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
         for lam in _CHAIN_LAMS:
             todo = [fid for fid in fns
                     if fid in fids or (fid, cid, lam) == _CLOSED_FORM]
+            raw_below = curve.raw(lam - _FD_STEP, pool.increments)
+            raw_above = curve.raw(lam + _FD_STEP, pool.increments)
+            raw, raw_deriv = curve.raw_pair(lam, pool.increments)
             for p, r in zip(pools, rows):
                 x = xi[r]
-                below = pushforward_law(p, curve.eval(lam - _FD_STEP, p), x)
-                above = pushforward_law(p, curve.eval(lam + _FD_STEP, p), x)
-                density, deriv = curve.eval_pair(lam, p)
+                below = pushforward_law(p, renormalize(raw_below[r]), x)
+                above = pushforward_law(p, renormalize(raw_above[r]), x)
+                density, deriv = renormalize(raw[r], raw_deriv[r])
                 law = pushforward_law(p, density, x)
                 for fid in todo:
-                    f = fns[fid]
+                    f, phi = fns[fid], phis[fid][r]
                     routes.setdefault((fid, cid, lam), []).append(
-                        (chain_rule_lhs_fd(f, below, above, _FD_STEP),
-                         chain_rule_rhs(f, law, deriv, antis[fid][r], p)))
+                        (chain_rule_lhs_fd(f, below, above, phi, _FD_STEP),
+                         chain_rule_rhs(f, law, deriv, phi, antis[fid][r], p)))
 
     fd_bias = _FD_BIAS_CHAIN * _FD_STEP ** 2
     records = []
@@ -360,41 +367,43 @@ def check_girsanov(n_paths: int = 20000, n_steps: int = 16,
     Ten integrand/observable pairs compared with common random numbers, the
     forward/backward flow inversion down to roundoff, and the mean of the
     exponential pinned to one at every knot.
+
+    Each integrand builds its Doleans table and shifted pool once, read by
+    its two pairs, its inversion (which shifts that pool back) and its
+    mean-one record.
     """
     grid = make_grid(n_steps, horizon)
     pool = sample_paths(grid, n_paths, seed)
-    gammas = _girsanov_processes(grid)
     phis = _girsanov_observables()
-    pairs = [(i, i) for i in range(5)] + [(0, 2), (1, 3), (2, 4), (3, 0), (4, 1)]
-    records = []
-    for gi, pi in pairs:
-        gname, gamma = gammas[gi]
-        pname, phi = phis[pi]
-        lhs, rhs, se = girsanov_check(pool, gamma, phi)
-        records.append(_rec(f"girsanov/{gname}*{pname}",
+    own, cross, inverse, mean_one = [], [], [], []
+    for gi, (gname, gamma) in enumerate(_girsanov_processes(grid)):
+        table = doleans_exponential(pool, gamma)
+        shifted = shift_forward(pool, gamma, grid.horizon)
+        # each integrand meets its own observable and the one two along
+        for out, pi in ((own, gi), (cross, (gi + 2) % len(phis))):
+            pname, phi = phis[pi]
+            lhs, rhs, se = girsanov_check(pool, table[:, -1], shifted, phi)
+            out.append(_rec(f"girsanov/{gname}*{pname}",
                             lhs, rhs, se, 3.0 * se + 1e-12))
 
-    for gname in ("sin-t", "tanh-B"):
-        gamma = dict(gammas)[gname]
-        back = shift_backward(shift_forward(pool, gamma, grid.horizon),
-                              gamma, grid.horizon)
-        err = float(np.max(np.abs(back.increments - pool.increments)))
-        records.append(_rec(f"girsanov/inverse|{gname}",
-                            err, 0.0, 0.0, 1e-10))
+        if gname in ("sin-t", "tanh-B"):
+            back = shift_backward(shifted, gamma, grid.horizon)
+            err = float(np.max(np.abs(back.increments - pool.increments)))
+            inverse.append(_rec(f"girsanov/inverse|{gname}",
+                                err, 0.0, 0.0, 1e-10))
 
-    for gname in ("const-", "tanh-B"):
-        table = doleans_exponential(pool, dict(gammas)[gname])
-        worst, worst_se, worst_gap = 1.0, 0.0, -1.0
-        for j in range(1, table.shape[1]):
-            m, se = mean_and_se(table[:, j])
-            if abs(m - 1.0) - 3.0 * se > worst_gap:
-                worst, worst_se = m, se
-                worst_gap = abs(m - 1.0) - 3.0 * se
-        # The roundoff floor covers knots where the integrand vanishes and
-        # the exponential is exactly one on every path.
-        records.append(_rec(f"girsanov/mean-one|{gname}",
-                            worst, 1.0, worst_se, 3.0 * worst_se + 1e-9))
-    return records
+        if gname in ("const-", "tanh-B"):
+            worst, worst_se, worst_gap = 1.0, 0.0, -1.0
+            for j in range(1, table.shape[1]):
+                m, se = mean_and_se(table[:, j])
+                if abs(m - 1.0) - 3.0 * se > worst_gap:
+                    worst, worst_se = m, se
+                    worst_gap = abs(m - 1.0) - 3.0 * se
+            # The roundoff floor covers knots where the integrand vanishes
+            # and the exponential is exactly one on every path.
+            mean_one.append(_rec(f"girsanov/mean-one|{gname}",
+                                 worst, 1.0, worst_se, 3.0 * worst_se + 1e-9))
+    return own + cross + inverse + mean_one
 
 
 def check_clark_ocone(n_paths: int = 20000, n_steps: int = 16,

@@ -79,26 +79,34 @@ class DensityCurve:
         if not self.contains(lam):
             raise ValueError(f"lambda={lam} outside [{self.lam_lo}, {self.lam_hi}]")
 
-    def raw_pair(self, lam: float, increments: np.ndarray):
+    def raw(self, lam: float, increments: np.ndarray) -> np.ndarray:
         self._require(lam)
-        vals = np.asarray(self.value_fn(lam, increments), dtype=float)
-        dvals = np.asarray(self.deriv_fn(lam, increments), dtype=float)
-        return vals, dvals
+        return np.asarray(self.value_fn(lam, increments), dtype=float)
+
+    def raw_pair(self, lam: float, increments: np.ndarray):
+        vals = self.raw(lam, increments)
+        return vals, np.asarray(self.deriv_fn(lam, increments), dtype=float)
 
     def eval(self, lam: float, pool: PathPool) -> np.ndarray:
-        self._require(lam)
-        raw = np.asarray(self.value_fn(lam, pool.increments), dtype=float)
-        return raw / float(raw.mean())
+        return renormalize(self.raw(lam, pool.increments))
 
     def eval_pair(self, lam: float, pool: PathPool):
         """(eval, deriv) at lam from one raw evaluation of the curve."""
-        vals, dvals = self.raw_pair(lam, pool.increments)
-        r = float(vals.mean())
-        dr = float(dvals.mean())
-        return vals / r, dvals / r - vals * (dr / (r * r))
+        return renormalize(*self.raw_pair(lam, pool.increments))
 
     def deriv(self, lam: float, pool: PathPool) -> np.ndarray:
         return self.eval_pair(lam, pool)[1]
+
+
+def renormalize(vals: np.ndarray, dvals: Optional[np.ndarray] = None):
+    """Raw curve values over their own mean (mean one); given the raw
+    lambda-derivative too, the pair, the derivative transformed to match
+    (mean zero). Rows of a full-pool evaluation give a shard's density."""
+    r = float(vals.mean())
+    if dvals is None:
+        return vals / r
+    dr = float(dvals.mean())
+    return vals / r, dvals / r - vals * (dr / (r * r))
 
 
 def validate_curve(curve: DensityCurve, pool: PathPool) -> None:
@@ -230,27 +238,29 @@ def grad_phi_antiderivative(f: CylindricalFn, xi_values) -> np.ndarray:
 
 
 def chain_rule_rhs(f: CylindricalFn, law: EmpiricalLaw, deriv_values,
-                   anti_values, pool: PathPool) -> float:
+                   phi_values, anti_values, pool: PathPool) -> float:
     """h'(<phi, law>) times the mean of Phi(xi) dL/dlam.
 
     law is the law of xi under the curve's density at one lambda,
     deriv_values the density's lambda-derivative there on the pool
-    (DensityCurve.eval_pair), and anti_values is
-    grad_phi_antiderivative(f, xi_values).
+    (DensityCurve.eval_pair), and phi_values and anti_values are phi and
+    grad_phi_antiderivative(f, .) at the law's atoms: both are law-free,
+    so one evaluation serves every law of those atoms, or a shard by row.
     """
     _require_1d(f)
-    return outer_slope(f, law) * weighted_expectation(pool, deriv_values,
-                                                      anti_values)
+    return outer_slope(f, law, phi_values) * weighted_expectation(
+        pool, deriv_values, anti_values)
 
 
 def chain_rule_lhs_fd(f: CylindricalFn, law_below: EmpiricalLaw,
-                      law_above: EmpiricalLaw, h_step: float) -> float:
+                      law_above: EmpiricalLaw, phi_values, h_step: float) -> float:
     """Central difference of lam -> f(law^lam): law_below and law_above are
     the laws of xi under the curve's densities at lam - h_step and
-    lam + h_step on the same pool."""
+    lam + h_step on the same pool, and phi_values is phi at their atoms."""
     if not (np.isfinite(h_step) and h_step > 0):
         raise ValueError(f"h_step must be finite and positive, got {h_step}")
-    return (eval_cyl(f, law_above) - eval_cyl(f, law_below)) / (2.0 * h_step)
+    return (eval_cyl(f, law_above, phi_values)
+            - eval_cyl(f, law_below, phi_values)) / (2.0 * h_step)
 
 
 def second_order_check_1d(f: CylindricalFn, law: EmpiricalLaw, x_grid,

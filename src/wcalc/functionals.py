@@ -113,18 +113,19 @@ class NestedFn:
         _check_fd_derivative(self.h, self.h_prime, grid, f"h[{self.descriptor}]")
 
 
-def eval_cyl(f: CylindricalFn, law: EmpiricalLaw) -> float:
+def eval_cyl(f: CylindricalFn, law: EmpiricalLaw, phi_values=None) -> float:
+    """h(integral phi d law); phi_values is phi at the atoms, if known."""
     if law.dim != f.dim:
         raise ValueError("law dimension does not match the functional")
-    return float(f.h(law.integrate(f.phi)))
+    return float(f.h(law.integrate(f.phi if phi_values is None else phi_values)))
 
 
-def outer_slope(f: CylindricalFn, law: EmpiricalLaw) -> float:
+def outer_slope(f: CylindricalFn, law: EmpiricalLaw, phi_values=None) -> float:
     """h'(integral phi d law): the one factor of the Lions derivative that
-    depends on the law."""
+    depends on the law. phi_values as in eval_cyl."""
     if law.dim != f.dim:
         raise ValueError("law dimension does not match the functional")
-    return float(f.h_prime(law.integrate(f.phi)))
+    return float(f.h_prime(law.integrate(f.phi if phi_values is None else phi_values)))
 
 
 def lions_derivative(f: CylindricalFn, law: EmpiricalLaw, x):

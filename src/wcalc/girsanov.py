@@ -136,16 +136,21 @@ def shift_backward(pool: PathPool, gamma: StepProcess, t: float) -> PathPool:
     return _pool_from_increments(pool.grid, inc)
 
 
-def girsanov_check(pool: PathPool, gamma: StepProcess, phi: Callable):
+def girsanov_check(pool: PathPool, exponential, shifted: PathPool,
+                   phi: Callable):
     """Two estimators of the same expectation under the reweighted measure.
 
+    exponential is one integrand's E_T on the pool (doleans_exponential's
+    last column) and shifted the pool under its forward flow to the
+    horizon, each built once for every observable paired with it.
     lhs: mean of E_T * phi(paths); rhs: mean of phi(shifted paths).
     Returns (lhs, rhs, std_err) where std_err is the common-random-number
     standard error of the per-path difference.
     """
-    density = doleans_exponential(pool, gamma)[:, -1]
+    density = np.asarray(exponential, dtype=float)
+    if density.shape != (pool.n_samples,) or shifted.n_samples != pool.n_samples:
+        raise ValueError("exponential and shifted pool must match the pool's paths")
     lhs_vals = density * np.asarray(phi(pool), dtype=float)
-    rhs_vals = np.asarray(phi(shift_forward(pool, gamma, pool.grid.horizon)),
-                          dtype=float)
+    rhs_vals = np.asarray(phi(shifted), dtype=float)
     _, std_err = mean_and_se(lhs_vals - rhs_vals)
     return float(lhs_vals.mean()), float(rhs_vals.mean()), std_err

@@ -11,11 +11,16 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate, optimize, stats
 
-from wcalc import (antiderivative_at, brownian_at, eval_cyl,
-                   lions_derivative, make_functional, make_grid,
-                   pushforward_law, sample_paths, weighted_expectation)
-from wcalc.checks import (_FD_BIAS_CHAIN, _FD_STEP, _N_SHARDS, _curve_battery,
-                          _rec, _shard_se)
+from wcalc import (antiderivative_at, brownian_at, doleans_exponential,
+                   eval_cyl, grad_phi_antiderivative, lions_derivative,
+                   make_functional, make_grid, outer_slope, pushforward_law,
+                   sample_paths, shift_backward, shift_forward,
+                   weighted_expectation)
+from wcalc.checks import (_CHAIN_LAMS, _CLOSED_FORM, _FD_BIAS_CHAIN,
+                          _FD_STEP, _N_SHARDS, _curve_battery,
+                          _girsanov_observables, _girsanov_processes, _rec,
+                          _shard_rows, _shard_se)
+from wcalc.numerics import mean_and_se
 from wcalc.numerics import (_segment_integrals, gauss_hermite, radial_cutoff,
                             smoothstep)
 
@@ -370,4 +375,109 @@ def check_chain_rule_per_call(n_paths=20000, n_steps=16, seed=7101,
                         se_l, 3.0 * se_l + fd_bias))
     records.append(_rec("chain/closed-form-repr", rhs,
                         grid.horizon, se_r, 3.0 * se_r))
+    return records
+
+
+# --- the chain-rule battery as it was when every shard was a copied PathPool
+# that evaluated the curve on its own paths and phi at its own atoms ----------
+
+def check_chain_rule_per_shard(n_paths=20000, n_steps=16, seed=7101,
+                               horizon=1.0, functionals=None):
+    """wcalc.checks.check_chain_rule with the densities of every shard from
+    curve.eval(., pool.subset(rows)) and both routes written out: h of
+    <phi, law> and h' of it, phi evaluated at each law's atoms."""
+    grid = make_grid(n_steps, horizon)
+    pool = sample_paths(grid, n_paths, seed)
+    xi = brownian_at(pool, grid.horizon)
+    shard_rows = _shard_rows(pool.n_samples)
+    pools = [pool] + [pool.subset(r) for r in shard_rows]
+    rows = [slice(None)] + shard_rows
+    fids = list(functionals or ("mean", "mean_sq", "sin_mean"))
+    fns = {fid: make_functional(fid) for fid in fids + [_CLOSED_FORM[0]]}
+    antis = {fid: grad_phi_antiderivative(f, xi) for fid, f in fns.items()}
+    curves = _curve_battery(grid)
+    routes = {}
+    for cid, curve in curves:
+        for lam in _CHAIN_LAMS:
+            todo = [fid for fid in fns
+                    if fid in fids or (fid, cid, lam) == _CLOSED_FORM]
+            for p, r in zip(pools, rows):
+                x = xi[r]
+                below = pushforward_law(p, curve.eval(lam - _FD_STEP, p), x)
+                above = pushforward_law(p, curve.eval(lam + _FD_STEP, p), x)
+                density, deriv = curve.eval_pair(lam, p)
+                law = pushforward_law(p, density, x)
+                for fid in todo:
+                    f = fns[fid]
+                    lhs = (eval_cyl(f, above) - eval_cyl(f, below)) \
+                        / (2.0 * _FD_STEP)
+                    rhs = outer_slope(f, law) * weighted_expectation(
+                        p, deriv, antis[fid][r])
+                    routes.setdefault((fid, cid, lam), []).append((lhs, rhs))
+
+    fd_bias = _FD_BIAS_CHAIN * _FD_STEP ** 2
+    records = []
+    for fid in fids:
+        for cid, _ in curves:
+            for lam in _CHAIN_LAMS:
+                (lhs, rhs), *shards = routes[fid, cid, lam]
+                se = _shard_se([l - r for l, r in shards])
+                records.append(_rec(f"chain/{fid}|{cid}|lam={lam:.2f}",
+                                    lhs, rhs, se, 3.0 * se + fd_bias))
+    (lhs, rhs), *shards = routes[_CLOSED_FORM]
+    se_l = _shard_se([l for l, _ in shards])
+    se_r = _shard_se([r for _, r in shards])
+    records.append(_rec("chain/closed-form-fd", lhs, grid.horizon,
+                        se_l, 3.0 * se_l + fd_bias))
+    records.append(_rec("chain/closed-form-repr", rhs,
+                        grid.horizon, se_r, 3.0 * se_r))
+    return records
+
+
+# --- the girsanov battery as it was when every pair rebuilt its exponential
+# and its shifted pool, and the inversion and mean-one records built theirs --
+
+def girsanov_check_rebuilding(pool, gamma, phi):
+    """(lhs, rhs, std_err) of one pair, the exponential and the shifted pool
+    built inside the call."""
+    density = doleans_exponential(pool, gamma)[:, -1]
+    lhs_vals = density * np.asarray(phi(pool), dtype=float)
+    rhs_vals = np.asarray(phi(shift_forward(pool, gamma, pool.grid.horizon)),
+                          dtype=float)
+    _, std_err = mean_and_se(lhs_vals - rhs_vals)
+    return float(lhs_vals.mean()), float(rhs_vals.mean()), std_err
+
+
+def check_girsanov_per_pair(n_paths=20000, n_steps=16, seed=7303,
+                            horizon=1.0):
+    """wcalc.checks.check_girsanov as one loop per record family."""
+    grid = make_grid(n_steps, horizon)
+    pool = sample_paths(grid, n_paths, seed)
+    gammas = _girsanov_processes(grid)
+    phis = _girsanov_observables()
+    pairs = [(i, i) for i in range(5)] + [(0, 2), (1, 3), (2, 4), (3, 0), (4, 1)]
+    records = []
+    for gi, pi in pairs:
+        gname, gamma = gammas[gi]
+        pname, phi = phis[pi]
+        lhs, rhs, se = girsanov_check_rebuilding(pool, gamma, phi)
+        records.append(_rec(f"girsanov/{gname}*{pname}",
+                            lhs, rhs, se, 3.0 * se + 1e-12))
+    for gname in ("sin-t", "tanh-B"):
+        gamma = dict(gammas)[gname]
+        back = shift_backward(shift_forward(pool, gamma, grid.horizon),
+                              gamma, grid.horizon)
+        err = float(np.max(np.abs(back.increments - pool.increments)))
+        records.append(_rec(f"girsanov/inverse|{gname}",
+                            err, 0.0, 0.0, 1e-10))
+    for gname in ("const-", "tanh-B"):
+        table = doleans_exponential(pool, dict(gammas)[gname])
+        worst, worst_se, worst_gap = 1.0, 0.0, -1.0
+        for j in range(1, table.shape[1]):
+            m, se = mean_and_se(table[:, j])
+            if abs(m - 1.0) - 3.0 * se > worst_gap:
+                worst, worst_se = m, se
+                worst_gap = abs(m - 1.0) - 3.0 * se
+        records.append(_rec(f"girsanov/mean-one|{gname}",
+                            worst, 1.0, worst_se, 3.0 * worst_se + 1e-9))
     return records

@@ -25,6 +25,7 @@ _GRID_STEPS = 16
 _CHAIN_PATHS = 100_000
 _CHAIN_BATTERY_SECONDS = 5.0       # whole battery; a fortiori per instance
 _SECOND_ORDER_SECONDS = 5.0        # whole battery (criteria 2 and 3)
+_GIRSANOV_BATTERY_SECONDS = 2.0    # whole battery (criterion 4)
 _CLARK_BATTERY_SECONDS = 3.0       # whole battery (criterion 5)
 _SLOPE_RANGE = (1.8, 2.2)
 _ROUNDOFF = 1e-12
@@ -121,8 +122,10 @@ def test_criterion_3_second_order_2d(second_order_run):
 # ------------------------------------------------------------ criterion 4
 
 def test_criterion_4_girsanov():
+    t0 = time.perf_counter()
     records = run_check("girsanov", n_paths=20_000,
                         n_steps=_GRID_STEPS, seed=_SEED)
+    wall = time.perf_counter() - t0
     two_route = [r for r in records if "*" in r.name]
     inverse = [r for r in records if r.name.startswith("girsanov/inverse|")]
     mean_one = [r for r in records if r.name.startswith("girsanov/mean-one|")]
@@ -130,10 +133,12 @@ def test_criterion_4_girsanov():
     ok = (len(two_route) == 10 and not failed
           and all(r.gap <= 3.0 * r.std_err + _ROUNDOFF for r in two_route)
           and all(r.gap <= _INVERSION_TOL for r in inverse)
-          and all(r.gap <= 3.0 * r.std_err + _MEAN_ONE_FLOOR for r in mean_one))
+          and all(r.gap <= 3.0 * r.std_err + _MEAN_ONE_FLOOR for r in mean_one)
+          and wall < _GIRSANOV_BATTERY_SECONDS)
     _verdict(4, ok, f"{len(two_route)} reweight-vs-shift pairs, "
                     f"{len(inverse)} flow inversions, {len(mean_one)} "
-                    f"martingale-mean records, {len(failed)} failures")
+                    f"martingale-mean records, {len(failed)} failures, "
+                    f"wall {wall:.1f}s")
     assert len(two_route) == 10
     assert not failed, failed
     for r in two_route:
@@ -142,6 +147,7 @@ def test_criterion_4_girsanov():
         assert r.gap <= _INVERSION_TOL, r.name
     for r in mean_one:
         assert r.gap <= 3.0 * r.std_err + _MEAN_ONE_FLOOR, r.name
+    assert wall < _GIRSANOV_BATTERY_SECONDS
 
 
 # ------------------------------------------------------------ criterion 5

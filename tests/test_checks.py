@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from wcalc import CheckRecord, CHECKS, run_check
-from oracles import assert_bitwise, check_chain_rule_per_call
+from wcalc import CheckRecord, CHECKS, run_check, checks, density_deriv
+from oracles import assert_bitwise, check_chain_rule_per_call, \
+    check_chain_rule_per_shard
 
 
 def test_record_validation_and_properties():
@@ -91,3 +92,57 @@ def test_chain_rule_closed_form_does_not_need_mean_in_the_subset():
         assert got.name == want.name
         assert_bitwise([got.lhs, got.rhs], [want.lhs, want.rhs])
     assert not any(r.name.startswith("chain/mean|") for r in sub)
+
+
+@pytest.mark.parametrize("seed", [3, 20260815])
+def test_chain_rule_matches_the_per_shard_oracle_bitwise(seed):
+    """Shards that read rows of the full-pool curve evaluations and of phi
+    move no record from shards that evaluate both on copied paths."""
+    got = run_check("chain-rule", 4000, 16, seed=seed)
+    want = check_chain_rule_per_shard(4000, 16, seed=seed)
+    assert [r.name for r in got] == [r.name for r in want]
+    for g, w in zip(got, want):
+        assert_bitwise([g.lhs, g.rhs, g.std_err, g.tolerance],
+                       [w.lhs, w.rhs, w.std_err, w.tolerance])
+
+
+def test_chain_rule_evaluates_each_curve_and_phi_once(monkeypatch):
+    """Per (curve, lambda) the raw curve runs once at lambda - h, lambda + h
+    and lambda (value and derivative), not once more per shard; phi runs
+    once per functional."""
+    calls = []
+
+    def counted(obj, field, label):
+        fn = getattr(obj, field)
+
+        def counting(*args):
+            calls.append(label)
+            return fn(*args)
+        object.__setattr__(obj, field, counting)    # past construction probes
+        return obj
+
+    battery, make = checks._curve_battery, checks.make_functional
+    monkeypatch.setattr(checks, "_curve_battery", lambda grid: [
+        (cid, counted(counted(c, "value_fn", "curve"), "deriv_fn", "curve"))
+        for cid, c in battery(grid)])
+    monkeypatch.setattr(checks, "make_functional",
+                        lambda fid: counted(make(fid), "phi", "phi"))
+    run_check("chain-rule", 1000, 8, seed=3)
+    assert calls.count("curve") == 2 * len(checks._CHAIN_LAMS) * 4
+    assert calls.count("phi") == 3
+
+
+@pytest.mark.parametrize("seed", [20260815, 3, 4])
+def test_chain_rule_battery_catches_a_scaled_outer_slope(monkeypatch, seed):
+    """Power: h'(<phi, law>) off by one percent fails every battery record
+    at reference size. The closed-form pair passes: its 7-df shard
+    standard error is wide."""
+    outer_slope = density_deriv.outer_slope
+    monkeypatch.setattr(density_deriv, "outer_slope",
+                        lambda f, law, phi_values: 1.01 * outer_slope(
+                            f, law, phi_values))
+    records = run_check("chain-rule", n_paths=20_000, n_steps=16, seed=seed)
+    battery = [r for r in records if "|" in r.name]
+    assert len(battery) == 18
+    assert not any(r.passed for r in battery), [r.name for r in battery
+                                                if r.passed]

@@ -8,7 +8,8 @@ from wcalc import (make_grid, sample_paths, scalar_exponential_curve,
                    recenter_to_base, recenter_to_density, antiderivative_at,
                    pushforward_law, make_functional, weighted_expectation,
                    brownian_at, chain_rule_lhs_fd, chain_rule_rhs,
-                   grad_phi_antiderivative, CylindricalFn)
+                   grad_phi_antiderivative, CylindricalFn, renormalize)
+from wcalc.checks import _curve_battery, _shard_rows
 from oracles import assert_bitwise, gaussian_expectation
 
 
@@ -27,6 +28,22 @@ def test_scalar_exponential_curve_is_a_density(pool16):
     assert_bitwise(pair[0], vals)
     assert_bitwise(pair[1], curve.deriv(0.4, pool16))
     assert abs(weighted_expectation(pool16, np.ones(len(vals)), vals) - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("cid", ["exp", "mix"])
+def test_row_read_shard_density_is_the_subset_density_bitwise(pool16, cid):
+    """Rows of one full-pool evaluation, renormalized by their own mean, are
+    the shard's density and derivative as the curve gives them on the
+    shard's own paths."""
+    curve = dict(_curve_battery(pool16.grid))[cid]
+    for lam in (0.2, 0.45 + 1e-3):
+        raw, raw_deriv = curve.raw_pair(lam, pool16.increments)
+        for r in _shard_rows(pool16.n_samples):
+            shard = pool16.subset(r)
+            assert_bitwise(renormalize(raw[r]), curve.eval(lam, shard))
+            for got, want in zip(renormalize(raw[r], raw_deriv[r]),
+                                 curve.eval_pair(lam, shard)):
+                assert_bitwise(got, want)
 
 
 def test_curve_rejects_bad_derivative(pool16):
@@ -94,8 +111,10 @@ def test_chain_rule_lhs_rejects_a_bad_step(pool16, h_step):
                                      pool16.grid, 0.0, 1.0)
     law = pushforward_law(pool16, curve.eval(0.45, pool16),
                           brownian_at(pool16, 1.0))
+    f = make_functional("mean")
+    phi = f.phi(law.atoms)
     with pytest.raises(ValueError, match="h_step"):
-        chain_rule_lhs_fd(make_functional("mean"), law, law, h_step)
+        chain_rule_lhs_fd(f, law, law, phi, h_step)
 
 
 def test_chain_rule_rhs_rejects_a_planar_functional(pool16):
@@ -111,7 +130,7 @@ def test_chain_rule_rhs_rejects_a_planar_functional(pool16):
     for x in (xi, np.column_stack([xi, xi])):
         law = pushforward_law(pool16, dens, x)
         with pytest.raises(ValueError, match="one-dimensional"):
-            chain_rule_rhs(f, law, deriv, xi, pool16)
+            chain_rule_rhs(f, law, deriv, xi, xi, pool16)
 
 
 def test_antiderivative_at_vs_quadrature():

@@ -5,9 +5,11 @@ from wcalc import (make_grid, sample_paths, brownian_at, StepProcess,
                    constant_process, deterministic_process, table_process,
                    doleans_exponential, shift_forward, shift_backward,
                    girsanov_check, weighted_expectation)
+from wcalc import checks, run_check
 from wcalc.checks import _girsanov_processes
-from oracles import assert_bitwise, doleans_exponential_at, doleans_naive, \
-    FROZEN
+from wcalc.wiener_grid import _pool_from_increments
+from oracles import assert_bitwise, check_girsanov_per_pair, \
+    doleans_exponential_at, doleans_naive, FROZEN
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +55,21 @@ def test_girsanov_check_two_routes(pool):
     gamma = deterministic_process(pool.grid,
                                   np.linspace(0.2, 0.8, pool.grid.n_steps))
     lhs, rhs, se = girsanov_check(
-        pool, gamma, lambda p: np.sin(brownian_at(p, p.grid.horizon)))
+        pool, doleans_exponential(pool, gamma)[:, -1],
+        shift_forward(pool, gamma, pool.grid.horizon),
+        lambda p: np.sin(brownian_at(p, p.grid.horizon)))
     assert abs(lhs - rhs) <= 3 * se
+
+
+def test_girsanov_check_rejects_inputs_of_another_pool(pool):
+    gamma = constant_process(pool.grid, 0.5)
+    table = doleans_exponential(pool, gamma)
+    shifted = shift_forward(pool, gamma, pool.grid.horizon)
+    phi = lambda p: brownian_at(p, p.grid.horizon)
+    for exponential, moved in ((table, shifted), (table[:10, -1], shifted),
+                               (table[:, -1], shifted.subset(slice(10)))):
+        with pytest.raises(ValueError, match="match the pool"):
+            girsanov_check(pool, exponential, moved, phi)
 
 
 def test_flow_inversion_exact(pool):
@@ -113,3 +128,76 @@ def test_step_process_reads_exactly_the_earlier_increments(pool):
         proc.column(3, pool.increments[:, :2])
     with pytest.raises(ValueError, match="earlier increments"):
         proc.values(np.zeros((5, pool.grid.n_steps + 1)))
+
+
+@pytest.mark.parametrize("seed", [3, 20260815])
+def test_girsanov_battery_matches_the_per_pair_oracle_bitwise(seed):
+    """One exponential and one shifted pool per integrand, shared by its
+    pairs, its inversion and its mean-one record, move no record."""
+    got = run_check("girsanov", 4000, 16, seed=seed)
+    want = check_girsanov_per_pair(4000, 16, seed=seed)
+    assert [r.name for r in got] == [r.name for r in want]
+    for g, w in zip(got, want):
+        assert_bitwise([g.lhs, g.rhs, g.std_err, g.tolerance],
+                       [w.lhs, w.rhs, w.std_err, w.tolerance])
+
+
+def _counted(fn, calls):
+    def counting(*args):
+        calls.append(fn.__name__)
+        return fn(*args)
+    return counting
+
+
+def test_girsanov_battery_builds_one_table_and_one_shift_per_integrand(
+        monkeypatch):
+    calls = []
+    for name in ("doleans_exponential", "shift_forward"):
+        monkeypatch.setattr(checks, name, _counted(getattr(checks, name), calls))
+    run_check("girsanov", 1000, 8, seed=3)
+    n_integrands = len(_girsanov_processes(make_grid(8)))
+    assert calls.count("doleans_exponential") == n_integrands
+    assert calls.count("shift_forward") == n_integrands
+
+
+def _uncompensated_exponential(pool, gamma):
+    """The Doleans exponential without its -gamma^2 dt / 2 term."""
+    inc = pool.increments
+    logs = np.zeros((inc.shape[0], pool.grid.n_steps + 1))
+    for i in range(pool.grid.n_steps):
+        logs[:, i + 1] = logs[:, i] + gamma.column(i, inc[:, :i]) * inc[:, i]
+    return np.exp(logs)
+
+
+def _shift_reading_the_unshifted_history(pool, gamma, t):
+    inc = pool.increments.copy()
+    for i in range(pool.grid.knot_index(t)):
+        inc[:, i] += gamma.column(i, pool.increments[:, :i]) * pool.grid.steps[i]
+    return _pool_from_increments(pool.grid, inc)
+
+
+@pytest.mark.parametrize("seed", [20260815, 3, 4])
+def test_girsanov_battery_catches_an_uncompensated_exponential(monkeypatch,
+                                                                seed):
+    """Power: without its compensator the exponential is no martingale, so
+    both mean-one records and most reweight-vs-shift pairs fail at
+    reference size."""
+    monkeypatch.setattr(checks, "doleans_exponential",
+                        _uncompensated_exponential)
+    records = run_check("girsanov", n_paths=20_000, n_steps=16, seed=seed)
+    failed = {r.name for r in records if not r.passed}
+    assert {"girsanov/mean-one|const-", "girsanov/mean-one|tanh-B"} <= failed
+    assert len(failed) >= 9, sorted(failed)
+
+
+@pytest.mark.parametrize("seed", [20260815, 3, 4])
+def test_girsanov_inverse_catches_a_shift_that_reads_the_unshifted_history(
+        monkeypatch, seed):
+    """Power: the inversion record shifts back the pool the pairs share, so
+    a forward flow off its triangular fixed point fails it by orders of
+    magnitude."""
+    monkeypatch.setattr(checks, "shift_forward",
+                        _shift_reading_the_unshifted_history)
+    records = run_check("girsanov", n_paths=20_000, n_steps=16, seed=seed)
+    inverse = {r.name: r for r in records}["girsanov/inverse|tanh-B"]
+    assert inverse.gap > 1e7 * inverse.tolerance
