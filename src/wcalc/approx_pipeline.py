@@ -28,8 +28,9 @@ parameter value on a uniform u-grid over that support (one quadrature
 call), and stages 4-7 read it from there by cubic Hermite interpolation:
 the per-path values behind stages 4 and 5 and the normalization constant,
 and every Gauss-Hermite node of the integrand tables. Stage 3 and the
-consistency check evaluate their densities directly, so the check stays an
-independent measure of the tabulation. In stages 6 and 7 the integrand and
+consistency check evaluate their densities directly (the check with one
+moll.triple call per block knot), so it stays an independent measure of
+the tabulation. In stages 6 and 7 the integrand and
 its slope are tabulated once per parameter value on a uniform grid of the
 running terminal coordinate and read linearly along every path, one cell
 index per path and knot for both (numerics.uniform_interp), then
@@ -52,7 +53,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .artifacts import atomic_write_csv, atomic_write_json
-from .clark_ocone import SmoothFunctional, clark_ocone_decompose, scalar_functional
+from .clark_ocone import _knot_smoothings
 from .density_deriv import DensityCurve
 from .girsanov import StepProcess, doleans_exponential, table_process
 from .numerics import (bump_quad_1d, capped_identity, capped_identity_deriv,
@@ -179,7 +180,7 @@ class ConditionedDensity:
         self._renorm_cache: Dict[float, Tuple[float, float]] = {}
         self._u = self.coords_of(pool.increments)
         lam_mid = 0.5 * (curve.lam_lo + curve.lam_hi)
-        if not np.all(np.isfinite(self.value(lam_mid, self._u))):
+        if not np.all(np.isfinite(self.pair(lam_mid, self._u))):
             raise FloatingPointError("conditioning produced non-finite values")
 
     def coords_of(self, increments: np.ndarray) -> np.ndarray:
@@ -195,25 +196,17 @@ class ConditionedDensity:
         self._renorm_cache[key] = pair
         return pair
 
-    def _raw_parts(self, lam: float, coords: np.ndarray, want_du: bool):
-        v, d, du = self.curve.scalar_triple(lam, np.asarray(coords, dtype=float))
-        du = np.asarray(du, dtype=float) if want_du else None
-        return np.asarray(v, dtype=float), np.asarray(d, dtype=float), du
-
     def parts(self, lam: float, coords: np.ndarray, want_du: bool = False):
         """Renormalized (value, parameter derivative, coordinate derivative)."""
         r, dr = self._renorm(lam)
-        v, d, du = self._raw_parts(lam, coords, want_du)
-        out_du = None if du is None else du / r
+        v, d, du = self.curve.scalar_triple(lam, np.asarray(coords, dtype=float))
+        v, d = np.asarray(v, dtype=float), np.asarray(d, dtype=float)
+        out_du = np.asarray(du, dtype=float) / r if want_du else None
         return v / r, d / r - v * (dr / (r * r)), out_du
 
     def pair(self, lam: float, coords: np.ndarray):
         v, d, _ = self.parts(lam, coords, False)
         return v, d
-
-    def value(self, lam: float, coords: np.ndarray) -> np.ndarray:
-        r, _ = self._renorm(lam)
-        return self._raw_parts(lam, coords, False)[0] / r
 
 
 class TruncatedDensity:
@@ -307,32 +300,23 @@ class MollifiedDensity:
         self.n_coords = trunc.n_coords
         self._alpha, self._wa = bump_quad_1d(n_nodes)
 
-    def _acc(self, lam: float, coords: np.ndarray, want_du: bool):
+    def triple(self, lam: float, coords: np.ndarray):
+        """(value, parameter derivative, coordinate derivative) at coords."""
         X = np.asarray(coords, dtype=float)
         m = X.shape[0]
         n_cells = self._wa.size
         flat = (X[:, None] - self.eps * self._alpha[None, :]).reshape(-1)
-        cutoffs = self.trunc.cutoffs(flat, want_du)
+        cutoffs = self.trunc.cutoffs(flat, True)
         outv = np.zeros(m)
         outl = np.zeros(m)
-        outu = np.zeros(m) if want_du else None
+        outu = np.zeros(m)
         for a, wa in zip(self._alpha, self._wa):
-            v, dl, du = self.trunc.parts(lam - self.eps * a, flat, want_du,
+            v, dl, du = self.trunc.parts(lam - self.eps * a, flat, True,
                                          _cutoffs=cutoffs)
             outv += wa * (v.reshape(m, n_cells) @ self._wa)
             outl += wa * (dl.reshape(m, n_cells) @ self._wa)
-            if want_du:
-                outu += wa * (du.reshape(m, n_cells) @ self._wa)
+            outu += wa * (du.reshape(m, n_cells) @ self._wa)
         return outv, outl, outu
-
-    def value(self, lam: float, coords: np.ndarray) -> np.ndarray:
-        return self._acc(lam, coords, False)[0]
-
-    def du(self, lam: float, coords: np.ndarray) -> np.ndarray:
-        return self._acc(lam, coords, True)[2]
-
-    def triple(self, lam: float, coords: np.ndarray):
-        return self._acc(lam, coords, True)
 
 
 def _hermite_coefs(y: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -428,23 +412,6 @@ def stage7_stepify(grid: TimeGrid, gamma_table: np.ndarray, k: int) -> StepProce
     frozen = table[:, ::stride]
     bound = float(np.abs(table).max()) if table.size else 0.0
     return table_process(sub, frozen, bound=bound)
-
-
-def stage6_functional(moll: MollifiedDensity, lam: float, eps_pos: float,
-                      denom: float, n_args: int) -> SmoothFunctional:
-    """Package the normalized mollified density as a smooth functional of
-    the block increments; everything reads the terminal coordinate, so the
-    scalar fast path applies at any block count."""
-
-    def fn(u):
-        u = np.asarray(u, dtype=float)
-        return ((eps_pos + moll.value(lam, u.ravel())) / denom).reshape(u.shape)
-
-    def fn_prime(u):
-        u = np.asarray(u, dtype=float)
-        return (moll.du(lam, u.ravel()) / denom).reshape(u.shape)
-
-    return scalar_functional(n_args, fn, fn_prime)
 
 
 def integrand_tables(table: _UTable, eps_pos: float,
@@ -700,16 +667,19 @@ def _consistency_gap(moll: MollifiedDensity, lam: float,
                      block_pool: PathPool, y_grid: np.ndarray,
                      gam_tab: np.ndarray) -> float:
     """Largest subsample discrepancy between the block-knot integrand table
-    that stages 6 and 7 read and the direct decomposition of the stage-5
-    functional."""
+    that stages 6 and 7 read and gamma = Z / M of the stage-5 density, both
+    conditional means from one moll.triple call per block knot."""
     m = min(_CHECK_PATHS, block_pool.n_samples)
     sub = block_pool.subset(np.arange(m))
-    functional = stage6_functional(moll, lam, config.positivity_floor,
-                                   denom, block_pool.grid.n_steps)
-    gam_direct = clark_ocone_decompose(functional, sub,
-                                       quad_order=config.quad_order)[2]
+    floor = config.positivity_floor
+
+    def normalized(u):
+        v, _, du = moll.triple(lam, u.ravel())
+        return (du / denom).reshape(u.shape), ((floor + v) / denom).reshape(u.shape)
+
+    Z, M = _knot_smoothings(sub, config.quad_order, normalized)
     gam_read, = _read_knot_tables(sub, y_grid, (gam_tab,))
-    gap = float(np.abs(gam_direct - gam_read).max())
+    gap = float(np.abs(Z / M - gam_read).max())
     if gap > _GROSS_GAP:
         raise ValueError(f"integrand table disagrees with the direct "
                          f"decomposition (gap {gap:.2e})")

@@ -14,9 +14,8 @@ eigenvalue, mapped back to increments, so the mesh has q**r nodes
 whatever the number of remaining intervals. Without a loading A is the
 identity, r is the number of remaining intervals and the mesh is the
 axis-aligned one over them. A functional that reads only the path endpoint
-needs one dimension at any knot: clark_ocone_decompose builds each knot's
-argument y + sqrt(var) x once for Z and M together, and
-clark_ocone_integrand returns Z alone.
+has loading 1^T, one dimension at any knot; clark_ocone_decompose builds
+each knot's argument y + sqrt(var) x once for Z and M of its scalar form.
 
 At knot 0 nothing is revealed, so E[F | F_0] is the unconditional mean,
 the same for every path: the quadrature evaluates its mesh once and
@@ -69,9 +68,8 @@ class SmoothFunctional:
 
     value_fn maps (m, n_args) -> (m,), grad_fn maps (m, n_args) ->
     (m, n_args). If the functional only reads the total sum of its
-    arguments, scalar_fn/scalar_fn_prime give that one-variable form;
-    conditional smoothing then stays one-dimensional no matter how fine the
-    grid is.
+    arguments, scalar_fn/scalar_fn_prime give that one-variable form, which
+    clark_ocone_decompose integrates at any grid size.
 
     loading, if given, is a k x n_args matrix A with the promise that
     value_fn and grad_fn read x only through A x. Conditional smoothing of
@@ -177,7 +175,8 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
     gradient entry).
 
     loading is a k x n_args matrix A such that the integrand reads x only
-    through A x; None means the identity. With A_rem its columns on the
+    through A x. None means F.loading for F.value_fn itself (component
+    None) and the identity for a component. With A_rem its columns on the
     remaining intervals, the quadrature runs over the r eigen-directions of
     C = A_rem diag(dt_rem) A_rem^T with a positive eigenvalue: a tensor
     Gauss-Hermite mesh z of quad_order**r nodes, mapped to increments as
@@ -202,17 +201,12 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
     if pre.shape[1] != j:
         raise ValueError(f"prefix has {pre.shape[1]} columns, knot index is {j}")
     fn = component if component is not None else F.value_fn
+    if component is None and loading is None:
+        loading = F.loading
     m = pre.shape[0]
     rem = grid.n_steps - j
     if rem == 0:
         return np.asarray(fn(pre), dtype=float)
-
-    if component is None and F.scalar_fn is not None:
-        # One-dimensional shortcut: only the terminal sum matters and the
-        # unrevealed part of it is Gaussian with variance horizon - s.
-        return _smooth_endpoint((F.scalar_fn,), pre.sum(axis=1),
-                                float(grid.horizon - grid.knots[j]),
-                                quad_order)[0]
 
     variances = grid.steps[j:]
     a_rem = np.eye(rem) if loading is None else _as_loading(loading, grid.n_steps)[:, j:]
@@ -255,36 +249,37 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
     return out / n_draws
 
 
-def _smooth_endpoint(fns, y: np.ndarray, var: float, quad_order: int):
-    """[E f(y + sqrt(var) X) for f in fns], X ~ N(0, 1), by Gauss-Hermite
-    quadrature on one argument that every f reads."""
-    nodes, w = gauss_hermite(quad_order)
-    arg = y[:, None] + np.sqrt(var) * nodes[None, :]
-    return [np.asarray(f(arg)) @ w for f in fns]
-
-
-def _knot_smoothings(F: SmoothFunctional, pool: PathPool, quad_order: int,
-                     fns):
-    """Per f in fns, the (paths, knots) table of E[f(B_T) | F_{t_i}] for an
-    endpoint functional F. The prefix is summed, not read from
-    pool.cumulative: the pairwise sum rounds differently from a running one."""
+def _knot_smoothings(pool: PathPool, quad_order: int, fn):
+    """Per array f(B_T) that fn returns from a knot's Gauss-Hermite argument
+    y + sqrt(var) x, the (paths, knots) table of E[f(B_T) | F_{t_i}]. The
+    prefix y is summed, not read from pool.cumulative: the pairwise sum
+    rounds differently from a running one."""
+    _check_quadrature(quad_order, None)
     grid = pool.grid
-    if F.n_args != grid.n_steps:
+    nodes, w = gauss_hermite(quad_order)
+    cols = []
+    for i in range(grid.n_steps):
+        y = pool.increments[:, :i].sum(axis=1)
+        var = float(grid.horizon - grid.knots[i])
+        arg = y[:, None] + np.sqrt(var) * nodes[None, :]
+        cols.append([np.asarray(f) @ w for f in fn(arg)])
+    return [np.column_stack(c) for c in zip(*cols)]
+
+
+def _check_endpoint(F: SmoothFunctional, pool: PathPool) -> None:
+    if F.n_args != pool.grid.n_steps:
         raise ValueError("functional arity does not match the grid")
     if F.scalar_fn is None:
         raise ValueError("the decomposition needs a functional with scalar_fn "
                          "(one that reads only the path endpoint)")
-    _check_quadrature(quad_order, None)
-    cols = [_smooth_endpoint(fns, pool.increments[:, :i].sum(axis=1),
-                             float(grid.horizon - grid.knots[i]), quad_order)
-            for i in range(grid.n_steps)]
-    return [np.column_stack(c) for c in zip(*cols)]
 
 
 def clark_ocone_integrand(F: SmoothFunctional, pool: PathPool,
                           quad_order: int = 32) -> np.ndarray:
     """Z of clark_ocone_decompose alone, for callers that need no M."""
-    return _knot_smoothings(F, pool, quad_order, (F.scalar_fn_prime,))[0]
+    _check_endpoint(F, pool)
+    return _knot_smoothings(pool, quad_order,
+                            lambda u: (F.scalar_fn_prime(u),))[0]
 
 
 def clark_ocone_decompose(F: SmoothFunctional, pool: PathPool,
@@ -298,8 +293,9 @@ def clark_ocone_decompose(F: SmoothFunctional, pool: PathPool,
     F must read only the path endpoint (carry scalar_fn), as every density
     decomposed here does; d/dx_i of fn(sum) is fn' at the sum for every i.
     """
-    Z, M = _knot_smoothings(F, pool, quad_order,
-                            (F.scalar_fn_prime, F.scalar_fn))
+    _check_endpoint(F, pool)
+    Z, M = _knot_smoothings(pool, quad_order,
+                            lambda u: (F.scalar_fn_prime(u), F.scalar_fn(u)))
     if np.any(np.abs(M) < 1e-12):
         raise ValueError("conditional mean hits zero; logarithmic integrand undefined")
     return Z, M, Z / M

@@ -11,11 +11,12 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate, optimize, stats
 
-from wcalc import (antiderivative_at, brownian_at, doleans_exponential,
-                   eval_cyl, grad_phi_antiderivative, lions_derivative,
-                   make_functional, make_grid, outer_slope, pushforward_law,
-                   sample_paths, shift_backward, shift_forward,
-                   weighted_expectation)
+from wcalc import (antiderivative_at, brownian_at, clark_ocone_decompose,
+                   doleans_exponential, eval_cyl, grad_phi_antiderivative,
+                   lions_derivative, make_functional, make_grid, outer_slope,
+                   pushforward_law, sample_paths, scalar_functional,
+                   shift_backward, shift_forward, weighted_expectation)
+from wcalc.approx_pipeline import _CHECK_PATHS
 from wcalc.checks import (_CHAIN_LAMS, _CLOSED_FORM, _FD_BIAS_CHAIN,
                           _FD_STEP, _N_SHARDS, _curve_battery,
                           _girsanov_observables, _girsanov_processes, _rec,
@@ -232,6 +233,35 @@ def mollified_acc(moll, lam, coords, want_du):
         if want_du:
             outu += wa * (du.reshape(m, n_cells) @ moll._wa)
     return outv, outl, outu
+
+
+def stage6_functional(moll, lam, eps_pos, denom, n_args):
+    """The normalized stage-4 density (eps_pos + F) / denom as an endpoint
+    SmoothFunctional, its value and u-derivative each from its own
+    moll.triple call."""
+
+    def fn(u):
+        u = np.asarray(u, dtype=float)
+        return ((eps_pos + moll.triple(lam, u.ravel())[0]) / denom).reshape(u.shape)
+
+    def fn_prime(u):
+        u = np.asarray(u, dtype=float)
+        return (moll.triple(lam, u.ravel())[2] / denom).reshape(u.shape)
+
+    return scalar_functional(n_args, fn, fn_prime)
+
+
+def consistency_gap_decomposed(moll, lam, config, denom, block_pool, y_grid,
+                               gam_tab):
+    """approx_pipeline._consistency_gap through stage6_functional and
+    clark_ocone_decompose, the table read by np.interp (the route before
+    the check read one triple per knot): (gap, (Z, M, gamma))."""
+    sub = block_pool.subset(np.arange(min(_CHECK_PATHS, block_pool.n_samples)))
+    functional = stage6_functional(moll, lam, config.positivity_floor, denom,
+                                   block_pool.grid.n_steps)
+    direct = clark_ocone_decompose(functional, sub, quad_order=config.quad_order)
+    gam_read = read_table_interp(gam_tab, y_grid, sub.cumulative[:, :-1])
+    return float(np.abs(direct[2] - gam_read).max()), direct
 
 
 def tensor_nodes(variances: np.ndarray, order: int):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wcalc import CheckRecord, CHECKS, run_check, checks, density_deriv
+from wcalc import (CheckRecord, CHECKS, run_check, checks, density_deriv,
+                   density_functional)
 from oracles import assert_bitwise, check_chain_rule_per_call, \
     check_chain_rule_per_shard
 
@@ -130,6 +131,20 @@ def test_chain_rule_evaluates_each_curve_and_phi_once(monkeypatch):
     run_check("chain-rule", 1000, 8, seed=3)
     assert calls.count("curve") == 2 * len(checks._CHAIN_LAMS) * 4
     assert calls.count("phi") == 3
+
+
+@pytest.mark.parametrize("seed", [20260815, 3, 4])
+def test_bensoussan_battery_catches_a_scaled_representer(monkeypatch, seed):
+    """Power: the density-functional representer off by one percent fails
+    records of the bensoussan battery at reference size (5 of 6 measured,
+    all but linear-gauss at bandwidth 0.5)."""
+    representer = density_functional.dPhi_representer
+    monkeypatch.setattr(density_functional, "dPhi_representer",
+                        lambda phi, h, x: 1.01 * representer(phi, h, x))
+    records = run_check("bensoussan", n_paths=20_000, n_steps=16, seed=seed)
+    assert len(records) == 6
+    assert sum(not r.passed for r in records) >= 5, [
+        r.name for r in records if r.passed]
 
 
 @pytest.mark.parametrize("seed", [20260815, 3, 4])

@@ -9,6 +9,7 @@ from wcalc import (make_grid, sample_paths, SmoothFunctional,
                    clark_ocone_decompose, clark_ocone_integrand,
                    reconstruction_error, run_check, weighted_expectation)
 from wcalc import clark_ocone
+from wcalc.numerics import gauss_hermite
 from oracles import (assert_bitwise, decompose_per_knot, gaussian_expectation,
                      tensor_nodes)
 
@@ -82,7 +83,8 @@ def test_gaussian_smooth_against_quadrature_oracle(pool):
 
 
 def test_gaussian_smooth_scalar_vs_tensor_route(pool):
-    """The endpoint shortcut and the tensor mesh integrate the same thing.
+    """The rank-1 route of the endpoint loading and the axis-aligned tensor
+    mesh integrate the same thing.
 
     Run on a short suffix (three remaining intervals) so the tensor route is
     exact too; the measured gap at order 32 sits far below the pinned bound.
@@ -171,8 +173,9 @@ def test_defect_halves_per_grid_doubling():
 
 
 def coupled_functional(n):
-    """Non-scalar functional with a cross term, so no endpoint shortcut
-    applies and gaussian_smooth takes the tensor (or Monte Carlo) route."""
+    """Non-scalar functional with a cross term and no loading, so
+    gaussian_smooth integrates over every remaining interval (tensor or
+    Monte Carlo route)."""
     a = np.linspace(0.3, -0.4, n)
 
     def value(x):
@@ -363,18 +366,20 @@ def test_integrand_rejects_what_decompose_rejects(pool):
             entry(coupled_functional(4), sample_paths(make_grid(4), 16, seed=5))
 
 
-def _right_knot_smoothings(F, pool, quad_order, fns):
-    """Mutant of the knot loop: Z at interval i reads the prefix through
-    knot i + 1 and the variance left after it, M stays at knot i."""
+def _right_knot_smoothings(pool, quad_order, fn):
+    """Mutant of the knot loop: Z (the first array fn returns) at interval
+    i reads the prefix through knot i + 1 and the variance left after it,
+    M stays at knot i."""
     grid = pool.grid
-    outs = [np.empty(pool.increments.shape) for _ in fns]
-    for i in range(grid.n_steps):
-        for out, f in zip(outs, fns):
-            k = i + 1 if f is F.scalar_fn_prime else i
-            out[:, i] = clark_ocone._smooth_endpoint(
-                (f,), pool.increments[:, :k].sum(axis=1),
-                float(grid.horizon - grid.knots[k]), quad_order)[0]
-    return outs
+    nodes, w = gauss_hermite(quad_order)
+
+    def smooth(k):
+        y = pool.increments[:, :k].sum(axis=1)
+        arg = y[:, None] + np.sqrt(grid.horizon - grid.knots[k]) * nodes[None, :]
+        return [np.asarray(f) @ w for f in fn(arg)]
+
+    cols = [smooth(i + 1)[:1] + smooth(i)[1:] for i in range(grid.n_steps)]
+    return [np.column_stack(c) for c in zip(*cols)]
 
 
 @pytest.mark.parametrize("seed", [20260815, 3, 4])

@@ -16,8 +16,9 @@ from wcalc import (make_grid, sample_paths, dyadic_coarsen, DensityCurve,
                    pipeline_ladders, DEFAULT_THRESHOLDS)
 from wcalc import approx_pipeline
 
-from oracles import (assert_bitwise, mollified_acc, read_table_interp,
-                     truncated_parts)
+from wcalc import clark_ocone
+from oracles import (assert_bitwise, consistency_gap_decomposed, mollified_acc,
+                     read_table_interp, truncated_parts)
 
 
 def exp_curve(grid, lo=0.1, hi=0.9):
@@ -172,10 +173,12 @@ def test_stage4_derivatives_match_finite_differences():
     lam = 0.45
     u = np.array([-1.2, 0.0, 0.7, 2.1])
     h = 1e-5
-    fd_lam = (moll.value(lam + h, u) - moll.value(lam - h, u)) / (2 * h)
-    assert np.max(np.abs(fd_lam - moll.triple(lam, u)[1])) < 1e-6
-    fd_u = (moll.value(lam, u + h) - moll.value(lam, u - h)) / (2 * h)
-    assert np.max(np.abs(fd_u - moll.du(lam, u))) < 1e-6
+    value = lambda l, x: moll.triple(l, x)[0]
+    _, dlam, du = moll.triple(lam, u)
+    fd_lam = (value(lam + h, u) - value(lam - h, u)) / (2 * h)
+    assert np.max(np.abs(fd_lam - dlam)) < 1e-6
+    fd_u = (value(lam, u + h) - value(lam, u - h)) / (2 * h)
+    assert np.max(np.abs(fd_u - du)) < 1e-6
 
 
 # ------------------------------------------------------- stage-4 u-table
@@ -268,6 +271,62 @@ def test_consistency_gap_detects_a_skewed_u_table(monkeypatch):
         assert "integrand table disagrees" in str(exc)
     else:
         assert gap > 1e-5
+
+
+@pytest.mark.parametrize("dyadic_level,step_count,quad_order,n_paths",
+                         [(2, 4, 16, 2000), (3, 2, 32, 1000)])
+def test_consistency_gap_reads_one_triple_per_block_knot(
+        monkeypatch, dyadic_level, step_count, quad_order, n_paths):
+    """The check's Z, M and gap equal the decomposition of the stage-5
+    density as an endpoint SmoothFunctional bitwise, from exactly one
+    moll.triple call per block knot and no SmoothFunctional."""
+    grid = make_grid(8)
+    pool = sample_paths(grid, n_paths, seed=35)
+    cfg = PipelineConfig(dyadic_level=dyadic_level, truncation_level=6.0,
+                         mollify_eps=0.1, positivity_floor=0.1,
+                         step_count=step_count, quad_order=quad_order)
+    gap_check = approx_pipeline._consistency_gap
+    smoothings = approx_pipeline._knot_smoothings
+    triple = MollifiedDensity.triple
+    post_init = clark_ocone.SmoothFunctional.__post_init__
+    calls = {"gap": [], "triple": 0, "functional": 0, "tables": []}
+    inside = []
+
+    def counted_gap(*args):
+        calls["gap"].append(args)
+        inside.append(True)
+        try:
+            return gap_check(*args)
+        finally:
+            inside.pop()
+
+    def kept_smoothings(*args):
+        calls["tables"].append(smoothings(*args))
+        return calls["tables"][-1]
+
+    def counted_triple(self, lam, coords):
+        calls["triple"] += bool(inside)
+        return triple(self, lam, coords)
+
+    def counted_post_init(self):
+        calls["functional"] += bool(inside)
+        post_init(self)
+
+    monkeypatch.setattr(approx_pipeline, "_consistency_gap", counted_gap)
+    monkeypatch.setattr(approx_pipeline, "_knot_smoothings", kept_smoothings)
+    monkeypatch.setattr(MollifiedDensity, "triple", counted_triple)
+    monkeypatch.setattr(clark_ocone.SmoothFunctional, "__post_init__",
+                        counted_post_init)
+    rep = pipeline_run(exp_curve(grid, 0.0, 1.0), 0.3, 0.5, cfg, pool)
+    assert len(calls["gap"]) == 1
+    assert calls["triple"] == 1 << dyadic_level
+    assert calls["functional"] == 0
+    monkeypatch.undo()
+    gap, (Z, M, _) = consistency_gap_decomposed(*calls["gap"][0])
+    [(got_Z, got_M)] = calls["tables"]
+    assert_bitwise(got_Z, Z)
+    assert_bitwise(got_M, M)
+    assert_bitwise(rep.gamma_consistency_gap, gap)
 
 
 # ---------------------------------------------------------------- stage 5

@@ -14,6 +14,21 @@ def test_make_grid_basics():
     assert TimeGrid(np.array([0.0, 0.1, 0.5, 2.0])).is_uniform() is False
 
 
+@pytest.mark.parametrize("n", [10_000, 100_000])
+@pytest.mark.parametrize("horizon", [1.0, 0.7, 3.3])
+def test_fine_grids_stay_uniform(n, horizon):
+    """np.linspace steps spread by about n * 2**-52 relative, so a relative
+    step tolerance refuses make_grid's own fine grids; their coarsening
+    must still work. A knot moved by 1e-6 of a step is refused."""
+    grid = make_grid(n, horizon)
+    assert grid.is_uniform()
+    coarse = dyadic_coarsen(sample_paths(grid, 10, 1), 1)
+    assert coarse.grid.n_steps == 2
+    knots = grid.knots.copy()
+    knots[n // 3] += 1e-6 * (horizon / n)
+    assert not TimeGrid(knots).is_uniform()
+
+
 def test_grid_rejects_bad_input():
     with pytest.raises(ValueError):
         make_grid(0)
