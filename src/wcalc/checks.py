@@ -272,20 +272,12 @@ def check_second_order(n_paths: int = 20000, n_steps: int = 16,
     return records
 
 
-def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
-    """Stochastic-integral representation on a coarse grid.
-
-    L, xi1 = B(T/2) and xi2 = B_T declare their loadings, so the conditional
-    projections are Gauss-Hermite integrals over the two directions they
-    read. The grid stays at four steps and the pairing tolerance carries
-    the documented discrete-bracket term proportional to dt.
-    """
-    grid = make_grid(4, horizon)
-    n_paths, quad = 4000, 12
-    pool = sample_paths(grid, n_paths, seed + 11)
+def _repr_functionals(grid: TimeGrid):
+    """(L, xi1, xi2) of the representation check: the exponential density
+    of B_T with sigma 0.4, xi1 = B(T/2) and xi2 = B_T, each with its
+    loading."""
     horizon = grid.horizon
     n = grid.n_steps
-
     sig = 0.4
     L = scalar_functional(grid,
                           lambda s: np.exp(sig * s - 0.5 * sig ** 2 * horizon),
@@ -300,6 +292,23 @@ def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
         loading=(np.arange(n) < half)[None, :].astype(float))
     xi2 = scalar_functional(grid, lambda s: s,
                             lambda s: np.ones_like(np.asarray(s, dtype=float)))
+    return L, xi1, xi2
+
+
+def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
+    """Stochastic-integral representation on a coarse grid.
+
+    L, xi1 = B(T/2) and xi2 = B_T declare their loadings, so the conditional
+    projections are Gauss-Hermite integrals over the two directions they
+    read. The grid stays at four steps and the pairing tolerance carries
+    the documented discrete-bracket term proportional to dt.
+    """
+    grid = make_grid(4, horizon)
+    n_paths, quad = 4000, 12
+    pool = sample_paths(grid, n_paths, seed + 11)
+    n = grid.n_steps
+    half = n // 2
+    L, xi1, xi2 = _repr_functionals(grid)
 
     inc = pool.increments
     l_vals = np.asarray(L.value_fn(inc), dtype=float)
@@ -313,9 +322,10 @@ def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
     # path linearly.
     eta_obs = np.array([half * dts[0], float(dts.sum())])
 
+    fs = _plane_functionals()[:2]
+    outs = multidim_derivative_repr(fs, L, [xi1, xi2], pool, quad_order=quad)
     records = []
-    for f in _plane_functionals()[:2]:
-        out = multidim_derivative_repr(f, L, [xi1, xi2], pool, quad_order=quad)
+    for f, out in zip(fs, outs):
         zero, se0 = mean_and_se(l_norm * out)
         records.append(_rec(f"second/repr-drift|{f.descriptor}",
                             zero, 0.0, se0, 3.0 * se0))

@@ -162,17 +162,26 @@ def _check_quadrature(quad_order: int,
         raise ValueError(f"mc_fallback n_draws must be >= 1, got {mc_fallback[0]}")
 
 
+def _as_arrays(vals):
+    """(float arrays, whether vals was a tuple) of what an integrand returns:
+    one array, or a tuple of arrays on the same argument rows."""
+    if isinstance(vals, tuple):
+        return [np.asarray(v, dtype=float) for v in vals], True
+    return [np.asarray(vals, dtype=float)], False
+
+
 def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
                     prefix: np.ndarray, component: Optional[Callable] = None,
                     quad_order: int = 32,
                     mc_fallback: Optional[Tuple[int, int]] = None,
-                    loading: Optional[np.ndarray] = None) -> np.ndarray:
+                    loading: Optional[np.ndarray] = None):
     """E[F | F_s] evaluated at realized increments up to knot s.
 
     prefix is (m, j) where j is the knot index of s; the remaining increments
     are integrated out. component, if given, replaces the integrand by
     component(x) for x the full (rows, n_args) argument (used to smooth one
-    gradient entry).
+    gradient entry). A component may return a tuple of per-row arrays: each
+    is smoothed on the same mesh and the result is a tuple in that order.
 
     loading is a k x n_args matrix A such that the integrand reads x only
     through A x. None means F.loading for F.value_fn itself (component
@@ -206,7 +215,8 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
     m = pre.shape[0]
     rem = grid.n_steps - j
     if rem == 0:
-        return np.asarray(fn(pre), dtype=float)
+        vals, multi = _as_arrays(fn(pre))
+        return tuple(vals) if multi else vals[0]
 
     variances = grid.steps[j:]
     a_rem = np.eye(rem) if loading is None else _as_loading(loading, grid.n_steps)[:, j:]
@@ -220,17 +230,27 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
         q = mesh.shape[0]
         # knot 0: nothing revealed, one conditional mean serves every row
         rows = pre[:1] if j == 0 else pre
-        out = np.empty(rows.shape[0])
+        n_rows = rows.shape[0]
+        outs = None
         chunk = max(1, _ROW_BUDGET // q)
-        for lo in range(0, rows.shape[0], chunk):
-            hi = min(lo + chunk, rows.shape[0])
+        # at least one pass: an empty prefix still learns how many arrays
+        # the integrand returns
+        for lo in range(0, max(n_rows, 1), chunk):
+            hi = min(lo + chunk, n_rows)
             block = hi - lo
-            args = np.empty((block * q, grid.n_steps))
-            args[:, :j] = np.repeat(rows[lo:hi], q, axis=0)
-            args[:, j:] = np.tile(mesh, (block, 1))
-            vals = np.asarray(fn(args), dtype=float).reshape(block, q)
-            out[lo:hi] = vals @ w
-        return np.repeat(out, m) if j == 0 else out
+            # filled through a (block, q, n_args) view: each prefix row
+            # against every mesh node, with no repeated or tiled temporaries
+            args = np.empty((block, q, grid.n_steps))
+            args[:, :, :j] = rows[lo:hi, None, :]
+            args[:, :, j:] = mesh
+            vals, multi = _as_arrays(fn(args.reshape(block * q, grid.n_steps)))
+            if outs is None:
+                outs = [np.empty(n_rows) for _ in vals]
+            for out, v in zip(outs, vals):
+                out[lo:hi] = v.reshape(block, q) @ w
+        if j == 0:
+            outs = [np.repeat(out, m) for out in outs]
+        return tuple(outs) if multi else outs[0]
 
     if mc_fallback is None:
         raise ValueError(
@@ -240,13 +260,18 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
             "Monte Carlo averaging over the remaining increments.")
     n_draws, seed = mc_fallback
     rng = substream(seed, 2, j)
-    out = np.zeros(m)
+    outs = None
     args = np.empty((m, grid.n_steps))
     args[:, :j] = pre
     for _ in range(n_draws):
         args[:, j:] = rng.standard_normal((m, rem)) * np.sqrt(variances)
-        out += np.asarray(fn(args), dtype=float)
-    return out / n_draws
+        vals, multi = _as_arrays(fn(args))
+        if outs is None:
+            outs = [np.zeros(m) for _ in vals]
+        for out, v in zip(outs, vals):
+            out += v
+    outs = [out / n_draws for out in outs]
+    return tuple(outs) if multi else outs[0]
 
 
 def _knot_smoothings(pool: PathPool, quad_order: int, fn):

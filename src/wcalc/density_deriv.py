@@ -10,7 +10,7 @@ Each has an independent route, so they cross-check one another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -187,9 +187,12 @@ def density_derivative_profile(f: CylindricalFn, law: EmpiricalLaw,
         raise ValueError("profile construction is one-dimensional")
     xs = np.asarray(x_grid, dtype=float)
     atoms = law.atoms_1d()
+    # the Lions derivative c * grad phi, with the law's one factor c read
+    # once rather than at every quadrature pass
+    c = outer_slope(f, law)
 
     def integrand(ys):
-        return lions_derivative(f, law, ys)
+        return c * np.asarray(f.grad_phi(ys[:, None]), dtype=float)[:, 0]
 
     joint = antiderivative_at(integrand, np.concatenate([xs.ravel(), atoms]), tol=tol)
     a_grid = joint[:xs.size].reshape(xs.shape)
@@ -301,19 +304,23 @@ def second_order_check_multidim(f: CylindricalFn, law: EmpiricalLaw, x_grid,
     return worst
 
 
-def multidim_derivative_repr(f: CylindricalFn, L: SmoothFunctional,
+def multidim_derivative_repr(fs: Sequence[CylindricalFn], L: SmoothFunctional,
                              xi_fns: Sequence[SmoothFunctional], pool: PathPool,
-                             quad_order: int = 32) -> np.ndarray:
-    """Per-path derivative values via the drift-corrected stochastic integral.
+                             quad_order: int = 32) -> List[np.ndarray]:
+    """Per-path derivative values via the drift-corrected stochastic
+    integral, one array per functional in fs.
 
     Each interval contributes H_i * (B(D_i) - gamma_i dt_i): H_i is the
     density-weighted predictable projection of (Lions derivative at xi) dot
     (interval gradient of xi), and gamma is the logarithmic integrand of L,
     so the corrected increments are driftless under the reweighted measure.
 
-    The projections integrate over the rank of the stacked loadings of L
-    and every xi; if any of them has no loading, over every remaining
-    interval.
+    The law, the decomposition of L and each knot's projection mesh are
+    shared by every functional: per mesh row the xi values, their interval
+    gradients and L are evaluated once, and only grad phi and the outer
+    slope differ. The projections integrate over the rank of the stacked
+    loadings of L and every xi; if any of them has no loading, over every
+    remaining interval.
     """
     grid = pool.grid
     loads = [g.loading for g in (L, *xi_fns)]
@@ -324,30 +331,38 @@ def multidim_derivative_repr(f: CylindricalFn, L: SmoothFunctional,
         raise ValueError("density must be strictly positive pathwise")
     xi_pts = np.column_stack([np.asarray(x.value_fn(inc), dtype=float) for x in xi_fns])
     law = pushforward_law(pool, l_vals, xi_pts)
-    c = outer_slope(f, law)
+    slopes = [outer_slope(f, law) for f in fs]
 
-    Z, M, gamma = clark_ocone_decompose(L, pool, quad_order=quad_order)
+    _, M, gamma = clark_ocone_decompose(L, pool, quad_order=quad_order)
 
     def component(i):
         def comp(args):
             args = np.asarray(args, dtype=float)
             pts = np.column_stack([np.asarray(x.value_fn(args), dtype=float)
                                    for x in xi_fns])
-            dphi = np.asarray(f.grad_phi(pts), dtype=float)
-            total = np.zeros(args.shape[0])
-            for k, x in enumerate(xi_fns):
-                total += dphi[:, k] * np.asarray(x.grad_fn(args), dtype=float)[:, i]
-            return c * total * np.asarray(L.value_fn(args), dtype=float)
+            # a copied column frees the full (rows, n_args) gradient
+            cols = [np.asarray(x.grad_fn(args), dtype=float)[:, i].copy()
+                    for x in xi_fns]
+            lv = np.asarray(L.value_fn(args), dtype=float)
+            outs = []
+            for f, c in zip(fs, slopes):
+                dphi = np.asarray(f.grad_phi(pts), dtype=float)
+                total = np.zeros(args.shape[0])
+                for k, col in enumerate(cols):
+                    total += dphi[:, k] * col
+                outs.append(c * total * lv)
+            return tuple(outs)
         return comp
 
-    out = np.zeros(pool.n_samples)
+    outs = [np.zeros(pool.n_samples) for _ in fs]
     for i in range(grid.n_steps):
         t = grid.knots[i]
-        proj = gaussian_smooth(L, grid, t, inc[:, :i], component=component(i),
-                               quad_order=quad_order, loading=loading)
-        h_i = proj / M[:, i]
-        out += h_i * (inc[:, i] - gamma[:, i] * grid.steps[i])
-    return out
+        projs = gaussian_smooth(L, grid, t, inc[:, :i], component=component(i),
+                                quad_order=quad_order, loading=loading)
+        corrected = inc[:, i] - gamma[:, i] * grid.steps[i]
+        for out, proj in zip(outs, projs):
+            out += proj / M[:, i] * corrected
+    return outs
 
 
 def nested_derivative_check(fn: NestedFn, pool: PathPool, density_values,

@@ -26,13 +26,22 @@ def gauss_legendre(order: int):
     return x, w
 
 
+# Segments per evaluation of the integrand: the (segments, nodes) block of
+# points and values stays about 1 MB however many segments a pass holds.
+_SEGMENT_BLOCK = 1 << 13
+
+
 def _segment_integrals(fn, a, b, order: int):
     x, w = gauss_legendre(order)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid[:, None] + half[:, None] * x
-    vals = fn(pts.ravel()).reshape(pts.shape)
-    return half * (vals @ w)
+    out = np.empty(len(a))
+    for lo in range(0, len(a), _SEGMENT_BLOCK):
+        hi = lo + _SEGMENT_BLOCK
+        mid = 0.5 * (a[lo:hi] + b[lo:hi])
+        half = 0.5 * (b[lo:hi] - a[lo:hi])
+        pts = mid[:, None] + half[:, None] * x
+        vals = fn(pts.ravel()).reshape(pts.shape)
+        out[lo:hi] = half * (vals @ w)
+    return out
 
 
 def antiderivative_at(fn, xs, tol: float = 1e-9, max_depth: int = 14):

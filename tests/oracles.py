@@ -12,18 +12,19 @@ import numpy as np
 from scipy import integrate, optimize, stats
 
 from wcalc import (antiderivative_at, brownian_at, clark_ocone_decompose,
-                   doleans_exponential, eval_cyl, grad_phi_antiderivative,
-                   lions_derivative, make_functional, make_grid, outer_slope,
-                   pushforward_law, sample_paths, scalar_functional,
-                   shift_backward, shift_forward, weighted_expectation)
+                   doleans_exponential, eval_cyl, gaussian_smooth,
+                   grad_phi_antiderivative, lions_derivative, make_functional,
+                   make_grid, outer_slope, pushforward_law, sample_paths,
+                   scalar_functional, shift_backward, shift_forward,
+                   weighted_expectation)
 from wcalc.approx_pipeline import _CHECK_PATHS
 from wcalc.checks import (_CHAIN_LAMS, _CLOSED_FORM, _FD_BIAS_CHAIN,
                           _FD_STEP, _N_SHARDS, _curve_battery,
                           _girsanov_observables, _girsanov_processes, _rec,
                           _shard_rows, _shard_se)
 from wcalc.numerics import mean_and_se
-from wcalc.numerics import (_segment_integrals, gauss_hermite, radial_cutoff,
-                            smoothstep)
+from wcalc.numerics import (_segment_integrals, gauss_hermite, gauss_legendre,
+                            radial_cutoff, smoothstep)
 
 
 def w1_lp(atoms_a, weights_a, atoms_b, weights_b) -> float:
@@ -276,6 +277,29 @@ def tensor_nodes(variances: np.ndarray, order: int):
     return mesh, w
 
 
+def segment_integrals_whole(fn, a, b, order: int):
+    """numerics._segment_integrals with every segment's nodes in one array
+    (before the evaluation was blocked)."""
+    x, w = gauss_legendre(order)
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    pts = mid[:, None] + half[:, None] * x
+    vals = fn(pts.ravel()).reshape(pts.shape)
+    return half * (vals @ w)
+
+
+def density_derivative_profile_per_pass(f, law, x_grid, tol: float = 1e-9):
+    """density_derivative_profile with the integrand read through
+    lions_derivative, which integrates phi against the law at every
+    quadrature pass."""
+    xs = np.asarray(x_grid, dtype=float)
+    atoms = law.atoms_1d()
+    joint = antiderivative_at(lambda ys: lions_derivative(f, law, ys),
+                              np.concatenate([xs.ravel(), atoms]), tol=tol)
+    a_grid = joint[:xs.size].reshape(xs.shape)
+    return a_grid - float(np.dot(law.weights, joint[xs.size:]))
+
+
 def antiderivative_at_searchsorted(fn, xs, tol: float = 1e-9, max_depth: int = 14):
     """antiderivative_at as it was when the evaluation points were located
     with np.searchsorted instead of np.unique's inverse indices."""
@@ -511,3 +535,42 @@ def check_girsanov_per_pair(n_paths=20000, n_steps=16, seed=7303,
         records.append(_rec(f"girsanov/mean-one|{gname}",
                             worst, 1.0, worst_se, 3.0 * worst_se + 1e-9))
     return records
+
+
+# --- the representation check as it was when each functional ran its own
+# decomposition and its own projections --------------------------------------
+
+def multidim_derivative_repr_single(f, L, xi_fns, pool, quad_order: int = 32):
+    """Per-path derivative values of one functional via the drift-corrected
+    stochastic integral: its own law, decomposition of L and projection
+    mesh at every knot, with xi, its gradients and L evaluated inside."""
+    grid = pool.grid
+    loads = [g.loading for g in (L, *xi_fns)]
+    loading = None if any(a is None for a in loads) else np.vstack(loads)
+    inc = pool.increments
+    l_vals = np.asarray(L.value_fn(inc), dtype=float)
+    xi_pts = np.column_stack([np.asarray(x.value_fn(inc), dtype=float)
+                              for x in xi_fns])
+    c = outer_slope(f, pushforward_law(pool, l_vals, xi_pts))
+    Z, M, gamma = clark_ocone_decompose(L, pool, quad_order=quad_order)
+
+    def component(i):
+        def comp(args):
+            args = np.asarray(args, dtype=float)
+            pts = np.column_stack([np.asarray(x.value_fn(args), dtype=float)
+                                   for x in xi_fns])
+            dphi = np.asarray(f.grad_phi(pts), dtype=float)
+            total = np.zeros(args.shape[0])
+            for k, x in enumerate(xi_fns):
+                total += dphi[:, k] * np.asarray(x.grad_fn(args), dtype=float)[:, i]
+            return c * total * np.asarray(L.value_fn(args), dtype=float)
+        return comp
+
+    out = np.zeros(pool.n_samples)
+    for i in range(grid.n_steps):
+        proj = gaussian_smooth(L, grid, grid.knots[i], inc[:, :i],
+                               component=component(i), quad_order=quad_order,
+                               loading=loading)
+        h_i = proj / M[:, i]
+        out += h_i * (inc[:, i] - gamma[:, i] * grid.steps[i])
+    return out

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from wcalc import (CheckRecord, CHECKS, run_check, checks, density_deriv,
-                   density_functional)
+                   density_functional, make_grid, sample_paths)
 from oracles import assert_bitwise, check_chain_rule_per_call, \
-    check_chain_rule_per_shard
+    check_chain_rule_per_shard, multidim_derivative_repr_single
 
 
 def test_record_validation_and_properties():
@@ -161,3 +161,42 @@ def test_chain_rule_battery_catches_a_scaled_outer_slope(monkeypatch, seed):
     assert len(battery) == 18
     assert not any(r.passed for r in battery), [r.name for r in battery
                                                 if r.passed]
+
+
+@pytest.mark.parametrize("seed", [20260815, 3])
+def test_representation_shares_one_mesh_bitwise(seed):
+    """Both plane functionals from one call equal, bitwise, the route that
+    ran the decomposition and every projection once per functional, on the
+    second-order battery's pool, functionals and quadrature order."""
+    grid = make_grid(4)
+    pool = sample_paths(grid, 4000, seed + 11)
+    L, xi1, xi2 = checks._repr_functionals(grid)
+    fs = checks._plane_functionals()[:2]
+    got = density_deriv.multidim_derivative_repr(fs, L, [xi1, xi2], pool,
+                                                 quad_order=12)
+    assert len(got) == len(fs)
+    for f, out in zip(fs, got):
+        assert_bitwise(out, multidim_derivative_repr_single(
+            f, L, [xi1, xi2], pool, quad_order=12))
+
+
+def test_representation_smooths_once_per_knot(monkeypatch):
+    """At the battery's size the two functionals share each knot's
+    projection (4 gaussian_smooth calls on the four-step grid, not 8) and
+    one decomposition of L (plus the check's own at order 32: 2, not 3)."""
+    calls = {"smooth": 0, "decompose": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(density_deriv, "gaussian_smooth",
+                        counting("smooth", density_deriv.gaussian_smooth))
+    for mod in (density_deriv, checks):
+        monkeypatch.setattr(mod, "clark_ocone_decompose",
+                            counting("decompose", mod.clark_ocone_decompose))
+    records = checks._repr_records(20260815)
+    assert len(records) == 4
+    assert calls == {"smooth": 4, "decompose": 2}

@@ -284,6 +284,57 @@ def test_rank_zero_loading_returns_the_integrand_at_the_prefix():
         assert np.array_equal(got, np.exp(inc[:, :2].sum(axis=1)))
 
 
+def test_a_tuple_component_smooths_like_separate_calls(monkeypatch):
+    """Arrays returned together from one mesh are, bitwise, what one call
+    per array gives: at knot 0 (integrated once), at a middle knot, at the
+    last knot where the loading has rank 0, across chunk boundaries, and
+    on the Monte Carlo route with the same draws."""
+    grid = make_grid(4)
+    F = coupled_functional(4)
+    inc = sample_paths(grid, 10, seed=43).increments
+    order = 5
+    fn, loading = two_projection_integrand(4, polynomial=False)
+    both = lambda x: (fn(x), fn(x) ** 2)
+    head = lambda x: np.exp(np.asarray(x, dtype=float)[:, :2].sum(axis=1))
+    head_pair = lambda x: (head(x), np.cos(np.log(head(x))))
+    cases = [(0, both, loading, None), (2, both, loading, None),
+             (3, head_pair, [[1.0, 1.0, 0.0, 0.0]], None),
+             # rank 2 at knot 1: 25 nodes a row, chunks of 3 + 3 + 3 + 1 rows
+             (1, both, loading, 3 * order ** 2)]
+    for j, pair, load, budget in cases:
+        if budget is not None:
+            monkeypatch.setattr(clark_ocone, "_ROW_BUDGET", budget)
+        got = gaussian_smooth(F, grid, grid.knots[j], inc[:, :j], component=pair,
+                              quad_order=order, loading=load)
+        assert isinstance(got, tuple) and len(got) == 2
+        for k in range(2):
+            want = gaussian_smooth(F, grid, grid.knots[j], inc[:, :j],
+                                   component=lambda x: pair(x)[k],
+                                   quad_order=order, loading=load)
+            assert_bitwise(got[k], want)
+    monkeypatch.undo()
+
+    one, = gaussian_smooth(F, grid, grid.knots[1], inc[:, :1],
+                           component=lambda x: (fn(x),), quad_order=order,
+                           loading=loading)
+    assert_bitwise(one, gaussian_smooth(F, grid, grid.knots[1], inc[:, :1],
+                                        component=fn, quad_order=order,
+                                        loading=loading))
+
+    grid6 = make_grid(6)
+    F6 = coupled_functional(6)
+    fn6, _ = two_projection_integrand(6, polynomial=False)
+    pre = sample_paths(grid6, 6, seed=44).increments[:, :1]
+    got = gaussian_smooth(F6, grid6, grid6.knots[1], pre,
+                          component=lambda x: (fn6(x), 2.0 * fn6(x)),
+                          mc_fallback=(20, 5))
+    assert_bitwise(got[0], gaussian_smooth(F6, grid6, grid6.knots[1], pre,
+                                           component=fn6, mc_fallback=(20, 5)))
+    assert_bitwise(got[1], gaussian_smooth(F6, grid6, grid6.knots[1], pre,
+                                           component=lambda x: 2.0 * fn6(x),
+                                           mc_fallback=(20, 5)))
+
+
 def test_low_rank_loading_takes_quadrature_on_a_fine_grid():
     """Five intervals remain at knot 1 of a six-step grid: beyond the tensor
     cap without a loading, rank 2 with one. The quadrature agrees with the

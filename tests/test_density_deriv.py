@@ -10,7 +10,8 @@ from wcalc import (make_grid, sample_paths, scalar_exponential_curve,
                    brownian_at, chain_rule_lhs_fd, chain_rule_rhs,
                    grad_phi_antiderivative, CylindricalFn, renormalize)
 from wcalc.checks import _curve_battery, _shard_rows
-from oracles import assert_bitwise, gaussian_expectation
+from oracles import (assert_bitwise, density_derivative_profile_per_pass,
+                     gaussian_expectation)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,18 @@ def test_profile_is_centered_antiderivative(pool16):
     from wcalc import lions_derivative
     assert np.allclose((up - dn) / (2 * h), lions_derivative(f, law, probes),
                        atol=1e-6)
+
+
+@pytest.mark.parametrize("name", ["mean_sq", "sin_mean"])
+def test_profile_reads_the_outer_slope_once_bitwise(pool16, name):
+    """Integrating the law's slope times grad phi gives, bitwise, the
+    profile that re-read the slope through lions_derivative at every pass."""
+    f = make_functional(name)
+    xi = pool16.increments.sum(axis=1)
+    law = pushforward_law(pool16, np.exp(0.3 * xi - 0.045), xi)
+    x_grid = np.linspace(-2.0, 2.0, 41)
+    assert_bitwise(density_derivative_profile(f, law, x_grid),
+                   density_derivative_profile_per_pass(f, law, x_grid))
 
 
 @pytest.mark.parametrize("h_step", [0.0, np.nan, -1e-3, np.inf])

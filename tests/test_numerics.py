@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcalc import capped_identity, capped_identity_deriv, radial_cutoff_deriv
-from wcalc.numerics import antiderivative_at, uniform_interp
+from wcalc.numerics import _segment_integrals, antiderivative_at, uniform_interp
 
 from oracles import (antiderivative_at_searchsorted, assert_bitwise,
                      capped_identity_full, capped_identity_deriv_full,
-                     radial_cutoff_deriv_full)
+                     radial_cutoff_deriv_full, segment_integrals_whole)
 
 _LEVELS = (3.0, 4.0, 6.0, 8.0)
 _KERNELS = ((capped_identity, capped_identity_full),
@@ -86,6 +86,16 @@ def test_antiderivative_at_matches_the_searchsorted_form(case):
     fn = lambda u: np.exp(-0.5 * u * u) * np.cos(3.0 * u)
     assert_bitwise(antiderivative_at(fn, xs),
                    antiderivative_at_searchsorted(fn, xs))
+
+
+@pytest.mark.parametrize("order", [7, 15])
+def test_blocked_segment_integrals_match_one_pass_bitwise(order):
+    """20000 segments span three evaluation blocks; each segment's integral
+    is the one the whole-array evaluation gives."""
+    b = np.cumsum(np.random.default_rng(7).exponential(1e-3, 20001))
+    fn = lambda u: np.exp(-0.5 * u * u) * np.cos(3.0 * u)
+    assert_bitwise(_segment_integrals(fn, b[:-1], b[1:], order),
+                   segment_integrals_whole(fn, b[:-1], b[1:], order))
 
 
 def _uniform_grids():

@@ -83,7 +83,8 @@ def test_traced_runs_count_the_layers_the_benchmark_reads(tmp_path):
     assert all(code in (0, 1) for code in out["codes"]), out["codes"]
     for name in ("pipeline", "clark", "second"):
         assert (tmp_path / name / "report.json").exists(), name
-    # one call per knot of the four-step representation grid, per functional
+    # one call per knot of the four-step representation grid, shared by
+    # both functionals
     assert out["loaded_component_calls"] >= 4
     counts = out["counts"]
     for key in ("approx_pipeline.MollifiedDensity.points",
