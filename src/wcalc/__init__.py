@@ -22,9 +22,8 @@ from .functionals import CylindricalFn, NestedFn, make_functional, eval_cyl, \
 from .numerics import gauss_hermite, antiderivative_at, binned_gaussian_smooth, \
     bump_quad_1d, capped_identity, capped_identity_deriv, radial_cutoff, \
     radial_cutoff_deriv
-from .density_deriv import DensityCurve, validate_curve, renormalize, \
-    scalar_exponential_curve, mixture_curve, \
-    density_derivative_profile, \
+from .density_deriv import DensityCurve, renormalize, \
+    scalar_exponential_curve, mixture_curve, density_derivative_profile, \
     recenter_to_base, recenter_to_density, grad_phi_antiderivative, \
     chain_rule_rhs, chain_rule_lhs_fd, \
     second_order_check_1d, second_order_check_multidim, \

@@ -14,8 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .wiener_grid import TimeGrid, make_grid, sample_paths, brownian_at, \
-    _pool_from_increments
+from .wiener_grid import TimeGrid, make_grid, sample_paths, brownian_at
 from .functionals import CylindricalFn, NestedFn, make_functional, eval_cyl, \
     lifted_derivative_fd
 from .measure_ops import pushforward_law
@@ -127,8 +126,7 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
     phi and Phi are law-free, so each is evaluated once per functional.
     Each (curve, lam) evaluates the raw curve once on the full pool at
     lam -/+ h and lam; the pool and every shard read their rows of it and
-    renormalize by their own mean. A shard reads only its row count and
-    B_T, so it is cut from the one-step pool of B_T, not from the paths.
+    of B_T, and renormalize by their own mean.
     """
     grid = make_grid(n_steps, horizon)
     pool = sample_paths(grid, n_paths, seed)
@@ -137,10 +135,7 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
     fns = {fid: make_functional(fid) for fid in fids + [_CLOSED_FORM[0]]}
     antis = {fid: grad_phi_antiderivative(f, xi) for fid, f in fns.items()}
     phis = {fid: f.phi(xi[:, None]) for fid, f in fns.items()}
-    ends = _pool_from_increments(make_grid(1, grid.horizon), xi[:, None])
-    shard_rows = _shard_rows(pool.n_samples)
-    pools = [ends] + [ends.subset(r) for r in shard_rows]
-    rows = [slice(None)] + shard_rows
+    rows = [slice(None)] + _shard_rows(pool.n_samples)
     curves = _curve_battery(grid)
 
     # routes[fid, cid, lam]: (lhs, rhs) on the full pool, then on each shard
@@ -152,17 +147,17 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
             raw_below = curve.raw(lam - _FD_STEP, pool.increments)
             raw_above = curve.raw(lam + _FD_STEP, pool.increments)
             raw, raw_deriv = curve.raw_pair(lam, pool.increments)
-            for p, r in zip(pools, rows):
+            for r in rows:
                 x = xi[r]
-                below = pushforward_law(p, renormalize(raw_below[r]), x)
-                above = pushforward_law(p, renormalize(raw_above[r]), x)
+                below = pushforward_law(renormalize(raw_below[r]), x)
+                above = pushforward_law(renormalize(raw_above[r]), x)
                 density, deriv = renormalize(raw[r], raw_deriv[r])
-                law = pushforward_law(p, density, x)
+                law = pushforward_law(density, x)
                 for fid in todo:
                     f, phi = fns[fid], phis[fid][r]
                     routes.setdefault((fid, cid, lam), []).append(
                         (chain_rule_lhs_fd(f, below, above, phi, _FD_STEP),
-                         chain_rule_rhs(f, law, deriv, phi, antis[fid][r], p)))
+                         chain_rule_rhs(f, law, deriv, phi, antis[fid][r])))
 
     fd_bias = _FD_BIAS_CHAIN * _FD_STEP ** 2
     records = []
@@ -232,8 +227,8 @@ def check_second_order(n_paths: int = 20000, n_steps: int = 16,
     curve = _curve_battery(grid)[0][1]
     records = []
 
-    laws = [("exp0.3", pushforward_law(pool, curve.eval(0.3, pool), xi)),
-            ("base", pushforward_law(pool, np.ones(pool.n_samples), xi))]
+    laws = [("exp0.3", pushforward_law(curve.eval(0.3, pool), xi)),
+            ("base", pushforward_law(np.ones(pool.n_samples), xi))]
     fd_bias = _FD_BIAS_PROFILE * _FD_STEP ** 2
     for fid, f in (("mean_sq", make_functional("mean_sq")),
                    ("sin_mean", make_functional("sin_mean")),
@@ -260,7 +255,7 @@ def check_second_order(n_paths: int = 20000, n_steps: int = 16,
 
     # Planar gradient consistency on the joint law of (B_{T/2}, B_T).
     pts2 = np.column_stack([brownian_at(pool, 0.5 * grid.horizon), xi])
-    law2 = pushforward_law(pool, curve.eval(0.3, pool), pts2)
+    law2 = pushforward_law(curve.eval(0.3, pool), pts2)
     probe2 = np.column_stack([np.linspace(-1.0, 1.0, 9),
                               np.linspace(-1.2, 1.2, 9)])
     for f in _plane_functionals():
@@ -331,8 +326,8 @@ def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
                             zero, 0.0, se0, 3.0 * se0))
 
         pair, se_p = mean_and_se(l_norm * out * ito_eta)
-        fd = lifted_derivative_fd(lambda law: eval_cyl(f, law), pool, l_vals,
-                                  xi_pts, np.tile(eta_obs, (pool.n_samples, 1)),
+        fd = lifted_derivative_fd(lambda law: eval_cyl(f, law), l_vals, xi_pts,
+                                  np.tile(eta_obs, (pool.n_samples, 1)),
                                   step=1e-3)
         scale = max(abs(fd), 1.0)
         tol = 3.0 * se_p + _BRACKET_BIAS * float(dts[0]) * scale
@@ -479,17 +474,16 @@ def check_lemma34(n_paths: int = 20000, n_steps: int = 16,
     grid = make_grid(n_steps, horizon)
     pool = sample_paths(grid, n_paths, seed)
     curve = _curve_battery(grid)[0][1]
-    dens = curve.eval(0.3, pool)
     x1 = brownian_at(pool, 0.5 * grid.horizon)
     x2 = brownian_at(pool, grid.horizon)
+    law = pushforward_law(curve.eval(0.3, pool), np.column_stack([x1, x2]))
     probes = np.array([[0.0, 0.0], [0.5, 0.5], [-0.5, 0.3]])
     ladder = (0.5, 0.35, 0.25)
     tols = {0.5: 0.035, 0.35: 0.025, 0.25: 0.02}
     records = []
     for fid, fn in _nested_battery():
         for bw in ladder:
-            err = nested_derivative_check(fn, pool, dens, x1, x2, probes,
-                                          bandwidth=bw)
+            err = nested_derivative_check(fn, law, probes, bandwidth=bw)
             records.append(_rec(f"lemma34/{fid}|bw={bw:.2f}",
                                 err, 0.0, 0.0, tols[bw]))
     return records
@@ -518,8 +512,8 @@ def check_bensoussan(n_paths: int = 20000, n_steps: int = 16,
     grid = make_grid(n_steps, horizon)
     pool = sample_paths(grid, n_paths, seed)
     curve = _curve_battery(grid)[0][1]
-    dens = curve.eval(0.3, pool)
     xi = brownian_at(pool, grid.horizon)
+    law = pushforward_law(curve.eval(0.3, pool), xi)
     probes = np.linspace(-1.5, 1.5, 7)
     # Smoothing bias dominates and scales with the squared bandwidth; the
     # pinned values sit at roughly twice the measured worst case.
@@ -528,7 +522,7 @@ def check_bensoussan(n_paths: int = 20000, n_steps: int = 16,
     records = []
     for fid, phi in _phi_battery():
         for bw in ladder:
-            err = bensoussan_check(phi, pool, dens, xi, probes, bandwidth=bw)
+            err = bensoussan_check(phi, law, probes, bandwidth=bw)
             records.append(_rec(f"bensoussan/{fid}|bw={bw:.2f}",
                                 err, 0.0, 0.0, tols[bw]))
     return records

@@ -18,11 +18,10 @@ from .clark_ocone import SmoothFunctional, clark_ocone_decompose, gaussian_smoot
 from .functionals import CylindricalFn, NestedFn, eval_cyl, eval_nested, \
     lions_derivative, outer_slope, partial_mu_G_nested
 from .measure_ops import EmpiricalLaw, pushforward_law, weighted_expectation
-from .numerics import antiderivative_at, mean_and_se
+from .numerics import antiderivative_at
 from .rng import substream
 from .wiener_grid import PathPool, TimeGrid
 
-_CURVE_PROBE_STEPS = (1e-2, 1e-3)
 _PROBE_PATHS = 32
 _PROBE_SEED = 2718
 
@@ -33,9 +32,9 @@ class DensityCurve:
 
     value_fn(lam, increments) and deriv_fn(lam, increments) evaluate the raw
     curve and its lambda-derivative on any increment matrix over the grid.
-    eval/eval_pair/deriv renormalize by the pool mean so every probe has
-    mean exactly one; the derivative is transformed consistently, which
-    also forces its mean to zero.
+    eval/eval_pair renormalize by the pool mean so every probe has mean
+    exactly one; the derivative is transformed consistently, which also
+    forces its mean to zero.
 
     scalar_triple, when present, states that the curve reads only the path
     endpoint u = B_T: scalar_triple(lam, u) returns the raw value, its
@@ -94,9 +93,6 @@ class DensityCurve:
         """(eval, deriv) at lam from one raw evaluation of the curve."""
         return renormalize(*self.raw_pair(lam, pool.increments))
 
-    def deriv(self, lam: float, pool: PathPool) -> np.ndarray:
-        return self.eval_pair(lam, pool)[1]
-
 
 def renormalize(vals: np.ndarray, dvals: Optional[np.ndarray] = None):
     """Raw curve values over their own mean (mean one); given the raw
@@ -107,32 +103,6 @@ def renormalize(vals: np.ndarray, dvals: Optional[np.ndarray] = None):
         return vals / r
     dr = float(dvals.mean())
     return vals / r, dvals / r - vals * (dr / (r * r))
-
-
-def validate_curve(curve: DensityCurve, pool: PathPool) -> None:
-    """Probe the curve invariants on a pool: renormalized mean one, derivative
-    mean zero, and second-order smallness of the FD defect in lambda."""
-    for frac in (0.25, 0.5, 0.75):
-        lam = curve.lam_lo + frac * (curve.lam_hi - curve.lam_lo)
-        vals, dvals = curve.eval_pair(lam, pool)
-        if abs(float(vals.mean()) - 1.0) > 1e-9:
-            raise ValueError("renormalized curve mean differs from 1")
-        dmean, std_err = mean_and_se(dvals)
-        if abs(dmean) > 3.0 * std_err + 1e-9:
-            raise ValueError("curve derivative mean is not zero")
-    lam = 0.5 * (curve.lam_lo + curve.lam_hi)
-    span = curve.lam_hi - curve.lam_lo
-    d = curve.deriv(lam, pool)
-    defects = []
-    for h in _CURVE_PROBE_STEPS:
-        step = h * span
-        vp = curve.eval(lam + step, pool)
-        vm = curve.eval(lam - step, pool)
-        gap = (vp - vm) / (2.0 * step) - d
-        defects.append(float(np.sqrt(np.mean(gap ** 2))))
-    scale = float(np.sqrt(np.mean(d ** 2))) + 1e-12
-    if defects[1] > 0.05 * defects[0] + 1e-10 * scale:
-        raise ValueError("curve derivative fails the vanishing-defect probe")
 
 
 def scalar_exponential_curve(sigma: Callable, dsigma: Callable, grid: TimeGrid,
@@ -201,21 +171,21 @@ def density_derivative_profile(f: CylindricalFn, law: EmpiricalLaw,
     return a_grid - centering
 
 
-def recenter_to_base(values: np.ndarray, pool: PathPool) -> np.ndarray:
-    """Subtract the plain pool mean so the result has base-measure mean zero."""
+def recenter_to_base(values: np.ndarray) -> np.ndarray:
+    """Subtract the plain path mean so the result has base-measure mean zero."""
     vals = np.asarray(values, dtype=float)
-    if vals.shape != (pool.n_samples,):
-        raise ValueError("values must align with the pool")
+    if vals.ndim != 1:
+        raise ValueError("need one value per path")
     return vals - vals.mean()
 
 
-def recenter_to_density(values: np.ndarray, density_values: np.ndarray,
-                        pool: PathPool) -> np.ndarray:
+def recenter_to_density(values: np.ndarray,
+                        density_values: np.ndarray) -> np.ndarray:
     """Subtract the density-weighted mean (mean under the reweighted measure)."""
     vals = np.asarray(values, dtype=float)
     dens = np.asarray(density_values, dtype=float)
-    if vals.shape != (pool.n_samples,) or dens.shape != vals.shape:
-        raise ValueError("values must align with the pool")
+    if vals.ndim != 1 or dens.shape != vals.shape:
+        raise ValueError("need one value and one density value per path")
     return vals - float(np.dot(dens, vals) / dens.sum())
 
 
@@ -241,18 +211,18 @@ def grad_phi_antiderivative(f: CylindricalFn, xi_values) -> np.ndarray:
 
 
 def chain_rule_rhs(f: CylindricalFn, law: EmpiricalLaw, deriv_values,
-                   phi_values, anti_values, pool: PathPool) -> float:
+                   phi_values, anti_values) -> float:
     """h'(<phi, law>) times the mean of Phi(xi) dL/dlam.
 
     law is the law of xi under the curve's density at one lambda,
-    deriv_values the density's lambda-derivative there on the pool
+    deriv_values the density's lambda-derivative there, one per atom
     (DensityCurve.eval_pair), and phi_values and anti_values are phi and
     grad_phi_antiderivative(f, .) at the law's atoms: both are law-free,
     so one evaluation serves every law of those atoms, or a shard by row.
     """
     _require_1d(f)
     return outer_slope(f, law, phi_values) * weighted_expectation(
-        pool, deriv_values, anti_values)
+        deriv_values, anti_values)
 
 
 def chain_rule_lhs_fd(f: CylindricalFn, law_below: EmpiricalLaw,
@@ -330,7 +300,7 @@ def multidim_derivative_repr(fs: Sequence[CylindricalFn], L: SmoothFunctional,
     if np.any(l_vals <= 0.0):
         raise ValueError("density must be strictly positive pathwise")
     xi_pts = np.column_stack([np.asarray(x.value_fn(inc), dtype=float) for x in xi_fns])
-    law = pushforward_law(pool, l_vals, xi_pts)
+    law = pushforward_law(l_vals, xi_pts)
     slopes = [outer_slope(f, law) for f in fs]
 
     _, M, gamma = clark_ocone_decompose(L, pool, quad_order=quad_order)
@@ -365,48 +335,42 @@ def multidim_derivative_repr(fs: Sequence[CylindricalFn], L: SmoothFunctional,
     return outs
 
 
-def nested_derivative_check(fn: NestedFn, pool: PathPool, density_values,
-                            xi1_values, xi2_values, x_probes,
+def nested_derivative_check(fn: NestedFn, law: EmpiricalLaw, x_probes,
                             bandwidth="auto", fd_step: float = 1e-2,
                             bump_width: Optional[float] = None) -> float:
-    """Partial-derivative formula vs a direct density-perturbation oracle.
+    """Partial-derivative formula vs a direct perturbation of the joint law
+    of (xi1, xi2).
 
     For Gaussian bumps eta_j centered at the probes, compares the derivative
-    of the nested functional along the mixture L(1 + s(eta_j - mean)) with
-    the weighted pairing of the analytic partial-derivative profile against
-    the same centered direction. Agreement says the formula really is the
-    density derivative, up to FD and kernel-regression error.
+    of the nested functional along the reweighted laws w(1 + s(eta_j - mean))
+    with the law's pairing of the analytic partial-derivative profile
+    against the same centered direction. Agreement says the formula really
+    is the density derivative, up to FD and kernel-regression error.
     """
     probes = np.asarray(x_probes, dtype=float)
     if probes.ndim == 1:
         probes = probes[None, :]
     if probes.shape[1] != 2:
         raise ValueError("probes live in the plane (xi1, xi2)")
-    dens = np.asarray(density_values, dtype=float)
-    x1 = np.asarray(xi1_values, dtype=float)
-    x2 = np.asarray(xi2_values, dtype=float)
+    # Profile at the atoms, one kernel-regression pass for all probes.
+    prof = np.asarray(partial_mu_G_nested(fn, law, law.atoms,
+                                          bandwidth=bandwidth), dtype=float)
+    x1, x2 = law.atoms[:, 0], law.atoms[:, 1]
+    w = law.weights
 
     if bump_width is None:
         spread = max(np.std(x1), np.std(x2))
         bump_width = 0.5 * spread if spread > 0 else 1.0
 
-    # Profile at the sample atoms, one kernel-regression pass for all probes.
-    prof = np.asarray(partial_mu_G_nested(fn, pool, dens, x1, x2,
-                                          np.column_stack([x1, x2]),
-                                          bandwidth=bandwidth), dtype=float)
-
     worst = 0.0
-    for j in range(probes.shape[0]):
-        a, b = probes[j]
+    for a, b in probes:
         eta = np.exp(-((x1 - a) ** 2 + (x2 - b) ** 2) / (2.0 * bump_width ** 2))
-        ebar = float(np.dot(dens, eta) / dens.sum())
-        direction = eta - ebar
+        direction = eta - law.integrate(eta)
 
         def nested_at(s):
-            return eval_nested(fn, pool, dens * (1.0 + s * direction), x1, x2,
-                               bandwidth=bandwidth)
+            bumped = EmpiricalLaw(law.atoms, w * (1.0 + s * direction))
+            return eval_nested(fn, bumped, bandwidth=bandwidth)
 
         lhs = (nested_at(fd_step) - nested_at(-fd_step)) / (2.0 * fd_step)
-        rhs = float(np.dot(dens, prof * direction) / dens.sum())
-        worst = max(worst, abs(lhs - rhs))
+        worst = max(worst, abs(lhs - law.integrate(prof * direction)))
     return worst

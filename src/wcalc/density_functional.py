@@ -21,9 +21,8 @@ import numpy as np
 
 from .density_deriv import density_derivative_profile
 from .functionals import CylindricalFn, _check_fd_derivative, lions_derivative
-from .measure_ops import EmpiricalLaw, pushforward_law
+from .measure_ops import EmpiricalLaw
 from .numerics import binned_gaussian_smooth, silverman_bandwidth
-from .wiener_grid import PathPool
 
 _DEFAULT_GRID_POINTS = 2048
 _WINDOW_SIGMAS = 5.0
@@ -187,27 +186,24 @@ def representer_x_derivative(phi: DensityFunctionalPhi, h: GridDensity,
     return (np.atleast_1d(up) - np.atleast_1d(dn)) / (hi - lo)
 
 
-def bensoussan_check(phi: DensityFunctionalPhi, pool: PathPool,
-                     density_values: np.ndarray, xi_values: np.ndarray,
-                     x_probes, bandwidth: Union[str, float] = "auto") -> float:
+def bensoussan_check(phi: DensityFunctionalPhi, law: EmpiricalLaw, x_probes,
+                     bandwidth: Union[str, float] = "auto") -> float:
     """Two-sided link between density-functional and measure derivatives.
 
-    Builds the weighted pushforward law of xi under the density-reweighted
-    measure, smooths it to a grid density, and checks, at every probe:
+    Smooths the 1-D law (of xi under the density-reweighted measure, say) to
+    a grid density and checks, at every probe:
 
     1. the measure derivative of the induced cylindrical functional at the
        smoothed law equals the x-derivative (finite differences on the
        grid) of the density-functional representer;
-    2. the representer centered under the reweighted law equals the
-       centered antiderivative profile of the measure derivative at the
-       empirical law.
+    2. the representer centered under the law equals the centered
+       antiderivative profile of the measure derivative at the law.
 
     Returns the largest absolute discrepancy across both comparisons; the
     first is limited by FD resolution, the second by smoothing bias.
     """
     probes = np.asarray(x_probes, dtype=float)
-    law = pushforward_law(pool, density_values, xi_values)
-    # the window covers the probes too: a small pool's atoms may not reach them
+    # the window covers the probes too: a small law's atoms may not reach them
     bw = _kde_bandwidth(law, bandwidth)
     window = density_grid(np.concatenate([law.atoms_1d(), probes.ravel()]), bw)
     h = kde_density(law, x_grid=window, bandwidth=bw)

@@ -15,10 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .measure_ops import (EmpiricalLaw, conditional_expectation,
-                          kernel_regression, pushforward_law,
-                          weighted_expectation)
+                          kernel_regression, pushforward_law)
 from .rng import substream
-from .wiener_grid import PathPool
 
 _PROBE_SEED = 0x5EEDED
 _FD_MIN_STEP = 1e-10
@@ -143,13 +141,13 @@ def lions_derivative(f: CylindricalFn, law: EmpiricalLaw, x):
     return restore(g)
 
 
-def lifted_derivative_fd(f_eval, pool: PathPool, density_values, xi_values,
-                         direction_values, step: float) -> float:
+def lifted_derivative_fd(f_eval, density_values, xi_values, direction_values,
+                         step: float) -> float:
     """Central-difference directional derivative of the lift.
 
     Perturbs the observable along the direction eta with common random
-    numbers (the same pool on both sides) and differences the functional of
-    the resulting laws: the Gateaux derivative E[d_mu f(law, xi) . eta].
+    numbers (the same density on both sides) and differences the functional
+    of the resulting laws: the Gateaux derivative E[d_mu f(law, xi) . eta].
     """
     if step < _FD_MIN_STEP:
         raise ValueError("finite-difference step underflow")
@@ -157,40 +155,42 @@ def lifted_derivative_fd(f_eval, pool: PathPool, density_values, xi_values,
     eta = np.asarray(direction_values, dtype=float)
     if xi.shape != eta.shape:
         raise ValueError("direction must match the observable's shape")
-    up = pushforward_law(pool, density_values, xi + step * eta)
-    dn = pushforward_law(pool, density_values, xi - step * eta)
+    up = pushforward_law(density_values, xi + step * eta)
+    dn = pushforward_law(density_values, xi - step * eta)
     return (float(f_eval(up)) - float(f_eval(dn))) / (2.0 * step)
 
 
-def eval_nested(fn: NestedFn, pool: PathPool, density_values, xi1_values,
-                xi2_values, bandwidth="auto") -> float:
-    L = np.asarray(density_values, dtype=float)
-    x1 = np.asarray(xi1_values, dtype=float)
-    x2 = np.asarray(xi2_values, dtype=float)
-    if not (len(L) == len(x1) == len(x2) == pool.n_samples):
-        raise ValueError("arrays must match the pool size")
-    m = conditional_expectation(fn.psi(x1), x2, L, bandwidth)
-    inner = weighted_expectation(pool, L, fn.h(m))
-    return float(fn.g(inner))
+def _nested_parts(fn: NestedFn, law: EmpiricalLaw, bandwidth):
+    """(psi(xi1), xi2, E[h(m(xi2))]) under the joint law of (xi1, xi2),
+    with m(y) = E[psi(xi1) | xi2 = y] by weighted kernel regression at the
+    atoms."""
+    if law.dim != 2:
+        raise ValueError(f"the nested functional needs the 2-D joint law of "
+                         f"(xi1, xi2), got a {law.dim}-D law")
+    psi1 = fn.psi(law.atoms[:, 0])
+    x2 = law.atoms[:, 1]
+    m = conditional_expectation(psi1, x2, law.weights, bandwidth)
+    return psi1, x2, law.integrate(fn.h(m))
 
 
-def partial_mu_G_nested(fn: NestedFn, pool: PathPool, density_values,
-                        xi1_values, xi2_values, x, bandwidth="auto"):
-    """Closed-form first partial derivative of the nested functional.
+def eval_nested(fn: NestedFn, law: EmpiricalLaw, bandwidth="auto") -> float:
+    """G at the joint law of (xi1, xi2): g(E[h(m(xi2))])."""
+    return float(fn.g(_nested_parts(fn, law, bandwidth)[2]))
+
+
+def partial_mu_G_nested(fn: NestedFn, law: EmpiricalLaw, x, bandwidth="auto"):
+    """Closed-form first partial derivative of the nested functional at the
+    joint law of (xi1, xi2).
 
     At x = (x1, x2):
         g'(E[h(m(xi2))]) * ( h(m(x2)) + h'(m(x2)) * (psi(x1) - m(x2)) )
-    with m estimated by density-weighted kernel regression. x may be a
-    single point (2,) or a batch (m, 2).
+    with m estimated by weighted kernel regression. x may be a single point
+    (2,) or a batch (m, 2).
     """
-    L = np.asarray(density_values, dtype=float)
-    x1 = np.asarray(xi1_values, dtype=float)
-    x2 = np.asarray(xi2_values, dtype=float)
+    psi1, x2, inner = _nested_parts(fn, law, bandwidth)
     pts, restore = _as_points(x, 2)
-    psi1 = fn.psi(x1)
-    m_samples = conditional_expectation(psi1, x2, L, bandwidth)
-    outer = float(fn.g_prime(weighted_expectation(pool, L, fn.h(m_samples))))
-    m_at = kernel_regression(psi1, x2, L, bandwidth, pts[:, 1])
+    outer = float(fn.g_prime(inner))
+    m_at = kernel_regression(psi1, x2, law.weights, bandwidth, pts[:, 1])
     vals = outer * (fn.h(m_at) + fn.h_prime(m_at) * (fn.psi(pts[:, 0]) - m_at))
     return restore(np.asarray(vals, dtype=float))
 

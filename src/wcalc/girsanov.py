@@ -44,14 +44,6 @@ class StepProcess:
             raise ValueError(f"integrand exceeded its bound {self.bound} on interval {i}")
         return vals
 
-    def values(self, increments: np.ndarray) -> np.ndarray:
-        """Full (n_paths, n_steps) table of coefficients along given paths."""
-        inc = np.asarray(increments, dtype=float)
-        out = np.empty_like(inc)
-        for i in range(inc.shape[1]):
-            out[:, i] = self.column(i, inc[:, :i])
-        return out
-
 
 def constant_process(grid: TimeGrid, c: float) -> StepProcess:
     c = float(c)

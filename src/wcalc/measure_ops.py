@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import binned_gaussian_smooth, silverman_bandwidth
-from .wiener_grid import PathPool
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -63,18 +62,18 @@ class EmpiricalLaw:
         return float(np.dot(self.weights, v))
 
 
-def pushforward_law(pool: PathPool, density_values,
-                    observable_values) -> EmpiricalLaw:
-    """Law of the observable under the density-reweighted pool measure.
+def pushforward_law(density_values, observable_values) -> EmpiricalLaw:
+    """Law of the observable under the density-reweighted sample measure.
 
-    Atoms are the observable values; weights are the density values, scaled
-    to sum to 1. The density must be nonnegative with a pool mean
-    compatible with one.
+    One row per path: atoms are the observable values (n,) or (n, dim);
+    weights are the density values, scaled to sum to 1. The density must be
+    nonnegative with a sample mean compatible with one.
     """
     L = np.asarray(density_values, dtype=float)
     obs = np.asarray(observable_values, dtype=float)
-    if len(L) != pool.n_samples or len(obs) != pool.n_samples:
-        raise ValueError("arrays must match the pool size")
+    if L.ndim != 1 or len(obs) != len(L):
+        raise ValueError(f"need one density value per observable row, got "
+                         f"{L.shape} and {obs.shape}")
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(obs))):
         raise ValueError("density and observable values must be finite")
     if np.any(L < 0):
@@ -110,15 +109,16 @@ def wasserstein1(a: EmpiricalLaw, b: EmpiricalLaw) -> float:
     return float(np.sum(np.abs(cdf_a - cdf_b) * deltas))
 
 
-def weighted_expectation(pool: PathPool, density_values, g_values) -> float:
-    """Plain reweighted average: mean of L_i g_i over the pool."""
+def weighted_expectation(density_values, g_values) -> float:
+    """Plain reweighted average: mean of L_i g_i over the paths."""
     L = np.asarray(density_values, dtype=float)
     g = np.asarray(g_values, dtype=float)
-    if pool.n_samples == 0:
-        raise ValueError("empty pool")
-    if len(L) != pool.n_samples or len(g) != pool.n_samples:
-        raise ValueError("arrays must match the pool size")
-    return float(np.dot(L, g) / pool.n_samples)
+    if L.shape != g.shape or L.ndim != 1:
+        raise ValueError(f"need one density value per value of g, got "
+                         f"{L.shape} and {g.shape}")
+    if len(L) == 0:
+        raise ValueError("no paths to average over")
+    return float(np.dot(L, g) / len(L))
 
 
 def kernel_regression(x_values, y_values, weights, bandwidth, eval_points):

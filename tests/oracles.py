@@ -12,16 +12,16 @@ import numpy as np
 from scipy import integrate, optimize, stats
 
 from wcalc import (antiderivative_at, brownian_at, clark_ocone_decompose,
-                   doleans_exponential, eval_cyl, gaussian_smooth,
-                   grad_phi_antiderivative, lions_derivative, make_functional,
-                   make_grid, outer_slope, pushforward_law, sample_paths,
-                   scalar_functional, shift_backward, shift_forward,
-                   weighted_expectation)
+                   conditional_expectation, doleans_exponential, eval_cyl,
+                   gaussian_smooth, grad_phi_antiderivative, kernel_regression,
+                   lions_derivative, make_functional, make_grid, outer_slope,
+                   pushforward_law, sample_paths, scalar_functional,
+                   shift_backward, shift_forward, weighted_expectation)
 from wcalc.approx_pipeline import _CHECK_PATHS
 from wcalc.checks import (_CHAIN_LAMS, _CLOSED_FORM, _FD_BIAS_CHAIN,
                           _FD_STEP, _N_SHARDS, _curve_battery,
-                          _girsanov_observables, _girsanov_processes, _rec,
-                          _shard_rows, _shard_se)
+                          _girsanov_observables, _girsanov_processes,
+                          _nested_battery, _rec, _shard_rows, _shard_se)
 from wcalc.numerics import mean_and_se
 from wcalc.numerics import (_segment_integrals, gauss_hermite, gauss_legendre,
                             radial_cutoff, smoothstep)
@@ -363,12 +363,11 @@ FROZEN = {
 
 def chain_rule_rhs_per_call(f, curve, lam, xi_values, pool):
     """Mean of (antiderivative of the Lions derivative at xi) times dL/dlam."""
-    density = curve.eval(lam, pool)
-    dd = curve.deriv(lam, pool)
-    law = pushforward_law(pool, density, xi_values)
+    density, dd = curve.eval_pair(lam, pool)
+    law = pushforward_law(density, xi_values)
     xi = np.asarray(xi_values, dtype=float).reshape(-1)
     anti = antiderivative_at(lambda ys: lions_derivative(f, law, ys), xi)
-    return weighted_expectation(pool, dd, anti)
+    return weighted_expectation(dd, anti)
 
 
 def chain_rule_lhs_fd_per_call(f, curve, lam, xi_values, pool, h_step):
@@ -377,7 +376,7 @@ def chain_rule_lhs_fd_per_call(f, curve, lam, xi_values, pool, h_step):
         raise ValueError("lambda too close to the parameter boundary for this step")
 
     def at(l):
-        return eval_cyl(f, pushforward_law(pool, curve.eval(l, pool), xi_values))
+        return eval_cyl(f, pushforward_law(curve.eval(l, pool), xi_values))
 
     return (at(lam + h_step) - at(lam - h_step)) / (2.0 * h_step)
 
@@ -457,16 +456,16 @@ def check_chain_rule_per_shard(n_paths=20000, n_steps=16, seed=7101,
                     if fid in fids or (fid, cid, lam) == _CLOSED_FORM]
             for p, r in zip(pools, rows):
                 x = xi[r]
-                below = pushforward_law(p, curve.eval(lam - _FD_STEP, p), x)
-                above = pushforward_law(p, curve.eval(lam + _FD_STEP, p), x)
+                below = pushforward_law(curve.eval(lam - _FD_STEP, p), x)
+                above = pushforward_law(curve.eval(lam + _FD_STEP, p), x)
                 density, deriv = curve.eval_pair(lam, p)
-                law = pushforward_law(p, density, x)
+                law = pushforward_law(density, x)
                 for fid in todo:
                     f = fns[fid]
                     lhs = (eval_cyl(f, above) - eval_cyl(f, below)) \
                         / (2.0 * _FD_STEP)
                     rhs = outer_slope(f, law) * weighted_expectation(
-                        p, deriv, antis[fid][r])
+                        deriv, antis[fid][r])
                     routes.setdefault((fid, cid, lam), []).append((lhs, rhs))
 
     fd_bias = _FD_BIAS_CHAIN * _FD_STEP ** 2
@@ -551,7 +550,7 @@ def multidim_derivative_repr_single(f, L, xi_fns, pool, quad_order: int = 32):
     l_vals = np.asarray(L.value_fn(inc), dtype=float)
     xi_pts = np.column_stack([np.asarray(x.value_fn(inc), dtype=float)
                               for x in xi_fns])
-    c = outer_slope(f, pushforward_law(pool, l_vals, xi_pts))
+    c = outer_slope(f, pushforward_law(l_vals, xi_pts))
     Z, M, gamma = clark_ocone_decompose(L, pool, quad_order=quad_order)
 
     def component(i):
@@ -574,3 +573,68 @@ def multidim_derivative_repr_single(f, L, xi_fns, pool, quad_order: int = 32):
         h_i = proj / M[:, i]
         out += h_i * (inc[:, i] - gamma[:, i] * grid.steps[i])
     return out
+
+
+# --- the nested route as it was when it read a pool, a density and the two
+# observable arrays instead of their joint law ------------------------------
+
+def eval_nested_pooled(fn, pool, density_values, xi1_values, xi2_values,
+                       bandwidth="auto"):
+    """g(E[h(m(xi2))]) with the regression weighted by L and the outer mean
+    taken as the mean of L h(m) over the pool."""
+    L = np.asarray(density_values, dtype=float)
+    m = conditional_expectation(fn.psi(xi1_values), xi2_values, L, bandwidth)
+    return float(fn.g(np.dot(L, fn.h(m)) / pool.n_samples))
+
+
+def partial_mu_G_nested_pooled(fn, pool, density_values, xi1_values,
+                               xi2_values, pts, bandwidth="auto"):
+    """The closed-form partial derivative at the (m, 2) points pts, weighted
+    by L as eval_nested_pooled is."""
+    L = np.asarray(density_values, dtype=float)
+    psi1 = fn.psi(xi1_values)
+    m = conditional_expectation(psi1, xi2_values, L, bandwidth)
+    outer = float(fn.g_prime(np.dot(L, fn.h(m)) / pool.n_samples))
+    m_at = kernel_regression(psi1, xi2_values, L, bandwidth, pts[:, 1])
+    return outer * (fn.h(m_at) + fn.h_prime(m_at) * (fn.psi(pts[:, 0]) - m_at))
+
+
+def nested_derivative_check_pooled(fn, pool, density_values, xi1_values,
+                                   xi2_values, x_probes, bandwidth="auto",
+                                   fd_step=1e-2):
+    """wcalc.nested_derivative_check on (pool, density, xi1, xi2): each bump
+    rescales the density to L(1 + s(eta - mean)) and the pairings divide by
+    the sum of L."""
+    dens = np.asarray(density_values, dtype=float)
+    x1 = np.asarray(xi1_values, dtype=float)
+    x2 = np.asarray(xi2_values, dtype=float)
+    spread = max(np.std(x1), np.std(x2))
+    bump_width = 0.5 * spread if spread > 0 else 1.0
+    prof = partial_mu_G_nested_pooled(fn, pool, dens, x1, x2,
+                                      np.column_stack([x1, x2]), bandwidth)
+    worst = 0.0
+    for a, b in np.asarray(x_probes, dtype=float):
+        eta = np.exp(-((x1 - a) ** 2 + (x2 - b) ** 2) / (2.0 * bump_width ** 2))
+        direction = eta - float(np.dot(dens, eta) / dens.sum())
+        up, dn = (eval_nested_pooled(fn, pool, dens * (1.0 + s * direction),
+                                     x1, x2, bandwidth)
+                  for s in (fd_step, -fd_step))
+        lhs = (up - dn) / (2.0 * fd_step)
+        rhs = float(np.dot(dens, prof * direction) / dens.sum())
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def check_lemma34_pooled(n_paths=20000, n_steps=16, seed=7505, horizon=1.0):
+    """(name, lhs) of every wcalc.checks.check_lemma34 record, each from
+    nested_derivative_check_pooled on the battery's pool and density."""
+    grid = make_grid(n_steps, horizon)
+    pool = sample_paths(grid, n_paths, seed)
+    dens = _curve_battery(grid)[0][1].eval(0.3, pool)
+    x1 = brownian_at(pool, 0.5 * grid.horizon)
+    x2 = brownian_at(pool, grid.horizon)
+    probes = np.array([[0.0, 0.0], [0.5, 0.5], [-0.5, 0.3]])
+    return [(f"lemma34/{fid}|bw={bw:.2f}",
+             nested_derivative_check_pooled(fn, pool, dens, x1, x2, probes,
+                                            bandwidth=bw))
+            for fid, fn in _nested_battery() for bw in (0.5, 0.35, 0.25)]

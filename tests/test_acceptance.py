@@ -227,21 +227,21 @@ def test_criterion_7_recentering():
         pool = sample_paths(make_grid(steps), n, seed=int(rng.integers(1 << 30)))
         vals = rng.normal(size=n) * rng.uniform(0.1, 5.0)
         dens = np.exp(rng.uniform(-0.5, 0.5) * pool.increments.sum(axis=1))
-        dens /= weighted_expectation(pool, np.ones(n), dens)
+        dens /= weighted_expectation(np.ones(n), dens)
         scale = 1.0 + np.abs(vals).max()
 
-        c = recenter_to_base(vals, pool)
+        c = recenter_to_base(vals)
         worst_mean = max(worst_mean, abs(c.mean()) / scale)
         worst_trip = max(worst_trip,
-                         np.abs(recenter_to_base(c, pool) - c).max(),
-                         np.abs(recenter_to_base(vals + 3.7, pool) - c).max()
+                         np.abs(recenter_to_base(c) - c).max(),
+                         np.abs(recenter_to_base(vals + 3.7) - c).max()
                          / scale)
 
-        d = recenter_to_density(vals, dens, pool)
+        d = recenter_to_density(vals, dens)
         wd = dens / dens.sum()
         worst_mean = max(worst_mean, abs(np.dot(wd, d)) / scale)
         worst_trip = max(worst_trip,
-                         np.abs(recenter_to_density(d, dens, pool) - d).max())
+                         np.abs(recenter_to_density(d, dens) - d).max())
 
     ok = worst_mean < _RECENTER_MEAN_TOL and worst_trip < _RECENTER_EXACT_TOL
     _verdict(7, ok, f"{_RECENTER_INSTANCES} random profiles x 2 recenterings:"

@@ -4,7 +4,8 @@ import pytest
 from wcalc import (CheckRecord, CHECKS, run_check, checks, density_deriv,
                    density_functional, make_grid, sample_paths)
 from oracles import assert_bitwise, check_chain_rule_per_call, \
-    check_chain_rule_per_shard, multidim_derivative_repr_single
+    check_chain_rule_per_shard, check_lemma34_pooled, \
+    multidim_derivative_repr_single
 
 
 def test_record_validation_and_properties():
@@ -131,6 +132,18 @@ def test_chain_rule_evaluates_each_curve_and_phi_once(monkeypatch):
     run_check("chain-rule", 1000, 8, seed=3)
     assert calls.count("curve") == 2 * len(checks._CHAIN_LAMS) * 4
     assert calls.count("phi") == 3
+
+
+@pytest.mark.parametrize("seed", [20260815, 3, 4])
+def test_lemma34_matches_the_pooled_nested_oracle(seed):
+    """The nested check on the joint law of (xi1, xi2), weighted by L / sum L,
+    moves no lemma34 record beyond roundoff from the route that weighted
+    the regression by L and averaged over the pool."""
+    got = run_check("lemma34", n_paths=20_000, n_steps=16, seed=seed)
+    want = check_lemma34_pooled(20_000, 16, seed=seed)
+    assert [r.name for r in got] == [name for name, _ in want]
+    for r, (_, lhs) in zip(got, want):
+        assert abs(r.lhs - lhs) <= 1e-12, r.name
 
 
 @pytest.mark.parametrize("seed", [20260815, 3, 4])

@@ -7,7 +7,7 @@ import pytest
 from wcalc import (make_grid, sample_paths, SmoothFunctional,
                    scalar_functional, gaussian_smooth,
                    clark_ocone_decompose, clark_ocone_integrand,
-                   reconstruction_error, run_check, weighted_expectation)
+                   reconstruction_error, run_check)
 from wcalc import clark_ocone
 from wcalc.numerics import gauss_hermite
 from oracles import (assert_bitwise, decompose_per_knot, gaussian_expectation,

@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcalc import (make_grid, sample_paths, scalar_exponential_curve,
-                   mixture_curve, DensityCurve,
-                   validate_curve, density_derivative_profile,
+                   mixture_curve, DensityCurve, density_derivative_profile,
                    recenter_to_base, recenter_to_density, antiderivative_at,
                    pushforward_law, make_functional, weighted_expectation,
                    brownian_at, chain_rule_lhs_fd, chain_rule_rhs,
-                   grad_phi_antiderivative, CylindricalFn, renormalize)
+                   grad_phi_antiderivative, CylindricalFn, renormalize,
+                   nested_derivative_check)
 from wcalc.checks import _curve_battery, _shard_rows
-from oracles import (assert_bitwise, density_derivative_profile_per_pass,
-                     gaussian_expectation)
+from oracles import assert_bitwise, density_derivative_profile_per_pass
 
 
 @pytest.fixture(scope="module")
@@ -22,13 +21,13 @@ def pool16():
 def test_scalar_exponential_curve_is_a_density(pool16):
     curve = scalar_exponential_curve(lambda l: l, lambda l: 1.0,
                                      pool16.grid, 0.0, 1.0)
-    validate_curve(curve, pool16)
     vals = curve.eval(0.4, pool16)
     assert np.all(vals > 0)
     pair = curve.eval_pair(0.4, pool16)
     assert_bitwise(pair[0], vals)
-    assert_bitwise(pair[1], curve.deriv(0.4, pool16))
-    assert abs(weighted_expectation(pool16, np.ones(len(vals)), vals) - 1.0) < 0.02
+    # renormalized: mean one, and a derivative of mean zero
+    assert abs(vals.mean() - 1.0) < 1e-12 and abs(pair[1].mean()) < 1e-12
+    assert abs(weighted_expectation(np.ones(len(vals)), vals) - 1.0) < 0.02
 
 
 @pytest.mark.parametrize("cid", ["exp", "mix"])
@@ -47,15 +46,6 @@ def test_row_read_shard_density_is_the_subset_density_bitwise(pool16, cid):
                 assert_bitwise(got, want)
 
 
-def test_curve_rejects_bad_derivative(pool16):
-    bad = scalar_exponential_curve(lambda l: l, lambda l: 1.0,
-                                   pool16.grid, 0.0, 1.0)
-    object.__setattr__(bad, "deriv_fn",
-                       lambda lam, inc: np.zeros(np.asarray(inc).shape[0]))
-    with pytest.raises(ValueError):
-        validate_curve(bad, pool16)
-
-
 def test_mixture_curve_interpolates(pool16):
     other = lambda inc: np.exp(0.5 * np.asarray(inc).sum(axis=1) - 0.125)
     curve = mixture_curve(lambda inc: np.ones(np.asarray(inc).shape[0]),
@@ -69,7 +59,7 @@ def test_mixture_curve_interpolates(pool16):
     # normalized derivative agrees with a central difference of eval
     h = 1e-5
     fd = (curve.eval(0.3 + h, pool16) - curve.eval(0.3 - h, pool16)) / (2 * h)
-    assert np.allclose(curve.deriv(0.3, pool16), fd, atol=1e-7)
+    assert np.allclose(curve.eval_pair(0.3, pool16)[1], fd, atol=1e-7)
 
 
 @pytest.mark.parametrize("broken", ["value_fn", "deriv_fn"])
@@ -92,9 +82,9 @@ def test_profile_is_centered_antiderivative(pool16):
     f = make_functional("mean_sq")
     xi = pool16.increments.sum(axis=1)
     dens = np.exp(0.3 * xi - 0.045)
-    law = pushforward_law(pool16, dens, xi)
+    law = pushforward_law(dens, xi)
     prof = density_derivative_profile(f, law, xi)
-    mean = weighted_expectation(pool16, dens, prof)
+    mean = weighted_expectation(dens, prof)
     assert abs(mean) < 1e-10
     # slope recovers the derivative: finite difference on the profile grid
     probes = np.array([-0.5, 0.0, 0.7])
@@ -112,7 +102,7 @@ def test_profile_reads_the_outer_slope_once_bitwise(pool16, name):
     profile that re-read the slope through lions_derivative at every pass."""
     f = make_functional(name)
     xi = pool16.increments.sum(axis=1)
-    law = pushforward_law(pool16, np.exp(0.3 * xi - 0.045), xi)
+    law = pushforward_law(np.exp(0.3 * xi - 0.045), xi)
     x_grid = np.linspace(-2.0, 2.0, 41)
     assert_bitwise(density_derivative_profile(f, law, x_grid),
                    density_derivative_profile_per_pass(f, law, x_grid))
@@ -122,8 +112,7 @@ def test_profile_reads_the_outer_slope_once_bitwise(pool16, name):
 def test_chain_rule_lhs_rejects_a_bad_step(pool16, h_step):
     curve = scalar_exponential_curve(lambda l: l, lambda l: 1.0,
                                      pool16.grid, 0.0, 1.0)
-    law = pushforward_law(pool16, curve.eval(0.45, pool16),
-                          brownian_at(pool16, 1.0))
+    law = pushforward_law(curve.eval(0.45, pool16), brownian_at(pool16, 1.0))
     f = make_functional("mean")
     phi = f.phi(law.atoms)
     with pytest.raises(ValueError, match="h_step"):
@@ -141,9 +130,16 @@ def test_chain_rule_rhs_rejects_a_planar_functional(pool16):
     with pytest.raises(ValueError, match="one-dimensional"):
         grad_phi_antiderivative(f, xi)
     for x in (xi, np.column_stack([xi, xi])):
-        law = pushforward_law(pool16, dens, x)
+        law = pushforward_law(dens, x)
         with pytest.raises(ValueError, match="one-dimensional"):
-            chain_rule_rhs(f, law, deriv, xi, xi, pool16)
+            chain_rule_rhs(f, law, deriv, xi, xi)
+
+
+def test_nested_check_rejects_a_one_dimensional_law(pool16):
+    law = pushforward_law(np.ones(pool16.n_samples), brownian_at(pool16, 1.0))
+    with pytest.raises(ValueError, match="2-D joint law of \\(xi1, xi2\\)"):
+        nested_derivative_check(make_functional("nested_gauss"), law,
+                                [[0.0, 0.0]], bandwidth=0.3)
 
 
 def test_antiderivative_at_vs_quadrature():
@@ -164,37 +160,37 @@ def _random_instance(rng):
     pool = sample_paths(make_grid(steps), n, seed=int(rng.integers(1 << 30)))
     vals = rng.normal(size=n) * rng.uniform(0.1, 5.0)
     dens = np.exp(rng.uniform(-0.5, 0.5) * pool.increments.sum(axis=1))
-    dens /= weighted_expectation(pool, np.ones(n), dens)
-    return pool, vals, dens
+    dens /= weighted_expectation(np.ones(n), dens)
+    return vals, dens
 
 
 def test_recenter_to_base_battery():
     rng = np.random.default_rng(909)
     for _ in range(100):
-        pool, vals, _ = _random_instance(rng)
-        c = recenter_to_base(vals, pool)
+        vals, _ = _random_instance(rng)
+        c = recenter_to_base(vals)
         assert abs(c.mean()) < 1e-9 * (1 + np.abs(vals).max())
         # round trip: recentering is idempotent and shift-invariant
-        assert np.allclose(recenter_to_base(c, pool), c, atol=1e-12)
-        assert np.allclose(recenter_to_base(vals + 3.7, pool), c, atol=1e-9)
+        assert np.allclose(recenter_to_base(c), c, atol=1e-12)
+        assert np.allclose(recenter_to_base(vals + 3.7), c, atol=1e-9)
 
 
 def test_recenter_to_density_battery():
     rng = np.random.default_rng(910)
     for _ in range(100):
-        pool, vals, dens = _random_instance(rng)
-        c = recenter_to_density(vals, dens, pool)
+        vals, dens = _random_instance(rng)
+        c = recenter_to_density(vals, dens)
         w = dens / dens.sum()
         assert abs(np.dot(w, c)) < 1e-9 * (1 + np.abs(vals).max())
-        assert np.allclose(recenter_to_density(c, dens, pool), c, atol=1e-12)
+        assert np.allclose(recenter_to_density(c, dens), c, atol=1e-12)
 
 
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_recenter_shift_property(seed):
     rng = np.random.default_rng(seed)
-    pool, vals, dens = _random_instance(rng)
+    vals, dens = _random_instance(rng)
     shift = float(rng.normal()) * 10.0
-    a = recenter_to_density(vals + shift, dens, pool)
-    b = recenter_to_density(vals, dens, pool)
+    a = recenter_to_density(vals + shift, dens)
+    b = recenter_to_density(vals, dens)
     assert np.allclose(a, b, atol=1e-8 * (1 + abs(shift)))

@@ -6,7 +6,7 @@ from wcalc import (make_grid, sample_paths, brownian_at, EmpiricalLaw,
                    GridDensity, kde_density, density_grid,
                    DensityFunctionalPhi, dPhi_representer,
                    representer_x_derivative, bensoussan_check,
-                   scalar_exponential_curve)
+                   pushforward_law, scalar_exponential_curve)
 from oracles import kde_naive
 
 
@@ -154,27 +154,25 @@ def reweighted():
     grid = make_grid(16)
     pool = sample_paths(grid, 20000, seed=606)
     curve = scalar_exponential_curve(lambda l: l, lambda l: 1.0, grid, 0.1, 0.9)
-    L = curve.eval(0.3, pool)
-    xi = brownian_at(pool, grid.horizon)
-    return pool, L, xi
+    return pushforward_law(curve.eval(0.3, pool),
+                           brownian_at(pool, grid.horizon))
 
 
 def test_bensoussan_linear_psi_case(reweighted):
-    pool, L, xi = reweighted
+    law = reweighted
     phi = DensityFunctionalPhi(psi=lambda s: 2.0 * s,
                                dpsi=lambda s: np.full_like(np.asarray(s, float), 2.0),
                                rho=np.sin, drho=np.cos,
                                descriptor="linear-sin")
-    err = bensoussan_check(phi, pool, L, xi,
-                           np.linspace(-1.5, 1.5, 7), bandwidth=0.25)
+    err = bensoussan_check(phi, law, np.linspace(-1.5, 1.5, 7), bandwidth=0.25)
     assert err < 5e-3
 
 
 def test_bensoussan_error_shrinks_with_bandwidth(reweighted):
-    pool, L, xi = reweighted
+    law = reweighted
     phi = sin_phi()
     probes = np.linspace(-1.5, 1.5, 7)
-    errs = [bensoussan_check(phi, pool, L, xi, probes, bandwidth=bw)
+    errs = [bensoussan_check(phi, law, probes, bandwidth=bw)
             for bw in (0.5, 0.35, 0.25)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 5e-3

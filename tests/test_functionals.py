@@ -3,7 +3,8 @@ import pytest
 
 from wcalc import (CylindricalFn, NestedFn, make_functional, eval_cyl,
                    lions_derivative, lifted_derivative_fd, eval_nested,
-                   EmpiricalLaw, make_grid, sample_paths, pushforward_law)
+                   partial_mu_G_nested, EmpiricalLaw, make_grid, sample_paths,
+                   pushforward_law)
 from oracles import gaussian_expectation
 
 
@@ -66,9 +67,9 @@ def test_lions_derivative_matches_lifted_fd():
     dens = np.exp(0.25 * xi - 0.5 * 0.25 ** 2)
     f = make_functional("sin_mean")
     eta = np.cos(xi)
-    fd = lifted_derivative_fd(lambda l: eval_cyl(f, l), pool, dens, xi, eta,
+    fd = lifted_derivative_fd(lambda l: eval_cyl(f, l), dens, xi, eta,
                               step=1e-4)
-    law = pushforward_law(pool, dens, xi)
+    law = pushforward_law(dens, xi)
     pairing = law.integrate(lions_derivative(f, law, xi[:, None]) * eta)
     assert abs(fd - pairing) < 1e-6
 
@@ -85,7 +86,8 @@ def test_nested_eval_against_quadrature_oracle():
     x1 = pool.increments[:, 0]
     x2 = pool.increments.sum(axis=1)
     fn = make_functional("nested_gauss")
-    got = eval_nested(fn, pool, np.ones(pool.n_samples), x1, x2,
+    got = eval_nested(fn, pushforward_law(np.ones(pool.n_samples),
+                                          np.column_stack([x1, x2])),
                       bandwidth=0.08)
 
     # m(y) = E[psi(Z)], Z ~ N(y/2, 1/4) for psi Gaussian; outer expectation
@@ -95,6 +97,15 @@ def test_nested_eval_against_quadrature_oracle():
 
     want = gaussian_expectation(lambda y: fn.h(m(y)), 0.0, 1.0)
     assert abs(got - want) < 5e-3
+
+
+def test_nested_route_rejects_a_one_dimensional_law():
+    fn = make_functional("nested_gauss")
+    law = unit_law([-1.0, 0.0, 0.5, 2.0])
+    with pytest.raises(ValueError, match=r"2-D joint law of \(xi1, xi2\)"):
+        eval_nested(fn, law, bandwidth=0.5)
+    with pytest.raises(ValueError, match=r"2-D joint law of \(xi1, xi2\)"):
+        partial_mu_G_nested(fn, law, [0.0, 0.0], bandwidth=0.5)
 
 
 def test_nested_bad_derivative_rejected():

@@ -33,7 +33,7 @@ def test_doleans_mean_one_along_knots(pool):
     table = doleans_exponential(pool, constant_process(pool.grid, 0.7))
     assert table.shape == (pool.n_samples, pool.grid.n_steps + 1)
     for dens in table.T[1:]:
-        m = weighted_expectation(pool, np.ones(pool.n_samples), dens)
+        m = weighted_expectation(np.ones(pool.n_samples), dens)
         se = dens.std() / np.sqrt(pool.n_samples)
         assert abs(m - 1.0) < 4 * se + 1e-12
 
@@ -44,10 +44,10 @@ def test_constant_shift_reproduces_gaussian_mean(pool):
     gamma = constant_process(pool.grid, c)
     dens = doleans_exponential(pool, gamma)[:, -1]
     bt = brownian_at(pool, pool.grid.horizon)
-    got = weighted_expectation(pool, dens, bt)
+    got = weighted_expectation(dens, bt)
     se = np.abs(dens * bt).std() / np.sqrt(pool.n_samples)
     assert abs(got - c * pool.grid.horizon) < 4 * se
-    assert abs(weighted_expectation(pool, dens, np.ones_like(bt))
+    assert abs(weighted_expectation(dens, np.ones_like(bt))
                - FROZEN["gaussian_shift_mean"] * 1.0) < 4 * se
 
 
@@ -98,7 +98,7 @@ def test_step_process_bound_enforced(pool):
     proc = StepProcess(pool.grid, lambda i, hist: np.full(hist.shape[0], 2.0),
                        bound=1.0)
     with pytest.raises(ValueError):
-        proc.values(pool.increments)
+        proc.column(0, pool.increments[:, :0])
 
 
 @pytest.mark.parametrize("table", [np.zeros((10, 3)), np.zeros(4)],
@@ -127,7 +127,7 @@ def test_step_process_reads_exactly_the_earlier_increments(pool):
     with pytest.raises(ValueError, match="earlier increments"):
         proc.column(3, pool.increments[:, :2])
     with pytest.raises(ValueError, match="earlier increments"):
-        proc.values(np.zeros((5, pool.grid.n_steps + 1)))
+        proc.column(pool.grid.n_steps, np.zeros((5, pool.grid.n_steps)))
 
 
 @pytest.mark.parametrize("seed", [3, 20260815])

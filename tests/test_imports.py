@@ -1,6 +1,6 @@
-"""Every name a wcalc module imports is used in that module, and every
-private module-level name a wcalc module defines is used somewhere in the
-package.
+"""Every name a wcalc module or a test module imports is used in that
+module, and every private module-level name a wcalc module defines is used
+somewhere in the package.
 
 The package's __init__.py is exempt from the import scan: its imports are
 the public re-exports.
@@ -13,6 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wcalc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _annotation_names(tree):
@@ -58,7 +59,9 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports(src) == [(2, "os")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda p: p.name if p.parent == SRC
+                         else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -86,7 +86,7 @@ def test_pushforward_builds_normalized_law():
     pool = sample_paths(grid, 5000, seed=2)
     dens = np.exp(0.3 * pool.increments.sum(axis=1) - 0.045)
     xi = pool.increments.sum(axis=1)
-    l = pushforward_law(pool, dens, xi)
+    l = pushforward_law(dens, xi)
     assert np.isclose(l.weights.sum(), 1.0)
     assert l.n_atoms == 5000
     # reweighted mean of B_1 under the exponential shift is 0.3 * T
@@ -97,7 +97,7 @@ def test_pushforward_rejects_far_from_mean_one():
     grid = make_grid(4)
     pool = sample_paths(grid, 4000, seed=2)
     with pytest.raises(ValueError):
-        pushforward_law(pool, np.full(4000, 1.8), pool.increments.sum(axis=1))
+        pushforward_law(np.full(4000, 1.8), pool.increments.sum(axis=1))
 
 
 def test_weighted_expectation_lognormal_frozen():
@@ -105,8 +105,17 @@ def test_weighted_expectation_lognormal_frozen():
     pool = sample_paths(grid, 60000, seed=4)
     s = 0.7
     dens = np.exp(s * pool.increments.sum(axis=1) - 0.5 * s * s)
-    got = weighted_expectation(pool, dens, np.ones(60000))
+    got = weighted_expectation(dens, np.ones(60000))
     assert abs(got - FROZEN["lognormal_mean"]) < 0.02
+
+
+@pytest.mark.parametrize("fn", [pushforward_law, weighted_expectation],
+                         ids=["pushforward_law", "weighted_expectation"])
+def test_unequal_lengths_are_rejected(fn):
+    with pytest.raises(ValueError, match="one density value per"):
+        fn(np.ones(5), np.zeros(4))
+    with pytest.raises(ValueError, match="one density value per"):
+        fn(np.ones(4), np.zeros(5))
 
 
 def test_kernel_regression_matches_naive_loop():
