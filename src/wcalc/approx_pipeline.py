@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -183,7 +183,8 @@ class ConditionedDensity:
         if not np.all(np.isfinite(self.pair(lam_mid, self._u))):
             raise FloatingPointError("conditioning produced non-finite values")
 
-    def coords_of(self, increments: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def coords_of(increments: np.ndarray) -> np.ndarray:
         return np.asarray(increments, dtype=float).sum(axis=1)
 
     def _renorm(self, lam: float) -> Tuple[float, float]:
@@ -527,7 +528,8 @@ class PipelineReport:
     construction is meant to drive to zero, and final_value_se /
     final_deriv_se are the standard errors of the two primary ones.
     gamma_table tabulates the extracted integrand at the primary parameter
-    on gamma_y, one row per step-process knot.
+    on gamma_y, one row per step-process knot. primary_table is the stage-4
+    u-table at the primary parameter, which pipeline_ladders reads again.
     """
 
     lam: float
@@ -543,6 +545,8 @@ class PipelineReport:
     knot_times: np.ndarray
     gamma_y: np.ndarray
     gamma_table: np.ndarray
+    primary_table: Optional[_UTable] = field(default=None, compare=False,
+                                               repr=False)
 
     def stage(self, stage_id: int) -> StageReport:
         for rep in self.stages:
@@ -610,7 +614,8 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
     primary: Dict[int, Tuple[float, float]] = {}
     seg_sq = {sid: 0.0 for sid in stage_ids}
 
-    for la, sw in [(lam, None)] + list(zip(seg_lams, seg_w)):
+    # primary last: its u-table outlives the loop, so none is built after it
+    for la, sw in list(zip(seg_lams, seg_w)) + [(lam, None)]:
         target_v, target_d = curve.eval_pair(la, pool)
         errs: Dict[int, Tuple[float, float]] = {}
 
@@ -633,7 +638,7 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
 
         if sw is None:
             primary = errs
-            primary_tab, primary_denom = gam_tab, denom
+            primary_u, primary_tab, primary_denom = table, gam_tab, denom
             final_se = (_l2_with_se(E7 - target_v)[1],
                         _l2_with_se(dE7 - target_d)[1])
         else:
@@ -659,6 +664,7 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
         knot_times=k_pool.grid.knots[:-1].copy(),
         gamma_y=y_grid,
         gamma_table=primary_tab[::stride].copy(),
+        primary_table=primary_u,
     )
 
 
@@ -687,14 +693,15 @@ def _consistency_gap(moll: MollifiedDensity, lam: float,
 
 
 def final_errors_at(curve: DensityCurve, lam: float, config: PipelineConfig,
-                    pool: PathPool):
+                    pool: PathPool, table: Optional[_UTable] = None):
     """Stage-7 exponential errors at one parameter value, with standard
     errors; the light-weight core used for refinement ladders. The table
     is built at the step_count knots only, so when step_count equals
-    2**dyadic_level the errors are pipeline_run's final errors."""
-    moll = _mollified(curve, config, pool)
-    table = _UTable(moll, lam)
-    F, Fl, _ = table.read(moll.trunc.cond.coords_of(pool.increments))
+    2**dyadic_level the errors are pipeline_run's final errors. table, when
+    given, is the u-table at lam of this curve, pool and config."""
+    if table is None:
+        table = _UTable(_mollified(curve, config, pool), lam)
+    F, Fl, _ = table.read(ConditionedDensity.coords_of(pool.increments))
     k_pool = dyadic_coarsen(pool, config.step_count.bit_length() - 1)
     [(E, dE)], _ = _exponentials(
         table, config, config.positivity_floor + float(F.mean()),
@@ -744,16 +751,20 @@ def pipeline_ladders(curve: DensityCurve, lam: float, config: PipelineConfig,
     the step_count-2 rung are one computation. report, when given, is
     pipeline_run's report for the same curve, lam, config and pool; if
     step_count == 2**dyadic_level its stage-7 errors are the base rung's
-    final_errors_at result bitwise, so the base rung is taken from it.
+    final_errors_at result bitwise, so the base rung is taken from it. Its
+    primary_table serves the rungs at the base truncation_level and
+    mollify_eps (step_count 2 and 4), the only table a rung reads again.
     """
     def key(cfg):
         return (cfg.truncation_level, cfg.mollify_eps, cfg.positivity_floor,
                 cfg.step_count, cfg.quad_order)
 
     errors: Dict[tuple, tuple] = {}
+    table = None
     if report is not None:
         if report.lam != lam or report.config != config:
             raise ValueError("report was computed at another lam or config")
+        table = report.primary_table
         if config.step_count == 1 << config.dyadic_level:
             errors[key(config)] = (report.final_value_error,
                                    report.final_deriv_error,
@@ -763,7 +774,8 @@ def pipeline_ladders(curve: DensityCurve, lam: float, config: PipelineConfig,
     for knob, value, cfg in _ladder_configs(config):
         _block_edges(pool.grid, cfg.dyadic_level)
         if key(cfg) not in errors:
-            errors[key(cfg)] = final_errors_at(curve, lam, cfg, pool)
+            tab = table if key(cfg)[:2] == key(config)[:2] else None
+            errors[key(cfg)] = final_errors_at(curve, lam, cfg, pool, tab)
         ev, ed, se_v, se_d = errors[key(cfg)]
         ladders.setdefault(knob, []).append(
             {"knob": knob, "value": value, "value_error": ev,

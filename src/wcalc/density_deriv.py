@@ -15,8 +15,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .clark_ocone import SmoothFunctional, clark_ocone_decompose, gaussian_smooth
-from .functionals import CylindricalFn, NestedFn, eval_cyl, eval_nested, \
-    lions_derivative, outer_slope, partial_mu_G_nested
+from .functionals import CylindricalFn, NestedFn, _nested_parts, \
+    _nested_profile, eval_cyl, eval_nested, lions_derivative, outer_slope
 from .measure_ops import EmpiricalLaw, pushforward_law, weighted_expectation
 from .numerics import antiderivative_at
 from .rng import substream
@@ -238,11 +238,14 @@ def chain_rule_lhs_fd(f: CylindricalFn, law_below: EmpiricalLaw,
 
 def second_order_check_1d(f: CylindricalFn, law: EmpiricalLaw, x_grid,
                           h_step: float) -> float:
-    """Max over the grid of |FD_x of the profile - Lions derivative|."""
+    """Max over the grid of |FD_x of the profile - Lions derivative|. The
+    profile is c Phi (c = outer_slope, Phi = grad_phi_antiderivative) minus
+    a centering constant that cancels in the difference, so only c Phi at
+    the 2m points x +- h_step is integrated, never the law's atoms."""
     xs = np.asarray(x_grid, dtype=float).reshape(-1)
-    prof = density_derivative_profile(f, law, np.concatenate([xs + h_step, xs - h_step]))
+    anti = grad_phi_antiderivative(f, np.concatenate([xs + h_step, xs - h_step]))
     m = xs.size
-    cd = (prof[:m] - prof[m:]) / (2.0 * h_step)
+    cd = outer_slope(f, law) * (anti[:m] - anti[m:]) / (2.0 * h_step)
     target = lions_derivative(f, law, xs)
     return float(np.max(np.abs(cd - target)))
 
@@ -352,9 +355,9 @@ def nested_derivative_check(fn: NestedFn, law: EmpiricalLaw, x_probes,
         probes = probes[None, :]
     if probes.shape[1] != 2:
         raise ValueError("probes live in the plane (xi1, xi2)")
-    # Profile at the atoms, one kernel-regression pass for all probes.
-    prof = np.asarray(partial_mu_G_nested(fn, law, law.atoms,
-                                          bandwidth=bandwidth), dtype=float)
+    # partial_mu_G_nested at the atoms, reading the nested functional's m(xi2)
+    psi1, _, m, inner = _nested_parts(fn, law, bandwidth)
+    prof = _nested_profile(fn, inner, psi1, m)
     x1, x2 = law.atoms[:, 0], law.atoms[:, 1]
     w = law.weights
 

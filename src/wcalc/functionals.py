@@ -161,21 +161,21 @@ def lifted_derivative_fd(f_eval, density_values, xi_values, direction_values,
 
 
 def _nested_parts(fn: NestedFn, law: EmpiricalLaw, bandwidth):
-    """(psi(xi1), xi2, E[h(m(xi2))]) under the joint law of (xi1, xi2),
-    with m(y) = E[psi(xi1) | xi2 = y] by weighted kernel regression at the
-    atoms."""
+    """(psi(xi1), xi2, m(xi2), E[h(m(xi2))]) under the joint law of
+    (xi1, xi2), with m(y) = E[psi(xi1) | xi2 = y] by weighted kernel
+    regression at the atoms."""
     if law.dim != 2:
         raise ValueError(f"the nested functional needs the 2-D joint law of "
                          f"(xi1, xi2), got a {law.dim}-D law")
     psi1 = fn.psi(law.atoms[:, 0])
     x2 = law.atoms[:, 1]
     m = conditional_expectation(psi1, x2, law.weights, bandwidth)
-    return psi1, x2, law.integrate(fn.h(m))
+    return psi1, x2, m, law.integrate(fn.h(m))
 
 
 def eval_nested(fn: NestedFn, law: EmpiricalLaw, bandwidth="auto") -> float:
     """G at the joint law of (xi1, xi2): g(E[h(m(xi2))])."""
-    return float(fn.g(_nested_parts(fn, law, bandwidth)[2]))
+    return float(fn.g(_nested_parts(fn, law, bandwidth)[3]))
 
 
 def partial_mu_G_nested(fn: NestedFn, law: EmpiricalLaw, x, bandwidth="auto"):
@@ -187,12 +187,17 @@ def partial_mu_G_nested(fn: NestedFn, law: EmpiricalLaw, x, bandwidth="auto"):
     with m estimated by weighted kernel regression. x may be a single point
     (2,) or a batch (m, 2).
     """
-    psi1, x2, inner = _nested_parts(fn, law, bandwidth)
+    psi1, x2, _, inner = _nested_parts(fn, law, bandwidth)
     pts, restore = _as_points(x, 2)
-    outer = float(fn.g_prime(inner))
     m_at = kernel_regression(psi1, x2, law.weights, bandwidth, pts[:, 1])
-    vals = outer * (fn.h(m_at) + fn.h_prime(m_at) * (fn.psi(pts[:, 0]) - m_at))
-    return restore(np.asarray(vals, dtype=float))
+    return restore(_nested_profile(fn, inner, fn.psi(pts[:, 0]), m_at))
+
+
+def _nested_profile(fn: NestedFn, inner: float, psi_x1, m_x2) -> np.ndarray:
+    """The formula above from psi(x1), m(x2) and inner = E[h(m(xi2))]."""
+    outer = float(fn.g_prime(inner))
+    return np.asarray(outer * (fn.h(m_x2) + fn.h_prime(m_x2) * (psi_x1 - m_x2)),
+                      dtype=float)
 
 
 def _poly_phi(power: int):

@@ -12,7 +12,8 @@ import numpy as np
 from scipy import integrate, optimize, stats
 
 from wcalc import (antiderivative_at, brownian_at, clark_ocone_decompose,
-                   conditional_expectation, doleans_exponential, eval_cyl,
+                   conditional_expectation, density_derivative_profile,
+                   doleans_exponential, eval_cyl,
                    gaussian_smooth, grad_phi_antiderivative, kernel_regression,
                    lions_derivative, make_functional, make_grid, outer_slope,
                    pushforward_law, sample_paths, scalar_functional,
@@ -298,6 +299,18 @@ def density_derivative_profile_per_pass(f, law, x_grid, tol: float = 1e-9):
                               np.concatenate([xs.ravel(), atoms]), tol=tol)
     a_grid = joint[:xs.size].reshape(xs.shape)
     return a_grid - float(np.dot(law.weights, joint[xs.size:]))
+
+
+def second_order_check_1d_profile(f, law, x_grid, h_step):
+    """second_order_check_1d as it was when it central-differenced the
+    centered profile, which integrates grad phi over every atom of the law
+    for a centering constant that the difference cancels."""
+    xs = np.asarray(x_grid, dtype=float).reshape(-1)
+    prof = density_derivative_profile(f, law, np.concatenate([xs + h_step,
+                                                              xs - h_step]))
+    m = xs.size
+    cd = (prof[:m] - prof[m:]) / (2.0 * h_step)
+    return float(np.max(np.abs(cd - lions_derivative(f, law, xs))))
 
 
 def antiderivative_at_searchsorted(fn, xs, tol: float = 1e-9, max_depth: int = 14):

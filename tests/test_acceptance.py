@@ -24,7 +24,7 @@ _GRID_STEPS = 16
 
 _CHAIN_PATHS = 100_000
 _CHAIN_BATTERY_SECONDS = 5.0       # whole battery; a fortiori per instance
-_SECOND_ORDER_SECONDS = 5.0        # whole battery (criteria 2 and 3)
+_SECOND_ORDER_SECONDS = 2.0        # whole battery (criteria 2 and 3)
 _GIRSANOV_BATTERY_SECONDS = 2.0    # whole battery (criterion 4)
 _CLARK_BATTERY_SECONDS = 3.0       # whole battery (criterion 5)
 _SLOPE_RANGE = (1.8, 2.2)
@@ -35,7 +35,7 @@ _SIGMA_RECOVERY_TOL = 1e-8
 _DEFECT_RATIO_RANGE = (1.2, 1.8)
 _PIPELINE_THRESHOLDS = {"value": 0.05, "deriv": 0.16,
                         "segment": 0.28, "gamma_gap": 5e-3}
-_PIPELINE_SECONDS = 300.0
+_PIPELINE_SECONDS = 30.0
 _PIPELINE_PATHS = 100_000
 _RECENTER_INSTANCES = 100
 _RECENTER_MEAN_TOL = 1e-9          # relative to 1 + max |profile|

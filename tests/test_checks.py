@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from wcalc import (CheckRecord, CHECKS, run_check, checks, density_deriv,
-                   density_functional, make_grid, sample_paths)
+                   density_functional, functionals, make_grid, measure_ops,
+                   sample_paths)
 from oracles import assert_bitwise, check_chain_rule_per_call, \
     check_chain_rule_per_shard, check_lemma34_pooled, \
-    multidim_derivative_repr_single
+    multidim_derivative_repr_single, second_order_check_1d_profile
 
 
 def test_record_validation_and_properties():
@@ -146,6 +147,24 @@ def test_lemma34_matches_the_pooled_nested_oracle(seed):
         assert abs(r.lhs - lhs) <= 1e-12, r.name
 
 
+def test_lemma34_regresses_m_at_the_atoms_once_per_record(monkeypatch):
+    """Each of the six records regresses m once for its profile at the
+    atoms (read again at xi2, not recomputed) and once per bumped law:
+    42 kernel_regression calls, not 48."""
+    calls = []
+    kernel_regression = measure_ops.kernel_regression
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel_regression(*args, **kwargs)
+
+    for mod in (measure_ops, functionals):
+        monkeypatch.setattr(mod, "kernel_regression", counting)
+    records = run_check("lemma34", n_paths=20_000, n_steps=16, seed=20260815)
+    assert len(records) == 6
+    assert len(calls) == 42
+
+
 @pytest.mark.parametrize("seed", [20260815, 3, 4])
 def test_bensoussan_battery_catches_a_scaled_representer(monkeypatch, seed):
     """Power: the density-functional representer off by one percent fails
@@ -173,6 +192,64 @@ def test_chain_rule_battery_catches_a_scaled_outer_slope(monkeypatch, seed):
     battery = [r for r in records if "|" in r.name]
     assert len(battery) == 18
     assert not any(r.passed for r in battery), [r.name for r in battery
+                                                if r.passed]
+
+
+# Largest |new - old| over the 14 one-dimensional calls of the battery was
+# 4.2e-13 at seeds 20260815, 3 and 4; the bound is 5e-6 of the 2e-6
+# tolerance of a second/1d record.
+_PROFILE_ROUTE_GAP = 1e-11
+
+
+@pytest.mark.parametrize("seed", [20260815, 3, 4])
+def test_second_order_1d_matches_the_profile_route(monkeypatch, seed):
+    """Differencing c Phi at the 2m points x +- h gives, up to quadrature
+    roundoff, the error that the central difference of the centered
+    profile gave, on every one-dimensional call of the battery."""
+    gaps = []
+    check_1d = checks.second_order_check_1d
+
+    def both(f, law, xs, h):
+        got = check_1d(f, law, xs, h)
+        gaps.append(abs(got - second_order_check_1d_profile(f, law, xs, h)))
+        return got
+
+    monkeypatch.setattr(checks, "second_order_check_1d", both)
+    checks.check_second_order(20_000, 16, seed)
+    assert len(gaps) == 14
+    assert max(gaps) <= _PROFILE_ROUTE_GAP, gaps
+
+
+def test_second_order_integrates_only_the_points_it_differences(monkeypatch):
+    """Each one-dimensional call integrates grad phi at its 82 points
+    (41 grid points +- h), not at the 20 000 atoms of the law as well."""
+    sizes = []
+    antiderivative_at = density_deriv.antiderivative_at
+
+    def counting(fn, xs, **kwargs):
+        sizes.append(np.size(xs))
+        return antiderivative_at(fn, xs, **kwargs)
+
+    monkeypatch.setattr(density_deriv, "antiderivative_at", counting)
+    checks.check_second_order(20_000, 16, 20260815)
+    assert len(sizes) == 14
+    assert max(sizes) <= 82, sizes
+
+
+@pytest.mark.parametrize("seed", [20260815, 3, 4])
+def test_second_order_battery_catches_a_scaled_antiderivative(monkeypatch,
+                                                              seed):
+    """Power: Phi off by one percent fails every second/1d and second/slope
+    record at reference size (gaps 1.6e-5 to 1e-2 against 2e-6, slopes off
+    by 2.2 to 2.5 against 0.2)."""
+    anti = density_deriv.grad_phi_antiderivative
+    monkeypatch.setattr(density_deriv, "grad_phi_antiderivative",
+                        lambda f, xi: 1.01 * anti(f, xi))
+    records = [r for r in run_check("second-order", n_paths=20_000,
+                                    n_steps=16, seed=seed)
+               if r.name.startswith(("second/1d|", "second/slope|"))]
+    assert len(records) == 8
+    assert not any(r.passed for r in records), [r.name for r in records
                                                 if r.passed]
 
 

@@ -491,9 +491,9 @@ def counting_ladders(monkeypatch, *args):
     """pipeline_ladders(*args) and the configs it ran final_errors_at on."""
     seen = []
 
-    def counted(curve, lam, config, pool):
+    def counted(curve, lam, config, pool, table=None):
         seen.append(config)
-        return final_errors_at(curve, lam, config, pool)
+        return final_errors_at(curve, lam, config, pool, table)
 
     with monkeypatch.context() as patch:
         patch.setattr(approx_pipeline, "final_errors_at", counted)
@@ -504,8 +504,9 @@ def test_ladders_compute_each_distinct_rung_once(monkeypatch):
     """Twelve rungs, seven distinct computations: final_errors_at reads no
     dyadic_level, so the three dyadic rungs equal step_count 2, and the base
     config sits on three ladders. pipeline_run's report supplies the base
-    rung, leaving six calls. Shared and seeded rows equal a fresh
-    final_errors_at call at their own config, bitwise."""
+    rung, leaving six calls. Shared and seeded rows, and the step_count 4
+    row that reads the report's u-table, equal a fresh final_errors_at call
+    at their own config, bitwise."""
     grid = make_grid(8)
     pool = sample_paths(grid, 500, seed=23)
     curve = exp_curve(grid, 0.0, 1.0)
@@ -521,13 +522,39 @@ def test_ladders_compute_each_distinct_rung_once(monkeypatch):
     configs = {(knob, value): cfg
                for knob, value, cfg in approx_pipeline._ladder_configs(base)}
     for knob, value in (("dyadic_level", 1), ("dyadic_level", 2),
-                        ("truncation_level", 6.0), ("step_count", 2)):
+                        ("truncation_level", 6.0), ("step_count", 2),
+                        ("step_count", 4)):
         row = next(r for r in ladders[knob] if r["value"] == value)
         want = final_errors_at(curve, 0.3, configs[knob, value], pool)
         assert tuple(row[f] for f in fields) == want, (knob, value)
     for knob in ("mollify_eps", "step_count"):
         assert ladders[knob][-1] | {"knob": "truncation_level", "value": 6.0} \
             == ladders["truncation_level"][1]
+
+
+def test_pipeline_and_ladders_build_each_distinct_u_table_once(monkeypatch):
+    """pipeline_run tabulates its primary and four segment parameters; the
+    ladders add one table per other (truncation_level, mollify_eps): 9
+    builds, not 11, because the step_count 2 and 4 rungs read
+    pipeline_run's primary table."""
+    grid = make_grid(8)
+    pool = sample_paths(grid, 500, seed=23)
+    curve = exp_curve(grid, 0.0, 1.0)
+    base = PipelineConfig(dyadic_level=3, truncation_level=6.0,
+                          mollify_eps=0.1, positivity_floor=0.1, step_count=8,
+                          quad_order=3)
+    built = []
+    u_table = approx_pipeline._UTable
+
+    def counting(moll, lam):
+        built.append((moll.trunc.level, moll.eps, lam))
+        return u_table(moll, lam)
+
+    monkeypatch.setattr(approx_pipeline, "_UTable", counting)
+    rep = pipeline_run(curve, 0.3, 0.5, base, pool)
+    assert len(built) == 5
+    pipeline_ladders(curve, 0.3, base, pool, rep)
+    assert len(built) == 9 and len(set(built)) == 9
 
 
 def test_ladders_seed_only_a_matching_report(monkeypatch):
