@@ -17,8 +17,7 @@ from .rng import substream
 from .measure_ops import EmpiricalLaw, pushforward_law, wasserstein1, \
     weighted_expectation, kernel_regression, conditional_expectation
 from .functionals import CylindricalFn, NestedFn, make_functional, eval_cyl, \
-    outer_slope, lions_derivative, eval_nested, partial_mu_G_nested, \
-    lifted_derivative_fd
+    outer_slope, lions_derivative, eval_nested, lifted_derivative_fd
 from .numerics import gauss_hermite, antiderivative_at, binned_gaussian_smooth, \
     bump_quad_1d, capped_identity, capped_identity_deriv, radial_cutoff, \
     radial_cutoff_deriv
@@ -39,6 +38,5 @@ from .approx_pipeline import PipelineConfig, StageReport, PipelineReport, \
     MollifiedDensity, stage5_normalize, stage5_derivative, stage7_stepify, \
     pipeline_run, pipeline_ladders, final_errors_at, DEFAULT_THRESHOLDS
 from .density_functional import GridDensity, density_grid, kde_density, \
-    DensityFunctionalPhi, dPhi_representer, representer_x_derivative, \
-    bensoussan_check
+    dPhi_representer, representer_x_derivative, bensoussan_check
 from .checks import CheckRecord, CHECKS, run_check

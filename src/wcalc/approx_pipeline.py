@@ -292,14 +292,13 @@ class MollifiedDensity:
     parameter nodes.
     """
 
-    def __init__(self, trunc: TruncatedDensity, eps: float,
-                 n_nodes: int = _MOLL_NODES):
+    def __init__(self, trunc: TruncatedDensity, eps: float):
         if not 0.0 < eps < 1.0:
             raise ValueError("mollification width must lie in (0, 1)")
         self.trunc = trunc
         self.eps = float(eps)
         self.n_coords = trunc.n_coords
-        self._alpha, self._wa = bump_quad_1d(n_nodes)
+        self._alpha, self._wa = bump_quad_1d(_MOLL_NODES)
 
     def triple(self, lam: float, coords: np.ndarray):
         """(value, parameter derivative, coordinate derivative) at coords."""

@@ -26,7 +26,7 @@ from .girsanov import StepProcess, constant_process, deterministic_process, \
     doleans_exponential, shift_forward, shift_backward, girsanov_check
 from .clark_ocone import SmoothFunctional, scalar_functional, \
     clark_ocone_decompose, clark_ocone_integrand, reconstruction_error
-from .density_functional import DensityFunctionalPhi, bensoussan_check
+from .density_functional import bensoussan_check
 from .numerics import mean_and_se
 
 _N_SHARDS = 8
@@ -490,16 +490,16 @@ def check_lemma34(n_paths: int = 20000, n_steps: int = 16,
 
 
 def _phi_battery():
+    """1-D cylindrical functionals, each also a density functional."""
     return [
-        ("sin-sin", DensityFunctionalPhi(
-            psi=np.sin, dpsi=np.cos, rho=np.sin, drho=np.cos,
-            descriptor="sin-sin")),
-        ("linear-gauss", DensityFunctionalPhi(
-            psi=lambda u: u,
-            dpsi=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-            rho=lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2),
-            drho=lambda x: -np.asarray(x, dtype=float)
-            * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2),
+        ("sin-sin", CylindricalFn(
+            h=np.sin, h_prime=np.cos, phi=lambda x: np.sin(x[:, 0]),
+            grad_phi=np.cos, descriptor="sin-sin")),
+        ("linear-gauss", CylindricalFn(
+            h=lambda u: u,
+            h_prime=lambda u: np.ones_like(np.asarray(u, dtype=float)),
+            phi=lambda x: np.exp(-0.5 * x[:, 0] ** 2),
+            grad_phi=lambda x: -x * np.exp(-0.5 * x ** 2),
             descriptor="linear-gauss")),
     ]
 

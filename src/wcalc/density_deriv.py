@@ -24,6 +24,7 @@ from .wiener_grid import PathPool, TimeGrid
 
 _PROBE_PATHS = 32
 _PROBE_SEED = 2718
+_FD_STEP = 1e-2  # nested_derivative_check's step along each bump
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,8 @@ class DensityCurve:
                     float(np.abs(got - want).max()) > 1e-9 * scale:
                 raise ValueError(f"{name} disagrees with scalar_triple")
 
-    def contains(self, lam: float, margin: float = 0.0) -> bool:
-        return self.lam_lo + margin <= lam <= self.lam_hi - margin
+    def contains(self, lam: float) -> bool:
+        return self.lam_lo <= lam <= self.lam_hi
 
     def _require(self, lam: float):
         if not self.contains(lam):
@@ -144,7 +145,7 @@ def mixture_curve(base_fn: Callable, other_fn: Callable, grid: TimeGrid,
 
 
 def density_derivative_profile(f: CylindricalFn, law: EmpiricalLaw,
-                               x_grid, tol: float = 1e-9) -> np.ndarray:
+                               x_grid) -> np.ndarray:
     """Profile x -> int_0^x (Lions derivative)(law, y) dy - centering, at
     every point of x_grid (same shape).
 
@@ -164,7 +165,7 @@ def density_derivative_profile(f: CylindricalFn, law: EmpiricalLaw,
     def integrand(ys):
         return c * np.asarray(f.grad_phi(ys[:, None]), dtype=float)[:, 0]
 
-    joint = antiderivative_at(integrand, np.concatenate([xs.ravel(), atoms]), tol=tol)
+    joint = antiderivative_at(integrand, np.concatenate([xs.ravel(), atoms]))
     a_grid = joint[:xs.size].reshape(xs.shape)
     a_atoms = joint[xs.size:]
     centering = float(np.dot(law.weights, a_atoms))
@@ -339,8 +340,7 @@ def multidim_derivative_repr(fs: Sequence[CylindricalFn], L: SmoothFunctional,
 
 
 def nested_derivative_check(fn: NestedFn, law: EmpiricalLaw, x_probes,
-                            bandwidth="auto", fd_step: float = 1e-2,
-                            bump_width: Optional[float] = None) -> float:
+                            bandwidth="auto") -> float:
     """Partial-derivative formula vs a direct perturbation of the joint law
     of (xi1, xi2).
 
@@ -355,15 +355,14 @@ def nested_derivative_check(fn: NestedFn, law: EmpiricalLaw, x_probes,
         probes = probes[None, :]
     if probes.shape[1] != 2:
         raise ValueError("probes live in the plane (xi1, xi2)")
-    # partial_mu_G_nested at the atoms, reading the nested functional's m(xi2)
-    psi1, _, m, inner = _nested_parts(fn, law, bandwidth)
+    # the closed-form partial derivative at the atoms, from the functional's m
+    psi1, m, inner = _nested_parts(fn, law, bandwidth)
     prof = _nested_profile(fn, inner, psi1, m)
     x1, x2 = law.atoms[:, 0], law.atoms[:, 1]
     w = law.weights
 
-    if bump_width is None:
-        spread = max(np.std(x1), np.std(x2))
-        bump_width = 0.5 * spread if spread > 0 else 1.0
+    spread = max(np.std(x1), np.std(x2))
+    bump_width = 0.5 * spread if spread > 0 else 1.0
 
     worst = 0.0
     for a, b in probes:
@@ -374,6 +373,6 @@ def nested_derivative_check(fn: NestedFn, law: EmpiricalLaw, x_probes,
             bumped = EmpiricalLaw(law.atoms, w * (1.0 + s * direction))
             return eval_nested(fn, bumped, bandwidth=bandwidth)
 
-        lhs = (nested_at(fd_step) - nested_at(-fd_step)) / (2.0 * fd_step)
+        lhs = (nested_at(_FD_STEP) - nested_at(-_FD_STEP)) / (2.0 * _FD_STEP)
         worst = max(worst, abs(lhs - law.integrate(prof * direction)))
     return worst

@@ -2,29 +2,29 @@
 derivatives.
 
 Weighted empirical laws are smoothed into grid densities by a Gaussian
-kernel estimator; functionals of the composed form Phi(h) = Psi(integral of
-rho * h dx) then have an analytic L2(dx) derivative whose representer is
-centered to zero mean on the grid window. Because the same (Psi, rho) pair
-also defines a cylindrical functional of the underlying measure, two
-identities become two-sided numerical checks: the measure derivative equals
-the x-derivative of the density-functional representer, and the centered
-representer profile equals the centered antiderivative of the measure
-derivative.
+kernel estimator. A one-dimensional cylindrical functional
+f(mu) = Psi(integral of rho d mu), with Psi = f.h and rho = f.phi, is also
+the density functional Phi(h) = Psi(integral of rho * h dx), whose analytic
+L2(dx) derivative Psi' * rho is centered here to zero mean on the grid
+window. Two identities between the two readings become two-sided numerical
+checks: the measure derivative equals the x-derivative of the
+density-functional representer, and the centered representer profile
+equals the centered antiderivative of the measure derivative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .density_deriv import density_derivative_profile
-from .functionals import CylindricalFn, _check_fd_derivative, lions_derivative
+from .functionals import CylindricalFn, lions_derivative
 from .measure_ops import EmpiricalLaw
 from .numerics import binned_gaussian_smooth, silverman_bandwidth
 
-_DEFAULT_GRID_POINTS = 2048
+_GRID_POINTS = 2048
 _WINDOW_SIGMAS = 5.0
 
 
@@ -64,12 +64,11 @@ class GridDensity:
             raise ValueError("cannot normalize a zero-mass density")
         return GridDensity(self.x_grid, self.values / self.mass)
 
-def density_grid(points, bandwidth: float,
-                 n_points: int = _DEFAULT_GRID_POINTS) -> np.ndarray:
+def density_grid(points, bandwidth: float) -> np.ndarray:
     """Uniform window covering the given points plus kernel tails."""
     pts = np.asarray(points, dtype=float)
     pad = _WINDOW_SIGMAS * bandwidth
-    return np.linspace(pts.min() - pad, pts.max() + pad, n_points)
+    return np.linspace(pts.min() - pad, pts.max() + pad, _GRID_POINTS)
 
 
 def _kde_bandwidth(law: EmpiricalLaw, bandwidth: Union[str, float]) -> float:
@@ -104,75 +103,40 @@ def kde_density(law: EmpiricalLaw, x_grid: Optional[np.ndarray] = None,
     return GridDensity(x_grid, np.maximum(raw, 0.0)).normalized()
 
 
-@dataclass(frozen=True)
-class DensityFunctionalPhi:
-    """Phi(h) = Psi(integral of rho(x) h(x) dx) on grid densities.
-
-    psi/dpsi and rho/drho are validated against central finite differences
-    at construction; everything downstream may then trust the analytic
-    derivative Psi'(integral) * rho(x).
-    """
-
-    psi: Callable
-    dpsi: Callable
-    rho: Callable
-    drho: Callable
-    descriptor: str = ""
-
-    def __post_init__(self):
-        grid = np.linspace(-2.0, 2.0, 9)
-        _check_fd_derivative(self.psi, self.dpsi, grid,
-                             f"psi[{self.descriptor}]")
-        _check_fd_derivative(self.rho, self.drho, grid,
-                             f"rho[{self.descriptor}]")
-
-    def integral(self, h: GridDensity) -> float:
-        return float(np.trapezoid(self.rho(h.x_grid) * h.values, h.x_grid))
-
-    def value(self, h: GridDensity) -> float:
-        return float(self.psi(self.integral(h)))
-
-    def as_cylindrical(self) -> CylindricalFn:
-        """The measure functional mu -> Psi(integral rho d mu) induced by the
-        same pair; its derivative machinery lives in the functionals module."""
-        return CylindricalFn(self.psi, self.dpsi, _pointwise(self.rho),
-                             _pointwise_grad(self.drho), dim=1,
-                             descriptor=self.descriptor or "density-induced")
+def _require_1d(f: CylindricalFn) -> None:
+    if f.dim != 1:
+        raise ValueError(f"a density functional acts on 1-D densities, got a "
+                         f"{f.dim}-D functional")
 
 
-def _pointwise(rho):
-    def phi(x):
-        return np.asarray(rho(np.asarray(x, dtype=float)[:, 0]), dtype=float)
-    return phi
+def _grid_integral(f: CylindricalFn, h: GridDensity) -> float:
+    """Integral of phi * h dx over h's grid, by the trapezoid rule."""
+    return float(np.trapezoid(f.phi(h.x_grid[:, None]) * h.values, h.x_grid))
 
 
-def _pointwise_grad(drho):
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        return np.asarray(drho(x[:, 0]), dtype=float)[:, None]
-    return grad
-
-
-def dPhi_representer(phi: DensityFunctionalPhi, h: GridDensity, x):
+def dPhi_representer(f: CylindricalFn, h: GridDensity, x):
     """L2(dx) derivative of Phi at h, evaluated at x: Psi'(integral) * rho(x)
-    centered to zero dx-mean over the grid window.
+    centered to zero dx-mean over the grid window, with Psi = f.h and
+    rho = f.phi of a 1-D cylindrical functional.
 
     x may be a scalar or an array; it must lie inside the grid hull, where
     the centering window is defined.
     """
+    _require_1d(f)
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     pts = np.atleast_1d(xs)
     if pts.min() < h.x_grid[0] or pts.max() > h.x_grid[-1]:
         raise ValueError("representer points must lie inside the grid window")
-    slope = float(phi.dpsi(phi.integral(h)))
+    slope = float(f.h_prime(_grid_integral(f, h)))
     window = h.x_grid[-1] - h.x_grid[0]
-    centering = slope * float(np.trapezoid(phi.rho(h.x_grid), h.x_grid)) / window
-    vals = slope * np.asarray(phi.rho(pts), dtype=float) - centering
+    centering = slope * float(np.trapezoid(f.phi(h.x_grid[:, None]),
+                                           h.x_grid)) / window
+    vals = slope * np.asarray(f.phi(pts[:, None]), dtype=float) - centering
     return float(vals[0]) if scalar else vals
 
 
-def representer_x_derivative(phi: DensityFunctionalPhi, h: GridDensity,
+def representer_x_derivative(f: CylindricalFn, h: GridDensity,
                              x_probes: np.ndarray) -> np.ndarray:
     """Central finite difference in x of the representer, deliberately not
     the analytic slope: this side of the comparison must come from the
@@ -181,33 +145,33 @@ def representer_x_derivative(phi: DensityFunctionalPhi, h: GridDensity,
     step = h.spacing
     lo = np.maximum(pts - step, h.x_grid[0])
     hi = np.minimum(pts + step, h.x_grid[-1])
-    up = dPhi_representer(phi, h, hi)
-    dn = dPhi_representer(phi, h, lo)
+    up = dPhi_representer(f, h, hi)
+    dn = dPhi_representer(f, h, lo)
     return (np.atleast_1d(up) - np.atleast_1d(dn)) / (hi - lo)
 
 
-def bensoussan_check(phi: DensityFunctionalPhi, law: EmpiricalLaw, x_probes,
+def bensoussan_check(f: CylindricalFn, law: EmpiricalLaw, x_probes,
                      bandwidth: Union[str, float] = "auto") -> float:
     """Two-sided link between density-functional and measure derivatives.
 
     Smooths the 1-D law (of xi under the density-reweighted measure, say) to
     a grid density and checks, at every probe:
 
-    1. the measure derivative of the induced cylindrical functional at the
-       smoothed law equals the x-derivative (finite differences on the
-       grid) of the density-functional representer;
+    1. the measure derivative of f at the smoothed law equals the
+       x-derivative (finite differences on the grid) of the representer of
+       the density functional Phi(h) = f.h(integral of f.phi * h dx);
     2. the representer centered under the law equals the centered
        antiderivative profile of the measure derivative at the law.
 
     Returns the largest absolute discrepancy across both comparisons; the
     first is limited by FD resolution, the second by smoothing bias.
     """
+    _require_1d(f)
     probes = np.asarray(x_probes, dtype=float)
     # the window covers the probes too: a small law's atoms may not reach them
     bw = _kde_bandwidth(law, bandwidth)
     window = density_grid(np.concatenate([law.atoms_1d(), probes.ravel()]), bw)
     h = kde_density(law, x_grid=window, bandwidth=bw)
-    f_cyl = phi.as_cylindrical()
 
     # the smoothed law as an atomic law on the grid, trapezoid-weighted
     wgrid = np.full(h.x_grid.size, h.spacing)
@@ -215,14 +179,14 @@ def bensoussan_check(phi: DensityFunctionalPhi, law: EmpiricalLaw, x_probes,
     wgrid[-1] *= 0.5
     kde_law = EmpiricalLaw(h.x_grid[:, None], wgrid * h.values)
 
-    lhs = np.atleast_1d(lions_derivative(f_cyl, kde_law, probes))
-    rhs = representer_x_derivative(phi, h, probes)
+    lhs = np.atleast_1d(lions_derivative(f, kde_law, probes))
+    rhs = representer_x_derivative(f, h, probes)
     err_slope = float(np.abs(lhs - rhs).max())
 
-    rep_at_probes = np.atleast_1d(dPhi_representer(phi, h, probes))
-    rep_at_atoms = np.atleast_1d(dPhi_representer(phi, h, law.atoms_1d()))
+    rep_at_probes = np.atleast_1d(dPhi_representer(f, h, probes))
+    rep_at_atoms = np.atleast_1d(dPhi_representer(f, h, law.atoms_1d()))
     rep_mean = float(np.dot(law.weights / law.weights.sum(), rep_at_atoms))
     centered_rep = rep_at_probes - rep_mean
-    profile = density_derivative_profile(f_cyl, law, probes)
+    profile = density_derivative_profile(f, law, probes)
     err_profile = float(np.abs(centered_rep - profile).max())
     return max(err_slope, err_profile)

@@ -14,8 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measure_ops import (EmpiricalLaw, conditional_expectation,
-                          kernel_regression, pushforward_law)
+from .measure_ops import EmpiricalLaw, conditional_expectation, pushforward_law
 from .rng import substream
 
 _PROBE_SEED = 0x5EEDED
@@ -161,7 +160,7 @@ def lifted_derivative_fd(f_eval, density_values, xi_values, direction_values,
 
 
 def _nested_parts(fn: NestedFn, law: EmpiricalLaw, bandwidth):
-    """(psi(xi1), xi2, m(xi2), E[h(m(xi2))]) under the joint law of
+    """(psi(xi1), m(xi2), E[h(m(xi2))]) under the joint law of
     (xi1, xi2), with m(y) = E[psi(xi1) | xi2 = y] by weighted kernel
     regression at the atoms."""
     if law.dim != 2:
@@ -170,31 +169,18 @@ def _nested_parts(fn: NestedFn, law: EmpiricalLaw, bandwidth):
     psi1 = fn.psi(law.atoms[:, 0])
     x2 = law.atoms[:, 1]
     m = conditional_expectation(psi1, x2, law.weights, bandwidth)
-    return psi1, x2, m, law.integrate(fn.h(m))
+    return psi1, m, law.integrate(fn.h(m))
 
 
 def eval_nested(fn: NestedFn, law: EmpiricalLaw, bandwidth="auto") -> float:
     """G at the joint law of (xi1, xi2): g(E[h(m(xi2))])."""
-    return float(fn.g(_nested_parts(fn, law, bandwidth)[3]))
-
-
-def partial_mu_G_nested(fn: NestedFn, law: EmpiricalLaw, x, bandwidth="auto"):
-    """Closed-form first partial derivative of the nested functional at the
-    joint law of (xi1, xi2).
-
-    At x = (x1, x2):
-        g'(E[h(m(xi2))]) * ( h(m(x2)) + h'(m(x2)) * (psi(x1) - m(x2)) )
-    with m estimated by weighted kernel regression. x may be a single point
-    (2,) or a batch (m, 2).
-    """
-    psi1, x2, _, inner = _nested_parts(fn, law, bandwidth)
-    pts, restore = _as_points(x, 2)
-    m_at = kernel_regression(psi1, x2, law.weights, bandwidth, pts[:, 1])
-    return restore(_nested_profile(fn, inner, fn.psi(pts[:, 0]), m_at))
+    return float(fn.g(_nested_parts(fn, law, bandwidth)[2]))
 
 
 def _nested_profile(fn: NestedFn, inner: float, psi_x1, m_x2) -> np.ndarray:
-    """The formula above from psi(x1), m(x2) and inner = E[h(m(xi2))]."""
+    """Closed-form first partial derivative of the nested functional at
+    x = (x1, x2), from psi(x1), m(x2) and inner = E[h(m(xi2))]:
+        g'(inner) * ( h(m(x2)) + h'(m(x2)) * (psi(x1) - m(x2)) )."""
     outer = float(fn.g_prime(inner))
     return np.asarray(outer * (fn.h(m_x2) + fn.h_prime(m_x2) * (psi_x1 - m_x2)),
                       dtype=float)

@@ -9,12 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import binned_gaussian_smooth, silverman_bandwidth
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
+from .wiener_grid import _readonly
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ from functools import lru_cache
 import numpy as np
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+# antiderivative_at's error budget and bisection depth; the fewest bins of
+# binned_gaussian_smooth's grid
+_ANTIDERIV_TOL = 1e-9
+_ANTIDERIV_MAX_DEPTH = 14
+_MIN_BINS = 2048
 
 
 @lru_cache(maxsize=64)
@@ -44,14 +49,15 @@ def _segment_integrals(fn, a, b, order: int):
     return out
 
 
-def antiderivative_at(fn, xs, tol: float = 1e-9, max_depth: int = 14):
+def antiderivative_at(fn, xs):
     """A(x) = integral of fn from 0 to x, evaluated at every x in xs.
 
     Adaptive composite Gauss-Legendre: each segment between consecutive
     evaluation points is integrated by the 7- and the 15-point rule, whose
     difference is the error estimate, and is bisected until that estimate is
-    below its share of tol. The two rules are not nested (they share only
-    the midpoint), so each pass costs 22 evaluations of fn per segment.
+    below its share of _ANTIDERIV_TOL. The two rules are not nested (they
+    share only the midpoint), so each pass costs 22 evaluations of fn per
+    segment.
     Vectorized across segments; fn must accept a flat array.
     """
     xs = np.asarray(xs, dtype=float)
@@ -66,11 +72,12 @@ def antiderivative_at(fn, xs, tol: float = 1e-9, max_depth: int = 14):
         coarse = _segment_integrals(fn, a, b, 7)
         fine = _segment_integrals(fn, a, b, 15)
         err = np.abs(fine - coarse)
-        share = tol * (b - a) / span
-        ok = (err <= share) | (depth >= max_depth)
+        share = _ANTIDERIV_TOL * (b - a) / span
+        ok = (err <= share) | (depth >= _ANTIDERIV_MAX_DEPTH)
         np.add.at(total, idx[ok], fine[ok])
         if np.all(ok):
-            if depth >= max_depth and np.any(err > np.maximum(share, tol)):
+            if depth >= _ANTIDERIV_MAX_DEPTH and \
+                    np.any(err > np.maximum(share, _ANTIDERIV_TOL)):
                 raise RuntimeError("antiderivative quadrature did not converge")
             break
         bad = ~ok
@@ -160,8 +167,7 @@ def uniform_interp(x, grid: np.ndarray, tables):
     return out
 
 
-def binned_gaussian_smooth(y, weight_columns, bandwidth: float, eval_points,
-                           min_bins: int = 2048):
+def binned_gaussian_smooth(y, weight_columns, bandwidth: float, eval_points):
     """Gaussian-kernel sums evaluated by linear binning plus convolution.
 
     For each weight column w returns, at every eval point p,
@@ -175,7 +181,7 @@ def binned_gaussian_smooth(y, weight_columns, bandwidth: float, eval_points,
     lo = min(y.min(), eval_points.min()) - pad
     hi = max(y.max(), eval_points.max()) + pad
     span = max(hi - lo, bandwidth)
-    n_bins = int(max(min_bins, np.ceil(span / (bandwidth / 4.0)) + 1))
+    n_bins = int(max(_MIN_BINS, np.ceil(span / (bandwidth / 4.0)) + 1))
     n_bins = min(n_bins, 1 << 22)
     spacing = span / (n_bins - 1)
     half = int(np.ceil(pad / spacing))

@@ -289,14 +289,14 @@ def segment_integrals_whole(fn, a, b, order: int):
     return half * (vals @ w)
 
 
-def density_derivative_profile_per_pass(f, law, x_grid, tol: float = 1e-9):
+def density_derivative_profile_per_pass(f, law, x_grid):
     """density_derivative_profile with the integrand read through
     lions_derivative, which integrates phi against the law at every
     quadrature pass."""
     xs = np.asarray(x_grid, dtype=float)
     atoms = law.atoms_1d()
     joint = antiderivative_at(lambda ys: lions_derivative(f, law, ys),
-                              np.concatenate([xs.ravel(), atoms]), tol=tol)
+                              np.concatenate([xs.ravel(), atoms]))
     a_grid = joint[:xs.size].reshape(xs.shape)
     return a_grid - float(np.dot(law.weights, joint[xs.size:]))
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from wcalc import (CheckRecord, CHECKS, run_check, checks, density_deriv,
-                   density_functional, functionals, make_grid, measure_ops,
-                   sample_paths)
+                   density_functional, make_grid, measure_ops, sample_paths)
 from oracles import assert_bitwise, check_chain_rule_per_call, \
     check_chain_rule_per_shard, check_lemma34_pooled, \
     multidim_derivative_repr_single, second_order_check_1d_profile
@@ -158,8 +157,7 @@ def test_lemma34_regresses_m_at_the_atoms_once_per_record(monkeypatch):
         calls.append(1)
         return kernel_regression(*args, **kwargs)
 
-    for mod in (measure_ops, functionals):
-        monkeypatch.setattr(mod, "kernel_regression", counting)
+    monkeypatch.setattr(measure_ops, "kernel_regression", counting)
     records = run_check("lemma34", n_paths=20_000, n_steps=16, seed=20260815)
     assert len(records) == 6
     assert len(calls) == 42

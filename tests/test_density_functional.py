@@ -4,7 +4,7 @@ from scipy import stats
 
 from wcalc import (make_grid, sample_paths, brownian_at, EmpiricalLaw,
                    GridDensity, kde_density, density_grid,
-                   DensityFunctionalPhi, dPhi_representer,
+                   CylindricalFn, dPhi_representer,
                    representer_x_derivative, bensoussan_check,
                    pushforward_law, scalar_exponential_curve)
 from oracles import kde_naive
@@ -17,9 +17,15 @@ def normal_law(n=4000, seed=2, scale=1.0):
 
 
 def sin_phi():
-    return DensityFunctionalPhi(psi=np.sin, dpsi=np.cos,
-                                rho=np.sin, drho=np.cos,
-                                descriptor="sin-sin")
+    """Psi = sin and rho = sin, as a 1-D cylindrical functional."""
+    return CylindricalFn(h=np.sin, h_prime=np.cos,
+                         phi=lambda x: np.sin(x[:, 0]), grad_phi=np.cos,
+                         descriptor="sin-sin")
+
+
+def grid_integral(f, h):
+    """Integral of rho * h dx on the grid density h."""
+    return float(np.trapezoid(f.phi(h.x_grid[:, None]) * h.values, h.x_grid))
 
 
 # ------------------------------------------------------------- GridDensity
@@ -102,8 +108,8 @@ def test_density_grid_covers_kernel_tails():
 def test_representer_has_zero_window_mean():
     law = normal_law(n=3000, seed=3)
     h = kde_density(law, bandwidth=0.3)
-    phi = sin_phi()
-    vals = dPhi_representer(phi, h, h.x_grid)
+    f = sin_phi()
+    vals = dPhi_representer(f, h, h.x_grid)
     assert abs(np.trapezoid(vals, h.x_grid)) < 1e-9
 
 
@@ -112,15 +118,15 @@ def test_representer_is_the_functional_gradient():
     finite-difference slope of Phi itself."""
     law = normal_law(n=3000, seed=3)
     h = kde_density(law, bandwidth=0.3)
-    phi = sin_phi()
+    f = sin_phi()
     x = h.x_grid
     g = -x * np.exp(-0.5 * x * x)       # d/dx of a Gaussian bump, mean zero
     g -= np.trapezoid(g, x) / (x[-1] - x[0])
     eps = 1e-5
     up = GridDensity(x, np.maximum(h.values + eps * g, 0.0))
     dn = GridDensity(x, np.maximum(h.values - eps * g, 0.0))
-    fd = (phi.value(up) - phi.value(dn)) / (2 * eps)
-    pairing = float(np.trapezoid(dPhi_representer(phi, h, x) * g, x))
+    fd = (f.h(grid_integral(f, up)) - f.h(grid_integral(f, dn))) / (2 * eps)
+    pairing = float(np.trapezoid(dPhi_representer(f, h, x) * g, x))
     assert abs(fd - pairing) < 1e-6
 
 
@@ -134,17 +140,29 @@ def test_representer_rejects_points_outside_the_window():
 def test_representer_x_derivative_matches_analytic_slope():
     law = normal_law(n=3000, seed=7)
     h = kde_density(law, bandwidth=0.3)
-    phi = sin_phi()
+    f = sin_phi()
     probes = np.linspace(-1.0, 1.0, 9)
-    got = representer_x_derivative(phi, h, probes)
-    slope = float(phi.dpsi(phi.integral(h)))
+    got = representer_x_derivative(f, h, probes)
+    slope = float(f.h_prime(grid_integral(f, h)))
     assert np.allclose(got, slope * np.cos(probes), atol=1e-5)
 
 
-def test_phi_validates_its_derivatives():
-    with pytest.raises(ValueError):
-        DensityFunctionalPhi(psi=np.sin, dpsi=np.sin,
-                             rho=np.sin, drho=np.cos)
+def test_density_functional_routes_reject_a_2d_functional():
+    """A density here lives on the line, so a functional of plane points is
+    refused up front, naming its dimension."""
+    law = normal_law(n=500, seed=5)
+    h = kde_density(law, bandwidth=0.3)
+    plane = CylindricalFn(h=np.sin, h_prime=np.cos,
+                          phi=lambda x: np.sin(x[:, 0] + x[:, 1]),
+                          grad_phi=lambda x: np.cos(
+                              x.sum(axis=1, keepdims=True)).repeat(2, axis=1),
+                          dim=2, descriptor="plane")
+    with pytest.raises(ValueError, match="2-D functional"):
+        dPhi_representer(plane, h, 0.0)
+    with pytest.raises(ValueError, match="2-D functional"):
+        representer_x_derivative(plane, h, np.zeros(3))
+    with pytest.raises(ValueError, match="2-D functional"):
+        bensoussan_check(plane, law, np.zeros(3), bandwidth=0.3)
 
 
 # ------------------------------------------------------- two-sided linkage
@@ -160,19 +178,19 @@ def reweighted():
 
 def test_bensoussan_linear_psi_case(reweighted):
     law = reweighted
-    phi = DensityFunctionalPhi(psi=lambda s: 2.0 * s,
-                               dpsi=lambda s: np.full_like(np.asarray(s, float), 2.0),
-                               rho=np.sin, drho=np.cos,
-                               descriptor="linear-sin")
-    err = bensoussan_check(phi, law, np.linspace(-1.5, 1.5, 7), bandwidth=0.25)
+    f = CylindricalFn(h=lambda s: 2.0 * s,
+                      h_prime=lambda s: np.full_like(np.asarray(s, float), 2.0),
+                      phi=lambda x: np.sin(x[:, 0]), grad_phi=np.cos,
+                      descriptor="linear-sin")
+    err = bensoussan_check(f, law, np.linspace(-1.5, 1.5, 7), bandwidth=0.25)
     assert err < 5e-3
 
 
 def test_bensoussan_error_shrinks_with_bandwidth(reweighted):
     law = reweighted
-    phi = sin_phi()
+    f = sin_phi()
     probes = np.linspace(-1.5, 1.5, 7)
-    errs = [bensoussan_check(phi, law, probes, bandwidth=bw)
+    errs = [bensoussan_check(f, law, probes, bandwidth=bw)
             for bw in (0.5, 0.35, 0.25)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 5e-3

@@ -3,8 +3,8 @@ import pytest
 
 from wcalc import (CylindricalFn, NestedFn, make_functional, eval_cyl,
                    lions_derivative, lifted_derivative_fd, eval_nested,
-                   partial_mu_G_nested, EmpiricalLaw, make_grid, sample_paths,
-                   pushforward_law)
+                   nested_derivative_check, EmpiricalLaw, make_grid,
+                   sample_paths, pushforward_law)
 from oracles import gaussian_expectation
 
 
@@ -105,7 +105,7 @@ def test_nested_route_rejects_a_one_dimensional_law():
     with pytest.raises(ValueError, match=r"2-D joint law of \(xi1, xi2\)"):
         eval_nested(fn, law, bandwidth=0.5)
     with pytest.raises(ValueError, match=r"2-D joint law of \(xi1, xi2\)"):
-        partial_mu_G_nested(fn, law, [0.0, 0.0], bandwidth=0.5)
+        nested_derivative_check(fn, law, [0.0, 0.0], bandwidth=0.5)
 
 
 def test_nested_bad_derivative_rejected():

@@ -1,6 +1,7 @@
 """Every name a wcalc module or a test module imports is used in that
-module, and every private module-level name a wcalc module defines is used
-somewhere in the package.
+module, every private module-level name a wcalc module defines is used
+somewhere in the package, and every public name the package re-exports is
+read by the package itself or by the acceptance tests.
 
 The package's __init__.py is exempt from the import scan: its imports are
 the public re-exports.
@@ -116,3 +117,33 @@ def test_the_scan_sees_a_dead_private_name():
 def test_every_private_name_is_used_in_the_package():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def unread_reexports(init_source: str, sources):
+    """Names that `init_source` re-exports and that no module of `sources`
+    ({module: source text}) reads. Defining or importing a name is not
+    reading it."""
+    exported = {alias.asname or alias.name
+                for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = {n.id for src in sources.values() for n in ast.walk(ast.parse(src))
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(exported - read)
+
+
+def test_the_scan_sees_an_unread_reexport():
+    init = "from .a import run, helper, Shape\nfrom .b import spare\n"
+    sources = {
+        "a.py": "def run():\n    return helper()\n\ndef helper():\n    pass\n"
+                "class Shape:\n    pass\n",
+        "b.py": "from .a import Shape\ndef spare():\n    pass\n",
+        "test_acceptance.py": "from wcalc import run\nrun()\nShape()\n",
+    }
+    assert unread_reexports(init, sources) == ["spare"]
+
+
+def test_every_reexport_is_read_by_the_package_or_the_acceptance_tests():
+    sources = {p.name: p.read_text() for p in MODULES}
+    sources["test_acceptance.py"] = Path(__file__).with_name(
+        "test_acceptance.py").read_text()
+    assert unread_reexports((SRC / "__init__.py").read_text(), sources) == []
