@@ -260,9 +260,7 @@ def second_order_check_multidim(f: CylindricalFn, law: EmpiricalLaw, x_grid,
     centering constant drops out of the differences entirely.
     """
     pts = np.asarray(x_grid, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[1] != f.dim or law.dim != f.dim:
+    if pts.ndim != 2 or pts.shape[1] != f.dim or law.dim != f.dim:
         raise ValueError("point dimension does not match the functional")
     c = outer_slope(f, law)
     target = lions_derivative(f, law, pts)
@@ -340,7 +338,7 @@ def multidim_derivative_repr(fs: Sequence[CylindricalFn], L: SmoothFunctional,
 
 
 def nested_derivative_check(fn: NestedFn, law: EmpiricalLaw, x_probes,
-                            bandwidth="auto") -> float:
+                            bandwidth: float) -> float:
     """Partial-derivative formula vs a direct perturbation of the joint law
     of (xi1, xi2).
 
@@ -351,10 +349,8 @@ def nested_derivative_check(fn: NestedFn, law: EmpiricalLaw, x_probes,
     is the density derivative, up to FD and kernel-regression error.
     """
     probes = np.asarray(x_probes, dtype=float)
-    if probes.ndim == 1:
-        probes = probes[None, :]
-    if probes.shape[1] != 2:
-        raise ValueError("probes live in the plane (xi1, xi2)")
+    if probes.ndim != 2 or probes.shape[1] != 2:
+        raise ValueError("probes live in the plane (xi1, xi2): need (m, 2)")
     # the closed-form partial derivative at the atoms, from the functional's m
     psi1, m, inner = _nested_parts(fn, law, bandwidth)
     prof = _nested_profile(fn, inner, psi1, m)

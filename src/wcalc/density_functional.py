@@ -2,7 +2,9 @@
 derivatives.
 
 Weighted empirical laws are smoothed into grid densities by a Gaussian
-kernel estimator. A one-dimensional cylindrical functional
+kernel estimator on a window and bandwidth that the caller sets: the
+smoothing bias scales like the squared bandwidth, so each check runs its
+own bandwidth ladder. A one-dimensional cylindrical functional
 f(mu) = Psi(integral of rho d mu), with Psi = f.h and rho = f.phi, is also
 the density functional Phi(h) = Psi(integral of rho * h dx), whose analytic
 L2(dx) derivative Psi' * rho is centered here to zero mean on the grid
@@ -15,14 +17,13 @@ equals the centered antiderivative of the measure derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
 import numpy as np
 
 from .density_deriv import density_derivative_profile
 from .functionals import CylindricalFn, lions_derivative
 from .measure_ops import EmpiricalLaw
-from .numerics import binned_gaussian_smooth, silverman_bandwidth
+from .numerics import _check_bandwidth, binned_gaussian_smooth
 
 _GRID_POINTS = 2048
 _WINDOW_SIGMAS = 5.0
@@ -64,42 +65,22 @@ class GridDensity:
             raise ValueError("cannot normalize a zero-mass density")
         return GridDensity(self.x_grid, self.values / self.mass)
 
+
 def density_grid(points, bandwidth: float) -> np.ndarray:
     """Uniform window covering the given points plus kernel tails."""
     pts = np.asarray(points, dtype=float)
-    pad = _WINDOW_SIGMAS * bandwidth
+    pad = _WINDOW_SIGMAS * _check_bandwidth(bandwidth)
     return np.linspace(pts.min() - pad, pts.max() + pad, _GRID_POINTS)
 
 
-def _kde_bandwidth(law: EmpiricalLaw, bandwidth: Union[str, float]) -> float:
-    if bandwidth == "auto":
-        bw = silverman_bandwidth(law.atoms_1d(), law.weights)
-        if not np.isfinite(bw) or bw <= 0.0:
-            raise ValueError("degenerate law: pick a bandwidth explicitly")
-        return bw
-    bw = float(bandwidth)
-    if bw <= 0.0:
-        raise ValueError("bandwidth must be positive")
-    return bw
-
-
-def kde_density(law: EmpiricalLaw, x_grid: Optional[np.ndarray] = None,
-                bandwidth: Union[str, float] = "auto") -> GridDensity:
-    """Weighted Gaussian kernel density of a 1-d law on a grid, renormalized
-    to unit trapezoid mass.
-
-    With bandwidth="auto" the Silverman rule is used; a degenerate law
-    (effectively a single atom) has no usable automatic bandwidth. Without
-    x_grid the window covers the atoms plus kernel tails.
+def kde_density(law: EmpiricalLaw, x_grid, bandwidth: float) -> GridDensity:
+    """Weighted Gaussian kernel density of a 1-d law on the uniform grid
+    x_grid (density_grid builds one that covers the atoms), renormalized to
+    unit trapezoid mass. The bandwidth must be finite and positive.
     """
-    if law.dim != 1:
-        raise ValueError("density estimation is one-dimensional")
-    atoms = law.atoms_1d()
-    bw = _kde_bandwidth(law, bandwidth)
-    if x_grid is None:
-        x_grid = density_grid(atoms, bw)
     x_grid = np.asarray(x_grid, dtype=float)
-    raw, = binned_gaussian_smooth(atoms, [law.weights], bw, x_grid)
+    raw, = binned_gaussian_smooth(law.atoms_1d(), [law.weights], bandwidth,
+                                  x_grid)
     return GridDensity(x_grid, np.maximum(raw, 0.0)).normalized()
 
 
@@ -109,31 +90,24 @@ def _require_1d(f: CylindricalFn) -> None:
                          f"{f.dim}-D functional")
 
 
-def _grid_integral(f: CylindricalFn, h: GridDensity) -> float:
-    """Integral of phi * h dx over h's grid, by the trapezoid rule."""
-    return float(np.trapezoid(f.phi(h.x_grid[:, None]) * h.values, h.x_grid))
+def dPhi_representer(f: CylindricalFn, h: GridDensity, x) -> np.ndarray:
+    """L2(dx) derivative of Phi at h, evaluated at the (m,) points x:
+    Psi'(integral) * rho(x) centered to zero dx-mean over the grid window,
+    with Psi = f.h and rho = f.phi of a 1-D cylindrical functional.
 
-
-def dPhi_representer(f: CylindricalFn, h: GridDensity, x):
-    """L2(dx) derivative of Phi at h, evaluated at x: Psi'(integral) * rho(x)
-    centered to zero dx-mean over the grid window, with Psi = f.h and
-    rho = f.phi of a 1-D cylindrical functional.
-
-    x may be a scalar or an array; it must lie inside the grid hull, where
-    the centering window is defined.
+    The points must lie inside the grid hull, where the centering window is
+    defined. rho is read on the grid once, for both the integral of
+    rho * h dx and the centering.
     """
     _require_1d(f)
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    pts = np.atleast_1d(xs)
+    pts = np.asarray(x, dtype=float)
     if pts.min() < h.x_grid[0] or pts.max() > h.x_grid[-1]:
         raise ValueError("representer points must lie inside the grid window")
-    slope = float(f.h_prime(_grid_integral(f, h)))
+    phi_grid = f.phi(h.x_grid[:, None])
+    slope = float(f.h_prime(float(np.trapezoid(phi_grid * h.values, h.x_grid))))
     window = h.x_grid[-1] - h.x_grid[0]
-    centering = slope * float(np.trapezoid(f.phi(h.x_grid[:, None]),
-                                           h.x_grid)) / window
-    vals = slope * np.asarray(f.phi(pts[:, None]), dtype=float) - centering
-    return float(vals[0]) if scalar else vals
+    centering = slope * float(np.trapezoid(phi_grid, h.x_grid)) / window
+    return slope * np.asarray(f.phi(pts[:, None]), dtype=float) - centering
 
 
 def representer_x_derivative(f: CylindricalFn, h: GridDensity,
@@ -145,17 +119,17 @@ def representer_x_derivative(f: CylindricalFn, h: GridDensity,
     step = h.spacing
     lo = np.maximum(pts - step, h.x_grid[0])
     hi = np.minimum(pts + step, h.x_grid[-1])
-    up = dPhi_representer(f, h, hi)
-    dn = dPhi_representer(f, h, lo)
-    return (np.atleast_1d(up) - np.atleast_1d(dn)) / (hi - lo)
+    up, dn = np.split(dPhi_representer(f, h, np.concatenate([hi, lo])), 2)
+    return (up - dn) / (hi - lo)
 
 
 def bensoussan_check(f: CylindricalFn, law: EmpiricalLaw, x_probes,
-                     bandwidth: Union[str, float] = "auto") -> float:
+                     bandwidth: float) -> float:
     """Two-sided link between density-functional and measure derivatives.
 
     Smooths the 1-D law (of xi under the density-reweighted measure, say) to
-    a grid density and checks, at every probe:
+    a grid density with the given kernel bandwidth, on a window that covers
+    the atoms and the probes, and checks, at every probe:
 
     1. the measure derivative of f at the smoothed law equals the
        x-derivative (finite differences on the grid) of the representer of
@@ -168,10 +142,10 @@ def bensoussan_check(f: CylindricalFn, law: EmpiricalLaw, x_probes,
     """
     _require_1d(f)
     probes = np.asarray(x_probes, dtype=float)
+    atoms = law.atoms_1d()
     # the window covers the probes too: a small law's atoms may not reach them
-    bw = _kde_bandwidth(law, bandwidth)
-    window = density_grid(np.concatenate([law.atoms_1d(), probes.ravel()]), bw)
-    h = kde_density(law, x_grid=window, bandwidth=bw)
+    window = density_grid(np.concatenate([atoms, probes]), bandwidth)
+    h = kde_density(law, window, bandwidth)
 
     # the smoothed law as an atomic law on the grid, trapezoid-weighted
     wgrid = np.full(h.x_grid.size, h.spacing)
@@ -179,12 +153,12 @@ def bensoussan_check(f: CylindricalFn, law: EmpiricalLaw, x_probes,
     wgrid[-1] *= 0.5
     kde_law = EmpiricalLaw(h.x_grid[:, None], wgrid * h.values)
 
-    lhs = np.atleast_1d(lions_derivative(f, kde_law, probes))
+    lhs = lions_derivative(f, kde_law, probes)
     rhs = representer_x_derivative(f, h, probes)
     err_slope = float(np.abs(lhs - rhs).max())
 
-    rep_at_probes = np.atleast_1d(dPhi_representer(f, h, probes))
-    rep_at_atoms = np.atleast_1d(dPhi_representer(f, h, law.atoms_1d()))
+    rep_at_probes, rep_at_atoms = np.split(
+        dPhi_representer(f, h, np.concatenate([probes, atoms])), [probes.size])
     rep_mean = float(np.dot(law.weights / law.weights.sum(), rep_at_atoms))
     centered_rep = rep_at_probes - rep_mean
     profile = density_derivative_profile(f, law, probes)

@@ -51,25 +51,6 @@ def _probe_points(dim: int, n: int = 24) -> np.ndarray:
     return rng.uniform(-2.0, 2.0, size=(n, dim))
 
 
-def _as_points(x, dim: int):
-    """Normalize x to (m, dim); returns (points, restore) where restore maps
-    an (m,) or (m, dim) result back to the caller's shape."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        if dim != 1:
-            raise ValueError("scalar point given for a multi-dimensional functional")
-        return arr.reshape(1, 1), lambda v: float(v[0]) if v.ndim == 1 else v[0]
-    if arr.ndim == 1:
-        if dim == 1:
-            return arr.reshape(-1, 1), lambda v: v if v.ndim == 1 else v[:, 0]
-        if arr.shape[0] != dim:
-            raise ValueError("point dimension mismatch")
-        return arr.reshape(1, dim), lambda v: float(v[0]) if v.ndim == 1 else v[0]
-    if arr.shape[1] != dim:
-        raise ValueError("point dimension mismatch")
-    return arr, lambda v: v
-
-
 @dataclass(frozen=True)
 class CylindricalFn:
     """f(mu) = h(integral of phi d mu) with user-supplied derivatives.
@@ -125,19 +106,20 @@ def outer_slope(f: CylindricalFn, law: EmpiricalLaw, phi_values=None) -> float:
     return float(f.h_prime(law.integrate(f.phi if phi_values is None else phi_values)))
 
 
-def lions_derivative(f: CylindricalFn, law: EmpiricalLaw, x):
+def lions_derivative(f: CylindricalFn, law: EmpiricalLaw, x) -> np.ndarray:
     """Analytic measure derivative h'(integral phi d law) * grad_phi(x).
 
-    x may be a scalar (dim 1), a single point (dim,), or a batch (m, dim);
-    the result matches: scalar, (dim,), or (m, dim). For dim 1 a batch (m,)
-    returns (m,).
+    x is a batch of points: (m, dim), or (m,) for a 1-D functional. The
+    result is (m, dim), or (m,) for a 1-D functional.
     """
-    c = outer_slope(f, law)
-    pts, restore = _as_points(x, f.dim)
-    g = c * np.asarray(f.grad_phi(pts), dtype=float)
-    if f.dim == 1:
-        return restore(g[:, 0])
-    return restore(g)
+    pts = np.asarray(x, dtype=float)
+    if f.dim == 1 and pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[1] != f.dim:
+        raise ValueError(f"point dimension mismatch: need (m, {f.dim}) "
+                         f"points, got shape {pts.shape}")
+    g = outer_slope(f, law) * np.asarray(f.grad_phi(pts), dtype=float)
+    return g[:, 0] if f.dim == 1 else g
 
 
 def lifted_derivative_fd(f_eval, density_values, xi_values, direction_values,
@@ -159,7 +141,7 @@ def lifted_derivative_fd(f_eval, density_values, xi_values, direction_values,
     return (float(f_eval(up)) - float(f_eval(dn))) / (2.0 * step)
 
 
-def _nested_parts(fn: NestedFn, law: EmpiricalLaw, bandwidth):
+def _nested_parts(fn: NestedFn, law: EmpiricalLaw, bandwidth: float):
     """(psi(xi1), m(xi2), E[h(m(xi2))]) under the joint law of
     (xi1, xi2), with m(y) = E[psi(xi1) | xi2 = y] by weighted kernel
     regression at the atoms."""
@@ -172,7 +154,7 @@ def _nested_parts(fn: NestedFn, law: EmpiricalLaw, bandwidth):
     return psi1, m, law.integrate(fn.h(m))
 
 
-def eval_nested(fn: NestedFn, law: EmpiricalLaw, bandwidth="auto") -> float:
+def eval_nested(fn: NestedFn, law: EmpiricalLaw, bandwidth: float) -> float:
     """G at the joint law of (xi1, xi2): g(E[h(m(xi2))])."""
     return float(fn.g(_nested_parts(fn, law, bandwidth)[2]))
 

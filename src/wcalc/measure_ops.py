@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import binned_gaussian_smooth, silverman_bandwidth
+from .numerics import binned_gaussian_smooth
 from .wiener_grid import _readonly
 
 
@@ -116,34 +116,30 @@ def weighted_expectation(density_values, g_values) -> float:
     return float(np.dot(L, g) / len(L))
 
 
-def kernel_regression(x_values, y_values, weights, bandwidth, eval_points):
+def kernel_regression(x_values, y_values, weights, bandwidth: float,
+                      eval_points):
     """Weighted Nadaraya-Watson estimate of E[x | y = p] at each eval point.
 
-    Gaussian kernel; computed by linear binning and convolution, which agrees
+    Gaussian kernel of the given bandwidth, which must be finite and
+    positive; computed by linear binning and convolution, which agrees
     with the direct double loop to O((bin spacing)^2) and runs in
     O(n + bins) instead of O(n * m).
     """
     x = np.asarray(x_values, dtype=float)
     y = np.asarray(y_values, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if bandwidth == "auto" or bandwidth is None:
-        bandwidth = silverman_bandwidth(y, w)
-    bandwidth = float(bandwidth)
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
     numer, denom = binned_gaussian_smooth(y, [w * x, w], bandwidth, eval_points)
     floor = np.finfo(float).tiny * len(y)
     return numer / np.maximum(denom, floor)
 
 
 def conditional_expectation(x_values, y_values, density_values,
-                            bandwidth="auto") -> np.ndarray:
-    """Density-weighted kernel regression evaluated at each sample's own y."""
+                            bandwidth: float) -> np.ndarray:
+    """Density-weighted kernel regression of x on y, with the given
+    bandwidth, evaluated at each sample's own y."""
     x = np.asarray(x_values, dtype=float)
     y = np.asarray(y_values, dtype=float)
     L = np.asarray(density_values, dtype=float)
     if not (len(x) == len(y) == len(L)):
         raise ValueError("arrays must have equal length")
-    if (bandwidth == "auto" or bandwidth is None) and np.ptp(y) == 0:
-        raise ValueError("all conditioning values identical: bandwidth rule is degenerate")
     return kernel_regression(x, y, L, bandwidth, y)

@@ -99,23 +99,12 @@ def mean_and_se(values):
     return m, float(np.sqrt(np.mean((v - m) ** 2) / max(v.size - 1, 1)))
 
 
-def silverman_bandwidth(values, weights) -> float:
-    """Silverman's rule on a weighted sample."""
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    w = w / w.sum()
-    mu = np.dot(w, v)
-    var = np.dot(w, (v - mu) ** 2)
-    sd = np.sqrt(var)
-    order = np.argsort(v)
-    cw = np.cumsum(w[order])
-    q25, q75 = np.interp([0.25, 0.75], cw, v[order])
-    iqr = q75 - q25
-    scale = min(sd, iqr / 1.34) if iqr > 0 else sd
-    n_eff = 1.0 / np.sum(w ** 2)
-    if scale <= 0:
-        raise ValueError("degenerate sample: bandwidth rule needs spread")
-    return 0.9 * scale * n_eff ** (-0.2)
+def _check_bandwidth(bandwidth) -> float:
+    """The kernel bandwidth as a float; ValueError unless finite and > 0."""
+    bw = float(bandwidth)
+    if not (np.isfinite(bw) and bw > 0.0):
+        raise ValueError(f"bandwidth must be finite and positive, got {bw}")
+    return bw
 
 
 def _linear_bin(y, weights, lo, spacing, n_bins):
@@ -175,6 +164,7 @@ def binned_gaussian_smooth(y, weight_columns, bandwidth: float, eval_points):
     Accurate to O((bin spacing)^2); the grid is refined so spacing <= bw/4.
     All columns share the uniform grid, so one uniform_interp call reads them.
     """
+    bandwidth = _check_bandwidth(bandwidth)
     y = np.asarray(y, dtype=float)
     eval_points = np.asarray(eval_points, dtype=float)
     pad = 6.0 * bandwidth

@@ -592,7 +592,7 @@ def multidim_derivative_repr_single(f, L, xi_fns, pool, quad_order: int = 32):
 # observable arrays instead of their joint law ------------------------------
 
 def eval_nested_pooled(fn, pool, density_values, xi1_values, xi2_values,
-                       bandwidth="auto"):
+                       bandwidth):
     """g(E[h(m(xi2))]) with the regression weighted by L and the outer mean
     taken as the mean of L h(m) over the pool."""
     L = np.asarray(density_values, dtype=float)
@@ -601,7 +601,7 @@ def eval_nested_pooled(fn, pool, density_values, xi1_values, xi2_values,
 
 
 def partial_mu_G_nested_pooled(fn, pool, density_values, xi1_values,
-                               xi2_values, pts, bandwidth="auto"):
+                               xi2_values, pts, bandwidth):
     """The closed-form partial derivative at the (m, 2) points pts, weighted
     by L as eval_nested_pooled is."""
     L = np.asarray(density_values, dtype=float)
@@ -613,7 +613,7 @@ def partial_mu_G_nested_pooled(fn, pool, density_values, xi1_values,
 
 
 def nested_derivative_check_pooled(fn, pool, density_values, xi1_values,
-                                   xi2_values, x_probes, bandwidth="auto",
+                                   xi2_values, x_probes, bandwidth,
                                    fd_step=1e-2):
     """wcalc.nested_derivative_check on (pool, density, xi1, xi2): each bump
     rescales the density to L(1 + s(eta - mean)) and the pairings divide by

@@ -8,8 +8,8 @@ from wcalc import (make_grid, sample_paths, scalar_exponential_curve,
                    pushforward_law, make_functional, weighted_expectation,
                    brownian_at, chain_rule_lhs_fd, chain_rule_rhs,
                    grad_phi_antiderivative, CylindricalFn, renormalize,
-                   nested_derivative_check)
-from wcalc.checks import _curve_battery, _shard_rows
+                   nested_derivative_check, second_order_check_multidim)
+from wcalc.checks import _curve_battery, _plane_functionals, _shard_rows
 from oracles import assert_bitwise, density_derivative_profile_per_pass
 
 
@@ -140,6 +140,20 @@ def test_nested_check_rejects_a_one_dimensional_law(pool16):
     with pytest.raises(ValueError, match="2-D joint law of \\(xi1, xi2\\)"):
         nested_derivative_check(make_functional("nested_gauss"), law,
                                 [[0.0, 0.0]], bandwidth=0.3)
+
+
+def test_plane_checks_take_a_batch_of_plane_points(pool16):
+    """The planar checks take (m, 2) points only: a single point or a
+    column of scalars is refused with a ValueError."""
+    law = pushforward_law(np.ones(pool16.n_samples), np.column_stack(
+        [brownian_at(pool16, 0.5), brownian_at(pool16, 1.0)]))
+    with pytest.raises(ValueError, match=r"need \(m, 2\)"):
+        nested_derivative_check(make_functional("nested_gauss"), law,
+                                [0.0, 0.0], bandwidth=0.3)
+    f = _plane_functionals()[0]
+    for pts in (np.zeros(2), np.zeros(5), np.zeros((5, 3))):
+        with pytest.raises(ValueError, match="does not match the functional"):
+            second_order_check_multidim(f, law, pts, 1e-3)
 
 
 def test_antiderivative_at_vs_quadrature():

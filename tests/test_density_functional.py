@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,7 +9,9 @@ from wcalc import (make_grid, sample_paths, brownian_at, EmpiricalLaw,
                    GridDensity, kde_density, density_grid,
                    CylindricalFn, dPhi_representer,
                    representer_x_derivative, bensoussan_check,
-                   pushforward_law, scalar_exponential_curve)
+                   pushforward_law, scalar_exponential_curve, checks,
+                   kernel_regression, make_functional,
+                   nested_derivative_check)
 from oracles import kde_naive
 
 
@@ -66,7 +71,7 @@ def test_kde_matches_naive_oracle():
 
 def test_kde_recovers_the_normal_density():
     law = normal_law(n=40000, seed=4)
-    h = kde_density(law, bandwidth=0.15)
+    h = kde_density(law, density_grid(law.atoms_1d(), 0.15), 0.15)
     err = np.sqrt(np.trapezoid(
         (h.values - stats.norm.pdf(h.x_grid)) ** 2, h.x_grid))
     assert err < 0.02
@@ -85,14 +90,43 @@ def test_kde_translation_equivariance():
 def test_kde_input_validation():
     law = normal_law(n=100, seed=1)
     with pytest.raises(ValueError):
-        kde_density(law, bandwidth=0.0)
-    atoms = np.zeros((50, 1))
-    point_mass = EmpiricalLaw(atoms, np.full(50, 0.02))
-    with pytest.raises(ValueError, match="degenerate"):
-        kde_density(point_mass, bandwidth="auto")
+        kde_density(law, np.linspace(-4.0, 4.0, 101), 0.0)
     pair = EmpiricalLaw(np.zeros((10, 2)), np.full(10, 0.1))
     with pytest.raises(ValueError):
-        kde_density(pair, bandwidth=0.2)
+        kde_density(pair, np.linspace(-1.0, 1.0, 101), 0.2)
+
+
+def _bandwidth_route(route, bandwidth):
+    rng = np.random.default_rng(8)
+    x1, x2 = rng.standard_normal((2, 200))
+    weights = np.full(200, 1.0 / 200)
+    if route == "kernel_regression":
+        return kernel_regression(x1, x2, weights, bandwidth,
+                                 np.linspace(-1.0, 1.0, 5))
+    if route == "kde_density":
+        return kde_density(EmpiricalLaw(x2, weights),
+                           np.linspace(-4.0, 4.0, 201), bandwidth)
+    if route == "nested_derivative_check":
+        return nested_derivative_check(
+            make_functional("nested_gauss"),
+            EmpiricalLaw(np.column_stack([x1, x2]), weights), [[0.0, 0.0]],
+            bandwidth)
+    return bensoussan_check(sin_phi(), EmpiricalLaw(x2, weights),
+                            np.linspace(-1.0, 1.0, 3), bandwidth)
+
+
+@pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("route", ["kernel_regression", "kde_density",
+                                   "nested_derivative_check",
+                                   "bensoussan_check"])
+def test_a_bad_bandwidth_is_refused_before_any_arithmetic(route, bandwidth):
+    """A bandwidth that is not finite and positive raises a ValueError
+    naming it on every smoothing route, before numpy warns or fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"bandwidth must be finite and "
+                                             f"positive, got {bandwidth}"):
+            _bandwidth_route(route, bandwidth)
 
 
 def test_density_grid_covers_kernel_tails():
@@ -107,7 +141,7 @@ def test_density_grid_covers_kernel_tails():
 
 def test_representer_has_zero_window_mean():
     law = normal_law(n=3000, seed=3)
-    h = kde_density(law, bandwidth=0.3)
+    h = kde_density(law, density_grid(law.atoms_1d(), 0.3), 0.3)
     f = sin_phi()
     vals = dPhi_representer(f, h, h.x_grid)
     assert abs(np.trapezoid(vals, h.x_grid)) < 1e-9
@@ -117,7 +151,7 @@ def test_representer_is_the_functional_gradient():
     """Pairing the representer with a mean-zero perturbation reproduces the
     finite-difference slope of Phi itself."""
     law = normal_law(n=3000, seed=3)
-    h = kde_density(law, bandwidth=0.3)
+    h = kde_density(law, density_grid(law.atoms_1d(), 0.3), 0.3)
     f = sin_phi()
     x = h.x_grid
     g = -x * np.exp(-0.5 * x * x)       # d/dx of a Gaussian bump, mean zero
@@ -132,14 +166,14 @@ def test_representer_is_the_functional_gradient():
 
 def test_representer_rejects_points_outside_the_window():
     law = normal_law(n=500, seed=5)
-    h = kde_density(law, bandwidth=0.3)
+    h = kde_density(law, density_grid(law.atoms_1d(), 0.3), 0.3)
     with pytest.raises(ValueError):
-        dPhi_representer(sin_phi(), h, h.x_grid[-1] + 1.0)
+        dPhi_representer(sin_phi(), h, np.array([h.x_grid[-1] + 1.0]))
 
 
 def test_representer_x_derivative_matches_analytic_slope():
     law = normal_law(n=3000, seed=7)
-    h = kde_density(law, bandwidth=0.3)
+    h = kde_density(law, density_grid(law.atoms_1d(), 0.3), 0.3)
     f = sin_phi()
     probes = np.linspace(-1.0, 1.0, 9)
     got = representer_x_derivative(f, h, probes)
@@ -151,14 +185,14 @@ def test_density_functional_routes_reject_a_2d_functional():
     """A density here lives on the line, so a functional of plane points is
     refused up front, naming its dimension."""
     law = normal_law(n=500, seed=5)
-    h = kde_density(law, bandwidth=0.3)
+    h = kde_density(law, density_grid(law.atoms_1d(), 0.3), 0.3)
     plane = CylindricalFn(h=np.sin, h_prime=np.cos,
                           phi=lambda x: np.sin(x[:, 0] + x[:, 1]),
                           grad_phi=lambda x: np.cos(
                               x.sum(axis=1, keepdims=True)).repeat(2, axis=1),
                           dim=2, descriptor="plane")
     with pytest.raises(ValueError, match="2-D functional"):
-        dPhi_representer(plane, h, 0.0)
+        dPhi_representer(plane, h, np.zeros(1))
     with pytest.raises(ValueError, match="2-D functional"):
         representer_x_derivative(plane, h, np.zeros(3))
     with pytest.raises(ValueError, match="2-D functional"):
@@ -184,6 +218,29 @@ def test_bensoussan_linear_psi_case(reweighted):
                       descriptor="linear-sin")
     err = bensoussan_check(f, law, np.linspace(-1.5, 1.5, 7), bandwidth=0.25)
     assert err < 5e-3
+
+
+def test_bensoussan_reads_phi_on_the_grid_three_times():
+    """One call of the battery's sin-sin record at bandwidth 0.25 evaluates
+    phi six times: on the 2048-point grid once for the measure derivative
+    at the smoothed law and once per representer call, at the 2 x 7
+    difference points, at the 7 probes and 20000 atoms together, and at the
+    atoms for the profile's outer slope."""
+    grid = make_grid(16)
+    pool = sample_paths(grid, 20000, seed=20260815)
+    curve = checks._curve_battery(grid)[0][1]
+    law = pushforward_law(curve.eval(0.3, pool), brownian_at(pool, grid.horizon))
+    base = checks._phi_battery()[0][1]
+    sizes = []
+
+    def phi(x):
+        sizes.append(len(x))
+        return base.phi(x)
+
+    f = dataclasses.replace(base, phi=phi)
+    sizes.clear()  # the construction check read phi on its probes
+    bensoussan_check(f, law, np.linspace(-1.5, 1.5, 7), bandwidth=0.25)
+    assert sizes == [2048, 2048, 14, 2048, 20007, 20000]
 
 
 def test_bensoussan_error_shrinks_with_bandwidth(reweighted):

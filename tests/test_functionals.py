@@ -59,6 +59,29 @@ def test_lions_derivative_cylindrical_form():
     assert np.allclose(got, np.cos([0.0, 1.0]))
 
 
+def test_lions_derivative_takes_batches_of_points():
+    """A 1-D functional takes (m,) or (m, 1) points and returns (m,); a 2-D
+    one takes (m, 2) and returns (m, 2). Any other shape is refused."""
+    f = make_functional("sin_mean")
+    law = unit_law([0.0, 1.0, 3.0])
+    xs = np.array([0.0, 1.0, 2.0])
+    assert np.array_equal(lions_derivative(f, law, xs),
+                          lions_derivative(f, law, xs[:, None]))
+    plane = CylindricalFn(h=lambda u: u,
+                          h_prime=lambda u: np.ones_like(np.asarray(u, float)),
+                          phi=lambda x: np.sin(x[:, 0] + x[:, 1]),
+                          grad_phi=lambda x: np.cos(
+                              x.sum(axis=1, keepdims=True)).repeat(2, axis=1),
+                          dim=2, descriptor="plane")
+    plane_law = unit_law(np.zeros((3, 2)))
+    assert lions_derivative(plane, plane_law, np.zeros((4, 2))).shape == (4, 2)
+    for bad_f, bad_law, pts in ((f, law, np.zeros((4, 2))), (f, law, 0.5),
+                                (plane, plane_law, np.zeros(2)),
+                                (plane, plane_law, np.zeros((4, 3)))):
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            lions_derivative(bad_f, bad_law, pts)
+
+
 def test_lions_derivative_matches_lifted_fd():
     """Gateaux difference of the lift along eta equals E[d_mu f . eta]."""
     grid = make_grid(4)
@@ -105,7 +128,7 @@ def test_nested_route_rejects_a_one_dimensional_law():
     with pytest.raises(ValueError, match=r"2-D joint law of \(xi1, xi2\)"):
         eval_nested(fn, law, bandwidth=0.5)
     with pytest.raises(ValueError, match=r"2-D joint law of \(xi1, xi2\)"):
-        nested_derivative_check(fn, law, [0.0, 0.0], bandwidth=0.5)
+        nested_derivative_check(fn, law, [[0.0, 0.0]], bandwidth=0.5)
 
 
 def test_nested_bad_derivative_rejected():

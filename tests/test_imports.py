@@ -1,7 +1,8 @@
 """Every name a wcalc module or a test module imports is used in that
 module, every private module-level name a wcalc module defines is used
-somewhere in the package, and every public name the package re-exports is
-read by the package itself or by the acceptance tests.
+somewhere in the package, and every public name the package re-exports, and
+every public function and class a wcalc module defines, is read by the
+package itself or by the acceptance tests.
 
 The package's __init__.py is exempt from the import scan: its imports are
 the public re-exports.
@@ -142,8 +143,44 @@ def test_the_scan_sees_an_unread_reexport():
     assert unread_reexports(init, sources) == ["spare"]
 
 
-def test_every_reexport_is_read_by_the_package_or_the_acceptance_tests():
+def _package_and_acceptance_sources():
     sources = {p.name: p.read_text() for p in MODULES}
     sources["test_acceptance.py"] = Path(__file__).with_name(
         "test_acceptance.py").read_text()
-    assert unread_reexports((SRC / "__init__.py").read_text(), sources) == []
+    return sources
+
+
+def test_every_reexport_is_read_by_the_package_or_the_acceptance_tests():
+    assert unread_reexports((SRC / "__init__.py").read_text(),
+                            _package_and_acceptance_sources()) == []
+
+
+def unread_public_defs(defining, sources):
+    """(module, line, name) of each public module-level function and class
+    of `defining` ({module: source text}) that no module of `sources` reads.
+    Defining or importing a name is not reading it."""
+    read = {n.id for src in sources.values() for n in ast.walk(ast.parse(src))
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted((mod, node.lineno, node.name)
+                  for mod, src in defining.items() for node in ast.parse(src).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in read)
+
+
+def test_the_scan_sees_an_unread_public_def():
+    defining = {
+        "a.py": "def run():\n    return helper()\n\ndef helper():\n    pass\n"
+                "class Shape:\n    pass\nclass Spare:\n    pass\n"
+                "def _private():\n    pass\nLIMIT = 3\n",
+        "b.py": "from .a import Spare\ndef orphan():\n    pass\n",
+    }
+    sources = dict(defining, **{"test_acceptance.py":
+                                "from wcalc import run, Shape\nrun()\nShape()\n"})
+    assert unread_public_defs(defining, sources) == [("a.py", 8, "Spare"),
+                                                     ("b.py", 2, "orphan")]
+
+
+def test_every_public_def_is_read_by_the_package_or_the_acceptance_tests():
+    defining = {p.name: p.read_text() for p in MODULES}
+    assert unread_public_defs(defining, _package_and_acceptance_sources()) == []

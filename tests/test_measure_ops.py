@@ -137,7 +137,3 @@ def test_conditional_expectation_recovers_smooth_target():
     inside = np.abs(y) < 1.5
     assert np.max(np.abs(got[inside] - np.tanh(y[inside]))) < 0.05
 
-
-def test_conditional_expectation_degenerate_bandwidth():
-    with pytest.raises(ValueError):
-        conditional_expectation(np.ones(8), np.ones(8), np.ones(8))
