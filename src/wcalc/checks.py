@@ -27,7 +27,7 @@ from .girsanov import StepProcess, constant_process, deterministic_process, \
 from .clark_ocone import SmoothFunctional, scalar_functional, \
     clark_ocone_decompose, clark_ocone_integrand, reconstruction_error
 from .density_functional import bensoussan_check
-from .numerics import mean_and_se
+from .numerics import mean_and_se, quantiles, row_sums
 
 _N_SHARDS = 8
 _FD_STEP = 1e-3
@@ -229,22 +229,22 @@ def check_second_order(n_paths: int = 20000, n_steps: int = 16,
 
     laws = [("exp0.3", pushforward_law(curve.eval(0.3, pool), xi)),
             ("base", pushforward_law(np.ones(pool.n_samples), xi))]
+    # each law's probe grid spans its 5% to 95% quantiles
+    probes = {lid: np.linspace(*quantiles(law.atoms_1d(), [0.05, 0.95]), 41)
+              for lid, law in laws}
     fd_bias = _FD_BIAS_PROFILE * _FD_STEP ** 2
     for fid, f in (("mean_sq", make_functional("mean_sq")),
                    ("sin_mean", make_functional("sin_mean")),
                    ("gauss_mean", _gauss_mean())):
         for lid, law in laws:
-            lo, hi = np.quantile(law.atoms_1d(), [0.05, 0.95])
-            xs = np.linspace(lo, hi, 41)
-            err = second_order_check_1d(f, law, xs, _FD_STEP)
+            err = second_order_check_1d(f, law, probes[lid], _FD_STEP)
             records.append(_rec(f"second/1d|{fid}|{lid}",
                                 err, 0.0, 0.0, fd_bias + 1e-9))
 
     # Step-halving ladder: the worst-case error of the centered difference
     # scales like the square of the step, so the log-log slope sits near two.
-    law = laws[0][1]
-    lo, hi = np.quantile(law.atoms_1d(), [0.05, 0.95])
-    xs = np.linspace(lo, hi, 41)
+    lid, law = laws[0]
+    xs = probes[lid]
     steps = np.array([0.2, 0.1, 0.05, 0.025])
     for fid, f in (("sin_mean", make_functional("sin_mean")),
                    ("gauss_mean", _gauss_mean())):
@@ -278,13 +278,12 @@ def _repr_functionals(grid: TimeGrid):
                           lambda s: np.exp(sig * s - 0.5 * sig ** 2 * horizon),
                           lambda s: sig * np.exp(sig * s - 0.5 * sig ** 2 * horizon))
     half = n // 2
+    first_half = (np.arange(n) < half).astype(float)
     xi1 = SmoothFunctional(
         n_args=n,
-        value_fn=lambda x: np.asarray(x, dtype=float)[:, :half].sum(axis=1),
-        grad_fn=lambda x: np.concatenate(
-            [np.ones((np.asarray(x).shape[0], half)),
-             np.zeros((np.asarray(x).shape[0], n - half))], axis=1),
-        loading=(np.arange(n) < half)[None, :].astype(float))
+        value_fn=lambda x: row_sums(np.asarray(x, dtype=float)[:, :half]),
+        grad_fn=lambda x: np.broadcast_to(first_half, (np.shape(x)[0], n)),
+        loading=first_half[None, :])
     xi2 = scalar_functional(grid, lambda s: s,
                             lambda s: np.ones_like(np.asarray(s, dtype=float)))
     return L, xi1, xi2
@@ -327,7 +326,7 @@ def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
 
         pair, se_p = mean_and_se(l_norm * out * ito_eta)
         fd = lifted_derivative_fd(lambda law: eval_cyl(f, law), l_vals, xi_pts,
-                                  np.tile(eta_obs, (pool.n_samples, 1)),
+                                  np.broadcast_to(eta_obs, xi_pts.shape),
                                   step=1e-3)
         scale = max(abs(fd), 1.0)
         tol = 3.0 * se_p + _BRACKET_BIAS * float(dts[0]) * scale

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .numerics import gauss_hermite
+from .numerics import gauss_hermite, row_sums
 from .rng import substream
 from .wiener_grid import PathPool, TimeGrid
 
@@ -67,7 +67,9 @@ class SmoothFunctional:
     """C^1 functional of the n_args grid increments.
 
     value_fn maps (m, n_args) -> (m,), grad_fn maps (m, n_args) ->
-    (m, n_args). If the functional only reads the total sum of its
+    (m, n_args). grad_fn may return a read-only broadcast array (one value
+    per row, or one row for every row): callers read it and must not write
+    into it. If the functional only reads the total sum of its
     arguments, scalar_fn/scalar_fn_prime give that one-variable form, which
     clark_ocone_decompose integrates at any grid size.
 
@@ -131,16 +133,17 @@ class SmoothFunctional:
 def scalar_functional(grid_or_n, fn: Callable,
                       fn_prime: Callable) -> SmoothFunctional:
     """Functional reading only the path endpoint: F = fn(sum of increments),
-    with loading 1^T."""
+    with loading 1^T. Its gradient is a read-only broadcast view of
+    fn_prime at each row's sum, repeated along the row."""
     n = grid_or_n.n_steps if isinstance(grid_or_n, TimeGrid) else int(grid_or_n)
 
     def value(x):
-        return np.asarray(fn(np.asarray(x, dtype=float).sum(axis=1)), dtype=float)
+        return np.asarray(fn(row_sums(np.asarray(x, dtype=float))), dtype=float)
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        d = np.asarray(fn_prime(x.sum(axis=1)), dtype=float)
-        return np.repeat(d[:, None], x.shape[1], axis=1)
+        d = np.asarray(fn_prime(row_sums(x)), dtype=float)
+        return np.broadcast_to(d[:, None], x.shape)
 
     return SmoothFunctional(n, value, grad, scalar_fn=fn, scalar_fn_prime=fn_prime,
                             loading=np.ones((1, n)))

@@ -312,8 +312,9 @@ def multidim_derivative_repr(fs: Sequence[CylindricalFn], L: SmoothFunctional,
             args = np.asarray(args, dtype=float)
             pts = np.column_stack([np.asarray(x.value_fn(args), dtype=float)
                                    for x in xi_fns])
-            # a copied column frees the full (rows, n_args) gradient
-            cols = [np.asarray(x.grad_fn(args), dtype=float)[:, i].copy()
+            # column i of each gradient; a broadcast gradient gives a view
+            # of its per-row values, so no (rows, n_args) array is built
+            cols = [np.asarray(x.grad_fn(args), dtype=float)[:, i]
                     for x in xi_fns]
             lv = np.asarray(L.value_fn(args), dtype=float)
             outs = []

@@ -91,6 +91,34 @@ def antiderivative_at(fn, xs):
     return cum[where[:-1]].reshape(xs.shape)
 
 
+def row_sums(x):
+    """x.sum(axis=1), bitwise, for a 2-D float array. Below 8 columns
+    numpy's pairwise sum adds a row left to right from +0.0, so adding whole
+    columns in that order gives the same bits without its per-row
+    reduction overhead; wider arrays go to numpy."""
+    if not 0 < x.shape[1] < 8:
+        return x.sum(axis=1)
+    out = x[:, 0] + 0.0
+    for j in range(1, x.shape[1]):
+        out += x[:, j]
+    return out
+
+
+def quantiles(values, q):
+    """np.quantile(values, q) with its default linear method, bitwise, for
+    finite values and q in [0, 1]: one sort, then numpy's indices and
+    two-sided interpolation. (A tie of -0.0 with 0.0 may read either zero.)
+    np.quantile calls np.unique, whose first call imports numpy.ma."""
+    v = np.sort(np.asarray(values, dtype=float).ravel())
+    virtual = (v.size - 1) * np.asarray(q, dtype=float)
+    top = virtual >= v.size - 1
+    below = np.where(top, -1, np.floor(virtual)).astype(np.intp)
+    a, b = v[below], v[np.where(top, -1, below + 1)]
+    gamma = virtual - below
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)[()]
+
+
 def mean_and_se(values):
     """(mean, standard error of the mean) of per-path values, the variance
     taken with n - 1 in the denominator."""

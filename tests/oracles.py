@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate, optimize, stats
 
-from wcalc import (antiderivative_at, brownian_at, clark_ocone_decompose,
-                   conditional_expectation, density_derivative_profile,
+from wcalc import (SmoothFunctional, antiderivative_at, brownian_at, checks,
+                   clark_ocone_decompose, conditional_expectation,
+                   density_derivative_profile,
                    doleans_exponential, eval_cyl,
                    gaussian_smooth, grad_phi_antiderivative, kernel_regression,
                    lions_derivative, make_functional, make_grid, outer_slope,
@@ -651,3 +652,50 @@ def check_lemma34_pooled(n_paths=20000, n_steps=16, seed=7505, horizon=1.0):
              nested_derivative_check_pooled(fn, pool, dens, x1, x2, probes,
                                             bandwidth=bw))
             for fid, fn in _nested_battery() for bw in (0.5, 0.35, 0.25)]
+
+
+# --- the representation functionals as they were when every row sum was
+# numpy's and every gradient a written-out (rows, n_args) matrix -------------
+
+def scalar_functional_summed(grid, fn, fn_prime):
+    """wcalc.scalar_functional with x.sum(axis=1) for the endpoint and the
+    gradient repeated into a full matrix."""
+    n = grid.n_steps
+
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        d = np.asarray(fn_prime(x.sum(axis=1)), dtype=float)
+        return np.repeat(d[:, None], x.shape[1], axis=1)
+
+    return SmoothFunctional(
+        n, lambda x: np.asarray(fn(np.asarray(x, dtype=float).sum(axis=1)),
+                                dtype=float),
+        grad, scalar_fn=fn, scalar_fn_prime=fn_prime, loading=np.ones((1, n)))
+
+
+def repr_functionals_summed(grid):
+    """(L, xi1, xi2) of wcalc.checks._repr_functionals on numpy's row sums,
+    with xi1's gradient concatenated from ones and zeros."""
+    horizon, n, sig = grid.horizon, grid.n_steps, 0.4
+    half = n // 2
+    L = scalar_functional_summed(
+        grid, lambda s: np.exp(sig * s - 0.5 * sig ** 2 * horizon),
+        lambda s: sig * np.exp(sig * s - 0.5 * sig ** 2 * horizon))
+    xi1 = SmoothFunctional(
+        n_args=n,
+        value_fn=lambda x: np.asarray(x, dtype=float)[:, :half].sum(axis=1),
+        grad_fn=lambda x: np.concatenate(
+            [np.ones((np.asarray(x).shape[0], half)),
+             np.zeros((np.asarray(x).shape[0], n - half))], axis=1),
+        loading=(np.arange(n) < half)[None, :].astype(float))
+    xi2 = scalar_functional_summed(
+        grid, lambda s: s, lambda s: np.ones_like(np.asarray(s, dtype=float)))
+    return L, xi1, xi2
+
+
+def use_summed_route(monkeypatch):
+    """Route wcalc.checks.check_second_order through np.quantile for its
+    probe grids and through repr_functionals_summed for its representation
+    records."""
+    monkeypatch.setattr(checks, "quantiles", np.quantile)
+    monkeypatch.setattr(checks, "_repr_functionals", repr_functionals_summed)

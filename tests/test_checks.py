@@ -5,7 +5,8 @@ from wcalc import (CheckRecord, CHECKS, run_check, checks, density_deriv,
                    density_functional, make_grid, measure_ops, sample_paths)
 from oracles import assert_bitwise, check_chain_rule_per_call, \
     check_chain_rule_per_shard, check_lemma34_pooled, \
-    multidim_derivative_repr_single, second_order_check_1d_profile
+    multidim_derivative_repr_single, repr_functionals_summed, \
+    second_order_check_1d_profile, use_summed_route
 
 
 def test_record_validation_and_properties():
@@ -251,21 +252,52 @@ def test_second_order_battery_catches_a_scaled_antiderivative(monkeypatch,
                                                 if r.passed]
 
 
-@pytest.mark.parametrize("seed", [20260815, 3])
+@pytest.mark.parametrize("seed", [20260815, 3, 4])
 def test_representation_shares_one_mesh_bitwise(seed):
     """Both plane functionals from one call equal, bitwise, the route that
-    ran the decomposition and every projection once per functional, on the
-    second-order battery's pool, functionals and quadrature order."""
+    ran the decomposition and every projection once per functional on
+    numpy's row sums and written-out gradients, on the second-order
+    battery's pool, functionals and quadrature order."""
     grid = make_grid(4)
     pool = sample_paths(grid, 4000, seed + 11)
     L, xi1, xi2 = checks._repr_functionals(grid)
+    L_old, xi1_old, xi2_old = repr_functionals_summed(grid)
     fs = checks._plane_functionals()[:2]
     got = density_deriv.multidim_derivative_repr(fs, L, [xi1, xi2], pool,
                                                  quad_order=12)
     assert len(got) == len(fs)
     for f, out in zip(fs, got):
         assert_bitwise(out, multidim_derivative_repr_single(
-            f, L, [xi1, xi2], pool, quad_order=12))
+            f, L_old, [xi1_old, xi2_old], pool, quad_order=12))
+
+
+@pytest.mark.parametrize("seed", [20260815, 3, 4])
+def test_second_order_records_match_the_summed_route_bitwise(monkeypatch,
+                                                             seed):
+    """All 15 records, hex for hex, as when the probe grids came from
+    np.quantile and the representation read numpy's row sums."""
+    got = run_check("second-order", n_paths=20_000, n_steps=16, seed=seed)
+    use_summed_route(monkeypatch)
+    want = run_check("second-order", n_paths=20_000, n_steps=16, seed=seed)
+    assert len(got) == len(want) == 15
+    for g, w in zip(got, want):
+        assert g.name == w.name
+        assert_bitwise([g.lhs, g.rhs, g.std_err, g.tolerance],
+                       [w.lhs, w.rhs, w.std_err, w.tolerance])
+
+
+def test_representation_gradients_are_read_only_views():
+    """The endpoint functionals repeat one value along each row and xi1
+    repeats one row down the rows: both are read-only views with a zero
+    stride, equal to the written-out gradients."""
+    grid = make_grid(4)
+    x = np.random.default_rng(5).standard_normal((6, grid.n_steps))
+    for F, old, axis in zip(checks._repr_functionals(grid),
+                            repr_functionals_summed(grid), (1, 0, 1)):
+        g = F.grad_fn(x)
+        assert not g.flags.writeable
+        assert g.strides[axis] == 0
+        assert_bitwise(g, old.grad_fn(x))
 
 
 def test_representation_smooths_once_per_knot(monkeypatch):

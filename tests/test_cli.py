@@ -451,3 +451,20 @@ def test_cli_import_leaves_scipy_out():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_second_order_run_leaves_numpy_ma_out():
+    """Importing wcalc loads no numpy submodule that numpy itself does not,
+    and a second-order run never imports numpy.ma (about 15 ms)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import numpy\n"
+            "before = set(sys.modules)\n"
+            "import wcalc.cli\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m.split('.')[0] == 'numpy'))\n"
+            "wcalc.run_check('second-order', 2000, 16, 3)\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "False"]

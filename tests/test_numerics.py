@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcalc import capped_identity, capped_identity_deriv, radial_cutoff_deriv
-from wcalc.numerics import _segment_integrals, antiderivative_at, uniform_interp
+from wcalc.numerics import (_segment_integrals, antiderivative_at, quantiles,
+                            row_sums, uniform_interp)
 
 from oracles import (antiderivative_at_searchsorted, assert_bitwise,
                      capped_identity_full, capped_identity_deriv_full,
@@ -138,3 +139,32 @@ def test_uniform_interp_rejects_a_grid_that_is_not_uniform():
     grid = np.linspace(0.0, 1.0, 101) ** 2
     with pytest.raises(ValueError, match="not uniform"):
         uniform_interp(np.linspace(0.0, 1.0, 57), grid, [grid])
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_row_sums_match_numpy_bitwise(width):
+    """Column by column below 8 columns, numpy's own sum from 8 on: the same
+    bits as x.sum(axis=1) on contiguous arrays, column slices, rows of
+    signed zeros and infinities, and arrays with no rows."""
+    rng = np.random.default_rng(width)
+    full = rng.standard_normal((500, 2 * width)) \
+        * 10.0 ** rng.integers(-8, 9, (500, 2 * width))
+    full[::7] = -0.0
+    full[3::11, 0] = np.inf
+    for x in (np.ascontiguousarray(full[:, :width]), full[:, :width],
+              full[:, width:], full[:, ::2], full[:0, :width]):
+        assert_bitwise(row_sums(x), x.sum(axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4000, 20000])
+def test_quantiles_match_numpy_bitwise(n):
+    """np.quantile's default linear method, for arrays of q and for each q
+    alone, on distinct values and on values with ties (not of -0.0 with 0.0,
+    which numpy's partition may order either way)."""
+    rng = np.random.default_rng(n)
+    qs = [0.0, 0.05, 0.5, 0.95, 1.0, *rng.random(20)]
+    ties = np.floor(4.0 * rng.standard_normal(n)) + 0.5
+    for values in (rng.standard_normal(n), ties):
+        assert_bitwise(quantiles(values, qs), np.quantile(values, qs))
+        for q in qs:
+            assert_bitwise(quantiles(values, q), np.quantile(values, q))
