@@ -30,14 +30,12 @@ the per-path values behind stages 4 and 5 and the normalization constant,
 and every Gauss-Hermite node of the integrand tables. Stage 3 and the
 consistency check evaluate their densities directly (the check with one
 moll.triple call per block knot), so it stays an independent measure of
-the tabulation. In stages 6 and 7 the integrand and
-its slope are tabulated once per parameter value on a uniform grid of the
-running terminal coordinate and read linearly along every path, one cell
-index per path and knot for both (numerics.uniform_interp), then
-exponentiated, first at every block knot (stage 6) and then at every
-(2**dyadic_level / step_count)-th knot (stage 7), so the two coincide when
-step_count equals 2**dyadic_level. final_errors_at runs the same step with
-the table built at the step_count knots only.
+the tabulation. In stages 6 and 7 the integrand and its slope come from
+clark_ocone.knot_tables on a uniform grid of the running terminal
+coordinate, read linearly along every path and exponentiated at every
+block knot (stage 6), then at every (2**dyadic_level / step_count)-th
+knot (stage 7): the two coincide when step_count equals 2**dyadic_level.
+final_errors_at builds the table at the step_count knots only.
 
 Every stage reports L2(Q) distances to the target curve, both at a primary
 parameter value and integrated along a parameter segment.
@@ -53,17 +51,16 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .artifacts import atomic_write_csv, atomic_write_json
-from .clark_ocone import _knot_smoothings
+from .clark_ocone import _read_knot_tables, _table_y_grid, knot_tables
 from .density_deriv import DensityCurve
 from .girsanov import StepProcess, doleans_exponential, table_process
 from .numerics import (bump_quad_1d, capped_identity, capped_identity_deriv,
                        gauss_hermite, gauss_legendre, radial_cutoff,
-                       radial_cutoff_deriv, uniform_cell, uniform_interp)
+                       radial_cutoff_deriv, uniform_cell)
 from .wiener_grid import PathPool, TimeGrid, _block_edges, dyadic_coarsen
 
 _MOLL_NODES = 17
 _U_POINTS = 4097
-_TABLE_POINTS = 1025
 _SEGMENT_NODES = 4
 _CHECK_PATHS = 128
 _GROSS_GAP = 5e-3
@@ -433,38 +430,20 @@ def integrand_tables(table: _UTable, eps_pos: float,
     integration-by-parts identity E[f'(y + s V)] = E[f(y + s V) V]/s to
     reach the mixed derivative without differentiating the tables twice.
     """
-    x, wq = gauss_hermite(quad_order)
-    ny = y_grid.size
-    gam = np.empty((len(knot_times), ny))
-    dgam = np.empty((len(knot_times), ny))
-    for j, t in enumerate(knot_times):
-        var = horizon - float(t)
-        if var <= 0.0:
-            raise ValueError("knots must lie strictly before the horizon")
-        rv = np.sqrt(var)
-        U = (y_grid[:, None] + rv * x[None, :]).ravel()
-        F, Fl, Fu = table.read(U)
-        F = F.reshape(ny, -1)
-        Fl = Fl.reshape(ny, -1)
-        Fu = Fu.reshape(ny, -1)
+    x, _ = gauss_hermite(quad_order)
+
+    def smoothed(U):
+        F, Fl, Fu = (a.reshape(U.shape) for a in table.read(U.ravel()))
         ht = (eps_pos + F) / denom
-        htu = Fu / denom
         htl = Fl / denom - (eps_pos + F) * (ddenom / denom ** 2)
-        g2 = ht @ wq
-        g1 = htu @ wq
-        dg2 = htl @ wq
-        dg1 = ((htl * x[None, :]) @ wq) / rv
-        gam[j] = g1 / g2
-        dgam[j] = (dg1 * g2 - g1 * dg2) / (g2 * g2)
+        return ht, Fu / denom, htl, htl * x[None, :]
+
+    g2, g1, dg2, dg1 = knot_tables(smoothed, knot_times, horizon, quad_order,
+                                   y_grid)
+    dg1 /= np.sqrt(horizon - np.asarray(knot_times, dtype=float))[:, None]
+    gam = g1 / g2
+    dgam = (dg1 * g2 - g1 * dg2) / (g2 * g2)
     return gam, dgam
-
-
-def _read_knot_tables(pool: PathPool, y_grid: np.ndarray, tables):
-    """Row k of each per-knot y-table read at the paths' positions at knot k."""
-    left = pool.cumulative[:, :-1]
-    cols = [uniform_interp(left[:, k], y_grid, [tab[k] for tab in tables])
-            for k in range(left.shape[1])]
-    return [np.column_stack(c) for c in zip(*cols)]
 
 
 def _exponential_slope(pool: PathPool, gamma: np.ndarray,
@@ -474,13 +453,6 @@ def _exponential_slope(pool: PathPool, gamma: np.ndarray,
     dts = pool.grid.steps
     return (np.sum(dgamma * pool.increments, axis=1)
             - np.sum(gamma * dgamma * dts, axis=1))
-
-
-def _table_y_grid(pool: PathPool) -> np.ndarray:
-    """Terminal-coordinate grid covering every path's left-knot position."""
-    left = pool.cumulative[:, :-1]
-    return np.linspace(float(left.min()) - 1.0, float(left.max()) + 1.0,
-                       _TABLE_POINTS)
 
 
 def _exponentials(table: _UTable, config: PipelineConfig,
@@ -665,6 +637,21 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
         gamma_table=primary_tab[::stride].copy(),
         primary_table=primary_u,
     )
+
+
+def _knot_smoothings(pool: PathPool, quad_order: int, fn):
+    """knot_tables' smoothing at every path's own position y (the prefix
+    sum, not pool.cumulative, which rounds differently): per array that fn
+    returns, the (paths, knots) table of E[f(B_T) | F_{t_i}]."""
+    grid = pool.grid
+    nodes, w = gauss_hermite(quad_order)
+    cols = []
+    for i in range(grid.n_steps):
+        y = pool.increments[:, :i].sum(axis=1)
+        var = float(grid.horizon - grid.knots[i])
+        arg = y[:, None] + np.sqrt(var) * nodes[None, :]
+        cols.append([np.asarray(f) @ w for f in fn(arg)])
+    return [np.column_stack(c) for c in zip(*cols)]
 
 
 def _consistency_gap(moll: MollifiedDensity, lam: float,

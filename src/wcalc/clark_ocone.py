@@ -3,26 +3,15 @@
 A functional F(B(D_1), ..., B(D_N)) with bounded gradient satisfies
 F = E[F] + sum_i Z_i B(D_i) with Z_i = E[dF/dx_i | F_{t_{i-1}}]; the
 conditional expectations are Gaussian integrals over the not-yet-revealed
-increments.
+increments. gaussian_smooth computes them on a tensor Gauss-Hermite mesh
+over the directions the integrand reads (its loading).
 
-An integrand that reads the increments x only through A x, for a k x n
-loading matrix A, depends on the unrevealed increments only through
-A_rem x_rem, a k-dimensional Gaussian with covariance
-C = A_rem diag(dt_rem) A_rem^T. Its conditional mean is a tensorized
-Gauss-Hermite integral over the r eigen-directions of C with a positive
-eigenvalue, mapped back to increments, so the mesh has q**r nodes
-whatever the number of remaining intervals. Without a loading A is the
-identity, r is the number of remaining intervals and the mesh is the
-axis-aligned one over them. A functional that reads only the path endpoint
-has loading 1^T, one dimension at any knot; clark_ocone_decompose builds
-each knot's argument y + sqrt(var) x once for Z and M of its scalar form.
-
-At knot 0 nothing is revealed, so E[F | F_0] is the unconditional mean,
-the same for every path: the quadrature evaluates its mesh once and
-broadcasts that number. Elsewhere the (rows x mesh nodes) argument is built
-in chunks of at most _ROW_BUDGET rows, 8 MB of float64 on a four-step grid.
-Chunks that size stay close to cache; 2**22-row chunks (134 MB) measured
-slower on the second-order battery and raised its peak RSS about sevenfold.
+A functional of the endpoint alone, F = f(B_T), has E[F | F_t] = g_t(B_t)
+with g_t(y) = E[f(y + sqrt(T - t) X)], X standard normal: one function of
+the position per knot. knot_tables tabulates g_t on a uniform y-grid, for
+clark_ocone_decompose and for stage 6 of approx_pipeline alike, and the
+decomposition reads Z and M at each path's position by linear
+interpolation.
 """
 
 from __future__ import annotations
@@ -32,13 +21,14 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .numerics import gauss_hermite, row_sums
+from .numerics import gauss_hermite, row_sums, uniform_interp
 from .rng import substream
 from .wiener_grid import PathPool, TimeGrid
 
 _PROBE_SEED = 0xFACADE
 _TENSOR_BLOCK_CAP = 4
 _ROW_BUDGET = 1 << 18
+_TABLE_POINTS = 1025
 # Eigenvalues below this share of the largest are roundoff: their
 # directions carry no variance of the integrand's arguments.
 _RANK_RTOL = 1e-12
@@ -69,9 +59,7 @@ class SmoothFunctional:
     value_fn maps (m, n_args) -> (m,), grad_fn maps (m, n_args) ->
     (m, n_args). grad_fn may return a read-only broadcast array (one value
     per row, or one row for every row): callers read it and must not write
-    into it. If the functional only reads the total sum of its
-    arguments, scalar_fn/scalar_fn_prime give that one-variable form, which
-    clark_ocone_decompose integrates at any grid size.
+    into it.
 
     loading, if given, is a k x n_args matrix A with the promise that
     value_fn and grad_fn read x only through A x. Conditional smoothing of
@@ -84,16 +72,12 @@ class SmoothFunctional:
     n_args: int
     value_fn: Callable
     grad_fn: Callable
-    scalar_fn: Optional[Callable] = None
-    scalar_fn_prime: Optional[Callable] = None
     # an array does not compare or hash as a field value
     loading: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n_args < 1:
             raise ValueError("functional needs at least one argument")
-        if (self.scalar_fn is None) != (self.scalar_fn_prime is None):
-            raise ValueError("scalar form requires both the function and its derivative")
         rng = substream(_PROBE_SEED, self.n_args)
         x = rng.standard_normal((8, self.n_args)) / np.sqrt(self.n_args)
         v = np.asarray(self.value_fn(x), dtype=float)
@@ -108,14 +92,6 @@ class SmoothFunctional:
             fd = (np.asarray(self.value_fn(up)) - np.asarray(self.value_fn(dn))) / (2 * step)
             if not np.all(np.abs(fd - g[:, j]) <= 1e-6 * (1.0 + np.abs(fd)) + 1e-8):
                 raise ValueError(f"gradient component {j} disagrees with finite differences")
-        if self.scalar_fn is not None:
-            s = x.sum(axis=1)
-            if not np.allclose(v, np.asarray(self.scalar_fn(s), dtype=float),
-                               rtol=1e-12, atol=1e-12):
-                raise ValueError("scalar form disagrees with the full functional")
-            sp = np.asarray(self.scalar_fn_prime(s), dtype=float)
-            if not np.allclose(g, sp[:, None], rtol=1e-9, atol=1e-10):
-                raise ValueError("scalar derivative disagrees with the gradient")
         if self.loading is not None:
             self._check_loading(rng, x, v)
 
@@ -130,12 +106,12 @@ class SmoothFunctional:
                              "the loading omits")
 
 
-def scalar_functional(grid_or_n, fn: Callable,
+def scalar_functional(grid: TimeGrid, fn: Callable,
                       fn_prime: Callable) -> SmoothFunctional:
     """Functional reading only the path endpoint: F = fn(sum of increments),
     with loading 1^T. Its gradient is a read-only broadcast view of
     fn_prime at each row's sum, repeated along the row."""
-    n = grid_or_n.n_steps if isinstance(grid_or_n, TimeGrid) else int(grid_or_n)
+    n = grid.n_steps
 
     def value(x):
         return np.asarray(fn(row_sums(np.asarray(x, dtype=float))), dtype=float)
@@ -145,8 +121,7 @@ def scalar_functional(grid_or_n, fn: Callable,
         d = np.asarray(fn_prime(row_sums(x)), dtype=float)
         return np.broadcast_to(d[:, None], x.shape)
 
-    return SmoothFunctional(n, value, grad, scalar_fn=fn, scalar_fn_prime=fn_prime,
-                            loading=np.ones((1, n)))
+    return SmoothFunctional(n, value, grad, loading=np.ones((1, n)))
 
 
 def _gauss_hermite_mesh(dim: int, order: int):
@@ -192,16 +167,18 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
     remaining intervals, the quadrature runs over the r eigen-directions of
     C = A_rem diag(dt_rem) A_rem^T with a positive eigenvalue: a tensor
     Gauss-Hermite mesh z of quad_order**r nodes, mapped to increments as
-    x_rem = diag(dt_rem) A_rem^T V_r Lambda_r^{-1/2} z, so the integrand
-    still receives full (rows, n_args) arguments. Rank 0 evaluates the
-    integrand at the prefix padded with zeros. Tensor quadrature covers
-    rank at most four; beyond that pass mc_fallback=(n_draws, seed) to
-    average over sampled futures instead.
+    x_rem = diag(dt_rem) A_rem^T V_r Lambda_r^{-1/2} z, so the mesh size
+    does not grow with the remaining intervals and the integrand still
+    receives full (rows, n_args) arguments. Rank 0 evaluates the integrand
+    at the prefix padded with zeros. Tensor quadrature covers rank at most
+    four; beyond that pass mc_fallback=(n_draws, seed) to average over
+    sampled futures instead.
 
     On the quadrature route at knot 0 the mesh is integrated once and the
     result repeated for all m rows (there is no prefix to condition on);
-    rows are otherwise processed _ROW_BUDGET mesh rows at a time. The Monte
-    Carlo route keeps independent draws per row at every knot.
+    rows are otherwise processed _ROW_BUDGET mesh rows (8 MB of float64 on
+    a four-step grid, close to cache) at a time. The Monte Carlo route
+    keeps independent draws per row at every knot.
     """
     _check_quadrature(quad_order, mc_fallback)
     if F.n_args != grid.n_steps:
@@ -277,37 +254,96 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
     return tuple(outs) if multi else outs[0]
 
 
-def _knot_smoothings(pool: PathPool, quad_order: int, fn):
-    """Per array f(B_T) that fn returns from a knot's Gauss-Hermite argument
-    y + sqrt(var) x, the (paths, knots) table of E[f(B_T) | F_{t_i}]. The
-    prefix y is summed, not read from pool.cumulative: the pairwise sum
-    rounds differently from a running one."""
+def knot_tables(fn, knot_times, horizon: float, quad_order: int, y_grid):
+    """Per array f(U) that fn returns, the (knots, len(y_grid)) table of
+    E[f(y + sqrt(horizon - t_i) X)] = E[f(B_T) | B_{t_i} = y], X standard
+    normal, by the Gauss-Hermite rule (x_k, w_k) of quad_order points: fn
+    maps the (len(y_grid), quad_order) array y + sqrt(horizon - t_i) x_k
+    to a tuple of arrays of that shape. ValueError before any evaluation on
+    quad_order < 1, on a knot at or past the horizon and on a y_grid that
+    is not 1-D, finite and uniform (one point, or increasing in equal
+    steps up to rounding)."""
     _check_quadrature(quad_order, None)
-    grid = pool.grid
-    nodes, w = gauss_hermite(quad_order)
-    cols = []
-    for i in range(grid.n_steps):
-        y = pool.increments[:, :i].sum(axis=1)
-        var = float(grid.horizon - grid.knots[i])
-        arg = y[:, None] + np.sqrt(var) * nodes[None, :]
-        cols.append([np.asarray(f) @ w for f in fn(arg)])
+    times = np.asarray(knot_times, dtype=float)
+    if not np.all(times < horizon):
+        raise ValueError("knots must lie strictly before the horizon")
+    y = np.asarray(y_grid, dtype=float)
+    if y.ndim != 1 or y.size < 1 or not np.all(np.isfinite(y)):
+        raise ValueError("y_grid must be a nonempty 1-D array of finite points")
+    step = np.diff(y)
+    if step.size and not (step[0] > 0.0
+                          and np.allclose(step, step[0], rtol=1e-9, atol=0.0)):
+        raise ValueError("y_grid must be increasing and uniformly spaced")
+    x, w = gauss_hermite(quad_order)
+    rows = []
+    for t in times:
+        args = y[:, None] + np.sqrt(horizon - float(t)) * x[None, :]
+        # one memory layout, so one BLAS route, whatever layout fn returns
+        rows.append([np.ascontiguousarray(f, dtype=float) @ w for f in fn(args)])
+    return [np.stack(r) for r in zip(*rows)]
+
+
+def _table_y_grid(pool: PathPool) -> np.ndarray:
+    """Terminal-coordinate grid covering every path's left-knot position."""
+    left = pool.cumulative[:, :-1]
+    return np.linspace(float(left.min()) - 1.0, float(left.max()) + 1.0,
+                       _TABLE_POINTS)
+
+
+def _endpoint_form(F: SmoothFunctional, pool: PathPool, with_value: bool):
+    """fn for knot_tables giving f'(U), and f(U) if with_value, of
+    F = f(B_T): a loading c 1^T (c != 0) says F reads only the sum of the
+    increments, so at the increments (u, 0, ..., 0) value_fn is f(u) and
+    every column of grad_fn is f'(u). Those rows live in one zero buffer
+    per size, in column order, so the sum runs down whole columns."""
+    n = pool.grid.n_steps
+    if F.n_args != n:
+        raise ValueError("functional arity does not match the grid")
+    A = F.loading
+    if A is None or A.flat[0] == 0.0 or not np.all(A == A.flat[0]):
+        raise ValueError("the decomposition needs an endpoint functional: a "
+                         "loading that is a nonzero multiple of 1^T")
+    pads = {}
+
+    def fn(U):
+        if U.size not in pads:
+            pads[U.size] = np.zeros((U.size, n), order="F")
+        x = pads[U.size]
+        x[:, 0] = U.ravel()
+        out = [np.asarray(F.grad_fn(x), dtype=float)[:, 0].reshape(U.shape)]
+        if with_value:
+            out.append(np.asarray(F.value_fn(x), dtype=float).reshape(U.shape))
+        return out
+
+    return fn
+
+
+def _read_knot_tables(pool: PathPool, y_grid: np.ndarray, tables):
+    """Row k of each per-knot y-table read at the paths' positions at knot k."""
+    left = pool.cumulative[:, :-1]
+    cols = [uniform_interp(left[:, k], y_grid, [tab[k] for tab in tables])
+            for k in range(left.shape[1])]
     return [np.column_stack(c) for c in zip(*cols)]
 
 
-def _check_endpoint(F: SmoothFunctional, pool: PathPool) -> None:
-    if F.n_args != pool.grid.n_steps:
-        raise ValueError("functional arity does not match the grid")
-    if F.scalar_fn is None:
-        raise ValueError("the decomposition needs a functional with scalar_fn "
-                         "(one that reads only the path endpoint)")
+def _path_reads(fn, pool: PathPool, quad_order: int):
+    """Per array f(B_T) that fn returns, the (paths, knots) matrix of
+    E[f(B_T) | F_{t_i}] read off knot tables; knot 0's row holds its one
+    smoothing at y = 0 throughout, which a linear read returns exactly."""
+    grid, y_grid = pool.grid, _table_y_grid(pool)
+    first = knot_tables(fn, grid.knots[:1], grid.horizon, quad_order,
+                        np.zeros(1))
+    rest = knot_tables(fn, grid.knots[1:-1], grid.horizon, quad_order, y_grid)
+    tables = [np.full((grid.n_steps, y_grid.size), f0[0, 0]) for f0 in first]
+    for tab, later in zip(tables, rest):
+        tab[1:] = later
+    return _read_knot_tables(pool, y_grid, tables)
 
 
 def clark_ocone_integrand(F: SmoothFunctional, pool: PathPool,
                           quad_order: int = 32) -> np.ndarray:
     """Z of clark_ocone_decompose alone, for callers that need no M."""
-    _check_endpoint(F, pool)
-    return _knot_smoothings(pool, quad_order,
-                            lambda u: (F.scalar_fn_prime(u),))[0]
+    return _path_reads(_endpoint_form(F, pool, False), pool, quad_order)[0]
 
 
 def clark_ocone_decompose(F: SmoothFunctional, pool: PathPool,
@@ -318,12 +354,15 @@ def clark_ocone_decompose(F: SmoothFunctional, pool: PathPool,
     gamma = Z / M is the logarithmic integrand; M must stay away from zero,
     which holds for the positive normalized densities this is applied to.
 
-    F must read only the path endpoint (carry scalar_fn), as every density
-    decomposed here does; d/dx_i of fn(sum) is fn' at the sum for every i.
+    F must read only the endpoint, F = f(B_T) with loading 1^T as
+    scalar_functional declares; then dF/dx_i = f'(B_T) for every i. Z and
+    M are knot_tables of f' and f on _TABLE_POINTS uniform points spanning
+    the paths' left-knot positions plus one on either side, read at each
+    path's position by linear interpolation: off by at most h**2 / 8 times
+    the largest second y-derivative of the table, h the grid step. Knot 0
+    is one smoothing at y = 0, where every path starts.
     """
-    _check_endpoint(F, pool)
-    Z, M = _knot_smoothings(pool, quad_order,
-                            lambda u: (F.scalar_fn_prime(u), F.scalar_fn(u)))
+    Z, M = _path_reads(_endpoint_form(F, pool, True), pool, quad_order)
     if np.any(np.abs(M) < 1e-12):
         raise ValueError("conditional mean hits zero; logarithmic integrand undefined")
     return Z, M, Z / M

@@ -145,9 +145,10 @@ def mixture_curve(base_fn: Callable, other_fn: Callable, grid: TimeGrid,
 
 
 def density_derivative_profile(f: CylindricalFn, law: EmpiricalLaw,
-                               x_grid) -> np.ndarray:
+                               x_grid, phi_values) -> np.ndarray:
     """Profile x -> int_0^x (Lions derivative)(law, y) dy - centering, at
-    every point of x_grid (same shape).
+    every point of x_grid (same shape). phi_values is phi at the law's
+    atoms, as in chain_rule_rhs.
 
     The centering makes the profile average to zero under the law itself
     (at its atoms), pinning the additive freedom. Base point 0 is a
@@ -160,7 +161,7 @@ def density_derivative_profile(f: CylindricalFn, law: EmpiricalLaw,
     atoms = law.atoms_1d()
     # the Lions derivative c * grad phi, with the law's one factor c read
     # once rather than at every quadrature pass
-    c = outer_slope(f, law)
+    c = outer_slope(f, law, phi_values)
 
     def integrand(ys):
         return c * np.asarray(f.grad_phi(ys[:, None]), dtype=float)[:, 0]

@@ -90,24 +90,30 @@ def _require_1d(f: CylindricalFn) -> None:
                          f"{f.dim}-D functional")
 
 
+def _representer(f: CylindricalFn, h: GridDensity, pts: np.ndarray):
+    """(representer, rho) at the points pts, rho read on the grid once for
+    both the integral of rho * h dx and the centering."""
+    phi_grid = f.phi(h.x_grid[:, None])
+    slope = float(f.h_prime(float(np.trapezoid(phi_grid * h.values, h.x_grid))))
+    window = h.x_grid[-1] - h.x_grid[0]
+    centering = slope * float(np.trapezoid(phi_grid, h.x_grid)) / window
+    phi = np.asarray(f.phi(pts[:, None]), dtype=float)
+    return slope * phi - centering, phi
+
+
 def dPhi_representer(f: CylindricalFn, h: GridDensity, x) -> np.ndarray:
     """L2(dx) derivative of Phi at h, evaluated at the (m,) points x:
     Psi'(integral) * rho(x) centered to zero dx-mean over the grid window,
     with Psi = f.h and rho = f.phi of a 1-D cylindrical functional.
 
     The points must lie inside the grid hull, where the centering window is
-    defined. rho is read on the grid once, for both the integral of
-    rho * h dx and the centering.
+    defined.
     """
     _require_1d(f)
     pts = np.asarray(x, dtype=float)
     if pts.min() < h.x_grid[0] or pts.max() > h.x_grid[-1]:
         raise ValueError("representer points must lie inside the grid window")
-    phi_grid = f.phi(h.x_grid[:, None])
-    slope = float(f.h_prime(float(np.trapezoid(phi_grid * h.values, h.x_grid))))
-    window = h.x_grid[-1] - h.x_grid[0]
-    centering = slope * float(np.trapezoid(phi_grid, h.x_grid)) / window
-    return slope * np.asarray(f.phi(pts[:, None]), dtype=float) - centering
+    return _representer(f, h, pts)[0]
 
 
 def representer_x_derivative(f: CylindricalFn, h: GridDensity,
@@ -157,10 +163,12 @@ def bensoussan_check(f: CylindricalFn, law: EmpiricalLaw, x_probes,
     rhs = representer_x_derivative(f, h, probes)
     err_slope = float(np.abs(lhs - rhs).max())
 
-    rep_at_probes, rep_at_atoms = np.split(
-        dPhi_representer(f, h, np.concatenate([probes, atoms])), [probes.size])
+    # the window covers the probes and the atoms; the profile's outer slope
+    # reads the same phi at the atoms
+    rep, phi = _representer(f, h, np.concatenate([probes, atoms]))
+    rep_at_probes, rep_at_atoms = np.split(rep, [probes.size])
     rep_mean = float(np.dot(law.weights / law.weights.sum(), rep_at_atoms))
     centered_rep = rep_at_probes - rep_mean
-    profile = density_derivative_profile(f, law, probes)
+    profile = density_derivative_profile(f, law, probes, phi[probes.size:])
     err_profile = float(np.abs(centered_rep - profile).max())
     return max(err_slope, err_profile)

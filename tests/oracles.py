@@ -17,7 +17,7 @@ from wcalc import (SmoothFunctional, antiderivative_at, brownian_at, checks,
                    doleans_exponential, eval_cyl,
                    gaussian_smooth, grad_phi_antiderivative, kernel_regression,
                    lions_derivative, make_functional, make_grid, outer_slope,
-                   pushforward_law, sample_paths, scalar_functional,
+                   pushforward_law, sample_paths,
                    shift_backward, shift_forward, weighted_expectation)
 from wcalc.approx_pipeline import _CHECK_PATHS
 from wcalc.checks import (_CHAIN_LAMS, _CLOSED_FORM, _FD_BIAS_CHAIN,
@@ -136,10 +136,11 @@ def read_table_interp(table, y_grid, b_left):
     return out
 
 
-def decompose_per_knot(F, pool, quad_order: int = 32):
-    """(Z, M, gamma) of an endpoint functional with the Gauss-Hermite
-    argument built separately for M and for Z at every knot (the loop
-    before the shared argument)."""
+def decompose_per_path(fn, fn_prime, pool, quad_order: int = 32):
+    """(Z, M, gamma) of the endpoint functional fn(B_T), fn' its
+    derivative, by Gauss-Hermite quadrature at every path's own position at
+    every knot, with separate arguments for M and for Z (the route before
+    the knot tables)."""
     grid = pool.grid
     Z = np.empty(pool.increments.shape)
     M = np.empty(pool.increments.shape)
@@ -148,11 +149,10 @@ def decompose_per_knot(F, pool, quad_order: int = 32):
         pre = pool.increments[:, :i]
         var = float(grid.horizon - grid.knots[i])
         y = pre.sum(axis=1)
-        M[:, i] = np.asarray(F.scalar_fn(
-            y[:, None] + np.sqrt(var) * nodes[None, :])) @ w
+        M[:, i] = np.asarray(fn(y[:, None] + np.sqrt(var) * nodes[None, :])) @ w
         y = pre.sum(axis=1)
-        Z[:, i] = np.asarray(F.scalar_fn_prime(
-            y[:, None] + np.sqrt(var) * nodes[None, :])) @ w
+        Z[:, i] = np.asarray(
+            fn_prime(y[:, None] + np.sqrt(var) * nodes[None, :])) @ w
     return Z, M, Z / M
 
 
@@ -238,10 +238,9 @@ def mollified_acc(moll, lam, coords, want_du):
     return outv, outl, outu
 
 
-def stage6_functional(moll, lam, eps_pos, denom, n_args):
-    """The normalized stage-4 density (eps_pos + F) / denom as an endpoint
-    SmoothFunctional, its value and u-derivative each from its own
-    moll.triple call."""
+def stage6_functions(moll, lam, eps_pos, denom):
+    """The normalized stage-4 density (eps_pos + F) / denom of the terminal
+    coordinate and its u-derivative, each from its own moll.triple call."""
 
     def fn(u):
         u = np.asarray(u, dtype=float)
@@ -251,18 +250,18 @@ def stage6_functional(moll, lam, eps_pos, denom, n_args):
         u = np.asarray(u, dtype=float)
         return (moll.triple(lam, u.ravel())[2] / denom).reshape(u.shape)
 
-    return scalar_functional(n_args, fn, fn_prime)
+    return fn, fn_prime
 
 
 def consistency_gap_decomposed(moll, lam, config, denom, block_pool, y_grid,
                                gam_tab):
-    """approx_pipeline._consistency_gap through stage6_functional and
-    clark_ocone_decompose, the table read by np.interp (the route before
-    the check read one triple per knot): (gap, (Z, M, gamma))."""
+    """approx_pipeline._consistency_gap through stage6_functions and
+    decompose_per_path, the table read by np.interp (the route before the
+    check read one triple per knot): (gap, (Z, M, gamma))."""
     sub = block_pool.subset(np.arange(min(_CHECK_PATHS, block_pool.n_samples)))
-    functional = stage6_functional(moll, lam, config.positivity_floor, denom,
-                                   block_pool.grid.n_steps)
-    direct = clark_ocone_decompose(functional, sub, quad_order=config.quad_order)
+    direct = decompose_per_path(
+        *stage6_functions(moll, lam, config.positivity_floor, denom), sub,
+        quad_order=config.quad_order)
     gam_read = read_table_interp(gam_tab, y_grid, sub.cumulative[:, :-1])
     return float(np.abs(direct[2] - gam_read).max()), direct
 
@@ -308,7 +307,8 @@ def second_order_check_1d_profile(f, law, x_grid, h_step):
     for a centering constant that the difference cancels."""
     xs = np.asarray(x_grid, dtype=float).reshape(-1)
     prof = density_derivative_profile(f, law, np.concatenate([xs + h_step,
-                                                              xs - h_step]))
+                                                              xs - h_step]),
+                                      f.phi(law.atoms))
     m = xs.size
     cd = (prof[:m] - prof[m:]) / (2.0 * h_step)
     return float(np.max(np.abs(cd - lions_derivative(f, law, xs))))
@@ -670,7 +670,7 @@ def scalar_functional_summed(grid, fn, fn_prime):
     return SmoothFunctional(
         n, lambda x: np.asarray(fn(np.asarray(x, dtype=float).sum(axis=1)),
                                 dtype=float),
-        grad, scalar_fn=fn, scalar_fn_prime=fn_prime, loading=np.ones((1, n)))
+        grad, loading=np.ones((1, n)))
 
 
 def repr_functionals_summed(grid):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -168,10 +173,16 @@ def test_lemma34_regresses_m_at_the_atoms_once_per_record(monkeypatch):
 def test_bensoussan_battery_catches_a_scaled_representer(monkeypatch, seed):
     """Power: the density-functional representer off by one percent fails
     records of the bensoussan battery at reference size (5 of 6 measured,
-    all but linear-gauss at bandwidth 0.5)."""
-    representer = density_functional.dPhi_representer
-    monkeypatch.setattr(density_functional, "dPhi_representer",
-                        lambda phi, h, x: 1.01 * representer(phi, h, x))
+    all but linear-gauss at bandwidth 0.5). The patch scales the one
+    routine that builds the representer (and hands phi on unscaled), which
+    both the x-derivative and the centered profile comparison read."""
+    representer = density_functional._representer
+
+    def scaled(f, h, pts):
+        rep, phi = representer(f, h, pts)
+        return 1.01 * rep, phi
+
+    monkeypatch.setattr(density_functional, "_representer", scaled)
     records = run_check("bensoussan", n_paths=20_000, n_steps=16, seed=seed)
     assert len(records) == 6
     assert sum(not r.passed for r in records) >= 5, [
@@ -320,3 +331,33 @@ def test_representation_smooths_once_per_knot(monkeypatch):
     records = checks._repr_records(20260815)
     assert len(records) == 4
     assert calls == {"smooth": 4, "decompose": 2}
+
+
+_HEX_RECORDS = """
+import sys
+sys.path.insert(0, {src!r})
+from wcalc import run_check
+for name in ("clark-ocone", "second-order"):
+    for r in run_check(name, 2000, 16, 3):
+        print(r.name, *(float(v).hex() for v in (r.lhs, r.rhs, r.std_err,
+                                                  r.tolerance)))
+"""
+
+
+def test_clark_and_second_order_records_ignore_the_blas_thread_count():
+    """Fresh interpreters at OPENBLAS_NUM_THREADS=1 and 2 print every
+    clark-ocone and second-order record as hex floats, identically. The
+    (1025, q) @ w reads of the knot tables and the (rows, q) @ w reads of
+    gaussian_smooth's mesh are matrix-vector products whose threads split
+    the rows, so each row's sum runs in one fixed order."""
+    code = _HEX_RECORDS.format(
+        src=str(Path(__file__).resolve().parents[1] / "src"))
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert len(outs[0].splitlines()) == 4 + 15
+    assert outs[0] == outs[1]

@@ -9,8 +9,8 @@ from wcalc import (make_grid, sample_paths, SmoothFunctional,
                    clark_ocone_decompose, clark_ocone_integrand,
                    reconstruction_error, run_check)
 from wcalc import clark_ocone
-from wcalc.numerics import gauss_hermite
-from oracles import (assert_bitwise, decompose_per_knot, gaussian_expectation,
+from wcalc.numerics import gauss_hermite, uniform_interp
+from oracles import (assert_bitwise, decompose_per_path, gaussian_expectation,
                      tensor_nodes)
 
 
@@ -59,15 +59,6 @@ def test_malformed_loadings_are_refused(loading):
 def test_scalar_functional_declares_the_endpoint_loading():
     F = tanh_density(make_grid(5))
     assert np.array_equal(F.loading, np.ones((1, 5)))
-
-
-def test_scalar_form_must_match_full_form():
-    with pytest.raises(ValueError):
-        SmoothFunctional(n_args=3,
-                         value_fn=lambda x: np.asarray(x).sum(axis=1),
-                         grad_fn=lambda x: np.ones_like(np.asarray(x)),
-                         scalar_fn=lambda s: 2.0 * s,
-                         scalar_fn_prime=lambda s: np.full_like(s, 2.0))
 
 
 def test_gaussian_smooth_against_quadrature_oracle(pool):
@@ -131,9 +122,13 @@ def test_decompose_exponential_integrand_frozen(pool):
     assert np.allclose(M[:, 0], 1.0, atol=1e-12)
 
 
-def test_decompose_left_endpoint_measurability(pool):
+def test_decompose_left_endpoint_measurability(pool, monkeypatch):
     """Column i of Z and M reads only the first i increments, so shuffling
-    the suffix across paths cannot move it; column 0 is unconditional."""
+    the suffix across paths cannot move it; column 0 is unconditional.
+
+    The tables' y-grid spans the whole pool's positions, which the shuffle
+    moves, so it is held at the unshuffled pool's grid: what is checked is
+    that each path reads its own left-knot position and nothing else."""
     F = tanh_density(pool.grid)
     Z, M, _ = clark_ocone_decompose(F, pool, quad_order=24)
     assert np.ptp(M[:, 0]) == 0.0
@@ -144,9 +139,11 @@ def test_decompose_left_endpoint_measurability(pool):
     shuffled[:, i:] = shuffled[perm, i:]
     from wcalc.wiener_grid import _pool_from_increments
     p2 = _pool_from_increments(pool.grid, shuffled)
+    y_grid = clark_ocone._table_y_grid(pool)
+    monkeypatch.setattr(clark_ocone, "_table_y_grid", lambda _: y_grid)
     Z2, M2, _ = clark_ocone_decompose(F, p2, quad_order=24)
-    assert np.allclose(M2[:, i], M[:, i], atol=1e-12)
-    assert np.allclose(Z2[:, i], Z[:, i], atol=1e-12)
+    assert_bitwise(M2[:, :i + 1], M[:, :i + 1])
+    assert_bitwise(Z2[:, :i + 1], Z[:, :i + 1])
 
 
 def test_linear_functional_reconstructs_exactly(pool):
@@ -380,30 +377,97 @@ def test_decompose_rejects_zero_quadrature_order(pool):
         clark_ocone_decompose(tanh_density(pool.grid), pool, quad_order=0)
 
 
+def half_path_functional(n):
+    """exp(B(T/2)) with its loading: it reads no endpoint."""
+    half = (np.arange(n) < n // 2).astype(float)
+
+    def value(x):
+        return np.exp(np.asarray(x, dtype=float) @ half)
+
+    return SmoothFunctional(n, value, lambda x: value(x)[:, None] * half,
+                            loading=half[None, :])
+
+
 def test_decompose_needs_an_endpoint_functional():
-    """Only functionals with scalar_fn are decomposed; the coupled one reads
-    every increment, so it is refused before any smoothing."""
+    """Only functionals whose loading is a nonzero multiple of 1^T are
+    decomposed: the coupled one has no loading and the other reads B(T/2),
+    so both are refused before any smoothing. A loading 2 * 1^T still
+    reads only the endpoint."""
     pool = sample_paths(make_grid(4), 16, seed=5)
-    with pytest.raises(ValueError, match="scalar_fn"):
-        clark_ocone_decompose(coupled_functional(4), pool)
-
-
-def exp_density(grid, sig=0.4):
-    T = grid.horizon
-    return scalar_functional(grid, lambda u: np.exp(sig * u - 0.5 * sig * sig * T),
-                             lambda u: sig * np.exp(sig * u - 0.5 * sig * sig * T))
-
-
-@pytest.mark.parametrize("density", [exp_density, tanh_density])
-def test_decompose_matches_the_per_knot_loop_bitwise(density):
-    """One shared Gauss-Hermite argument per knot serves Z and M without
-    moving a bit; the integrand-only entry returns the same Z."""
-    p = sample_paths(make_grid(16), 3000, seed=41)
-    F = density(p.grid)
-    got = clark_ocone_decompose(F, p, quad_order=32)
-    for a, b in zip(got, decompose_per_knot(F, p, quad_order=32)):
+    for F in (coupled_functional(4), half_path_functional(4)):
+        with pytest.raises(ValueError, match="endpoint functional"):
+            clark_ocone_decompose(F, pool)
+    F = tanh_density(pool.grid)
+    doubled = SmoothFunctional(4, F.value_fn, F.grad_fn,
+                               loading=2.0 * np.ones((1, 4)))
+    for a, b in zip(clark_ocone_decompose(doubled, pool),
+                    clark_ocone_decompose(F, pool)):
         assert_bitwise(a, b)
-    assert_bitwise(clark_ocone_integrand(F, p, quad_order=32), got[0])
+
+
+_SIG = 0.4
+_EXP = lambda u: np.exp(_SIG * u - 0.5 * _SIG * _SIG)
+# f, f', and bounds on |f''| and on the third derivative of each endpoint
+# density; None where the bound is relative (the exponential, see below)
+ENDPOINT_DENSITIES = {
+    "exp": (_EXP, lambda u: _SIG * _EXP(u), None, None),
+    "tanh": (lambda s: 1.0 + 0.5 * np.tanh(s), lambda s: 0.5 / np.cosh(s) ** 2,
+             2.0 / (3.0 * np.sqrt(3.0)), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENDPOINT_DENSITIES))
+def test_decompose_reads_tables_within_the_interpolation_bound(name):
+    """Z and M read off the knot tables, against the per-path oracle that
+    smooths at every path's own position (decompose_per_path).
+
+    Both apply the same q-point Gauss-Hermite rule Q(y) = sum_k w_k
+    f(y + s x_k), s = sqrt(T - t_i): the oracle at the path's position y,
+    the table at the grid nodes. So away from roundoff the table route
+    returns the linear interpolant of Q between the nodes around y, which
+    is off by at most h**2 / 8 * max |Q''| over the cell, h the grid step.
+    The weights are positive and sum to one, so |Q''| is at most the
+    largest |f''| for M, and the largest third derivative of f for Z.
+
+    tanh: f = 1 + tanh/2 has |f''| = |tanh sech^2| <= 2 / (3 sqrt 3), and
+    its third derivative, the second of f' = sech^2 / 2, is 2 S - 3 S^2
+    with S = sech^2 in (0, 1], at most 1 in size.
+
+    exp: f = exp(sig u - sig^2 / 2) has Q'' = sig^2 Q, and Q grows by at
+    most exp(sig h) across a cell, so the bound is relative:
+    sig^2 h^2 / 8 * exp(sig h) * Q(y), for Z = sig M alike.
+
+    Roundoff: each table entry and each oracle value is a sum of q
+    positive terms, within q u of its exact value (u the unit roundoff),
+    and the read adds at most 4 u, so (2 q + 8) u times the largest value
+    on the cell covers both routes. gamma = Z / M of the exponential is
+    sig on both routes: Z's terms are sig times M's, each rounded once, so
+    the ratio is off by at most (2 q + 1) u from the sums, 8 u from the two
+    reads and u from the division; (2 q + 16) u sig covers it.
+
+    Knot 0 is one smoothing at y = 0 on both routes, bit for bit, and the
+    integrand-only entry returns the same Z.
+    """
+    f, f_prime, d2, d3 = ENDPOINT_DENSITIES[name]
+    q, u = 32, np.finfo(float).eps / 2
+    p = sample_paths(make_grid(16), 3000, seed=41)
+    F = scalar_functional(p.grid, f, f_prime)
+    Z, M, gamma = clark_ocone_decompose(F, p, quad_order=q)
+    Z0, M0, _ = decompose_per_path(f, f_prime, p, quad_order=q)
+    y_grid = clark_ocone._table_y_grid(p)
+    h = (y_grid[-1] - y_grid[0]) / (y_grid.size - 1)
+    roundoff = (2 * q + 8) * u
+    if d2 is None:
+        rel = (_SIG ** 2 * h * h / 8.0 + roundoff) * np.exp(_SIG * h)
+        assert np.all(np.abs(M - M0) <= rel * M0)
+        assert np.all(np.abs(Z - Z0) <= rel * Z0)
+        assert np.max(np.abs(gamma - _SIG)) <= (2 * q + 16) * u * _SIG
+    else:
+        assert np.max(np.abs(M - M0)) <= h * h / 8.0 * d2 + roundoff * 1.5
+        assert np.max(np.abs(Z - Z0)) <= h * h / 8.0 * d3 + roundoff * 0.5
+    assert_bitwise(M[:, 0], M0[:, 0])
+    assert_bitwise(Z[:, 0], Z0[:, 0])
+    assert_bitwise(clark_ocone_integrand(F, p, quad_order=q), Z)
 
 
 def test_integrand_rejects_what_decompose_rejects(pool):
@@ -413,31 +477,86 @@ def test_integrand_rejects_what_decompose_rejects(pool):
             entry(F, pool, quad_order=0)
         with pytest.raises(ValueError, match="arity"):
             entry(tanh_density(make_grid(4)), pool)
-        with pytest.raises(ValueError, match="scalar_fn"):
+        with pytest.raises(ValueError, match="endpoint functional"):
             entry(coupled_functional(4), sample_paths(make_grid(4), 16, seed=5))
 
 
-def _right_knot_smoothings(pool, quad_order, fn):
-    """Mutant of the knot loop: Z (the first array fn returns) at interval
-    i reads the prefix through knot i + 1 and the variance left after it,
-    M stays at knot i."""
+def _recording(calls):
+    def fn(U):
+        calls.append(U.shape)
+        return (U,)
+    return fn
+
+
+@pytest.mark.parametrize("knots,quad_order,y_grid,match", [
+    ([0.0, 0.5], 0, np.linspace(-1.0, 1.0, 5), "quad_order"),
+    ([0.0, 0.5], -3, np.linspace(-1.0, 1.0, 5), "quad_order"),
+    ([0.0, 1.0], 8, np.linspace(-1.0, 1.0, 5), "horizon"),
+    ([0.0, 1.5], 8, np.linspace(-1.0, 1.0, 5), "horizon"),
+    ([np.nan], 8, np.linspace(-1.0, 1.0, 5), "horizon"),
+    ([0.0], 8, np.array([0.0, 0.1, 0.3]), "uniformly spaced"),
+    ([0.0], 8, np.array([0.2, 0.1, 0.0]), "uniformly spaced"),
+    ([0.0], 8, np.array([0.0, np.nan, 0.2]), "finite"),
+    ([0.0], 8, np.array([0.0, 0.1, np.inf]), "finite"),
+    ([0.0], 8, np.empty(0), "finite"),
+    ([0.0], 8, np.zeros((2, 3)), "finite"),
+])
+def test_knot_tables_refuse_bad_input_before_any_evaluation(
+        knots, quad_order, y_grid, match):
+    calls = []
+    with pytest.raises(ValueError, match=match):
+        clark_ocone.knot_tables(_recording(calls), knots, 1.0, quad_order,
+                                y_grid)
+    assert calls == []
+
+
+def test_knot_tables_smooth_each_array_on_one_argument():
+    """Row i of each table is the Gauss-Hermite mean of f(y + sqrt(T - t_i)
+    X) at every grid point, for every array fn returns from the same
+    argument; a one-point grid is a single position."""
+    x, w = gauss_hermite(12)
+    y_grid = np.linspace(-2.0, 2.0, 9)
+    knots = [0.0, 0.25, 0.75]
+    a, b = clark_ocone.knot_tables(lambda U: (np.sin(U), U ** 2), knots, 1.0,
+                                   12, y_grid)
+    assert a.shape == b.shape == (3, 9)
+    for i, t in enumerate(knots):
+        var = 1.0 - t
+        assert np.allclose(b[i], y_grid ** 2 + var, rtol=1e-13, atol=1e-13)
+        assert np.allclose(a[i], np.sin(y_grid) * np.exp(-0.5 * var),
+                           rtol=1e-12, atol=1e-13)
+    one, = clark_ocone.knot_tables(lambda U: (np.cos(U),), [0.5], 1.0, 12,
+                                   np.array([0.3]))
+    assert one.shape == (1, 1)
+    assert_bitwise(one[0, 0], np.cos(0.3 + np.sqrt(0.5) * x) @ w)
+
+
+_PATH_READS = clark_ocone._path_reads
+
+
+def _right_knot_reads(fn, pool, quad_order):
+    """Mutant of the table reads: Z (the first array fn returns) at
+    interval i reads knot i + 1's table at the path's position at knot
+    i + 1, and at the last interval f' at the endpoint itself; M stays at
+    knot i."""
     grid = pool.grid
-    nodes, w = gauss_hermite(quad_order)
-
-    def smooth(k):
-        y = pool.increments[:, :k].sum(axis=1)
-        arg = y[:, None] + np.sqrt(grid.horizon - grid.knots[k]) * nodes[None, :]
-        return [np.asarray(f) @ w for f in fn(arg)]
-
-    cols = [smooth(i + 1)[:1] + smooth(i)[1:] for i in range(grid.n_steps)]
-    return [np.column_stack(c) for c in zip(*cols)]
+    honest = _PATH_READS(fn, pool, quad_order)
+    y_grid = clark_ocone._table_y_grid(pool)
+    table, = clark_ocone.knot_tables(lambda U: fn(U)[:1], grid.knots[1:-1],
+                                     grid.horizon, quad_order, y_grid)
+    Z = np.empty(pool.increments.shape)
+    for i in range(grid.n_steps - 1):
+        Z[:, i] = uniform_interp(pool.cumulative[:, i + 1], y_grid,
+                                 [table[i]])[0]
+    Z[:, -1] = fn(pool.cumulative[:, -1:])[0][:, 0]
+    return [Z] + honest[1:]
 
 
 @pytest.mark.parametrize("seed", [20260815, 3, 4])
 def test_clark_battery_catches_a_right_endpoint_integrand(monkeypatch, seed):
     """Power: Z shifted off its left endpoint fails every record of the
     clark-ocone battery at reference size."""
-    monkeypatch.setattr(clark_ocone, "_knot_smoothings", _right_knot_smoothings)
+    monkeypatch.setattr(clark_ocone, "_path_reads", _right_knot_reads)
     records = run_check("clark-ocone", n_paths=20_000, n_steps=16, seed=seed)
     assert len(records) == 4
     assert not any(r.passed for r in records), [r.name for r in records

@@ -83,14 +83,14 @@ def test_profile_is_centered_antiderivative(pool16):
     xi = pool16.increments.sum(axis=1)
     dens = np.exp(0.3 * xi - 0.045)
     law = pushforward_law(dens, xi)
-    prof = density_derivative_profile(f, law, xi)
+    prof = density_derivative_profile(f, law, xi, f.phi(law.atoms))
     mean = weighted_expectation(dens, prof)
     assert abs(mean) < 1e-10
     # slope recovers the derivative: finite difference on the profile grid
     probes = np.array([-0.5, 0.0, 0.7])
     h = 1e-4
-    up = density_derivative_profile(f, law, probes + h)
-    dn = density_derivative_profile(f, law, probes - h)
+    up = density_derivative_profile(f, law, probes + h, f.phi(law.atoms))
+    dn = density_derivative_profile(f, law, probes - h, f.phi(law.atoms))
     from wcalc import lions_derivative
     assert np.allclose((up - dn) / (2 * h), lions_derivative(f, law, probes),
                        atol=1e-6)
@@ -104,7 +104,8 @@ def test_profile_reads_the_outer_slope_once_bitwise(pool16, name):
     xi = pool16.increments.sum(axis=1)
     law = pushforward_law(np.exp(0.3 * xi - 0.045), xi)
     x_grid = np.linspace(-2.0, 2.0, 41)
-    assert_bitwise(density_derivative_profile(f, law, x_grid),
+    assert_bitwise(density_derivative_profile(f, law, x_grid,
+                                              f.phi(law.atoms)),
                    density_derivative_profile_per_pass(f, law, x_grid))
 
 

@@ -222,10 +222,10 @@ def test_bensoussan_linear_psi_case(reweighted):
 
 def test_bensoussan_reads_phi_on_the_grid_three_times():
     """One call of the battery's sin-sin record at bandwidth 0.25 evaluates
-    phi six times: on the 2048-point grid once for the measure derivative
+    phi five times: on the 2048-point grid once for the measure derivative
     at the smoothed law and once per representer call, at the 2 x 7
-    difference points, at the 7 probes and 20000 atoms together, and at the
-    atoms for the profile's outer slope."""
+    difference points, and at the 7 probes and 20000 atoms together, which
+    the profile's outer slope reads too."""
     grid = make_grid(16)
     pool = sample_paths(grid, 20000, seed=20260815)
     curve = checks._curve_battery(grid)[0][1]
@@ -240,7 +240,7 @@ def test_bensoussan_reads_phi_on_the_grid_three_times():
     f = dataclasses.replace(base, phi=phi)
     sizes.clear()  # the construction check read phi on its probes
     bensoussan_check(f, law, np.linspace(-1.5, 1.5, 7), bandwidth=0.25)
-    assert sizes == [2048, 2048, 14, 2048, 20007, 20000]
+    assert sizes == [2048, 2048, 14, 2048, 20007]
 
 
 def test_bensoussan_error_shrinks_with_bandwidth(reweighted):

@@ -4,7 +4,10 @@ The benchmark's traced runs wrap wcalc's public functions and count work
 from their arguments: MollifiedDensity and TruncatedDensity method calls
 (through `coords`, `moll.eps`, `moll.trunc.level`, `moll.trunc.cond.level`
 and `moll.n_coords`) and gaussian_smooth calls (through `prefix`, `grid`,
-`component`, `F.scalar_fn`, `mc_fallback` and `quad_order`). A rename in
+`component`, `mc_fallback` and `quad_order`). The tracer reads
+`F.scalar_fn` only on a call without a component, an attribute that
+SmoothFunctional no longer has, so every gaussian_smooth call in wcalc
+passes a component. A rename in
 wcalc would break those runs, or silently zero a counter, without failing
 any other test. Here a fresh interpreter installs the tracer, runs a tiny
 pipeline with ladders, a small clark-ocone battery and a small second-order
