@@ -51,12 +51,12 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .artifacts import atomic_write_csv, atomic_write_json
-from .clark_ocone import _read_knot_tables, _table_y_grid, knot_tables
+from .clark_ocone import _table_y_grid, knot_tables
 from .density_deriv import DensityCurve
 from .girsanov import StepProcess, doleans_exponential, table_process
 from .numerics import (bump_quad_1d, capped_identity, capped_identity_deriv,
                        gauss_hermite, gauss_legendre, radial_cutoff,
-                       radial_cutoff_deriv, uniform_cell)
+                       radial_cutoff_deriv, uniform_cell, uniform_interp)
 from .wiener_grid import PathPool, TimeGrid, _block_edges, dyadic_coarsen
 
 _MOLL_NODES = 17
@@ -446,6 +446,14 @@ def integrand_tables(table: _UTable, eps_pos: float,
     return gam, dgam
 
 
+def _read_knot_tables(pool: PathPool, y_grid: np.ndarray, tables):
+    """Row k of each per-knot y-table read at the paths' positions at knot k."""
+    left = pool.cumulative[:, :-1]
+    cols = [uniform_interp(left[:, k], y_grid, [tab[k] for tab in tables])
+            for k in range(left.shape[1])]
+    return [np.column_stack(c) for c in zip(*cols)]
+
+
 def _exponential_slope(pool: PathPool, gamma: np.ndarray,
                        dgamma: np.ndarray) -> np.ndarray:
     """Log-derivative factor of the stochastic exponential: the integral of
@@ -578,7 +586,7 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
     block_pool = dyadic_coarsen(pool, config.dyadic_level)
     k_pool = dyadic_coarsen(pool, config.step_count.bit_length() - 1)
     stride = block_pool.grid.n_steps // config.step_count
-    y_grid = _table_y_grid(block_pool)
+    y_grid = _table_y_grid(block_pool.cumulative[:, :-1])
 
     seg_lams, seg_w = _segment_scheme(lam, lam_prime)
     stage_ids = (1, 3, 4, 5, 6, 7)
@@ -691,7 +699,7 @@ def final_errors_at(curve: DensityCurve, lam: float, config: PipelineConfig,
     k_pool = dyadic_coarsen(pool, config.step_count.bit_length() - 1)
     [(E, dE)], _ = _exponentials(
         table, config, config.positivity_floor + float(F.mean()),
-        float(Fl.mean()), _table_y_grid(k_pool), (k_pool,))
+        float(Fl.mean()), _table_y_grid(k_pool.cumulative[:, :-1]), (k_pool,))
     target_v, target_d = curve.eval_pair(lam, pool)
     ev, se_v = _l2_with_se(E - target_v)
     ed, se_d = _l2_with_se(dE - target_d)

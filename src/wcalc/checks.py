@@ -267,16 +267,17 @@ def check_second_order(n_paths: int = 20000, n_steps: int = 16,
     return records
 
 
+def _exp_density(horizon: float, sig: float = 0.4):
+    """(l, l') of the density l(B_T) = exp(sig B_T - sig^2 T / 2)."""
+    return (lambda s: np.exp(sig * s - 0.5 * sig ** 2 * horizon),
+            lambda s: sig * np.exp(sig * s - 0.5 * sig ** 2 * horizon))
+
+
 def _repr_functionals(grid: TimeGrid):
     """(L, xi1, xi2) of the representation check: the exponential density
-    of B_T with sigma 0.4, xi1 = B(T/2) and xi2 = B_T, each with its
-    loading."""
-    horizon = grid.horizon
+    of B_T, xi1 = B(T/2) and xi2 = B_T, each with its loading."""
     n = grid.n_steps
-    sig = 0.4
-    L = scalar_functional(grid,
-                          lambda s: np.exp(sig * s - 0.5 * sig ** 2 * horizon),
-                          lambda s: sig * np.exp(sig * s - 0.5 * sig ** 2 * horizon))
+    L = scalar_functional(grid, *_exp_density(grid.horizon))
     half = n // 2
     first_half = (np.arange(n) < half).astype(float)
     xi1 = SmoothFunctional(
@@ -300,24 +301,24 @@ def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
     grid = make_grid(4, horizon)
     n_paths, quad = 4000, 12
     pool = sample_paths(grid, n_paths, seed + 11)
-    n = grid.n_steps
-    half = n // 2
+    half = grid.n_steps // 2
     L, xi1, xi2 = _repr_functionals(grid)
 
     inc = pool.increments
     l_vals = np.asarray(L.value_fn(inc), dtype=float)
     l_norm = l_vals / float(l_vals.mean())
     xi_pts = np.column_stack([xi1.value_fn(inc), xi2.value_fn(inc)])
-    _, _, gam = clark_ocone_decompose(L, pool, quad_order=32)
+    endpoint = _exp_density(grid.horizon)
+    _, _, gam = clark_ocone_decompose(*endpoint, pool, quad_order=32)
     dts = grid.steps
-    eta_dot = np.ones(n)
-    ito_eta = ((inc - gam * dts[None, :]) * eta_dot[None, :]).sum(axis=1)
+    ito_eta = (inc - gam * dts[None, :]).sum(axis=1)  # eta' = 1
     # Direction induced on the observables: constant because both read the
     # path linearly.
     eta_obs = np.array([half * dts[0], float(dts.sum())])
 
     fs = _plane_functionals()[:2]
-    outs = multidim_derivative_repr(fs, L, [xi1, xi2], pool, quad_order=quad)
+    outs = multidim_derivative_repr(fs, L, endpoint, [xi1, xi2], pool,
+                                    quad_order=quad)
     records = []
     for f, out in zip(fs, outs):
         zero, se0 = mean_and_se(l_norm * out)
@@ -425,10 +426,8 @@ def check_clark_ocone(n_paths: int = 20000, n_steps: int = 16,
     records = []
 
     sig = 0.4
-    F = scalar_functional(grid,
-                          lambda s: np.exp(sig * s - 0.5 * sig ** 2 * grid.horizon),
-                          lambda s: sig * np.exp(sig * s - 0.5 * sig ** 2 * grid.horizon))
-    _, _, gam = clark_ocone_decompose(F, pool, quad_order=32)
+    _, _, gam = clark_ocone_decompose(*_exp_density(grid.horizon, sig), pool,
+                                      quad_order=32)
     records.append(_rec("clark/constant-integrand",
                         float(np.max(np.abs(gam - sig))), 0.0, 0.0, 1e-8))
 
@@ -436,12 +435,10 @@ def check_clark_ocone(n_paths: int = 20000, n_steps: int = 16,
     # conditional means stay above one half.
     defects = []
     for n in (4, 8, 16, 32):
-        g = make_grid(n, horizon)
-        p = sample_paths(g, n_paths, seed + n)
-        Fh = scalar_functional(g, lambda s: 1.0 + 0.5 * np.tanh(s),
-                               lambda s: 0.5 / np.cosh(s) ** 2)
-        Z = clark_ocone_integrand(Fh, p, quad_order=32)
-        vals = np.asarray(Fh.value_fn(p.increments), dtype=float)
+        p = sample_paths(make_grid(n, horizon), n_paths, seed + n)
+        Z = clark_ocone_integrand(lambda s: 0.5 / np.cosh(s) ** 2, p,
+                                  quad_order=32)
+        vals = 1.0 + 0.5 * np.tanh(row_sums(p.increments))
         defects.append(reconstruction_error(vals, Z, p))
     for k, n in enumerate((4, 8, 16)):
         ratio = defects[k] / defects[k + 1]

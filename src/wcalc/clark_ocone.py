@@ -9,9 +9,10 @@ over the directions the integrand reads (its loading).
 A functional of the endpoint alone, F = f(B_T), has E[F | F_t] = g_t(B_t)
 with g_t(y) = E[f(y + sqrt(T - t) X)], X standard normal: one function of
 the position per knot. knot_tables tabulates g_t on a uniform y-grid, for
-clark_ocone_decompose and for stage 6 of approx_pipeline alike, and the
-decomposition reads Z and M at each path's position by linear
-interpolation.
+clark_ocone_decompose and for stage 6 of approx_pipeline alike. The
+decomposition takes f and f' and reads Z and M off one table per knot,
+whose grid spans the paths' positions at that knot, at each path's
+position by linear interpolation.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .functionals import _check_gradient
 from .numerics import gauss_hermite, row_sums, uniform_interp
 from .rng import substream
 from .wiener_grid import PathPool, TimeGrid
@@ -81,21 +83,12 @@ class SmoothFunctional:
         rng = substream(_PROBE_SEED, self.n_args)
         x = rng.standard_normal((8, self.n_args)) / np.sqrt(self.n_args)
         v = np.asarray(self.value_fn(x), dtype=float)
-        g = np.asarray(self.grad_fn(x), dtype=float)
-        if v.shape != (8,) or g.shape != (8, self.n_args):
+        if v.shape != (8,):
             raise ValueError("functional output shapes are wrong")
-        step = 1e-6
-        for j in range(self.n_args):
-            up, dn = x.copy(), x.copy()
-            up[:, j] += step
-            dn[:, j] -= step
-            fd = (np.asarray(self.value_fn(up)) - np.asarray(self.value_fn(dn))) / (2 * step)
-            if not np.all(np.abs(fd - g[:, j]) <= 1e-6 * (1.0 + np.abs(fd)) + 1e-8):
-                raise ValueError(f"gradient component {j} disagrees with finite differences")
-        if self.loading is not None:
-            self._check_loading(rng, x, v)
-
-    def _check_loading(self, rng, x: np.ndarray, v: np.ndarray) -> None:
+        _check_gradient(lambda y: np.asarray(self.value_fn(y), dtype=float),
+                        self.grad_fn, x, "functional")
+        if self.loading is None:
+            return
         A = _as_loading(self.loading, self.n_args)
         object.__setattr__(self, "loading", A)
         _, rows = _principal_axes(A.T @ A)
@@ -261,18 +254,16 @@ def knot_tables(fn, knot_times, horizon: float, quad_order: int, y_grid):
     maps the (len(y_grid), quad_order) array y + sqrt(horizon - t_i) x_k
     to a tuple of arrays of that shape. ValueError before any evaluation on
     quad_order < 1, on a knot at or past the horizon and on a y_grid that
-    is not 1-D, finite and uniform (one point, or increasing in equal
-    steps up to rounding)."""
+    is not 1-D, finite and increasing in equal steps (up to rounding)."""
     _check_quadrature(quad_order, None)
     times = np.asarray(knot_times, dtype=float)
     if not np.all(times < horizon):
         raise ValueError("knots must lie strictly before the horizon")
     y = np.asarray(y_grid, dtype=float)
-    if y.ndim != 1 or y.size < 1 or not np.all(np.isfinite(y)):
-        raise ValueError("y_grid must be a nonempty 1-D array of finite points")
+    if y.ndim != 1 or y.size < 2 or not np.all(np.isfinite(y)):
+        raise ValueError("y_grid must be a 1-D array of two or more finite points")
     step = np.diff(y)
-    if step.size and not (step[0] > 0.0
-                          and np.allclose(step, step[0], rtol=1e-9, atol=0.0)):
+    if not (step[0] > 0.0 and np.allclose(step, step[0], rtol=1e-9, atol=0.0)):
         raise ValueError("y_grid must be increasing and uniformly spaced")
     x, w = gauss_hermite(quad_order)
     rows = []
@@ -283,86 +274,51 @@ def knot_tables(fn, knot_times, horizon: float, quad_order: int, y_grid):
     return [np.stack(r) for r in zip(*rows)]
 
 
-def _table_y_grid(pool: PathPool) -> np.ndarray:
-    """Terminal-coordinate grid covering every path's left-knot position."""
-    left = pool.cumulative[:, :-1]
-    return np.linspace(float(left.min()) - 1.0, float(left.max()) + 1.0,
-                       _TABLE_POINTS)
+def _table_y_grid(positions) -> np.ndarray:
+    """_TABLE_POINTS uniform points spanning the positions plus one aside."""
+    return np.linspace(float(np.min(positions)) - 1.0,
+                       float(np.max(positions)) + 1.0, _TABLE_POINTS)
 
 
-def _endpoint_form(F: SmoothFunctional, pool: PathPool, with_value: bool):
-    """fn for knot_tables giving f'(U), and f(U) if with_value, of
-    F = f(B_T): a loading c 1^T (c != 0) says F reads only the sum of the
-    increments, so at the increments (u, 0, ..., 0) value_fn is f(u) and
-    every column of grad_fn is f'(u). Those rows live in one zero buffer
-    per size, in column order, so the sum runs down whole columns."""
-    n = pool.grid.n_steps
-    if F.n_args != n:
-        raise ValueError("functional arity does not match the grid")
-    A = F.loading
-    if A is None or A.flat[0] == 0.0 or not np.all(A == A.flat[0]):
-        raise ValueError("the decomposition needs an endpoint functional: a "
-                         "loading that is a nonzero multiple of 1^T")
-    pads = {}
-
-    def fn(U):
-        if U.size not in pads:
-            pads[U.size] = np.zeros((U.size, n), order="F")
-        x = pads[U.size]
-        x[:, 0] = U.ravel()
-        out = [np.asarray(F.grad_fn(x), dtype=float)[:, 0].reshape(U.shape)]
-        if with_value:
-            out.append(np.asarray(F.value_fn(x), dtype=float).reshape(U.shape))
-        return out
-
-    return fn
-
-
-def _read_knot_tables(pool: PathPool, y_grid: np.ndarray, tables):
-    """Row k of each per-knot y-table read at the paths' positions at knot k."""
-    left = pool.cumulative[:, :-1]
-    cols = [uniform_interp(left[:, k], y_grid, [tab[k] for tab in tables])
-            for k in range(left.shape[1])]
+def _path_reads(fns, pool: PathPool, quad_order: int):
+    """Per endpoint function f in fns, the (paths, knots) matrix of
+    E[f(B_T) | F_{t_i}]: knot i's table on a grid spanning the paths'
+    positions at knot i, read at each path's position there, so column i
+    depends on nothing the paths do after t_i."""
+    grid = pool.grid
+    cols = []
+    for i in range(grid.n_steps):
+        y = pool.cumulative[:, i]
+        y_grid = _table_y_grid(y)
+        tables = knot_tables(lambda U: [f(U) for f in fns], grid.knots[i:i + 1],
+                             grid.horizon, quad_order, y_grid)
+        cols.append(uniform_interp(y, y_grid, [tab[0] for tab in tables]))
     return [np.column_stack(c) for c in zip(*cols)]
 
 
-def _path_reads(fn, pool: PathPool, quad_order: int):
-    """Per array f(B_T) that fn returns, the (paths, knots) matrix of
-    E[f(B_T) | F_{t_i}] read off knot tables; knot 0's row holds its one
-    smoothing at y = 0 throughout, which a linear read returns exactly."""
-    grid, y_grid = pool.grid, _table_y_grid(pool)
-    first = knot_tables(fn, grid.knots[:1], grid.horizon, quad_order,
-                        np.zeros(1))
-    rest = knot_tables(fn, grid.knots[1:-1], grid.horizon, quad_order, y_grid)
-    tables = [np.full((grid.n_steps, y_grid.size), f0[0, 0]) for f0 in first]
-    for tab, later in zip(tables, rest):
-        tab[1:] = later
-    return _read_knot_tables(pool, y_grid, tables)
-
-
-def clark_ocone_integrand(F: SmoothFunctional, pool: PathPool,
+def clark_ocone_integrand(fn_prime: Callable, pool: PathPool,
                           quad_order: int = 32) -> np.ndarray:
     """Z of clark_ocone_decompose alone, for callers that need no M."""
-    return _path_reads(_endpoint_form(F, pool, False), pool, quad_order)[0]
+    return _path_reads((fn_prime,), pool, quad_order)[0]
 
 
-def clark_ocone_decompose(F: SmoothFunctional, pool: PathPool,
+def clark_ocone_decompose(fn: Callable, fn_prime: Callable, pool: PathPool,
                           quad_order: int = 32):
-    """Extract (Z, M, gamma) along the pool paths.
+    """Extract (Z, M, gamma) of the endpoint functional F = fn(B_T) along
+    the pool paths; fn and its derivative fn_prime act elementwise.
 
-    Z[:, i] = E[dF/dx_i | F_{t_{i-1}}], M[:, i] = E[F | F_{t_{i-1}}], and
-    gamma = Z / M is the logarithmic integrand; M must stay away from zero,
-    which holds for the positive normalized densities this is applied to.
+    Z[:, i] = E[dF/dx_i | F_{t_{i-1}}] = E[fn'(B_T) | F_{t_{i-1}}],
+    M[:, i] = E[F | F_{t_{i-1}}], and gamma = Z / M is the logarithmic
+    integrand; M must stay away from zero, which holds for the positive
+    normalized densities this is applied to.
 
-    F must read only the endpoint, F = f(B_T) with loading 1^T as
-    scalar_functional declares; then dF/dx_i = f'(B_T) for every i. Z and
-    M are knot_tables of f' and f on _TABLE_POINTS uniform points spanning
-    the paths' left-knot positions plus one on either side, read at each
-    path's position by linear interpolation: off by at most h**2 / 8 times
-    the largest second y-derivative of the table, h the grid step. Knot 0
-    is one smoothing at y = 0, where every path starts.
+    Per knot, Z and M are knot_tables of fn' and fn on _TABLE_POINTS
+    uniform points spanning the paths' positions at that knot plus one on
+    either side, read at each path's position by linear interpolation: off
+    by at most h**2 / 8 times the largest second y-derivative of the
+    table, h the grid step.
     """
-    Z, M = _path_reads(_endpoint_form(F, pool, True), pool, quad_order)
+    Z, M = _path_reads((fn_prime, fn), pool, quad_order)
     if np.any(np.abs(M) < 1e-12):
         raise ValueError("conditional mean hits zero; logarithmic integrand undefined")
     return Z, M, Z / M

@@ -10,7 +10,7 @@ Each has an independent route, so they cross-check one another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -278,6 +278,7 @@ def second_order_check_multidim(f: CylindricalFn, law: EmpiricalLaw, x_grid,
 
 
 def multidim_derivative_repr(fs: Sequence[CylindricalFn], L: SmoothFunctional,
+                             endpoint: Tuple[Callable, Callable],
                              xi_fns: Sequence[SmoothFunctional], pool: PathPool,
                              quad_order: int = 32) -> List[np.ndarray]:
     """Per-path derivative values via the drift-corrected stochastic
@@ -287,6 +288,8 @@ def multidim_derivative_repr(fs: Sequence[CylindricalFn], L: SmoothFunctional,
     density-weighted predictable projection of (Lions derivative at xi) dot
     (interval gradient of xi), and gamma is the logarithmic integrand of L,
     so the corrected increments are driftless under the reweighted measure.
+    L = l(B_T) reads the endpoint only, and endpoint = (l, l') is what
+    clark_ocone_decompose takes to extract gamma.
 
     The law, the decomposition of L and each knot's projection mesh are
     shared by every functional: per mesh row the xi values, their interval
@@ -306,7 +309,7 @@ def multidim_derivative_repr(fs: Sequence[CylindricalFn], L: SmoothFunctional,
     law = pushforward_law(l_vals, xi_pts)
     slopes = [outer_slope(f, law) for f in fs]
 
-    _, M, gamma = clark_ocone_decompose(L, pool, quad_order=quad_order)
+    _, M, gamma = clark_ocone_decompose(*endpoint, pool, quad_order=quad_order)
 
     def component(i):
         def comp(args):

@@ -553,10 +553,12 @@ def check_girsanov_per_pair(n_paths=20000, n_steps=16, seed=7303,
 # --- the representation check as it was when each functional ran its own
 # decomposition and its own projections --------------------------------------
 
-def multidim_derivative_repr_single(f, L, xi_fns, pool, quad_order: int = 32):
+def multidim_derivative_repr_single(f, L, endpoint, xi_fns, pool,
+                                    quad_order: int = 32):
     """Per-path derivative values of one functional via the drift-corrected
-    stochastic integral: its own law, decomposition of L and projection
-    mesh at every knot, with xi, its gradients and L evaluated inside."""
+    stochastic integral: its own law, decomposition of L = l(B_T) (from
+    endpoint = (l, l')) and projection mesh at every knot, with xi, its
+    gradients and L evaluated inside."""
     grid = pool.grid
     loads = [g.loading for g in (L, *xi_fns)]
     loading = None if any(a is None for a in loads) else np.vstack(loads)
@@ -565,7 +567,7 @@ def multidim_derivative_repr_single(f, L, xi_fns, pool, quad_order: int = 32):
     xi_pts = np.column_stack([np.asarray(x.value_fn(inc), dtype=float)
                               for x in xi_fns])
     c = outer_slope(f, pushforward_law(l_vals, xi_pts))
-    Z, M, gamma = clark_ocone_decompose(L, pool, quad_order=quad_order)
+    Z, M, gamma = clark_ocone_decompose(*endpoint, pool, quad_order=quad_order)
 
     def component(i):
         def comp(args):

@@ -274,12 +274,13 @@ def test_representation_shares_one_mesh_bitwise(seed):
     L, xi1, xi2 = checks._repr_functionals(grid)
     L_old, xi1_old, xi2_old = repr_functionals_summed(grid)
     fs = checks._plane_functionals()[:2]
-    got = density_deriv.multidim_derivative_repr(fs, L, [xi1, xi2], pool,
-                                                 quad_order=12)
+    endpoint = checks._exp_density(grid.horizon)
+    got = density_deriv.multidim_derivative_repr(fs, L, endpoint, [xi1, xi2],
+                                                 pool, quad_order=12)
     assert len(got) == len(fs)
     for f, out in zip(fs, got):
         assert_bitwise(out, multidim_derivative_repr_single(
-            f, L_old, [xi1_old, xi2_old], pool, quad_order=12))
+            f, L_old, endpoint, [xi1_old, xi2_old], pool, quad_order=12))
 
 
 @pytest.mark.parametrize("seed", [20260815, 3, 4])

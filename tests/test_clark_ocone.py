@@ -9,7 +9,7 @@ from wcalc import (make_grid, sample_paths, SmoothFunctional,
                    clark_ocone_decompose, clark_ocone_integrand,
                    reconstruction_error, run_check)
 from wcalc import clark_ocone
-from wcalc.numerics import gauss_hermite, uniform_interp
+from wcalc.numerics import gauss_hermite
 from oracles import (assert_bitwise, decompose_per_path, gaussian_expectation,
                      tensor_nodes)
 
@@ -19,9 +19,12 @@ def pool():
     return sample_paths(make_grid(8), 20000, seed=333)
 
 
+# f and f' of the tanh-shaped endpoint density 1 + tanh(B_T) / 2
+TANH = (lambda s: 1.0 + 0.5 * np.tanh(s), lambda s: 0.5 / np.cosh(s) ** 2)
+
+
 def tanh_density(grid):
-    return scalar_functional(grid, lambda s: 1.0 + 0.5 * np.tanh(s),
-                             lambda s: 0.5 / np.cosh(s) ** 2)
+    return scalar_functional(grid, *TANH)
 
 
 def test_smooth_functional_rejects_wrong_gradient():
@@ -113,24 +116,20 @@ def test_decompose_exponential_integrand_frozen(pool):
     accuracy; this is the closed form the whole extraction leans on."""
     s = 0.6
     T = pool.grid.horizon
-    F = scalar_functional(pool.grid,
-                          lambda u: np.exp(s * u - 0.5 * s * s * T),
-                          lambda u: s * np.exp(s * u - 0.5 * s * s * T))
-    Z, M, gamma = clark_ocone_decompose(F, pool, quad_order=32)
+    Z, M, gamma = clark_ocone_decompose(
+        lambda u: np.exp(s * u - 0.5 * s * s * T),
+        lambda u: s * np.exp(s * u - 0.5 * s * s * T), pool, quad_order=32)
     assert np.max(np.abs(gamma - s)) < 1e-8
     # M at the first knot is the unconditional mean, exactly one
     assert np.allclose(M[:, 0], 1.0, atol=1e-12)
 
 
-def test_decompose_left_endpoint_measurability(pool, monkeypatch):
+def test_decompose_left_endpoint_measurability(pool):
     """Column i of Z and M reads only the first i increments, so shuffling
     the suffix across paths cannot move it; column 0 is unconditional.
-
-    The tables' y-grid spans the whole pool's positions, which the shuffle
-    moves, so it is held at the unshuffled pool's grid: what is checked is
-    that each path reads its own left-knot position and nothing else."""
-    F = tanh_density(pool.grid)
-    Z, M, _ = clark_ocone_decompose(F, pool, quad_order=24)
+    Knot i's table grid spans the positions at knot i alone, which the
+    shuffle leaves in place, so the columns stay bit for bit."""
+    Z, M, _ = clark_ocone_decompose(*TANH, pool, quad_order=24)
     assert np.ptp(M[:, 0]) == 0.0
     assert np.ptp(Z[:, 0]) == 0.0
     i = 3
@@ -139,9 +138,7 @@ def test_decompose_left_endpoint_measurability(pool, monkeypatch):
     shuffled[:, i:] = shuffled[perm, i:]
     from wcalc.wiener_grid import _pool_from_increments
     p2 = _pool_from_increments(pool.grid, shuffled)
-    y_grid = clark_ocone._table_y_grid(pool)
-    monkeypatch.setattr(clark_ocone, "_table_y_grid", lambda _: y_grid)
-    Z2, M2, _ = clark_ocone_decompose(F, p2, quad_order=24)
+    Z2, M2, _ = clark_ocone_decompose(*TANH, p2, quad_order=24)
     assert_bitwise(M2[:, :i + 1], M[:, :i + 1])
     assert_bitwise(Z2[:, :i + 1], Z[:, :i + 1])
 
@@ -150,9 +147,9 @@ def test_linear_functional_reconstructs_exactly(pool):
     """For L = 1 + c B_T the integrand is the constant c and the defect is
     zero on the nose, at every grid size."""
     c = 0.25
-    F = scalar_functional(pool.grid, lambda s: 1.0 + c * s,
-                          lambda s: np.full_like(np.asarray(s, dtype=float), c))
-    Z, _, _ = clark_ocone_decompose(F, pool, quad_order=16)
+    fn_prime = lambda s: np.full_like(np.asarray(s, dtype=float), c)
+    F = scalar_functional(pool.grid, lambda s: 1.0 + c * s, fn_prime)
+    Z = clark_ocone_integrand(fn_prime, pool, quad_order=16)
     vals = np.asarray(F.value_fn(pool.increments), dtype=float)
     assert reconstruction_error(vals, Z, pool) < 1e-10
 
@@ -163,7 +160,7 @@ def test_defect_halves_per_grid_doubling():
         g = make_grid(n)
         p = sample_paths(g, 30000, seed=900 + n)
         F = tanh_density(g)
-        Z, _, _ = clark_ocone_decompose(F, p, quad_order=32)
+        Z, _, _ = clark_ocone_decompose(*TANH, p, quad_order=32)
         vals = np.asarray(F.value_fn(p.increments), dtype=float)
         errs.append(reconstruction_error(vals, Z, p))
     assert 1.2 < errs[0] / errs[1] < 1.8
@@ -374,35 +371,7 @@ def test_gaussian_smooth_rejects_nonpositive_draw_count(n_draws):
 
 def test_decompose_rejects_zero_quadrature_order(pool):
     with pytest.raises(ValueError, match="quad_order"):
-        clark_ocone_decompose(tanh_density(pool.grid), pool, quad_order=0)
-
-
-def half_path_functional(n):
-    """exp(B(T/2)) with its loading: it reads no endpoint."""
-    half = (np.arange(n) < n // 2).astype(float)
-
-    def value(x):
-        return np.exp(np.asarray(x, dtype=float) @ half)
-
-    return SmoothFunctional(n, value, lambda x: value(x)[:, None] * half,
-                            loading=half[None, :])
-
-
-def test_decompose_needs_an_endpoint_functional():
-    """Only functionals whose loading is a nonzero multiple of 1^T are
-    decomposed: the coupled one has no loading and the other reads B(T/2),
-    so both are refused before any smoothing. A loading 2 * 1^T still
-    reads only the endpoint."""
-    pool = sample_paths(make_grid(4), 16, seed=5)
-    for F in (coupled_functional(4), half_path_functional(4)):
-        with pytest.raises(ValueError, match="endpoint functional"):
-            clark_ocone_decompose(F, pool)
-    F = tanh_density(pool.grid)
-    doubled = SmoothFunctional(4, F.value_fn, F.grad_fn,
-                               loading=2.0 * np.ones((1, 4)))
-    for a, b in zip(clark_ocone_decompose(doubled, pool),
-                    clark_ocone_decompose(F, pool)):
-        assert_bitwise(a, b)
+        clark_ocone_decompose(*TANH, pool, quad_order=0)
 
 
 _SIG = 0.4
@@ -445,17 +414,18 @@ def test_decompose_reads_tables_within_the_interpolation_bound(name):
     the ratio is off by at most (2 q + 1) u from the sums, 8 u from the two
     reads and u from the division; (2 q + 16) u sig covers it.
 
-    Knot 0 is one smoothing at y = 0 on both routes, bit for bit, and the
-    integrand-only entry returns the same Z.
+    Each knot has its own grid, so h is taken per column; knot 0's grid
+    has a node at y = 0, where every path starts. The integrand-only entry
+    returns the same Z.
     """
     f, f_prime, d2, d3 = ENDPOINT_DENSITIES[name]
     q, u = 32, np.finfo(float).eps / 2
     p = sample_paths(make_grid(16), 3000, seed=41)
-    F = scalar_functional(p.grid, f, f_prime)
-    Z, M, gamma = clark_ocone_decompose(F, p, quad_order=q)
+    Z, M, gamma = clark_ocone_decompose(f, f_prime, p, quad_order=q)
     Z0, M0, _ = decompose_per_path(f, f_prime, p, quad_order=q)
-    y_grid = clark_ocone._table_y_grid(p)
-    h = (y_grid[-1] - y_grid[0]) / (y_grid.size - 1)
+    h = np.array([np.diff(clark_ocone._table_y_grid(y)[:2])[0]
+                  for y in p.cumulative[:, :-1].T])
+    assert np.all(h < 0.01)
     roundoff = (2 * q + 8) * u
     if d2 is None:
         rel = (_SIG ** 2 * h * h / 8.0 + roundoff) * np.exp(_SIG * h)
@@ -463,22 +433,17 @@ def test_decompose_reads_tables_within_the_interpolation_bound(name):
         assert np.all(np.abs(Z - Z0) <= rel * Z0)
         assert np.max(np.abs(gamma - _SIG)) <= (2 * q + 16) * u * _SIG
     else:
-        assert np.max(np.abs(M - M0)) <= h * h / 8.0 * d2 + roundoff * 1.5
-        assert np.max(np.abs(Z - Z0)) <= h * h / 8.0 * d3 + roundoff * 0.5
-    assert_bitwise(M[:, 0], M0[:, 0])
-    assert_bitwise(Z[:, 0], Z0[:, 0])
-    assert_bitwise(clark_ocone_integrand(F, p, quad_order=q), Z)
+        assert np.all(np.abs(M - M0) <= h * h / 8.0 * d2 + roundoff * 1.5)
+        assert np.all(np.abs(Z - Z0) <= h * h / 8.0 * d3 + roundoff * 0.5)
+    assert_bitwise(clark_ocone_integrand(f_prime, p, quad_order=q), Z)
 
 
 def test_integrand_rejects_what_decompose_rejects(pool):
-    F = tanh_density(pool.grid)
-    for entry in (clark_ocone_decompose, clark_ocone_integrand):
-        with pytest.raises(ValueError, match="quad_order"):
-            entry(F, pool, quad_order=0)
-        with pytest.raises(ValueError, match="arity"):
-            entry(tanh_density(make_grid(4)), pool)
-        with pytest.raises(ValueError, match="endpoint functional"):
-            entry(coupled_functional(4), sample_paths(make_grid(4), 16, seed=5))
+    """A bad quadrature order is refused before f' is evaluated."""
+    calls = []
+    with pytest.raises(ValueError, match="quad_order"):
+        clark_ocone_integrand(_recording(calls), pool, quad_order=0)
+    assert calls == []
 
 
 def _recording(calls):
@@ -499,6 +464,7 @@ def _recording(calls):
     ([0.0], 8, np.array([0.0, np.nan, 0.2]), "finite"),
     ([0.0], 8, np.array([0.0, 0.1, np.inf]), "finite"),
     ([0.0], 8, np.empty(0), "finite"),
+    ([0.0], 8, np.array([0.3]), "two or more"),
     ([0.0], 8, np.zeros((2, 3)), "finite"),
 ])
 def test_knot_tables_refuse_bad_input_before_any_evaluation(
@@ -513,7 +479,7 @@ def test_knot_tables_refuse_bad_input_before_any_evaluation(
 def test_knot_tables_smooth_each_array_on_one_argument():
     """Row i of each table is the Gauss-Hermite mean of f(y + sqrt(T - t_i)
     X) at every grid point, for every array fn returns from the same
-    argument; a one-point grid is a single position."""
+    argument."""
     x, w = gauss_hermite(12)
     y_grid = np.linspace(-2.0, 2.0, 9)
     knots = [0.0, 0.25, 0.75]
@@ -526,30 +492,22 @@ def test_knot_tables_smooth_each_array_on_one_argument():
         assert np.allclose(a[i], np.sin(y_grid) * np.exp(-0.5 * var),
                            rtol=1e-12, atol=1e-13)
     one, = clark_ocone.knot_tables(lambda U: (np.cos(U),), [0.5], 1.0, 12,
-                                   np.array([0.3]))
-    assert one.shape == (1, 1)
-    assert_bitwise(one[0, 0], np.cos(0.3 + np.sqrt(0.5) * x) @ w)
+                                   y_grid)
+    assert one.shape == (1, 9)
+    assert np.allclose(one[0], [np.cos(y + np.sqrt(0.5) * x) @ w
+                                for y in y_grid], rtol=0.0, atol=1e-15)
 
 
 _PATH_READS = clark_ocone._path_reads
 
 
-def _right_knot_reads(fn, pool, quad_order):
-    """Mutant of the table reads: Z (the first array fn returns) at
-    interval i reads knot i + 1's table at the path's position at knot
-    i + 1, and at the last interval f' at the endpoint itself; M stays at
-    knot i."""
-    grid = pool.grid
-    honest = _PATH_READS(fn, pool, quad_order)
-    y_grid = clark_ocone._table_y_grid(pool)
-    table, = clark_ocone.knot_tables(lambda U: fn(U)[:1], grid.knots[1:-1],
-                                     grid.horizon, quad_order, y_grid)
-    Z = np.empty(pool.increments.shape)
-    for i in range(grid.n_steps - 1):
-        Z[:, i] = uniform_interp(pool.cumulative[:, i + 1], y_grid,
-                                 [table[i]])[0]
-    Z[:, -1] = fn(pool.cumulative[:, -1:])[0][:, 0]
-    return [Z] + honest[1:]
+def _right_knot_reads(fns, pool, quad_order):
+    """Mutant of the table reads: Z (read for fns[0] = f') at interval i
+    reads knot i + 1's table at the path's position at knot i + 1, and at
+    the last interval f' at the endpoint itself; M stays at knot i."""
+    Z, *rest = _PATH_READS(fns, pool, quad_order)
+    end = fns[0](pool.cumulative[:, -1])
+    return [np.column_stack([Z[:, 1:], end])] + rest
 
 
 @pytest.mark.parametrize("seed", [20260815, 3, 4])

@@ -223,7 +223,7 @@ def test_u_table_reads_match_direct_evaluation(lam):
     random_pts = np.random.default_rng(32).uniform(-S, S, 4000)
     x, _ = approx_pipeline.gauss_hermite(32)
     t = grid.knots[4]
-    knot_pts = (approx_pipeline._table_y_grid(pool)[:, None]
+    knot_pts = (approx_pipeline._table_y_grid(pool.cumulative[:, :-1])[:, None]
                 + np.sqrt(grid.horizon - t) * x[None, :]).ravel()
     for pts in (random_pts, knot_pts):
         for got, want, bound in zip(table.read(pts), moll.triple(lam, pts),
@@ -235,7 +235,7 @@ def test_knot_tables_read_as_np_interp_bitwise():
     """The reader of stages 6 and 7 gives the per-knot np.interp loop's
     result bit for bit, at every path's left-knot position."""
     pool = sample_paths(make_grid(8), 5000, seed=33)
-    y_grid = approx_pipeline._table_y_grid(pool)
+    y_grid = approx_pipeline._table_y_grid(pool.cumulative[:, :-1])
     rng = np.random.default_rng(34)
     tables = [rng.standard_normal((8, y_grid.size)) for _ in range(2)]
     got = approx_pipeline._read_knot_tables(pool, y_grid, tables)
