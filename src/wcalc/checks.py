@@ -182,6 +182,7 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
 
 
 def _gauss_mean() -> CylindricalFn:
+    """h = id, phi = exp(-x^2 / 2), for second-order and bensoussan."""
     return CylindricalFn(
         h=lambda u: u,
         h_prime=lambda u: np.ones_like(np.asarray(u, dtype=float)),
@@ -274,10 +275,9 @@ def _exp_density(horizon: float, sig: float = 0.4):
 
 
 def _repr_functionals(grid: TimeGrid):
-    """(L, xi1, xi2) of the representation check: the exponential density
-    of B_T, xi1 = B(T/2) and xi2 = B_T, each with its loading."""
+    """(xi1, xi2) of the representation check: xi1 = B(T/2) and xi2 = B_T,
+    each with its loading."""
     n = grid.n_steps
-    L = scalar_functional(grid, *_exp_density(grid.horizon))
     half = n // 2
     first_half = (np.arange(n) < half).astype(float)
     xi1 = SmoothFunctional(
@@ -287,28 +287,28 @@ def _repr_functionals(grid: TimeGrid):
         loading=first_half[None, :])
     xi2 = scalar_functional(grid, lambda s: s,
                             lambda s: np.ones_like(np.asarray(s, dtype=float)))
-    return L, xi1, xi2
+    return xi1, xi2
 
 
 def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
     """Stochastic-integral representation on a coarse grid.
 
-    L, xi1 = B(T/2) and xi2 = B_T declare their loadings, so the conditional
-    projections are Gauss-Hermite integrals over the two directions they
-    read. The grid stays at four steps and the pairing tolerance carries
+    The density L = l(B_T) reads the endpoint, and xi1 = B(T/2) and
+    xi2 = B_T declare their loadings, so the conditional projections are
+    Gauss-Hermite integrals over the two directions they read. The grid stays at four steps and the pairing tolerance carries
     the documented discrete-bracket term proportional to dt.
     """
     grid = make_grid(4, horizon)
     n_paths, quad = 4000, 12
     pool = sample_paths(grid, n_paths, seed + 11)
     half = grid.n_steps // 2
-    L, xi1, xi2 = _repr_functionals(grid)
+    xi1, xi2 = _repr_functionals(grid)
 
     inc = pool.increments
-    l_vals = np.asarray(L.value_fn(inc), dtype=float)
+    endpoint = _exp_density(grid.horizon)
+    l_vals = np.asarray(endpoint[0](row_sums(inc)), dtype=float)
     l_norm = l_vals / float(l_vals.mean())
     xi_pts = np.column_stack([xi1.value_fn(inc), xi2.value_fn(inc)])
-    endpoint = _exp_density(grid.horizon)
     _, _, gam = clark_ocone_decompose(*endpoint, pool, quad_order=32)
     dts = grid.steps
     ito_eta = (inc - gam * dts[None, :]).sum(axis=1)  # eta' = 1
@@ -317,7 +317,7 @@ def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
     eta_obs = np.array([half * dts[0], float(dts.sum())])
 
     fs = _plane_functionals()[:2]
-    outs = multidim_derivative_repr(fs, L, endpoint, [xi1, xi2], pool,
+    outs = multidim_derivative_repr(fs, endpoint, [xi1, xi2], pool,
                                     quad_order=quad)
     records = []
     for f, out in zip(fs, outs):
@@ -491,12 +491,7 @@ def _phi_battery():
         ("sin-sin", CylindricalFn(
             h=np.sin, h_prime=np.cos, phi=lambda x: np.sin(x[:, 0]),
             grad_phi=np.cos, descriptor="sin-sin")),
-        ("linear-gauss", CylindricalFn(
-            h=lambda u: u,
-            h_prime=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-            phi=lambda x: np.exp(-0.5 * x[:, 0] ** 2),
-            grad_phi=lambda x: -x * np.exp(-0.5 * x ** 2),
-            descriptor="linear-gauss")),
+        ("linear-gauss", _gauss_mean()),
     ]
 
 

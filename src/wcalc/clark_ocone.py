@@ -3,8 +3,9 @@
 A functional F(B(D_1), ..., B(D_N)) with bounded gradient satisfies
 F = E[F] + sum_i Z_i B(D_i) with Z_i = E[dF/dx_i | F_{t_{i-1}}]; the
 conditional expectations are Gaussian integrals over the not-yet-revealed
-increments. gaussian_smooth computes them on a tensor Gauss-Hermite mesh
-over the directions the integrand reads (its loading).
+increments. gaussian_smooth computes them for a tuple-valued component
+on a tensor Gauss-Hermite mesh over the directions its declared loading
+reads (SmoothFunctional declares one too, for callers to stack).
 
 A functional of the endpoint alone, F = f(B_T), has E[F | F_t] = g_t(B_t)
 with g_t(y) = E[f(y + sqrt(T - t) X)], X standard normal: one function of
@@ -63,10 +64,10 @@ class SmoothFunctional:
     per row, or one row for every row): callers read it and must not write
     into it.
 
-    loading, if given, is a k x n_args matrix A with the promise that
-    value_fn and grad_fn read x only through A x. Conditional smoothing of
-    anything built from such functionals then integrates over the rank of
-    the stacked loadings, not over every remaining interval (see
+    loading is a k x n_args matrix A (the identity promises nothing) such
+    that value_fn and grad_fn read x only through A x. Smoothing anything
+    built from such functionals then integrates over the rank of the
+    stacked loadings, not over every remaining interval (see
     gaussian_smooth). Construction checks the promise: moving the probe
     points along the null space of A must leave value_fn unchanged.
     """
@@ -75,7 +76,7 @@ class SmoothFunctional:
     value_fn: Callable
     grad_fn: Callable
     # an array does not compare or hash as a field value
-    loading: Optional[np.ndarray] = field(default=None, compare=False)
+    loading: np.ndarray = field(compare=False)
 
     def __post_init__(self):
         if self.n_args < 1:
@@ -87,8 +88,6 @@ class SmoothFunctional:
             raise ValueError("functional output shapes are wrong")
         _check_gradient(lambda y: np.asarray(self.value_fn(y), dtype=float),
                         self.grad_fn, x, "functional")
-        if self.loading is None:
-            return
         A = _as_loading(self.loading, self.n_args)
         object.__setattr__(self, "loading", A)
         _, rows = _principal_axes(A.T @ A)
@@ -133,39 +132,26 @@ def _check_quadrature(quad_order: int,
         raise ValueError(f"mc_fallback n_draws must be >= 1, got {mc_fallback[0]}")
 
 
-def _as_arrays(vals):
-    """(float arrays, whether vals was a tuple) of what an integrand returns:
-    one array, or a tuple of arrays on the same argument rows."""
-    if isinstance(vals, tuple):
-        return [np.asarray(v, dtype=float) for v in vals], True
-    return [np.asarray(vals, dtype=float)], False
-
-
-def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
-                    prefix: np.ndarray, component: Optional[Callable] = None,
+def gaussian_smooth(grid: TimeGrid, s: float, prefix: np.ndarray,
+                    component: Callable, loading: np.ndarray,
                     quad_order: int = 32,
-                    mc_fallback: Optional[Tuple[int, int]] = None,
-                    loading: Optional[np.ndarray] = None):
-    """E[F | F_s] evaluated at realized increments up to knot s.
+                    mc_fallback: Optional[Tuple[int, int]] = None):
+    """Tuple of E[c | F_s], one per array c that component returns, at the
+    realized increments prefix (m, j), j the knot index of s.
 
-    prefix is (m, j) where j is the knot index of s; the remaining increments
-    are integrated out. component, if given, replaces the integrand by
-    component(x) for x the full (rows, n_args) argument (used to smooth one
-    gradient entry). A component may return a tuple of per-row arrays: each
-    is smoothed on the same mesh and the result is a tuple in that order.
-
-    loading is a k x n_args matrix A such that the integrand reads x only
-    through A x. None means F.loading for F.value_fn itself (component
-    None) and the identity for a component. With A_rem its columns on the
-    remaining intervals, the quadrature runs over the r eigen-directions of
-    C = A_rem diag(dt_rem) A_rem^T with a positive eigenvalue: a tensor
+    component maps full (rows, n_args) arguments to a tuple of per-row
+    arrays, all smoothed on one mesh. loading is a k x n_args matrix A
+    such that component reads x only through A x; it must be finite and
+    n_args wide, checked before component runs. With A_rem its columns on
+    the remaining intervals, the quadrature runs over the r eigen-directions
+    of C = A_rem diag(dt_rem) A_rem^T with a positive eigenvalue: a tensor
     Gauss-Hermite mesh z of quad_order**r nodes, mapped to increments as
     x_rem = diag(dt_rem) A_rem^T V_r Lambda_r^{-1/2} z, so the mesh size
-    does not grow with the remaining intervals and the integrand still
-    receives full (rows, n_args) arguments. Rank 0 evaluates the integrand
-    at the prefix padded with zeros. Tensor quadrature covers rank at most
-    four; beyond that pass mc_fallback=(n_draws, seed) to average over
-    sampled futures instead.
+    does not grow with the remaining intervals. Rank 0 (at the horizon, or
+    a loading that reads only the prefix) is one node of weight one, the
+    prefix padded with zeros. Tensor quadrature covers rank at most four;
+    beyond that pass mc_fallback=(n_draws, seed) to average over sampled
+    futures instead.
 
     On the quadrature route at knot 0 the mesh is integrated once and the
     result repeated for all m rows (there is no prefix to condition on);
@@ -174,25 +160,23 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
     keeps independent draws per row at every knot.
     """
     _check_quadrature(quad_order, mc_fallback)
-    if F.n_args != grid.n_steps:
-        raise ValueError("functional arity does not match the grid")
     j = grid.knot_index(s)
+    a_rem = _as_loading(loading, grid.n_steps)[:, j:]
     pre = np.asarray(prefix, dtype=float)
     if pre.ndim == 1:
         pre = pre[None, :]
     if pre.shape[1] != j:
         raise ValueError(f"prefix has {pre.shape[1]} columns, knot index is {j}")
-    fn = component if component is not None else F.value_fn
-    if component is None and loading is None:
-        loading = F.loading
     m = pre.shape[0]
     rem = grid.n_steps - j
-    if rem == 0:
-        vals, multi = _as_arrays(fn(pre))
-        return tuple(vals) if multi else vals[0]
+
+    def arrays(args):
+        vals = component(args)
+        if not isinstance(vals, tuple):
+            raise TypeError("component must return a tuple of arrays")
+        return [np.asarray(v, dtype=float) for v in vals]
 
     variances = grid.steps[j:]
-    a_rem = np.eye(rem) if loading is None else _as_loading(loading, grid.n_steps)[:, j:]
     lam, vec = _principal_axes((a_rem * variances) @ a_rem.T)
     rank = lam.size
     if rank <= _TENSOR_BLOCK_CAP:
@@ -216,14 +200,14 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
             args = np.empty((block, q, grid.n_steps))
             args[:, :, :j] = rows[lo:hi, None, :]
             args[:, :, j:] = mesh
-            vals, multi = _as_arrays(fn(args.reshape(block * q, grid.n_steps)))
+            vals = arrays(args.reshape(block * q, grid.n_steps))
             if outs is None:
                 outs = [np.empty(n_rows) for _ in vals]
             for out, v in zip(outs, vals):
                 out[lo:hi] = v.reshape(block, q) @ w
         if j == 0:
             outs = [np.repeat(out, m) for out in outs]
-        return tuple(outs) if multi else outs[0]
+        return tuple(outs)
 
     if mc_fallback is None:
         raise ValueError(
@@ -238,13 +222,12 @@ def gaussian_smooth(F: SmoothFunctional, grid: TimeGrid, s: float,
     args[:, :j] = pre
     for _ in range(n_draws):
         args[:, j:] = rng.standard_normal((m, rem)) * np.sqrt(variances)
-        vals, multi = _as_arrays(fn(args))
+        vals = arrays(args)
         if outs is None:
             outs = [np.zeros(m) for _ in vals]
         for out, v in zip(outs, vals):
             out += v
-    outs = [out / n_draws for out in outs]
-    return tuple(outs) if multi else outs[0]
+    return tuple(out / n_draws for out in outs)
 
 
 def knot_tables(fn, knot_times, horizon: float, quad_order: int, y_grid):

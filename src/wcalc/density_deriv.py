@@ -18,7 +18,7 @@ from .clark_ocone import SmoothFunctional, clark_ocone_decompose, gaussian_smoot
 from .functionals import CylindricalFn, NestedFn, _nested_parts, \
     _nested_profile, eval_cyl, eval_nested, lions_derivative, outer_slope
 from .measure_ops import EmpiricalLaw, pushforward_law, weighted_expectation
-from .numerics import antiderivative_at
+from .numerics import antiderivative_at, row_sums
 from .rng import substream
 from .wiener_grid import PathPool, TimeGrid
 
@@ -277,7 +277,7 @@ def second_order_check_multidim(f: CylindricalFn, law: EmpiricalLaw, x_grid,
     return worst
 
 
-def multidim_derivative_repr(fs: Sequence[CylindricalFn], L: SmoothFunctional,
+def multidim_derivative_repr(fs: Sequence[CylindricalFn],
                              endpoint: Tuple[Callable, Callable],
                              xi_fns: Sequence[SmoothFunctional], pool: PathPool,
                              quad_order: int = 32) -> List[np.ndarray]:
@@ -286,23 +286,23 @@ def multidim_derivative_repr(fs: Sequence[CylindricalFn], L: SmoothFunctional,
 
     Each interval contributes H_i * (B(D_i) - gamma_i dt_i): H_i is the
     density-weighted predictable projection of (Lions derivative at xi) dot
-    (interval gradient of xi), and gamma is the logarithmic integrand of L,
-    so the corrected increments are driftless under the reweighted measure.
-    L = l(B_T) reads the endpoint only, and endpoint = (l, l') is what
-    clark_ocone_decompose takes to extract gamma.
+    (interval gradient of xi), and gamma is the logarithmic integrand of
+    the density L = l(B_T), so the corrected increments are driftless under
+    the reweighted measure. The density reads the endpoint only and comes
+    as endpoint = (l, l'): l gives L on the paths and on the projection
+    mesh, and both feed clark_ocone_decompose, which extracts gamma.
 
     The law, the decomposition of L and each knot's projection mesh are
     shared by every functional: per mesh row the xi values, their interval
     gradients and L are evaluated once, and only grad phi and the outer
     slope differ. The projections integrate over the rank of the stacked
-    loadings of L and every xi; if any of them has no loading, over every
-    remaining interval.
+    loading [1^T; xi loadings].
     """
     grid = pool.grid
-    loads = [g.loading for g in (L, *xi_fns)]
-    loading = None if any(a is None for a in loads) else np.vstack(loads)
+    l_fn = endpoint[0]
+    loading = np.vstack([np.ones(grid.n_steps), *(x.loading for x in xi_fns)])
     inc = pool.increments
-    l_vals = np.asarray(L.value_fn(inc), dtype=float)
+    l_vals = np.asarray(l_fn(row_sums(inc)), dtype=float)
     if np.any(l_vals <= 0.0):
         raise ValueError("density must be strictly positive pathwise")
     xi_pts = np.column_stack([np.asarray(x.value_fn(inc), dtype=float) for x in xi_fns])
@@ -320,7 +320,7 @@ def multidim_derivative_repr(fs: Sequence[CylindricalFn], L: SmoothFunctional,
             # of its per-row values, so no (rows, n_args) array is built
             cols = [np.asarray(x.grad_fn(args), dtype=float)[:, i]
                     for x in xi_fns]
-            lv = np.asarray(L.value_fn(args), dtype=float)
+            lv = np.asarray(l_fn(row_sums(args)), dtype=float)
             outs = []
             for f, c in zip(fs, slopes):
                 dphi = np.asarray(f.grad_phi(pts), dtype=float)
@@ -334,8 +334,8 @@ def multidim_derivative_repr(fs: Sequence[CylindricalFn], L: SmoothFunctional,
     outs = [np.zeros(pool.n_samples) for _ in fs]
     for i in range(grid.n_steps):
         t = grid.knots[i]
-        projs = gaussian_smooth(L, grid, t, inc[:, :i], component=component(i),
-                                quad_order=quad_order, loading=loading)
+        projs = gaussian_smooth(grid, t, inc[:, :i], component(i), loading,
+                                quad_order=quad_order)
         corrected = inc[:, i] - gamma[:, i] * grid.steps[i]
         for out, proj in zip(outs, projs):
             out += proj / M[:, i] * corrected

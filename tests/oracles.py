@@ -553,17 +553,19 @@ def check_girsanov_per_pair(n_paths=20000, n_steps=16, seed=7303,
 # --- the representation check as it was when each functional ran its own
 # decomposition and its own projections --------------------------------------
 
-def multidim_derivative_repr_single(f, L, endpoint, xi_fns, pool,
+def multidim_derivative_repr_single(f, endpoint, xi_fns, pool,
                                     quad_order: int = 32):
     """Per-path derivative values of one functional via the drift-corrected
     stochastic integral: its own law, decomposition of L = l(B_T) (from
     endpoint = (l, l')) and projection mesh at every knot, with xi, its
-    gradients and L evaluated inside."""
+    gradients and L (on numpy's row sums) evaluated inside."""
     grid = pool.grid
-    loads = [g.loading for g in (L, *xi_fns)]
-    loading = None if any(a is None for a in loads) else np.vstack(loads)
+    l = lambda x: np.asarray(endpoint[0](np.asarray(x, dtype=float).sum(axis=1)),
+                             dtype=float)
+    loading = np.vstack([np.ones((1, grid.n_steps))]
+                        + [x.loading for x in xi_fns])
     inc = pool.increments
-    l_vals = np.asarray(L.value_fn(inc), dtype=float)
+    l_vals = l(inc)
     xi_pts = np.column_stack([np.asarray(x.value_fn(inc), dtype=float)
                               for x in xi_fns])
     c = outer_slope(f, pushforward_law(l_vals, xi_pts))
@@ -578,14 +580,13 @@ def multidim_derivative_repr_single(f, L, endpoint, xi_fns, pool,
             total = np.zeros(args.shape[0])
             for k, x in enumerate(xi_fns):
                 total += dphi[:, k] * np.asarray(x.grad_fn(args), dtype=float)[:, i]
-            return c * total * np.asarray(L.value_fn(args), dtype=float)
+            return (c * total * l(args),)
         return comp
 
     out = np.zeros(pool.n_samples)
     for i in range(grid.n_steps):
-        proj = gaussian_smooth(L, grid, grid.knots[i], inc[:, :i],
-                               component=component(i), quad_order=quad_order,
-                               loading=loading)
+        proj, = gaussian_smooth(grid, grid.knots[i], inc[:, :i], component(i),
+                                loading, quad_order=quad_order)
         h_i = proj / M[:, i]
         out += h_i * (inc[:, i] - gamma[:, i] * grid.steps[i])
     return out
@@ -676,13 +677,10 @@ def scalar_functional_summed(grid, fn, fn_prime):
 
 
 def repr_functionals_summed(grid):
-    """(L, xi1, xi2) of wcalc.checks._repr_functionals on numpy's row sums,
+    """(xi1, xi2) of wcalc.checks._repr_functionals on numpy's row sums,
     with xi1's gradient concatenated from ones and zeros."""
-    horizon, n, sig = grid.horizon, grid.n_steps, 0.4
+    n = grid.n_steps
     half = n // 2
-    L = scalar_functional_summed(
-        grid, lambda s: np.exp(sig * s - 0.5 * sig ** 2 * horizon),
-        lambda s: sig * np.exp(sig * s - 0.5 * sig ** 2 * horizon))
     xi1 = SmoothFunctional(
         n_args=n,
         value_fn=lambda x: np.asarray(x, dtype=float)[:, :half].sum(axis=1),
@@ -692,7 +690,7 @@ def repr_functionals_summed(grid):
         loading=(np.arange(n) < half)[None, :].astype(float))
     xi2 = scalar_functional_summed(
         grid, lambda s: s, lambda s: np.ones_like(np.asarray(s, dtype=float)))
-    return L, xi1, xi2
+    return xi1, xi2
 
 
 def use_summed_route(monkeypatch):

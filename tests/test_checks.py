@@ -271,16 +271,16 @@ def test_representation_shares_one_mesh_bitwise(seed):
     battery's pool, functionals and quadrature order."""
     grid = make_grid(4)
     pool = sample_paths(grid, 4000, seed + 11)
-    L, xi1, xi2 = checks._repr_functionals(grid)
-    L_old, xi1_old, xi2_old = repr_functionals_summed(grid)
+    xi1, xi2 = checks._repr_functionals(grid)
+    xi1_old, xi2_old = repr_functionals_summed(grid)
     fs = checks._plane_functionals()[:2]
     endpoint = checks._exp_density(grid.horizon)
-    got = density_deriv.multidim_derivative_repr(fs, L, endpoint, [xi1, xi2],
+    got = density_deriv.multidim_derivative_repr(fs, endpoint, [xi1, xi2],
                                                  pool, quad_order=12)
     assert len(got) == len(fs)
     for f, out in zip(fs, got):
         assert_bitwise(out, multidim_derivative_repr_single(
-            f, L_old, endpoint, [xi1_old, xi2_old], pool, quad_order=12))
+            f, endpoint, [xi1_old, xi2_old], pool, quad_order=12))
 
 
 @pytest.mark.parametrize("seed", [20260815, 3, 4])
@@ -299,13 +299,13 @@ def test_second_order_records_match_the_summed_route_bitwise(monkeypatch,
 
 
 def test_representation_gradients_are_read_only_views():
-    """The endpoint functionals repeat one value along each row and xi1
-    repeats one row down the rows: both are read-only views with a zero
-    stride, equal to the written-out gradients."""
+    """xi2 = B_T repeats one value along each row and xi1 repeats one row
+    down the rows: both are read-only views with a zero stride, equal to
+    the written-out gradients."""
     grid = make_grid(4)
     x = np.random.default_rng(5).standard_normal((6, grid.n_steps))
     for F, old, axis in zip(checks._repr_functionals(grid),
-                            repr_functionals_summed(grid), (1, 0, 1)):
+                            repr_functionals_summed(grid), (0, 1)):
         g = F.grad_fn(x)
         assert not g.flags.writeable
         assert g.strides[axis] == 0

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -27,11 +26,17 @@ def tanh_density(grid):
     return scalar_functional(grid, *TANH)
 
 
+def values(F):
+    """F.value_fn as a one-array gaussian_smooth component."""
+    return lambda x: (F.value_fn(x),)
+
+
 def test_smooth_functional_rejects_wrong_gradient():
     with pytest.raises(ValueError):
         SmoothFunctional(n_args=3,
                          value_fn=lambda x: np.asarray(x).sum(axis=1),
-                         grad_fn=lambda x: 2.0 * np.ones_like(np.asarray(x)))
+                         grad_fn=lambda x: 2.0 * np.ones_like(np.asarray(x)),
+                         loading=np.ones((1, 3)))
 
 
 def test_smooth_functional_rejects_a_loading_that_omits_a_column_it_reads():
@@ -47,16 +52,24 @@ def test_smooth_functional_rejects_a_loading_that_omits_a_column_it_reads():
 
 
 @pytest.mark.parametrize("loading", [np.ones(3), np.ones((1, 4)),
-                                     [[1.0, np.nan, 0.0]], np.empty((0, 3))])
+                                     np.ones((1, 2)), [[1.0, np.nan, 0.0]],
+                                     [[1.0, np.inf, 0.0]], np.empty((0, 3))])
 def test_malformed_loadings_are_refused(loading):
+    """A loading of the wrong shape or width, or a non-finite one, is
+    refused by SmoothFunctional and by gaussian_smooth, there before the
+    component is called, at a knot with intervals left and at the
+    horizon."""
     value = lambda x: np.asarray(x).sum(axis=1)
     with pytest.raises(ValueError, match="loading must be"):
         SmoothFunctional(3, value, lambda x: np.ones_like(np.asarray(x)),
                          loading=loading)
     grid = make_grid(3)
-    with pytest.raises(ValueError, match="loading must be"):
-        gaussian_smooth(coupled_functional(3), grid, grid.knots[1],
-                        np.zeros((2, 1)), component=value, loading=loading)
+    calls = []
+    for j in (1, 3):
+        with pytest.raises(ValueError, match="loading must be"):
+            gaussian_smooth(grid, grid.knots[j], np.zeros((2, j)),
+                            _recording(calls), loading)
+    assert calls == []
 
 
 def test_scalar_functional_declares_the_endpoint_loading():
@@ -68,7 +81,8 @@ def test_gaussian_smooth_against_quadrature_oracle(pool):
     """Conditional expectation at an interior knot vs adaptive quadrature."""
     F = tanh_density(pool.grid)
     t = pool.grid.knots[3]
-    got = gaussian_smooth(F, pool.grid, t, pool.increments[:64, :3])
+    got, = gaussian_smooth(pool.grid, t, pool.increments[:64, :3], values(F),
+                           F.loading)
     y = pool.increments[:64, :3].sum(axis=1)
     var = pool.grid.horizon - t
     want = [gaussian_expectation(lambda u: 1.0 + 0.5 * math.tanh(u), m, var)
@@ -77,8 +91,8 @@ def test_gaussian_smooth_against_quadrature_oracle(pool):
 
 
 def test_gaussian_smooth_scalar_vs_tensor_route(pool):
-    """The rank-1 route of the endpoint loading and the axis-aligned tensor
-    mesh integrate the same thing.
+    """The rank-1 route of the endpoint loading and the identity loading's
+    tensor mesh integrate the same thing.
 
     Run on a short suffix (three remaining intervals) so the tensor route is
     exact too; the measured gap at order 32 sits far below the pinned bound.
@@ -91,23 +105,24 @@ def test_gaussian_smooth_scalar_vs_tensor_route(pool):
         n_args=5,
         value_fn=lambda x: fn(np.asarray(x, dtype=float).sum(axis=1)),
         grad_fn=lambda x: np.repeat(
-            (0.4 * fn(np.asarray(x, dtype=float).sum(axis=1)))[:, None], 5, axis=1))
+            (0.4 * fn(np.asarray(x, dtype=float).sum(axis=1)))[:, None], 5, axis=1),
+        loading=np.eye(5))
     t = grid.knots[2]
-    a = gaussian_smooth(F_scalar, grid, t, p.increments[:, :2], quad_order=32)
-    b = gaussian_smooth(F_tensor, grid, t, p.increments[:, :2], quad_order=32)
+    a, = gaussian_smooth(grid, t, p.increments[:, :2], values(F_scalar),
+                         F_scalar.loading, quad_order=32)
+    b, = gaussian_smooth(grid, t, p.increments[:, :2], values(F_tensor),
+                         F_tensor.loading, quad_order=32)
     assert np.max(np.abs(a - b)) < 1e-7
 
 
 def test_gaussian_smooth_mc_fallback_agrees(pool):
     F = tanh_density(pool.grid)
-
-    def plain_fn(x):
-        return np.asarray(F.value_fn(x), dtype=float)
-
     t = pool.grid.knots[1]
-    exact = gaussian_smooth(F, pool.grid, t, pool.increments[:128, :1])
-    mc = gaussian_smooth(F, pool.grid, t, pool.increments[:128, :1],
-                         component=plain_fn, mc_fallback=(4000, 99))
+    pre = pool.increments[:128, :1]
+    exact, = gaussian_smooth(pool.grid, t, pre, values(F), F.loading)
+    # the identity loading leaves rank 7, past the tensor cap
+    mc, = gaussian_smooth(pool.grid, t, pre, values(F), np.eye(8),
+                          mc_fallback=(4000, 99))
     assert np.max(np.abs(exact - mc)) < 0.05
 
 
@@ -167,7 +182,7 @@ def test_defect_halves_per_grid_doubling():
 
 
 def coupled_functional(n):
-    """Non-scalar functional with a cross term and no loading, so
+    """Non-scalar functional with a cross term and the identity loading, so
     gaussian_smooth integrates over every remaining interval (tensor or
     Monte Carlo route)."""
     a = np.linspace(0.3, -0.4, n)
@@ -185,7 +200,7 @@ def coupled_functional(n):
         g[:, -1] += c * x[:, 1]
         return g
 
-    return SmoothFunctional(n, value, grad)
+    return SmoothFunctional(n, value, grad, loading=np.eye(n))
 
 
 def per_row_tensor_mean(F, grid, j, prefix, order):
@@ -203,7 +218,8 @@ def test_tensor_route_integrates_knot_zero_once():
     grid = make_grid(4)
     F = coupled_functional(4)
     m, order = 7, 8
-    got = gaussian_smooth(F, grid, 0.0, np.empty((m, 0)), quad_order=order)
+    got, = gaussian_smooth(grid, 0.0, np.empty((m, 0)), values(F), F.loading,
+                           quad_order=order)
     want = per_row_tensor_mean(F, grid, 0, np.empty((m, 0)), order)
     assert got.shape == (m,)
     assert np.ptp(got) == 0.0
@@ -212,19 +228,19 @@ def test_tensor_route_integrates_knot_zero_once():
 
 def test_tensor_route_chunking_does_not_move_the_result(monkeypatch):
     """A budget of three rows per chunk splits ten rows 3 + 3 + 3 + 1. The
-    identity loading (given or implied) projects onto every remaining
-    interval, so it reproduces the axis-aligned oracle mesh to roundoff."""
+    identity loading projects onto every remaining interval, so it
+    reproduces the axis-aligned oracle mesh to roundoff."""
     grid = make_grid(4)
     F = coupled_functional(4)
     inc = sample_paths(grid, 10, seed=41).increments
     order = 6
-    for loading, j in itertools.product((None, np.eye(4)), range(4)):
+    for j in range(4):
         t = grid.knots[j]
-        default = gaussian_smooth(F, grid, t, inc[:, :j], quad_order=order,
-                                  loading=loading)
+        default, = gaussian_smooth(grid, t, inc[:, :j], values(F), F.loading,
+                                   quad_order=order)
         monkeypatch.setattr(clark_ocone, "_ROW_BUDGET", 3 * order ** (4 - j))
-        chunked = gaussian_smooth(F, grid, t, inc[:, :j], quad_order=order,
-                                  loading=loading)
+        chunked, = gaussian_smooth(grid, t, inc[:, :j], values(F), F.loading,
+                                   quad_order=order)
         monkeypatch.undo()
         assert np.allclose(chunked, default, rtol=1e-14, atol=0.0)
         assert np.allclose(default, per_row_tensor_mean(F, grid, j, inc[:, :j], order),
@@ -255,36 +271,35 @@ def test_duplicate_loading_rows_do_not_change_the_projection():
     fn, loading = two_projection_integrand(4, polynomial=True)
     stacked = np.vstack([loading, loading[0], 2.0 * loading[1]])
     inc = sample_paths(grid, 6, seed=8).increments
-    F = coupled_functional(4)
+    one = lambda x: (fn(x),)
     for j in range(4):
         t = grid.knots[j]
-        plain = gaussian_smooth(F, grid, t, inc[:, :j], component=fn,
-                                quad_order=4, loading=loading)
-        dup = gaussian_smooth(F, grid, t, inc[:, :j], component=fn,
-                              quad_order=4, loading=stacked)
+        plain, = gaussian_smooth(grid, t, inc[:, :j], one, loading,
+                                 quad_order=4)
+        dup, = gaussian_smooth(grid, t, inc[:, :j], one, stacked, quad_order=4)
         assert np.allclose(dup, plain, rtol=1e-13, atol=1e-13)
 
 
 def test_rank_zero_loading_returns_the_integrand_at_the_prefix():
-    """Past B(T/2) the integrand reading only B(T/2) is already revealed."""
+    """Past B(T/2) the integrand reading only B(T/2) is already revealed:
+    the one-node rank-0 mesh returns it bitwise, between knots and at the
+    horizon, where no interval remains."""
     grid = make_grid(4)
-    F = coupled_functional(4)
-    fn = lambda x: np.exp(np.asarray(x, dtype=float)[:, :2].sum(axis=1))
+    fn = lambda x: (np.exp(np.asarray(x, dtype=float)[:, :2].sum(axis=1)),)
     inc = sample_paths(grid, 5, seed=9).increments
     loading = np.array([[1.0, 1.0, 0.0, 0.0]])
-    for j in (2, 3):
-        got = gaussian_smooth(F, grid, grid.knots[j], inc[:, :j], component=fn,
-                              loading=loading)
-        assert np.array_equal(got, np.exp(inc[:, :2].sum(axis=1)))
+    for j, load in ((2, loading), (3, loading), (4, loading), (4, np.eye(4))):
+        got, = gaussian_smooth(grid, grid.knots[j], inc[:, :j], fn, load)
+        assert_bitwise(got, np.exp(inc[:, :2].sum(axis=1)))
 
 
 def test_a_tuple_component_smooths_like_separate_calls(monkeypatch):
     """Arrays returned together from one mesh are, bitwise, what one call
     per array gives: at knot 0 (integrated once), at a middle knot, at the
     last knot where the loading has rank 0, across chunk boundaries, and
-    on the Monte Carlo route with the same draws."""
+    on the Monte Carlo route with the same draws. A component that returns
+    one array, not a tuple, is refused."""
     grid = make_grid(4)
-    F = coupled_functional(4)
     inc = sample_paths(grid, 10, seed=43).increments
     order = 5
     fn, loading = two_projection_integrand(4, polynomial=False)
@@ -298,35 +313,29 @@ def test_a_tuple_component_smooths_like_separate_calls(monkeypatch):
     for j, pair, load, budget in cases:
         if budget is not None:
             monkeypatch.setattr(clark_ocone, "_ROW_BUDGET", budget)
-        got = gaussian_smooth(F, grid, grid.knots[j], inc[:, :j], component=pair,
-                              quad_order=order, loading=load)
+        got = gaussian_smooth(grid, grid.knots[j], inc[:, :j], pair, load,
+                              quad_order=order)
         assert isinstance(got, tuple) and len(got) == 2
         for k in range(2):
-            want = gaussian_smooth(F, grid, grid.knots[j], inc[:, :j],
-                                   component=lambda x: pair(x)[k],
-                                   quad_order=order, loading=load)
+            want, = gaussian_smooth(grid, grid.knots[j], inc[:, :j],
+                                    lambda x: (pair(x)[k],), load,
+                                    quad_order=order)
             assert_bitwise(got[k], want)
     monkeypatch.undo()
 
-    one, = gaussian_smooth(F, grid, grid.knots[1], inc[:, :1],
-                           component=lambda x: (fn(x),), quad_order=order,
-                           loading=loading)
-    assert_bitwise(one, gaussian_smooth(F, grid, grid.knots[1], inc[:, :1],
-                                        component=fn, quad_order=order,
-                                        loading=loading))
+    with pytest.raises(TypeError, match="tuple"):
+        gaussian_smooth(grid, grid.knots[1], inc[:, :1], fn, loading)
 
     grid6 = make_grid(6)
-    F6 = coupled_functional(6)
     fn6, _ = two_projection_integrand(6, polynomial=False)
     pre = sample_paths(grid6, 6, seed=44).increments[:, :1]
-    got = gaussian_smooth(F6, grid6, grid6.knots[1], pre,
-                          component=lambda x: (fn6(x), 2.0 * fn6(x)),
-                          mc_fallback=(20, 5))
-    assert_bitwise(got[0], gaussian_smooth(F6, grid6, grid6.knots[1], pre,
-                                           component=fn6, mc_fallback=(20, 5)))
-    assert_bitwise(got[1], gaussian_smooth(F6, grid6, grid6.knots[1], pre,
-                                           component=lambda x: 2.0 * fn6(x),
-                                           mc_fallback=(20, 5)))
+    t, every, mc = grid6.knots[1], np.eye(6), (20, 5)
+    got = gaussian_smooth(grid6, t, pre, lambda x: (fn6(x), 2.0 * fn6(x)),
+                          every, mc_fallback=mc)
+    assert_bitwise(got[0], gaussian_smooth(grid6, t, pre, lambda x: (fn6(x),),
+                                           every, mc_fallback=mc)[0])
+    assert_bitwise(got[1], gaussian_smooth(
+        grid6, t, pre, lambda x: (2.0 * fn6(x),), every, mc_fallback=mc)[0])
 
 
 def test_low_rank_loading_takes_quadrature_on_a_fine_grid():
@@ -335,19 +344,16 @@ def test_low_rank_loading_takes_quadrature_on_a_fine_grid():
     Monte Carlo route over all five increments to within 4 standard
     errors, estimated from the same draws."""
     grid = make_grid(6)
-    F = coupled_functional(6)
     fn, loading = two_projection_integrand(6, polynomial=False)
     pre = sample_paths(grid, 6, seed=12).increments[:, :1]
     t = grid.knots[1]
+    one = lambda x: (fn(x),)
     with pytest.raises(ValueError, match="rank 5"):
-        gaussian_smooth(F, grid, t, pre, component=fn, quad_order=12)
-    quad = gaussian_smooth(F, grid, t, pre, component=fn, quad_order=12,
-                           loading=loading)
+        gaussian_smooth(grid, t, pre, one, np.eye(6), quad_order=12)
+    quad, = gaussian_smooth(grid, t, pre, one, loading, quad_order=12)
     draws = 4000
-    mean = gaussian_smooth(F, grid, t, pre, component=fn,
-                           mc_fallback=(draws, 21))
-    second = gaussian_smooth(F, grid, t, pre, component=lambda x: fn(x) ** 2,
-                             mc_fallback=(draws, 21))
+    mean, second = gaussian_smooth(grid, t, pre, lambda x: (fn(x), fn(x) ** 2),
+                                   np.eye(6), mc_fallback=(draws, 21))
     se = np.sqrt((second - mean ** 2) / (draws - 1))
     assert np.all(np.abs(quad - mean) <= 4.0 * se)
 
@@ -357,15 +363,17 @@ def test_mc_route_keeps_per_row_draws_at_knot_zero():
     independent estimates of the same mean."""
     grid = make_grid(6)
     F = coupled_functional(6)
-    got = gaussian_smooth(F, grid, 0.0, np.empty((5, 0)), mc_fallback=(50, 3))
+    got, = gaussian_smooth(grid, 0.0, np.empty((5, 0)), values(F), F.loading,
+                           mc_fallback=(50, 3))
     assert np.ptp(got) > 0.0
 
 
 @pytest.mark.parametrize("n_draws", [0, -2])
 def test_gaussian_smooth_rejects_nonpositive_draw_count(n_draws):
     grid = make_grid(6)
+    F = coupled_functional(6)
     with pytest.raises(ValueError, match="n_draws"):
-        gaussian_smooth(coupled_functional(6), grid, 0.0, np.empty((5, 0)),
+        gaussian_smooth(grid, 0.0, np.empty((5, 0)), values(F), F.loading,
                         mc_fallback=(n_draws, 3))
 
 

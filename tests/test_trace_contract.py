@@ -4,18 +4,15 @@ The benchmark's traced runs wrap wcalc's public functions and count work
 from their arguments: MollifiedDensity and TruncatedDensity method calls
 (through `coords`, `moll.eps`, `moll.trunc.level`, `moll.trunc.cond.level`
 and `moll.n_coords`) and gaussian_smooth calls (through `prefix`, `grid`,
-`component`, `mc_fallback` and `quad_order`). On a call without a
-component the tracer reads `F.scalar_fn`, which SmoothFunctional does not
-have, so every gaussian_smooth call in wcalc must pass a component; a scan
-of the source checks that. A rename in wcalc would break those runs, or silently zero a counter, without failing
-any other test. Here a fresh interpreter installs the tracer, runs a tiny
+`component`, `mc_fallback` and `quad_order`). A rename in wcalc would
+break those runs, or silently zero a counter, without failing any other
+test. Here a fresh interpreter installs the tracer, runs a tiny
 pipeline with ladders, a small clark-ocone battery and a small second-order
 battery, and every counter must come out positive. The second-order run
 must reach gaussian_smooth's component route with a loading, bound by name
 as the tracer binds every argument.
 """
 
-import ast
 import json
 import subprocess
 import sys
@@ -95,17 +92,3 @@ def test_traced_runs_count_the_layers_the_benchmark_reads(tmp_path):
                 "clark_ocone.gaussian_smooth.nodes"):
         assert counts.get(key, 0) > 0, key
 
-
-def test_every_gaussian_smooth_call_in_wcalc_passes_a_component():
-    """The tracer's node count reads F.scalar_fn on a component-less call
-    and would raise there: every call site in src/wcalc names component."""
-    sites = []
-    for path in sorted((ROOT / "src" / "wcalc").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and getattr(
-                    node.func, "id", getattr(node.func, "attr", None)) \
-                    == "gaussian_smooth":
-                sites.append((path.name, node.lineno, len(node.args) >= 5 or any(
-                    k.arg == "component" for k in node.keywords)))
-    assert sites, "no gaussian_smooth call found"
-    assert all(ok for *_, ok in sites), sites
