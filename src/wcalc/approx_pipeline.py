@@ -56,7 +56,8 @@ from .density_deriv import DensityCurve
 from .girsanov import StepProcess, doleans_exponential, table_process
 from .numerics import (bump_quad_1d, capped_identity, capped_identity_deriv,
                        gauss_hermite, gauss_legendre, radial_cutoff,
-                       radial_cutoff_deriv, uniform_cell, uniform_interp)
+                       mean_and_se, radial_cutoff_deriv, uniform_cell,
+                       uniform_interp)
 from .wiener_grid import PathPool, TimeGrid, _block_edges, dyadic_coarsen
 
 _MOLL_NODES = 17
@@ -136,19 +137,12 @@ class StageReport:
                 raise ValueError("stage errors must be finite and nonnegative")
 
 
-def _l2(diff: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(diff * diff)))
-
-
-def _l2_with_se(diff: np.ndarray) -> Tuple[float, float]:
-    """L2(Q) distance on the pool plus a delta-method standard error."""
-    sq = diff * diff
-    mean_sq = float(sq.mean())
+def _l2(diff: np.ndarray) -> Tuple[float, float]:
+    """L2(Q) distance sqrt(mean(diff^2)) on the pool and its delta-method
+    standard error SE / (2 err), SE that of the mean; 0 when err is 0."""
+    mean_sq, se = mean_and_se(diff * diff)
     err = float(np.sqrt(mean_sq))
-    var = float(np.mean((sq - mean_sq) ** 2)) / max(sq.size - 1.0, 1.0)
-    if err <= 0.0:
-        return err, 0.0
-    return err, float(np.sqrt(var) / (2.0 * err))
+    return err, (se / (2.0 * err) if err > 0.0 else 0.0)
 
 
 class ConditionedDensity:
@@ -599,7 +593,8 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
         errs: Dict[int, Tuple[float, float]] = {}
 
         def record(sid, v, d):
-            errs[sid] = (_l2(v - target_v), _l2(d - target_d))
+            # (value error, its SE, derivative error, its SE)
+            errs[sid] = _l2(v - target_v) + _l2(d - target_d)
 
         record(1, *cond.pair(la, u_fine))
         record(3, *trunc.parts(la, u_fine, False)[:2])
@@ -618,17 +613,15 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
         if sw is None:
             primary = errs
             primary_u, primary_tab, primary_denom = table, gam_tab, denom
-            final_se = (_l2_with_se(E7 - target_v)[1],
-                        _l2_with_se(dE7 - target_d)[1])
         else:
             for sid in stage_ids:
-                seg_sq[sid] += sw * (errs[sid][0] ** 2 + errs[sid][1] ** 2)
+                seg_sq[sid] += sw * (errs[sid][0] ** 2 + errs[sid][2] ** 2)
 
     gap = _consistency_gap(moll, lam, config, primary_denom, block_pool,
                            y_grid, primary_tab)
 
     stages = tuple(
-        StageReport(sid, primary[sid][0], primary[sid][1],
+        StageReport(sid, primary[sid][0], primary[sid][2],
                     float(np.sqrt(seg_sq[sid])))
         for sid in stage_ids)
     st7 = stages[-1]
@@ -637,8 +630,8 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
         final_value_error=st7.l2_error_value,
         final_deriv_error=st7.l2_error_deriv,
         final_segment_error=st7.along_segment_error,
-        final_value_se=final_se[0],
-        final_deriv_se=final_se[1],
+        final_value_se=primary[7][1],
+        final_deriv_se=primary[7][3],
         gamma_consistency_gap=gap,
         knot_times=k_pool.grid.knots[:-1].copy(),
         gamma_y=y_grid,
@@ -701,8 +694,8 @@ def final_errors_at(curve: DensityCurve, lam: float, config: PipelineConfig,
         table, config, config.positivity_floor + float(F.mean()),
         float(Fl.mean()), _table_y_grid(k_pool.cumulative[:, :-1]), (k_pool,))
     target_v, target_d = curve.eval_pair(lam, pool)
-    ev, se_v = _l2_with_se(E - target_v)
-    ed, se_d = _l2_with_se(dE - target_d)
+    ev, se_v = _l2(E - target_v)
+    ed, se_d = _l2(dE - target_d)
     return ev, ed, se_v, se_d
 
 
