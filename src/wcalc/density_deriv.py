@@ -18,7 +18,7 @@ from .clark_ocone import SmoothFunctional, clark_ocone_decompose, gaussian_smoot
 from .functionals import CylindricalFn, NestedFn, _nested_parts, \
     _nested_profile, eval_cyl, eval_nested, lions_derivative, outer_slope
 from .measure_ops import EmpiricalLaw, pushforward_law, weighted_expectation
-from .numerics import antiderivative_at, row_sums
+from .numerics import antiderivative_at, row_sums, weighted_sum
 from .rng import substream
 from .wiener_grid import PathPool, TimeGrid
 
@@ -169,7 +169,7 @@ def density_derivative_profile(f: CylindricalFn, law: EmpiricalLaw,
     joint = antiderivative_at(integrand, np.concatenate([xs.ravel(), atoms]))
     a_grid = joint[:xs.size].reshape(xs.shape)
     a_atoms = joint[xs.size:]
-    centering = float(np.dot(law.weights, a_atoms))
+    centering = law.integrate(a_atoms)
     return a_grid - centering
 
 
@@ -188,7 +188,7 @@ def recenter_to_density(values: np.ndarray,
     dens = np.asarray(density_values, dtype=float)
     if vals.ndim != 1 or dens.shape != vals.shape:
         raise ValueError("need one value and one density value per path")
-    return vals - float(np.dot(dens, vals) / dens.sum())
+    return vals - weighted_sum(dens, vals) / float(dens.sum())
 
 
 def _require_1d(f: CylindricalFn) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from .density_deriv import density_derivative_profile
 from .functionals import CylindricalFn, lions_derivative
 from .measure_ops import EmpiricalLaw
-from .numerics import _check_bandwidth, binned_gaussian_smooth
+from .numerics import _check_bandwidth, binned_gaussian_smooth, weighted_sum
 
 _GRID_POINTS = 2048
 _WINDOW_SIGMAS = 5.0
@@ -167,7 +167,7 @@ def bensoussan_check(f: CylindricalFn, law: EmpiricalLaw, x_probes,
     # reads the same phi at the atoms
     rep, phi = _representer(f, h, np.concatenate([probes, atoms]))
     rep_at_probes, rep_at_atoms = np.split(rep, [probes.size])
-    rep_mean = float(np.dot(law.weights / law.weights.sum(), rep_at_atoms))
+    rep_mean = weighted_sum(law.weights / law.weights.sum(), rep_at_atoms)
     centered_rep = rep_at_probes - rep_mean
     profile = density_derivative_profile(f, law, probes, phi[probes.size:])
     err_profile = float(np.abs(centered_rep - profile).max())

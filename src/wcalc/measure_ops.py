@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import binned_gaussian_smooth
+from .numerics import binned_gaussian_smooth, weighted_sum
 from .wiener_grid import _readonly
 
 
@@ -54,7 +54,7 @@ class EmpiricalLaw:
         v = values(self.atoms) if callable(values) else np.asarray(values, dtype=float)
         if v.shape != (self.n_atoms,):
             raise ValueError("need one value per atom")
-        return float(np.dot(self.weights, v))
+        return weighted_sum(self.weights, v)
 
 
 def pushforward_law(density_values, observable_values) -> EmpiricalLaw:
@@ -113,7 +113,7 @@ def weighted_expectation(density_values, g_values) -> float:
                          f"{L.shape} and {g.shape}")
     if len(L) == 0:
         raise ValueError("no paths to average over")
-    return float(np.dot(L, g) / len(L))
+    return weighted_sum(L, g) / len(L)
 
 
 def kernel_regression(x_values, y_values, weights, bandwidth: float,

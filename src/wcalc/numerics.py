@@ -119,6 +119,15 @@ def quantiles(values, q):
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)[()]
 
 
+def weighted_sum(w, v) -> float:
+    """sum_i w_i v_i in an order fixed by the length alone: the elementwise
+    products, added by numpy's pairwise summation (blocks of up to 128
+    terms, each in eight interleaved partial sums, halves combined
+    pairwise) on one thread. np.dot splits a long sum across BLAS threads,
+    so its last bits depend on the thread count."""
+    return float((np.asarray(w, dtype=float) * np.asarray(v, dtype=float)).sum())
+
+
 def mean_and_se(values):
     """(mean, standard error of the mean) of per-path values, the variance
     taken with n - 1 in the denominator."""

@@ -292,13 +292,13 @@ def segment_integrals_whole(fn, a, b, order: int):
 def density_derivative_profile_per_pass(f, law, x_grid):
     """density_derivative_profile with the integrand read through
     lions_derivative, which integrates phi against the law at every
-    quadrature pass."""
+    quadrature pass; the centering sums over the atoms as the code does."""
     xs = np.asarray(x_grid, dtype=float)
     atoms = law.atoms_1d()
     joint = antiderivative_at(lambda ys: lions_derivative(f, law, ys),
                               np.concatenate([xs.ravel(), atoms]))
     a_grid = joint[:xs.size].reshape(xs.shape)
-    return a_grid - float(np.dot(law.weights, joint[xs.size:]))
+    return a_grid - law.integrate(joint[xs.size:])
 
 
 def second_order_check_1d_profile(f, law, x_grid, h_step):

@@ -338,19 +338,22 @@ _HEX_RECORDS = """
 import sys
 sys.path.insert(0, {src!r})
 from wcalc import run_check
-for name in ("clark-ocone", "second-order"):
-    for r in run_check(name, 2000, 16, 3):
+for name, n_paths in (("clark-ocone", 2000), ("second-order", 2000),
+                      ("chain-rule", 20000), ("lemma34", 20000)):
+    for r in run_check(name, n_paths, 16, 3):
         print(r.name, *(float(v).hex() for v in (r.lhs, r.rhs, r.std_err,
                                                   r.tolerance)))
 """
 
 
-def test_clark_and_second_order_records_ignore_the_blas_thread_count():
+def test_records_ignore_the_blas_thread_count():
     """Fresh interpreters at OPENBLAS_NUM_THREADS=1 and 2 print every
-    clark-ocone and second-order record as hex floats, identically. The
-    (1025, q) @ w reads of the knot tables and the (rows, q) @ w reads of
-    gaussian_smooth's mesh are matrix-vector products whose threads split
-    the rows, so each row's sum runs in one fixed order."""
+    clark-ocone, second-order, chain-rule and lemma34 record as hex floats,
+    identically. The (1025, q) @ w reads of the knot tables and the
+    (rows, q) @ w reads of gaussian_smooth's mesh are matrix-vector
+    products whose threads split the rows, so each row's sum runs in one
+    fixed order; sums over the atoms, which np.dot would split across
+    threads past about 10k terms, go through numerics.weighted_sum."""
     code = _HEX_RECORDS.format(
         src=str(Path(__file__).resolve().parents[1] / "src"))
     outs = []
@@ -360,5 +363,5 @@ def test_clark_and_second_order_records_ignore_the_blas_thread_count():
             timeout=120, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
-    assert len(outs[0].splitlines()) == 4 + 15
+    assert len(outs[0].splitlines()) == 4 + 15 + 20 + 6
     assert outs[0] == outs[1]
