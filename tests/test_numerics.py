@@ -1,12 +1,14 @@
 """Kernels rewritten for speed give bitwise their reference forms' results."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcalc import capped_identity, capped_identity_deriv, radial_cutoff_deriv
 from wcalc.numerics import (_segment_integrals, antiderivative_at, quantiles,
-                            row_sums, uniform_interp)
+                            row_sums, uniform_interp, weighted_sum)
 
 from oracles import (antiderivative_at_searchsorted, assert_bitwise,
                      capped_identity_full, capped_identity_deriv_full,
@@ -168,3 +170,15 @@ def test_quantiles_match_numpy_bitwise(n):
         assert_bitwise(quantiles(values, qs), np.quantile(values, qs))
         for q in qs:
             assert_bitwise(quantiles(values, q), np.quantile(values, q))
+
+
+@pytest.mark.parametrize("n", [1, 7, 129, 20_000, 100_000])
+def test_weighted_sum_is_the_exact_pairing_to_roundoff(n):
+    """Against the correctly rounded sum of the same products: adding n
+    terms in any order errs by at most (n - 1) u times the sum of their
+    sizes, u the unit roundoff."""
+    rng = np.random.default_rng(n)
+    w, v = rng.random(n), rng.standard_normal(n)
+    exact = math.fsum((w * v).tolist())
+    u = np.finfo(float).eps / 2
+    assert abs(weighted_sum(w, v) - exact) <= (n - 1) * u * np.abs(w * v).sum()
