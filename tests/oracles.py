@@ -560,12 +560,15 @@ def multidim_derivative_repr_single(f, endpoint, xi_fns, pool,
     endpoint = (l, l')) and projection mesh at every knot, with xi, its
     gradients and L (on numpy's row sums) evaluated inside."""
     grid = pool.grid
-    l = lambda x: np.asarray(endpoint[0](np.asarray(x, dtype=float).sum(axis=1)),
-                             dtype=float)
+
+    def density(x):
+        x = np.asarray(x, dtype=float)
+        return np.asarray(endpoint[0](x.sum(axis=1)), dtype=float)
+
     loading = np.vstack([np.ones((1, grid.n_steps))]
                         + [x.loading for x in xi_fns])
     inc = pool.increments
-    l_vals = l(inc)
+    l_vals = density(inc)
     xi_pts = np.column_stack([np.asarray(x.value_fn(inc), dtype=float)
                               for x in xi_fns])
     c = outer_slope(f, pushforward_law(l_vals, xi_pts))
@@ -580,7 +583,7 @@ def multidim_derivative_repr_single(f, endpoint, xi_fns, pool,
             total = np.zeros(args.shape[0])
             for k, x in enumerate(xi_fns):
                 total += dphi[:, k] * np.asarray(x.grad_fn(args), dtype=float)[:, i]
-            return (c * total * l(args),)
+            return (c * total * density(args),)
         return comp
 
     out = np.zeros(pool.n_samples)
