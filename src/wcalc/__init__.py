@@ -22,7 +22,7 @@ from .numerics import gauss_hermite, antiderivative_at, binned_gaussian_smooth, 
     bump_quad_1d, capped_identity, capped_identity_deriv, radial_cutoff, \
     radial_cutoff_deriv
 from .density_deriv import DensityCurve, renormalize, \
-    scalar_exponential_curve, mixture_curve, density_derivative_profile, \
+    exponential_curve, mixture_curve, density_derivative_profile, \
     recenter_to_base, recenter_to_density, grad_phi_antiderivative, \
     chain_rule_rhs, chain_rule_lhs_fd, \
     second_order_check_1d, second_order_check_multidim, \

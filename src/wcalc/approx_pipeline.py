@@ -1,8 +1,8 @@
 """Constructive approximation of density curves by smooth step-process
 exponentials.
 
-A differentiable curve of Wiener densities that reads only the path
-endpoint (a curve with scalar_triple) is pushed through seven stages that
+A differentiable curve of Wiener densities, which reads only the path
+endpoint (a DensityCurve), is pushed through seven stages that
 end in bounded smooth step processes whose stochastic exponentials
 approximate the curve and its parameter derivative in L2(Q):
 
@@ -56,8 +56,8 @@ from .density_deriv import DensityCurve
 from .girsanov import StepProcess, doleans_exponential, table_process
 from .numerics import (bump_quad_1d, capped_identity, capped_identity_deriv,
                        gauss_hermite, gauss_legendre, radial_cutoff,
-                       mean_and_se, radial_cutoff_deriv, uniform_cell,
-                       uniform_interp)
+                       mean_and_se, radial_cutoff_deriv, row_sums,
+                       uniform_cell, uniform_interp)
 from .wiener_grid import PathPool, TimeGrid, _block_edges, dyadic_coarsen
 
 _MOLL_NODES = 17
@@ -148,11 +148,10 @@ def _l2(diff: np.ndarray) -> Tuple[float, float]:
 class ConditionedDensity:
     """Conditional expectation of a density curve given dyadic block sums.
 
-    The curve must carry scalar_triple, so it reads only the terminal
-    value, which is measurable for every block level. Conditioning is then
-    exact, the coordinate system collapses to that one terminal coordinate,
-    and every evaluation is a single scalar_triple call (the curve checked
-    it against its full form when it was built).
+    A density curve reads only the terminal value, which is measurable for
+    every block level. Conditioning is then exact, the coordinate system
+    collapses to that one terminal coordinate, and every evaluation is a
+    single call of the curve's triple.
 
     Values and parameter derivatives are renormalized per parameter so the
     represented density has mean one on the reference pool; the
@@ -161,29 +160,22 @@ class ConditionedDensity:
     """
 
     def __init__(self, curve: DensityCurve, level: int, pool: PathPool):
-        if curve.scalar_triple is None:
-            raise ValueError("conditioning needs a curve with scalar_triple "
-                             "(a density that reads only the terminal value)")
         _block_edges(pool.grid, level)  # the level must still fit the grid
         self.curve = curve
         self.level = int(level)
         self.n_coords = 1
         self._renorm_cache: Dict[float, Tuple[float, float]] = {}
-        self._u = self.coords_of(pool.increments)
+        self._u = row_sums(pool.increments)
         lam_mid = 0.5 * (curve.lam_lo + curve.lam_hi)
         if not np.all(np.isfinite(self.pair(lam_mid, self._u))):
             raise FloatingPointError("conditioning produced non-finite values")
-
-    @staticmethod
-    def coords_of(increments: np.ndarray) -> np.ndarray:
-        return np.asarray(increments, dtype=float).sum(axis=1)
 
     def _renorm(self, lam: float) -> Tuple[float, float]:
         key = float(lam)
         hit = self._renorm_cache.get(key)
         if hit is not None:
             return hit
-        raw, draw, _ = self.curve.scalar_triple(lam, self._u)
+        raw, draw, _ = self.curve.triple(lam, self._u)
         pair = (float(raw.mean()), float(draw.mean()))
         self._renorm_cache[key] = pair
         return pair
@@ -191,7 +183,7 @@ class ConditionedDensity:
     def parts(self, lam: float, coords: np.ndarray, want_du: bool = False):
         """Renormalized (value, parameter derivative, coordinate derivative)."""
         r, dr = self._renorm(lam)
-        v, d, du = self.curve.scalar_triple(lam, np.asarray(coords, dtype=float))
+        v, d, du = self.curve.triple(lam, np.asarray(coords, dtype=float))
         v, d = np.asarray(v, dtype=float), np.asarray(d, dtype=float)
         out_du = np.asarray(du, dtype=float) / r if want_du else None
         return v / r, d / r - v * (dr / (r * r)), out_du
@@ -486,7 +478,7 @@ def _exponentials(table: _UTable, config: PipelineConfig,
 
 def _mollified(curve: DensityCurve, config: PipelineConfig,
                pool: PathPool) -> MollifiedDensity:
-    """Stages 1, 3 and 4 for a curve with scalar_triple."""
+    """Stages 1, 3 and 4 of a density curve."""
     cond = ConditionedDensity(curve, config.dyadic_level, pool)
     trunc = TruncatedDensity(cond, config.truncation_level)
     return MollifiedDensity(trunc, config.mollify_eps)
@@ -576,7 +568,7 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
     trunc = moll.trunc
     cond = trunc.cond
 
-    u_fine = cond.coords_of(pool.increments)
+    u_fine = row_sums(pool.increments)
     block_pool = dyadic_coarsen(pool, config.dyadic_level)
     k_pool = dyadic_coarsen(pool, config.step_count.bit_length() - 1)
     stride = block_pool.grid.n_steps // config.step_count
@@ -688,7 +680,7 @@ def final_errors_at(curve: DensityCurve, lam: float, config: PipelineConfig,
     given, is the u-table at lam of this curve, pool and config."""
     if table is None:
         table = _UTable(_mollified(curve, config, pool), lam)
-    F, Fl, _ = table.read(ConditionedDensity.coords_of(pool.increments))
+    F, Fl, _ = table.read(row_sums(pool.increments))
     k_pool = dyadic_coarsen(pool, config.step_count.bit_length() - 1)
     [(E, dE)], _ = _exponentials(
         table, config, config.positivity_floor + float(F.mean()),
@@ -728,9 +720,9 @@ def pipeline_ladders(curve: DensityCurve, lam: float, config: PipelineConfig,
                      report: Optional[PipelineReport] = None) -> Dict[str, list]:
     """Refinement ladders: final stage-7 errors while one knob moves.
 
-    For scalar-form curves conditioning is exact at every dyadic level, so
-    that ladder is flat by construction and the step-count ladder carries
-    the time-resolution convergence.
+    A curve reads only the endpoint, so conditioning is exact at every
+    dyadic level, that ladder is flat by construction and the step-count
+    ladder carries the time-resolution convergence.
 
     Rungs share one final_errors_at call per distinct (truncation_level,
     mollify_eps, positivity_floor, step_count, quad_order), the fields it

@@ -18,7 +18,7 @@ from .wiener_grid import TimeGrid, make_grid, sample_paths, brownian_at
 from .functionals import CylindricalFn, NestedFn, make_functional, eval_cyl, \
     lifted_derivative_fd
 from .measure_ops import pushforward_law
-from .density_deriv import scalar_exponential_curve, mixture_curve, \
+from .density_deriv import exponential_curve, mixture_curve, \
     renormalize, grad_phi_antiderivative, chain_rule_lhs_fd, chain_rule_rhs, \
     second_order_check_1d, \
     second_order_check_multidim, multidim_derivative_repr, nested_derivative_check
@@ -101,14 +101,14 @@ def _shard_se(values: Sequence[float]) -> float:
 def _curve_battery(grid: TimeGrid):
     horizon = grid.horizon
 
-    def other(inc):
-        return np.exp(0.8 * np.asarray(inc, dtype=float).sum(axis=1)
-                      - 0.32 * horizon)
+    def other(u):
+        e = np.exp(0.8 * u - 0.32 * horizon)
+        return e, 0.8 * e
 
-    exp_curve = scalar_exponential_curve(lambda l: l, lambda l: 1.0, grid,
-                                         lam_lo=0.0, lam_hi=1.0)
-    mix_curve = mixture_curve(lambda inc: np.ones(np.asarray(inc).shape[0]),
-                              other, grid)
+    exp_curve = exponential_curve(grid, lam_lo=0.0, lam_hi=1.0)
+    # a constant base as scalars: an all-ones array per evaluation only
+    # raises the peak memory of the pool-sized transients
+    mix_curve = mixture_curve(lambda u: (1.0, 0.0), other)
     return [("exp", exp_curve), ("mix", mix_curve)]
 
 

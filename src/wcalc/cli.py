@@ -22,7 +22,7 @@ from . import __version__
 from .artifacts import atomic_write_csv, atomic_write_json, atomic_write_text
 from .checks import CheckRecord, CHECKS, run_check, _check_inputs
 from .wiener_grid import make_grid, sample_paths
-from .density_deriv import scalar_exponential_curve
+from .density_deriv import exponential_curve
 from .approx_pipeline import PipelineConfig, pipeline_run, pipeline_ladders, \
     _ladder_configs, DEFAULT_THRESHOLDS
 
@@ -255,16 +255,13 @@ def cmd_pipeline(args) -> int:
     # pipeline.inner_mc is accepted for older configs and ignored
     pl = dict(cfg.get("pipeline", {}))
     curve_cfg = cfg.get("curve", {"kind": "scalar-exponential"})
-    scale = curve_cfg.get("sigma_scale", 1.0)
     grid = make_grid(r["n_steps"], r["horizon"])
     # settings pipeline_run would reject fail here, before any sampling
     try:
         pconf = PipelineConfig(**{f.name: pl.get(f.name, r[f.name])
                                   for f in dataclasses.fields(PipelineConfig)})
-        curve = scalar_exponential_curve(lambda l: scale * l,
-                                         lambda l: scale, grid,
-                                         lam_lo=curve_cfg.get("lam_lo", 0.0),
-                                         lam_hi=curve_cfg.get("lam_hi", 1.0))
+        curve = exponential_curve(grid, lam_lo=curve_cfg.get("lam_lo", 0.0),
+                                  lam_hi=curve_cfg.get("lam_hi", 1.0))
         # every ladder rung is checked here too, not after pipeline_run
         configs = [("", pconf)]
         if cfg.get("ladders", False):

@@ -19,58 +19,30 @@ from .functionals import CylindricalFn, NestedFn, _nested_parts, \
     _nested_profile, eval_cyl, eval_nested, lions_derivative, outer_slope
 from .measure_ops import EmpiricalLaw, pushforward_law, weighted_expectation
 from .numerics import antiderivative_at, row_sums, weighted_sum
-from .rng import substream
 from .wiener_grid import PathPool, TimeGrid
 
-_PROBE_PATHS = 32
-_PROBE_SEED = 2718
 _FD_STEP = 1e-2  # nested_derivative_check's step along each bump
 
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """Differentiable curve lambda -> L^lambda of per-path densities.
+    """Differentiable curve lambda -> L^lambda of per-path densities that
+    read only the path endpoint u = B_T.
 
-    value_fn(lam, increments) and deriv_fn(lam, increments) evaluate the raw
-    curve and its lambda-derivative on any increment matrix over the grid.
-    eval/eval_pair renormalize by the pool mean so every probe has mean
-    exactly one; the derivative is transformed consistently, which also
-    forces its mean to zero.
-
-    scalar_triple, when present, states that the curve reads only the path
-    endpoint u = B_T: scalar_triple(lam, u) returns the raw value, its
-    lambda-derivative and its u-derivative at u. Construction checks
-    value_fn and deriv_fn against the first two entries on seeded probe
-    paths, so the two forms cannot drift apart.
+    triple(lam, u) returns the raw value, its lambda-derivative and its
+    u-derivative at the endpoint values u. raw/raw_pair read it at the row
+    sums of an increment matrix; eval/eval_pair renormalize by the pool
+    mean so every probe has mean exactly one, and the derivative is
+    transformed consistently, which also forces its mean to zero.
     """
 
     lam_lo: float
     lam_hi: float
-    grid: TimeGrid
-    value_fn: Callable
-    deriv_fn: Callable
-    scalar_triple: Optional[Callable] = None
+    triple: Callable
 
     def __post_init__(self):
         if not self.lam_lo < self.lam_hi:
             raise ValueError("empty parameter interval")
-        if self.scalar_triple is not None:
-            self._check_scalar_triple()
-
-    def _check_scalar_triple(self) -> None:
-        lam = 0.5 * (self.lam_lo + self.lam_hi)
-        rng = substream(_PROBE_SEED)
-        inc = rng.standard_normal((_PROBE_PATHS, self.grid.n_steps)) \
-            * np.sqrt(self.grid.steps)
-        v, d, _ = self.scalar_triple(lam, inc.sum(axis=1))
-        for name, full, scalar in (("value_fn", self.value_fn, v),
-                                   ("deriv_fn", self.deriv_fn, d)):
-            got = np.asarray(full(lam, inc), dtype=float)
-            want = np.asarray(scalar, dtype=float)
-            scale = float(np.abs(want).max()) + 1e-12
-            if got.shape != want.shape or \
-                    float(np.abs(got - want).max()) > 1e-9 * scale:
-                raise ValueError(f"{name} disagrees with scalar_triple")
 
     def contains(self, lam: float) -> bool:
         return self.lam_lo <= lam <= self.lam_hi
@@ -79,13 +51,14 @@ class DensityCurve:
         if not self.contains(lam):
             raise ValueError(f"lambda={lam} outside [{self.lam_lo}, {self.lam_hi}]")
 
-    def raw(self, lam: float, increments: np.ndarray) -> np.ndarray:
-        self._require(lam)
-        return np.asarray(self.value_fn(lam, increments), dtype=float)
-
     def raw_pair(self, lam: float, increments: np.ndarray):
-        vals = self.raw(lam, increments)
-        return vals, np.asarray(self.deriv_fn(lam, increments), dtype=float)
+        """Raw value and lambda-derivative on the paths of increments."""
+        self._require(lam)
+        v, d, _ = self.triple(lam, row_sums(increments))
+        return np.asarray(v, dtype=float), np.asarray(d, dtype=float)
+
+    def raw(self, lam: float, increments: np.ndarray) -> np.ndarray:
+        return self.raw_pair(lam, increments)[0]
 
     def eval(self, lam: float, pool: PathPool) -> np.ndarray:
         return renormalize(self.raw(lam, pool.increments))
@@ -106,42 +79,32 @@ def renormalize(vals: np.ndarray, dvals: Optional[np.ndarray] = None):
     return vals / r, dvals / r - vals * (dr / (r * r))
 
 
-def scalar_exponential_curve(sigma: Callable, dsigma: Callable, grid: TimeGrid,
-                             lam_lo: float, lam_hi: float) -> DensityCurve:
-    """Exponential curve with a constant-in-time integrand sigma(lambda); the
-    density reads only the endpoint, which downstream stages exploit."""
+def exponential_curve(grid: TimeGrid, lam_lo: float,
+                      lam_hi: float) -> DensityCurve:
+    """L^lam = exp(lam B_T - lam^2 T / 2), the Girsanov density of the
+    constant drift lam."""
     horizon = grid.horizon
 
-    def striple(lam, u):
+    def triple(lam, u):
         # one exponential, the derivatives fall out algebraically
-        u = np.asarray(u, dtype=float)
-        s, ds = float(sigma(lam)), float(dsigma(lam))
-        v = np.exp(s * u - 0.5 * s * s * horizon)
-        return v, v * ds * (u - s * horizon), s * v
+        v = np.exp(lam * u - 0.5 * lam * lam * horizon)
+        return v, v * (u - lam * horizon), lam * v
 
-    def value(lam, inc):
-        return striple(lam, np.asarray(inc, dtype=float).sum(axis=1))[0]
-
-    def deriv(lam, inc):
-        return striple(lam, np.asarray(inc, dtype=float).sum(axis=1))[1]
-
-    return DensityCurve(lam_lo, lam_hi, grid, value, deriv,
-                        scalar_triple=striple)
+    return DensityCurve(lam_lo, lam_hi, triple)
 
 
-def mixture_curve(base_fn: Callable, other_fn: Callable, grid: TimeGrid,
-                  lam_lo: float = 0.0, lam_hi: float = 1.0) -> DensityCurve:
+def mixture_curve(base: Callable, other: Callable, lam_lo: float = 0.0,
+                  lam_hi: float = 1.0) -> DensityCurve:
     """Linear interpolation L^lam = (1-lam) base + lam other between two
-    densities given as functions of the increment matrix."""
+    endpoint densities, each a function of u = B_T that returns its value
+    and u-derivative (scalars for a constant density)."""
 
-    def value(lam, inc):
-        return (1.0 - lam) * np.asarray(base_fn(inc), dtype=float) \
-            + lam * np.asarray(other_fn(inc), dtype=float)
+    def triple(lam, u):
+        b, db = base(u)
+        o, do = other(u)
+        return (1.0 - lam) * b + lam * o, o - b, (1.0 - lam) * db + lam * do
 
-    def deriv(lam, inc):
-        return np.asarray(other_fn(inc), dtype=float) - np.asarray(base_fn(inc), dtype=float)
-
-    return DensityCurve(lam_lo, lam_hi, grid, value, deriv)
+    return DensityCurve(lam_lo, lam_hi, triple)
 
 
 def density_derivative_profile(f: CylindricalFn, law: EmpiricalLaw,

@@ -14,7 +14,7 @@ import pytest
 from wcalc import (make_grid, sample_paths, weighted_expectation,
                    EmpiricalLaw, wasserstein1,
                    recenter_to_base, recenter_to_density,
-                   scalar_exponential_curve,
+                   exponential_curve,
                    PipelineConfig, pipeline_run, pipeline_ladders,
                    DEFAULT_THRESHOLDS, run_check)
 from oracles import w1_lp
@@ -180,8 +180,7 @@ def test_criterion_6_pipeline():
     assert DEFAULT_THRESHOLDS == _PIPELINE_THRESHOLDS  # frozen contract
     grid = make_grid(_GRID_STEPS)
     pool = sample_paths(grid, _PIPELINE_PATHS, _SEED)
-    curve = scalar_exponential_curve(lambda l: l, lambda l: 1.0, grid,
-                                     lam_lo=0.0, lam_hi=1.0)
+    curve = exponential_curve(grid, lam_lo=0.0, lam_hi=1.0)
     cfg = PipelineConfig(dyadic_level=3, truncation_level=6.0,
                          mollify_eps=0.1, positivity_floor=0.1, step_count=8,
                          quad_order=32)

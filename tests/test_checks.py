@@ -115,9 +115,9 @@ def test_chain_rule_matches_the_per_shard_oracle_bitwise(seed):
 
 
 def test_chain_rule_evaluates_each_curve_and_phi_once(monkeypatch):
-    """Per (curve, lambda) the raw curve runs once at lambda - h, lambda + h
-    and lambda (value and derivative), not once more per shard; phi runs
-    once per functional."""
+    """Per (curve, lambda) the curve's triple runs once at lambda - h,
+    lambda + h and lambda, not once more per shard; phi runs once per
+    functional."""
     calls = []
 
     def counted(obj, field, label):
@@ -126,17 +126,16 @@ def test_chain_rule_evaluates_each_curve_and_phi_once(monkeypatch):
         def counting(*args):
             calls.append(label)
             return fn(*args)
-        object.__setattr__(obj, field, counting)    # past construction probes
+        object.__setattr__(obj, field, counting)    # the curve is frozen
         return obj
 
     battery, make = checks._curve_battery, checks.make_functional
     monkeypatch.setattr(checks, "_curve_battery", lambda grid: [
-        (cid, counted(counted(c, "value_fn", "curve"), "deriv_fn", "curve"))
-        for cid, c in battery(grid)])
+        (cid, counted(c, "triple", "curve")) for cid, c in battery(grid)])
     monkeypatch.setattr(checks, "make_functional",
                         lambda fid: counted(make(fid), "phi", "phi"))
     run_check("chain-rule", 1000, 8, seed=3)
-    assert calls.count("curve") == 2 * len(checks._CHAIN_LAMS) * 4
+    assert calls.count("curve") == 2 * len(checks._CHAIN_LAMS) * 3
     assert calls.count("phi") == 3
 
 

@@ -167,9 +167,15 @@ def test_pipeline_command_end_to_end(tmp_path, capsys):
     {"lam": 0.4, "lam_prime": 0.4},
     {"lam_prime": 1.5},
     {"curve": {"kind": "scalar-exponential", "lam_lo": 0.5, "lam_hi": 0.2}},
+    {"curve": {"kind": "scalar-exponential", "sigma_scale": 2.0}},
     {"grid": {"n_steps": 12}, "pipeline": {"dyadic_level": 3}},
 ])
-def test_pipeline_rejects_bad_config_before_running(tmp_path, capsys, change):
+def test_pipeline_rejects_bad_config_before_running(tmp_path, capsys,
+                                                    monkeypatch, change):
+    def never(*args, **kwargs):
+        raise AssertionError("the pipeline sampled paths")
+
+    monkeypatch.setattr(cli, "sample_paths", never)
     out = tmp_path / "run"
     base = dict(command="pipeline", seed=3, n_paths=2000,
                 grid={"n_steps": 8}, lam=0.3, lam_prime=0.5,

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcalc import (make_grid, sample_paths, scalar_exponential_curve,
-                   mixture_curve, DensityCurve, density_derivative_profile,
+from wcalc import (make_grid, sample_paths, exponential_curve,
+                   mixture_curve, density_derivative_profile,
                    recenter_to_base, recenter_to_density, antiderivative_at,
                    pushforward_law, make_functional, weighted_expectation,
                    brownian_at, chain_rule_lhs_fd, chain_rule_rhs,
                    grad_phi_antiderivative, CylindricalFn, renormalize,
                    nested_derivative_check, second_order_check_multidim)
-from wcalc.checks import _curve_battery, _plane_functionals, _shard_rows
+from wcalc.checks import (_CHAIN_LAMS, _FD_STEP, _curve_battery,
+                          _plane_functionals, _shard_rows)
 from oracles import assert_bitwise, density_derivative_profile_per_pass
 
 
@@ -18,9 +19,8 @@ def pool16():
     return sample_paths(make_grid(16), 20000, seed=71)
 
 
-def test_scalar_exponential_curve_is_a_density(pool16):
-    curve = scalar_exponential_curve(lambda l: l, lambda l: 1.0,
-                                     pool16.grid, 0.0, 1.0)
+def test_exponential_curve_is_a_density(pool16):
+    curve = exponential_curve(pool16.grid, 0.0, 1.0)
     vals = curve.eval(0.4, pool16)
     assert np.all(vals > 0)
     pair = curve.eval_pair(0.4, pool16)
@@ -47,9 +47,11 @@ def test_row_read_shard_density_is_the_subset_density_bitwise(pool16, cid):
 
 
 def test_mixture_curve_interpolates(pool16):
-    other = lambda inc: np.exp(0.5 * np.asarray(inc).sum(axis=1) - 0.125)
-    curve = mixture_curve(lambda inc: np.ones(np.asarray(inc).shape[0]),
-                          other, pool16.grid)
+    def other(u):
+        e = np.exp(0.5 * u - 0.125)
+        return e, 0.5 * e
+
+    curve = mixture_curve(lambda u: (1.0, 0.0), other)
     inc = pool16.increments
     v0, _ = curve.raw_pair(0.0, inc)
     v1, _ = curve.raw_pair(1.0, inc)
@@ -60,20 +62,33 @@ def test_mixture_curve_interpolates(pool16):
     h = 1e-5
     fd = (curve.eval(0.3 + h, pool16) - curve.eval(0.3 - h, pool16)) / (2 * h)
     assert np.allclose(curve.eval_pair(0.3, pool16)[1], fd, atol=1e-7)
+    # the u-derivative agrees with a central difference in the endpoint
+    u = np.linspace(-2.0, 2.0, 9)
+    fd_u = (curve.triple(0.3, u + h)[0] - curve.triple(0.3, u - h)[0]) / (2 * h)
+    assert np.allclose(curve.triple(0.3, u)[2], fd_u, atol=1e-8)
 
 
-@pytest.mark.parametrize("broken", ["value_fn", "deriv_fn"])
-def test_scalar_triple_must_match_full_form(broken):
-    grid = make_grid(8)
-    good = scalar_exponential_curve(lambda l: l, lambda l: 1.0, grid, 0.0, 1.0)
-    fields = dict(lam_lo=0.0, lam_hi=1.0, grid=grid, value_fn=good.value_fn,
-                  deriv_fn=good.deriv_fn,
-                  scalar_triple=good.scalar_triple)
-    DensityCurve(**fields)
-    full = fields[broken]
-    fields[broken] = lambda lam, inc: 1.001 * full(lam, inc)
-    with pytest.raises(ValueError, match=broken):
-        DensityCurve(**fields)
+@pytest.mark.parametrize("seed", [20260815, 3, 4])
+def test_battery_curves_keep_their_endpoint_formulas_bitwise(seed):
+    """The battery's curves read u = B_T as the row sum of the increments
+    and give, bit for bit, exp(lam u - lam^2 T / 2) with its
+    lambda-derivative and (1 - lam) + lam e with e - 1, e = exp(0.8 u -
+    0.32 T). A read of u that rounds differently (say the last column of
+    the cumulative sum) would move every chain-rule record."""
+    pool = sample_paths(make_grid(16), 2000, seed=seed)
+    inc = pool.increments
+    u = inc.sum(axis=1)
+    T = pool.grid.horizon
+    curves = dict(_curve_battery(pool.grid))
+    for lam in [lam + d for lam in _CHAIN_LAMS
+                for d in (-_FD_STEP, 0.0, _FD_STEP)]:
+        v = np.exp(lam * u - 0.5 * lam * lam * T)
+        e = np.exp(0.8 * u - 0.32 * T)
+        assert_bitwise(curves["exp"].raw_pair(lam, inc),
+                       (v, v * (u - lam * T)))
+        assert_bitwise(curves["mix"].raw_pair(lam, inc),
+                       ((1.0 - lam) * np.ones_like(u) + lam * e,
+                        e - np.ones_like(u)))
 
 
 def test_profile_is_centered_antiderivative(pool16):
@@ -111,8 +126,7 @@ def test_profile_reads_the_outer_slope_once_bitwise(pool16, name):
 
 @pytest.mark.parametrize("h_step", [0.0, np.nan, -1e-3, np.inf])
 def test_chain_rule_lhs_rejects_a_bad_step(pool16, h_step):
-    curve = scalar_exponential_curve(lambda l: l, lambda l: 1.0,
-                                     pool16.grid, 0.0, 1.0)
+    curve = exponential_curve(pool16.grid, 0.0, 1.0)
     law = pushforward_law(curve.eval(0.45, pool16), brownian_at(pool16, 1.0))
     f = make_functional("mean")
     phi = f.phi(law.atoms)
@@ -124,8 +138,7 @@ def test_chain_rule_rhs_rejects_a_planar_functional(pool16):
     f = CylindricalFn(h=lambda u: u, h_prime=lambda u: np.ones_like(u),
                       phi=lambda x: x[:, 0] * x[:, 1],
                       grad_phi=lambda x: x[:, ::-1].copy(), dim=2)
-    curve = scalar_exponential_curve(lambda l: l, lambda l: 1.0,
-                                     pool16.grid, 0.0, 1.0)
+    curve = exponential_curve(pool16.grid, 0.0, 1.0)
     dens, deriv = curve.eval_pair(0.45, pool16)
     xi = brownian_at(pool16, 1.0)
     with pytest.raises(ValueError, match="one-dimensional"):

@@ -9,7 +9,7 @@ from wcalc import (make_grid, sample_paths, brownian_at, EmpiricalLaw,
                    GridDensity, kde_density, density_grid,
                    CylindricalFn, dPhi_representer,
                    representer_x_derivative, bensoussan_check,
-                   pushforward_law, scalar_exponential_curve, checks,
+                   pushforward_law, exponential_curve, checks,
                    kernel_regression, make_functional,
                    nested_derivative_check)
 from oracles import kde_naive
@@ -205,7 +205,7 @@ def test_density_functional_routes_reject_a_2d_functional():
 def reweighted():
     grid = make_grid(16)
     pool = sample_paths(grid, 20000, seed=606)
-    curve = scalar_exponential_curve(lambda l: l, lambda l: 1.0, grid, 0.1, 0.9)
+    curve = exponential_curve(grid, 0.1, 0.9)
     return pushforward_law(curve.eval(0.3, pool),
                            brownian_at(pool, grid.horizon))
 

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcalc import (make_grid, sample_paths, dyadic_coarsen, DensityCurve,
-                   scalar_exponential_curve, PipelineConfig, PipelineReport,
+from wcalc import (make_grid, sample_paths, dyadic_coarsen,
+                   exponential_curve, PipelineConfig, PipelineReport,
                    pipeline_run, ConditionedDensity, TruncatedDensity,
                    MollifiedDensity, stage5_normalize, stage5_derivative,
                    stage7_stepify, final_errors_at, doleans_exponential,
                    pipeline_ladders, DEFAULT_THRESHOLDS)
 from wcalc import approx_pipeline
+from wcalc.numerics import row_sums
 
 from wcalc import clark_ocone
 from oracles import (assert_bitwise, consistency_gap_decomposed, mollified_acc,
@@ -22,27 +23,7 @@ from oracles import (assert_bitwise, consistency_gap_decomposed, mollified_acc,
 
 
 def exp_curve(grid, lo=0.1, hi=0.9):
-    return scalar_exponential_curve(lambda l: l, lambda l: 1.0, grid, lo, hi)
-
-
-def midpoint_curve(grid, lam_lo=0.2, lam_hi=0.6, t=None):
-    """Curve reading B at one interior time: exp(lam B_t - lam^2 t / 2).
-
-    No scalar form is declared, so the one-coordinate pipeline rejects it.
-    """
-    if t is None:
-        t = grid.knots[grid.n_steps // 3]
-    j = grid.knot_index(t)
-
-    def value(lam, inc):
-        b = np.asarray(inc, dtype=float)[:, :j].sum(axis=1)
-        return np.exp(lam * b - 0.5 * lam * lam * t)
-
-    def deriv(lam, inc):
-        b = np.asarray(inc, dtype=float)[:, :j].sum(axis=1)
-        return value(lam, inc) * (b - lam * t)
-
-    return DensityCurve(lam_lo, lam_hi, grid, value, deriv)
+    return exponential_curve(grid, lo, hi)
 
 
 # ---------------------------------------------------------------- config
@@ -70,18 +51,11 @@ def test_stage1_exact_for_endpoint_curves():
     for level in (1, 2, 3):
         cond = ConditionedDensity(curve, level, pool)
         assert cond.n_coords == 1
-        vals, dvals = cond.pair(lam, cond.coords_of(pool.increments))
+        vals, dvals = cond.pair(lam, row_sums(pool.increments))
         err_v = np.sqrt(np.mean((vals - curve.eval(lam, pool)) ** 2))
         err_d = np.sqrt(np.mean((dvals - curve.eval_pair(lam, pool)[1]) ** 2))
         assert err_v <= 1e-13
         assert err_d <= 1e-13
-
-
-def test_stage1_rejects_curves_without_scalar_triple():
-    grid = make_grid(16)
-    pool = sample_paths(grid, 500, seed=2)
-    with pytest.raises(ValueError, match="scalar_triple"):
-        ConditionedDensity(midpoint_curve(grid), 3, pool)
 
 
 # ---------------------------------------------------------------- stage 3
@@ -420,8 +394,6 @@ def test_pipeline_run_validation():
         pipeline_run(curve, 0.3, 0.3, cfg, pool)
     with pytest.raises(ValueError):
         pipeline_run(curve, 0.3, 0.95, cfg, pool)
-    with pytest.raises(ValueError, match="scalar"):
-        pipeline_run(midpoint_curve(grid, 0.2, 0.6), 0.3, 0.5, cfg, pool)
 
 
 def test_pipeline_run_end_to_end(tmp_path):
