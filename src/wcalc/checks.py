@@ -10,7 +10,7 @@ override any of them by record name (see the cli module).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -113,8 +113,8 @@ def _curve_battery(grid: TimeGrid):
 
 
 def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
-                     seed: int = 7101, horizon: float = 1.0,
-                     functionals: Optional[Sequence[str]] = None) -> List[CheckRecord]:
+                     seed: int = 7101,
+                     horizon: float = 1.0) -> List[CheckRecord]:
     """Parameter derivative of f(law of B_T under L^lam) two ways.
 
     lhs: central difference in lam of the reweighted functional. rhs:
@@ -131,8 +131,7 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
     grid = make_grid(n_steps, horizon)
     pool = sample_paths(grid, n_paths, seed)
     xi = brownian_at(pool, grid.horizon)
-    fids = list(functionals or ("mean", "mean_sq", "sin_mean"))
-    fns = {fid: make_functional(fid) for fid in fids + [_CLOSED_FORM[0]]}
+    fns = {fid: make_functional(fid) for fid in ("mean", "mean_sq", "sin_mean")}
     antis = {fid: grad_phi_antiderivative(f, xi) for fid, f in fns.items()}
     phis = {fid: f.phi(xi[:, None]) for fid, f in fns.items()}
     rows = [slice(None)] + _shard_rows(pool.n_samples)
@@ -142,8 +141,6 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
     routes: Dict[tuple, List[tuple]] = {}
     for cid, curve in curves:
         for lam in _CHAIN_LAMS:
-            todo = [fid for fid in fns
-                    if fid in fids or (fid, cid, lam) == _CLOSED_FORM]
             raw_below = curve.raw(lam - _FD_STEP, pool.increments)
             raw_above = curve.raw(lam + _FD_STEP, pool.increments)
             raw, raw_deriv = curve.raw_pair(lam, pool.increments)
@@ -153,15 +150,15 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
                 above = pushforward_law(renormalize(raw_above[r]), x)
                 density, deriv = renormalize(raw[r], raw_deriv[r])
                 law = pushforward_law(density, x)
-                for fid in todo:
-                    f, phi = fns[fid], phis[fid][r]
+                for fid, f in fns.items():
+                    phi = phis[fid][r]
                     routes.setdefault((fid, cid, lam), []).append(
                         (chain_rule_lhs_fd(f, below, above, phi, _FD_STEP),
                          chain_rule_rhs(f, law, deriv, phi, antis[fid][r])))
 
     fd_bias = _FD_BIAS_CHAIN * _FD_STEP ** 2
     records = []
-    for fid in fids:
+    for fid in fns:
         for cid, _ in curves:
             for lam in _CHAIN_LAMS:
                 (lhs, rhs), *shards = routes[fid, cid, lam]
@@ -529,9 +526,8 @@ CHECKS: Dict[str, Callable[..., List[CheckRecord]]] = {
 }
 
 
-def _check_inputs(name: str, n_paths: int, n_steps: int,
-                  functionals: Optional[Sequence[str]]) -> None:
-    """Reject sizes and options a battery cannot run, before it samples."""
+def _check_inputs(name: str, n_paths: int, n_steps: int) -> None:
+    """Reject sizes a battery cannot run, before it samples."""
     if name in ("second-order", "lemma34") and n_steps % 2:
         raise ValueError(f"{name} reads B at T/2, so grid.n_steps must be "
                          f"even, got {n_steps}")
@@ -539,20 +535,14 @@ def _check_inputs(name: str, n_paths: int, n_steps: int,
         raise ValueError(f"chain-rule splits the pool into {_N_SHARDS} "
                          f"shards, so n_paths must be >= {_N_SHARDS}, "
                          f"got {n_paths}")
-    if functionals and name != "chain-rule":
-        raise ValueError("functional ids only apply to the chain-rule battery")
 
 
 def run_check(name: str, n_paths: int, n_steps: int, seed: int,
-              horizon: float = 1.0,
-              functionals: Optional[Sequence[str]] = None) -> List[CheckRecord]:
+              horizon: float = 1.0) -> List[CheckRecord]:
     """Run one battery by name with its default tolerances."""
     if name not in CHECKS:
         raise KeyError(f"unknown check id: {name}; "
                        f"choose from {sorted(CHECKS)}")
-    _check_inputs(name, n_paths, n_steps, functionals)
-    kwargs = dict(n_paths=n_paths, n_steps=n_steps, seed=seed,
-                  horizon=horizon)
-    if name == "chain-rule":
-        kwargs["functionals"] = functionals
-    return CHECKS[name](**kwargs)
+    _check_inputs(name, n_paths, n_steps)
+    return CHECKS[name](n_paths=n_paths, n_steps=n_steps, seed=seed,
+                        horizon=horizon)

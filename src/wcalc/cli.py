@@ -73,13 +73,6 @@ def _validate(obj, schema: dict, path: str = "config") -> None:
             elif extra is False:
                 raise ConfigError(f"{path}: unknown key {key!r}")
         return
-    if kind == "array":
-        if not isinstance(obj, list):
-            raise ConfigError(f"{path}: expected an array")
-        if "items" in schema:
-            for i, val in enumerate(obj):
-                _validate(val, schema["items"], f"{path}[{i}]")
-        return
     if kind == "integer":
         if not isinstance(obj, int) or isinstance(obj, bool):
             raise ConfigError(f"{path}: expected an integer")
@@ -189,14 +182,12 @@ def cmd_verify(args) -> int:
     r = _resolve(cfg, args.seed, args.out, _VERIFY_DEFAULTS)
     # inputs the battery cannot run fail here, before any sampling
     try:
-        _check_inputs(args.check, r["n_paths"], r["n_steps"],
-                      cfg.get("functionals"))
+        _check_inputs(args.check, r["n_paths"], r["n_steps"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     t0 = time.perf_counter()
     records = run_check(args.check, n_paths=r["n_paths"], n_steps=r["n_steps"],
-                        seed=r["seed"], horizon=r["horizon"],
-                        functionals=cfg.get("functionals"))
+                        seed=r["seed"], horizon=r["horizon"])
     wall = time.perf_counter() - t0
     records = _apply_tolerances(records, cfg.get("tolerances"))
     report = _report_dict("verify", args.check, cfg, r, records, wall)

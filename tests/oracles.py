@@ -401,7 +401,7 @@ def _shards(pool, k):
 
 
 def check_chain_rule_per_call(n_paths=20000, n_steps=16, seed=7101,
-                              horizon=1.0, functionals=None):
+                              horizon=1.0):
     """wcalc.checks.check_chain_rule as it was, one route call per
     (functional, curve, lambda, pool), with the closed form recomputed."""
     chain_rule_lhs_fd = chain_rule_lhs_fd_per_call
@@ -414,7 +414,7 @@ def check_chain_rule_per_call(n_paths=20000, n_steps=16, seed=7101,
     shard_xi = [brownian_at(p, grid.horizon) for p in shards]
     fd_bias = _FD_BIAS_CHAIN * _FD_STEP ** 2
     records = []
-    for fid in functionals or ("mean", "mean_sq", "sin_mean"):
+    for fid in ("mean", "mean_sq", "sin_mean"):
         f = make_functional(fid)
         for cid, curve in _curve_battery(grid):
             for lam in (0.2, 0.45, 0.7):
@@ -449,7 +449,7 @@ def check_chain_rule_per_call(n_paths=20000, n_steps=16, seed=7101,
 # that evaluated the curve on its own paths and phi at its own atoms ----------
 
 def check_chain_rule_per_shard(n_paths=20000, n_steps=16, seed=7101,
-                               horizon=1.0, functionals=None):
+                               horizon=1.0):
     """wcalc.checks.check_chain_rule with the densities of every shard from
     curve.eval(., pool.subset(rows)) and both routes written out: h of
     <phi, law> and h' of it, phi evaluated at each law's atoms."""
@@ -459,23 +459,19 @@ def check_chain_rule_per_shard(n_paths=20000, n_steps=16, seed=7101,
     shard_rows = _shard_rows(pool.n_samples)
     pools = [pool] + [pool.subset(r) for r in shard_rows]
     rows = [slice(None)] + shard_rows
-    fids = list(functionals or ("mean", "mean_sq", "sin_mean"))
-    fns = {fid: make_functional(fid) for fid in fids + [_CLOSED_FORM[0]]}
+    fns = {fid: make_functional(fid) for fid in ("mean", "mean_sq", "sin_mean")}
     antis = {fid: grad_phi_antiderivative(f, xi) for fid, f in fns.items()}
     curves = _curve_battery(grid)
     routes = {}
     for cid, curve in curves:
         for lam in _CHAIN_LAMS:
-            todo = [fid for fid in fns
-                    if fid in fids or (fid, cid, lam) == _CLOSED_FORM]
             for p, r in zip(pools, rows):
                 x = xi[r]
                 below = pushforward_law(curve.eval(lam - _FD_STEP, p), x)
                 above = pushforward_law(curve.eval(lam + _FD_STEP, p), x)
                 density, deriv = curve.eval_pair(lam, p)
                 law = pushforward_law(density, x)
-                for fid in todo:
-                    f = fns[fid]
+                for fid, f in fns.items():
                     lhs = (eval_cyl(f, above) - eval_cyl(f, below)) \
                         / (2.0 * _FD_STEP)
                     rhs = outer_slope(f, law) * weighted_expectation(
@@ -484,7 +480,7 @@ def check_chain_rule_per_shard(n_paths=20000, n_steps=16, seed=7101,
 
     fd_bias = _FD_BIAS_CHAIN * _FD_STEP ** 2
     records = []
-    for fid in fids:
+    for fid in fns:
         for cid, _ in curves:
             for lam in _CHAIN_LAMS:
                 (lhs, rhs), *shards = routes[fid, cid, lam]

@@ -40,18 +40,6 @@ def test_unknown_check_id():
         run_check("nope", 1000, 8, seed=1)
 
 
-def test_functionals_only_apply_to_the_chain_rule():
-    with pytest.raises(ValueError):
-        run_check("girsanov", 1000, 8, seed=1, functionals=["mean"])
-
-
-def test_chain_rule_respects_the_functional_subset():
-    recs = run_check("chain-rule", 4000, 8, seed=3, functionals=["mean"])
-    battery = [r for r in recs if r.name.startswith("chain/mean|")]
-    assert battery and all(r.passed for r in battery)
-    assert not any(r.name.startswith("chain/mean_sq|") for r in recs)
-
-
 def test_girsanov_battery_passes_at_small_scale():
     recs = run_check("girsanov", 2000, 8, seed=11)
     assert all(r.passed for r in recs)
@@ -87,19 +75,6 @@ def test_chain_rule_matches_the_per_call_oracle():
         assert_bitwise(g.lhs, w.lhs)
         assert abs(g.rhs - w.rhs) <= 1e-12, g.name
         assert abs(g.std_err - w.std_err) <= 1e-12, g.name
-
-
-def test_chain_rule_closed_form_does_not_need_mean_in_the_subset():
-    full = run_check("chain-rule", 4000, 8, seed=3)
-    sub = run_check("chain-rule", 4000, 8, seed=3, functionals=["sin_mean"])
-    closed = [r for r in sub if "closed-form" in r.name]
-    assert [r.name for r in closed] == ["chain/closed-form-fd",
-                                        "chain/closed-form-repr"]
-    assert all(r.rhs == 1.0 for r in closed)          # the horizon
-    for got, want in zip(closed, [r for r in full if "closed-form" in r.name]):
-        assert got.name == want.name
-        assert_bitwise([got.lhs, got.rhs], [want.lhs, want.rhs])
-    assert not any(r.name.startswith("chain/mean|") for r in sub)
 
 
 @pytest.mark.parametrize("seed", [3, 20260815])

@@ -289,14 +289,14 @@ def test_version_flag():
     ("second-order", {"grid": {"n_steps": 7}}),
     ("lemma34", {"grid": {"n_steps": 7}}),
     ("chain-rule", {"n_paths": 7}),
-    ("girsanov", {"functionals": ["mean"]}),
+    ("chain-rule", {"functionals": ["mean"]}),
 ])
 def test_verify_rejects_inputs_the_battery_cannot_run(tmp_path, capsys,
                                                       monkeypatch, check,
                                                       change):
     """second-order and lemma34 read B at T/2, chain-rule splits the pool
-    into 8 shards, and only chain-rule takes functionals; each is refused
-    before the battery samples anything."""
+    into 8 shards, and no battery takes a functional subset; each is
+    refused before the battery samples anything."""
     def never(*args, **kwargs):
         raise AssertionError("the battery ran")
 
