@@ -155,6 +155,9 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
                     routes.setdefault((fid, cid, lam), []).append(
                         (chain_rule_lhs_fd(f, below, above, phi, _FD_STEP),
                          chain_rule_rhs(f, law, deriv, phi, antis[fid][r])))
+            # freed before the next lambda's triples run, which would
+            # otherwise set the battery's peak memory
+            del raw_below, raw_above, raw, raw_deriv
 
     fd_bias = _FD_BIAS_CHAIN * _FD_STEP ** 2
     records = []
