@@ -30,13 +30,12 @@ from .density_deriv import DensityCurve, renormalize, \
 from .girsanov import StepProcess, constant_process, \
     deterministic_process, table_process, \
     doleans_exponential, shift_forward, shift_backward, girsanov_check
-from .clark_ocone import SmoothFunctional, scalar_functional, \
-    gaussian_smooth, clark_ocone_decompose, clark_ocone_integrand, \
-    reconstruction_error
+from .clark_ocone import gaussian_smooth, clark_ocone_decompose, \
+    clark_ocone_integrand, reconstruction_error
 from .approx_pipeline import PipelineConfig, StageReport, PipelineReport, \
     ConditionedDensity, TruncatedDensity, \
     MollifiedDensity, stage5_normalize, stage5_derivative, stage7_stepify, \
     pipeline_run, pipeline_ladders, final_errors_at, DEFAULT_THRESHOLDS
 from .density_functional import GridDensity, density_grid, kde_density, \
-    dPhi_representer, representer_x_derivative, bensoussan_check
+    bensoussan_check
 from .checks import CheckRecord, CHECKS, run_check

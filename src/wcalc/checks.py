@@ -24,10 +24,9 @@ from .density_deriv import exponential_curve, mixture_curve, \
     second_order_check_multidim, multidim_derivative_repr, nested_derivative_check
 from .girsanov import StepProcess, constant_process, deterministic_process, \
     doleans_exponential, shift_forward, shift_backward, girsanov_check
-from .clark_ocone import SmoothFunctional, scalar_functional, \
-    clark_ocone_decompose, clark_ocone_integrand, reconstruction_error
+from .clark_ocone import clark_ocone_decompose, clark_ocone_integrand, reconstruction_error
 from .density_functional import bensoussan_check
-from .numerics import mean_and_se, quantiles, row_sums
+from .numerics import mean_and_se, quantiles, row_sums, weighted_row_sums
 
 _N_SHARDS = 8
 _FD_STEP = 1e-3
@@ -274,50 +273,40 @@ def _exp_density(horizon: float, sig: float = 0.4):
             lambda s: sig * np.exp(sig * s - 0.5 * sig ** 2 * horizon))
 
 
-def _repr_functionals(grid: TimeGrid):
-    """(xi1, xi2) of the representation check: xi1 = B(T/2) and xi2 = B_T,
-    each with its loading."""
+def _repr_loading(grid: TimeGrid) -> np.ndarray:
+    """Loading of the representation check's (xi1, xi2) = (B(T/2), B_T)."""
     n = grid.n_steps
-    half = n // 2
-    first_half = (np.arange(n) < half).astype(float)
-    xi1 = SmoothFunctional(
-        n_args=n,
-        value_fn=lambda x: row_sums(np.asarray(x, dtype=float)[:, :half]),
-        grad_fn=lambda x: np.broadcast_to(first_half, (np.shape(x)[0], n)),
-        loading=first_half[None, :])
-    xi2 = scalar_functional(grid, lambda s: s,
-                            lambda s: np.ones_like(np.asarray(s, dtype=float)))
-    return xi1, xi2
+    return np.vstack([np.arange(n) < n // 2, np.ones(n)]).astype(float)
 
 
 def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
     """Stochastic-integral representation on a coarse grid.
 
     The density L = l(B_T) reads the endpoint, and xi1 = B(T/2) and
-    xi2 = B_T declare their loadings, so the conditional projections are
-    Gauss-Hermite integrals over the two directions they read. The grid stays at four steps and the pairing tolerance carries
-    the documented discrete-bracket term proportional to dt.
+    xi2 = B_T are rows of one loading, so the conditional projections are
+    Gauss-Hermite integrals over the two directions they read. The grid
+    stays at four steps and the pairing tolerance carries the documented
+    discrete-bracket term proportional to dt.
     """
     grid = make_grid(4, horizon)
     n_paths, quad = 4000, 12
     pool = sample_paths(grid, n_paths, seed + 11)
-    half = grid.n_steps // 2
-    xi1, xi2 = _repr_functionals(grid)
+    loading = _repr_loading(grid)
 
     inc = pool.increments
     endpoint = _exp_density(grid.horizon)
     l_vals = np.asarray(endpoint[0](row_sums(inc)), dtype=float)
     l_norm = l_vals / float(l_vals.mean())
-    xi_pts = np.column_stack([xi1.value_fn(inc), xi2.value_fn(inc)])
+    xi_pts = np.column_stack([weighted_row_sums(inc, a) for a in loading])
     _, _, gam = clark_ocone_decompose(*endpoint, pool, quad_order=32)
     dts = grid.steps
     ito_eta = (inc - gam * dts[None, :]).sum(axis=1)  # eta' = 1
     # Direction induced on the observables: constant because both read the
     # path linearly.
-    eta_obs = np.array([half * dts[0], float(dts.sum())])
+    eta_obs = loading @ dts
 
     fs = _plane_functionals()[:2]
-    outs = multidim_derivative_repr(fs, endpoint, [xi1, xi2], pool,
+    outs = multidim_derivative_repr(fs, endpoint, loading, pool,
                                     quad_order=quad)
     records = []
     for f, out in zip(fs, outs):

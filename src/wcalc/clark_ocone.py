@@ -5,7 +5,9 @@ F = E[F] + sum_i Z_i B(D_i) with Z_i = E[dF/dx_i | F_{t_{i-1}}]; the
 conditional expectations are Gaussian integrals over the not-yet-revealed
 increments. gaussian_smooth computes them for a tuple-valued component
 on a tensor Gauss-Hermite mesh over the directions its declared loading
-reads (SmoothFunctional declares one too, for callers to stack).
+reads: a k x N matrix A such that the component reads the increments x
+only through A x. A linear statistic sum_j A[k, j] B(D_j) is declared by
+its own row, and its gradient on interval i is the constant A[k, i].
 
 A functional of the endpoint alone, F = f(B_T), has E[F | F_t] = g_t(B_t)
 with g_t(y) = E[f(y + sqrt(T - t) X)], X standard normal: one function of
@@ -18,17 +20,14 @@ position by linear interpolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .functionals import _check_gradient
-from .numerics import gauss_hermite, row_sums, uniform_interp
+from .numerics import gauss_hermite, uniform_interp
 from .rng import substream
 from .wiener_grid import PathPool, TimeGrid
 
-_PROBE_SEED = 0xFACADE
 _TENSOR_BLOCK_CAP = 4
 _ROW_BUDGET = 1 << 18
 _TABLE_POINTS = 1025
@@ -55,67 +54,6 @@ def _principal_axes(cov: np.ndarray):
     return lam[keep], vec[:, keep]
 
 
-@dataclass(frozen=True)
-class SmoothFunctional:
-    """C^1 functional of the n_args grid increments.
-
-    value_fn maps (m, n_args) -> (m,), grad_fn maps (m, n_args) ->
-    (m, n_args). grad_fn may return a read-only broadcast array (one value
-    per row, or one row for every row): callers read it and must not write
-    into it.
-
-    loading is a k x n_args matrix A (the identity promises nothing) such
-    that value_fn and grad_fn read x only through A x. Smoothing anything
-    built from such functionals then integrates over the rank of the
-    stacked loadings, not over every remaining interval (see
-    gaussian_smooth). Construction checks the promise: moving the probe
-    points along the null space of A must leave value_fn unchanged.
-    """
-
-    n_args: int
-    value_fn: Callable
-    grad_fn: Callable
-    # an array does not compare or hash as a field value
-    loading: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        if self.n_args < 1:
-            raise ValueError("functional needs at least one argument")
-        rng = substream(_PROBE_SEED, self.n_args)
-        x = rng.standard_normal((8, self.n_args)) / np.sqrt(self.n_args)
-        v = np.asarray(self.value_fn(x), dtype=float)
-        if v.shape != (8,):
-            raise ValueError("functional output shapes are wrong")
-        _check_gradient(lambda y: np.asarray(self.value_fn(y), dtype=float),
-                        self.grad_fn, x, "functional")
-        A = _as_loading(self.loading, self.n_args)
-        object.__setattr__(self, "loading", A)
-        _, rows = _principal_axes(A.T @ A)
-        z = rng.standard_normal(x.shape) / np.sqrt(self.n_args)
-        moved = np.asarray(self.value_fn(x + (z - (z @ rows) @ rows.T)), dtype=float)
-        if not np.allclose(moved, v, rtol=1e-9, atol=1e-12):
-            raise ValueError("value_fn reads the increments along a direction "
-                             "the loading omits")
-
-
-def scalar_functional(grid: TimeGrid, fn: Callable,
-                      fn_prime: Callable) -> SmoothFunctional:
-    """Functional reading only the path endpoint: F = fn(sum of increments),
-    with loading 1^T. Its gradient is a read-only broadcast view of
-    fn_prime at each row's sum, repeated along the row."""
-    n = grid.n_steps
-
-    def value(x):
-        return np.asarray(fn(row_sums(np.asarray(x, dtype=float))), dtype=float)
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        d = np.asarray(fn_prime(row_sums(x)), dtype=float)
-        return np.broadcast_to(d[:, None], x.shape)
-
-    return SmoothFunctional(n, value, grad, loading=np.ones((1, n)))
-
-
 def _gauss_hermite_mesh(dim: int, order: int):
     """Tensor Gauss-Hermite rule for a standard normal in dim dimensions:
     (order**dim, dim) nodes and their weights; dim 0 is the point mass."""
@@ -140,15 +78,16 @@ def gaussian_smooth(grid: TimeGrid, s: float, prefix: np.ndarray,
     realized increments prefix (m, j), j the knot index of s.
 
     component maps full (rows, n_args) arguments to a tuple of per-row
-    arrays, all smoothed on one mesh. loading is a k x n_args matrix A
-    such that component reads x only through A x; it must be finite and
-    n_args wide, checked before component runs. With A_rem its columns on
+    arrays, all smoothed on one mesh. loading is a k x n_args matrix A such
+    that component reads x only through A x; it must be finite and n_args
+    wide, checked before component runs. Several statistics stack their rows
+    into one loading, so one mesh serves them all. With A_rem its columns on
     the remaining intervals, the quadrature runs over the r eigen-directions
     of C = A_rem diag(dt_rem) A_rem^T with a positive eigenvalue: a tensor
     Gauss-Hermite mesh z of quad_order**r nodes, mapped to increments as
     x_rem = diag(dt_rem) A_rem^T V_r Lambda_r^{-1/2} z, so the mesh size
-    does not grow with the remaining intervals. Rank 0 (at the horizon, or
-    a loading that reads only the prefix) is one node of weight one, the
+    does not grow with the remaining intervals. Rank 0 (at the horizon, or a
+    loading that reads only the prefix) is one node of weight one, the
     prefix padded with zeros. Tensor quadrature covers rank at most four;
     beyond that pass mc_fallback=(n_draws, seed) to average over sampled
     futures instead.

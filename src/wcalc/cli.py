@@ -107,27 +107,31 @@ def load_config(path: str) -> dict:
 def _resolve(cfg: dict, flag_seed: Optional[int], flag_out: Optional[str],
              defaults: dict) -> dict:
     """Flag beats environment beats config beats default; env overrides are
-    limited to the seed and the output directory by design."""
+    limited to the seed and the output directory by design. The resolved
+    seed must lie in [0, 2**64), the range the substreams key on."""
     out = dict(defaults)
     out.update({k: cfg[k] for k in ("seed", "n_paths", "lam", "lam_prime")
                 if k in cfg})
     grid = cfg.get("grid", {})
     out.update({k: grid[k] for k in ("n_steps", "horizon") if k in grid})
     out["out_dir"] = cfg.get("out_dir", "wcalc-out")
+    seed_from = "config seed"
 
     env_seed = os.environ.get("WCALC_SEED")
     if env_seed is not None:
         try:
-            out["seed"] = int(env_seed)
+            out["seed"], seed_from = int(env_seed), "WCALC_SEED"
         except ValueError as exc:
             raise ConfigError(f"WCALC_SEED must be an integer: {env_seed!r}") from exc
     env_out = os.environ.get("WCALC_OUT")
     if env_out:
         out["out_dir"] = env_out
     if flag_seed is not None:
-        out["seed"] = flag_seed
+        out["seed"], seed_from = flag_seed, "--seed"
     if flag_out is not None:
         out["out_dir"] = flag_out
+    if not 0 <= out["seed"] < 1 << 64:
+        raise ConfigError(f"{seed_from} {out['seed']} is outside [0, 2**64)")
     return out
 
 

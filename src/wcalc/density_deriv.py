@@ -14,11 +14,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clark_ocone import SmoothFunctional, clark_ocone_decompose, gaussian_smooth
+from .clark_ocone import _as_loading, clark_ocone_decompose, gaussian_smooth
 from .functionals import CylindricalFn, NestedFn, _nested_parts, \
     _nested_profile, eval_cyl, eval_nested, lions_derivative, outer_slope
 from .measure_ops import EmpiricalLaw, pushforward_law, weighted_expectation
-from .numerics import antiderivative_at, row_sums, weighted_sum
+from .numerics import antiderivative_at, row_sums, weighted_row_sums, \
+    weighted_sum
 from .wiener_grid import PathPool, TimeGrid
 
 _FD_STEP = 1e-2  # nested_derivative_check's step along each bump
@@ -242,7 +243,7 @@ def second_order_check_multidim(f: CylindricalFn, law: EmpiricalLaw, x_grid,
 
 def multidim_derivative_repr(fs: Sequence[CylindricalFn],
                              endpoint: Tuple[Callable, Callable],
-                             xi_fns: Sequence[SmoothFunctional], pool: PathPool,
+                             xi_loading, pool: PathPool,
                              quad_order: int = 32) -> List[np.ndarray]:
     """Per-path derivative values via the drift-corrected stochastic
     integral, one array per functional in fs.
@@ -255,20 +256,30 @@ def multidim_derivative_repr(fs: Sequence[CylindricalFn],
     as endpoint = (l, l'): l gives L on the paths and on the projection
     mesh, and both feed clark_ocone_decompose, which extracts gamma.
 
-    The law, the decomposition of L and each knot's projection mesh are
-    shared by every functional: per mesh row the xi values, their interval
-    gradients and L are evaluated once, and only grad phi and the outer
-    slope differ. The projections integrate over the rank of the stacked
-    loading [1^T; xi loadings].
+    xi_k = sum_j A[k, j] B(D_j) for the finite k x n_steps matrix
+    A = xi_loading (checked before any evaluation), so its gradient on
+    interval i is the constant A[k, i]. The law, the decomposition of L
+    and each knot's projection mesh are shared by every functional. The
+    projections integrate over the rank of the stacked loading [1^T; A],
+    and per mesh chunk each distinct row of it is summed once, so L and an
+    endpoint xi share one sum; only grad phi and the outer slope differ.
     """
     grid = pool.grid
-    l_fn = endpoint[0]
-    loading = np.vstack([np.ones(grid.n_steps), *(x.loading for x in xi_fns)])
+    A = _as_loading(xi_loading, grid.n_steps)
+    loading = np.vstack([np.ones(grid.n_steps), A])
+    rows = {}  # distinct row -> its index (np.unique would import numpy.ma)
+    which = [rows.setdefault(tuple(row), len(rows)) for row in loading]
+
+    def stats(x):
+        """(L, xi) at the increments x, one sum per distinct loading row."""
+        sums = [weighted_row_sums(x, row) for row in rows]
+        return (np.asarray(endpoint[0](sums[which[0]]), dtype=float),
+                np.column_stack([sums[r] for r in which[1:]]))
+
     inc = pool.increments
-    l_vals = np.asarray(l_fn(row_sums(inc)), dtype=float)
+    l_vals, xi_pts = stats(inc)
     if np.any(l_vals <= 0.0):
         raise ValueError("density must be strictly positive pathwise")
-    xi_pts = np.column_stack([np.asarray(x.value_fn(inc), dtype=float) for x in xi_fns])
     law = pushforward_law(l_vals, xi_pts)
     slopes = [outer_slope(f, law) for f in fs]
 
@@ -276,20 +287,13 @@ def multidim_derivative_repr(fs: Sequence[CylindricalFn],
 
     def component(i):
         def comp(args):
-            args = np.asarray(args, dtype=float)
-            pts = np.column_stack([np.asarray(x.value_fn(args), dtype=float)
-                                   for x in xi_fns])
-            # column i of each gradient; a broadcast gradient gives a view
-            # of its per-row values, so no (rows, n_args) array is built
-            cols = [np.asarray(x.grad_fn(args), dtype=float)[:, i]
-                    for x in xi_fns]
-            lv = np.asarray(l_fn(row_sums(args)), dtype=float)
+            lv, pts = stats(args)
             outs = []
             for f, c in zip(fs, slopes):
                 dphi = np.asarray(f.grad_phi(pts), dtype=float)
-                total = np.zeros(args.shape[0])
-                for k, col in enumerate(cols):
-                    total += dphi[:, k] * col
+                total = np.zeros(len(pts))
+                for k in range(A.shape[0]):
+                    total += dphi[:, k] * A[k, i]
                 outs.append(c * total * lv)
             return tuple(outs)
         return comp

@@ -90,34 +90,27 @@ def _require_1d(f: CylindricalFn) -> None:
                          f"{f.dim}-D functional")
 
 
-def _representer(f: CylindricalFn, h: GridDensity, pts: np.ndarray):
-    """(representer, rho) at the points pts, rho read on the grid once for
-    both the integral of rho * h dx and the centering."""
+def _representer(f: CylindricalFn, h: GridDensity):
+    """L2(dx) derivative of Phi at h, Psi'(integral) * rho centered to zero
+    dx-mean over the grid window, with Psi = f.h and rho = f.phi of a 1-D
+    cylindrical functional: a function of (m,) points inside the window
+    returning (representer, rho) there. rho is read on the grid once, here,
+    for the slope and the centering."""
     phi_grid = f.phi(h.x_grid[:, None])
     slope = float(f.h_prime(float(np.trapezoid(phi_grid * h.values, h.x_grid))))
     window = h.x_grid[-1] - h.x_grid[0]
     centering = slope * float(np.trapezoid(phi_grid, h.x_grid)) / window
-    phi = np.asarray(f.phi(pts[:, None]), dtype=float)
-    return slope * phi - centering, phi
+
+    def at(x):
+        pts = np.asarray(x, dtype=float)
+        if pts.min() < h.x_grid[0] or pts.max() > h.x_grid[-1]:
+            raise ValueError("representer points must lie inside the grid window")
+        phi = np.asarray(f.phi(pts[:, None]), dtype=float)
+        return slope * phi - centering, phi
+    return at
 
 
-def dPhi_representer(f: CylindricalFn, h: GridDensity, x) -> np.ndarray:
-    """L2(dx) derivative of Phi at h, evaluated at the (m,) points x:
-    Psi'(integral) * rho(x) centered to zero dx-mean over the grid window,
-    with Psi = f.h and rho = f.phi of a 1-D cylindrical functional.
-
-    The points must lie inside the grid hull, where the centering window is
-    defined.
-    """
-    _require_1d(f)
-    pts = np.asarray(x, dtype=float)
-    if pts.min() < h.x_grid[0] or pts.max() > h.x_grid[-1]:
-        raise ValueError("representer points must lie inside the grid window")
-    return _representer(f, h, pts)[0]
-
-
-def representer_x_derivative(f: CylindricalFn, h: GridDensity,
-                             x_probes: np.ndarray) -> np.ndarray:
+def _x_derivative(representer, h: GridDensity, x_probes) -> np.ndarray:
     """Central finite difference in x of the representer, deliberately not
     the analytic slope: this side of the comparison must come from the
     density-functional route alone."""
@@ -125,7 +118,7 @@ def representer_x_derivative(f: CylindricalFn, h: GridDensity,
     step = h.spacing
     lo = np.maximum(pts - step, h.x_grid[0])
     hi = np.minimum(pts + step, h.x_grid[-1])
-    up, dn = np.split(dPhi_representer(f, h, np.concatenate([hi, lo])), 2)
+    up, dn = np.split(representer(np.concatenate([hi, lo]))[0], 2)
     return (up - dn) / (hi - lo)
 
 
@@ -160,12 +153,14 @@ def bensoussan_check(f: CylindricalFn, law: EmpiricalLaw, x_probes,
     kde_law = EmpiricalLaw(h.x_grid[:, None], wgrid * h.values)
 
     lhs = lions_derivative(f, kde_law, probes)
-    rhs = representer_x_derivative(f, h, probes)
+    # both comparisons read one representer, so rho on the grid once
+    representer = _representer(f, h)
+    rhs = _x_derivative(representer, h, probes)
     err_slope = float(np.abs(lhs - rhs).max())
 
     # the window covers the probes and the atoms; the profile's outer slope
     # reads the same phi at the atoms
-    rep, phi = _representer(f, h, np.concatenate([probes, atoms]))
+    rep, phi = representer(np.concatenate([probes, atoms]))
     rep_at_probes, rep_at_atoms = np.split(rep, [probes.size])
     rep_mean = weighted_sum(law.weights / law.weights.sum(), rep_at_atoms)
     centered_rep = rep_at_probes - rep_mean

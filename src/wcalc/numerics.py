@@ -104,6 +104,17 @@ def row_sums(x):
     return out
 
 
+def weighted_row_sums(x, weights):
+    """Sum of weights[j] * x[:, j], added column by column from +0.0 with
+    zero weights skipped, so no (rows, n) product is built: for 0/1
+    weights below 8 columns, bitwise row_sums of the selected columns."""
+    out = np.zeros(x.shape[0])
+    for j, a in enumerate(weights):
+        if a != 0.0:
+            out += a * x[:, j]
+    return out
+
+
 def quantiles(values, q):
     """np.quantile(values, q) with its default linear method, bitwise, for
     finite values and q in [0, 1]: one sort, then numpy's indices and

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate, optimize, stats
 
-from wcalc import (SmoothFunctional, antiderivative_at, brownian_at, checks,
+from wcalc import (antiderivative_at, brownian_at, checks,
                    clark_ocone_decompose, conditional_expectation,
-                   density_derivative_profile,
+                   density_deriv, density_derivative_profile,
                    doleans_exponential, eval_cyl,
                    gaussian_smooth, grad_phi_antiderivative, kernel_regression,
                    lions_derivative, make_functional, make_grid, outer_slope,
@@ -549,36 +549,32 @@ def check_girsanov_per_pair(n_paths=20000, n_steps=16, seed=7303,
 # --- the representation check as it was when each functional ran its own
 # decomposition and its own projections --------------------------------------
 
-def multidim_derivative_repr_single(f, endpoint, xi_fns, pool,
+def multidim_derivative_repr_single(f, endpoint, xi_loading, pool,
                                     quad_order: int = 32):
     """Per-path derivative values of one functional via the drift-corrected
     stochastic integral: its own law, decomposition of L = l(B_T) (from
-    endpoint = (l, l')) and projection mesh at every knot, with xi, its
-    gradients and L (on numpy's row sums) evaluated inside."""
+    endpoint = (l, l')) and projection mesh at every knot, with xi (the
+    0/1 loading's statistics, by repr_values_summed), its written-out
+    gradient matrices and L (on numpy's row sums) evaluated inside."""
     grid = pool.grid
 
     def density(x):
-        x = np.asarray(x, dtype=float)
         return np.asarray(endpoint[0](x.sum(axis=1)), dtype=float)
 
-    loading = np.vstack([np.ones((1, grid.n_steps))]
-                        + [x.loading for x in xi_fns])
+    loading = np.vstack([np.ones((1, grid.n_steps)), xi_loading])
     inc = pool.increments
     l_vals = density(inc)
-    xi_pts = np.column_stack([np.asarray(x.value_fn(inc), dtype=float)
-                              for x in xi_fns])
+    xi_pts = repr_values_summed(inc, xi_loading)
     c = outer_slope(f, pushforward_law(l_vals, xi_pts))
     Z, M, gamma = clark_ocone_decompose(*endpoint, pool, quad_order=quad_order)
 
     def component(i):
         def comp(args):
-            args = np.asarray(args, dtype=float)
-            pts = np.column_stack([np.asarray(x.value_fn(args), dtype=float)
-                                   for x in xi_fns])
+            pts = repr_values_summed(args, xi_loading)
             dphi = np.asarray(f.grad_phi(pts), dtype=float)
             total = np.zeros(args.shape[0])
-            for k, x in enumerate(xi_fns):
-                total += dphi[:, k] * np.asarray(x.grad_fn(args), dtype=float)[:, i]
+            for k, row in enumerate(xi_loading):
+                total += dphi[:, k] * np.tile(row, (args.shape[0], 1))[:, i]
             return (c * total * density(args),)
         return comp
 
@@ -656,45 +652,26 @@ def check_lemma34_pooled(n_paths=20000, n_steps=16, seed=7505, horizon=1.0):
             for fid, fn in _nested_battery() for bw in (0.5, 0.35, 0.25)]
 
 
-# --- the representation functionals as they were when every row sum was
+# --- the representation statistics as they were when every row sum was
 # numpy's and every gradient a written-out (rows, n_args) matrix -------------
 
-def scalar_functional_summed(grid, fn, fn_prime):
-    """wcalc.scalar_functional with x.sum(axis=1) for the endpoint and the
-    gradient repeated into a full matrix."""
-    n = grid.n_steps
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        d = np.asarray(fn_prime(x.sum(axis=1)), dtype=float)
-        return np.repeat(d[:, None], x.shape[1], axis=1)
-
-    return SmoothFunctional(
-        n, lambda x: np.asarray(fn(np.asarray(x, dtype=float).sum(axis=1)),
-                                dtype=float),
-        grad, loading=np.ones((1, n)))
+def weighted_row_sums_summed(x, weights):
+    """wcalc.numerics.weighted_row_sums for 0/1 weights: numpy's sum of the
+    columns they select."""
+    w = np.asarray(weights, dtype=float)
+    assert np.all((w == 0.0) | (w == 1.0)), "0/1 weights only"
+    return x[:, w != 0.0].sum(axis=1)
 
 
-def repr_functionals_summed(grid):
-    """(xi1, xi2) of wcalc.checks._repr_functionals on numpy's row sums,
-    with xi1's gradient concatenated from ones and zeros."""
-    n = grid.n_steps
-    half = n // 2
-    xi1 = SmoothFunctional(
-        n_args=n,
-        value_fn=lambda x: np.asarray(x, dtype=float)[:, :half].sum(axis=1),
-        grad_fn=lambda x: np.concatenate(
-            [np.ones((np.asarray(x).shape[0], half)),
-             np.zeros((np.asarray(x).shape[0], n - half))], axis=1),
-        loading=(np.arange(n) < half)[None, :].astype(float))
-    xi2 = scalar_functional_summed(
-        grid, lambda s: s, lambda s: np.ones_like(np.asarray(s, dtype=float)))
-    return xi1, xi2
+def repr_values_summed(x, loading):
+    """(rows, k) statistics of a 0/1 loading, one numpy sum per row of it."""
+    return np.column_stack([weighted_row_sums_summed(x, row) for row in loading])
 
 
 def use_summed_route(monkeypatch):
     """Route wcalc.checks.check_second_order through np.quantile for its
-    probe grids and through repr_functionals_summed for its representation
-    records."""
+    probe grids and through weighted_row_sums_summed for every statistic of
+    its representation records, on the pool and on the mesh."""
     monkeypatch.setattr(checks, "quantiles", np.quantile)
-    monkeypatch.setattr(checks, "_repr_functionals", repr_functionals_summed)
+    for mod in (checks, density_deriv):
+        monkeypatch.setattr(mod, "weighted_row_sums", weighted_row_sums_summed)

@@ -10,8 +10,8 @@ from wcalc import (CheckRecord, CHECKS, run_check, checks, density_deriv,
                    density_functional, make_grid, measure_ops, sample_paths)
 from oracles import assert_bitwise, check_chain_rule_per_call, \
     check_chain_rule_per_shard, check_lemma34_pooled, \
-    multidim_derivative_repr_single, repr_functionals_summed, \
-    second_order_check_1d_profile, use_summed_route
+    multidim_derivative_repr_single, second_order_check_1d_profile, \
+    use_summed_route
 
 
 def test_record_validation_and_properties():
@@ -152,9 +152,13 @@ def test_bensoussan_battery_catches_a_scaled_representer(monkeypatch, seed):
     both the x-derivative and the centered profile comparison read."""
     representer = density_functional._representer
 
-    def scaled(f, h, pts):
-        rep, phi = representer(f, h, pts)
-        return 1.01 * rep, phi
+    def scaled(f, h):
+        at = representer(f, h)
+
+        def scaled_at(pts):
+            rep, phi = at(pts)
+            return 1.01 * rep, phi
+        return scaled_at
 
     monkeypatch.setattr(density_functional, "_representer", scaled)
     records = run_check("bensoussan", n_paths=20_000, n_steps=16, seed=seed)
@@ -242,19 +246,19 @@ def test_representation_shares_one_mesh_bitwise(seed):
     """Both plane functionals from one call equal, bitwise, the route that
     ran the decomposition and every projection once per functional on
     numpy's row sums and written-out gradients, on the second-order
-    battery's pool, functionals and quadrature order."""
+    battery's pool, loading (B(T/2), B_T) and quadrature order."""
     grid = make_grid(4)
     pool = sample_paths(grid, 4000, seed + 11)
-    xi1, xi2 = checks._repr_functionals(grid)
-    xi1_old, xi2_old = repr_functionals_summed(grid)
+    loading = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+    assert_bitwise(checks._repr_loading(grid), loading)
     fs = checks._plane_functionals()[:2]
     endpoint = checks._exp_density(grid.horizon)
-    got = density_deriv.multidim_derivative_repr(fs, endpoint, [xi1, xi2],
-                                                 pool, quad_order=12)
+    got = density_deriv.multidim_derivative_repr(fs, endpoint, loading, pool,
+                                                 quad_order=12)
     assert len(got) == len(fs)
     for f, out in zip(fs, got):
         assert_bitwise(out, multidim_derivative_repr_single(
-            f, endpoint, [xi1_old, xi2_old], pool, quad_order=12))
+            f, endpoint, loading, pool, quad_order=12))
 
 
 @pytest.mark.parametrize("seed", [20260815, 3, 4])
@@ -272,18 +276,26 @@ def test_second_order_records_match_the_summed_route_bitwise(monkeypatch,
                        [w.lhs, w.rhs, w.std_err, w.tolerance])
 
 
-def test_representation_gradients_are_read_only_views():
-    """xi2 = B_T repeats one value along each row and xi1 repeats one row
-    down the rows: both are read-only views with a zero stride, equal to
-    the written-out gradients."""
-    grid = make_grid(4)
-    x = np.random.default_rng(5).standard_normal((6, grid.n_steps))
-    for F, old, axis in zip(checks._repr_functionals(grid),
-                            repr_functionals_summed(grid), (0, 1)):
-        g = F.grad_fn(x)
-        assert not g.flags.writeable
-        assert g.strides[axis] == 0
-        assert_bitwise(g, old.grad_fn(x))
+@pytest.mark.parametrize("loading", [np.ones((2, 3)), np.ones((2, 5)),
+                                     [[1.0, 1.0, 0.0, 0.0], [1.0] * 3 + [np.nan]],
+                                     [[1.0, np.inf, 0.0, 0.0]], np.ones(4)])
+def test_representation_refuses_a_malformed_loading_before_any_evaluation(
+        monkeypatch, loading):
+    """A loading of the wrong width or shape, or a non-finite one, raises
+    ValueError before the density, the decomposition or any projection is
+    evaluated."""
+    def refuse(name):
+        def fn(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+        return fn
+
+    for name in ("clark_ocone_decompose", "gaussian_smooth"):
+        monkeypatch.setattr(density_deriv, name, refuse(name))
+    pool = sample_paths(make_grid(4), 50, seed=2)
+    with pytest.raises(ValueError, match="loading must be"):
+        density_deriv.multidim_derivative_repr(
+            checks._plane_functionals()[:2], (refuse("l"), refuse("l'")),
+            loading, pool)
 
 
 def test_representation_smooths_once_per_knot(monkeypatch):

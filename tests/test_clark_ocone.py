@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wcalc import (make_grid, sample_paths, SmoothFunctional,
-                   scalar_functional, gaussian_smooth,
+from wcalc import (make_grid, sample_paths, gaussian_smooth,
                    clark_ocone_decompose, clark_ocone_integrand,
                    reconstruction_error, run_check)
 from wcalc import clark_ocone
@@ -23,32 +22,9 @@ TANH = (lambda s: 1.0 + 0.5 * np.tanh(s), lambda s: 0.5 / np.cosh(s) ** 2)
 
 
 def tanh_density(grid):
-    return scalar_functional(grid, *TANH)
-
-
-def values(F):
-    """F.value_fn as a one-array gaussian_smooth component."""
-    return lambda x: (F.value_fn(x),)
-
-
-def test_smooth_functional_rejects_wrong_gradient():
-    with pytest.raises(ValueError):
-        SmoothFunctional(n_args=3,
-                         value_fn=lambda x: np.asarray(x).sum(axis=1),
-                         grad_fn=lambda x: 2.0 * np.ones_like(np.asarray(x)),
-                         loading=np.ones((1, 3)))
-
-
-def test_smooth_functional_rejects_a_loading_that_omits_a_column_it_reads():
-    """Power of the loading probe: x_2 is read but the loading only covers
-    x_0 + x_1, so moving along the null space changes the value."""
-    value = lambda x: np.asarray(x)[:, :2].sum(axis=1) + 0.1 * np.asarray(x)[:, 2] ** 2
-    grad = lambda x: np.column_stack([np.ones(len(x)), np.ones(len(x)),
-                                      0.2 * np.asarray(x)[:, 2]])
-    with pytest.raises(ValueError, match="loading omits"):
-        SmoothFunctional(3, value, grad, loading=[[1.0, 1.0, 0.0]])
-    F = SmoothFunctional(3, value, grad, loading=[[1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-    assert F.loading.shape == (2, 3) and not F.loading.flags.writeable
+    """The tanh density as a one-array gaussian_smooth component, with its
+    endpoint loading 1^T."""
+    return (lambda x: (TANH[0](x.sum(axis=1)),)), np.ones((1, grid.n_steps))
 
 
 @pytest.mark.parametrize("loading", [np.ones(3), np.ones((1, 4)),
@@ -56,13 +32,8 @@ def test_smooth_functional_rejects_a_loading_that_omits_a_column_it_reads():
                                      [[1.0, np.inf, 0.0]], np.empty((0, 3))])
 def test_malformed_loadings_are_refused(loading):
     """A loading of the wrong shape or width, or a non-finite one, is
-    refused by SmoothFunctional and by gaussian_smooth, there before the
-    component is called, at a knot with intervals left and at the
-    horizon."""
-    value = lambda x: np.asarray(x).sum(axis=1)
-    with pytest.raises(ValueError, match="loading must be"):
-        SmoothFunctional(3, value, lambda x: np.ones_like(np.asarray(x)),
-                         loading=loading)
+    refused by gaussian_smooth before the component is called, at a knot
+    with intervals left and at the horizon."""
     grid = make_grid(3)
     calls = []
     for j in (1, 3):
@@ -72,17 +43,12 @@ def test_malformed_loadings_are_refused(loading):
     assert calls == []
 
 
-def test_scalar_functional_declares_the_endpoint_loading():
-    F = tanh_density(make_grid(5))
-    assert np.array_equal(F.loading, np.ones((1, 5)))
-
-
 def test_gaussian_smooth_against_quadrature_oracle(pool):
     """Conditional expectation at an interior knot vs adaptive quadrature."""
-    F = tanh_density(pool.grid)
+    component, loading = tanh_density(pool.grid)
     t = pool.grid.knots[3]
-    got, = gaussian_smooth(pool.grid, t, pool.increments[:64, :3], values(F),
-                           F.loading)
+    got, = gaussian_smooth(pool.grid, t, pool.increments[:64, :3], component,
+                           loading)
     y = pool.increments[:64, :3].sum(axis=1)
     var = pool.grid.horizon - t
     want = [gaussian_expectation(lambda u: 1.0 + 0.5 * math.tanh(u), m, var)
@@ -99,29 +65,22 @@ def test_gaussian_smooth_scalar_vs_tensor_route(pool):
     """
     grid = make_grid(5)
     p = sample_paths(grid, 512, seed=7)
-    fn = lambda s: np.exp(0.4 * s - 0.08)
-    F_scalar = scalar_functional(grid, fn, lambda s: 0.4 * fn(s))
-    F_tensor = SmoothFunctional(
-        n_args=5,
-        value_fn=lambda x: fn(np.asarray(x, dtype=float).sum(axis=1)),
-        grad_fn=lambda x: np.repeat(
-            (0.4 * fn(np.asarray(x, dtype=float).sum(axis=1)))[:, None], 5, axis=1),
-        loading=np.eye(5))
+    component = lambda x: (np.exp(0.4 * x.sum(axis=1) - 0.08),)
     t = grid.knots[2]
-    a, = gaussian_smooth(grid, t, p.increments[:, :2], values(F_scalar),
-                         F_scalar.loading, quad_order=32)
-    b, = gaussian_smooth(grid, t, p.increments[:, :2], values(F_tensor),
-                         F_tensor.loading, quad_order=32)
+    a, = gaussian_smooth(grid, t, p.increments[:, :2], component,
+                         np.ones((1, 5)), quad_order=32)
+    b, = gaussian_smooth(grid, t, p.increments[:, :2], component, np.eye(5),
+                         quad_order=32)
     assert np.max(np.abs(a - b)) < 1e-7
 
 
 def test_gaussian_smooth_mc_fallback_agrees(pool):
-    F = tanh_density(pool.grid)
+    component, loading = tanh_density(pool.grid)
     t = pool.grid.knots[1]
     pre = pool.increments[:128, :1]
-    exact, = gaussian_smooth(pool.grid, t, pre, values(F), F.loading)
+    exact, = gaussian_smooth(pool.grid, t, pre, component, loading)
     # the identity loading leaves rank 7, past the tensor cap
-    mc, = gaussian_smooth(pool.grid, t, pre, values(F), np.eye(8),
+    mc, = gaussian_smooth(pool.grid, t, pre, component, np.eye(8),
                           mc_fallback=(4000, 99))
     assert np.max(np.abs(exact - mc)) < 0.05
 
@@ -163,9 +122,8 @@ def test_linear_functional_reconstructs_exactly(pool):
     zero on the nose, at every grid size."""
     c = 0.25
     fn_prime = lambda s: np.full_like(np.asarray(s, dtype=float), c)
-    F = scalar_functional(pool.grid, lambda s: 1.0 + c * s, fn_prime)
     Z = clark_ocone_integrand(fn_prime, pool, quad_order=16)
-    vals = np.asarray(F.value_fn(pool.increments), dtype=float)
+    vals = 1.0 + c * pool.increments.sum(axis=1)
     assert reconstruction_error(vals, Z, pool) < 1e-10
 
 
@@ -174,53 +132,42 @@ def test_defect_halves_per_grid_doubling():
     for n in (8, 16):
         g = make_grid(n)
         p = sample_paths(g, 30000, seed=900 + n)
-        F = tanh_density(g)
         Z, _, _ = clark_ocone_decompose(*TANH, p, quad_order=32)
-        vals = np.asarray(F.value_fn(p.increments), dtype=float)
+        vals = TANH[0](p.increments.sum(axis=1))
         errs.append(reconstruction_error(vals, Z, p))
     assert 1.2 < errs[0] / errs[1] < 1.8
 
 
 def coupled_functional(n):
-    """Non-scalar functional with a cross term and the identity loading, so
-    gaussian_smooth integrates over every remaining interval (tensor or
-    Monte Carlo route)."""
+    """Non-scalar one-array component with a cross term, and the identity
+    loading, so gaussian_smooth integrates over every remaining interval
+    (tensor or Monte Carlo route)."""
     a = np.linspace(0.3, -0.4, n)
 
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(x @ a) * (1.0 + 0.2 * np.sin(x[:, 1] * x[:, -1]))
+    def component(x):
+        return (np.exp(x @ a) * (1.0 + 0.2 * np.sin(x[:, 1] * x[:, -1])),)
 
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        e = np.exp(x @ a)
-        g = a[None, :] * (e * (1.0 + 0.2 * np.sin(x[:, 1] * x[:, -1])))[:, None]
-        c = 0.2 * e * np.cos(x[:, 1] * x[:, -1])
-        g[:, 1] += c * x[:, -1]
-        g[:, -1] += c * x[:, 1]
-        return g
-
-    return SmoothFunctional(n, value, grad, loading=np.eye(n))
+    return component, np.eye(n)
 
 
-def per_row_tensor_mean(F, grid, j, prefix, order):
+def per_row_tensor_mean(component, grid, j, prefix, order):
     """Oracle: the tensor mesh over the remaining intervals, summed row by
     row with no chunking and no shared knot-0 mean."""
     mesh, w = tensor_nodes(grid.steps[j:], order)
     out = np.empty(prefix.shape[0])
     for r, row in enumerate(prefix):
         args = np.hstack([np.tile(row, (mesh.shape[0], 1)), mesh])
-        out[r] = np.asarray(F.value_fn(args), dtype=float) @ w
+        out[r] = component(args)[0] @ w
     return out
 
 
 def test_tensor_route_integrates_knot_zero_once():
     grid = make_grid(4)
-    F = coupled_functional(4)
+    component, loading = coupled_functional(4)
     m, order = 7, 8
-    got, = gaussian_smooth(grid, 0.0, np.empty((m, 0)), values(F), F.loading,
+    got, = gaussian_smooth(grid, 0.0, np.empty((m, 0)), component, loading,
                            quad_order=order)
-    want = per_row_tensor_mean(F, grid, 0, np.empty((m, 0)), order)
+    want = per_row_tensor_mean(component, grid, 0, np.empty((m, 0)), order)
     assert got.shape == (m,)
     assert np.ptp(got) == 0.0
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
@@ -231,20 +178,20 @@ def test_tensor_route_chunking_does_not_move_the_result(monkeypatch):
     identity loading projects onto every remaining interval, so it
     reproduces the axis-aligned oracle mesh to roundoff."""
     grid = make_grid(4)
-    F = coupled_functional(4)
+    component, loading = coupled_functional(4)
     inc = sample_paths(grid, 10, seed=41).increments
     order = 6
     for j in range(4):
         t = grid.knots[j]
-        default, = gaussian_smooth(grid, t, inc[:, :j], values(F), F.loading,
+        default, = gaussian_smooth(grid, t, inc[:, :j], component, loading,
                                    quad_order=order)
         monkeypatch.setattr(clark_ocone, "_ROW_BUDGET", 3 * order ** (4 - j))
-        chunked, = gaussian_smooth(grid, t, inc[:, :j], values(F), F.loading,
+        chunked, = gaussian_smooth(grid, t, inc[:, :j], component, loading,
                                    quad_order=order)
         monkeypatch.undo()
         assert np.allclose(chunked, default, rtol=1e-14, atol=0.0)
-        assert np.allclose(default, per_row_tensor_mean(F, grid, j, inc[:, :j], order),
-                           rtol=1e-14, atol=0.0)
+        assert np.allclose(default, per_row_tensor_mean(
+            component, grid, j, inc[:, :j], order), rtol=1e-14, atol=0.0)
 
 
 def two_projection_integrand(n, polynomial):
@@ -362,8 +309,8 @@ def test_mc_route_keeps_per_row_draws_at_knot_zero():
     """The knot-0 shortcut belongs to quadrature; Monte Carlo rows stay
     independent estimates of the same mean."""
     grid = make_grid(6)
-    F = coupled_functional(6)
-    got, = gaussian_smooth(grid, 0.0, np.empty((5, 0)), values(F), F.loading,
+    component, loading = coupled_functional(6)
+    got, = gaussian_smooth(grid, 0.0, np.empty((5, 0)), component, loading,
                            mc_fallback=(50, 3))
     assert np.ptp(got) > 0.0
 
@@ -371,9 +318,9 @@ def test_mc_route_keeps_per_row_draws_at_knot_zero():
 @pytest.mark.parametrize("n_draws", [0, -2])
 def test_gaussian_smooth_rejects_nonpositive_draw_count(n_draws):
     grid = make_grid(6)
-    F = coupled_functional(6)
+    component, loading = coupled_functional(6)
     with pytest.raises(ValueError, match="n_draws"):
-        gaussian_smooth(grid, 0.0, np.empty((5, 0)), values(F), F.loading,
+        gaussian_smooth(grid, 0.0, np.empty((5, 0)), component, loading,
                         mc_fallback=(n_draws, 3))
 
 

@@ -108,6 +108,32 @@ def test_seed_precedence_flag_env_config(tmp_path, monkeypatch):
     assert main(["verify", "girsanov", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_seed_outside_the_substream_range_is_refused(tmp_path, monkeypatch,
+                                                     capsys, source):
+    """A seed below 0 or at 2**64 or above exits 2 before any sampling,
+    naming where it came from: the substreams mask seeds to 64 bits, so
+    2**64 + 5 would silently rerun seed 5."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(cli, "run_check", refuse)
+    argv = ["verify", "girsanov", "--config"]
+    if source == "config":
+        argv.append(verify_config(tmp_path, seed=(1 << 64) + 5))
+        named = "config.seed"
+    else:
+        argv.append(verify_config(tmp_path))
+        if source == "flag":
+            argv += ["--seed", "-3"]
+            named = "--seed -3"
+        else:
+            monkeypatch.setenv("WCALC_SEED", "-5")
+            named = "WCALC_SEED -5"
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_out_dir_precedence(tmp_path, monkeypatch):
     cfg = verify_config(tmp_path)
     monkeypatch.setenv("WCALC_OUT", str(tmp_path / "envout"))

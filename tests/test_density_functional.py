@@ -7,11 +7,11 @@ from scipy import stats
 
 from wcalc import (make_grid, sample_paths, brownian_at, EmpiricalLaw,
                    GridDensity, kde_density, density_grid,
-                   CylindricalFn, dPhi_representer,
-                   representer_x_derivative, bensoussan_check,
+                   CylindricalFn, bensoussan_check,
                    pushforward_law, exponential_curve, checks,
                    kernel_regression, make_functional,
                    nested_derivative_check)
+from wcalc.density_functional import _representer, _x_derivative
 from oracles import kde_naive
 
 
@@ -139,6 +139,11 @@ def test_density_grid_covers_kernel_tails():
 
 # ------------------------------------------------------------ representers
 
+def dPhi_representer(f, h, x):
+    """The representer alone at the points x."""
+    return _representer(f, h)(x)[0]
+
+
 def test_representer_has_zero_window_mean():
     law = normal_law(n=3000, seed=3)
     h = kde_density(law, density_grid(law.atoms_1d(), 0.3), 0.3)
@@ -176,25 +181,20 @@ def test_representer_x_derivative_matches_analytic_slope():
     h = kde_density(law, density_grid(law.atoms_1d(), 0.3), 0.3)
     f = sin_phi()
     probes = np.linspace(-1.0, 1.0, 9)
-    got = representer_x_derivative(f, h, probes)
+    got = _x_derivative(_representer(f, h), h, probes)
     slope = float(f.h_prime(grid_integral(f, h)))
     assert np.allclose(got, slope * np.cos(probes), atol=1e-5)
 
 
 def test_density_functional_routes_reject_a_2d_functional():
     """A density here lives on the line, so a functional of plane points is
-    refused up front, naming its dimension."""
+    refused up front by the battery's check, naming its dimension."""
     law = normal_law(n=500, seed=5)
-    h = kde_density(law, density_grid(law.atoms_1d(), 0.3), 0.3)
     plane = CylindricalFn(h=np.sin, h_prime=np.cos,
                           phi=lambda x: np.sin(x[:, 0] + x[:, 1]),
                           grad_phi=lambda x: np.cos(
                               x.sum(axis=1, keepdims=True)).repeat(2, axis=1),
                           dim=2, descriptor="plane")
-    with pytest.raises(ValueError, match="2-D functional"):
-        dPhi_representer(plane, h, np.zeros(1))
-    with pytest.raises(ValueError, match="2-D functional"):
-        representer_x_derivative(plane, h, np.zeros(3))
     with pytest.raises(ValueError, match="2-D functional"):
         bensoussan_check(plane, law, np.zeros(3), bandwidth=0.3)
 
@@ -220,12 +220,13 @@ def test_bensoussan_linear_psi_case(reweighted):
     assert err < 5e-3
 
 
-def test_bensoussan_reads_phi_on_the_grid_three_times():
+def test_bensoussan_reads_phi_on_the_grid_twice():
     """One call of the battery's sin-sin record at bandwidth 0.25 evaluates
-    phi five times: on the 2048-point grid once for the measure derivative
-    at the smoothed law and once per representer call, at the 2 x 7
-    difference points, and at the 7 probes and 20000 atoms together, which
-    the profile's outer slope reads too."""
+    phi four times: on the 2048-point grid once for the measure derivative
+    at the smoothed law and once for the representer's slope and centering,
+    which both comparisons share, at the 2 x 7 difference points, and at
+    the 7 probes and 20000 atoms together, which the profile's outer slope
+    reads too."""
     grid = make_grid(16)
     pool = sample_paths(grid, 20000, seed=20260815)
     curve = checks._curve_battery(grid)[0][1]
@@ -240,7 +241,7 @@ def test_bensoussan_reads_phi_on_the_grid_three_times():
     f = dataclasses.replace(base, phi=phi)
     sizes.clear()  # the construction check read phi on its probes
     bensoussan_check(f, law, np.linspace(-1.5, 1.5, 7), bandwidth=0.25)
-    assert sizes == [2048, 2048, 14, 2048, 20007]
+    assert sizes == [2048, 2048, 14, 20007]
 
 
 def test_bensoussan_error_shrinks_with_bandwidth(reweighted):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from wcalc import capped_identity, capped_identity_deriv, radial_cutoff_deriv
 from wcalc.numerics import (_segment_integrals, antiderivative_at, quantiles,
-                            row_sums, uniform_interp, weighted_sum)
+                            row_sums, uniform_interp, weighted_row_sums,
+                            weighted_sum)
 
 from oracles import (antiderivative_at_searchsorted, assert_bitwise,
                      capped_identity_full, capped_identity_deriv_full,
@@ -156,6 +157,26 @@ def test_row_sums_match_numpy_bitwise(width):
     for x in (np.ascontiguousarray(full[:, :width]), full[:, :width],
               full[:, width:], full[:, ::2], full[:0, :width]):
         assert_bitwise(row_sums(x), x.sum(axis=1))
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_weighted_row_sums_of_0_1_weights_match_row_sums_bitwise(width):
+    """Every 0/1 weight row below 8 columns gives row_sums and numpy's sum
+    of the selected columns, bit for bit, on the same edge rows; other
+    weights scale each column before it is added."""
+    rng = np.random.default_rng(width)
+    x = rng.standard_normal((300, width)) * 10.0 ** rng.integers(-8, 9, (300, width))
+    x[::7] = -0.0
+    x[3::11, 0] = np.inf
+    for bits in range(1, 1 << width):
+        w = np.array([(bits >> j) & 1 for j in range(width)], dtype=float)
+        assert_bitwise(weighted_row_sums(x, w), row_sums(x[:, w != 0.0]))
+        assert_bitwise(weighted_row_sums(x, w), x[:, w != 0.0].sum(axis=1))
+    w = np.linspace(-1.5, 2.0, width)
+    want = np.zeros(len(x))
+    for j in range(width):
+        want = want + w[j] * x[:, j]
+    assert_bitwise(weighted_row_sums(x, w), want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4000, 20000])

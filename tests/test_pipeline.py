@@ -17,7 +17,6 @@ from wcalc import (make_grid, sample_paths, dyadic_coarsen,
 from wcalc import approx_pipeline
 from wcalc.numerics import row_sums
 
-from wcalc import clark_ocone
 from oracles import (assert_bitwise, consistency_gap_decomposed, mollified_acc,
                      read_table_interp, truncated_parts)
 
@@ -252,8 +251,8 @@ def test_consistency_gap_detects_a_skewed_u_table(monkeypatch):
 def test_consistency_gap_reads_one_triple_per_block_knot(
         monkeypatch, dyadic_level, step_count, quad_order, n_paths):
     """The check's Z, M and gap equal the decomposition of the stage-5
-    density as an endpoint SmoothFunctional bitwise, from exactly one
-    moll.triple call per block knot and no SmoothFunctional."""
+    density as an endpoint functional bitwise, from exactly one
+    moll.triple call per block knot."""
     grid = make_grid(8)
     pool = sample_paths(grid, n_paths, seed=35)
     cfg = PipelineConfig(dyadic_level=dyadic_level, truncation_level=6.0,
@@ -262,8 +261,7 @@ def test_consistency_gap_reads_one_triple_per_block_knot(
     gap_check = approx_pipeline._consistency_gap
     smoothings = approx_pipeline._knot_smoothings
     triple = MollifiedDensity.triple
-    post_init = clark_ocone.SmoothFunctional.__post_init__
-    calls = {"gap": [], "triple": 0, "functional": 0, "tables": []}
+    calls = {"gap": [], "triple": 0, "tables": []}
     inside = []
 
     def counted_gap(*args):
@@ -282,19 +280,12 @@ def test_consistency_gap_reads_one_triple_per_block_knot(
         calls["triple"] += bool(inside)
         return triple(self, lam, coords)
 
-    def counted_post_init(self):
-        calls["functional"] += bool(inside)
-        post_init(self)
-
     monkeypatch.setattr(approx_pipeline, "_consistency_gap", counted_gap)
     monkeypatch.setattr(approx_pipeline, "_knot_smoothings", kept_smoothings)
     monkeypatch.setattr(MollifiedDensity, "triple", counted_triple)
-    monkeypatch.setattr(clark_ocone.SmoothFunctional, "__post_init__",
-                        counted_post_init)
     rep = pipeline_run(exp_curve(grid, 0.0, 1.0), 0.3, 0.5, cfg, pool)
     assert len(calls["gap"]) == 1
     assert calls["triple"] == 1 << dyadic_level
-    assert calls["functional"] == 0
     monkeypatch.undo()
     gap, (Z, M, _) = consistency_gap_decomposed(*calls["gap"][0])
     [(got_Z, got_M)] = calls["tables"]
