@@ -16,8 +16,8 @@ from .wiener_grid import TimeGrid, PathPool, make_grid, sample_paths, \
 from .rng import substream
 from .measure_ops import EmpiricalLaw, pushforward_law, wasserstein1, \
     weighted_expectation, kernel_regression, conditional_expectation
-from .functionals import CylindricalFn, NestedFn, make_functional, eval_cyl, \
-    outer_slope, lions_derivative, eval_nested, lifted_derivative_fd
+from .functionals import CylindricalFn, NestedFn, make_functional, \
+    lifted_derivative_fd
 from .numerics import gauss_hermite, antiderivative_at, binned_gaussian_smooth, \
     bump_quad_1d, capped_identity, capped_identity_deriv, radial_cutoff, \
     radial_cutoff_deriv

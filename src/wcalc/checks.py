@@ -9,13 +9,13 @@ override any of them by record name (see the cli module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from .wiener_grid import TimeGrid, make_grid, sample_paths, brownian_at
-from .functionals import CylindricalFn, NestedFn, make_functional, eval_cyl, \
+from .functionals import CylindricalFn, NestedFn, make_functional, \
     lifted_derivative_fd
 from .measure_ops import pushforward_law
 from .density_deriv import exponential_curve, mixture_curve, \
@@ -315,7 +315,7 @@ def _repr_records(seed: int, horizon: float = 1.0) -> List[CheckRecord]:
                             zero, 0.0, se0, 3.0 * se0))
 
         pair, se_p = mean_and_se(l_norm * out * ito_eta)
-        fd = lifted_derivative_fd(lambda law: eval_cyl(f, law), l_vals, xi_pts,
+        fd = lifted_derivative_fd(f, l_vals, xi_pts,
                                   np.broadcast_to(eta_obs, xi_pts.shape),
                                   step=1e-3)
         scale = max(abs(fd), 1.0)
@@ -436,14 +436,20 @@ def check_clark_ocone(n_paths: int = 20000, n_steps: int = 16,
     return records
 
 
-def _nested_battery():
+def _nested_battery(bandwidth: float):
+    """The nested functionals whose inner regression has this bandwidth."""
     return [
-        ("nested_gauss", make_functional("nested_gauss")),
+        ("nested_gauss", NestedFn(
+            g=lambda u: u,
+            g_prime=lambda u: np.ones_like(np.asarray(u, dtype=float)),
+            h=lambda u: u ** 2, h_prime=lambda u: 2.0 * u,
+            psi=lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2),
+            bandwidth=bandwidth, descriptor="nested_gauss")),
         ("tanh_outer", NestedFn(
             g=np.tanh, g_prime=lambda u: 1.0 / np.cosh(u) ** 2,
             h=lambda u: u ** 2, h_prime=lambda u: 2.0 * u,
             psi=lambda x: np.sin(np.asarray(x, dtype=float)),
-            descriptor="tanh_outer")),
+            bandwidth=bandwidth, descriptor="tanh_outer")),
     ]
 
 
@@ -452,9 +458,10 @@ def check_lemma34(n_paths: int = 20000, n_steps: int = 16,
                   horizon: float = 1.0) -> List[CheckRecord]:
     """Nested conditional functional: partial-derivative formula vs bumping.
 
-    The analytic profile is paired against direct density perturbations on a
-    kernel-regression bandwidth ladder; the pinned tolerances tighten as the
-    bandwidth shrinks because the regression bias dominates the error.
+    Each functional's closed-form density derivative is paired against
+    direct density perturbations, once per rung of a kernel-regression
+    bandwidth ladder; the pinned tolerances tighten as the bandwidth shrinks
+    because the regression bias dominates the error.
     """
     grid = make_grid(n_steps, horizon)
     pool = sample_paths(grid, n_paths, seed)
@@ -466,9 +473,10 @@ def check_lemma34(n_paths: int = 20000, n_steps: int = 16,
     ladder = (0.5, 0.35, 0.25)
     tols = {0.5: 0.035, 0.35: 0.025, 0.25: 0.02}
     records = []
-    for fid, fn in _nested_battery():
+    for fid, fn in _nested_battery(ladder[0]):
         for bw in ladder:
-            err = nested_derivative_check(fn, law, probes, bandwidth=bw)
+            err = nested_derivative_check(replace(fn, bandwidth=bw), law,
+                                          probes)
             records.append(_rec(f"lemma34/{fid}|bw={bw:.2f}",
                                 err, 0.0, 0.0, tols[bw]))
     return records

@@ -15,8 +15,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .clark_ocone import _as_loading, clark_ocone_decompose, gaussian_smooth
-from .functionals import CylindricalFn, NestedFn, _nested_parts, \
-    _nested_profile, eval_cyl, eval_nested, lions_derivative, outer_slope
+from .functionals import CylindricalFn, NestedFn
 from .measure_ops import EmpiricalLaw, pushforward_law, weighted_expectation
 from .numerics import antiderivative_at, row_sums, weighted_row_sums, \
     weighted_sum
@@ -125,7 +124,7 @@ def density_derivative_profile(f: CylindricalFn, law: EmpiricalLaw,
     atoms = law.atoms_1d()
     # the Lions derivative c * grad phi, with the law's one factor c read
     # once rather than at every quadrature pass
-    c = outer_slope(f, law, phi_values)
+    c = f.slope(law, phi_values)
 
     def integrand(ys):
         return c * np.asarray(f.grad_phi(ys[:, None]), dtype=float)[:, 0]
@@ -187,7 +186,7 @@ def chain_rule_rhs(f: CylindricalFn, law: EmpiricalLaw, deriv_values,
     so one evaluation serves every law of those atoms, or a shard by row.
     """
     _require_1d(f)
-    return outer_slope(f, law, phi_values) * weighted_expectation(
+    return f.slope(law, phi_values) * weighted_expectation(
         deriv_values, anti_values)
 
 
@@ -198,21 +197,21 @@ def chain_rule_lhs_fd(f: CylindricalFn, law_below: EmpiricalLaw,
     lam + h_step on the same pool, and phi_values is phi at their atoms."""
     if not (np.isfinite(h_step) and h_step > 0):
         raise ValueError(f"h_step must be finite and positive, got {h_step}")
-    return (eval_cyl(f, law_above, phi_values)
-            - eval_cyl(f, law_below, phi_values)) / (2.0 * h_step)
+    return (f.value(law_above, phi_values)
+            - f.value(law_below, phi_values)) / (2.0 * h_step)
 
 
 def second_order_check_1d(f: CylindricalFn, law: EmpiricalLaw, x_grid,
                           h_step: float) -> float:
     """Max over the grid of |FD_x of the profile - Lions derivative|. The
-    profile is c Phi (c = outer_slope, Phi = grad_phi_antiderivative) minus
+    profile is c Phi (c = f.slope, Phi = grad_phi_antiderivative) minus
     a centering constant that cancels in the difference, so only c Phi at
     the 2m points x +- h_step is integrated, never the law's atoms."""
     xs = np.asarray(x_grid, dtype=float).reshape(-1)
     anti = grad_phi_antiderivative(f, np.concatenate([xs + h_step, xs - h_step]))
     m = xs.size
-    cd = outer_slope(f, law) * (anti[:m] - anti[m:]) / (2.0 * h_step)
-    target = lions_derivative(f, law, xs)
+    cd = f.slope(law) * (anti[:m] - anti[m:]) / (2.0 * h_step)
+    target = f.lions_derivative(law, xs)
     return float(np.max(np.abs(cd - target)))
 
 
@@ -227,8 +226,8 @@ def second_order_check_multidim(f: CylindricalFn, law: EmpiricalLaw, x_grid,
     pts = np.asarray(x_grid, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != f.dim or law.dim != f.dim:
         raise ValueError("point dimension does not match the functional")
-    c = outer_slope(f, law)
-    target = lions_derivative(f, law, pts)
+    c = f.slope(law)
+    target = f.lions_derivative(law, pts)
     worst = 0.0
     for j in range(pts.shape[1]):
         up = pts.copy()
@@ -281,7 +280,7 @@ def multidim_derivative_repr(fs: Sequence[CylindricalFn],
     if np.any(l_vals <= 0.0):
         raise ValueError("density must be strictly positive pathwise")
     law = pushforward_law(l_vals, xi_pts)
-    slopes = [outer_slope(f, law) for f in fs]
+    slopes = [f.slope(law) for f in fs]
 
     _, M, gamma = clark_ocone_decompose(*endpoint, pool, quad_order=quad_order)
 
@@ -309,23 +308,21 @@ def multidim_derivative_repr(fs: Sequence[CylindricalFn],
     return outs
 
 
-def nested_derivative_check(fn: NestedFn, law: EmpiricalLaw, x_probes,
-                            bandwidth: float) -> float:
+def nested_derivative_check(fn: NestedFn, law: EmpiricalLaw,
+                            x_probes) -> float:
     """Partial-derivative formula vs a direct perturbation of the joint law
     of (xi1, xi2).
 
     For Gaussian bumps eta_j centered at the probes, compares the derivative
     of the nested functional along the reweighted laws w(1 + s(eta_j - mean))
-    with the law's pairing of the analytic partial-derivative profile
-    against the same centered direction. Agreement says the formula really
+    with the law's pairing of fn.density_derivative, the closed-form
+    partial derivative, against the same centered direction. Agreement says the formula really
     is the density derivative, up to FD and kernel-regression error.
     """
     probes = np.asarray(x_probes, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != 2:
         raise ValueError("probes live in the plane (xi1, xi2): need (m, 2)")
-    # the closed-form partial derivative at the atoms, from the functional's m
-    psi1, m, inner = _nested_parts(fn, law, bandwidth)
-    prof = _nested_profile(fn, inner, psi1, m)
+    prof = fn.density_derivative(law)
     x1, x2 = law.atoms[:, 0], law.atoms[:, 1]
     w = law.weights
 
@@ -338,8 +335,7 @@ def nested_derivative_check(fn: NestedFn, law: EmpiricalLaw, x_probes,
         direction = eta - law.integrate(eta)
 
         def nested_at(s):
-            bumped = EmpiricalLaw(law.atoms, w * (1.0 + s * direction))
-            return eval_nested(fn, bumped, bandwidth=bandwidth)
+            return fn.value(EmpiricalLaw(law.atoms, w * (1.0 + s * direction)))
 
         lhs = (nested_at(_FD_STEP) - nested_at(-_FD_STEP)) / (2.0 * _FD_STEP)
         worst = max(worst, abs(lhs - law.integrate(prof * direction)))

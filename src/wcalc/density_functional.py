@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density_deriv import density_derivative_profile
-from .functionals import CylindricalFn, lions_derivative
+from .functionals import CylindricalFn
 from .measure_ops import EmpiricalLaw
 from .numerics import _check_bandwidth, binned_gaussian_smooth, weighted_sum
 
@@ -152,7 +152,7 @@ def bensoussan_check(f: CylindricalFn, law: EmpiricalLaw, x_probes,
     wgrid[-1] *= 0.5
     kde_law = EmpiricalLaw(h.x_grid[:, None], wgrid * h.values)
 
-    lhs = lions_derivative(f, kde_law, probes)
+    lhs = f.lions_derivative(kde_law, probes)
     # both comparisons read one representer, so rho on the grid once
     representer = _representer(f, h)
     rhs = _x_derivative(representer, h, probes)

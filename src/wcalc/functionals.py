@@ -1,10 +1,10 @@
 """Measure functionals with analytic derivatives.
 
-Two built-in classes cover everything the verification batteries need:
-cylindrical functionals f(mu) = h(integral of phi d mu), whose derivative in
-the measure argument is h'(integral phi d mu) * grad phi(x), and nested
-conditional functionals g(E[h(E[psi(xi1) | xi2])]). A finite-difference
-oracle on the lift provides the independent cross-check for both.
+Two classes cover everything the verification batteries need, each with its
+value and closed-form derivatives as methods: cylindrical functionals
+f(mu) = h(integral of phi d mu), with Lions derivative h'(<phi, mu>) grad phi,
+and nested conditional functionals g(E[h(E[psi(xi1) | xi2])]). A
+finite-difference oracle on the lift provides the independent cross-check.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .measure_ops import EmpiricalLaw, conditional_expectation, pushforward_law
+from .numerics import _check_bandwidth
 from .rng import substream
 
 _PROBE_SEED = 0x5EEDED
@@ -73,99 +74,97 @@ class CylindricalFn:
         pts = _probe_points(self.dim)
         _check_gradient(self.phi, self.grad_phi, pts, f"phi[{self.descriptor}]")
 
+    def _pairing(self, law: EmpiricalLaw, phi_values):
+        """integral of phi d law; phi_values is phi at its atoms, if known."""
+        if law.dim != self.dim:
+            raise ValueError("law dimension does not match the functional")
+        return law.integrate(self.phi if phi_values is None else phi_values)
+
+    def value(self, law: EmpiricalLaw, phi_values=None) -> float:
+        """h(integral phi d law)."""
+        return float(self.h(self._pairing(law, phi_values)))
+
+    def slope(self, law: EmpiricalLaw, phi_values=None) -> float:
+        """h'(integral phi d law): the one factor of the Lions derivative
+        that depends on the law."""
+        return float(self.h_prime(self._pairing(law, phi_values)))
+
+    def lions_derivative(self, law: EmpiricalLaw, x) -> np.ndarray:
+        """Analytic measure derivative h'(integral phi d law) * grad_phi(x).
+
+        x is a batch of points: (m, dim), or (m,) for a 1-D functional. The
+        result is (m, dim), or (m,) for a 1-D functional.
+        """
+        pts = np.asarray(x, dtype=float)
+        if self.dim == 1 and pts.ndim == 1:
+            pts = pts[:, None]
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"point dimension mismatch: need (m, {self.dim}) "
+                             f"points, got shape {pts.shape}")
+        g = self.slope(law) * np.asarray(self.grad_phi(pts), dtype=float)
+        return g[:, 0] if self.dim == 1 else g
+
 
 @dataclass(frozen=True)
 class NestedFn:
-    """G(mu) = g(E[h(m(xi2))]) with m(y) = E[psi(xi1) | xi2 = y]."""
+    """G(mu) = g(E[h(m(xi2))]) with m(y) = E[psi(xi1) | xi2 = y] by kernel
+    regression of the given bandwidth, which is part of what G means."""
 
     g: Callable
     g_prime: Callable
     h: Callable
     h_prime: Callable
     psi: Callable
+    bandwidth: float
     descriptor: str = ""
 
     def __post_init__(self):
+        _check_bandwidth(self.bandwidth)
         grid = np.linspace(-2.0, 2.0, 9)
         _check_fd_derivative(self.g, self.g_prime, grid, f"g[{self.descriptor}]")
         _check_fd_derivative(self.h, self.h_prime, grid, f"h[{self.descriptor}]")
 
+    def _regression(self, law: EmpiricalLaw):
+        """(psi(xi1), m(xi2)) at the atoms of the joint law."""
+        if law.dim != 2:
+            raise ValueError(f"the nested functional needs the 2-D joint law of "
+                             f"(xi1, xi2), got a {law.dim}-D law")
+        psi1 = self.psi(law.atoms[:, 0])
+        return psi1, conditional_expectation(psi1, law.atoms[:, 1],
+                                             law.weights, self.bandwidth)
 
-def eval_cyl(f: CylindricalFn, law: EmpiricalLaw, phi_values=None) -> float:
-    """h(integral phi d law); phi_values is phi at the atoms, if known."""
-    if law.dim != f.dim:
-        raise ValueError("law dimension does not match the functional")
-    return float(f.h(law.integrate(f.phi if phi_values is None else phi_values)))
+    def value(self, law: EmpiricalLaw) -> float:
+        """G at the joint law: g(E[h(m(xi2))])."""
+        return float(self.g(law.integrate(self.h(self._regression(law)[1]))))
 
-
-def outer_slope(f: CylindricalFn, law: EmpiricalLaw, phi_values=None) -> float:
-    """h'(integral phi d law): the one factor of the Lions derivative that
-    depends on the law. phi_values as in eval_cyl."""
-    if law.dim != f.dim:
-        raise ValueError("law dimension does not match the functional")
-    return float(f.h_prime(law.integrate(f.phi if phi_values is None else phi_values)))
-
-
-def lions_derivative(f: CylindricalFn, law: EmpiricalLaw, x) -> np.ndarray:
-    """Analytic measure derivative h'(integral phi d law) * grad_phi(x).
-
-    x is a batch of points: (m, dim), or (m,) for a 1-D functional. The
-    result is (m, dim), or (m,) for a 1-D functional.
-    """
-    pts = np.asarray(x, dtype=float)
-    if f.dim == 1 and pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[1] != f.dim:
-        raise ValueError(f"point dimension mismatch: need (m, {f.dim}) "
-                         f"points, got shape {pts.shape}")
-    g = outer_slope(f, law) * np.asarray(f.grad_phi(pts), dtype=float)
-    return g[:, 0] if f.dim == 1 else g
+    def density_derivative(self, law: EmpiricalLaw) -> np.ndarray:
+        """Closed-form first partial derivative of G at each atom x = (x1, x2):
+            g'(E[h(m(xi2))]) * ( h(m(x2)) + h'(m(x2)) * (psi(x1) - m(x2)) )."""
+        psi1, m = self._regression(law)
+        hm = self.h(m)
+        outer = float(self.g_prime(law.integrate(hm)))
+        return np.asarray(outer * (hm + self.h_prime(m) * (psi1 - m)),
+                          dtype=float)
 
 
-def lifted_derivative_fd(f_eval, density_values, xi_values, direction_values,
+def lifted_derivative_fd(f, density_values, xi_values, direction_values,
                          step: float) -> float:
-    """Central-difference directional derivative of the lift.
+    """Central-difference directional derivative of the lift of f.
 
     Perturbs the observable along the direction eta with common random
-    numbers (the same density on both sides) and differences the functional
-    of the resulting laws: the Gateaux derivative E[d_mu f(law, xi) . eta].
+    numbers (the same density on both sides) and differences f.value of the
+    resulting laws: the Gateaux derivative E[d_mu f(law, xi) . eta].
     """
-    if step < _FD_MIN_STEP:
-        raise ValueError("finite-difference step underflow")
+    if not (np.isfinite(step) and step >= _FD_MIN_STEP):
+        raise ValueError(f"step must be finite and at least {_FD_MIN_STEP}, "
+                         f"got {step}")
     xi = np.asarray(xi_values, dtype=float)
     eta = np.asarray(direction_values, dtype=float)
     if xi.shape != eta.shape:
         raise ValueError("direction must match the observable's shape")
     up = pushforward_law(density_values, xi + step * eta)
     dn = pushforward_law(density_values, xi - step * eta)
-    return (float(f_eval(up)) - float(f_eval(dn))) / (2.0 * step)
-
-
-def _nested_parts(fn: NestedFn, law: EmpiricalLaw, bandwidth: float):
-    """(psi(xi1), m(xi2), E[h(m(xi2))]) under the joint law of
-    (xi1, xi2), with m(y) = E[psi(xi1) | xi2 = y] by weighted kernel
-    regression at the atoms."""
-    if law.dim != 2:
-        raise ValueError(f"the nested functional needs the 2-D joint law of "
-                         f"(xi1, xi2), got a {law.dim}-D law")
-    psi1 = fn.psi(law.atoms[:, 0])
-    x2 = law.atoms[:, 1]
-    m = conditional_expectation(psi1, x2, law.weights, bandwidth)
-    return psi1, m, law.integrate(fn.h(m))
-
-
-def eval_nested(fn: NestedFn, law: EmpiricalLaw, bandwidth: float) -> float:
-    """G at the joint law of (xi1, xi2): g(E[h(m(xi2))])."""
-    return float(fn.g(_nested_parts(fn, law, bandwidth)[2]))
-
-
-def _nested_profile(fn: NestedFn, inner: float, psi_x1, m_x2) -> np.ndarray:
-    """Closed-form first partial derivative of the nested functional at
-    x = (x1, x2), from psi(x1), m(x2) and inner = E[h(m(xi2))]:
-        g'(inner) * ( h(m(x2)) + h'(m(x2)) * (psi(x1) - m(x2)) )."""
-    outer = float(fn.g_prime(inner))
-    return np.asarray(outer * (fn.h(m_x2) + fn.h_prime(m_x2) * (psi_x1 - m_x2)),
-                      dtype=float)
+    return (f.value(up) - f.value(dn)) / (2.0 * step)
 
 
 def _poly_phi(power: int):
@@ -181,7 +180,7 @@ def _poly_phi(power: int):
 
 
 def make_functional(name: str):
-    """Registry of named built-ins selectable from the CLI."""
+    """Registry of the named cylindrical built-ins."""
     if name == "mean":
         phi, grad = _poly_phi(1)
         return CylindricalFn(h=lambda u: u, h_prime=lambda u: np.ones_like(np.asarray(u, dtype=float)),
@@ -195,9 +194,4 @@ def make_functional(name: str):
                              phi=lambda x: np.sin(x[:, 0]),
                              grad_phi=lambda x: np.cos(x),
                              dim=1, descriptor="sin_mean")
-    if name == "nested_gauss":
-        return NestedFn(g=lambda u: u, g_prime=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-                        h=lambda u: u ** 2, h_prime=lambda u: 2.0 * u,
-                        psi=lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2),
-                        descriptor="nested_gauss")
     raise KeyError(f"unknown functional id: {name}")

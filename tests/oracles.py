@@ -14,10 +14,9 @@ from scipy import integrate, optimize, stats
 from wcalc import (antiderivative_at, brownian_at, checks,
                    clark_ocone_decompose, conditional_expectation,
                    density_deriv, density_derivative_profile,
-                   doleans_exponential, eval_cyl,
-                   gaussian_smooth, grad_phi_antiderivative, kernel_regression,
-                   lions_derivative, make_functional, make_grid, outer_slope,
-                   pushforward_law, sample_paths,
+                   doleans_exponential, gaussian_smooth,
+                   grad_phi_antiderivative, kernel_regression,
+                   make_functional, make_grid, pushforward_law, sample_paths,
                    shift_backward, shift_forward, weighted_expectation)
 from wcalc.approx_pipeline import _CHECK_PATHS
 from wcalc.checks import (_CHAIN_LAMS, _CLOSED_FORM, _FD_BIAS_CHAIN,
@@ -291,11 +290,11 @@ def segment_integrals_whole(fn, a, b, order: int):
 
 def density_derivative_profile_per_pass(f, law, x_grid):
     """density_derivative_profile with the integrand read through
-    lions_derivative, which integrates phi against the law at every
+    f.lions_derivative, which integrates phi against the law at every
     quadrature pass; the centering sums over the atoms as the code does."""
     xs = np.asarray(x_grid, dtype=float)
     atoms = law.atoms_1d()
-    joint = antiderivative_at(lambda ys: lions_derivative(f, law, ys),
+    joint = antiderivative_at(lambda ys: f.lions_derivative(law, ys),
                               np.concatenate([xs.ravel(), atoms]))
     a_grid = joint[:xs.size].reshape(xs.shape)
     return a_grid - law.integrate(joint[xs.size:])
@@ -311,7 +310,7 @@ def second_order_check_1d_profile(f, law, x_grid, h_step):
                                       f.phi(law.atoms))
     m = xs.size
     cd = (prof[:m] - prof[m:]) / (2.0 * h_step)
-    return float(np.max(np.abs(cd - lions_derivative(f, law, xs))))
+    return float(np.max(np.abs(cd - f.lions_derivative(law, xs))))
 
 
 def antiderivative_at_searchsorted(fn, xs, tol: float = 1e-9, max_depth: int = 14):
@@ -380,7 +379,7 @@ def chain_rule_rhs_per_call(f, curve, lam, xi_values, pool):
     density, dd = curve.eval_pair(lam, pool)
     law = pushforward_law(density, xi_values)
     xi = np.asarray(xi_values, dtype=float).reshape(-1)
-    anti = antiderivative_at(lambda ys: lions_derivative(f, law, ys), xi)
+    anti = antiderivative_at(lambda ys: f.lions_derivative(law, ys), xi)
     return weighted_expectation(dd, anti)
 
 
@@ -390,7 +389,7 @@ def chain_rule_lhs_fd_per_call(f, curve, lam, xi_values, pool, h_step):
         raise ValueError("lambda too close to the parameter boundary for this step")
 
     def at(l):
-        return eval_cyl(f, pushforward_law(curve.eval(l, pool), xi_values))
+        return f.value(pushforward_law(curve.eval(l, pool), xi_values))
 
     return (at(lam + h_step) - at(lam - h_step)) / (2.0 * h_step)
 
@@ -472,9 +471,9 @@ def check_chain_rule_per_shard(n_paths=20000, n_steps=16, seed=7101,
                 density, deriv = curve.eval_pair(lam, p)
                 law = pushforward_law(density, x)
                 for fid, f in fns.items():
-                    lhs = (eval_cyl(f, above) - eval_cyl(f, below)) \
+                    lhs = (f.value(above) - f.value(below)) \
                         / (2.0 * _FD_STEP)
-                    rhs = outer_slope(f, law) * weighted_expectation(
+                    rhs = f.slope(law) * weighted_expectation(
                         deriv, antis[fid][r])
                     routes.setdefault((fid, cid, lam), []).append((lhs, rhs))
 
@@ -565,7 +564,7 @@ def multidim_derivative_repr_single(f, endpoint, xi_loading, pool,
     inc = pool.increments
     l_vals = density(inc)
     xi_pts = repr_values_summed(inc, xi_loading)
-    c = outer_slope(f, pushforward_law(l_vals, xi_pts))
+    c = f.slope(pushforward_law(l_vals, xi_pts))
     Z, M, gamma = clark_ocone_decompose(*endpoint, pool, quad_order=quad_order)
 
     def component(i):
@@ -639,7 +638,9 @@ def nested_derivative_check_pooled(fn, pool, density_values, xi1_values,
 
 def check_lemma34_pooled(n_paths=20000, n_steps=16, seed=7505, horizon=1.0):
     """(name, lhs) of every wcalc.checks.check_lemma34 record, each from
-    nested_derivative_check_pooled on the battery's pool and density."""
+    nested_derivative_check_pooled on the battery's pool and density. The
+    pooled route takes each rung's bandwidth as an argument and reads only
+    the functions of the battery's functionals."""
     grid = make_grid(n_steps, horizon)
     pool = sample_paths(grid, n_paths, seed)
     dens = _curve_battery(grid)[0][1].eval(0.3, pool)
@@ -649,7 +650,7 @@ def check_lemma34_pooled(n_paths=20000, n_steps=16, seed=7505, horizon=1.0):
     return [(f"lemma34/{fid}|bw={bw:.2f}",
              nested_derivative_check_pooled(fn, pool, dens, x1, x2, probes,
                                             bandwidth=bw))
-            for fid, fn in _nested_battery() for bw in (0.5, 0.35, 0.25)]
+            for fid, fn in _nested_battery(0.5) for bw in (0.5, 0.35, 0.25)]
 
 
 # --- the representation statistics as they were when every row sum was

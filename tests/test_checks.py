@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wcalc import (CheckRecord, CHECKS, run_check, checks, density_deriv,
-                   density_functional, make_grid, measure_ops, sample_paths)
+from wcalc import (CheckRecord, CHECKS, CylindricalFn, run_check, checks,
+                   density_deriv, density_functional, make_grid, measure_ops,
+                   sample_paths)
 from oracles import assert_bitwise, check_chain_rule_per_call, \
     check_chain_rule_per_shard, check_lemma34_pooled, \
     multidim_derivative_repr_single, second_order_check_1d_profile, \
@@ -171,10 +172,11 @@ def test_bensoussan_battery_catches_a_scaled_representer(monkeypatch, seed):
 def test_chain_rule_battery_catches_a_scaled_outer_slope(monkeypatch, seed):
     """Power: h'(<phi, law>) off by one percent fails every battery record
     at reference size. The closed-form pair passes: its 7-df shard
-    standard error is wide."""
-    outer_slope = density_deriv.outer_slope
-    monkeypatch.setattr(density_deriv, "outer_slope",
-                        lambda f, law, phi_values: 1.01 * outer_slope(
+    standard error is wide. Only the rhs reads CylindricalFn.slope; the
+    lhs differences CylindricalFn.value."""
+    slope = CylindricalFn.slope
+    monkeypatch.setattr(CylindricalFn, "slope",
+                        lambda f, law, phi_values=None: 1.01 * slope(
                             f, law, phi_values))
     records = run_check("chain-rule", n_paths=20_000, n_steps=16, seed=seed)
     battery = [r for r in records if "|" in r.name]

@@ -10,7 +10,7 @@ from wcalc import (make_grid, sample_paths, exponential_curve,
                    grad_phi_antiderivative, CylindricalFn, renormalize,
                    nested_derivative_check, second_order_check_multidim)
 from wcalc.checks import (_CHAIN_LAMS, _FD_STEP, _curve_battery,
-                          _plane_functionals, _shard_rows)
+                          _nested_battery, _plane_functionals, _shard_rows)
 from oracles import assert_bitwise, density_derivative_profile_per_pass
 
 
@@ -106,8 +106,7 @@ def test_profile_is_centered_antiderivative(pool16):
     h = 1e-4
     up = density_derivative_profile(f, law, probes + h, f.phi(law.atoms))
     dn = density_derivative_profile(f, law, probes - h, f.phi(law.atoms))
-    from wcalc import lions_derivative
-    assert np.allclose((up - dn) / (2 * h), lions_derivative(f, law, probes),
+    assert np.allclose((up - dn) / (2 * h), f.lions_derivative(law, probes),
                        atol=1e-6)
 
 
@@ -152,8 +151,8 @@ def test_chain_rule_rhs_rejects_a_planar_functional(pool16):
 def test_nested_check_rejects_a_one_dimensional_law(pool16):
     law = pushforward_law(np.ones(pool16.n_samples), brownian_at(pool16, 1.0))
     with pytest.raises(ValueError, match="2-D joint law of \\(xi1, xi2\\)"):
-        nested_derivative_check(make_functional("nested_gauss"), law,
-                                [[0.0, 0.0]], bandwidth=0.3)
+        nested_derivative_check(_nested_battery(0.3)[0][1], law,
+                                [[0.0, 0.0]])
 
 
 def test_plane_checks_take_a_batch_of_plane_points(pool16):
@@ -162,8 +161,8 @@ def test_plane_checks_take_a_batch_of_plane_points(pool16):
     law = pushforward_law(np.ones(pool16.n_samples), np.column_stack(
         [brownian_at(pool16, 0.5), brownian_at(pool16, 1.0)]))
     with pytest.raises(ValueError, match=r"need \(m, 2\)"):
-        nested_derivative_check(make_functional("nested_gauss"), law,
-                                [0.0, 0.0], bandwidth=0.3)
+        nested_derivative_check(_nested_battery(0.3)[0][1], law,
+                                [0.0, 0.0])
     f = _plane_functionals()[0]
     for pts in (np.zeros(2), np.zeros(5), np.zeros((5, 3))):
         with pytest.raises(ValueError, match="does not match the functional"):

@@ -9,8 +9,7 @@ from wcalc import (make_grid, sample_paths, brownian_at, EmpiricalLaw,
                    GridDensity, kde_density, density_grid,
                    CylindricalFn, bensoussan_check,
                    pushforward_law, exponential_curve, checks,
-                   kernel_regression, make_functional,
-                   nested_derivative_check)
+                   kernel_regression)
 from wcalc.density_functional import _representer, _x_derivative
 from oracles import kde_naive
 
@@ -106,22 +105,20 @@ def _bandwidth_route(route, bandwidth):
     if route == "kde_density":
         return kde_density(EmpiricalLaw(x2, weights),
                            np.linspace(-4.0, 4.0, 201), bandwidth)
-    if route == "nested_derivative_check":
-        return nested_derivative_check(
-            make_functional("nested_gauss"),
-            EmpiricalLaw(np.column_stack([x1, x2]), weights), [[0.0, 0.0]],
-            bandwidth)
+    if route == "NestedFn":
+        return checks._nested_battery(bandwidth)
     return bensoussan_check(sin_phi(), EmpiricalLaw(x2, weights),
                             np.linspace(-1.0, 1.0, 3), bandwidth)
 
 
 @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("route", ["kernel_regression", "kde_density",
-                                   "nested_derivative_check",
-                                   "bensoussan_check"])
+                                   "NestedFn", "bensoussan_check"])
 def test_a_bad_bandwidth_is_refused_before_any_arithmetic(route, bandwidth):
     """A bandwidth that is not finite and positive raises a ValueError
-    naming it on every smoothing route, before numpy warns or fails."""
+    naming it on every smoothing route, before numpy warns or fails; a
+    nested functional, whose regression bandwidth is part of its
+    definition, refuses it when it is built."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"bandwidth must be finite and "

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from wcalc import (CylindricalFn, NestedFn, make_functional, eval_cyl,
-                   lions_derivative, lifted_derivative_fd, eval_nested,
-                   nested_derivative_check, EmpiricalLaw, make_grid,
-                   sample_paths, pushforward_law)
+from wcalc import (CylindricalFn, NestedFn, checks, make_functional,
+                   lifted_derivative_fd, nested_derivative_check,
+                   EmpiricalLaw, make_grid, sample_paths, pushforward_law)
 from oracles import gaussian_expectation
 
 
@@ -15,12 +14,20 @@ def unit_law(atoms):
     return EmpiricalLaw(atoms=a, weights=np.full(a.shape[0], 1.0 / a.shape[0]))
 
 
+def nested_gauss(bandwidth):
+    return dict(checks._nested_battery(bandwidth))["nested_gauss"]
+
+
 def test_registry_ids():
+    """The registry holds the cylindrical built-ins; the nested ones are
+    built with their regression bandwidth by the lemma34 battery."""
     for name in ("mean", "mean_sq", "sin_mean"):
         assert isinstance(make_functional(name), CylindricalFn)
-    assert isinstance(make_functional("nested_gauss"), NestedFn)
-    with pytest.raises(KeyError):
-        make_functional("nope")
+    for _, fn in checks._nested_battery(0.3):
+        assert isinstance(fn, NestedFn) and fn.bandwidth == 0.3
+    for name in ("nested_gauss", "nope"):
+        with pytest.raises(KeyError):
+            make_functional(name)
 
 
 def test_bad_outer_derivative_rejected():
@@ -39,23 +46,23 @@ def test_bad_gradient_rejected():
                       grad_phi=lambda x: 2.0 * np.cos(x), dim=1)
 
 
-def test_eval_cyl_closed_form():
+def test_cylindrical_value_closed_form():
     f = make_functional("mean_sq")
     l = unit_law([-1.0, 0.0, 1.0, 2.0])
     # (mean of atoms)^2 = 0.25
-    assert np.isclose(eval_cyl(f, l), 0.25)
+    assert np.isclose(f.value(l), 0.25)
 
 
 def test_lions_derivative_cylindrical_form():
     """For h(int phi dmu) the derivative at x is h'(...) * grad phi(x)."""
     f = make_functional("mean_sq")
     l = unit_law([0.0, 1.0, 3.0])
-    got = lions_derivative(f, l, np.array([0.5, 2.0]))
+    got = f.lions_derivative(l, np.array([0.5, 2.0]))
     want = 2.0 * (4.0 / 3.0) * np.ones(2)
     assert np.allclose(got, want)
 
     g = make_functional("sin_mean")
-    got = lions_derivative(g, l, np.array([0.0, 1.0]))
+    got = g.lions_derivative(l, np.array([0.0, 1.0]))
     assert np.allclose(got, np.cos([0.0, 1.0]))
 
 
@@ -65,8 +72,8 @@ def test_lions_derivative_takes_batches_of_points():
     f = make_functional("sin_mean")
     law = unit_law([0.0, 1.0, 3.0])
     xs = np.array([0.0, 1.0, 2.0])
-    assert np.array_equal(lions_derivative(f, law, xs),
-                          lions_derivative(f, law, xs[:, None]))
+    assert np.array_equal(f.lions_derivative(law, xs),
+                          f.lions_derivative(law, xs[:, None]))
     plane = CylindricalFn(h=lambda u: u,
                           h_prime=lambda u: np.ones_like(np.asarray(u, float)),
                           phi=lambda x: np.sin(x[:, 0] + x[:, 1]),
@@ -74,12 +81,12 @@ def test_lions_derivative_takes_batches_of_points():
                               x.sum(axis=1, keepdims=True)).repeat(2, axis=1),
                           dim=2, descriptor="plane")
     plane_law = unit_law(np.zeros((3, 2)))
-    assert lions_derivative(plane, plane_law, np.zeros((4, 2))).shape == (4, 2)
+    assert plane.lions_derivative(plane_law, np.zeros((4, 2))).shape == (4, 2)
     for bad_f, bad_law, pts in ((f, law, np.zeros((4, 2))), (f, law, 0.5),
                                 (plane, plane_law, np.zeros(2)),
                                 (plane, plane_law, np.zeros((4, 3)))):
         with pytest.raises(ValueError, match="point dimension mismatch"):
-            lions_derivative(bad_f, bad_law, pts)
+            bad_f.lions_derivative(bad_law, pts)
 
 
 def test_lions_derivative_matches_lifted_fd():
@@ -90,11 +97,21 @@ def test_lions_derivative_matches_lifted_fd():
     dens = np.exp(0.25 * xi - 0.5 * 0.25 ** 2)
     f = make_functional("sin_mean")
     eta = np.cos(xi)
-    fd = lifted_derivative_fd(lambda l: eval_cyl(f, l), dens, xi, eta,
-                              step=1e-4)
+    fd = lifted_derivative_fd(f, dens, xi, eta, step=1e-4)
     law = pushforward_law(dens, xi)
-    pairing = law.integrate(lions_derivative(f, law, xi[:, None]) * eta)
+    pairing = law.integrate(f.lions_derivative(law, xi[:, None]) * eta)
     assert abs(fd - pairing) < 1e-6
+
+
+@pytest.mark.parametrize("step", [np.nan, np.inf, -1e-3, 0.0, 1e-12])
+def test_lifted_fd_refuses_a_bad_step_by_name(step):
+    """A step that is not finite or lies below the floor is refused with a
+    message naming it, before any law is built."""
+    xi = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match=f"step must be finite and at least "
+                                         f"1e-10, got {step}"):
+        lifted_derivative_fd(make_functional("mean"), np.ones(5), xi,
+                             np.ones(5), step=step)
 
 
 def test_nested_eval_against_quadrature_oracle():
@@ -108,10 +125,9 @@ def test_nested_eval_against_quadrature_oracle():
     pool = sample_paths(grid, 200000, seed=37)
     x1 = pool.increments[:, 0]
     x2 = pool.increments.sum(axis=1)
-    fn = make_functional("nested_gauss")
-    got = eval_nested(fn, pushforward_law(np.ones(pool.n_samples),
-                                          np.column_stack([x1, x2])),
-                      bandwidth=0.08)
+    fn = nested_gauss(0.08)
+    got = fn.value(pushforward_law(np.ones(pool.n_samples),
+                                   np.column_stack([x1, x2])))
 
     # m(y) = E[psi(Z)], Z ~ N(y/2, 1/4) for psi Gaussian; outer expectation
     # over y ~ N(0,1), all by adaptive quadrature.
@@ -123,16 +139,16 @@ def test_nested_eval_against_quadrature_oracle():
 
 
 def test_nested_route_rejects_a_one_dimensional_law():
-    fn = make_functional("nested_gauss")
+    fn = nested_gauss(0.5)
     law = unit_law([-1.0, 0.0, 0.5, 2.0])
     with pytest.raises(ValueError, match=r"2-D joint law of \(xi1, xi2\)"):
-        eval_nested(fn, law, bandwidth=0.5)
+        fn.value(law)
     with pytest.raises(ValueError, match=r"2-D joint law of \(xi1, xi2\)"):
-        nested_derivative_check(fn, law, [[0.0, 0.0]], bandwidth=0.5)
+        nested_derivative_check(fn, law, [[0.0, 0.0]])
 
 
 def test_nested_bad_derivative_rejected():
     with pytest.raises(ValueError):
         NestedFn(g=lambda u: u ** 2, g_prime=lambda u: u,
                  h=lambda u: u, h_prime=lambda u: np.ones_like(u),
-                 psi=lambda x: x)
+                 psi=lambda x: x, bandwidth=0.5)

@@ -1,8 +1,9 @@
 """Every name a wcalc module or a test module imports is used in that
 module, every private module-level name a wcalc module defines is used
-somewhere in the package, and every public name the package re-exports, and
-every public function and class a wcalc module defines, is read by the
-package itself or by the acceptance tests.
+somewhere in the package, and every public name the package re-exports,
+every public function and class a wcalc module defines, and every public
+method of its classes, is read by the package itself or by the acceptance
+tests.
 
 The package's __init__.py is exempt from the import scan: its imports are
 the public re-exports.
@@ -184,3 +185,39 @@ def test_the_scan_sees_an_unread_public_def():
 def test_every_public_def_is_read_by_the_package_or_the_acceptance_tests():
     defining = {p.name: p.read_text() for p in MODULES}
     assert unread_public_defs(defining, _package_and_acceptance_sources()) == []
+
+
+def unread_public_methods(defining, sources):
+    """(module, line, Class.method) of each public method of a module-level
+    class of `defining` ({module: source text}) that no module of `sources`
+    reads as an attribute. Attributes match by name, so reading any
+    attribute of that name counts; defining a method is not reading it."""
+    read = {n.attr for src in sources.values() for n in ast.walk(ast.parse(src))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted((mod, node.lineno, f"{cls.name}.{node.name}")
+                  for mod, src in defining.items() for cls in ast.parse(src).body
+                  if isinstance(cls, ast.ClassDef) for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_") and node.name not in read)
+
+
+def test_the_scan_sees_an_unread_method():
+    defining = {
+        "a.py": "class Shape:\n    def area(self):\n        return self._side()\n"
+                "    def _side(self):\n        pass\n"
+                "    def spare(self):\n        pass\n"
+                "    @property\n    def size(self):\n        pass\n",
+        "b.py": "from .a import Shape\ndef size():\n    pass\n"
+                "class _Inner:\n    def stale(self):\n        self.stale = 1\n",
+    }
+    sources = dict(defining, **{"test_acceptance.py":
+                                "from wcalc import Shape\nShape().area()\n"
+                                "print(Shape().size)\n"})
+    assert unread_public_methods(defining, sources) == [
+        ("a.py", 6, "Shape.spare"), ("b.py", 5, "_Inner.stale")]
+
+
+def test_every_public_method_is_read_by_the_package_or_the_acceptance_tests():
+    defining = {p.name: p.read_text() for p in MODULES}
+    assert unread_public_methods(defining,
+                                 _package_and_acceptance_sources()) == []
