@@ -29,13 +29,15 @@ call), and stages 4-7 read it from there by cubic Hermite interpolation:
 the per-path values behind stages 4 and 5 and the normalization constant,
 and every Gauss-Hermite node of the integrand tables. Stage 3 and the
 consistency check evaluate their densities directly (the check with one
-moll.triple call per block knot), so it stays an independent measure of
-the tabulation. In stages 6 and 7 the integrand and its slope come from
+moll.triple call over every block knot's points), so it stays an
+independent measure of the tabulation. In stages 6 and 7 the integrand and its slope come from
 clark_ocone.knot_tables on a uniform grid of the running terminal
 coordinate, read linearly along every path and exponentiated at every
 block knot (stage 6), then at every (2**dyadic_level / step_count)-th
 knot (stage 7): the two coincide when step_count equals 2**dyadic_level.
 final_errors_at builds the table at the step_count knots only.
+pipeline_run's parameter passes and the distinct ladder rungs run side by
+side, one per CPU; no output depends on the CPU count.
 
 Every stage reports L2(Q) distances to the target curve, both at a primary
 parameter value and integrated along a parameter segment.
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -62,6 +65,9 @@ from .wiener_grid import PathPool, TimeGrid, _block_edges, dyadic_coarsen
 
 _MOLL_NODES = 17
 _U_POINTS = 4097
+# Rows per MollifiedDensity.triple block. Its row products (rows, 17) @ (17,)
+# keep every row's bits when split at multiples of 8 rows, not at others.
+_BLOCK_ROWS = 2048
 _SEGMENT_NODES = 4
 _CHECK_PATHS = 128
 _GROSS_GAP = 5e-3
@@ -81,7 +87,9 @@ class PipelineConfig:
 
     dyadic_level: block filtration level; the working grid has 2**level
         blocks of fine steps.
-    truncation_level: cap/cutoff level for stage 3 (at least 3).
+    truncation_level: cap/cutoff level for stage 3, finite, at least 3 and
+        at most 1023 * mollify_eps (the stage-4 u-table spacing stays
+        within mollify_eps / 2).
     mollify_eps: kernel half-width for stage 4, in (0, 1).
     positivity_floor: stage-5 floor, in (0, 1].
     step_count: step intervals kept by stage 7; must divide the block count.
@@ -101,10 +109,15 @@ class PipelineConfig:
     def __post_init__(self):
         if self.dyadic_level < 0:
             raise ValueError("dyadic_level must be >= 0")
-        if self.truncation_level < 3:
-            raise ValueError("truncation_level must be >= 3")
+        if not 3 <= self.truncation_level < np.inf:
+            raise ValueError("truncation_level must be finite and >= 3")
         if not 0.0 < self.mollify_eps < 1.0:
             raise ValueError("mollify_eps must lie in (0, 1)")
+        if 2.0 * (self.truncation_level + self.mollify_eps) / (_U_POINTS - 1) \
+                > self.mollify_eps / 2.0:
+            raise ValueError("truncation_level must be at most 1023 * "
+                             "mollify_eps: the stage-4 u-table spacing must "
+                             "not exceed mollify_eps / 2")
         if not 0.0 < self.positivity_floor <= 1.0:
             raise ValueError("positivity_floor must lie in (0, 1]")
         blocks = 1 << self.dyadic_level
@@ -180,13 +193,20 @@ class ConditionedDensity:
         self._renorm_cache[key] = pair
         return pair
 
-    def parts(self, lam: float, coords: np.ndarray, want_du: bool = False):
-        """Renormalized (value, parameter derivative, coordinate derivative)."""
+    def parts(self, lam: float, coords: np.ndarray, want_du: bool = False,
+              out=None):
+        """Renormalized (value, parameter derivative, coordinate derivative
+        or None), written into out, three arrays shaped like coords (the
+        third is scratch when not want_du), or into fresh ones."""
         r, dr = self._renorm(lam)
-        v, d, du = self.curve.triple(lam, np.asarray(coords, dtype=float))
-        v, d = np.asarray(v, dtype=float), np.asarray(d, dtype=float)
-        out_du = np.asarray(du, dtype=float) / r if want_du else None
-        return v / r, d / r - v * (dr / (r * r)), out_du
+        coords = np.asarray(coords, dtype=float)
+        val, dlam, du = out or [np.empty(coords.shape) for _ in range(3)]
+        v, d, cdu = (np.asarray(a, dtype=float)
+                     for a in self.curve.triple(lam, coords))
+        np.subtract(np.divide(d, r, out=dlam),
+                    np.multiply(v, dr / (r * r), out=du), out=dlam)
+        return (np.divide(v, r, out=val), dlam,
+                np.divide(cdu, r, out=du) if want_du else None)
 
     def pair(self, lam: float, coords: np.ndarray):
         v, d, _ = self.parts(lam, coords, False)
@@ -210,55 +230,72 @@ class TruncatedDensity:
         self.n_coords = cond.n_coords
 
     def parts(self, lam: float, coords: np.ndarray, want_du: bool,
-              _cutoffs=None):
+              _cutoffs=None, _lam=None, _out=None):
         """(value, parameter derivative, coordinate derivative or None).
 
-        _cutoffs, when given, is (radial_cutoff(coords), radial_cutoff_deriv
-        (coords) or None) at this level, precomputed by a caller that
-        evaluates many parameters on the same coordinates.
+        A caller that evaluates many parameters on the same coordinates
+        hands in what they share: _cutoffs from cutoffs(coords, want_du),
+        _lam the _lam_factors row at lam, and _out five work arrays shaped
+        like coords, which the result is written into (so it is valid until
+        the next call on them).
         """
         lev = self.level
-        lam_arr = np.array([lam], dtype=float)
-        lam_c = float(capped_identity(lam_arr, lev)[0])
-        dlam_c = float(capped_identity_deriv(lam_arr, lev)[0])
-        cut_l = float(radial_cutoff(lam_arr, lev)[0])
-        dcut_l = float(radial_cutoff_deriv(lam_arr, lev)[0])
-        if _cutoffs is None:
-            _cutoffs = self.cutoffs(coords, want_du)
-        cut, dcut = _cutoffs
-        h, dh, hu = self.cond.parts(lam_c, coords, want_du)
-        ph = capped_identity(h, lev)
-        dph = capped_identity_deriv(h, lev)
-        del h  # dead from here on; freeing it lowers the peak on large pools
-        # The products below associate left, as in ph * cut * cut_l, and a
-        # product with 1.0 is exact, so sharing ph * cut and skipping the
-        # factors dlam_c and cut_l where they are 1.0 (every parameter
-        # inside level - 2) keeps every bit of the full formula.
-        pc = ph * cut
-        val = pc if cut_l == 1.0 else pc * cut_l
-        dlam = dph * dh
-        if dlam_c != 1.0:
-            dlam *= dlam_c
-        dlam *= cut
-        if cut_l != 1.0:
-            dlam *= cut_l
-        dlam += pc * dcut_l  # kept at dcut_l == 0.0 for signed zeros and NaN
-        du = None
+        coords = np.asarray(coords, dtype=float)
+        lam_c, dlam_c, cut_l, dcut_l = _lam or self._lam_factors([lam])[0]
+        cut, dcut, inner = _cutoffs or self.cutoffs(coords, want_du)
+        h, dh, hu, tmp, pd = _out or [np.empty(coords.shape) for _ in range(5)]
+        h, dh, hu = self.cond.parts(lam_c, coords, want_du, (h, dh, hu))
+        # Capped identity: on |h| <= level - 2 it is h + 0.0 (which turns
+        # -0.0 into +0.0, as sign(h) * |h| does) with slope 1.0, and a
+        # product with 1.0 is exact, so the formulas run only on the rest,
+        # NaN included. h, dh and hu become ph, dph * dh and dph * hu.
+        outer = np.flatnonzero(~(np.abs(h, out=tmp) <= lev - 2.0))
+        h_out = h[outer]
+        slope = capped_identity_deriv(h_out, lev)
+        h += 0.0
+        h[outer] = capped_identity(h_out, lev)
+        dh[outer] *= slope
         if want_du:
-            du = dph * hu
-            du *= cut
-            pd = ph * dcut
+            hu[outer] *= slope
+            np.multiply(h, dcut, out=pd)
+        # The products below associate left, as in ph * cut * cut_l, so
+        # sharing ph * cut and skipping every factor 1.0 (the coordinate
+        # cutoff on its inner slice, dlam_c and cut_l at every parameter
+        # inside level - 2) keeps every bit of the full formula.
+        if dlam_c != 1.0:
+            dh *= dlam_c
+        for arr in (h, dh, hu) if want_du else (h, dh):
+            for part in (slice(None, inner.start), slice(inner.stop, None)):
+                arr[part] *= cut[part]
+        if cut_l != 1.0:
+            dh *= cut_l
+        dh += np.multiply(h, dcut_l, out=tmp)  # kept at dcut_l == -0.0: NaN, signs
+        if want_du:
             if cut_l != 1.0:
-                du *= cut_l
+                hu *= cut_l
                 pd *= cut_l
-            du += pd
-        return val, dlam, du
+            hu += pd
+        if cut_l != 1.0:
+            h *= cut_l
+        return h, dh, hu
 
     def cutoffs(self, coords: np.ndarray, want_du: bool):
-        """Coordinate cutoff and, if want_du, its derivative at coords."""
+        """Coordinate cutoff, its derivative if want_du, and the longest
+        slice of coords on which the cutoff is exactly 1.0 (empty if none)."""
+        cut = radial_cutoff(coords, self.level)
         dcut = radial_cutoff_deriv(coords, self.level) if want_du else None
-        return radial_cutoff(coords, self.level), dcut
+        ones = np.concatenate(([False], cut == 1.0, [False]))
+        runs = np.flatnonzero(ones[1:] != ones[:-1]).reshape(-1, 2)
+        i0, i1 = runs[np.argmax(runs[:, 1] - runs[:, 0])] if runs.size else (0, 0)
+        return cut, dcut, slice(int(i0), int(i1))
 
+    def _lam_factors(self, lams):
+        """One row (capped parameter, its slope, parameter cutoff, its
+        slope) of Python floats per parameter in lams."""
+        lams = np.asarray(lams, dtype=float)
+        return np.column_stack([f(lams, self.level) for f in (
+            capped_identity, capped_identity_deriv, radial_cutoff,
+            radial_cutoff_deriv)]).tolist()
 
 
 class MollifiedDensity:
@@ -270,9 +307,10 @@ class MollifiedDensity:
     derivatives are the exact derivatives of that finite combination (the
     shift structure lets every derivative land on the truncated functional
     itself), not separate quadratures, so value and derivative routes agree
-    to roundoff. The coordinate cutoffs depend only on the shifted
-    coordinates, so each call computes them once and hands them to all
-    parameter nodes.
+    to roundoff. A call works through its points in blocks of _BLOCK_ROWS
+    rows, the last block taking the remainder. Per block, the coordinate
+    cutoffs and the work arrays are made once and serve every parameter
+    node; the parameter factors are made once per call.
     """
 
     def __init__(self, trunc: TruncatedDensity, eps: float):
@@ -288,18 +326,20 @@ class MollifiedDensity:
         X = np.asarray(coords, dtype=float)
         m = X.shape[0]
         n_cells = self._wa.size
-        flat = (X[:, None] - self.eps * self._alpha[None, :]).reshape(-1)
-        cutoffs = self.trunc.cutoffs(flat, True)
-        outv = np.zeros(m)
-        outl = np.zeros(m)
-        outu = np.zeros(m)
-        for a, wa in zip(self._alpha, self._wa):
-            v, dl, du = self.trunc.parts(lam - self.eps * a, flat, True,
-                                         _cutoffs=cutoffs)
-            outv += wa * (v.reshape(m, n_cells) @ self._wa)
-            outl += wa * (dl.reshape(m, n_cells) @ self._wa)
-            outu += wa * (du.reshape(m, n_cells) @ self._wa)
-        return outv, outl, outu
+        lams = lam - self.eps * self._alpha
+        factors = self.trunc._lam_factors(lams)
+        out = (np.zeros(m), np.zeros(m), np.zeros(m))
+        for s in range(0, m, _BLOCK_ROWS):
+            e = min(s + _BLOCK_ROWS, m)
+            flat = (X[s:e, None] - self.eps * self._alpha[None, :]).reshape(-1)
+            cutoffs = self.trunc.cutoffs(flat, True)
+            work = [np.empty(flat.size) for _ in range(5)]
+            for la, fac, wa in zip(lams, factors, self._wa):
+                parts = self.trunc.parts(la, flat, True, _cutoffs=cutoffs,
+                                         _lam=fac, _out=work)
+                for acc, p in zip(out, parts):
+                    acc[s:e] += wa * (p.reshape(e - s, n_cells) @ self._wa)
+        return out
 
 
 def _hermite_coefs(y: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -576,11 +616,11 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
 
     seg_lams, seg_w = _segment_scheme(lam, lam_prime)
     stage_ids = (1, 3, 4, 5, 6, 7)
-    primary: Dict[int, Tuple[float, float]] = {}
-    seg_sq = {sid: 0.0 for sid in stage_ids}
 
-    # primary last: its u-table outlives the loop, so none is built after it
-    for la, sw in list(zip(seg_lams, seg_w)) + [(lam, None)]:
+    def one_pass(job):
+        """Stage errors at one parameter; the primary pass also keeps its
+        u-table, integrand table and stage-5 denominator."""
+        la, is_primary = job
         target_v, target_d = curve.eval_pair(la, pool)
         errs: Dict[int, Tuple[float, float]] = {}
 
@@ -601,13 +641,16 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
             (block_pool, k_pool))
         record(6, E6, dE6)
         record(7, E7, dE7)
+        return errs, ((table, gam_tab, denom) if is_primary else None)
 
-        if sw is None:
-            primary = errs
-            primary_u, primary_tab, primary_denom = table, gam_tab, denom
-        else:
-            for sid in stage_ids:
-                seg_sq[sid] += sw * (errs[sid][0] ** 2 + errs[sid][2] ** 2)
+    # the passes are independent; only the primary's tables outlive its pass
+    passes = _run_units(one_pass, [(la, False) for la in seg_lams]
+                        + [(lam, True)])
+    seg_sq = {sid: 0.0 for sid in stage_ids}
+    for sw, (errs, _) in zip(seg_w, passes):  # summed in parameter order
+        for sid in stage_ids:
+            seg_sq[sid] += sw * (errs[sid][0] ** 2 + errs[sid][2] ** 2)
+    primary, (primary_u, primary_tab, primary_denom) = passes[-1]
 
     gap = _consistency_gap(moll, lam, config, primary_denom, block_pool,
                            y_grid, primary_tab)
@@ -632,37 +675,34 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
     )
 
 
-def _knot_smoothings(pool: PathPool, quad_order: int, fn):
-    """knot_tables' smoothing at every path's own position y (the prefix
-    sum, not pool.cumulative, which rounds differently): per array that fn
-    returns, the (paths, knots) table of E[f(B_T) | F_{t_i}]."""
-    grid = pool.grid
-    nodes, w = gauss_hermite(quad_order)
-    cols = []
-    for i in range(grid.n_steps):
-        y = pool.increments[:, :i].sum(axis=1)
-        var = float(grid.horizon - grid.knots[i])
-        arg = y[:, None] + np.sqrt(var) * nodes[None, :]
-        cols.append([np.asarray(f) @ w for f in fn(arg)])
-    return [np.column_stack(c) for c in zip(*cols)]
-
-
 def _consistency_gap(moll: MollifiedDensity, lam: float,
                      config: PipelineConfig, denom: float,
                      block_pool: PathPool, y_grid: np.ndarray,
                      gam_tab: np.ndarray) -> float:
     """Largest subsample discrepancy between the block-knot integrand table
     that stages 6 and 7 read and gamma = Z / M of the stage-5 density, both
-    conditional means from one moll.triple call per block knot."""
+    conditional means E[. | F_{t_i}] at every path's own position y (the
+    prefix sum, not pool.cumulative, which rounds differently), from one
+    moll.triple call over every block knot's Gauss-Hermite points."""
     m = min(_CHECK_PATHS, block_pool.n_samples)
     sub = block_pool.subset(np.arange(m))
-    floor = config.positivity_floor
-
-    def normalized(u):
-        v, _, du = moll.triple(lam, u.ravel())
-        return (du / denom).reshape(u.shape), ((floor + v) / denom).reshape(u.shape)
-
-    Z, M = _knot_smoothings(sub, config.quad_order, normalized)
+    grid = sub.grid
+    nodes, w = gauss_hermite(config.quad_order)
+    mq = m * nodes.size
+    # each knot's rows start at a multiple of 8, so the one call gives every
+    # row the bits of a call per knot (see _BLOCK_ROWS)
+    per = -(-mq // 8) * 8
+    arg = np.zeros((grid.n_steps, per))
+    for i in range(grid.n_steps):
+        y = sub.increments[:, :i].sum(axis=1)
+        var = float(grid.horizon - grid.knots[i])
+        arg[i, :mq] = (y[:, None] + np.sqrt(var) * nodes[None, :]).ravel()
+    v, _, du = moll.triple(lam, arg.ravel())
+    Z, M = np.empty((m, grid.n_steps)), np.empty((m, grid.n_steps))
+    for i in range(grid.n_steps):
+        knot = slice(i * per, i * per + mq)
+        Z[:, i] = (du[knot] / denom).reshape(m, -1) @ w
+        M[:, i] = ((config.positivity_floor + v[knot]) / denom).reshape(m, -1) @ w
     gam_read, = _read_knot_tables(sub, y_grid, (gam_tab,))
     gap = float(np.abs(Z / M - gam_read).max())
     if gap > _GROSS_GAP:
@@ -749,14 +789,63 @@ def pipeline_ladders(curve: DensityCurve, lam: float, config: PipelineConfig,
                                    report.final_deriv_error,
                                    report.final_value_se,
                                    report.final_deriv_se)
-    ladders: Dict[str, list] = {}
-    for knob, value, cfg in _ladder_configs(config):
+    rungs = _ladder_configs(config)
+    todo = {}
+    for _, _, cfg in rungs:
         _block_edges(pool.grid, cfg.dyadic_level)
         if key(cfg) not in errors:
-            tab = table if key(cfg)[:2] == key(config)[:2] else None
-            errors[key(cfg)] = final_errors_at(curve, lam, cfg, pool, tab)
+            todo.setdefault(key(cfg), cfg)
+
+    def rung_errors(cfg):
+        tab = table if key(cfg)[:2] == key(config)[:2] else None
+        return final_errors_at(curve, lam, cfg, pool, tab)
+
+    errors.update(zip(todo, _run_units(rung_errors, list(todo.values()))))
+    ladders: Dict[str, list] = {}
+    for knob, value, cfg in rungs:
         ev, ed, se_v, se_d = errors[key(cfg)]
         ladders.setdefault(knob, []).append(
             {"knob": knob, "value": value, "value_error": ev,
              "deriv_error": ed, "value_se": se_v, "deriv_se": se_d})
     return ladders
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_units(fn, units: list) -> list:
+    """[fn(u) for u in units] in input order, computed on the calling thread
+    plus one worker thread per further CPU, each taking the next unit. A
+    unit's exception stops new units and is re-raised here once every
+    worker has joined, so no thread outlives the call."""
+    results = [None] * len(units)
+    failures = []
+    lock = threading.Lock()
+    order = iter(range(len(units)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if failures else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(units[i])
+            except BaseException as exc:  # re-raised on the calling thread
+                with lock:
+                    failures.append(exc)
+
+    workers = [threading.Thread(target=work)
+               for _ in range(min(_cpu_count(), len(units)) - 1)]
+    for t in workers:
+        t.start()
+    work()
+    for t in workers:
+        t.join()
+    if failures:
+        raise failures[0]
+    return results

@@ -3,11 +3,12 @@ import json
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from wcalc import DEFAULT_THRESHOLDS, __version__, cli
+from wcalc import DEFAULT_THRESHOLDS, __version__, approx_pipeline, cli
 from wcalc.cli import main
 
 
@@ -195,6 +196,13 @@ def test_pipeline_command_end_to_end(tmp_path, capsys):
     {"curve": {"kind": "scalar-exponential", "lam_lo": 0.5, "lam_hi": 0.2}},
     {"curve": {"kind": "scalar-exponential", "sigma_scale": 2.0}},
     {"grid": {"n_steps": 12}, "pipeline": {"dyadic_level": 3}},
+    # json.dumps writes float("inf") as Infinity, which the loader reads
+    {"pipeline": {"dyadic_level": 2, "step_count": 4,
+                  "truncation_level": float("inf")}},
+    {"pipeline": {"dyadic_level": 2, "step_count": 4,
+                  "truncation_level": 1e308}},
+    {"pipeline": {"dyadic_level": 2, "step_count": 4,
+                  "truncation_level": 1e6}},
 ])
 def test_pipeline_rejects_bad_config_before_running(tmp_path, capsys,
                                                     monkeypatch, change):
@@ -226,6 +234,28 @@ def test_pipeline_names_the_invalid_ladder_rung(tmp_path, capsys):
     assert main(["pipeline", "--config", cfg]) == 2
     assert "ladder rung step_count=8" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pipeline_outputs_do_not_depend_on_the_worker_count(
+        tmp_path, monkeypatch):
+    """A pipeline run with ladders writes the same bytes with one worker
+    thread and with two, and leaves no thread behind."""
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(approx_pipeline, "_cpu_count", lambda: workers)
+        out = tmp_path / f"w{workers}"
+        cfg = write_config(tmp_path / f"w{workers}.json", command="pipeline",
+                           seed=3, n_paths=500, grid={"n_steps": 8},
+                           lam=0.3, lam_prime=0.5, ladders=True,
+                           pipeline={"dyadic_level": 3, "step_count": 8,
+                                     "quad_order": 3},
+                           out_dir=str(out))
+        assert main(["pipeline", "--config", cfg]) in (0, 1)
+        assert threading.active_count() == 1
+        files = sorted(f.name for f in out.iterdir() if f.name != "report.json")
+        assert "pipeline_report.json" in files and len(files) == 7
+        outputs.append({name: (out / name).read_bytes() for name in files})
+    assert outputs[0] == outputs[1]
 
 
 def test_report_aggregates_a_tree(tmp_path, capsys):
@@ -480,6 +510,19 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c",
          f"import sys; sys.path.insert(0, {src!r}); import wcalc.cli; "
          "print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_concurrent_futures_out():
+    """The pipeline runs its units on plain threads, so importing the CLI
+    loads no executor module (which would add to every run's set-up)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import wcalc.cli; "
+         "print('concurrent.futures' in sys.modules)"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

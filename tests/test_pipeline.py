@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +37,15 @@ def test_config_validation():
                      ("mollify_eps", 0.0), ("mollify_eps", 1.0),
                      ("positivity_floor", 0.0), ("positivity_floor", 1.5),
                      ("step_count", 3), ("step_count", 0),
-                     ("quad_order", 1)]:
+                     ("quad_order", 1), ("truncation_level", np.nan),
+                     ("truncation_level", np.inf)]:
         with pytest.raises(ValueError):
             PipelineConfig(**{**good, key: bad})
+    # the u-table spacing 2 (level + eps) / 4096 may reach eps / 2, no more
+    PipelineConfig(**{**good, "truncation_level": 1023 * 0.1})
+    for level in (102.31, 1e6, 1e308):
+        with pytest.raises(ValueError, match="truncation_level.*mollify_eps"):
+            PipelineConfig(**{**good, "truncation_level": level})
 
 
 # ---------------------------------------------------------------- stage 1
@@ -116,6 +124,18 @@ def test_stage4_matches_the_recomputing_oracle(level, eps):
         for g, w in zip(moll.triple(lam, u)[:2],
                         mollified_acc(moll, lam, u, False)[:2]):
             assert_bitwise(g, w)
+
+
+def test_stage4_row_blocks_keep_the_bits_on_the_u_grid():
+    """On the 4097-point u-grid, which spans three row blocks, triple equals
+    the unblocked quadrature bitwise."""
+    grid = make_grid(8)
+    pool = sample_paths(grid, 500, seed=13)
+    moll = reference_moll(pool)
+    u = np.linspace(-6.1, 6.1, approx_pipeline._U_POINTS)
+    assert u.size > 2 * approx_pipeline._BLOCK_ROWS
+    for g, w in zip(moll.triple(0.3, u), mollified_acc(moll, 0.3, u, True)):
+        assert_bitwise(g, w)
 
 
 def test_stage3_rejects_small_levels():
@@ -204,6 +224,26 @@ def test_u_table_reads_match_direct_evaluation(lam):
             assert np.max(np.abs(got - want)) <= bound
 
 
+def test_u_table_reads_match_direct_evaluation_at_the_widest_spacing():
+    """At the reference level 6 and the smallest width the config accepts,
+    6/1023, the table spacing is exactly eps/2, and reads stay within the
+    bounds above (measured 4.7e-10, 1.9e-8 and 5.4e-7)."""
+    grid = make_grid(8)
+    pool = sample_paths(grid, 1000, seed=31)
+    eps = 6.0 / 1023
+    PipelineConfig(dyadic_level=3, truncation_level=6.0, mollify_eps=eps,
+                   positivity_floor=0.1, step_count=8, quad_order=8)
+    cond = ConditionedDensity(exp_curve(grid, 0.0, 1.0), 3, pool)
+    moll = MollifiedDensity(TruncatedDensity(cond, 6.0), eps)
+    table = approx_pipeline._UTable(moll, 0.7)
+    assert table.h == eps / 2
+    pts = np.random.default_rng(32).uniform(-table.half_width,
+                                            table.half_width, 4000)
+    for got, want, bound in zip(table.read(pts), moll.triple(0.7, pts),
+                                _U_TABLE_BOUNDS):
+        assert np.max(np.abs(got - want)) <= bound
+
+
 def test_knot_tables_read_as_np_interp_bitwise():
     """The reader of stages 6 and 7 gives the per-knot np.interp loop's
     result bit for bit, at every path's left-knot position."""
@@ -247,50 +287,58 @@ def test_consistency_gap_detects_a_skewed_u_table(monkeypatch):
 
 
 @pytest.mark.parametrize("dyadic_level,step_count,quad_order,n_paths",
-                         [(2, 4, 16, 2000), (3, 2, 32, 1000)])
-def test_consistency_gap_reads_one_triple_per_block_knot(
+                         [(2, 4, 16, 2000), (3, 2, 32, 1000), (3, 8, 3, 100)])
+def test_consistency_gap_reads_one_triple_per_gap(
         monkeypatch, dyadic_level, step_count, quad_order, n_paths):
-    """The check's Z, M and gap equal the decomposition of the stage-5
-    density as an endpoint functional bitwise, from exactly one
-    moll.triple call per block knot."""
+    """The check makes exactly one moll.triple call, over every block
+    knot's Gauss-Hermite points. Each knot's rows start at a multiple of 8
+    (padded when the subsample is under 128 paths) and equal, bitwise, the
+    call per knot that the decomposition of the stage-5 density as an
+    endpoint functional makes; the gap equals that decomposition's."""
     grid = make_grid(8)
     pool = sample_paths(grid, n_paths, seed=35)
     cfg = PipelineConfig(dyadic_level=dyadic_level, truncation_level=6.0,
                          mollify_eps=0.1, positivity_floor=0.1,
                          step_count=step_count, quad_order=quad_order)
     gap_check = approx_pipeline._consistency_gap
-    smoothings = approx_pipeline._knot_smoothings
     triple = MollifiedDensity.triple
-    calls = {"gap": [], "triple": 0, "tables": []}
-    inside = []
+    gap_args, got, want = [], [], []
+    seen = want
 
     def counted_gap(*args):
-        calls["gap"].append(args)
-        inside.append(True)
+        nonlocal seen
+        gap_args.append(args)
+        seen = got
         try:
             return gap_check(*args)
         finally:
-            inside.pop()
+            seen = want
 
-    def kept_smoothings(*args):
-        calls["tables"].append(smoothings(*args))
-        return calls["tables"][-1]
-
-    def counted_triple(self, lam, coords):
-        calls["triple"] += bool(inside)
-        return triple(self, lam, coords)
+    def recorded_triple(self, lam, coords):
+        out = triple(self, lam, coords)
+        seen.append((np.array(coords), out))
+        return out
 
     monkeypatch.setattr(approx_pipeline, "_consistency_gap", counted_gap)
-    monkeypatch.setattr(approx_pipeline, "_knot_smoothings", kept_smoothings)
-    monkeypatch.setattr(MollifiedDensity, "triple", counted_triple)
+    monkeypatch.setattr(MollifiedDensity, "triple", recorded_triple)
     rep = pipeline_run(exp_curve(grid, 0.0, 1.0), 0.3, 0.5, cfg, pool)
-    assert len(calls["gap"]) == 1
-    assert calls["triple"] == 1 << dyadic_level
+    assert len(gap_args) == 1 and len(got) == 1
+    del want[:]
+    gap, _ = consistency_gap_decomposed(*gap_args[0])
     monkeypatch.undo()
-    gap, (Z, M, _) = consistency_gap_decomposed(*calls["gap"][0])
-    [(got_Z, got_M)] = calls["tables"]
-    assert_bitwise(got_Z, Z)
-    assert_bitwise(got_M, M)
+    (coords, (v, _, du)), = got
+    knots = 1 << dyadic_level
+    per = coords.size // knots
+    # the oracle reads (eps + v) and du at each knot from two calls
+    assert len(want) == 2 * knots and per % 8 == 0
+    for i in range(knots):
+        (arg, (want_v, _, _)), (arg_z, (_, _, want_du)) = want[2 * i:2 * i + 2]
+        rows = slice(i * per, i * per + arg.size)
+        assert per - arg.size < 8
+        assert_bitwise(coords[rows], arg)
+        assert_bitwise(arg_z, arg)
+        assert_bitwise(v[rows], want_v)
+        assert_bitwise(du[rows], want_du)
     assert_bitwise(rep.gamma_consistency_gap, gap)
 
 
@@ -537,6 +585,36 @@ def test_ladders_seed_only_a_matching_report(monkeypatch):
                          pool, rep)
     ladders, seen = counting_ladders(monkeypatch, curve, 0.3, base, pool, rep)
     assert len(seen) == 7 and base in seen
+
+
+def test_run_units_keeps_input_order_and_reraises(monkeypatch):
+    """With more workers than CPUs and a short switch interval, every unit
+    runs exactly once and results keep the input order; a unit's exception
+    reaches the caller after every worker has joined."""
+    monkeypatch.setattr(approx_pipeline, "_cpu_count", lambda: 8)
+    ran = []
+
+    def unit(x):
+        ran.append(x)
+        return x * x
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = approx_pipeline._run_units(unit, list(range(300)))
+
+        def failing(x):
+            if x == 5:
+                raise KeyError(x)
+            return x
+
+        with pytest.raises(KeyError):
+            approx_pipeline._run_units(failing, list(range(50)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [x * x for x in range(300)]
+    assert sorted(ran) == list(range(300))
+    assert threading.active_count() == 1
 
 
 def test_committed_calibration_run_matches_the_code():
