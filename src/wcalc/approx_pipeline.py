@@ -29,15 +29,14 @@ call), and stages 4-7 read it from there by cubic Hermite interpolation:
 the per-path values behind stages 4 and 5 and the normalization constant,
 and every Gauss-Hermite node of the integrand tables. Stage 3 and the
 consistency check evaluate their densities directly (the check with one
-moll.triple call over every block knot's points), so it stays an
-independent measure of the tabulation. In stages 6 and 7 the integrand and its slope come from
+moll.triple call per block knot), so it stays an independent measure of
+the tabulation. In stages 6 and 7 the integrand and its slope come from
 clark_ocone.knot_tables on a uniform grid of the running terminal
 coordinate, read linearly along every path and exponentiated at every
 block knot (stage 6), then at every (2**dyadic_level / step_count)-th
 knot (stage 7): the two coincide when step_count equals 2**dyadic_level.
 final_errors_at builds the table at the step_count knots only.
-pipeline_run's parameter passes and the distinct ladder rungs run side by
-side, one per CPU; no output depends on the CPU count.
+Independent passes and ladder rungs share up to two threads, bitwise.
 
 Every stage reports L2(Q) distances to the target curve, both at a primary
 parameter value and integrated along a parameter segment.
@@ -65,9 +64,12 @@ from .wiener_grid import PathPool, TimeGrid, _block_edges, dyadic_coarsen
 
 _MOLL_NODES = 17
 _U_POINTS = 4097
-# Rows per MollifiedDensity.triple block. Its row products (rows, 17) @ (17,)
-# keep every row's bits when split at multiples of 8 rows, not at others.
+# Rows per MollifiedDensity.triple block: (rows, 17) @ (17,) keeps each row's
+# bits when split at multiples of 8 rows, not at others.
 _BLOCK_ROWS = 2048
+# Threads per _run_units call: each unit holds its own tables (peak RSS grew
+# 4.5 MB per thread at 10k paths, 35 MB at 100k); wall measured on 2 CPUs.
+_MAX_THREADS = 2
 _SEGMENT_NODES = 4
 _CHECK_PATHS = 128
 _GROSS_GAP = 5e-3
@@ -87,9 +89,10 @@ class PipelineConfig:
 
     dyadic_level: block filtration level; the working grid has 2**level
         blocks of fine steps.
-    truncation_level: cap/cutoff level for stage 3, finite, at least 3 and
-        at most 1023 * mollify_eps (the stage-4 u-table spacing stays
-        within mollify_eps / 2).
+    truncation_level: cap/cutoff level for stage 3, finite, in [3, 1023 *
+        mollify_eps]. The bound keeps the stage-4 u-table spacing within
+        mollify_eps / 2 only; reads are not accurate at every such level,
+        as the capped value bends within about 2 / (parameter * level).
     mollify_eps: kernel half-width for stage 4, in (0, 1).
     positivity_floor: stage-5 floor, in (0, 1].
     step_count: step intervals kept by stage 7; must divide the block count.
@@ -233,11 +236,10 @@ class TruncatedDensity:
               _cutoffs=None, _lam=None, _out=None):
         """(value, parameter derivative, coordinate derivative or None).
 
-        A caller that evaluates many parameters on the same coordinates
-        hands in what they share: _cutoffs from cutoffs(coords, want_du),
-        _lam the _lam_factors row at lam, and _out five work arrays shaped
-        like coords, which the result is written into (so it is valid until
-        the next call on them).
+        A caller evaluating many parameters on the same coordinates hands
+        in what they share: _cutoffs from cutoffs(coords, want_du), _lam the
+        _lam_factors row at lam, and _out five work arrays shaped like
+        coords, which the result is written into (valid until their reuse).
         """
         lev = self.level
         coords = np.asarray(coords, dtype=float)
@@ -245,10 +247,9 @@ class TruncatedDensity:
         cut, dcut, inner = _cutoffs or self.cutoffs(coords, want_du)
         h, dh, hu, tmp, pd = _out or [np.empty(coords.shape) for _ in range(5)]
         h, dh, hu = self.cond.parts(lam_c, coords, want_du, (h, dh, hu))
-        # Capped identity: on |h| <= level - 2 it is h + 0.0 (which turns
-        # -0.0 into +0.0, as sign(h) * |h| does) with slope 1.0, and a
-        # product with 1.0 is exact, so the formulas run only on the rest,
-        # NaN included. h, dh and hu become ph, dph * dh and dph * hu.
+        # Capped identity: on |h| <= level - 2 it is h + 0.0 (-0.0 becomes
+        # +0.0, as in sign(h) * |h|) with the exact slope 1.0, so the formulas
+        # run on the rest only, NaN included; h, dh, hu become ph, dph * dh/hu.
         outer = np.flatnonzero(~(np.abs(h, out=tmp) <= lev - 2.0))
         h_out = h[outer]
         slope = capped_identity_deriv(h_out, lev)
@@ -258,10 +259,9 @@ class TruncatedDensity:
         if want_du:
             hu[outer] *= slope
             np.multiply(h, dcut, out=pd)
-        # The products below associate left, as in ph * cut * cut_l, so
-        # sharing ph * cut and skipping every factor 1.0 (the coordinate
-        # cutoff on its inner slice, dlam_c and cut_l at every parameter
-        # inside level - 2) keeps every bit of the full formula.
+        # Products associate left (ph * cut * cut_l), so sharing ph * cut and
+        # skipping each factor 1.0 (the coordinate cutoff on its inner slice,
+        # dlam_c and cut_l inside level - 2) keeps every bit of the formula.
         if dlam_c != 1.0:
             dh *= dlam_c
         for arr in (h, dh, hu) if want_du else (h, dh):
@@ -290,8 +290,7 @@ class TruncatedDensity:
         return cut, dcut, slice(int(i0), int(i1))
 
     def _lam_factors(self, lams):
-        """One row (capped parameter, its slope, parameter cutoff, its
-        slope) of Python floats per parameter in lams."""
+        """Per parameter, [capped value, its slope, cutoff, its slope]."""
         lams = np.asarray(lams, dtype=float)
         return np.column_stack([f(lams, self.level) for f in (
             capped_identity, capped_identity_deriv, radial_cutoff,
@@ -308,9 +307,8 @@ class MollifiedDensity:
     shift structure lets every derivative land on the truncated functional
     itself), not separate quadratures, so value and derivative routes agree
     to roundoff. A call works through its points in blocks of _BLOCK_ROWS
-    rows, the last block taking the remainder. Per block, the coordinate
-    cutoffs and the work arrays are made once and serve every parameter
-    node; the parameter factors are made once per call.
+    rows (the last takes the remainder), making the coordinate cutoffs and
+    work arrays once per block and the parameter factors once per call.
     """
 
     def __init__(self, trunc: TruncatedDensity, eps: float):
@@ -675,34 +673,37 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
     )
 
 
+def _knot_smoothings(pool: PathPool, quad_order: int, fn):
+    """knot_tables' smoothing at every path's own position y (the prefix
+    sum, not pool.cumulative, which rounds differently): per array that fn
+    returns, the (paths, knots) table of E[f(B_T) | F_{t_i}]."""
+    grid = pool.grid
+    nodes, w = gauss_hermite(quad_order)
+    cols = []
+    for i in range(grid.n_steps):
+        y = pool.increments[:, :i].sum(axis=1)
+        var = float(grid.horizon - grid.knots[i])
+        arg = y[:, None] + np.sqrt(var) * nodes[None, :]
+        cols.append([np.asarray(f) @ w for f in fn(arg)])
+    return [np.column_stack(c) for c in zip(*cols)]
+
+
 def _consistency_gap(moll: MollifiedDensity, lam: float,
                      config: PipelineConfig, denom: float,
                      block_pool: PathPool, y_grid: np.ndarray,
                      gam_tab: np.ndarray) -> float:
     """Largest subsample discrepancy between the block-knot integrand table
     that stages 6 and 7 read and gamma = Z / M of the stage-5 density, both
-    conditional means E[. | F_{t_i}] at every path's own position y (the
-    prefix sum, not pool.cumulative, which rounds differently), from one
-    moll.triple call over every block knot's Gauss-Hermite points."""
+    conditional means from one moll.triple call per block knot."""
     m = min(_CHECK_PATHS, block_pool.n_samples)
     sub = block_pool.subset(np.arange(m))
-    grid = sub.grid
-    nodes, w = gauss_hermite(config.quad_order)
-    mq = m * nodes.size
-    # each knot's rows start at a multiple of 8, so the one call gives every
-    # row the bits of a call per knot (see _BLOCK_ROWS)
-    per = -(-mq // 8) * 8
-    arg = np.zeros((grid.n_steps, per))
-    for i in range(grid.n_steps):
-        y = sub.increments[:, :i].sum(axis=1)
-        var = float(grid.horizon - grid.knots[i])
-        arg[i, :mq] = (y[:, None] + np.sqrt(var) * nodes[None, :]).ravel()
-    v, _, du = moll.triple(lam, arg.ravel())
-    Z, M = np.empty((m, grid.n_steps)), np.empty((m, grid.n_steps))
-    for i in range(grid.n_steps):
-        knot = slice(i * per, i * per + mq)
-        Z[:, i] = (du[knot] / denom).reshape(m, -1) @ w
-        M[:, i] = ((config.positivity_floor + v[knot]) / denom).reshape(m, -1) @ w
+    floor = config.positivity_floor
+
+    def normalized(u):
+        v, _, du = moll.triple(lam, u.ravel())
+        return (du / denom).reshape(u.shape), ((floor + v) / denom).reshape(u.shape)
+
+    Z, M = _knot_smoothings(sub, config.quad_order, normalized)
     gam_read, = _read_knot_tables(sub, y_grid, (gam_tab,))
     gap = float(np.abs(Z / M - gam_read).max())
     if gap > _GROSS_GAP:
@@ -812,16 +813,16 @@ def pipeline_ladders(curve: DensityCurve, lam: float, config: PipelineConfig,
 
 def _cpu_count() -> int:
     """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _run_units(fn, units: list) -> list:
     """[fn(u) for u in units] in input order, computed on the calling thread
-    plus one worker thread per further CPU, each taking the next unit. A
-    unit's exception stops new units and is re-raised here once every
-    worker has joined, so no thread outlives the call."""
+    plus one worker thread per further CPU, up to _MAX_THREADS in all, each
+    taking the next unit. A unit's exception stops new units; once every
+    worker has joined, the first failure in input order is re-raised here
+    (every earlier unit has run), so no thread outlives the call."""
     results = [None] * len(units)
     failures = []
     lock = threading.Lock()
@@ -837,15 +838,15 @@ def _run_units(fn, units: list) -> list:
                 results[i] = fn(units[i])
             except BaseException as exc:  # re-raised on the calling thread
                 with lock:
-                    failures.append(exc)
+                    failures.append((i, exc))
 
     workers = [threading.Thread(target=work)
-               for _ in range(min(_cpu_count(), len(units)) - 1)]
+               for _ in range(min(_cpu_count(), _MAX_THREADS, len(units)) - 1)]
     for t in workers:
         t.start()
     work()
     for t in workers:
         t.join()
     if failures:
-        raise failures[0]
+        raise min(failures, key=lambda f: f[0])[1]
     return results

@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -287,58 +288,50 @@ def test_consistency_gap_detects_a_skewed_u_table(monkeypatch):
 
 
 @pytest.mark.parametrize("dyadic_level,step_count,quad_order,n_paths",
-                         [(2, 4, 16, 2000), (3, 2, 32, 1000), (3, 8, 3, 100)])
-def test_consistency_gap_reads_one_triple_per_gap(
+                         [(2, 4, 16, 2000), (3, 2, 32, 1000)])
+def test_consistency_gap_reads_one_triple_per_block_knot(
         monkeypatch, dyadic_level, step_count, quad_order, n_paths):
-    """The check makes exactly one moll.triple call, over every block
-    knot's Gauss-Hermite points. Each knot's rows start at a multiple of 8
-    (padded when the subsample is under 128 paths) and equal, bitwise, the
-    call per knot that the decomposition of the stage-5 density as an
-    endpoint functional makes; the gap equals that decomposition's."""
+    """The check's Z, M and gap equal the decomposition of the stage-5
+    density as an endpoint functional bitwise, from exactly one
+    moll.triple call per block knot."""
     grid = make_grid(8)
     pool = sample_paths(grid, n_paths, seed=35)
     cfg = PipelineConfig(dyadic_level=dyadic_level, truncation_level=6.0,
                          mollify_eps=0.1, positivity_floor=0.1,
                          step_count=step_count, quad_order=quad_order)
     gap_check = approx_pipeline._consistency_gap
+    smoothings = approx_pipeline._knot_smoothings
     triple = MollifiedDensity.triple
-    gap_args, got, want = [], [], []
-    seen = want
+    calls = {"gap": [], "triple": 0, "tables": []}
+    inside = []
 
     def counted_gap(*args):
-        nonlocal seen
-        gap_args.append(args)
-        seen = got
+        calls["gap"].append(args)
+        inside.append(True)
         try:
             return gap_check(*args)
         finally:
-            seen = want
+            inside.pop()
 
-    def recorded_triple(self, lam, coords):
-        out = triple(self, lam, coords)
-        seen.append((np.array(coords), out))
-        return out
+    def kept_smoothings(*args):
+        calls["tables"].append(smoothings(*args))
+        return calls["tables"][-1]
+
+    def counted_triple(self, lam, coords):
+        calls["triple"] += bool(inside)
+        return triple(self, lam, coords)
 
     monkeypatch.setattr(approx_pipeline, "_consistency_gap", counted_gap)
-    monkeypatch.setattr(MollifiedDensity, "triple", recorded_triple)
+    monkeypatch.setattr(approx_pipeline, "_knot_smoothings", kept_smoothings)
+    monkeypatch.setattr(MollifiedDensity, "triple", counted_triple)
     rep = pipeline_run(exp_curve(grid, 0.0, 1.0), 0.3, 0.5, cfg, pool)
-    assert len(gap_args) == 1 and len(got) == 1
-    del want[:]
-    gap, _ = consistency_gap_decomposed(*gap_args[0])
+    assert len(calls["gap"]) == 1
+    assert calls["triple"] == 1 << dyadic_level
     monkeypatch.undo()
-    (coords, (v, _, du)), = got
-    knots = 1 << dyadic_level
-    per = coords.size // knots
-    # the oracle reads (eps + v) and du at each knot from two calls
-    assert len(want) == 2 * knots and per % 8 == 0
-    for i in range(knots):
-        (arg, (want_v, _, _)), (arg_z, (_, _, want_du)) = want[2 * i:2 * i + 2]
-        rows = slice(i * per, i * per + arg.size)
-        assert per - arg.size < 8
-        assert_bitwise(coords[rows], arg)
-        assert_bitwise(arg_z, arg)
-        assert_bitwise(v[rows], want_v)
-        assert_bitwise(du[rows], want_du)
+    gap, (Z, M, _) = consistency_gap_decomposed(*calls["gap"][0])
+    [(got_Z, got_M)] = calls["tables"]
+    assert_bitwise(got_Z, Z)
+    assert_bitwise(got_M, M)
     assert_bitwise(rep.gamma_consistency_gap, gap)
 
 
@@ -590,8 +583,10 @@ def test_ladders_seed_only_a_matching_report(monkeypatch):
 def test_run_units_keeps_input_order_and_reraises(monkeypatch):
     """With more workers than CPUs and a short switch interval, every unit
     runs exactly once and results keep the input order; a unit's exception
-    reaches the caller after every worker has joined."""
+    reaches the caller after every worker has joined, and of two failures
+    the first in input order does, whichever failed first in time."""
     monkeypatch.setattr(approx_pipeline, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(approx_pipeline, "_MAX_THREADS", 8)
     ran = []
 
     def unit(x):
@@ -610,6 +605,20 @@ def test_run_units_keeps_input_order_and_reraises(monkeypatch):
 
         with pytest.raises(KeyError):
             approx_pipeline._run_units(failing, list(range(50)))
+        later_failed = threading.Event()
+
+        def failing_late(x):
+            if x == 0:  # fails after unit 1 has
+                later_failed.wait(5)
+                time.sleep(0.1)
+                raise KeyError(x)
+            if x == 1:
+                later_failed.set()
+                raise ValueError(x)
+            return x
+
+        with pytest.raises(KeyError):
+            approx_pipeline._run_units(failing_late, list(range(4)))
     finally:
         sys.setswitchinterval(interval)
     assert got == [x * x for x in range(300)]
