@@ -24,8 +24,10 @@ approximate the curve and its parameter derivative in L2(Q):
 Stages 1-4 therefore act on one coordinate. The stage-4 density is a
 function of (parameter, terminal coordinate u) alone and vanishes for
 |u| >= truncation level + mollification width, so it is tabulated once per
-parameter value on a uniform u-grid over that support (one quadrature
-call), and stages 4-7 read it from there by cubic Hermite interpolation:
+parameter value on a uniform u-lattice over that support, which the
+mollifier's B_T nodes step along (one truncated-density evaluation per
+lattice point and parameter node), and stages 4-7 read it from there by
+cubic Hermite interpolation:
 the per-path values behind stages 4 and 5 and the normalization constant,
 and every Gauss-Hermite node of the integrand tables. Stage 3 and the
 consistency check evaluate their densities directly (the check with one
@@ -56,15 +58,18 @@ from .artifacts import atomic_write_csv, atomic_write_json
 from .clark_ocone import _table_y_grid, knot_tables
 from .density_deriv import DensityCurve
 from .girsanov import StepProcess, doleans_exponential, table_process
-from .numerics import (bump_quad_1d, capped_identity, capped_identity_deriv,
-                       gauss_hermite, gauss_legendre, radial_cutoff,
-                       mean_and_se, radial_cutoff_deriv, row_sums,
-                       uniform_cell, uniform_interp)
+from .numerics import (bump_lattice_1d, bump_quad_1d, capped_identity,
+                       capped_identity_deriv, gauss_hermite, gauss_legendre,
+                       radial_cutoff, mean_and_se, radial_cutoff_deriv,
+                       row_sums, uniform_cell, uniform_interp)
 from .wiener_grid import PathPool, TimeGrid, _block_edges, dyadic_coarsen
 
 _MOLL_NODES = 17
+# Coordinate nodes of the mollifier sit at j / _LATTICE_CELLS kernel widths
+_LATTICE_CELLS = 16
+# A u-table's spacing is at most 2 S / (_U_POINTS - 1)
 _U_POINTS = 4097
-# Rows per MollifiedDensity.triple block: (rows, 17) @ (17,) keeps each row's
+# Rows per MollifiedDensity.triple block: (rows, 31) @ (31,) keeps each row's
 # bits when split at multiples of 8 rows, not at others.
 _BLOCK_ROWS = 2048
 # Threads per _run_units call: each unit holds its own tables (peak RSS grew
@@ -90,9 +95,10 @@ class PipelineConfig:
     dyadic_level: block filtration level; the working grid has 2**level
         blocks of fine steps.
     truncation_level: cap/cutoff level for stage 3, finite, in [3, 1023 *
-        mollify_eps]. The bound keeps the stage-4 u-table spacing within
-        mollify_eps / 2 only; reads are not accurate at every such level,
-        as the capped value bends within about 2 / (parameter * level).
+        mollify_eps]. The stage-4 u-table spacing is at most mollify_eps /
+        16 by construction, so the bound caps its lattice at about 32 * 1024
+        points; reads are not accurate at every such level, as the capped
+        value bends within about 2 / (parameter * level).
     mollify_eps: kernel half-width for stage 4, in (0, 1).
     positivity_floor: stage-5 floor, in (0, 1].
     step_count: step intervals kept by stage 7; must divide the block count.
@@ -116,11 +122,10 @@ class PipelineConfig:
             raise ValueError("truncation_level must be finite and >= 3")
         if not 0.0 < self.mollify_eps < 1.0:
             raise ValueError("mollify_eps must lie in (0, 1)")
-        if 2.0 * (self.truncation_level + self.mollify_eps) / (_U_POINTS - 1) \
-                > self.mollify_eps / 2.0:
+        if self.truncation_level > 1023 * self.mollify_eps:
             raise ValueError("truncation_level must be at most 1023 * "
-                             "mollify_eps: the stage-4 u-table spacing must "
-                             "not exceed mollify_eps / 2")
+                             "mollify_eps: the stage-4 u-table must not "
+                             "exceed about 32 * 1024 points")
         if not 0.0 < self.positivity_floor <= 1.0:
             raise ValueError("positivity_floor must lie in (0, 1]")
         blocks = 1 << self.dyadic_level
@@ -300,15 +305,18 @@ class TruncatedDensity:
 class MollifiedDensity:
     """Joint parameter/coordinate mollification against a compact bump.
 
-    Evaluation is a fixed tensor quadrature over the kernel support in the
-    parameter and the terminal coordinate, making the object a finite
-    smooth combination of shifted copies of the truncated functional. Its
-    derivatives are the exact derivatives of that finite combination (the
-    shift structure lets every derivative land on the truncated functional
-    itself), not separate quadratures, so value and derivative routes agree
-    to roundoff. A call works through its points in blocks of _BLOCK_ROWS
-    rows (the last takes the remainder), making the coordinate cutoffs and
-    work arrays once per block and the parameter factors once per call.
+    Evaluation is a fixed tensor quadrature over the kernel support: the
+    17-node Gauss-Legendre bump rule in the parameter and the trapezoid
+    bump rule at the nodes j / 16, |j| <= 15, in the terminal coordinate,
+    making the object a finite smooth combination of shifted copies of the
+    truncated functional. Its derivatives are the exact derivatives of that
+    finite combination (the shift structure lets every derivative land on
+    the truncated functional itself), not separate quadratures, so value
+    and derivative routes agree to roundoff. triple works through its points
+    in blocks of _BLOCK_ROWS rows (the last takes the remainder), making the
+    coordinate cutoffs and work arrays once per block and the parameter
+    factors once per call. lattice_triple serves a lattice that refines
+    the coordinate nodes, on which shifted points coincide.
     """
 
     def __init__(self, trunc: TruncatedDensity, eps: float):
@@ -318,25 +326,50 @@ class MollifiedDensity:
         self.eps = float(eps)
         self.n_coords = trunc.n_coords
         self._alpha, self._wa = bump_quad_1d(_MOLL_NODES)
+        self._beta, self._wb = bump_lattice_1d(_LATTICE_CELLS)
 
     def triple(self, lam: float, coords: np.ndarray):
         """(value, parameter derivative, coordinate derivative) at coords."""
         X = np.asarray(coords, dtype=float)
         m = X.shape[0]
-        n_cells = self._wa.size
+        n_cells = self._wb.size
         lams = lam - self.eps * self._alpha
         factors = self.trunc._lam_factors(lams)
         out = (np.zeros(m), np.zeros(m), np.zeros(m))
         for s in range(0, m, _BLOCK_ROWS):
             e = min(s + _BLOCK_ROWS, m)
-            flat = (X[s:e, None] - self.eps * self._alpha[None, :]).reshape(-1)
+            flat = (X[s:e, None] - self.eps * self._beta[None, :]).reshape(-1)
             cutoffs = self.trunc.cutoffs(flat, True)
             work = [np.empty(flat.size) for _ in range(5)]
             for la, fac, wa in zip(lams, factors, self._wa):
                 parts = self.trunc.parts(la, flat, True, _cutoffs=cutoffs,
                                          _lam=fac, _out=work)
                 for acc, p in zip(out, parts):
-                    acc[s:e] += wa * (p.reshape(e - s, n_cells) @ self._wa)
+                    acc[s:e] += wa * (p.reshape(e - s, n_cells) @ self._wb)
+        return out
+
+    def lattice_triple(self, lam: float, k: int, n: int):
+        """triple, to roundoff, at the lattice points h * arange(-n, n + 1),
+        h = eps / 16 / k. Every coordinate node shifts a point by whole
+        lattice steps, so the truncated density is evaluated once per
+        parameter node on the lattice widened by the largest shift; the
+        parameter sum comes first, and the coordinate sum adds shifted
+        slices of it."""
+        reach = (self._beta.size // 2) * k
+        wide = self.eps / _LATTICE_CELLS / k * np.arange(-n - reach,
+                                                         n + reach + 1)
+        cutoffs = self.trunc.cutoffs(wide, True)
+        work = [np.empty(wide.size) for _ in range(5)]
+        lams = lam - self.eps * self._alpha
+        sums = [np.zeros(wide.size) for _ in range(3)]
+        for la, fac, wa in zip(lams, self.trunc._lam_factors(lams), self._wa):
+            for acc, p in zip(sums, self.trunc.parts(
+                    la, wide, True, _cutoffs=cutoffs, _lam=fac, _out=work)):
+                acc += wa * p
+        out = [np.zeros(2 * n + 1) for _ in range(3)]
+        for i, wb in enumerate(self._wb):  # node (i - 15) / 16: (i - 15) k steps
+            for acc, p in zip(out, sums):
+                acc += wb * p[2 * reach - i * k:][:2 * n + 1]
         return out
 
 
@@ -361,20 +394,25 @@ class _UTable:
     coordinate u.
 
     The density vanishes for |u| >= S = truncation level + mollification
-    width, so one moll.triple call on _U_POINTS uniform points over [-S, S]
-    holds all of it. Reads are piecewise cubic Hermite: the value through
-    the exact u-derivative column, the parameter and u-derivatives through
-    fourth-order central differences of their own columns, which zero
-    padding makes exact at the ends. A read at a grid node returns the
-    table entry bitwise, and every read at or beyond +-S is exactly 0.
+    width, so one moll.lattice_triple call on h * arange(-n, n + 1),
+    n = ceil(S / h), holds all of it; h = eps / 16 / k, the coarsest such
+    spacing within 2 S / (_U_POINTS - 1). Reads are piecewise cubic
+    Hermite: the value through the exact u-derivative column, the parameter
+    and u-derivatives through fourth-order central differences of their own
+    columns, which zero padding makes exact at the ends. A read at a grid
+    node returns the table entry bitwise, and every read at or beyond +-S
+    is exactly 0.
     """
 
     def __init__(self, moll: MollifiedDensity, lam: float):
         S = moll.trunc.level + moll.eps
         self.half_width = S
-        self.grid = np.linspace(-S, S, _U_POINTS)
-        self.h = 2.0 * S / (_U_POINTS - 1)
-        v, dl, du = moll.triple(lam, self.grid)
+        cell = moll.eps / _LATTICE_CELLS
+        k = int(np.ceil(cell / (2.0 * S / (_U_POINTS - 1))))
+        self.h = cell / k
+        n = int(np.ceil(S / self.h))
+        self.grid = self.h * np.arange(-n, n + 1)
+        v, dl, du = moll.lattice_triple(lam, k, n)
         # (interval, power of t, column): one gather per read serves all three
         self._coef = np.stack([_hermite_coefs(v, du * self.h),
                                _hermite_coefs(dl, _central_slopes(dl)),

@@ -313,3 +313,14 @@ def bump_quad_1d(n_nodes: int = 9):
     x, w = gauss_legendre(n_nodes)
     bw = w * bump_kernel(x)
     return x, bw / bw.sum()
+
+
+@lru_cache(maxsize=32)
+def bump_lattice_1d(cells: int):
+    """Nodes/weights on [-1,1] for averaging against the bump kernel: the
+    trapezoid rule at the nodes j / cells, |j| < cells (the kernel vanishes
+    at +-1), discretely normalized. Every node lies on the lattice
+    Z / (cells * k) for any positive integer k."""
+    x = np.arange(1 - cells, cells) / cells
+    w = bump_kernel(x)
+    return x, w / w.sum()

@@ -217,23 +217,28 @@ def truncated_parts(trunc, lam, coords, want_du):
     return val, dlam, du
 
 
-def mollified_acc(moll, lam, coords, want_du):
-    """MollifiedDensity's quadrature with the coordinate cutoffs recomputed
-    at every parameter node, through truncated_parts."""
+def mollified_acc(moll, lam, coords, want_du, rules=None):
+    """MollifiedDensity's quadrature, its parameter rule over its coordinate
+    rule, with the coordinate cutoffs recomputed at every parameter node,
+    through truncated_parts. rules, when given, is a pair of (nodes,
+    weights) on [-1, 1], for the parameter and the coordinate, used in
+    place of moll's."""
+    (alpha, wa_all), (beta, wb) = rules or ((moll._alpha, moll._wa),
+                                            (moll._beta, moll._wb))
     X = np.asarray(coords, dtype=float)
     m = X.shape[0]
-    n_cells = moll._wa.size
-    flat = (X[:, None] - moll.eps * moll._alpha[None, :]).reshape(-1)
+    n_cells = wb.size
+    flat = (X[:, None] - moll.eps * beta[None, :]).reshape(-1)
     outv = np.zeros(m)
     outl = np.zeros(m)
     outu = np.zeros(m) if want_du else None
-    for a, wa in zip(moll._alpha, moll._wa):
+    for a, wa in zip(alpha, wa_all):
         v, dl, du = truncated_parts(moll.trunc, lam - moll.eps * a, flat,
                                     want_du)
-        outv += wa * (v.reshape(m, n_cells) @ moll._wa)
-        outl += wa * (dl.reshape(m, n_cells) @ moll._wa)
+        outv += wa * (v.reshape(m, n_cells) @ wb)
+        outl += wa * (dl.reshape(m, n_cells) @ wb)
         if want_du:
-            outu += wa * (du.reshape(m, n_cells) @ moll._wa)
+            outu += wa * (du.reshape(m, n_cells) @ wb)
     return outv, outl, outu
 
 

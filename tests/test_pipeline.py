@@ -18,7 +18,7 @@ from wcalc import (make_grid, sample_paths, dyadic_coarsen,
                    stage7_stepify, final_errors_at, doleans_exponential,
                    pipeline_ladders, DEFAULT_THRESHOLDS)
 from wcalc import approx_pipeline
-from wcalc.numerics import row_sums
+from wcalc.numerics import bump_lattice_1d, bump_quad_1d, row_sums
 
 from oracles import (assert_bitwise, consistency_gap_decomposed, mollified_acc,
                      read_table_interp, truncated_parts)
@@ -42,7 +42,8 @@ def test_config_validation():
                      ("truncation_level", np.inf)]:
         with pytest.raises(ValueError):
             PipelineConfig(**{**good, key: bad})
-    # the u-table spacing 2 (level + eps) / 4096 may reach eps / 2, no more
+    # the level may reach 1023 * eps, where the u-table has 32 * 1024 + 1
+    # points, no more
     PipelineConfig(**{**good, "truncation_level": 1023 * 0.1})
     for level in (102.31, 1e6, 1e308):
         with pytest.raises(ValueError, match="truncation_level.*mollify_eps"):
@@ -128,8 +129,8 @@ def test_stage4_matches_the_recomputing_oracle(level, eps):
 
 
 def test_stage4_row_blocks_keep_the_bits_on_the_u_grid():
-    """On the 4097-point u-grid, which spans three row blocks, triple equals
-    the unblocked quadrature bitwise."""
+    """On 4097 uniform points over the reference support, which span three
+    row blocks, triple equals the unblocked quadrature bitwise."""
     grid = make_grid(8)
     pool = sample_paths(grid, 500, seed=13)
     moll = reference_moll(pool)
@@ -183,26 +184,107 @@ def reference_moll(pool):
     return MollifiedDensity(TruncatedDensity(cond, 6.0), 0.1)
 
 
-def test_u_table_reads_its_nodes_bitwise_and_zero_outside():
+def lattice_size(level, eps):
+    """(k, n) of the u-table at truncation level and width eps: the spacing
+    h = eps / 16 / k is the coarsest such one within 2 S / 4096, and the
+    lattice h * arange(-n, n + 1) is the shortest that reaches +-S."""
+    S = level + eps
+    k = int(np.ceil(eps / 16 / (2.0 * S / 4096)))
+    return k, int(np.ceil(S / (eps / 16 / k)))
+
+
+# Largest |lattice_triple - triple| over a column's nodes, over its largest
+# |triple|, measured at the five tables below at parameters 0.3 and 0.7:
+# 1.2e-15 (the two routes add the same terms in another order)
+_LATTICE_ROUNDOFF = 1e-14
+
+
+@pytest.mark.parametrize("level,eps", [(6.0, 0.1), (4.0, 0.1), (8.0, 0.1),
+                                       (6.0, 0.4), (6.0, 0.2)])
+def test_u_table_reads_its_nodes_bitwise_and_zero_outside(level, eps):
+    """At the reference config and the ladder tables, the grid is the
+    lattice, a read at a node returns the table entry (lattice_triple's
+    value there) bitwise, the entries equal direct triple to roundoff, and
+    reads at and beyond +-S are exactly 0."""
+    grid = make_grid(8)
+    pool = sample_paths(grid, 500, seed=30)
+    cond = ConditionedDensity(exp_curve(grid, 0.0, 1.0), 3, pool)
+    moll = MollifiedDensity(TruncatedDensity(cond, level), eps)
+    k, n = lattice_size(level, eps)
+    for lam in (0.3, 0.7):
+        table = approx_pipeline._UTable(moll, lam)
+        S = table.half_width
+        assert S == level + eps and table.h == eps / 16 / k
+        assert_bitwise(table.grid, table.h * np.arange(-n, n + 1))
+        assert table.grid[-1] >= S > table.grid[-2]
+        entries = moll.lattice_triple(lam, k, n)
+        inside = np.abs(table.grid) < S
+        for got, entry, want in zip(table.read(table.grid), entries,
+                                    moll.triple(lam, table.grid)):
+            assert_bitwise(got[inside], entry[inside])
+            assert np.all(got[~inside] == 0.0)
+            assert np.max(np.abs(entry - want)) \
+                <= _LATTICE_ROUNDOFF * np.max(np.abs(want))
+        far = np.array([-np.inf, -S - 1.0, -S, S, np.nextafter(S, 9.0), 9.0])
+        for got in table.read(far):
+            assert_bitwise(got, np.zeros(far.size))
+    if (level, eps) == (6.0, 0.1):
+        assert table.grid.size == 5857
+
+
+def test_u_table_build_evaluates_the_truncated_density_once_per_node(
+        monkeypatch):
+    """One u-table build at the reference config makes 17 truncated-density
+    calls, one per parameter node, each on the 2n + 1 lattice points
+    widened by 15 coordinate steps of k points on each side, and no direct
+    moll.triple call."""
     grid = make_grid(8)
     moll = reference_moll(sample_paths(grid, 500, seed=30))
-    table = approx_pipeline._UTable(moll, 0.3)
-    S = table.half_width
-    assert S == 6.1 and table.grid.size == approx_pipeline._U_POINTS
-    assert table.grid[0] == -S and table.grid[-1] == S
-    for got, want in zip(table.read(table.grid), moll.triple(0.3, table.grid)):
-        assert_bitwise(got, want)
-    far = np.array([-np.inf, -S - 1.0, -S, S, np.nextafter(S, 7.0), 9.0])
-    for got in table.read(far):
-        assert_bitwise(got, np.zeros(far.size))
+    sizes, direct = [], []
+    parts, triple = TruncatedDensity.parts, MollifiedDensity.triple
+
+    def counting_parts(self, lam, coords, *args, **kwargs):
+        sizes.append(np.size(coords))
+        return parts(self, lam, coords, *args, **kwargs)
+
+    def counting_triple(self, lam, coords):
+        direct.append(np.size(coords))
+        return triple(self, lam, coords)
+
+    monkeypatch.setattr(TruncatedDensity, "parts", counting_parts)
+    monkeypatch.setattr(MollifiedDensity, "triple", counting_triple)
+    approx_pipeline._UTable(moll, 0.3)
+    k, n = lattice_size(6.0, 0.1)
+    assert sizes == [2 * n + 1 + 30 * k] * 17 and direct == []
+
+
+def test_lattice_rule_is_no_less_accurate_than_the_rule_it_replaced():
+    """Against a fine tensor trapezoid-bump reference (nodes j / 96 on both
+    axes), the mollifier's rules (17-node Gauss-Legendre bump in the
+    parameter, trapezoid bump at j / 16 in B_T) err at most 1.5 times as
+    much in value, parameter and B_T derivative as the 17 x 17
+    Gauss-Legendre bump rule, at 41 points across the reference support.
+    Measured ratios: 1.04 / 1.00 / 1.00 at 0.3 and 0.86 / 0.91 / 0.29 at
+    0.7; 15-node trapezoid bump rules on both axes read 5.7 to 109."""
+    grid = make_grid(8)
+    moll = reference_moll(sample_paths(grid, 500, seed=31))
+    u = np.linspace(-6.1, 6.1, 41)
+    fine = bump_lattice_1d(96)
+    gl = bump_quad_1d(17)
+    for lam in (0.3, 0.7):
+        ref = mollified_acc(moll, lam, u, True, (fine, fine))
+        errs = [[np.max(np.abs(g - r)) for g, r in
+                 zip(mollified_acc(moll, lam, u, True, rules), ref)]
+                for rules in ((gl, bump_lattice_1d(16)), (gl, gl))]
+        for new, old in zip(*errs):
+            assert new <= 1.5 * old
 
 
 # Largest |read - direct| measured over the points of the test below
-# (value, lam-derivative, u-derivative): 6.8e-10, 7.1e-8 and 1.5e-6. The
-# u-derivative error sits where the radial cutoff starts (|u| near 4), and
-# is the interpolant's own: exact node slopes still leave 6.5e-7 there.
-# The bounds are four times the measurement.
-_U_TABLE_BOUNDS = (3e-9, 3e-7, 6e-6)
+# (value, lam-derivative, u-derivative): 1.5e-11, 1.0e-8 and 2.4e-7 (at
+# 0.3, 5.1e-12, 1.6e-10 and 2.2e-7 on the random points). The bounds are
+# four times the measurement.
+_U_TABLE_BOUNDS = (6e-11, 4.2e-8, 9.5e-7)
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.7])
@@ -227,8 +309,9 @@ def test_u_table_reads_match_direct_evaluation(lam):
 
 def test_u_table_reads_match_direct_evaluation_at_the_widest_spacing():
     """At the reference level 6 and the smallest width the config accepts,
-    6/1023, the table spacing is exactly eps/2, and reads stay within the
-    bounds above (measured 4.7e-10, 1.9e-8 and 5.4e-7)."""
+    6/1023, the lattice takes its widest spacing relative to the width,
+    eps/16, and its most points, 32 * 1024 + 1, and reads stay within the
+    bounds above (measured 7.9e-14, 6.4e-12 and 2.1e-9)."""
     grid = make_grid(8)
     pool = sample_paths(grid, 1000, seed=31)
     eps = 6.0 / 1023
@@ -237,7 +320,7 @@ def test_u_table_reads_match_direct_evaluation_at_the_widest_spacing():
     cond = ConditionedDensity(exp_curve(grid, 0.0, 1.0), 3, pool)
     moll = MollifiedDensity(TruncatedDensity(cond, 6.0), eps)
     table = approx_pipeline._UTable(moll, 0.7)
-    assert table.h == eps / 2
+    assert table.h == eps / 16 and table.grid.size == 32 * 1024 + 1
     pts = np.random.default_rng(32).uniform(-table.half_width,
                                             table.half_width, 4000)
     for got, want, bound in zip(table.read(pts), moll.triple(0.7, pts),
