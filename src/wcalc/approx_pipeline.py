@@ -36,7 +36,8 @@ the tabulation. In stages 6 and 7 the integrand and its slope come from
 clark_ocone.knot_tables on a uniform grid of the running terminal
 coordinate, read linearly along every path and exponentiated at every
 block knot (stage 6), then at every (2**dyadic_level / step_count)-th
-knot (stage 7): the two coincide when step_count equals 2**dyadic_level.
+knot (stage 7): the two coincide when step_count equals 2**dyadic_level,
+and then stage 7 reuses stage 6's exponential.
 final_errors_at builds the table at the step_count knots only.
 Independent passes and ladder rungs share up to two threads, bitwise.
 
@@ -511,9 +512,12 @@ def integrand_tables(table: _UTable, eps_pos: float,
 def _read_knot_tables(pool: PathPool, y_grid: np.ndarray, tables):
     """Row k of each per-knot y-table read at the paths' positions at knot k."""
     left = pool.cumulative[:, :-1]
-    cols = [uniform_interp(left[:, k], y_grid, [tab[k] for tab in tables])
-            for k in range(left.shape[1])]
-    return [np.column_stack(c) for c in zip(*cols)]
+    outs = [np.empty(left.shape) for _ in tables]
+    for k in range(left.shape[1]):
+        cols = uniform_interp(left[:, k], y_grid, [tab[k] for tab in tables])
+        for out, col in zip(outs, cols):
+            out[:, k] = col
+    return outs
 
 
 def _exponential_slope(pool: PathPool, gamma: np.ndarray,
@@ -533,23 +537,24 @@ def _exponentials(table: _UTable, config: PipelineConfig,
     The integrand and its slope are tabulated at the knots of pools[0] and
     read at every path's left-knot position. Each pool in `pools` keeps
     every (n/k)-th of those columns, k being its step count, and gets
-    (E, dE/dlam) on its own increments. Returns that list and the
-    integrand table.
+    (E, dE/dlam) on its own increments, computed once per distinct pool
+    object. Returns that list and the integrand table.
     """
     grid = pools[0].grid
     gam_tab, dgam_tab = integrand_tables(
         table, config.positivity_floor, denom, ddenom, grid.knots[:-1],
         grid.horizon, config.quad_order, y_grid)
     g, dg = _read_knot_tables(pools[0], y_grid, (gam_tab, dgam_tab))
-    out = []
+    out = {}
     for pool in pools:
-        stride = grid.n_steps // pool.grid.n_steps
-        # a copy of the horizon column, so the knot table is freed
-        E = doleans_exponential(
-            pool, stage7_stepify(grid, g, pool.grid.n_steps))[:, -1].copy()
-        out.append((E, E * _exponential_slope(pool, g[:, ::stride],
-                                              dg[:, ::stride])))
-    return out, gam_tab
+        if id(pool) not in out:
+            stride = grid.n_steps // pool.grid.n_steps
+            # a copy of the horizon column, so the knot table is freed
+            E = doleans_exponential(
+                pool, stage7_stepify(grid, g, pool.grid.n_steps))[:, -1].copy()
+            out[id(pool)] = (E, E * _exponential_slope(pool, g[:, ::stride],
+                                                       dg[:, ::stride]))
+    return [out[id(pool)] for pool in pools], gam_tab
 
 
 def _mollified(curve: DensityCurve, config: PipelineConfig,
@@ -646,7 +651,9 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
 
     u_fine = row_sums(pool.increments)
     block_pool = dyadic_coarsen(pool, config.dyadic_level)
-    k_pool = dyadic_coarsen(pool, config.step_count.bit_length() - 1)
+    # stage 7 is stage 6 here: one pool, so one exponential per pass
+    k_pool = (block_pool if config.step_count == 1 << config.dyadic_level
+              else dyadic_coarsen(pool, config.step_count.bit_length() - 1))
     stride = block_pool.grid.n_steps // config.step_count
     y_grid = _table_y_grid(block_pool.cumulative[:, :-1])
 

@@ -126,8 +126,8 @@ def sample_paths(grid: TimeGrid, n_samples: int, seed: int) -> PathPool:
         raise ValueError("n_samples must be >= 1")
     rng = substream(seed, 0)
     z = rng.standard_normal((n_samples, grid.n_steps))
-    inc = z * np.sqrt(grid.steps)
-    return _pool_from_increments(grid, inc)
+    z *= np.sqrt(grid.steps)
+    return _pool_from_increments(grid, z)
 
 
 def brownian_at(pool: PathPool, t: float) -> np.ndarray:

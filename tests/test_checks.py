@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wcalc import (CheckRecord, CHECKS, CylindricalFn, run_check, checks,
-                   density_deriv, density_functional, make_grid, measure_ops,
+                   clark_ocone, density_deriv, density_functional, make_grid, measure_ops,
                    sample_paths)
 from oracles import assert_bitwise, check_chain_rule_per_call, \
     check_chain_rule_per_shard, check_lemma34_pooled, \
@@ -261,6 +262,38 @@ def test_representation_shares_one_mesh_bitwise(seed):
     for f, out in zip(fs, got):
         assert_bitwise(out, multidim_derivative_repr_single(
             f, endpoint, loading, pool, quad_order=12))
+
+
+def test_representation_does_not_depend_on_the_row_budget(monkeypatch):
+    """gaussian_smooth's chunks hold a multiple of 8 prefix rows, so the
+    battery's projections (144 mesh nodes a row at knot 1, 12 at knots 2
+    and 3, 4000 rows) are bitwise the same at budgets of 2**10, 2**14 and
+    2**18 mesh rows: 8, 112 and 1816 rows a chunk at knot 1."""
+    grid = make_grid(4)
+    pool = sample_paths(grid, 4000, 20260815 + 11)
+    fs = checks._plane_functionals()[:2]
+    endpoint = checks._exp_density(grid.horizon)
+    outs = []
+    for budget in (1 << 10, 1 << 14, 1 << 18):
+        monkeypatch.setattr(clark_ocone, "_ROW_BUDGET", budget)
+        outs.append(density_deriv.multidim_derivative_repr(
+            fs, endpoint, checks._repr_loading(grid), pool, quad_order=12))
+    for got in outs[1:]:
+        for g, w in zip(got, outs[0]):
+            assert_bitwise(g, w)
+
+
+def test_representation_check_stays_cache_sized():
+    """The representation records' traced peak stays below 8 MB: the mesh
+    chunks are cache-sized (a warm peak of 3.4 MB at a 2**14-row budget,
+    against 32.8 MB at 2**18), so a larger budget shows here."""
+    tracemalloc.start()
+    try:
+        checks._repr_records(20260815)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 @pytest.mark.parametrize("seed", [20260815, 3, 4])

@@ -174,9 +174,9 @@ def test_tensor_route_integrates_knot_zero_once():
 
 
 def test_tensor_route_chunking_does_not_move_the_result(monkeypatch):
-    """A budget of three rows per chunk splits ten rows 3 + 3 + 3 + 1. The
-    identity loading projects onto every remaining interval, so it
-    reproduces the axis-aligned oracle mesh to roundoff."""
+    """A budget of eight rows per chunk, the fewest a chunk holds, splits
+    ten rows 8 + 2. The identity loading projects onto every remaining
+    interval, so it reproduces the axis-aligned oracle mesh to roundoff."""
     grid = make_grid(4)
     component, loading = coupled_functional(4)
     inc = sample_paths(grid, 10, seed=41).increments
@@ -185,7 +185,7 @@ def test_tensor_route_chunking_does_not_move_the_result(monkeypatch):
         t = grid.knots[j]
         default, = gaussian_smooth(grid, t, inc[:, :j], component, loading,
                                    quad_order=order)
-        monkeypatch.setattr(clark_ocone, "_ROW_BUDGET", 3 * order ** (4 - j))
+        monkeypatch.setattr(clark_ocone, "_ROW_BUDGET", 8 * order ** (4 - j))
         chunked, = gaussian_smooth(grid, t, inc[:, :j], component, loading,
                                    quad_order=order)
         monkeypatch.undo()
@@ -255,8 +255,8 @@ def test_a_tuple_component_smooths_like_separate_calls(monkeypatch):
     head_pair = lambda x: (head(x), np.cos(np.log(head(x))))
     cases = [(0, both, loading, None), (2, both, loading, None),
              (3, head_pair, [[1.0, 1.0, 0.0, 0.0]], None),
-             # rank 2 at knot 1: 25 nodes a row, chunks of 3 + 3 + 3 + 1 rows
-             (1, both, loading, 3 * order ** 2)]
+             # rank 2 at knot 1: 25 nodes a row, chunks of 8 + 2 rows
+             (1, both, loading, 8 * order ** 2)]
     for j, pair, load, budget in cases:
         if budget is not None:
             monkeypatch.setattr(clark_ocone, "_ROW_BUDGET", budget)

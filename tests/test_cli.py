@@ -6,9 +6,11 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wcalc import DEFAULT_THRESHOLDS, __version__, approx_pipeline, cli
+from wcalc.artifacts import atomic_write_csv
 from wcalc.cli import main
 
 
@@ -501,6 +503,20 @@ def test_pipeline_csv_cells_parse_as_floats(tmp_path):
             for column, cell in row.items():
                 if column not in ("name", "knob", "passed"):
                     float(cell)
+
+
+def test_float_array_rows_write_the_bytes_of_their_cells(tmp_path):
+    """A float64 array is written row by row from its Python floats: the
+    bytes are those of the same rows as lists of numpy floats, -0.0,
+    subnormals, inf and nan included."""
+    rows = np.array([[0.1, -0.0, 5e-324, np.inf],
+                     [-np.inf, np.nan, 1e300, -2.5e-310]])
+    atomic_write_csv(str(tmp_path / "a.csv"), ["a", "b", "c", "d"], rows)
+    atomic_write_csv(str(tmp_path / "l.csv"), ["a", "b", "c", "d"],
+                     [list(r) for r in rows])
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "l.csv").read_bytes()
+    assert (tmp_path / "a.csv").read_text().splitlines()[1] == \
+        "0.1,-0.0,5e-324,inf"
 
 
 def test_cli_import_leaves_scipy_out():

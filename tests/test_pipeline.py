@@ -574,6 +574,27 @@ def test_final_errors_match_the_pipeline_when_stage7_is_stage6(level, k):
         (rep.final_value_error, rep.final_deriv_error)
 
 
+@pytest.mark.parametrize("level,k,calls", [(2, 4, 5), (2, 2, 10)])
+def test_stage7_reuses_the_stage6_exponential(monkeypatch, level, k, calls):
+    """Each of the five passes (four segment nodes and the primary) makes
+    one doleans_exponential call when step_count == 2**dyadic_level, where
+    stage 7's pool is stage 6's, and two otherwise."""
+    grid = make_grid(8)
+    pool = sample_paths(grid, 500, seed=101)
+    cfg = PipelineConfig(dyadic_level=level, truncation_level=6.0,
+                         mollify_eps=0.1, positivity_floor=0.1, step_count=k,
+                         quad_order=4)
+    seen = []
+
+    def counted(*args):
+        seen.append(1)
+        return doleans_exponential(*args)
+
+    monkeypatch.setattr(approx_pipeline, "doleans_exponential", counted)
+    pipeline_run(exp_curve(grid, 0.0, 1.0), 0.3, 0.5, cfg, pool)
+    assert len(seen) == calls
+
+
 def counting_ladders(monkeypatch, *args):
     """pipeline_ladders(*args) and the configs it ran final_errors_at on."""
     seen = []
