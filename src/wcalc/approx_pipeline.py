@@ -537,8 +537,9 @@ def _exponentials(table: _UTable, config: PipelineConfig,
     The integrand and its slope are tabulated at the knots of pools[0] and
     read at every path's left-knot position. Each pool in `pools` keeps
     every (n/k)-th of those columns, k being its step count, and gets
-    (E, dE/dlam) on its own increments, computed once per distinct pool
-    object. Returns that list and the integrand table.
+    (E, dE/dlam) on its own increments. The pools coarsen the same paths,
+    so one step count gives one result, computed once. Returns that list
+    and the integrand table.
     """
     grid = pools[0].grid
     gam_tab, dgam_tab = integrand_tables(
@@ -546,15 +547,13 @@ def _exponentials(table: _UTable, config: PipelineConfig,
         grid.horizon, config.quad_order, y_grid)
     g, dg = _read_knot_tables(pools[0], y_grid, (gam_tab, dgam_tab))
     out = {}
-    for pool in pools:
-        if id(pool) not in out:
-            stride = grid.n_steps // pool.grid.n_steps
-            # a copy of the horizon column, so the knot table is freed
-            E = doleans_exponential(
-                pool, stage7_stepify(grid, g, pool.grid.n_steps))[:, -1].copy()
-            out[id(pool)] = (E, E * _exponential_slope(pool, g[:, ::stride],
-                                                       dg[:, ::stride]))
-    return [out[id(pool)] for pool in pools], gam_tab
+    for k, pool in {p.grid.n_steps: p for p in pools}.items():
+        stride = grid.n_steps // k
+        # a copy of the horizon column, so the knot table is freed
+        E = doleans_exponential(pool, stage7_stepify(grid, g, k))[:, -1].copy()
+        out[k] = (E, E * _exponential_slope(pool, g[:, ::stride],
+                                            dg[:, ::stride]))
+    return [out[pool.grid.n_steps] for pool in pools], gam_tab
 
 
 def _mollified(curve: DensityCurve, config: PipelineConfig,
@@ -651,7 +650,7 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
 
     u_fine = row_sums(pool.increments)
     block_pool = dyadic_coarsen(pool, config.dyadic_level)
-    # stage 7 is stage 6 here: one pool, so one exponential per pass
+    # stage 7's pool is stage 6's here: no second coarsened copy
     k_pool = (block_pool if config.step_count == 1 << config.dyadic_level
               else dyadic_coarsen(pool, config.step_count.bit_length() - 1))
     stride = block_pool.grid.n_steps // config.step_count

@@ -34,11 +34,8 @@ def atomic_write_json(path: str, payload) -> None:
 
 def atomic_write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(header)]
-    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-        # tolist gives Python floats, whose repr is what _cell writes
-        lines += [",".join(map(repr, row)) for row in rows.tolist()]
-    else:
-        lines += [",".join(_cell(v) for v in row) for row in rows]
+    for row in rows:
+        lines.append(",".join(_cell(v) for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

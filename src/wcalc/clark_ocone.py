@@ -29,9 +29,9 @@ from .rng import substream
 from .wiener_grid import PathPool, TimeGrid
 
 _TENSOR_BLOCK_CAP = 4
-# Mesh rows per gaussian_smooth chunk: 512 KiB of float64 on four steps, so
-# its temporaries fit a 2 MiB L2. Chunks split at multiples of 8 prefix rows,
-# where (block, q) @ w keeps each row's bits.
+# Mesh rows per gaussian_smooth chunk (512 KiB of float64 on four steps, so
+# temporaries fit a 2 MiB L2). Chunks of 8k prefix rows keep each row's bits
+# in (block, q) @ w on the OpenBLAS dgemv measured; that is no guarantee.
 _ROW_BUDGET = 1 << 14
 _TABLE_POINTS = 1025
 # Eigenvalues below this share of the largest are roundoff: their
@@ -98,10 +98,11 @@ def gaussian_smooth(grid: TimeGrid, s: float, prefix: np.ndarray,
     On the quadrature route at knot 0 the mesh is integrated once and the
     result repeated for all m rows (there is no prefix to condition on);
     rows are otherwise processed in chunks of a multiple of 8 prefix rows
-    (at least 8, even past the budget), about _ROW_BUDGET mesh rows (512 KiB
-    of float64 on a four-step grid, cache-sized) each, so no result bit
-    depends on the budget. The Monte Carlo route keeps independent draws
-    per row at every knot.
+    (at least 8), about _ROW_BUDGET mesh rows (512 KiB of float64 on a
+    four-step grid) each, so on the BLAS measured no bit depends on the
+    budget; a chunk is one row where a row's mesh exceeds the budget (33 MB
+    at the tensor cap, 32**4 nodes on four steps). The Monte Carlo route
+    keeps independent draws per row at every knot.
     """
     _check_quadrature(quad_order, mc_fallback)
     j = grid.knot_index(s)
@@ -133,7 +134,7 @@ def gaussian_smooth(grid: TimeGrid, s: float, prefix: np.ndarray,
         rows = pre[:1] if j == 0 else pre
         n_rows = rows.shape[0]
         outs = None
-        chunk = max(8, _ROW_BUDGET // q // 8 * 8)
+        chunk = max(8, _ROW_BUDGET // q // 8 * 8) if q <= _ROW_BUDGET else 1
         # at least one pass: an empty prefix still learns how many arrays
         # the integrand returns
         for lo in range(0, max(n_rows, 1), chunk):

@@ -174,22 +174,34 @@ def test_tensor_route_integrates_knot_zero_once():
 
 
 def test_tensor_route_chunking_does_not_move_the_result(monkeypatch):
-    """A budget of eight rows per chunk, the fewest a chunk holds, splits
-    ten rows 8 + 2. The identity loading projects onto every remaining
-    interval, so it reproduces the axis-aligned oracle mesh to roundoff."""
+    """A budget of eight rows per chunk splits ten rows 8 + 2; a budget
+    below one row's mesh takes one row a chunk, never more. The identity
+    loading projects onto every remaining interval, so it reproduces the
+    axis-aligned oracle mesh to roundoff."""
     grid = make_grid(4)
     component, loading = coupled_functional(4)
     inc = sample_paths(grid, 10, seed=41).increments
     order = 6
     for j in range(4):
         t = grid.knots[j]
+        q = order ** (4 - j)
         default, = gaussian_smooth(grid, t, inc[:, :j], component, loading,
                                    quad_order=order)
-        monkeypatch.setattr(clark_ocone, "_ROW_BUDGET", 8 * order ** (4 - j))
-        chunked, = gaussian_smooth(grid, t, inc[:, :j], component, loading,
-                                   quad_order=order)
-        monkeypatch.undo()
-        assert np.allclose(chunked, default, rtol=1e-14, atol=0.0)
+        # knot 0 integrates one row for all
+        rows = 1 if j == 0 else 8
+        for budget, most in ((8 * q, rows * q), (q - 1, q)):
+            seen = []
+
+            def sized(x):
+                seen.append(len(x))
+                return component(x)
+
+            monkeypatch.setattr(clark_ocone, "_ROW_BUDGET", budget)
+            chunked, = gaussian_smooth(grid, t, inc[:, :j], sized, loading,
+                                       quad_order=order)
+            monkeypatch.undo()
+            assert max(seen) == most
+            assert np.allclose(chunked, default, rtol=1e-14, atol=0.0)
         assert np.allclose(default, per_row_tensor_mean(
             component, grid, j, inc[:, :j], order), rtol=1e-14, atol=0.0)
 

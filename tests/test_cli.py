@@ -506,9 +506,8 @@ def test_pipeline_csv_cells_parse_as_floats(tmp_path):
 
 
 def test_float_array_rows_write_the_bytes_of_their_cells(tmp_path):
-    """A float64 array is written row by row from its Python floats: the
-    bytes are those of the same rows as lists of numpy floats, -0.0,
-    subnormals, inf and nan included."""
+    """A float64 array writes the bytes of the same rows as lists of numpy
+    floats, -0.0, subnormals, inf and nan included."""
     rows = np.array([[0.1, -0.0, 5e-324, np.inf],
                      [-np.inf, np.nan, 1e300, -2.5e-310]])
     atomic_write_csv(str(tmp_path / "a.csv"), ["a", "b", "c", "d"], rows)
