@@ -27,15 +27,14 @@ from .density_deriv import DensityCurve, renormalize, \
     chain_rule_rhs, chain_rule_lhs_fd, \
     second_order_check_1d, second_order_check_multidim, \
     multidim_derivative_repr, nested_derivative_check
-from .girsanov import StepProcess, constant_process, \
-    deterministic_process, table_process, \
+from .girsanov import StepProcess, constant_process, deterministic_process, \
     doleans_exponential, shift_forward, shift_backward, girsanov_check
 from .clark_ocone import gaussian_smooth, clark_ocone_decompose, \
     clark_ocone_integrand, reconstruction_error
 from .approx_pipeline import PipelineConfig, StageReport, PipelineReport, \
     ConditionedDensity, TruncatedDensity, \
-    MollifiedDensity, stage5_normalize, stage5_derivative, stage7_stepify, \
-    pipeline_run, pipeline_ladders, final_errors_at, DEFAULT_THRESHOLDS
+    MollifiedDensity, stage5_normalize, stage5_derivative, pipeline_run, \
+    pipeline_ladders, final_errors_at, DEFAULT_THRESHOLDS
 from .density_functional import GridDensity, density_grid, kde_density, \
     bensoussan_check
 from .checks import CheckRecord, CHECKS, run_check

@@ -18,7 +18,7 @@ approximate the curve and its parameter derivative in L2(Q):
    exactly one;
 6. extract the logarithmic integrand as the ratio of the conditionally
    smoothed gradient to the conditional mean;
-7. freeze that integrand to a left-endpoint step process on a coarser grid
+7. freeze that integrand to its left-endpoint values on a coarser grid
    and exponentiate.
 
 Stages 1-4 therefore act on one coordinate. The stage-4 density is a
@@ -34,10 +34,10 @@ consistency check evaluate their densities directly (the check with one
 moll.triple call per block knot), so it stays an independent measure of
 the tabulation. In stages 6 and 7 the integrand and its slope come from
 clark_ocone.knot_tables on a uniform grid of the running terminal
-coordinate, read linearly along every path and exponentiated at every
-block knot (stage 6), then at every (2**dyadic_level / step_count)-th
-knot (stage 7): the two coincide when step_count equals 2**dyadic_level,
-and then stage 7 reuses stage 6's exponential.
+coordinate, read linearly along every path and exponentiated at the horizon
+over every block knot's column (stage 6), then over every (2**dyadic_level
+/ step_count)-th (stage 7): the two coincide when step_count equals
+2**dyadic_level, and then stage 7 reuses stage 6's exponential.
 final_errors_at builds the table at the step_count knots only.
 Independent passes and ladder rungs share up to two threads, bitwise.
 
@@ -58,21 +58,17 @@ import numpy as np
 from .artifacts import atomic_write_csv, atomic_write_json
 from .clark_ocone import _table_y_grid, knot_tables
 from .density_deriv import DensityCurve
-from .girsanov import StepProcess, doleans_exponential, table_process
 from .numerics import (bump_lattice_1d, bump_quad_1d, capped_identity,
                        capped_identity_deriv, gauss_hermite, gauss_legendre,
                        radial_cutoff, mean_and_se, radial_cutoff_deriv,
                        row_sums, uniform_cell, uniform_interp)
-from .wiener_grid import PathPool, TimeGrid, _block_edges, dyadic_coarsen
+from .wiener_grid import PathPool, _block_edges, dyadic_coarsen
 
 _MOLL_NODES = 17
 # Coordinate nodes of the mollifier sit at j / _LATTICE_CELLS kernel widths
 _LATTICE_CELLS = 16
 # A u-table's spacing is at most 2 S / (_U_POINTS - 1)
 _U_POINTS = 4097
-# Rows per MollifiedDensity.triple block: (rows, 31) @ (31,) keeps each row's
-# bits when split at multiples of 8 rows, not at others.
-_BLOCK_ROWS = 2048
 # Threads per _run_units call: each unit holds its own tables (peak RSS grew
 # 4.5 MB per thread at 10k paths, 35 MB at 100k); wall measured on 2 CPUs.
 _MAX_THREADS = 2
@@ -313,11 +309,10 @@ class MollifiedDensity:
     truncated functional. Its derivatives are the exact derivatives of that
     finite combination (the shift structure lets every derivative land on
     the truncated functional itself), not separate quadratures, so value
-    and derivative routes agree to roundoff. triple works through its points
-    in blocks of _BLOCK_ROWS rows (the last takes the remainder), making the
-    coordinate cutoffs and work arrays once per block and the parameter
-    factors once per call. lattice_triple serves a lattice that refines
-    the coordinate nodes, on which shifted points coincide.
+    and derivative routes agree to roundoff. triple makes the coordinate
+    cutoffs, work arrays and parameter factors once per call, for the
+    consistency gap's few thousand points. lattice_triple serves a lattice
+    that refines the coordinate nodes, on which shifted points coincide.
     """
 
     def __init__(self, trunc: TruncatedDensity, eps: float):
@@ -332,21 +327,16 @@ class MollifiedDensity:
     def triple(self, lam: float, coords: np.ndarray):
         """(value, parameter derivative, coordinate derivative) at coords."""
         X = np.asarray(coords, dtype=float)
-        m = X.shape[0]
-        n_cells = self._wb.size
         lams = lam - self.eps * self._alpha
-        factors = self.trunc._lam_factors(lams)
-        out = (np.zeros(m), np.zeros(m), np.zeros(m))
-        for s in range(0, m, _BLOCK_ROWS):
-            e = min(s + _BLOCK_ROWS, m)
-            flat = (X[s:e, None] - self.eps * self._beta[None, :]).reshape(-1)
-            cutoffs = self.trunc.cutoffs(flat, True)
-            work = [np.empty(flat.size) for _ in range(5)]
-            for la, fac, wa in zip(lams, factors, self._wa):
-                parts = self.trunc.parts(la, flat, True, _cutoffs=cutoffs,
-                                         _lam=fac, _out=work)
-                for acc, p in zip(out, parts):
-                    acc[s:e] += wa * (p.reshape(e - s, n_cells) @ self._wb)
+        flat = (X[:, None] - self.eps * self._beta[None, :]).reshape(-1)
+        cutoffs = self.trunc.cutoffs(flat, True)
+        work = [np.empty(flat.size) for _ in range(5)]
+        out = (np.zeros(X.size), np.zeros(X.size), np.zeros(X.size))
+        for la, fac, wa in zip(lams, self.trunc._lam_factors(lams), self._wa):
+            parts = self.trunc.parts(la, flat, True, _cutoffs=cutoffs,
+                                     _lam=fac, _out=work)
+            for acc, p in zip(out, parts):
+                acc += wa * (p.reshape(X.size, self._wb.size) @ self._wb)
         return out
 
     def lattice_triple(self, lam: float, k: int, n: int):
@@ -454,26 +444,6 @@ def stage5_derivative(values: np.ndarray, dvalues: np.ndarray,
     return dvals / denom - (eps_pos + vals) * (dmean / denom ** 2)
 
 
-def stage7_stepify(grid: TimeGrid, gamma_table: np.ndarray, k: int) -> StepProcess:
-    """Freeze a per-path integrand table to k left-endpoint step values.
-
-    gamma_table has one column per interval of `grid`; the output keeps
-    every (n_steps/k)-th column as the constant value on the corresponding
-    wider interval.
-    """
-    table = np.asarray(gamma_table, dtype=float)
-    n = grid.n_steps
-    if table.ndim != 2 or table.shape[1] != n:
-        raise ValueError("integrand table does not match the grid")
-    if k < 1 or n % k != 0:
-        raise ValueError("step count must divide the grid")
-    stride = n // k
-    sub = TimeGrid(grid.knots[::stride])
-    frozen = table[:, ::stride]
-    bound = float(np.abs(table).max()) if table.size else 0.0
-    return table_process(sub, frozen, bound=bound)
-
-
 def integrand_tables(table: _UTable, eps_pos: float,
                      denom: float, ddenom: float,
                      knot_times: np.ndarray, horizon: float,
@@ -520,6 +490,17 @@ def _read_knot_tables(pool: PathPool, y_grid: np.ndarray, tables):
     return outs
 
 
+def _horizon_exponential(pool: PathPool, gamma: np.ndarray) -> np.ndarray:
+    """Per-path stochastic exponential at the horizon of the step integrand
+    whose value on interval i is gamma[:, i]: girsanov.doleans_exponential's
+    last column, bitwise, since the log accumulates in the same order."""
+    log = np.zeros(pool.n_samples)
+    for g, b, dt in zip(gamma.T, pool.increments.T, pool.grid.steps,
+                        strict=True):
+        log = log + g * b - 0.5 * g * g * dt
+    return np.exp(log)
+
+
 def _exponential_slope(pool: PathPool, gamma: np.ndarray,
                        dgamma: np.ndarray) -> np.ndarray:
     """Log-derivative factor of the stochastic exponential: the integral of
@@ -531,15 +512,15 @@ def _exponential_slope(pool: PathPool, gamma: np.ndarray,
 
 def _exponentials(table: _UTable, config: PipelineConfig,
                   denom: float, ddenom: float, y_grid: np.ndarray, pools):
-    """Doleans exponentials of the table-read integrand and their
+    """Horizon exponentials of the table-read integrand and their
     parameter derivatives.
 
     The integrand and its slope are tabulated at the knots of pools[0] and
     read at every path's left-knot position. Each pool in `pools` keeps
     every (n/k)-th of those columns, k being its step count, and gets
-    (E, dE/dlam) on its own increments. The pools coarsen the same paths,
-    so one step count gives one result, computed once. Returns that list
-    and the integrand table.
+    (E, dE/dlam) at the horizon on its own increments. The pools coarsen
+    the same paths, so one step count gives one result, computed once.
+    Returns that list and the integrand table.
     """
     grid = pools[0].grid
     gam_tab, dgam_tab = integrand_tables(
@@ -548,11 +529,9 @@ def _exponentials(table: _UTable, config: PipelineConfig,
     g, dg = _read_knot_tables(pools[0], y_grid, (gam_tab, dgam_tab))
     out = {}
     for k, pool in {p.grid.n_steps: p for p in pools}.items():
-        stride = grid.n_steps // k
-        # a copy of the horizon column, so the knot table is freed
-        E = doleans_exponential(pool, stage7_stepify(grid, g, k))[:, -1].copy()
-        out[k] = (E, E * _exponential_slope(pool, g[:, ::stride],
-                                            dg[:, ::stride]))
+        gk, dgk = g[:, ::grid.n_steps // k], dg[:, ::grid.n_steps // k]
+        E = _horizon_exponential(pool, gk)
+        out[k] = (E, E * _exponential_slope(pool, gk, dgk))
     return [out[pool.grid.n_steps] for pool in pools], gam_tab
 
 
@@ -650,9 +629,8 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
 
     u_fine = row_sums(pool.increments)
     block_pool = dyadic_coarsen(pool, config.dyadic_level)
-    # stage 7's pool is stage 6's here: no second coarsened copy
-    k_pool = (block_pool if config.step_count == 1 << config.dyadic_level
-              else dyadic_coarsen(pool, config.step_count.bit_length() - 1))
+    # stage 6's pool itself when step_count == 2**dyadic_level
+    k_pool = dyadic_coarsen(block_pool, config.step_count.bit_length() - 1)
     stride = block_pool.grid.n_steps // config.step_count
     y_grid = _table_y_grid(block_pool.cumulative[:, :-1])
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -77,8 +78,10 @@ def _validate(obj, schema: dict, path: str = "config") -> None:
         if not isinstance(obj, int) or isinstance(obj, bool):
             raise ConfigError(f"{path}: expected an integer")
     elif kind == "number":
-        if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-            raise ConfigError(f"{path}: expected a number")
+        # json reads Infinity and NaN; the comparison takes any int exactly
+        if (not isinstance(obj, (int, float)) or isinstance(obj, bool)
+                or not -math.inf < obj < math.inf):
+            raise ConfigError(f"{path}: expected a finite number")
     elif kind == "string":
         if not isinstance(obj, str):
             raise ConfigError(f"{path}: expected a string")

@@ -61,26 +61,6 @@ def deterministic_process(grid: TimeGrid, values) -> StepProcess:
                        bound=bound)
 
 
-def table_process(grid: TimeGrid, table: np.ndarray, bound=None) -> StepProcess:
-    """Integrand frozen to a per-path table (n_paths, n_steps).
-
-    Only evaluable on path batches with the same row count the table was
-    built from; used to feed extracted integrands back into the exponential.
-    """
-    tab = np.asarray(table, dtype=float)
-    if tab.ndim != 2 or tab.shape[1] != grid.n_steps:
-        raise ValueError(f"integrand table must be 2-D with {grid.n_steps} "
-                         f"columns, got shape {tab.shape}")
-
-    def rule(i, hist):
-        if hist.shape[0] != tab.shape[0]:
-            raise ValueError("table integrand used with a mismatched pool")
-        return tab[:, i]
-
-    b = float(np.max(np.abs(tab))) if bound is None else float(bound)
-    return StepProcess(grid, rule, bound=max(b, np.finfo(float).tiny))
-
-
 def doleans_exponential(pool: PathPool, gamma: StepProcess) -> np.ndarray:
     """Per-path exponential martingale at every knot: an
     (n_paths, n_steps + 1) array whose column 0 is ones.

@@ -6,7 +6,11 @@ module constants; the per-record tolerances inside the batteries are fixed
 in the package itself and are recorded in every emitted record.
 """
 
+import csv
+import dataclasses
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,7 @@ _PIPELINE_THRESHOLDS = {"value": 0.05, "deriv": 0.16,
                         "segment": 0.28, "gamma_gap": 5e-3}
 _PIPELINE_SECONDS = 30.0
 _PIPELINE_PATHS = 100_000
+_CALIB = Path(__file__).resolve().parent.parent / "calib"
 _RECENTER_INSTANCES = 100
 _RECENTER_MEAN_TOL = 1e-9          # relative to 1 + max |profile|
 _RECENTER_EXACT_TOL = 1e-12        # round trips: exact to machine
@@ -176,8 +181,10 @@ def test_criterion_5_clark_ocone():
 
 # ------------------------------------------------------------ criterion 6
 
-def test_criterion_6_pipeline():
-    assert DEFAULT_THRESHOLDS == _PIPELINE_THRESHOLDS  # frozen contract
+@pytest.fixture(scope="module")
+def reference_pipeline_run():
+    """(report, ladders, wall seconds) of calib/calibration.json's config,
+    run in process."""
     grid = make_grid(_GRID_STEPS)
     pool = sample_paths(grid, _PIPELINE_PATHS, _SEED)
     curve = exponential_curve(grid, lam_lo=0.0, lam_hi=1.0)
@@ -187,8 +194,12 @@ def test_criterion_6_pipeline():
     t0 = time.perf_counter()
     rep = pipeline_run(curve, 0.3, 0.5, cfg, pool)
     ladders = pipeline_ladders(curve, 0.3, cfg, pool, rep)
-    wall = time.perf_counter() - t0
+    return rep, ladders, time.perf_counter() - t0
 
+
+def test_criterion_6_pipeline(reference_pipeline_run):
+    assert DEFAULT_THRESHOLDS == _PIPELINE_THRESHOLDS  # frozen contract
+    rep, ladders, wall = reference_pipeline_run
     errors = {"value": rep.final_value_error,
               "deriv": rep.final_deriv_error,
               "segment": rep.final_segment_error,
@@ -212,6 +223,35 @@ def test_criterion_6_pipeline():
         assert errors[k] <= _PIPELINE_THRESHOLDS[k], (k, errors[k])
     assert not ladder_violations, ladder_violations
     assert wall < _PIPELINE_SECONDS
+
+
+def test_committed_calibration_run_matches_the_code(reference_pipeline_run,
+                                                   tmp_path):
+    """calib/run/ holds what `wcalc pipeline --config calib/calibration.json`
+    writes for this config: the report and integrand table byte for byte,
+    and every ladder cell, which parses back to the float it was written
+    from."""
+    rep, ladders, _ = reference_pipeline_run
+    calib = json.loads((_CALIB / "calibration.json").read_text())
+    assert (calib["seed"], calib["n_paths"], calib["grid"]["n_steps"],
+            calib["lam"], calib["lam_prime"], calib["ladders"]) == \
+        (_SEED, _PIPELINE_PATHS, _GRID_STEPS, rep.lam, rep.lam_prime, True)
+    assert (calib["curve"]["lam_lo"], calib["curve"]["lam_hi"]) == (0.0, 1.0)
+    assert calib["pipeline"] == dataclasses.asdict(rep.config)
+    rep.save(str(tmp_path))
+    for name in ("pipeline_report.json", "gamma_table.csv"):
+        assert (tmp_path / name).read_bytes() == \
+            (_CALIB / "run" / name).read_bytes(), name
+    assert sorted(p.name for p in (_CALIB / "run").glob("ladder_*.csv")) == \
+        sorted(f"ladder_{knob}.csv" for knob in ladders)
+    for knob, rows in ladders.items():
+        with open(_CALIB / "run" / f"ladder_{knob}.csv", newline="") as fh:
+            cells = list(csv.DictReader(fh))
+        assert len(cells) == len(rows), knob
+        for row, written in zip(rows, cells):
+            assert list(written) == list(row), knob
+            for col, value in row.items():
+                assert type(value)(written[col]) == value, (knob, col)
 
 
 # ------------------------------------------------------------ criterion 7

@@ -224,6 +224,49 @@ def test_pipeline_rejects_bad_config_before_running(tmp_path, capsys,
     assert not out.exists()
 
 
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("command,change,field", [
+    ("verify", {"tolerances": {"girsanov/inverse|sin-t": _INF}},
+     "config.tolerances.girsanov/inverse|sin-t"),
+    ("verify", {"grid": {"n_steps": 8, "horizon": _INF}}, "config.grid.horizon"),
+    ("pipeline", {"grid": {"n_steps": 8, "horizon": _INF}},
+     "config.grid.horizon"),
+    ("pipeline", {"curve": {"kind": "scalar-exponential", "lam_lo": -_INF,
+                            "lam_hi": _INF}}, "config.curve.lam_lo"),
+    ("pipeline", {"curve": {"kind": "scalar-exponential", "lam_lo": 0.0,
+                            "lam_hi": _INF}}, "config.curve.lam_hi"),
+    ("pipeline", {"lam": float("nan")}, "config.lam"),
+])
+def test_non_finite_numbers_are_refused_before_sampling(tmp_path, capsys,
+                                                        monkeypatch, command,
+                                                        change, field):
+    """json reads Infinity and NaN; each numeric field refuses them with a
+    ConfigError naming the field, before any path is sampled."""
+    def never(*args, **kwargs):
+        raise AssertionError("the run sampled paths")
+
+    monkeypatch.setattr(cli, "sample_paths", never)
+    monkeypatch.setattr(cli, "run_check", never)
+    out = tmp_path / "out"
+    if command == "verify":
+        argv = ["verify", "girsanov", "--config",
+                verify_config(tmp_path, **change)]
+    else:
+        base = dict(command="pipeline", seed=3, n_paths=2000,
+                    grid={"n_steps": 8}, lam=0.3, lam_prime=0.5,
+                    pipeline={"dyadic_level": 2, "step_count": 4},
+                    out_dir=str(out))
+        base.update(change)
+        argv = ["pipeline", "--config",
+                write_config(tmp_path / "p.json", **base)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field}: expected a finite number" in err
+    assert not out.exists()
+
+
 def test_pipeline_names_the_invalid_ladder_rung(tmp_path, capsys):
     """dyadic_level 2 is a valid base config, but the step-count ladder's
     rung 8 does not divide 2**2 blocks; the run stops before sampling."""

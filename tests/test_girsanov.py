@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wcalc import (make_grid, sample_paths, brownian_at, StepProcess,
-                   constant_process, deterministic_process, table_process,
+                   constant_process, deterministic_process,
                    doleans_exponential, shift_forward, shift_backward,
                    girsanov_check, weighted_expectation)
 from wcalc import checks, run_check
@@ -83,29 +83,11 @@ def test_flow_inversion_exact(pool):
     assert np.max(np.abs(fwd.increments - pool.increments)) > 1e-3
 
 
-def test_table_process_round_trip(pool):
-    tab = np.random.default_rng(4).uniform(-0.5, 0.5,
-                                           size=pool.increments.shape)
-    proc = table_process(pool.grid, tab)
-    for i in (0, 3, 9):
-        assert np.array_equal(proc.column(i, pool.increments[:, :i]),
-                              tab[:, i])
-    with pytest.raises(ValueError):
-        proc.column(0, pool.increments[:10, :0])
-
-
 def test_step_process_bound_enforced(pool):
     proc = StepProcess(pool.grid, lambda i, hist: np.full(hist.shape[0], 2.0),
                        bound=1.0)
     with pytest.raises(ValueError):
         proc.column(0, pool.increments[:, :0])
-
-
-@pytest.mark.parametrize("table", [np.zeros((10, 3)), np.zeros(4)],
-                         ids=["wrong-columns", "one-dimensional"])
-def test_table_process_rejects_a_misshapen_table(table):
-    with pytest.raises(ValueError, match="2-D with 4 columns"):
-        table_process(make_grid(4), table)
 
 
 def test_every_column_matches_the_per_knot_exponential():
@@ -114,7 +96,8 @@ def test_every_column_matches_the_per_knot_exponential():
     grid = make_grid(16)
     pool = sample_paths(grid, 4000, seed=7303)
     tab = np.random.default_rng(5).uniform(-0.5, 0.5, size=(4000, 16))
-    procs = _girsanov_processes(grid) + [("table", table_process(grid, tab))]
+    table = StepProcess(grid, lambda i, hist: tab[:, i], bound=0.5)
+    procs = _girsanov_processes(grid) + [("table", table)]
     for _, gamma in procs:
         got = doleans_exponential(pool, gamma)
         assert np.all(got[:, 0] == 1.0)

@@ -15,7 +15,7 @@ from wcalc import (make_grid, sample_paths, dyadic_coarsen,
                    exponential_curve, PipelineConfig, PipelineReport,
                    pipeline_run, ConditionedDensity, TruncatedDensity,
                    MollifiedDensity, stage5_normalize, stage5_derivative,
-                   stage7_stepify, final_errors_at, doleans_exponential,
+                   StepProcess, final_errors_at, doleans_exponential,
                    pipeline_ladders, DEFAULT_THRESHOLDS)
 from wcalc import approx_pipeline
 from wcalc.numerics import bump_lattice_1d, bump_quad_1d, row_sums
@@ -126,18 +126,6 @@ def test_stage4_matches_the_recomputing_oracle(level, eps):
         for g, w in zip(moll.triple(lam, u)[:2],
                         mollified_acc(moll, lam, u, False)[:2]):
             assert_bitwise(g, w)
-
-
-def test_stage4_row_blocks_keep_the_bits_on_the_u_grid():
-    """On 4097 uniform points over the reference support, which span three
-    row blocks, triple equals the unblocked quadrature bitwise."""
-    grid = make_grid(8)
-    pool = sample_paths(grid, 500, seed=13)
-    moll = reference_moll(pool)
-    u = np.linspace(-6.1, 6.1, approx_pipeline._U_POINTS)
-    assert u.size > 2 * approx_pipeline._BLOCK_ROWS
-    for g, w in zip(moll.triple(0.3, u), mollified_acc(moll, 0.3, u, True)):
-        assert_bitwise(g, w)
 
 
 def test_stage3_rejects_small_levels():
@@ -455,45 +443,29 @@ def test_stage5_derivative_is_the_directional_slope():
 
 # --------------------------------------------------------------- stage 7
 
-def test_stage7_requires_a_divisor():
-    grid = make_grid(8)
-    table = np.zeros((5, 8))
-    for k in (3, 0, 7):
-        with pytest.raises(ValueError):
-            stage7_stepify(grid, table, k)
-    with pytest.raises(ValueError):
-        stage7_stepify(grid, np.zeros((5, 6)), 2)
-
-
-def test_stage7_keeps_left_endpoint_columns():
-    grid = make_grid(8)
-    rng = np.random.default_rng(4)
-    table = rng.normal(size=(6, 8))
-    sp = stage7_stepify(grid, table, 4)
-    assert sp.grid.n_steps == 4
-    assert np.allclose(sp.grid.knots, grid.knots[::2])
-    sub_inc = np.zeros((6, 4))
-    got = np.column_stack([sp.column(i, sub_inc[:, :i]) for i in range(4)])
-    assert np.array_equal(got, table[:, ::2])
-    assert sp.bound == np.abs(table).max()
-
-
-def test_stage7_constant_integrand_loses_nothing():
-    """Freezing a time-constant integrand to fewer steps leaves the
-    exponential unchanged, and the exponential stays strictly positive."""
+@pytest.mark.parametrize("k", [8, 4, 2])
+@pytest.mark.parametrize("kind", ["per-knot", "time-constant"])
+def test_horizon_exponential_is_the_girsanov_exponential(kind, k):
+    """Stage 7's exponential of every (8/k)-th table column equals, bitwise,
+    doleans_exponential's horizon column for the step integrand on the
+    k-step grid that returns those columns. A time-constant integrand loses
+    nothing to the coarser grid, and the exponential stays positive."""
     grid = make_grid(8)
     pool = sample_paths(grid, 3000, seed=14)
     rng = np.random.default_rng(8)
-    per_path = rng.uniform(-0.8, 0.8, 3000)
-    table = np.repeat(per_path[:, None], 8, axis=1)
-    from wcalc import table_process
-    full = doleans_exponential(pool, table_process(grid, table))
-    coarse_pool = dyadic_coarsen(pool, 1)
-    sp = stage7_stepify(grid, table, 2)
-    coarse = doleans_exponential(coarse_pool, sp)
-    assert np.all(coarse > 0.0)
-    # the coarse knots are every fourth fine knot
-    assert np.allclose(coarse, full[:, ::4], rtol=1e-12)
+    if kind == "per-knot":
+        g = rng.uniform(-0.8, 0.8, (3000, 8))
+    else:
+        g = np.repeat(rng.uniform(-0.8, 0.8, 3000)[:, None], 8, axis=1)
+    s = 8 // k
+    coarse = dyadic_coarsen(pool, k.bit_length() - 1)
+    gamma = StepProcess(coarse.grid, lambda i, h: g[:, ::s][:, i], 0.8)
+    got = approx_pipeline._horizon_exponential(coarse, g[:, ::s])
+    assert_bitwise(got, doleans_exponential(coarse, gamma)[:, -1])
+    assert np.all(got > 0.0)
+    if kind == "time-constant":
+        fine = approx_pipeline._horizon_exponential(pool, g)
+        assert np.allclose(got, fine, rtol=1e-12)
 
 
 # ---------------------------------------------------------- full pipeline
@@ -577,7 +549,7 @@ def test_final_errors_match_the_pipeline_when_stage7_is_stage6(level, k):
 @pytest.mark.parametrize("level,k,calls", [(2, 4, 5), (2, 2, 10)])
 def test_stage7_reuses_the_stage6_exponential(monkeypatch, level, k, calls):
     """Each of the five passes (four segment nodes and the primary) makes
-    one doleans_exponential call when step_count == 2**dyadic_level, where
+    one _horizon_exponential call when step_count == 2**dyadic_level, where
     stage 7's pool is stage 6's, and two otherwise."""
     grid = make_grid(8)
     pool = sample_paths(grid, 500, seed=101)
@@ -585,12 +557,13 @@ def test_stage7_reuses_the_stage6_exponential(monkeypatch, level, k, calls):
                          mollify_eps=0.1, positivity_floor=0.1, step_count=k,
                          quad_order=4)
     seen = []
+    horizon_exponential = approx_pipeline._horizon_exponential
 
     def counted(*args):
         seen.append(1)
-        return doleans_exponential(*args)
+        return horizon_exponential(*args)
 
-    monkeypatch.setattr(approx_pipeline, "doleans_exponential", counted)
+    monkeypatch.setattr(approx_pipeline, "_horizon_exponential", counted)
     pipeline_run(exp_curve(grid, 0.0, 1.0), 0.3, 0.5, cfg, pool)
     assert len(seen) == calls
 
