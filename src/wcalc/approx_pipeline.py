@@ -32,12 +32,15 @@ the per-path values behind stages 4 and 5 and the normalization constant,
 and every Gauss-Hermite node of the integrand tables. Stage 3 and the
 consistency check evaluate their densities directly (the check with one
 moll.triple call per block knot), so it stays an independent measure of
-the tabulation. In stages 6 and 7 the integrand and its slope come from
-clark_ocone.knot_tables on a uniform grid of the running terminal
-coordinate, read linearly along every path and exponentiated at the horizon
-over every block knot's column (stage 6), then over every (2**dyadic_level
-/ step_count)-th (stage 7): the two coincide when step_count equals
-2**dyadic_level, and then stage 7 reuses stage 6's exponential.
+the tabulation. Every Gaussian smoothing in the terminal coordinate goes
+through clark_ocone.knot_tables, the kernel the clark-ocone battery uses.
+In stages 6 and 7 the integrand and its slope are its tables on a uniform
+grid of the running terminal coordinate, read linearly along every path
+(clark_ocone._read_knot_tables) and exponentiated at the horizon over
+every block knot's column (stage 6), then over every (2**dyadic_level /
+step_count)-th (stage 7): the two coincide when step_count equals
+2**dyadic_level, and then stage 7 reuses stage 6's exponential. The
+consistency gap calls knot_tables at each checked path's own position.
 final_errors_at builds the table at the step_count knots only.
 Independent passes and ladder rungs share up to two threads, bitwise.
 
@@ -56,12 +59,12 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .artifacts import atomic_write_csv, atomic_write_json
-from .clark_ocone import _table_y_grid, knot_tables
+from .clark_ocone import _read_knot_tables, _table_y_grid, knot_tables
 from .density_deriv import DensityCurve
 from .numerics import (bump_lattice_1d, bump_quad_1d, capped_identity,
                        capped_identity_deriv, gauss_hermite, gauss_legendre,
                        radial_cutoff, mean_and_se, radial_cutoff_deriv,
-                       row_sums, uniform_cell, uniform_interp)
+                       row_sums, uniform_cell)
 from .wiener_grid import PathPool, _block_edges, dyadic_coarsen
 
 _MOLL_NODES = 17
@@ -181,11 +184,10 @@ class ConditionedDensity:
         _block_edges(pool.grid, level)  # the level must still fit the grid
         self.curve = curve
         self.level = int(level)
-        self.n_coords = 1
         self._renorm_cache: Dict[float, Tuple[float, float]] = {}
         self._u = row_sums(pool.increments)
         lam_mid = 0.5 * (curve.lam_lo + curve.lam_hi)
-        if not np.all(np.isfinite(self.pair(lam_mid, self._u))):
+        if not np.all(np.isfinite(self.parts(lam_mid, self._u)[:2])):
             raise FloatingPointError("conditioning produced non-finite values")
 
     def _renorm(self, lam: float) -> Tuple[float, float]:
@@ -198,11 +200,10 @@ class ConditionedDensity:
         self._renorm_cache[key] = pair
         return pair
 
-    def parts(self, lam: float, coords: np.ndarray, want_du: bool = False,
-              out=None):
-        """Renormalized (value, parameter derivative, coordinate derivative
-        or None), written into out, three arrays shaped like coords (the
-        third is scratch when not want_du), or into fresh ones."""
+    def parts(self, lam: float, coords: np.ndarray, out=None):
+        """Renormalized (value, parameter derivative, coordinate
+        derivative), written into out, three arrays shaped like coords, or
+        into fresh ones."""
         r, dr = self._renorm(lam)
         coords = np.asarray(coords, dtype=float)
         val, dlam, du = out or [np.empty(coords.shape) for _ in range(3)]
@@ -210,12 +211,7 @@ class ConditionedDensity:
                      for a in self.curve.triple(lam, coords))
         np.subtract(np.divide(d, r, out=dlam),
                     np.multiply(v, dr / (r * r), out=du), out=dlam)
-        return (np.divide(v, r, out=val), dlam,
-                np.divide(cdu, r, out=du) if want_du else None)
-
-    def pair(self, lam: float, coords: np.ndarray):
-        v, d, _ = self.parts(lam, coords, False)
-        return v, d
+        return np.divide(v, r, out=val), dlam, np.divide(cdu, r, out=du)
 
 
 class TruncatedDensity:
@@ -232,23 +228,22 @@ class TruncatedDensity:
             raise ValueError("truncation level must be >= 3")
         self.cond = cond
         self.level = float(level)
-        self.n_coords = cond.n_coords
 
-    def parts(self, lam: float, coords: np.ndarray, want_du: bool,
-              _cutoffs=None, _lam=None, _out=None):
-        """(value, parameter derivative, coordinate derivative or None).
+    def parts(self, lam: float, coords: np.ndarray, _cutoffs=None, _lam=None,
+              _out=None):
+        """(value, parameter derivative, coordinate derivative).
 
         A caller evaluating many parameters on the same coordinates hands
-        in what they share: _cutoffs from cutoffs(coords, want_du), _lam the
+        in what they share: _cutoffs from cutoffs(coords), _lam the
         _lam_factors row at lam, and _out five work arrays shaped like
         coords, which the result is written into (valid until their reuse).
         """
         lev = self.level
         coords = np.asarray(coords, dtype=float)
         lam_c, dlam_c, cut_l, dcut_l = _lam or self._lam_factors([lam])[0]
-        cut, dcut, inner = _cutoffs or self.cutoffs(coords, want_du)
+        cut, dcut, inner = _cutoffs or self.cutoffs(coords)
         h, dh, hu, tmp, pd = _out or [np.empty(coords.shape) for _ in range(5)]
-        h, dh, hu = self.cond.parts(lam_c, coords, want_du, (h, dh, hu))
+        h, dh, hu = self.cond.parts(lam_c, coords, (h, dh, hu))
         # Capped identity: on |h| <= level - 2 it is h + 0.0 (-0.0 becomes
         # +0.0, as in sign(h) * |h|) with the exact slope 1.0, so the formulas
         # run on the rest only, NaN included; h, dh, hu become ph, dph * dh/hu.
@@ -258,34 +253,30 @@ class TruncatedDensity:
         h += 0.0
         h[outer] = capped_identity(h_out, lev)
         dh[outer] *= slope
-        if want_du:
-            hu[outer] *= slope
-            np.multiply(h, dcut, out=pd)
+        hu[outer] *= slope
+        np.multiply(h, dcut, out=pd)
         # Products associate left (ph * cut * cut_l), so sharing ph * cut and
         # skipping each factor 1.0 (the coordinate cutoff on its inner slice,
         # dlam_c and cut_l inside level - 2) keeps every bit of the formula.
         if dlam_c != 1.0:
             dh *= dlam_c
-        for arr in (h, dh, hu) if want_du else (h, dh):
+        for arr in (h, dh, hu):
             for part in (slice(None, inner.start), slice(inner.stop, None)):
                 arr[part] *= cut[part]
         if cut_l != 1.0:
             dh *= cut_l
         dh += np.multiply(h, dcut_l, out=tmp)  # kept at dcut_l == -0.0: NaN, signs
-        if want_du:
-            if cut_l != 1.0:
-                hu *= cut_l
-                pd *= cut_l
-            hu += pd
         if cut_l != 1.0:
-            h *= cut_l
+            for arr in (h, hu, pd):
+                arr *= cut_l
+        hu += pd
         return h, dh, hu
 
-    def cutoffs(self, coords: np.ndarray, want_du: bool):
-        """Coordinate cutoff, its derivative if want_du, and the longest
-        slice of coords on which the cutoff is exactly 1.0 (empty if none)."""
+    def cutoffs(self, coords: np.ndarray):
+        """Coordinate cutoff, its derivative, and the longest slice of
+        coords on which the cutoff is exactly 1.0 (empty if none)."""
         cut = radial_cutoff(coords, self.level)
-        dcut = radial_cutoff_deriv(coords, self.level) if want_du else None
+        dcut = radial_cutoff_deriv(coords, self.level)
         ones = np.concatenate(([False], cut == 1.0, [False]))
         runs = np.flatnonzero(ones[1:] != ones[:-1]).reshape(-1, 2)
         i0, i1 = runs[np.argmax(runs[:, 1] - runs[:, 0])] if runs.size else (0, 0)
@@ -315,12 +306,13 @@ class MollifiedDensity:
     that refines the coordinate nodes, on which shifted points coincide.
     """
 
+    n_coords = 1  # the terminal coordinate; the benchmark's tracer keys on it
+
     def __init__(self, trunc: TruncatedDensity, eps: float):
         if not 0.0 < eps < 1.0:
             raise ValueError("mollification width must lie in (0, 1)")
         self.trunc = trunc
         self.eps = float(eps)
-        self.n_coords = trunc.n_coords
         self._alpha, self._wa = bump_quad_1d(_MOLL_NODES)
         self._beta, self._wb = bump_lattice_1d(_LATTICE_CELLS)
 
@@ -329,12 +321,12 @@ class MollifiedDensity:
         X = np.asarray(coords, dtype=float)
         lams = lam - self.eps * self._alpha
         flat = (X[:, None] - self.eps * self._beta[None, :]).reshape(-1)
-        cutoffs = self.trunc.cutoffs(flat, True)
+        cutoffs = self.trunc.cutoffs(flat)
         work = [np.empty(flat.size) for _ in range(5)]
         out = (np.zeros(X.size), np.zeros(X.size), np.zeros(X.size))
         for la, fac, wa in zip(lams, self.trunc._lam_factors(lams), self._wa):
-            parts = self.trunc.parts(la, flat, True, _cutoffs=cutoffs,
-                                     _lam=fac, _out=work)
+            parts = self.trunc.parts(la, flat, _cutoffs=cutoffs, _lam=fac,
+                                     _out=work)
             for acc, p in zip(out, parts):
                 acc += wa * (p.reshape(X.size, self._wb.size) @ self._wb)
         return out
@@ -349,13 +341,13 @@ class MollifiedDensity:
         reach = (self._beta.size // 2) * k
         wide = self.eps / _LATTICE_CELLS / k * np.arange(-n - reach,
                                                          n + reach + 1)
-        cutoffs = self.trunc.cutoffs(wide, True)
+        cutoffs = self.trunc.cutoffs(wide)
         work = [np.empty(wide.size) for _ in range(5)]
         lams = lam - self.eps * self._alpha
         sums = [np.zeros(wide.size) for _ in range(3)]
         for la, fac, wa in zip(lams, self.trunc._lam_factors(lams), self._wa):
             for acc, p in zip(sums, self.trunc.parts(
-                    la, wide, True, _cutoffs=cutoffs, _lam=fac, _out=work)):
+                    la, wide, _cutoffs=cutoffs, _lam=fac, _out=work)):
                 acc += wa * p
         out = [np.zeros(2 * n + 1) for _ in range(3)]
         for i, wb in enumerate(self._wb):  # node (i - 15) / 16: (i - 15) k steps
@@ -471,23 +463,13 @@ def integrand_tables(table: _UTable, eps_pos: float,
         htl = Fl / denom - (eps_pos + F) * (ddenom / denom ** 2)
         return ht, Fu / denom, htl, htl * x[None, :]
 
-    g2, g1, dg2, dg1 = knot_tables(smoothed, knot_times, horizon, quad_order,
-                                   y_grid)
+    g2, g1, dg2, dg1 = knot_tables(
+        smoothed, knot_times, horizon, quad_order,
+        np.broadcast_to(y_grid, (len(knot_times), len(y_grid))))
     dg1 /= np.sqrt(horizon - np.asarray(knot_times, dtype=float))[:, None]
     gam = g1 / g2
     dgam = (dg1 * g2 - g1 * dg2) / (g2 * g2)
     return gam, dgam
-
-
-def _read_knot_tables(pool: PathPool, y_grid: np.ndarray, tables):
-    """Row k of each per-knot y-table read at the paths' positions at knot k."""
-    left = pool.cumulative[:, :-1]
-    outs = [np.empty(left.shape) for _ in tables]
-    for k in range(left.shape[1]):
-        cols = uniform_interp(left[:, k], y_grid, [tab[k] for tab in tables])
-        for out, col in zip(outs, cols):
-            out[:, k] = col
-    return outs
 
 
 def _horizon_exponential(pool: PathPool, gamma: np.ndarray) -> np.ndarray:
@@ -526,7 +508,8 @@ def _exponentials(table: _UTable, config: PipelineConfig,
     gam_tab, dgam_tab = integrand_tables(
         table, config.positivity_floor, denom, ddenom, grid.knots[:-1],
         grid.horizon, config.quad_order, y_grid)
-    g, dg = _read_knot_tables(pools[0], y_grid, (gam_tab, dgam_tab))
+    g, dg = _read_knot_tables(pools[0], np.broadcast_to(y_grid, gam_tab.shape),
+                              (gam_tab, dgam_tab))
     out = {}
     for k, pool in {p.grid.n_steps: p for p in pools}.items():
         gk, dgk = g[:, ::grid.n_steps // k], dg[:, ::grid.n_steps // k]
@@ -648,8 +631,8 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
             # (value error, its SE, derivative error, its SE)
             errs[sid] = _l2(v - target_v) + _l2(d - target_d)
 
-        record(1, *cond.pair(la, u_fine))
-        record(3, *trunc.parts(la, u_fine, False)[:2])
+        record(1, *cond.parts(la, u_fine)[:2])
+        record(3, *trunc.parts(la, u_fine)[:2])
         table = _UTable(moll, la)
         F, Fl, _ = table.read(u_fine)
         record(4, F, Fl)
@@ -695,21 +678,6 @@ def pipeline_run(curve: DensityCurve, lam: float, lam_prime: float,
     )
 
 
-def _knot_smoothings(pool: PathPool, quad_order: int, fn):
-    """knot_tables' smoothing at every path's own position y (the prefix
-    sum, not pool.cumulative, which rounds differently): per array that fn
-    returns, the (paths, knots) table of E[f(B_T) | F_{t_i}]."""
-    grid = pool.grid
-    nodes, w = gauss_hermite(quad_order)
-    cols = []
-    for i in range(grid.n_steps):
-        y = pool.increments[:, :i].sum(axis=1)
-        var = float(grid.horizon - grid.knots[i])
-        arg = y[:, None] + np.sqrt(var) * nodes[None, :]
-        cols.append([np.asarray(f) @ w for f in fn(arg)])
-    return [np.column_stack(c) for c in zip(*cols)]
-
-
 def _consistency_gap(moll: MollifiedDensity, lam: float,
                      config: PipelineConfig, denom: float,
                      block_pool: PathPool, y_grid: np.ndarray,
@@ -725,9 +693,15 @@ def _consistency_gap(moll: MollifiedDensity, lam: float,
         v, _, du = moll.triple(lam, u.ravel())
         return (du / denom).reshape(u.shape), ((floor + v) / denom).reshape(u.shape)
 
-    Z, M = _knot_smoothings(sub, config.quad_order, normalized)
-    gam_read, = _read_knot_tables(sub, y_grid, (gam_tab,))
-    gap = float(np.abs(Z / M - gam_read).max())
+    # each path's own prefix sum, not sub.cumulative, which rounds differently
+    grid = sub.grid
+    Z, M = knot_tables(normalized, grid.knots[:-1], grid.horizon,
+                       config.quad_order,
+                       [sub.increments[:, :i].sum(axis=1)
+                        for i in range(grid.n_steps)])
+    gam_read, = _read_knot_tables(sub, np.broadcast_to(y_grid, gam_tab.shape),
+                                  (gam_tab,))
+    gap = float(np.abs(Z.T / M.T - gam_read).max())
     if gap > _GROSS_GAP:
         raise ValueError(f"integrand table disagrees with the direct "
                          f"decomposition (gap {gap:.2e})")

@@ -11,11 +11,13 @@ its own row, and its gradient on interval i is the constant A[k, i].
 
 A functional of the endpoint alone, F = f(B_T), has E[F | F_t] = g_t(B_t)
 with g_t(y) = E[f(y + sqrt(T - t) X)], X standard normal: one function of
-the position per knot. knot_tables tabulates g_t on a uniform y-grid, for
-clark_ocone_decompose and for stage 6 of approx_pipeline alike. The
-decomposition takes f and f' and reads Z and M off one table per knot,
-whose grid spans the paths' positions at that knot, at each path's
-position by linear interpolation.
+the position per knot. knot_tables is the one kernel that smooths an
+endpoint function so: it tabulates g_t at given points per knot, for
+clark_ocone_decompose and for stages 6 and 7 of approx_pipeline and its
+consistency gap alike, and _read_knot_tables reads such tables, made on a
+uniform grid per knot, at each path's position by linear interpolation.
+The decomposition takes f and f' and reads Z and M off one table per knot,
+whose grid spans the paths' positions at that knot.
 """
 
 from __future__ import annotations
@@ -175,31 +177,44 @@ def gaussian_smooth(grid: TimeGrid, s: float, prefix: np.ndarray,
     return tuple(out / n_draws for out in outs)
 
 
-def knot_tables(fn, knot_times, horizon: float, quad_order: int, y_grid):
-    """Per array f(U) that fn returns, the (knots, len(y_grid)) table of
+def knot_tables(fn, knot_times, horizon: float, quad_order: int, points):
+    """Per array f(U) that fn returns, the (knots, m) table of
     E[f(y + sqrt(horizon - t_i) X)] = E[f(B_T) | B_{t_i} = y], X standard
-    normal, by the Gauss-Hermite rule (x_k, w_k) of quad_order points: fn
-    maps the (len(y_grid), quad_order) array y + sqrt(horizon - t_i) x_k
-    to a tuple of arrays of that shape. ValueError before any evaluation on
-    quad_order < 1, on a knot at or past the horizon and on a y_grid that
-    is not 1-D, finite and increasing in equal steps (up to rounding)."""
+    normal, at the m points y of row i of points, by the Gauss-Hermite rule
+    (x_k, w_k) of quad_order points: fn maps the (m, quad_order) array
+    y + sqrt(horizon - t_i) x_k to a tuple of arrays of that shape. This is
+    the only place that argument is built: a uniform grid per knot serves
+    _read_knot_tables, and each path's own position gives the smoothing
+    along the paths directly. ValueError before any evaluation on
+    quad_order < 1, on a knot at or past the horizon and on points that are
+    not finite or not one row per knot."""
     _check_quadrature(quad_order, None)
     times = np.asarray(knot_times, dtype=float)
     if not np.all(times < horizon):
         raise ValueError("knots must lie strictly before the horizon")
-    y = np.asarray(y_grid, dtype=float)
-    if y.ndim != 1 or y.size < 2 or not np.all(np.isfinite(y)):
-        raise ValueError("y_grid must be a 1-D array of two or more finite points")
-    step = np.diff(y)
-    if not (step[0] > 0.0 and np.allclose(step, step[0], rtol=1e-9, atol=0.0)):
-        raise ValueError("y_grid must be increasing and uniformly spaced")
+    y = np.asarray(points, dtype=float)
+    if y.ndim != 2 or y.shape[0] != times.size or not np.all(np.isfinite(y)):
+        raise ValueError("points must be finite, one row per knot")
     x, w = gauss_hermite(quad_order)
     rows = []
-    for t in times:
-        args = y[:, None] + np.sqrt(horizon - float(t)) * x[None, :]
+    for t, y_i in zip(times, y):
+        args = y_i[:, None] + np.sqrt(horizon - float(t)) * x[None, :]
         # one memory layout, so one BLAS route, whatever layout fn returns
         rows.append([np.ascontiguousarray(f, dtype=float) @ w for f in fn(args)])
     return [np.stack(r) for r in zip(*rows)]
+
+
+def _read_knot_tables(pool: PathPool, grids: np.ndarray, tables):
+    """Row k of each (knots, m) table, made on row k of grids (uniform),
+    read by linear interpolation at the paths' positions at knot k: one
+    (paths, knots) array per table."""
+    left = pool.cumulative[:, :-1]
+    outs = [np.empty(left.shape) for _ in tables]
+    for k in range(left.shape[1]):
+        cols = uniform_interp(left[:, k], grids[k], [tab[k] for tab in tables])
+        for out, col in zip(outs, cols):
+            out[:, k] = col
+    return outs
 
 
 def _table_y_grid(positions) -> np.ndarray:
@@ -214,14 +229,10 @@ def _path_reads(fns, pool: PathPool, quad_order: int):
     positions at knot i, read at each path's position there, so column i
     depends on nothing the paths do after t_i."""
     grid = pool.grid
-    cols = []
-    for i in range(grid.n_steps):
-        y = pool.cumulative[:, i]
-        y_grid = _table_y_grid(y)
-        tables = knot_tables(lambda U: [f(U) for f in fns], grid.knots[i:i + 1],
-                             grid.horizon, quad_order, y_grid)
-        cols.append(uniform_interp(y, y_grid, [tab[0] for tab in tables]))
-    return [np.column_stack(c) for c in zip(*cols)]
+    grids = np.stack([_table_y_grid(y) for y in pool.cumulative[:, :-1].T])
+    tables = knot_tables(lambda U: [f(U) for f in fns], grid.knots[:-1],
+                         grid.horizon, quad_order, grids)
+    return _read_knot_tables(pool, grids, tables)
 
 
 def clark_ocone_integrand(fn_prime: Callable, pool: PathPool,

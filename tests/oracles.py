@@ -126,12 +126,13 @@ def doleans_exponential_at(pool, gamma, t):
     return np.exp(logs[:, j])
 
 
-def read_table_interp(table, y_grid, b_left):
-    """Per-knot y-tables read along the paths by np.interp, one binary
-    search per table and knot (the reader before uniform_interp)."""
+def read_table_interp(table, grids, b_left):
+    """Per-knot y-tables, row j made on grids[j], read along the paths by
+    np.interp, one binary search per table and knot (the reader before
+    uniform_interp)."""
     out = np.empty((b_left.shape[0], table.shape[0]))
     for j in range(table.shape[0]):
-        out[:, j] = np.interp(b_left[:, j], y_grid, table[j])
+        out[:, j] = np.interp(b_left[:, j], grids[j], table[j])
     return out
 
 
@@ -195,7 +196,7 @@ def radial_cutoff_deriv_full(x, level: float):
     return -0.5 * ds * np.sign(x)
 
 
-def truncated_parts(trunc, lam, coords, want_du):
+def truncated_parts(trunc, lam, coords):
     """TruncatedDensity.parts with every factor recomputed on each call,
     through the full-formula kernels above."""
     lev = trunc.level
@@ -204,20 +205,18 @@ def truncated_parts(trunc, lam, coords, want_du):
     dlam_c = float(capped_identity_deriv_full(lam_arr, lev)[0])
     cut_l = float(radial_cutoff(lam_arr, lev)[0])
     dcut_l = float(radial_cutoff_deriv_full(lam_arr, lev)[0])
-    h, dh, hu = trunc.cond.parts(lam_c, coords, want_du)
+    h, dh, hu = trunc.cond.parts(lam_c, coords)
     ph = capped_identity_full(h, lev)
     dph = capped_identity_deriv_full(h, lev)
     cut = radial_cutoff(coords, lev)
     val = ph * cut * cut_l
     dlam = dph * dh * dlam_c * cut * cut_l + ph * cut * dcut_l
-    du = None
-    if want_du:
-        du = dph * hu * cut * cut_l \
-            + ph * radial_cutoff_deriv_full(coords, lev) * cut_l
+    du = dph * hu * cut * cut_l \
+        + ph * radial_cutoff_deriv_full(coords, lev) * cut_l
     return val, dlam, du
 
 
-def mollified_acc(moll, lam, coords, want_du, rules=None):
+def mollified_acc(moll, lam, coords, rules=None):
     """MollifiedDensity's quadrature, its parameter rule over its coordinate
     rule, with the coordinate cutoffs recomputed at every parameter node,
     through truncated_parts. rules, when given, is a pair of (nodes,
@@ -231,14 +230,12 @@ def mollified_acc(moll, lam, coords, want_du, rules=None):
     flat = (X[:, None] - moll.eps * beta[None, :]).reshape(-1)
     outv = np.zeros(m)
     outl = np.zeros(m)
-    outu = np.zeros(m) if want_du else None
+    outu = np.zeros(m)
     for a, wa in zip(alpha, wa_all):
-        v, dl, du = truncated_parts(moll.trunc, lam - moll.eps * a, flat,
-                                    want_du)
+        v, dl, du = truncated_parts(moll.trunc, lam - moll.eps * a, flat)
         outv += wa * (v.reshape(m, n_cells) @ wb)
         outl += wa * (dl.reshape(m, n_cells) @ wb)
-        if want_du:
-            outu += wa * (du.reshape(m, n_cells) @ wb)
+        outu += wa * (du.reshape(m, n_cells) @ wb)
     return outv, outl, outu
 
 
@@ -266,7 +263,8 @@ def consistency_gap_decomposed(moll, lam, config, denom, block_pool, y_grid,
     direct = decompose_per_path(
         *stage6_functions(moll, lam, config.positivity_floor, denom), sub,
         quad_order=config.quad_order)
-    gam_read = read_table_interp(gam_tab, y_grid, sub.cumulative[:, :-1])
+    gam_read = read_table_interp(gam_tab, np.broadcast_to(y_grid, gam_tab.shape),
+                                 sub.cumulative[:, :-1])
     return float(np.abs(direct[2] - gam_read).max()), direct
 
 
@@ -350,13 +348,6 @@ def antiderivative_at_searchsorted(fn, xs, tol: float = 1e-9, max_depth: int = 1
     cum -= cum[np.searchsorted(pts, 0.0)]
     out = cum[np.searchsorted(pts, flat)]
     return out.reshape(xs.shape)
-
-
-def loglog_slope(h_values, errors) -> float:
-    """Least-squares slope of log(error) against log(h)."""
-    lh = np.log(np.asarray(h_values, dtype=float))
-    le = np.log(np.asarray(errors, dtype=float))
-    return float(np.polyfit(lh, le, 1)[0])
 
 
 # Frozen closed forms used across the test-suite (derived before implementing):

@@ -420,46 +420,51 @@ def _recording(calls):
     return fn
 
 
-@pytest.mark.parametrize("knots,quad_order,y_grid,match", [
-    ([0.0, 0.5], 0, np.linspace(-1.0, 1.0, 5), "quad_order"),
-    ([0.0, 0.5], -3, np.linspace(-1.0, 1.0, 5), "quad_order"),
-    ([0.0, 1.0], 8, np.linspace(-1.0, 1.0, 5), "horizon"),
-    ([0.0, 1.5], 8, np.linspace(-1.0, 1.0, 5), "horizon"),
-    ([np.nan], 8, np.linspace(-1.0, 1.0, 5), "horizon"),
-    ([0.0], 8, np.array([0.0, 0.1, 0.3]), "uniformly spaced"),
-    ([0.0], 8, np.array([0.2, 0.1, 0.0]), "uniformly spaced"),
-    ([0.0], 8, np.array([0.0, np.nan, 0.2]), "finite"),
-    ([0.0], 8, np.array([0.0, 0.1, np.inf]), "finite"),
-    ([0.0], 8, np.empty(0), "finite"),
-    ([0.0], 8, np.array([0.3]), "two or more"),
-    ([0.0], 8, np.zeros((2, 3)), "finite"),
+_GRID = np.linspace(-1.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("knots,quad_order,points,match", [
+    ([0.0, 0.5], 0, [_GRID, _GRID], "quad_order"),
+    ([0.0, 0.5], -3, [_GRID, _GRID], "quad_order"),
+    ([0.0, 1.0], 8, [_GRID, _GRID], "horizon"),
+    ([0.0, 1.5], 8, [_GRID, _GRID], "horizon"),
+    ([np.nan], 8, [_GRID], "horizon"),
+    ([0.0], 8, [[0.0, np.nan, 0.2]], "finite"),
+    ([0.0], 8, [[0.0, 0.1, np.inf]], "finite"),
+    ([0.0, 0.5], 8, [_GRID, [0.0, -np.inf, 0.2, 0.3, 0.4]], "finite"),
+    ([0.0, 0.5], 8, [_GRID], "one row per knot"),
+    ([0.0], 8, [_GRID, _GRID], "one row per knot"),
+    ([0.0], 8, _GRID, "one row per knot"),
+    ([0.0, 0.5], 8, np.zeros((2, 3, 1)), "one row per knot"),
 ])
 def test_knot_tables_refuse_bad_input_before_any_evaluation(
-        knots, quad_order, y_grid, match):
+        knots, quad_order, points, match):
     calls = []
     with pytest.raises(ValueError, match=match):
         clark_ocone.knot_tables(_recording(calls), knots, 1.0, quad_order,
-                                y_grid)
+                                np.asarray(points, dtype=float))
     assert calls == []
 
 
 def test_knot_tables_smooth_each_array_on_one_argument():
     """Row i of each table is the Gauss-Hermite mean of f(y + sqrt(T - t_i)
-    X) at every grid point, for every array fn returns from the same
-    argument."""
+    X) at every point of row i, for every array fn returns from the same
+    argument; rows need not be uniform, sorted or alike."""
     x, w = gauss_hermite(12)
     y_grid = np.linspace(-2.0, 2.0, 9)
+    points = np.stack([y_grid, y_grid[::-1] ** 3, y_grid + 0.1])
     knots = [0.0, 0.25, 0.75]
     a, b = clark_ocone.knot_tables(lambda U: (np.sin(U), U ** 2), knots, 1.0,
-                                   12, y_grid)
+                                   12, points)
     assert a.shape == b.shape == (3, 9)
     for i, t in enumerate(knots):
         var = 1.0 - t
-        assert np.allclose(b[i], y_grid ** 2 + var, rtol=1e-13, atol=1e-13)
-        assert np.allclose(a[i], np.sin(y_grid) * np.exp(-0.5 * var),
+        y = points[i]
+        assert np.allclose(b[i], y ** 2 + var, rtol=1e-13, atol=1e-13)
+        assert np.allclose(a[i], np.sin(y) * np.exp(-0.5 * var),
                            rtol=1e-12, atol=1e-13)
     one, = clark_ocone.knot_tables(lambda U: (np.cos(U),), [0.5], 1.0, 12,
-                                   y_grid)
+                                   y_grid[None, :])
     assert one.shape == (1, 9)
     assert np.allclose(one[0], [np.cos(y + np.sqrt(0.5) * x) @ w
                                 for y in y_grid], rtol=0.0, atol=1e-15)

@@ -3,7 +3,8 @@ module, every private module-level name a wcalc module defines is used
 somewhere in the package, and every public name the package re-exports,
 every public function and class a wcalc module defines, and every public
 method of its classes, is read by the package itself or by the acceptance
-tests.
+tests. Every public function and class of tests/oracles.py is read by a
+test module or by another oracle.
 
 The package's __init__.py is exempt from the import scan: its imports are
 the public re-exports.
@@ -17,6 +18,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "wcalc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+ORACLES = Path(__file__).with_name("oracles.py")
 
 
 def _annotation_names(tree):
@@ -185,6 +187,23 @@ def test_the_scan_sees_an_unread_public_def():
 def test_every_public_def_is_read_by_the_package_or_the_acceptance_tests():
     defining = {p.name: p.read_text() for p in MODULES}
     assert unread_public_defs(defining, _package_and_acceptance_sources()) == []
+
+
+def test_the_scan_sees_an_unread_oracle():
+    oracles = ("def direct(x):\n    return x\n\n"
+               "def via_oracle(x):\n    return direct(x)\n\n"
+               "def stale(x):\n    return x\n")
+    sources = {"oracles.py": oracles,
+               "test_a.py": "from oracles import via_oracle, stale\n"
+                            "def test_it():\n    assert via_oracle(1) == 1\n"}
+    assert unread_public_defs({"oracles.py": oracles}, sources) == [
+        ("oracles.py", 7, "stale")]
+
+
+def test_every_oracle_is_read_by_a_test_or_another_oracle():
+    sources = {p.name: p.read_text() for p in TESTS}
+    assert unread_public_defs({"oracles.py": ORACLES.read_text()},
+                              sources) == []
 
 
 def unread_public_methods(defining, sources):

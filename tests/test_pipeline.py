@@ -17,7 +17,7 @@ from wcalc import (make_grid, sample_paths, dyadic_coarsen,
                    MollifiedDensity, stage5_normalize, stage5_derivative,
                    StepProcess, final_errors_at, doleans_exponential,
                    pipeline_ladders, DEFAULT_THRESHOLDS)
-from wcalc import approx_pipeline
+from wcalc import approx_pipeline, clark_ocone
 from wcalc.numerics import bump_lattice_1d, bump_quad_1d, row_sums
 
 from oracles import (assert_bitwise, consistency_gap_decomposed, mollified_acc,
@@ -57,14 +57,12 @@ def test_stage1_exact_for_endpoint_curves():
     pool = sample_paths(grid, 3000, seed=21)
     curve = exp_curve(grid)
     lam = 0.5
+    want = curve.eval_pair(lam, pool)
     for level in (1, 2, 3):
         cond = ConditionedDensity(curve, level, pool)
-        assert cond.n_coords == 1
-        vals, dvals = cond.pair(lam, row_sums(pool.increments))
-        err_v = np.sqrt(np.mean((vals - curve.eval(lam, pool)) ** 2))
-        err_d = np.sqrt(np.mean((dvals - curve.eval_pair(lam, pool)[1]) ** 2))
-        assert err_v <= 1e-13
-        assert err_d <= 1e-13
+        got = cond.parts(lam, row_sums(pool.increments))[:2]
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
 
 
 # ---------------------------------------------------------------- stage 3
@@ -77,16 +75,17 @@ def test_stage3_identity_on_the_flat_region():
     trunc = TruncatedDensity(cond, 8.0)
     lam = 0.3
     u = np.linspace(-4.0, 4.0, 41)
-    cv, cd, cu = cond.parts(lam, u, True)
-    tv, td, tu = trunc.parts(lam, u, True)
+    cv, cd, cu = cond.parts(lam, u)
+    tv, td, tu = trunc.parts(lam, u)
     assert np.max(np.abs(cv)) < 6.0  # inside the cap, so nothing moves
     assert np.array_equal(tv, cv)
     assert np.array_equal(td, cd)
     assert np.array_equal(tu, cu)
     far = np.array([-9.0, 8.0, 12.0])
-    fv, fd, _ = trunc.parts(lam, far, False)
+    fv, fd, fu = trunc.parts(lam, far)
     assert np.all(fv == 0.0)
     assert np.all(fd == 0.0)
+    assert np.all(fu == 0.0)
 
 
 @pytest.mark.parametrize("level", [3.0, 4.0, 6.0, 8.0])
@@ -100,31 +99,24 @@ def test_stage3_matches_the_recomputing_oracle(level):
     u = np.concatenate([np.linspace(-level - 1.0, level + 1.0, 301),
                         [level - 2.0, level, -level, 0.0, -0.0]])
     for lam in (0.3, 0.9, -1.7, level - 1.5, level - 2.0, -level, 8.5):
-        for want_du in (False, True):
-            want = truncated_parts(trunc, lam, u, want_du)
-            for got in (trunc.parts(lam, u, want_du),
-                        trunc.parts(lam, u, want_du,
-                                    _cutoffs=trunc.cutoffs(u, want_du))):
-                for g, w in zip(got, want):
-                    assert_bitwise(g, w)
+        want = truncated_parts(trunc, lam, u)
+        for got in (trunc.parts(lam, u),
+                    trunc.parts(lam, u, _cutoffs=trunc.cutoffs(u))):
+            for g, w in zip(got, want):
+                assert_bitwise(g, w)
 
 
 @pytest.mark.parametrize("level,eps", [(3.0, 0.3), (6.0, 0.1), (8.0, 0.5)])
 def test_stage4_matches_the_recomputing_oracle(level, eps):
     """triple, which computes the cutoffs once per call, equals a quadrature
-    that recomputes them at every parameter node, bitwise, with and without
-    the coordinate derivative."""
+    that recomputes them at every parameter node, bitwise."""
     grid = make_grid(8)
     pool = sample_paths(grid, 500, seed=13)
     cond = ConditionedDensity(exp_curve(grid, -9.0, 9.0), 3, pool)
     moll = MollifiedDensity(TruncatedDensity(cond, level), eps)
     u = np.linspace(-level - 1.0, level + 1.0, 97)
     for lam in (0.3, 1.1, level - 1.0, -level + 0.2):
-        want = mollified_acc(moll, lam, u, True)
-        for g, w in zip(moll.triple(lam, u), want):
-            assert_bitwise(g, w)
-        for g, w in zip(moll.triple(lam, u)[:2],
-                        mollified_acc(moll, lam, u, False)[:2]):
+        for g, w in zip(moll.triple(lam, u), mollified_acc(moll, lam, u)):
             assert_bitwise(g, w)
 
 
@@ -260,9 +252,9 @@ def test_lattice_rule_is_no_less_accurate_than_the_rule_it_replaced():
     fine = bump_lattice_1d(96)
     gl = bump_quad_1d(17)
     for lam in (0.3, 0.7):
-        ref = mollified_acc(moll, lam, u, True, (fine, fine))
+        ref = mollified_acc(moll, lam, u, (fine, fine))
         errs = [[np.max(np.abs(g - r)) for g, r in
-                 zip(mollified_acc(moll, lam, u, True, rules), ref)]
+                 zip(mollified_acc(moll, lam, u, rules), ref)]
                 for rules in ((gl, bump_lattice_1d(16)), (gl, gl))]
         for new, old in zip(*errs):
             assert new <= 1.5 * old
@@ -287,7 +279,7 @@ def test_u_table_reads_match_direct_evaluation(lam):
     random_pts = np.random.default_rng(32).uniform(-S, S, 4000)
     x, _ = approx_pipeline.gauss_hermite(32)
     t = grid.knots[4]
-    knot_pts = (approx_pipeline._table_y_grid(pool.cumulative[:, :-1])[:, None]
+    knot_pts = (clark_ocone._table_y_grid(pool.cumulative[:, :-1])[:, None]
                 + np.sqrt(grid.horizon - t) * x[None, :]).ravel()
     for pts in (random_pts, knot_pts):
         for got, want, bound in zip(table.read(pts), moll.triple(lam, pts),
@@ -317,17 +309,20 @@ def test_u_table_reads_match_direct_evaluation_at_the_widest_spacing():
 
 
 def test_knot_tables_read_as_np_interp_bitwise():
-    """The reader of stages 6 and 7 gives the per-knot np.interp loop's
-    result bit for bit, at every path's left-knot position."""
+    """The reader of stages 6 and 7 and of the clark-ocone battery gives the
+    per-knot np.interp loop's result bit for bit, at every path's left-knot
+    position, on one grid shared by every knot and on a grid per knot."""
     pool = sample_paths(make_grid(8), 5000, seed=33)
-    y_grid = approx_pipeline._table_y_grid(pool.cumulative[:, :-1])
+    left = pool.cumulative[:, :-1]
+    y_grid = clark_ocone._table_y_grid(left)
     rng = np.random.default_rng(34)
     tables = [rng.standard_normal((8, y_grid.size)) for _ in range(2)]
-    got = approx_pipeline._read_knot_tables(pool, y_grid, tables)
-    for read, tab in zip(got, tables):
-        assert read.flags.c_contiguous
-        assert_bitwise(read, read_table_interp(tab, y_grid,
-                                               pool.cumulative[:, :-1]))
+    for grids in (np.broadcast_to(y_grid, (8, y_grid.size)),
+                  np.stack([clark_ocone._table_y_grid(y) for y in left.T])):
+        got = clark_ocone._read_knot_tables(pool, grids, tables)
+        for read, tab in zip(got, tables):
+            assert read.flags.c_contiguous
+            assert_bitwise(read, read_table_interp(tab, grids, left))
 
 
 def test_consistency_gap_detects_a_skewed_u_table(monkeypatch):
@@ -371,7 +366,7 @@ def test_consistency_gap_reads_one_triple_per_block_knot(
                          mollify_eps=0.1, positivity_floor=0.1,
                          step_count=step_count, quad_order=quad_order)
     gap_check = approx_pipeline._consistency_gap
-    smoothings = approx_pipeline._knot_smoothings
+    tables = approx_pipeline.knot_tables
     triple = MollifiedDensity.triple
     calls = {"gap": [], "triple": 0, "tables": []}
     inside = []
@@ -384,16 +379,18 @@ def test_consistency_gap_reads_one_triple_per_block_knot(
         finally:
             inside.pop()
 
-    def kept_smoothings(*args):
-        calls["tables"].append(smoothings(*args))
-        return calls["tables"][-1]
+    def kept_tables(*args):
+        out = tables(*args)
+        if inside:
+            calls["tables"].append(out)
+        return out
 
     def counted_triple(self, lam, coords):
         calls["triple"] += bool(inside)
         return triple(self, lam, coords)
 
     monkeypatch.setattr(approx_pipeline, "_consistency_gap", counted_gap)
-    monkeypatch.setattr(approx_pipeline, "_knot_smoothings", kept_smoothings)
+    monkeypatch.setattr(approx_pipeline, "knot_tables", kept_tables)
     monkeypatch.setattr(MollifiedDensity, "triple", counted_triple)
     rep = pipeline_run(exp_curve(grid, 0.0, 1.0), 0.3, 0.5, cfg, pool)
     assert len(calls["gap"]) == 1
@@ -401,8 +398,8 @@ def test_consistency_gap_reads_one_triple_per_block_knot(
     monkeypatch.undo()
     gap, (Z, M, _) = consistency_gap_decomposed(*calls["gap"][0])
     [(got_Z, got_M)] = calls["tables"]
-    assert_bitwise(got_Z, Z)
-    assert_bitwise(got_M, M)
+    assert_bitwise(got_Z.T, Z)
+    assert_bitwise(got_M.T, M)
     assert_bitwise(rep.gamma_consistency_gap, gap)
 
 
@@ -497,7 +494,9 @@ def test_pipeline_run_end_to_end(tmp_path):
     assert rep.final_value_error == st7.l2_error_value
     assert rep.final_deriv_error == st7.l2_error_deriv
     assert rep.final_segment_error == st7.along_segment_error
-    assert rep.stage(1).l2_error_value <= 1e-13
+    st1 = rep.stage(1)
+    assert st1.l2_error_value == st1.l2_error_deriv == 0.0
+    assert st1.along_segment_error == 0.0
     assert rep.final_value_error < 0.1
     assert rep.gamma_consistency_gap < 5e-3
     assert rep.knot_times.shape == (4,)
