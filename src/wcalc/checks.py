@@ -400,6 +400,26 @@ def check_girsanov(n_paths: int = 20000, n_steps: int = 16,
     return own + cross + inverse + mean_one
 
 
+def _constant_integrand(grid: TimeGrid, n_paths: int, seed: int) -> CheckRecord:
+    """The exponential family's integrand against its constant sigma."""
+    sig = 0.4
+    _, _, gam = clark_ocone_decompose(*_exp_density(grid.horizon, sig),
+                                      sample_paths(grid, n_paths, seed),
+                                      quad_order=32)
+    return _rec("clark/constant-integrand",
+                float(np.max(np.abs(gam - sig))), 0.0, 0.0, 1e-8)
+
+
+def _tanh_defect(grid: TimeGrid, n_paths: int, seed: int) -> float:
+    """Reconstruction defect of a tanh-shaped density: positive, mean
+    exactly one by symmetry, and its conditional means stay above one half."""
+    pool = sample_paths(grid, n_paths, seed)
+    Z = clark_ocone_integrand(lambda s: 0.5 / np.cosh(s) ** 2, pool,
+                              quad_order=32)
+    vals = 1.0 + 0.5 * np.tanh(row_sums(pool.increments))
+    return reconstruction_error(vals, Z, pool)
+
+
 def check_clark_ocone(n_paths: int = 20000, n_steps: int = 16,
                       seed: int = 7404,
                       horizon: float = 1.0) -> List[CheckRecord]:
@@ -410,25 +430,10 @@ def check_clark_ocone(n_paths: int = 20000, n_steps: int = 16,
     nonlinear functional the reconstruction defect is measured on a doubling
     ladder of grids; each refinement should cut it by a stable factor.
     """
-    grid = make_grid(n_steps, horizon)
-    pool = sample_paths(grid, n_paths, seed)
-    records = []
-
-    sig = 0.4
-    _, _, gam = clark_ocone_decompose(*_exp_density(grid.horizon, sig), pool,
-                                      quad_order=32)
-    records.append(_rec("clark/constant-integrand",
-                        float(np.max(np.abs(gam - sig))), 0.0, 0.0, 1e-8))
-
-    # A tanh-shaped density: positive, mean exactly one by symmetry, and the
-    # conditional means stay above one half.
-    defects = []
-    for n in (4, 8, 16, 32):
-        p = sample_paths(make_grid(n, horizon), n_paths, seed + n)
-        Z = clark_ocone_integrand(lambda s: 0.5 / np.cosh(s) ** 2, p,
-                                  quad_order=32)
-        vals = 1.0 + 0.5 * np.tanh(row_sums(p.increments))
-        defects.append(reconstruction_error(vals, Z, p))
+    # Each pool and its arrays are freed before the next pool is drawn.
+    records = [_constant_integrand(make_grid(n_steps, horizon), n_paths, seed)]
+    defects = [_tanh_defect(make_grid(n, horizon), n_paths, seed + n)
+               for n in (4, 8, 16, 32)]
     for k, n in enumerate((4, 8, 16)):
         ratio = defects[k] / defects[k + 1]
         records.append(_rec(f"clark/defect-ratio|{n}to{2 * n}",

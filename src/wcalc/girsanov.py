@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import mean_and_se
-from .wiener_grid import PathPool, TimeGrid, _pool_from_increments
+from .wiener_grid import PathPool, TimeGrid
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def shift_forward(pool: PathPool, gamma: StepProcess, t: float) -> PathPool:
     for i in range(j):
         g = gamma.column(i, inc[:, :i])
         inc[:, i] = pool.increments[:, i] + g * dts[i]
-    return _pool_from_increments(pool.grid, inc)
+    return PathPool(pool.grid, inc)
 
 
 def shift_backward(pool: PathPool, gamma: StepProcess, t: float) -> PathPool:
@@ -105,7 +105,7 @@ def shift_backward(pool: PathPool, gamma: StepProcess, t: float) -> PathPool:
     for i in range(j):
         g = gamma.column(i, pool.increments[:, :i])
         inc[:, i] = pool.increments[:, i] - g * dts[i]
-    return _pool_from_increments(pool.grid, inc)
+    return PathPool(pool.grid, inc)
 
 
 def girsanov_check(pool: PathPool, exponential, shifted: PathPool,

@@ -4,12 +4,14 @@ coarsening.
 A PathPool is the computational stand-in for the Wiener space: an
 unweighted i.i.d. sample of paths represented by their increment matrix.
 Increments over (t_{i-1}, t_i] are i.i.d. N(0, dt_i); every change of
-measure is a per-path density, never a property of the pool.
+measure is a per-path density, never a property of the pool. The matrix of
+positions at the knots is built from the increments on first read, and
+coarsening still subsets the fine positions instead of re-summing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,39 +84,50 @@ class PathPool:
     """Immutable batch of discretized Brownian paths, each of weight 1/n.
 
     `cumulative` holds the path values at the knots (column 0 is zero). It is
-    carried explicitly so that coarsening can subset it instead of re-summing,
+    built from the increments on first read, so a pool that is only read at
+    a few knots never holds it; a pool made by coarsening is given its
+    positions, the fine pool's at the block knots, instead of re-summing,
     which keeps path values bitwise identical across coarsening levels.
     """
 
     grid: TimeGrid
     increments: np.ndarray
-    cumulative: np.ndarray
+    _cumulative: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         inc = _readonly(self.increments)
-        cum = _readonly(self.cumulative)
+        n, m = len(inc), self.grid.n_steps
+        if inc.ndim != 2 or inc.shape[1] != m:
+            raise ValueError(f"increments must be (paths, {m}), "
+                             f"got shape {inc.shape}")
         object.__setattr__(self, "increments", inc)
-        object.__setattr__(self, "cumulative", cum)
-        n, m = inc.shape
-        if m != self.grid.n_steps:
-            raise ValueError("increment columns must match grid steps")
-        if cum.shape != (n, m + 1):
-            raise ValueError("cumulative matrix shape mismatch")
+        if self._cumulative is not None:
+            cum = _readonly(self._cumulative)
+            if cum.shape != (n, m + 1):
+                raise ValueError(f"positions must be ({n}, {m + 1}), "
+                                 f"got shape {cum.shape}")
+            object.__setattr__(self, "_cumulative", cum)
+
+    @property
+    def cumulative(self) -> np.ndarray:
+        """Read-only (paths, steps + 1) positions, built on first read. Two
+        threads that both build it run one np.cumsum on the same read-only
+        increments, so whichever matrix is kept holds the same bits."""
+        if self._cumulative is None:
+            cum = np.zeros((self.n_samples, self.grid.n_steps + 1))
+            np.cumsum(self.increments, axis=1, out=cum[:, 1:])
+            object.__setattr__(self, "_cumulative", _readonly(cum))
+        return self._cumulative
 
     @property
     def n_samples(self) -> int:
         return self.increments.shape[0]
 
     def subset(self, rows) -> "PathPool":
-        """Row-sliced pool."""
-        return PathPool(self.grid, self.increments[rows], self.cumulative[rows])
-
-
-def _pool_from_increments(grid: TimeGrid, increments: np.ndarray) -> PathPool:
-    n = increments.shape[0]
-    cum = np.zeros((n, grid.n_steps + 1))
-    np.cumsum(increments, axis=1, out=cum[:, 1:])
-    return PathPool(grid, increments, cum)
+        """Row-sliced pool, carrying the positions only if they are built."""
+        cum = self._cumulative
+        return PathPool(self.grid, self.increments[rows],
+                        None if cum is None else cum[rows])
 
 
 def sample_paths(grid: TimeGrid, n_samples: int, seed: int) -> PathPool:
@@ -127,13 +140,19 @@ def sample_paths(grid: TimeGrid, n_samples: int, seed: int) -> PathPool:
     rng = substream(seed, 0)
     z = rng.standard_normal((n_samples, grid.n_steps))
     z *= np.sqrt(grid.steps)
-    return _pool_from_increments(grid, z)
+    return PathPool(grid, z)
 
 
 def brownian_at(pool: PathPool, t: float) -> np.ndarray:
-    """Per-path value B_t; t must be a grid knot."""
+    """Per-path value B_t; t must be a grid knot. Unless the matrix is built,
+    columns add from a copy of column 0 as in np.cumsum: its bits, -0.0 too."""
     j = pool.grid.knot_index(t)
-    return pool.cumulative[:, j].copy()
+    if pool._cumulative is not None:
+        return pool.cumulative[:, j].copy()
+    b = np.zeros(pool.n_samples) if j == 0 else pool.increments[:, 0].copy()
+    for col in pool.increments[:, 1:j].T:
+        b += col
+    return b
 
 
 def _block_edges(grid: TimeGrid, level: int) -> np.ndarray:

@@ -283,17 +283,39 @@ def test_representation_does_not_depend_on_the_row_budget(monkeypatch):
             assert_bitwise(g, w)
 
 
+def _traced_peak(fn, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        fn(**kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_representation_check_stays_cache_sized():
     """The representation records' traced peak stays below 8 MB: the mesh
     chunks are cache-sized (a warm peak of 3.4 MB at a 2**14-row budget,
     against 32.8 MB at 2**18), so a larger budget shows here."""
-    tracemalloc.start()
-    try:
-        checks._repr_records(20260815)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(checks._repr_records, seed=20260815)
     assert peak < 8e6, peak
+
+
+def test_chain_rule_builds_no_position_matrix():
+    """The chain-rule battery reads only B_T, so its pool never builds the
+    (paths, steps + 1) position matrix: a traced peak of 4.50 MB at 10k
+    paths and 16 steps, against 5.87 MB when every pool built it."""
+    peak = _traced_peak(checks.check_chain_rule, n_paths=10_000, n_steps=16,
+                        seed=20260815)
+    assert peak < 5.2e6, peak
+
+
+def test_clark_ocone_frees_each_pool_before_the_next():
+    """Each rung's pool, integrand and values are freed before the next rung
+    samples, and the base pool before the ladder: a traced peak of 2.35 MB at
+    2000 paths and 16 steps, against 3.67 MB when they stayed alive."""
+    peak = _traced_peak(checks.check_clark_ocone, n_paths=2000, n_steps=16,
+                        seed=20260815)
+    assert peak < 3.0e6, peak
 
 
 @pytest.mark.parametrize("seed", [20260815, 3, 4])

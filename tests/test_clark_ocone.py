@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wcalc import (make_grid, sample_paths, gaussian_smooth,
+from wcalc import (PathPool, make_grid, sample_paths, gaussian_smooth,
                    clark_ocone_decompose, clark_ocone_integrand,
                    reconstruction_error, run_check)
 from wcalc import clark_ocone
@@ -110,8 +110,7 @@ def test_decompose_left_endpoint_measurability(pool):
     perm = np.random.default_rng(1).permutation(pool.n_samples)
     shuffled = pool.increments.copy()
     shuffled[:, i:] = shuffled[perm, i:]
-    from wcalc.wiener_grid import _pool_from_increments
-    p2 = _pool_from_increments(pool.grid, shuffled)
+    p2 = PathPool(pool.grid, shuffled)
     Z2, M2, _ = clark_ocone_decompose(*TANH, p2, quad_order=24)
     assert_bitwise(M2[:, :i + 1], M[:, :i + 1])
     assert_bitwise(Z2[:, :i + 1], Z[:, :i + 1])

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from wcalc import (make_grid, sample_paths, brownian_at, StepProcess,
-                   constant_process, deterministic_process,
+from wcalc import (PathPool, make_grid, sample_paths, brownian_at,
+                   StepProcess, constant_process, deterministic_process,
                    doleans_exponential, shift_forward, shift_backward,
                    girsanov_check, weighted_expectation)
 from wcalc import checks, run_check
 from wcalc.checks import _girsanov_processes
-from wcalc.wiener_grid import _pool_from_increments
 from oracles import assert_bitwise, check_girsanov_per_pair, \
     doleans_exponential_at, doleans_naive, FROZEN
 
@@ -156,7 +155,7 @@ def _shift_reading_the_unshifted_history(pool, gamma, t):
     inc = pool.increments.copy()
     for i in range(pool.grid.knot_index(t)):
         inc[:, i] += gamma.column(i, pool.increments[:, :i]) * pool.grid.steps[i]
-    return _pool_from_increments(pool.grid, inc)
+    return PathPool(pool.grid, inc)
 
 
 @pytest.mark.parametrize("seed", [20260815, 3, 4])
