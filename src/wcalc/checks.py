@@ -125,24 +125,26 @@ def check_chain_rule(n_paths: int = 20000, n_steps: int = 16,
     phi and Phi are law-free, so each is evaluated once per functional.
     Each (curve, lam) evaluates the raw curve once on the full pool at
     lam -/+ h and lam; the pool and every shard read their rows of it and
-    of B_T, and renormalize by their own mean.
+    of B_T, and renormalize by their own mean. The pool is dropped once
+    B_T and the increments' row sums u, which the curves read, are taken.
     """
     grid = make_grid(n_steps, horizon)
     pool = sample_paths(grid, n_paths, seed)
-    xi = brownian_at(pool, grid.horizon)
+    xi, u = brownian_at(pool, grid.horizon), row_sums(pool.increments)
+    del pool
     fns = {fid: make_functional(fid) for fid in ("mean", "mean_sq", "sin_mean")}
     antis = {fid: grad_phi_antiderivative(f, xi) for fid, f in fns.items()}
     phis = {fid: f.phi(xi[:, None]) for fid, f in fns.items()}
-    rows = [slice(None)] + _shard_rows(pool.n_samples)
+    rows = [slice(None)] + _shard_rows(n_paths)
     curves = _curve_battery(grid)
 
     # routes[fid, cid, lam]: (lhs, rhs) on the full pool, then on each shard
     routes: Dict[tuple, List[tuple]] = {}
     for cid, curve in curves:
         for lam in _CHAIN_LAMS:
-            raw_below = curve.raw(lam - _FD_STEP, pool.increments)
-            raw_above = curve.raw(lam + _FD_STEP, pool.increments)
-            raw, raw_deriv = curve.raw_pair(lam, pool.increments)
+            raw_below = curve.raw(lam - _FD_STEP, u)
+            raw_above = curve.raw(lam + _FD_STEP, u)
+            raw, raw_deriv = curve.raw_pair(lam, u)
             for r in rows:
                 x = xi[r]
                 below = pushforward_law(renormalize(raw_below[r]), x)
@@ -338,18 +340,17 @@ def _girsanov_processes(grid: TimeGrid):
 
 
 def _girsanov_observables():
+    """(name, phi) pairs; phi(pool, b) reads the paths and their B_T, b."""
     return [
-        ("endpoint", lambda pool: brownian_at(pool, pool.grid.horizon)),
-        ("running-max", lambda pool: np.maximum(
+        ("endpoint", lambda pool, b: b),
+        ("running-max", lambda pool, b: np.maximum(
             np.cumsum(pool.increments, axis=1), 0.0).max(axis=1)),
-        ("sin-endpoint", lambda pool: np.sin(
-            brownian_at(pool, pool.grid.horizon))),
-        ("area", lambda pool: np.concatenate(
+        ("sin-endpoint", lambda pool, b: np.sin(b)),
+        ("area", lambda pool, b: np.concatenate(
             [np.zeros((pool.n_samples, 1)),
              np.cumsum(pool.increments, axis=1)[:, :-1]], axis=1)
             @ pool.grid.steps),
-        ("gauss-endpoint", lambda pool: np.exp(
-            -0.5 * brownian_at(pool, pool.grid.horizon) ** 2)),
+        ("gauss-endpoint", lambda pool, b: np.exp(-0.5 * b ** 2)),
     ]
 
 
@@ -362,27 +363,30 @@ def check_girsanov(n_paths: int = 20000, n_steps: int = 16,
     forward/backward flow inversion down to roundoff, and the mean of the
     exponential pinned to one at every knot.
 
-    Each integrand builds its Doleans table and shifted pool once, read by
-    its two pairs, its inversion (which shifts that pool back) and its
-    mean-one record.
+    Each integrand builds its Doleans table, shifted pool and that pool's
+    B_T once, read by its two pairs, its inversion (which shifts that pool
+    back) and its mean-one record, and frees them before the next one.
     """
     grid = make_grid(n_steps, horizon)
     pool = sample_paths(grid, n_paths, seed)
     phis = _girsanov_observables()
+    end = brownian_at(pool, grid.horizon)
     own, cross, inverse, mean_one = [], [], [], []
     for gi, (gname, gamma) in enumerate(_girsanov_processes(grid)):
         table = doleans_exponential(pool, gamma)
         shifted = shift_forward(pool, gamma, grid.horizon)
+        shifted_end = brownian_at(shifted, grid.horizon)
         # each integrand meets its own observable and the one two along
         for out, pi in ((own, gi), (cross, (gi + 2) % len(phis))):
             pname, phi = phis[pi]
-            lhs, rhs, se = girsanov_check(pool, table[:, -1], shifted, phi)
+            lhs, rhs, se = girsanov_check(table[:, -1], phi(pool, end),
+                                          phi(shifted, shifted_end))
             out.append(_rec(f"girsanov/{gname}*{pname}",
                             lhs, rhs, se, 3.0 * se + 1e-12))
 
         if gname in ("sin-t", "tanh-B"):
-            back = shift_backward(shifted, gamma, grid.horizon)
-            err = float(np.max(np.abs(back.increments - pool.increments)))
+            err = float(np.max(np.abs(shift_backward(
+                shifted, gamma, grid.horizon).increments - pool.increments)))
             inverse.append(_rec(f"girsanov/inverse|{gname}",
                                 err, 0.0, 0.0, 1e-10))
 
@@ -397,6 +401,7 @@ def check_girsanov(n_paths: int = 20000, n_steps: int = 16,
             # and the exponential is exactly one on every path.
             mean_one.append(_rec(f"girsanov/mean-one|{gname}",
                                  worst, 1.0, worst_se, 3.0 * worst_se + 1e-9))
+        del table, shifted, shifted_end
     return own + cross + inverse + mean_one
 
 

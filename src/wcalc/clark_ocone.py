@@ -28,7 +28,7 @@ import numpy as np
 
 from .numerics import gauss_hermite, uniform_interp
 from .rng import substream
-from .wiener_grid import PathPool, TimeGrid
+from .wiener_grid import PathPool, TimeGrid, _knot_columns
 
 _TENSOR_BLOCK_CAP = 4
 # Mesh rows per gaussian_smooth chunk (512 KiB of float64 on four steps, so
@@ -207,11 +207,11 @@ def knot_tables(fn, knot_times, horizon: float, quad_order: int, points):
 def _read_knot_tables(pool: PathPool, grids: np.ndarray, tables):
     """Row k of each (knots, m) table, made on row k of grids (uniform),
     read by linear interpolation at the paths' positions at knot k: one
-    (paths, knots) array per table."""
-    left = pool.cumulative[:, :-1]
-    outs = [np.empty(left.shape) for _ in tables]
-    for k in range(left.shape[1]):
-        cols = uniform_interp(left[:, k], grids[k], [tab[k] for tab in tables])
+    (paths, knots) array per table. A pool's unbuilt matrix stays unbuilt."""
+    n = pool.grid.n_steps
+    outs = [np.empty((pool.n_samples, n)) for _ in tables]
+    for k, y in enumerate(_knot_columns(pool, n)):
+        cols = uniform_interp(y, grids[k], [tab[k] for tab in tables])
         for out, col in zip(outs, cols):
             out[:, k] = col
     return outs
@@ -229,7 +229,8 @@ def _path_reads(fns, pool: PathPool, quad_order: int):
     positions at knot i, read at each path's position there, so column i
     depends on nothing the paths do after t_i."""
     grid = pool.grid
-    grids = np.stack([_table_y_grid(y) for y in pool.cumulative[:, :-1].T])
+    grids = np.stack([_table_y_grid(y)
+                      for y in _knot_columns(pool, grid.n_steps)])
     tables = knot_tables(lambda U: [f(U) for f in fns], grid.knots[:-1],
                          grid.horizon, quad_order, grids)
     return _read_knot_tables(pool, grids, tables)
@@ -271,7 +272,11 @@ def reconstruction_error(L_values: np.ndarray, Z: np.ndarray, pool: PathPool) ->
     integrand is from reproducing L on the discrete grid.
     """
     vals = np.asarray(L_values, dtype=float)
-    if vals.shape != (pool.n_samples,) or Z.shape != pool.increments.shape:
+    inc = pool.increments
+    if vals.shape != (pool.n_samples,) or Z.shape != inc.shape:
         raise ValueError("shapes do not match the pool")
-    resid = vals - 1.0 - np.sum(Z * pool.increments, axis=1)
+    # Z * B(D_i) by row blocks of about _ROW_BUDGET entries; rows sum alone
+    resid, step = vals - 1.0, max(1, _ROW_BUDGET // inc.shape[1])
+    for lo in range(0, len(vals), step):
+        resid[lo:lo + step] -= np.sum(Z[lo:lo + step] * inc[lo:lo + step], 1)
     return float(np.sqrt(np.mean(resid ** 2)))

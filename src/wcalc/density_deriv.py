@@ -30,10 +30,10 @@ class DensityCurve:
     read only the path endpoint u = B_T.
 
     triple(lam, u) returns the raw value, its lambda-derivative and its
-    u-derivative at the endpoint values u. raw/raw_pair read it at the row
-    sums of an increment matrix; eval/eval_pair renormalize by the pool
-    mean so every probe has mean exactly one, and the derivative is
-    transformed consistently, which also forces its mean to zero.
+    u-derivative at the endpoint values u. raw/raw_pair read it at given u;
+    eval/eval_pair read it at the row sums of the pool's increments and
+    renormalize by the pool mean so every probe has mean exactly one, and
+    the derivative is transformed consistently, forcing its mean to zero.
     """
 
     lam_lo: float
@@ -51,21 +51,21 @@ class DensityCurve:
         if not self.contains(lam):
             raise ValueError(f"lambda={lam} outside [{self.lam_lo}, {self.lam_hi}]")
 
-    def raw_pair(self, lam: float, increments: np.ndarray):
-        """Raw value and lambda-derivative on the paths of increments."""
+    def raw_pair(self, lam: float, u: np.ndarray):
+        """Raw value and lambda-derivative at the endpoint values u."""
         self._require(lam)
-        v, d, _ = self.triple(lam, row_sums(increments))
+        v, d, _ = self.triple(lam, u)
         return np.asarray(v, dtype=float), np.asarray(d, dtype=float)
 
-    def raw(self, lam: float, increments: np.ndarray) -> np.ndarray:
-        return self.raw_pair(lam, increments)[0]
+    def raw(self, lam: float, u: np.ndarray) -> np.ndarray:
+        return self.raw_pair(lam, u)[0]
 
     def eval(self, lam: float, pool: PathPool) -> np.ndarray:
-        return renormalize(self.raw(lam, pool.increments))
+        return renormalize(self.raw(lam, row_sums(pool.increments)))
 
     def eval_pair(self, lam: float, pool: PathPool):
         """(eval, deriv) at lam from one raw evaluation of the curve."""
-        return renormalize(*self.raw_pair(lam, pool.increments))
+        return renormalize(*self.raw_pair(lam, row_sums(pool.increments)))
 
 
 def renormalize(vals: np.ndarray, dvals: Optional[np.ndarray] = None):

@@ -108,21 +108,20 @@ def shift_backward(pool: PathPool, gamma: StepProcess, t: float) -> PathPool:
     return PathPool(pool.grid, inc)
 
 
-def girsanov_check(pool: PathPool, exponential, shifted: PathPool,
-                   phi: Callable):
+def girsanov_check(exponential, values, shifted_values):
     """Two estimators of the same expectation under the reweighted measure.
 
-    exponential is one integrand's E_T on the pool (doleans_exponential's
-    last column) and shifted the pool under its forward flow to the
-    horizon, each built once for every observable paired with it.
+    exponential is one integrand's E_T on a pool (doleans_exponential's
+    last column), values phi on its paths and shifted_values phi on them
+    under the integrand's forward flow to the horizon, one per path.
     lhs: mean of E_T * phi(paths); rhs: mean of phi(shifted paths).
     Returns (lhs, rhs, std_err) where std_err is the common-random-number
     standard error of the per-path difference.
     """
-    density = np.asarray(exponential, dtype=float)
-    if density.shape != (pool.n_samples,) or shifted.n_samples != pool.n_samples:
-        raise ValueError("exponential and shifted pool must match the pool's paths")
-    lhs_vals = density * np.asarray(phi(pool), dtype=float)
-    rhs_vals = np.asarray(phi(shifted), dtype=float)
+    density, lhs_vals, rhs_vals = (np.asarray(a, dtype=float) for a in
+                                   (exponential, values, shifted_values))
+    if density.ndim != 1 or not density.shape == lhs_vals.shape == rhs_vals.shape:
+        raise ValueError("exponential and values must match the pool's paths")
+    lhs_vals = density * lhs_vals
     _, std_err = mean_and_se(lhs_vals - rhs_vals)
     return float(lhs_vals.mean()), float(rhs_vals.mean()), std_err

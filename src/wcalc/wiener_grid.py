@@ -143,16 +143,27 @@ def sample_paths(grid: TimeGrid, n_samples: int, seed: int) -> PathPool:
     return PathPool(grid, z)
 
 
-def brownian_at(pool: PathPool, t: float) -> np.ndarray:
-    """Per-path value B_t; t must be a grid knot. Unless the matrix is built,
-    columns add from a copy of column 0 as in np.cumsum: its bits, -0.0 too."""
-    j = pool.grid.knot_index(t)
+def _knot_columns(pool: PathPool, stop: int):
+    """Positions at knots 0, ..., stop - 1, one column at a time: the
+    matrix's columns if it is built, else increment columns added to a copy
+    of column 0 as in np.cumsum, so the bits (-0.0 too) are the matrix's.
+    A column is overwritten by the next one; copy it to keep it."""
     if pool._cumulative is not None:
-        return pool.cumulative[:, j].copy()
-    b = np.zeros(pool.n_samples) if j == 0 else pool.increments[:, 0].copy()
-    for col in pool.increments[:, 1:j].T:
-        b += col
-    return b
+        yield from pool._cumulative[:, :stop].T
+        return
+    b = np.zeros(pool.n_samples)
+    for j in range(stop):
+        if j:
+            col = pool.increments[:, j - 1]
+            b = col.copy() if j == 1 else np.add(b, col, out=b)
+        yield b
+
+
+def brownian_at(pool: PathPool, t: float) -> np.ndarray:
+    """Per-path value B_t; t must be a grid knot. Reads the position matrix
+    only if it is built, with the bits of its column either way."""
+    *_, b = _knot_columns(pool, pool.grid.knot_index(t) + 1)
+    return b.copy()
 
 
 def _block_edges(grid: TimeGrid, level: int) -> np.ndarray:

@@ -136,6 +136,14 @@ def read_table_interp(table, grids, b_left):
     return out
 
 
+def reconstruction_error_whole(L_values, Z, pool):
+    """clark_ocone.reconstruction_error with the (paths, steps) product
+    Z * B(D_i) formed in one piece (the route before the row blocks)."""
+    resid = (np.asarray(L_values, dtype=float) - 1.0
+             - np.sum(Z * pool.increments, axis=1))
+    return float(np.sqrt(np.mean(resid ** 2)))
+
+
 def decompose_per_path(fn, fn_prime, pool, quad_order: int = 32):
     """(Z, M, gamma) of the endpoint functional fn(B_T), fn' its
     derivative, by Gauss-Hermite quadrature at every path's own position at
@@ -499,9 +507,11 @@ def girsanov_check_rebuilding(pool, gamma, phi):
     """(lhs, rhs, std_err) of one pair, the exponential and the shifted pool
     built inside the call."""
     density = doleans_exponential(pool, gamma)[:, -1]
-    lhs_vals = density * np.asarray(phi(pool), dtype=float)
-    rhs_vals = np.asarray(phi(shift_forward(pool, gamma, pool.grid.horizon)),
-                          dtype=float)
+    shifted = shift_forward(pool, gamma, pool.grid.horizon)
+    lhs_vals = density * np.asarray(
+        phi(pool, brownian_at(pool, pool.grid.horizon)), dtype=float)
+    rhs_vals = np.asarray(
+        phi(shifted, brownian_at(shifted, pool.grid.horizon)), dtype=float)
     _, std_err = mean_and_se(lhs_vals - rhs_vals)
     return float(lhs_vals.mean()), float(rhs_vals.mean()), std_err
 

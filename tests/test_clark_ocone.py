@@ -9,7 +9,7 @@ from wcalc import (PathPool, make_grid, sample_paths, gaussian_smooth,
 from wcalc import clark_ocone
 from wcalc.numerics import gauss_hermite
 from oracles import (assert_bitwise, decompose_per_path, gaussian_expectation,
-                     tensor_nodes)
+                     reconstruction_error_whole, tensor_nodes)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +124,19 @@ def test_linear_functional_reconstructs_exactly(pool):
     Z = clark_ocone_integrand(fn_prime, pool, quad_order=16)
     vals = 1.0 + c * pool.increments.sum(axis=1)
     assert reconstruction_error(vals, Z, pool) < 1e-10
+
+
+def test_blocked_reconstruction_error_matches_the_whole_product_bitwise():
+    """Row blocks of Z * B(D_i) give the one-shot defect bit for bit, on a
+    32-step pool of three whole blocks and a ragged fourth."""
+    grid = make_grid(32)
+    rows = clark_ocone._ROW_BUDGET // grid.n_steps
+    p = sample_paths(grid, 3 * rows + 77, seed=41)
+    Z = clark_ocone_integrand(TANH[1], p, quad_order=16)
+    vals = TANH[0](p.increments.sum(axis=1))
+    got = reconstruction_error(vals, Z, p)
+    assert got.hex() == reconstruction_error_whole(vals, Z, p).hex()
+    assert p._cumulative is None
 
 
 def test_defect_halves_per_grid_doubling():

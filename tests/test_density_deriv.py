@@ -9,6 +9,7 @@ from wcalc import (make_grid, sample_paths, exponential_curve,
                    brownian_at, chain_rule_lhs_fd, chain_rule_rhs,
                    grad_phi_antiderivative, CylindricalFn, renormalize,
                    nested_derivative_check, second_order_check_multidim)
+from wcalc.numerics import row_sums
 from wcalc.checks import (_CHAIN_LAMS, _FD_STEP, _curve_battery,
                           _nested_battery, _plane_functionals, _shard_rows)
 from oracles import assert_bitwise, density_derivative_profile_per_pass
@@ -37,7 +38,7 @@ def test_row_read_shard_density_is_the_subset_density_bitwise(pool16, cid):
     shard's own paths."""
     curve = dict(_curve_battery(pool16.grid))[cid]
     for lam in (0.2, 0.45 + 1e-3):
-        raw, raw_deriv = curve.raw_pair(lam, pool16.increments)
+        raw, raw_deriv = curve.raw_pair(lam, row_sums(pool16.increments))
         for r in _shard_rows(pool16.n_samples):
             shard = pool16.subset(r)
             assert_bitwise(renormalize(raw[r]), curve.eval(lam, shard))
@@ -52,10 +53,10 @@ def test_mixture_curve_interpolates(pool16):
         return e, 0.5 * e
 
     curve = mixture_curve(lambda u: (1.0, 0.0), other)
-    inc = pool16.increments
-    v0, _ = curve.raw_pair(0.0, inc)
-    v1, _ = curve.raw_pair(1.0, inc)
-    vh, dh = curve.raw_pair(0.5, inc)
+    u = row_sums(pool16.increments)
+    v0, _ = curve.raw_pair(0.0, u)
+    v1, _ = curve.raw_pair(1.0, u)
+    vh, dh = curve.raw_pair(0.5, u)
     assert np.allclose(vh, 0.5 * v0 + 0.5 * v1)
     assert np.allclose(dh, v1 - v0)
     # normalized derivative agrees with a central difference of eval
@@ -71,22 +72,23 @@ def test_mixture_curve_interpolates(pool16):
 @pytest.mark.parametrize("seed", [20260815, 3, 4])
 def test_battery_curves_keep_their_endpoint_formulas_bitwise(seed):
     """The battery's curves read u = B_T as the row sum of the increments
-    and give, bit for bit, exp(lam u - lam^2 T / 2) with its
-    lambda-derivative and (1 - lam) + lam e with e - 1, e = exp(0.8 u -
-    0.32 T). A read of u that rounds differently (say the last column of
-    the cumulative sum) would move every chain-rule record."""
+    (row_sums, as the chain-rule battery passes it, and eval_pair) and
+    give, bit for bit, exp(lam u - lam^2 T / 2) with its lambda-derivative
+    and (1 - lam) + lam e with e - 1, e = exp(0.8 u - 0.32 T). A read of u
+    that rounds differently (say the last column of the cumulative sum)
+    would move every chain-rule record."""
     pool = sample_paths(make_grid(16), 2000, seed=seed)
-    inc = pool.increments
-    u = inc.sum(axis=1)
+    u = pool.increments.sum(axis=1)
+    assert_bitwise(row_sums(pool.increments), u)
     T = pool.grid.horizon
     curves = dict(_curve_battery(pool.grid))
     for lam in [lam + d for lam in _CHAIN_LAMS
                 for d in (-_FD_STEP, 0.0, _FD_STEP)]:
         v = np.exp(lam * u - 0.5 * lam * lam * T)
         e = np.exp(0.8 * u - 0.32 * T)
-        assert_bitwise(curves["exp"].raw_pair(lam, inc),
+        assert_bitwise(curves["exp"].raw_pair(lam, u),
                        (v, v * (u - lam * T)))
-        assert_bitwise(curves["mix"].raw_pair(lam, inc),
+        assert_bitwise(curves["mix"].raw_pair(lam, u),
                        ((1.0 - lam) * np.ones_like(u) + lam * e,
                         e - np.ones_like(u)))
 

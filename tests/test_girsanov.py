@@ -53,10 +53,11 @@ def test_constant_shift_reproduces_gaussian_mean(pool):
 def test_girsanov_check_two_routes(pool):
     gamma = deterministic_process(pool.grid,
                                   np.linspace(0.2, 0.8, pool.grid.n_steps))
+    shifted = shift_forward(pool, gamma, pool.grid.horizon)
     lhs, rhs, se = girsanov_check(
-        pool, doleans_exponential(pool, gamma)[:, -1],
-        shift_forward(pool, gamma, pool.grid.horizon),
-        lambda p: np.sin(brownian_at(p, p.grid.horizon)))
+        doleans_exponential(pool, gamma)[:, -1],
+        np.sin(brownian_at(pool, pool.grid.horizon)),
+        np.sin(brownian_at(shifted, pool.grid.horizon)))
     assert abs(lhs - rhs) <= 3 * se
 
 
@@ -64,11 +65,13 @@ def test_girsanov_check_rejects_inputs_of_another_pool(pool):
     gamma = constant_process(pool.grid, 0.5)
     table = doleans_exponential(pool, gamma)
     shifted = shift_forward(pool, gamma, pool.grid.horizon)
-    phi = lambda p: brownian_at(p, p.grid.horizon)
-    for exponential, moved in ((table, shifted), (table[:10, -1], shifted),
-                               (table[:, -1], shifted.subset(slice(10)))):
+    vals = brownian_at(pool, pool.grid.horizon)
+    moved = brownian_at(shifted, pool.grid.horizon)
+    for exponential, at_pool, at_shifted in (
+            (table, vals, moved), (table[:10, -1], vals, moved),
+            (table[:, -1], vals, moved[:10]), (table[:, -1], vals[:10], moved)):
         with pytest.raises(ValueError, match="match the pool"):
-            girsanov_check(pool, exponential, moved, phi)
+            girsanov_check(exponential, at_pool, at_shifted)
 
 
 def test_flow_inversion_exact(pool):

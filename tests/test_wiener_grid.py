@@ -6,6 +6,7 @@ import pytest
 
 from wcalc import (PathPool, TimeGrid, make_grid, sample_paths, brownian_at,
                    constant_process, dyadic_coarsen, shift_forward)
+from wcalc.wiener_grid import _knot_columns
 from oracles import assert_bitwise
 
 
@@ -120,14 +121,20 @@ def _signed_zeros():
          "shifted", "signed-zeros"])
 @pytest.mark.parametrize("matrix_first", [True, False])
 def test_positions_are_cumsum_bitwise(make, matrix_first):
-    """brownian_at at every knot and pool.cumulative are the np.cumsum
-    positions bit for bit (-0.0 included), whichever is read first; the
-    matrix is read-only."""
+    """brownian_at at every knot, the column walk that the knot-table
+    readers take and pool.cumulative are the np.cumsum positions bit for
+    bit (-0.0 included), whichever is read first; the matrix is read-only,
+    and neither of the other two reads builds it."""
     pool, want = make()
 
     def knots():
+        built = pool._cumulative is not None
         for j, t in enumerate(pool.grid.knots):
             assert_bitwise(brownian_at(pool, t), want[:, j])
+        for j, col in enumerate(_knot_columns(pool, pool.grid.n_steps + 1)):
+            assert_bitwise(col, want[:, j])
+        assert j == pool.grid.n_steps
+        assert (pool._cumulative is not None) == built
 
     def matrix():
         assert_bitwise(pool.cumulative, want)
